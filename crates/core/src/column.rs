@@ -42,7 +42,7 @@
 use crate::relation::KRelation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::{int_content_hash, str_content_hash, Value};
+use crate::value::{int_content_hash, str_content_hash, Value, ValueRef};
 use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::Semiring;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,6 +167,16 @@ impl Column {
             Column::I64(v) => Value::Int(v[row as usize]),
             Column::Str { dict, codes } => Value::Str(dict.resolve(codes[row as usize]).clone()),
             Column::Val(v) => v[row as usize].clone(),
+        }
+    }
+
+    /// The value at a physical row, borrowed: integers by value, strings
+    /// straight out of the dictionary — no `Arc` bump, no [`Value`].
+    pub fn value_ref_at(&self, row: u32) -> ValueRef<'_> {
+        match self {
+            Column::I64(v) => ValueRef::Int(v[row as usize]),
+            Column::Str { dict, codes } => ValueRef::Str(dict.resolve(codes[row as usize])),
+            Column::Val(v) => v[row as usize].as_ref(),
         }
     }
 
@@ -1006,19 +1016,116 @@ impl<K: Semiring> Grouped<K> {
         Batch::new(anns.len(), columns, anns)
     }
 
-    /// Converts the groups straight into a [`KRelation`] — the column→row
-    /// boundary at the plan root. Each distinct row builds its [`Tuple`]
-    /// exactly once, however many duplicates the pipeline streamed.
-    pub fn into_relation(self, schema: &Schema) -> KRelation<K> {
-        let mut result = KRelation::empty(schema.clone());
-        for ((b, r), k) in self.reps.into_iter().zip(self.anns) {
-            if k.is_zero() {
-                continue;
-            }
-            let cols = &self.sources[b as usize];
-            let tuple = Tuple::from_schema_row(schema, cols.iter().map(|c| c.value_at(r)));
-            result.insert_same_schema(tuple, k);
-        }
-        result
+    /// Emits the groups as one batch in **canonical order** — rows ascending
+    /// column by column under [`Value`]'s order, which is the [`Tuple`] order
+    /// of those rows under any schema — with zero-summed groups dropped.
+    /// Meant for whole-row groupings (distinct rows, so the order is total):
+    /// the plan root's result, sorted once.
+    pub fn into_sorted(self, arity: usize) -> Batch<K> {
+        let batch = self.into_batch(arity);
+        let order = canonical_order(&batch.columns, batch.len);
+        let columns = batch.columns.iter().map(|c| c.gather(&order)).collect();
+        let mut anns: Vec<Option<K>> = batch.anns.into_iter().map(Some).collect();
+        let anns = order
+            .iter()
+            .map(|&row| anns[row as usize].take().expect("a permutation"))
+            .collect();
+        Batch::new(order.len(), columns, anns)
     }
+
+    /// Converts the groups straight into a [`KRelation`] — the column→row
+    /// boundary at the API edge. Rows are sorted columnarly first, so each
+    /// distinct row builds its [`Tuple`] exactly once and the relation's map
+    /// is bulk-built from an ordered stream instead of searched per insert.
+    pub fn into_relation(self, schema: &Schema) -> KRelation<K> {
+        batch_into_relation(self.into_sorted(schema.arity()), schema)
+    }
+}
+
+/// Builds the relation of a batch already in canonical order with distinct,
+/// non-zero rows (what [`Grouped::into_sorted`] emits).
+pub(crate) fn batch_into_relation<K: Semiring>(batch: Batch<K>, schema: &Schema) -> KRelation<K> {
+    let (_, columns, anns) = batch.into_parts();
+    KRelation::from_sorted_support(
+        schema.clone(),
+        anns.into_iter().enumerate().map(|(row, k)| {
+            let values = columns.iter().map(|c| c.value_at(row as u32)).collect();
+            (Tuple::from_schema_row(schema, values), k)
+        }),
+    )
+}
+
+/// One column's contribution to the canonical row order.
+enum SortKey<'a> {
+    I64(&'a [i64]),
+    /// Per row, the rank of its string among the strings the column uses.
+    Rank(Vec<u32>),
+    Val(&'a [Value]),
+}
+
+impl SortKey<'_> {
+    fn of(column: &Column) -> SortKey<'_> {
+        match column {
+            Column::I64(v) => SortKey::I64(v),
+            Column::Val(v) => SortKey::Val(v),
+            Column::Str { dict, codes } => {
+                // Order the codes in use by their strings once; rows then
+                // compare as integers.
+                const UNUSED: u32 = u32::MAX;
+                let mut rank_of = vec![UNUSED; dict.len()];
+                for &code in codes.iter() {
+                    rank_of[code as usize] = 0;
+                }
+                let mut used: Vec<u32> = (0..dict.len() as u32)
+                    .filter(|&code| rank_of[code as usize] != UNUSED)
+                    .collect();
+                used.sort_unstable_by(|&a, &b| dict.resolve(a).cmp(dict.resolve(b)));
+                for (rank, &code) in used.iter().enumerate() {
+                    rank_of[code as usize] = rank as u32;
+                }
+                SortKey::Rank(codes.iter().map(|&c| rank_of[c as usize]).collect())
+            }
+        }
+    }
+
+    fn cmp(&self, a: u32, b: u32) -> std::cmp::Ordering {
+        let (a, b) = (a as usize, b as usize);
+        match self {
+            SortKey::I64(v) => v[a].cmp(&v[b]),
+            SortKey::Rank(v) => v[a].cmp(&v[b]),
+            SortKey::Val(v) => v[a].cmp(&v[b]),
+        }
+    }
+
+    /// An order-preserving `u64` image of the row's key; typed columns only.
+    fn prefix(&self, row: usize) -> u64 {
+        match self {
+            SortKey::I64(v) => v[row] as u64 ^ (1 << 63),
+            SortKey::Rank(v) => u64::from(v[row]),
+            SortKey::Val(_) => unreachable!("mixed-type columns have no inline key"),
+        }
+    }
+}
+
+/// The permutation that puts `len` rows of `columns` in canonical order.
+/// A typed first column's key rides inline with the row id, so the sort
+/// touches the columns again only when two rows tie on it.
+fn canonical_order(columns: &[Column], len: usize) -> Vec<u32> {
+    let keys: Vec<SortKey<'_>> = columns.iter().map(SortKey::of).collect();
+    let (inline, rest) = match keys.split_first() {
+        Some((first, rest)) if !matches!(first, SortKey::Val(_)) => (Some(first), rest),
+        _ => (None, keys.as_slice()),
+    };
+    let mut rows: Vec<(u64, u32)> = (0..len)
+        .map(|row| (inline.map_or(0, |key| key.prefix(row)), row as u32))
+        .collect();
+    rows.sort_unstable_by(|&(pa, a), &(pb, b)| {
+        pa.cmp(&pb).then_with(|| {
+            rest.iter()
+                .map(|key| key.cmp(a, b))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    });
+    rows.into_iter().map(|(_, row)| row).collect()
 }

@@ -55,7 +55,8 @@ pub mod prelude {
     pub use crate::expr::{paper_example_query, EvalError, RaExpr};
     pub use crate::paper;
     pub use crate::plan::{
-        Catalog, DeltaBatch, ExecContext, MaterializedView, NamedRelation, Plan, RelationSource,
+        Catalog, DeltaBatch, ExecContext, MaterializedView, NamedRelation, Plan, QueryResult,
+        RelationSource,
     };
     pub use crate::predicate::Predicate;
     pub use crate::provenance::{
@@ -68,7 +69,7 @@ pub mod prelude {
     pub use crate::schema::{Attribute, Renaming, Schema};
     pub use crate::snapshot::{DbSnapshot, SharedDatabase};
     pub use crate::tuple::Tuple;
-    pub use crate::value::Value;
+    pub use crate::value::{Value, ValueRef};
 }
 
 pub use prelude::*;

@@ -13,8 +13,9 @@
 //! * **π/ρ** permute the column *list* (`Arc` moves, no data copied).
 //! * **Pre-join aggregation** and the **root merge** group by content-hashed
 //!   key columns ([`group_batches`]): hashes are computed column-wise, and
-//!   the root builds each output [`Tuple`](crate::tuple::Tuple) once per
-//!   *distinct* row, however many duplicates the pipeline streamed.
+//!   the root sorts the distinct rows once, columnarly, and hands them on
+//!   as columns ([`QueryResult`]) — tuples are built only if a caller asks
+//!   for a `KRelation`.
 //! * **Hash join** builds a `hash → build-row refs` index over the build
 //!   batches and probes it with column-wise key hashes, assembling each
 //!   output batch column-by-column (typed gathers).
@@ -39,7 +40,7 @@ use super::physical::{scan_relation, ColSource, CompiledPredicate, PhysOp};
 use crate::column::{
     column_values_equal, columns_rows_equal, group_batches, relation_to_batches, Batch, Column,
 };
-use crate::plan::{ExecContext, RelationSource};
+use crate::plan::{ExecContext, QueryResult, RelationSource};
 use crate::relation::KRelation;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -526,16 +527,15 @@ where
     }
 }
 
-/// Runs a physical plan to completion through the columnar kernels,
-/// materializing the result relation. The root merge groups the output
-/// batches by *all* columns — the final `Σ` of duplicate rows — and builds
-/// each distinct tuple exactly once.
+/// Runs a physical plan to completion through the columnar kernels. The
+/// root merge groups the output batches by *all* columns — the final `Σ` of
+/// duplicate rows — and sorts the groups once; the result stays columnar.
 pub(crate) fn execute<K, S>(
     op: &PhysOp,
     schema: &Schema,
     source: &S,
     ctx: &ExecContext,
-) -> KRelation<K>
+) -> QueryResult<'static, K>
 where
     K: Semiring,
     S: RelationSource<K>,
@@ -546,8 +546,7 @@ where
         1
     };
     let batches = exec_batches(op, source, threads, &mut ScanCache::default());
-    let keys: Vec<usize> = (0..schema.arity()).collect();
-    group_batches(batches, &keys).into_relation(schema)
+    QueryResult::from_batches(schema.clone(), batches)
 }
 
 #[cfg(test)]

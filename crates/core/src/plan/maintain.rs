@@ -53,7 +53,7 @@ use crate::column::{
 use crate::database::Database;
 use crate::plan::batch::eval_predicate_mask;
 use crate::plan::physical::{scan_relation, ColSource, CompiledPredicate, PhysOp};
-use crate::plan::{ExecContext, Plan, RelationSource};
+use crate::plan::{ExecContext, Plan, QueryResult, RelationSource};
 use crate::relation::KRelation;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -639,12 +639,7 @@ impl Plan {
     /// when it carries a [`BatchCache`](crate::column::BatchCache).
     pub fn materialize<K: Semiring>(&self, source: &impl RelationSource<K>) -> MaterializedView<K> {
         let (batches, state) = init_op(&self.physical, source);
-        let mut result = KRelation::empty(self.schema.clone());
-        for batch in batches {
-            for (row, k) in batch.into_rows() {
-                result.insert_same_schema(Tuple::from_schema_row(&self.schema, row), k);
-            }
-        }
+        let result = QueryResult::from_batches(self.schema.clone(), batches).into_relation();
         MaterializedView { result, state }
     }
 
@@ -681,7 +676,7 @@ impl Plan {
         for batch in delta {
             for (row, k) in batch.into_rows() {
                 view.result
-                    .insert_same_schema(Tuple::from_schema_row(&self.schema, row), k);
+                    .insert(Tuple::from_schema_row(&self.schema, row), k);
             }
         }
     }
@@ -705,8 +700,8 @@ impl Plan {
         for batch in delta {
             for (row, k) in batch.into_rows() {
                 let tuple = Tuple::from_schema_row(&self.schema, row);
-                view.result.insert_same_schema(tuple.clone(), k.clone());
-                output_delta.insert_same_schema(tuple, k);
+                view.result.insert(tuple.clone(), k.clone());
+                output_delta.insert(tuple, k);
             }
         }
         output_delta

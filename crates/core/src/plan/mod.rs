@@ -36,6 +36,7 @@ pub(crate) mod batch;
 pub mod logical;
 mod maintain;
 pub(crate) mod physical;
+mod result;
 
 use crate::column;
 
@@ -48,6 +49,7 @@ use std::collections::BTreeMap;
 
 pub use logical::LogicalPlan;
 pub use maintain::{DeltaBatch, MaterializedView};
+pub use result::{QueryResult, RowValues};
 
 /// Which physical engine executes a plan.
 ///
@@ -420,12 +422,30 @@ impl Plan {
     /// Executes the plan with an explicit thread budget. `threads == 1`
     /// reproduces the serial pipelined path exactly; any other budget
     /// produces the identical `KRelation` via the morsel-driven executor
-    /// (deterministic partitioning and merge — see [`ExecContext`]).
+    /// (deterministic partitioning and merge — see [`ExecContext`]). This is
+    /// [`Plan::query_with`] followed by the API-edge
+    /// [`QueryResult::into_relation`].
     pub fn execute_with<K: Semiring>(
         &self,
         source: &impl RelationSource<K>,
         ctx: &ExecContext,
     ) -> KRelation<K> {
+        self.query_with(source, ctx).into_relation()
+    }
+
+    /// Executes the plan and returns the rows as the engine produced them —
+    /// grouped columns sorted once from the batch engine, a relation from
+    /// the row engine, the borrowed base relation for a bare scan — without
+    /// building the `BTreeMap<Tuple, K>` a [`KRelation`] is. What a caller
+    /// that only walks the rows (the query service) should use.
+    ///
+    /// # Panics
+    /// As [`Plan::execute`].
+    pub fn query_with<'a, K: Semiring>(
+        &self,
+        source: &'a impl RelationSource<K>,
+        ctx: &ExecContext,
+    ) -> QueryResult<'a, K> {
         let ctx = ctx.with_mode(self.resolved_mode(ctx));
         physical::execute(&self.physical, &self.schema, source, &ctx)
     }

@@ -47,7 +47,7 @@
 //! resolves per plan under the default `PROVSEM_EXEC=auto` (small scans
 //! run row-at-a-time, everything else columnar).
 
-use crate::plan::{ExecContext, RelationSource};
+use crate::plan::{ExecContext, QueryResult, RelationSource};
 use crate::predicate::Predicate;
 use crate::relation::KRelation;
 use crate::schema::Schema;
@@ -625,8 +625,10 @@ where
     relation
 }
 
-/// Runs a physical plan to completion, materializing the result relation
-/// (summing the annotations of duplicate rows, per Definition 3.2).
+/// Runs a physical plan to completion (summing the annotations of duplicate
+/// rows, per Definition 3.2) and hands back the result in the form the
+/// engine left it: borrowed for a bare scan, columns from the batch engine,
+/// a merged relation from the row engine.
 ///
 /// With `ctx.threads == 1` — or for a semiring that cannot cross threads
 /// ([`Semiring::is_portable`] is `false`) — this is the serial pipelined
@@ -634,21 +636,20 @@ where
 /// the partitions are folded into the result in partition order, which
 /// together with commutativity of `+` makes the output identical to the
 /// serial run.
-pub(crate) fn execute<K, S>(
+pub(crate) fn execute<'a, K, S>(
     op: &PhysOp,
     schema: &Schema,
-    source: &S,
+    source: &'a S,
     ctx: &ExecContext,
-) -> KRelation<K>
+) -> QueryResult<'a, K>
 where
     K: Semiring,
     S: RelationSource<K>,
 {
     // A plan that optimized down to a bare scan is the whole base relation:
-    // skip the row round-trip (named tuple → positional row → named tuple)
-    // entirely and clone the relation wholesale.
+    // no row round-trip, no copy — the result borrows it.
     if let PhysOp::Scan { name, schema: s } = op {
-        return scan_relation(name, s, source).clone();
+        return QueryResult::from(Cow::Borrowed(scan_relation(name, s, source)));
     }
     if ctx.mode == crate::plan::ExecMode::Batch {
         return super::batch::execute(op, schema, source, ctx);
@@ -657,16 +658,16 @@ where
     if ctx.threads > 1 && K::is_portable() {
         for chunk in exec_partitions(op, source, ctx.threads) {
             for (row, k) in chunk {
-                result.insert_same_schema(Tuple::from_schema_row(schema, row), k);
+                result.insert(Tuple::from_schema_row(schema, row), k);
             }
         }
     } else {
         for (row, k) in stream(op, source) {
             let tuple = Tuple::from_schema_row(schema, row);
-            result.insert_same_schema(tuple, k.into_owned());
+            result.insert(tuple, k.into_owned());
         }
     }
-    result
+    QueryResult::from(Cow::Owned(result))
 }
 
 // ---------------------------------------------------------------------------

@@ -66,17 +66,27 @@ impl<K: Semiring> KRelation<K> {
         self.tuples.contains_key(tuple)
     }
 
+    /// Checks `tuple` is over this relation's schema — a pointer comparison
+    /// for tuples built from the relation's own schema handle, an attribute
+    /// slice comparison otherwise, never an allocation — and moves it under
+    /// the relation's handle, so every stored tuple shares one schema.
+    fn adopt(&self, tuple: &mut Tuple) {
+        assert!(
+            tuple.schema_ref() == &self.schema,
+            "tuple schema must match relation schema: {:?} vs {:?}",
+            tuple.schema_ref(),
+            self.schema
+        );
+        tuple.adopt_schema(&self.schema);
+    }
+
     /// Adds `annotation` to the tuple's current annotation (semiring `+`),
     /// maintaining the support invariant.
     ///
     /// # Panics
     /// Panics if the tuple's schema differs from the relation's schema.
-    pub fn insert(&mut self, tuple: Tuple, annotation: K) {
-        assert_eq!(
-            tuple.schema(),
-            self.schema,
-            "tuple schema must match relation schema"
-        );
+    pub fn insert(&mut self, mut tuple: Tuple, annotation: K) {
+        self.adopt(&mut tuple);
         if annotation.is_zero() {
             return;
         }
@@ -93,32 +103,19 @@ impl<K: Semiring> KRelation<K> {
         }
     }
 
-    /// Like [`KRelation::insert`] but trusts the caller that the tuple is
-    /// over this relation's schema (checked only in debug builds). The hot
-    /// path of the physical engine's root materialization — both engines:
-    /// the row engine inserts once per output row, the batch engine once
-    /// per distinct row after columnar grouping — where building a
-    /// `Schema` per row just to assert it away would dominate.
-    pub(crate) fn insert_same_schema(&mut self, tuple: Tuple, annotation: K) {
-        debug_assert_eq!(
-            tuple.schema(),
-            self.schema,
-            "tuple schema must match relation schema"
-        );
-        if annotation.is_zero() {
-            return;
-        }
-        match self.tuples.get_mut(&tuple) {
-            Some(existing) => {
-                existing.plus_assign(&annotation);
-                if existing.is_zero() {
-                    self.tuples.remove(&tuple);
-                }
-            }
-            None => {
-                self.tuples.insert(tuple, annotation);
-            }
-        }
+    /// Builds a relation from `(tuple, annotation)` pairs already in strictly
+    /// increasing tuple order, non-zero, and built from `schema`'s handle —
+    /// the batch engine's sorted root result. The map is bulk-built, not
+    /// inserted into pair by pair.
+    pub(crate) fn from_sorted_support<I>(schema: Schema, pairs: I) -> Self
+    where
+        I: IntoIterator<Item = (Tuple, K)>,
+    {
+        let tuples: BTreeMap<Tuple, K> = pairs.into_iter().collect();
+        debug_assert!(tuples
+            .iter()
+            .all(|(t, k)| t.schema_ref().same_handle(&schema) && !k.is_zero()));
+        KRelation { schema, tuples }
     }
 
     /// In-place union (semiring `+` per tuple): adds every annotation of
@@ -134,7 +131,7 @@ impl<K: Semiring> KRelation<K> {
             "union requires identical schemas"
         );
         for (t, k) in other.iter() {
-            self.insert_same_schema(t.clone(), k.clone());
+            self.insert(t.clone(), k.clone());
         }
     }
 
@@ -154,12 +151,8 @@ impl<K: Semiring> KRelation<K> {
 
     /// Replaces the annotation of a tuple (rather than adding to it).
     /// A zero annotation removes the tuple.
-    pub fn set(&mut self, tuple: Tuple, annotation: K) {
-        assert_eq!(
-            tuple.schema(),
-            self.schema,
-            "tuple schema must match relation schema"
-        );
+    pub fn set(&mut self, mut tuple: Tuple, annotation: K) {
+        self.adopt(&mut tuple);
         if annotation.is_zero() {
             self.tuples.remove(&tuple);
         } else {

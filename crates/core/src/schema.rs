@@ -46,9 +46,49 @@ impl From<String> for Attribute {
 
 /// A relation schema: a finite set of attributes `U`, kept sorted so that
 /// schema equality and iteration order are deterministic.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+///
+/// The attribute list sits behind an [`Arc`], so a schema is a *handle*:
+/// cloning is a reference-count bump, and two clones of one schema compare
+/// equal by pointer without looking at a single attribute name. Every
+/// [`Tuple`](crate::tuple::Tuple) carries such a handle instead of its own
+/// copy of the names.
+#[derive(Clone, Eq)]
 pub struct Schema {
-    attributes: Vec<Attribute>,
+    attributes: Arc<[Attribute]>,
+}
+
+impl std::hash::Hash for Schema {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.attributes.hash(state);
+    }
+}
+
+impl PartialEq for Schema {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_handle(other) || self.attributes == other.attributes
+    }
+}
+
+impl Ord for Schema {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        if self.same_handle(other) {
+            std::cmp::Ordering::Equal
+        } else {
+            self.attributes.cmp(&other.attributes)
+        }
+    }
+}
+
+impl PartialOrd for Schema {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Default for Schema {
+    fn default() -> Self {
+        Schema::from_sorted_distinct(Vec::new())
+    }
 }
 
 impl Schema {
@@ -67,7 +107,22 @@ impl Schema {
         let mut attributes: Vec<Attribute> = attrs.into_iter().map(Into::into).collect();
         attributes.sort();
         attributes.dedup();
-        Schema { attributes }
+        Schema::from_sorted_distinct(attributes)
+    }
+
+    /// Wraps attributes the caller has already sorted and deduplicated.
+    pub(crate) fn from_sorted_distinct(attributes: Vec<Attribute>) -> Self {
+        debug_assert!(attributes.windows(2).all(|w| w[0] < w[1]));
+        Schema {
+            attributes: attributes.into(),
+        }
+    }
+
+    /// Do the two schemas share one attribute list? `true` implies equality;
+    /// `false` says nothing (equal schemas built separately are distinct
+    /// handles).
+    pub(crate) fn same_handle(&self, other: &Schema) -> bool {
+        Arc::ptr_eq(&self.attributes, &other.attributes)
     }
 
     /// The attributes, in sorted order.

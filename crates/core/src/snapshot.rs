@@ -459,8 +459,7 @@ mod tests {
         let mut folded = KRelation::empty(q2.schema().clone());
         for batch in batches.iter().cloned() {
             for (row, k) in batch.into_rows() {
-                folded
-                    .insert_same_schema(crate::tuple::Tuple::from_schema_row(q2.schema(), row), k);
+                folded.insert(crate::tuple::Tuple::from_schema_row(q2.schema(), row), k);
             }
         }
         assert_eq!(&folded, q2.as_ref());

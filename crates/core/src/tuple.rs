@@ -3,14 +3,34 @@
 
 use crate::schema::{Attribute, Renaming, Schema};
 use crate::value::Value;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A tuple over some schema `U`: a total map from the attributes of `U` to
-/// values. Stored as a sorted map so tuples are hashable and ordered.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+/// values.
+///
+/// # Representation
+///
+/// A tuple is a [`Schema`] *handle* (an `Arc` bump to clone, shared by every
+/// tuple of a relation) plus **one** boxed slice of values. The invariants:
+///
+/// * `values.len() == schema.arity()`, and `values[i]` is the value of
+///   `schema.attributes()[i]` — the schema's sorted attribute order *is* the
+///   positional column order of the physical plan layer;
+/// * attribute names live only in the schema, never per tuple, so cloning,
+///   comparing, equating and hashing tuples **over one schema** touch values
+///   only (two handles of one schema compare by pointer);
+/// * [`Ord`] is lexicographic over `(attribute, value)` pairs in attribute
+///   order — exactly the order of the `BTreeMap<Attribute, Value>` this type
+///   used to be — so tuples over *different* schemas still order totally and
+///   every `BTreeMap<Tuple, K>` iterates as it always did. [`Eq`] is schema
+///   equality plus value equality; [`Hash`] covers the values alone, which is
+///   consistent with `Eq` (equal tuples have equal values).
+#[derive(Clone, Default)]
 pub struct Tuple {
-    fields: BTreeMap<Attribute, Value>,
+    schema: Schema,
+    values: Box<[Value]>,
 }
 
 impl Tuple {
@@ -19,104 +39,141 @@ impl Tuple {
         Tuple::default()
     }
 
-    /// Builds a tuple from `(attribute, value)` pairs.
+    /// Builds a tuple from `(attribute, value)` pairs, in any order. A
+    /// repeated attribute keeps its last value.
     pub fn new<I, A, V>(pairs: I) -> Self
     where
         I: IntoIterator<Item = (A, V)>,
         A: Into<Attribute>,
         V: Into<Value>,
     {
+        let mut pairs: Vec<(Attribute, Value)> = pairs
+            .into_iter()
+            .map(|(a, v)| (a.into(), v.into()))
+            .collect();
+        // Stable, so among equal attributes the last pair given stays last;
+        // `dedup_by` keeps the earlier element of a run, hence the swap.
+        pairs.sort_by(|(a, _), (b, _)| a.cmp(b));
+        pairs.dedup_by(|later, earlier| {
+            later.0 == earlier.0 && {
+                std::mem::swap(later, earlier);
+                true
+            }
+        });
+        let (attributes, values): (Vec<Attribute>, Vec<Value>) = pairs.into_iter().unzip();
         Tuple {
-            fields: pairs
-                .into_iter()
-                .map(|(a, v)| (a.into(), v.into()))
-                .collect(),
+            schema: Schema::from_sorted_distinct(attributes),
+            values: values.into(),
         }
     }
 
     /// Builds a tuple over `schema` from values listed in the schema's
-    /// (sorted) attribute order. Panics if the lengths differ.
+    /// (sorted) attribute order. The tuple shares `schema`'s handle. Panics
+    /// if the lengths differ.
     pub fn from_values<I, V>(schema: &Schema, values: I) -> Self
     where
         I: IntoIterator<Item = V>,
         V: Into<Value>,
     {
-        let values: Vec<Value> = values.into_iter().map(Into::into).collect();
+        let values: Box<[Value]> = values.into_iter().map(Into::into).collect();
         assert_eq!(
             values.len(),
             schema.arity(),
             "value count must match schema arity"
         );
         Tuple {
-            fields: schema.attributes().iter().cloned().zip(values).collect(),
+            schema: schema.clone(),
+            values,
         }
     }
 
-    /// Builds a tuple from a positional row whose columns follow `schema`'s
-    /// sorted attribute order — the physical plan layer's boundary
-    /// conversion back into the named perspective (the row engine's root
-    /// merge, and the batch engine's root grouping, which calls this once
-    /// per *distinct* output row). Unlike [`Tuple::from_values`] this is
-    /// infallible by construction (the planner guarantees the arity).
-    pub(crate) fn from_schema_row<I>(schema: &Schema, values: I) -> Self
-    where
-        I: IntoIterator<Item = Value>,
-    {
-        let tuple = Tuple {
-            fields: schema.attributes().iter().cloned().zip(values).collect(),
-        };
-        debug_assert_eq!(tuple.arity(), schema.arity(), "row arity matches schema");
-        tuple
+    /// Wraps a positional row whose columns follow `schema`'s sorted
+    /// attribute order — the physical plan layer's boundary conversion back
+    /// into the named perspective. The row *is* the tuple's storage, so this
+    /// allocates nothing; unlike [`Tuple::from_values`] it is infallible by
+    /// construction (the planner guarantees the arity).
+    pub(crate) fn from_schema_row(schema: &Schema, values: Box<[Value]>) -> Self {
+        debug_assert_eq!(values.len(), schema.arity(), "row arity matches schema");
+        Tuple {
+            schema: schema.clone(),
+            values,
+        }
     }
 
-    /// The schema this tuple is over.
+    /// The schema this tuple is over (a handle clone, no allocation).
     pub fn schema(&self) -> Schema {
-        Schema::new(self.fields.keys().cloned())
+        self.schema.clone()
+    }
+
+    /// Borrows the schema handle.
+    pub(crate) fn schema_ref(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Swaps in `schema`'s handle for this tuple's own. The caller has
+    /// checked the two schemas equal; afterwards comparisons against the
+    /// other tuples under that handle take the pointer shortcut, and this
+    /// tuple's separately built attribute list (if any) is freed.
+    pub(crate) fn adopt_schema(&mut self, schema: &Schema) {
+        debug_assert_eq!(&self.schema, schema);
+        if !self.schema.same_handle(schema) {
+            self.schema = schema.clone();
+        }
     }
 
     /// The value of an attribute, if present.
     pub fn get(&self, attr: &Attribute) -> Option<&Value> {
-        self.fields.get(attr)
+        self.schema.position(attr).map(|i| &self.values[i])
     }
 
     /// The value of an attribute by name, if present.
     pub fn get_named(&self, attr: &str) -> Option<&Value> {
-        self.fields.get(&Attribute::new(attr))
+        self.schema
+            .attributes()
+            .binary_search_by(|a| a.name().cmp(attr))
+            .ok()
+            .map(|i| &self.values[i])
     }
 
     /// Number of attributes.
     pub fn arity(&self) -> usize {
-        self.fields.len()
+        self.values.len()
     }
 
     /// Iterates over `(attribute, value)` pairs in attribute order.
     pub fn fields(&self) -> impl Iterator<Item = (&Attribute, &Value)> {
-        self.fields.iter()
+        self.schema.attributes().iter().zip(self.values.iter())
     }
 
     /// The values in attribute order.
-    pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.fields.values()
+    pub fn values(&self) -> std::slice::Iter<'_, Value> {
+        self.values.iter()
     }
 
     /// Restriction of the tuple to a sub-schema `V ⊆ U` (written `t` on `V`
     /// in the paper's projection definition). Attributes outside the tuple
     /// are ignored.
     pub fn restrict(&self, schema: &Schema) -> Tuple {
-        Tuple {
-            fields: self
-                .fields
-                .iter()
-                .filter(|(a, _)| schema.contains(a))
-                .map(|(a, v)| (a.clone(), v.clone()))
-                .collect(),
-        }
+        let values: Box<[Value]> = self
+            .fields()
+            .filter(|(a, _)| schema.contains(a))
+            .map(|(_, v)| v.clone())
+            .collect();
+        // Every kept attribute is in `schema`; when as many were kept as
+        // `schema` has, they are `schema` (the V ⊆ U case) and its handle is
+        // shared rather than rebuilt per tuple.
+        let schema = if values.len() == schema.arity() {
+            schema.clone()
+        } else {
+            self.schema.intersection(schema)
+        };
+        Tuple { schema, values }
     }
 
     /// Do two tuples agree on every attribute they share? (The compatibility
     /// condition of natural join.)
     pub fn compatible_with(&self, other: &Tuple) -> bool {
-        self.fields.iter().all(|(a, v)| match other.fields.get(a) {
+        self.fields().all(|(a, v)| match other.get(a) {
             Some(w) => v == w,
             None => true,
         })
@@ -128,30 +185,61 @@ impl Tuple {
         if !self.compatible_with(other) {
             return None;
         }
-        let mut fields = self.fields.clone();
-        for (a, v) in &other.fields {
-            fields.insert(a.clone(), v.clone());
-        }
-        Some(Tuple { fields })
+        let schema = self.schema.union(&other.schema);
+        let values = schema
+            .attributes()
+            .iter()
+            .map(|a| {
+                self.get(a)
+                    .or_else(|| other.get(a))
+                    .expect("a union attribute comes from one of the two tuples")
+                    .clone()
+            })
+            .collect();
+        Some(Tuple { schema, values })
     }
 
     /// Applies a renaming `β : U → U'`. Following the paper
     /// (`ρ_β R (t) = R(t ∘ β)`), renaming a tuple relabels its attributes.
     pub fn rename(&self, renaming: &Renaming) -> Tuple {
-        Tuple {
-            fields: self
-                .fields
-                .iter()
-                .map(|(a, v)| (renaming.apply(a), v.clone()))
-                .collect(),
+        Tuple::new(self.fields().map(|(a, v)| (renaming.apply(a), v.clone())))
+    }
+}
+
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.values == other.values
+    }
+}
+
+impl Eq for Tuple {}
+
+impl Hash for Tuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values.hash(state);
+    }
+}
+
+impl Ord for Tuple {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.schema == other.schema {
+            self.values.cmp(&other.values)
+        } else {
+            self.fields().cmp(other.fields())
         }
+    }
+}
+
+impl PartialOrd for Tuple {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, (a, v)) in self.fields.iter().enumerate() {
+        for (i, (a, v)) in self.fields().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

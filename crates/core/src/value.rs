@@ -47,6 +47,15 @@ impl Value {
         }
     }
 
+    /// A borrowed view of the value — the form typed columns hand out
+    /// without minting a [`Value`] (see [`ValueRef`]).
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Int(i) => ValueRef::Int(*i),
+        }
+    }
+
     /// Content hash of the value, independent of how a column stores it:
     /// equal to `int_content_hash` for integers and `str_content_hash`
     /// for strings, which is what lets the columnar kernels
@@ -60,6 +69,17 @@ impl Value {
             Value::Str(s) => str_content_hash(s),
         }
     }
+}
+
+/// A borrowed domain value: what a reader gets from a [`Value`], an `i64`
+/// column or a dictionary-encoded string column alike, so renderers walk
+/// rows and columns through one type and never clone an `Arc<str>`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ValueRef<'a> {
+    /// A string constant.
+    Str(&'a str),
+    /// An integer constant.
+    Int(i64),
 }
 
 /// The content hash an integer value contributes to row hashing, whether it

@@ -158,6 +158,16 @@ impl<K: Semiring> FactStore<K> {
             })
     }
 
+    /// The support of one predicate as borrowed `(values, annotation)` rows,
+    /// in sorted value order — [`FactStore::facts_of`] without minting a
+    /// [`Fact`] (a predicate `String` and a value vector) per row.
+    pub fn rows_of<'a>(&'a self, predicate: &str) -> impl Iterator<Item = (&'a [Value], &'a K)> {
+        self.relations
+            .get(predicate)
+            .into_iter()
+            .flat_map(|rel| rel.iter().map(|(values, k)| (values.as_slice(), k)))
+    }
+
     /// Iterates over every support fact.
     pub fn facts(&self) -> impl Iterator<Item = (Fact, &K)> {
         self.relations.iter().flat_map(|(pred, rel)| {

@@ -37,9 +37,19 @@ pub struct CacheStats {
 /// snapshot's epoch, and snapshots only move forward).
 #[derive(Default)]
 pub struct PlanCache {
-    plans: Mutex<FxHashMap<(u64, String), Arc<Plan>>>,
+    plans: Mutex<Plans>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// Plans by epoch, then by normalized text — two levels so a lookup borrows
+/// the caller's `&str` instead of building an owned `(epoch, String)` key.
+#[derive(Default)]
+struct Plans {
+    by_epoch: FxHashMap<u64, FxHashMap<String, Arc<Plan>>>,
+    /// The newest epoch any insert has seen: what makes "is this insert the
+    /// first of a newer epoch?" a comparison instead of a scan of the keys.
+    newest: u64,
 }
 
 impl PlanCache {
@@ -57,18 +67,29 @@ impl PlanCache {
         normalized: &str,
         build: impl FnOnce() -> Result<Plan, E>,
     ) -> Result<(Arc<Plan>, bool), E> {
-        let key = (epoch, normalized.to_string());
-        if let Some(plan) = self.lock().get(&key) {
+        let cached = self
+            .lock()
+            .by_epoch
+            .get(&epoch)
+            .and_then(|plans| plans.get(normalized))
+            .cloned();
+        if let Some(plan) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(plan), true));
+            return Ok((plan, true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(build()?);
         let mut plans = self.lock();
-        if plans.keys().all(|(e, _)| *e < epoch) {
-            plans.retain(|(e, _), _| *e >= epoch);
+        if epoch > plans.newest {
+            plans.by_epoch.retain(|e, _| *e >= epoch);
+            plans.newest = epoch;
         }
-        let entry = plans.entry(key).or_insert_with(|| Arc::clone(&plan));
+        let entry = plans
+            .by_epoch
+            .entry(epoch)
+            .or_default()
+            .entry(normalized.to_string())
+            .or_insert(plan);
         Ok((Arc::clone(entry), false))
     }
 
@@ -77,11 +98,11 @@ impl PlanCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.lock().len(),
+            entries: self.lock().by_epoch.values().map(FxHashMap::len).sum(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<(u64, String), Arc<Plan>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Plans> {
         self.plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -134,6 +155,57 @@ mod tests {
             .unwrap();
         assert!(!hit, "a commit must invalidate cached plans");
         assert_eq!(cache.stats().entries, 1, "epoch-0 entry evicted");
+    }
+
+    #[test]
+    fn an_epoch_bump_evicts_every_stale_plan_once() {
+        let cache = PlanCache::new();
+        let catalog = catalog_r();
+        let queries: Vec<String> = (0..128).map(|i| format!("q{i}")).collect();
+        for q in &queries {
+            cache
+                .get_or_plan::<()>(7, q, || Ok(plan_r(&catalog)))
+                .unwrap();
+        }
+        for q in &queries {
+            let (_, hit) = cache
+                .get_or_plan::<()>(7, q, || panic!("must not replan"))
+                .unwrap();
+            assert!(hit);
+        }
+        let warm = CacheStats {
+            hits: 128,
+            misses: 128,
+            entries: 128,
+        };
+        assert_eq!(cache.stats(), warm);
+        // The first miss at epoch 8 drops all 128 epoch-7 plans; the other
+        // 127 find nothing left to evict and just insert.
+        for (i, q) in queries.iter().enumerate() {
+            let (_, hit) = cache
+                .get_or_plan::<()>(8, q, || Ok(plan_r(&catalog)))
+                .unwrap();
+            assert!(!hit, "a commit must invalidate cached plans");
+            assert_eq!(
+                cache.stats(),
+                CacheStats {
+                    hits: 128,
+                    misses: 128 + i as u64 + 1,
+                    entries: i + 1,
+                }
+            );
+        }
+        // A reader still pinned at epoch 7 caches beside epoch 8 and does
+        // not evict it.
+        let (_, hit) = cache
+            .get_or_plan::<()>(7, "q0", || Ok(plan_r(&catalog)))
+            .unwrap();
+        assert!(!hit);
+        assert_eq!(cache.stats().entries, 129);
+        let (_, hit) = cache
+            .get_or_plan::<()>(8, "q0", || panic!("must not replan"))
+            .unwrap();
+        assert!(hit);
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! READ <relation-name>
 //! ```
 
-use crate::wire::{parse_value, render_value};
-use provsem_core::Value;
-use std::fmt;
+use crate::wire::{parse_value, write_value, WireSemiring};
+use provsem_core::plan::RowValues;
+use provsem_core::{Value, ValueRef};
+use std::fmt::{self, Write as _};
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -213,36 +214,38 @@ impl Response {
 
     /// The canonical single-line wire form.
     pub fn render(&self) -> String {
-        match self {
-            Response::Pong => "ok pong".to_string(),
-            Response::Epoch(e) => format!("ok epoch {e}"),
-            Response::Pinned(e) => format!("ok pinned {e}"),
-            Response::Unpinned(e) => format!("ok unpinned {e}"),
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends the canonical single-line wire form to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = match self {
+            Response::Pong => write!(out, "ok pong"),
+            Response::Epoch(e) => write!(out, "ok epoch {e}"),
+            Response::Pinned(e) => write!(out, "ok pinned {e}"),
+            Response::Unpinned(e) => write!(out, "ok unpinned {e}"),
             Response::Committed { epoch, changes } => {
-                format!("ok committed epoch={epoch} changes={changes}")
+                write!(out, "ok committed epoch={epoch} changes={changes}")
             }
-            Response::Defined { name, epoch } => format!("ok defined {name} epoch={epoch}"),
-            Response::Dropped { name, epoch } => format!("ok dropped {name} epoch={epoch}"),
+            Response::Defined { name, epoch } => write!(out, "ok defined {name} epoch={epoch}"),
+            Response::Dropped { name, epoch } => write!(out, "ok dropped {name} epoch={epoch}"),
             Response::Rows {
                 epoch,
                 cached: _,
                 schema,
                 rows,
             } => {
-                let mut out = format!("ok rows epoch={epoch} [{}]", schema.join(", "));
-                for (i, (values, annotation)) in rows.iter().enumerate() {
-                    out.push_str(if i == 0 { " " } else { "; " });
-                    out.push('(');
-                    for (j, v) in values.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&render_value(v));
-                    }
-                    out.push_str(")@");
-                    out.push_str(annotation);
+                let mut writer = RowWriter::new(out);
+                writer.begin(*epoch, None, schema.iter().map(String::as_str));
+                for (values, annotation) in rows {
+                    writer.row(values.iter().map(Value::as_ref), |out| {
+                        out.push_str(annotation)
+                    });
                 }
-                out
+                Ok(())
             }
             Response::Stats {
                 epoch,
@@ -253,17 +256,132 @@ impl Response {
                 batch_hits,
                 batch_misses,
                 batch_patches,
-            } => format!(
+            } => write!(
+                out,
                 "ok stats epoch={epoch} hits={hits} misses={misses} entries={entries} views={views} \
                  batch_hits={batch_hits} batch_misses={batch_misses} batch_patches={batch_patches}"
             ),
-            Response::Bye => "ok bye".to_string(),
+            Response::Bye => write!(out, "ok bye"),
             Response::Error { kind, message } => {
                 // Keep the reply on one line whatever the message contains.
                 let flat = message.replace('\n', " ");
-                format!("err {}: {}", kind.token(), flat)
+                write!(out, "err {}: {}", kind.token(), flat)
             }
+        };
+    }
+}
+
+/// Where a session sends the rows of a `QUERY`/`READ`/`VIEW`/`DATALOG`
+/// reply as it walks its result: the connection's reply buffer
+/// ([`RowWriter`]), or — for embedding callers of
+/// [`Session::handle_line`](crate::service::Session::handle_line) — a
+/// structured [`Response::Rows`] ([`RowsBuilder`]).
+pub(crate) trait RowSink {
+    /// Starts the reply. Called once, before any row.
+    fn begin<'s>(
+        &mut self,
+        epoch: u64,
+        cached: Option<bool>,
+        schema: impl IntoIterator<Item = &'s str>,
+    );
+
+    /// One row, in sorted tuple order.
+    fn row<K: WireSemiring>(&mut self, values: RowValues<'_>, annotation: &K);
+}
+
+/// Writes an `ok rows …` reply row by row — **the** row renderer:
+/// [`Response::render_into`] drives it from a structured
+/// [`Response::Rows`], the session drives it straight from result columns
+/// or relation tuples, and because both go through here the bytes agree by
+/// construction.
+pub(crate) struct RowWriter<'o> {
+    out: &'o mut String,
+    rows: usize,
+}
+
+impl<'o> RowWriter<'o> {
+    pub(crate) fn new(out: &'o mut String) -> Self {
+        RowWriter { out, rows: 0 }
+    }
+
+    /// Writes one `(v, …)@k` row; `annotation` appends the `k`.
+    fn row<'v>(
+        &mut self,
+        values: impl IntoIterator<Item = ValueRef<'v>>,
+        annotation: impl FnOnce(&mut String),
+    ) {
+        self.out.push_str(if self.rows == 0 { " (" } else { "; (" });
+        for (i, value) in values.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            write_value(self.out, value);
         }
+        self.out.push_str(")@");
+        annotation(self.out);
+        self.rows += 1;
+    }
+}
+
+impl RowSink for RowWriter<'_> {
+    /// Writes the `ok rows epoch=N [a, b]` head. The plan-cache flag is
+    /// deliberately not rendered — see the module docs.
+    fn begin<'s>(
+        &mut self,
+        epoch: u64,
+        _cached: Option<bool>,
+        schema: impl IntoIterator<Item = &'s str>,
+    ) {
+        let _ = write!(self.out, "ok rows epoch={epoch} [");
+        for (i, name) in schema.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.out.push_str(name);
+        }
+        self.out.push(']');
+    }
+
+    fn row<K: WireSemiring>(&mut self, values: RowValues<'_>, annotation: &K) {
+        RowWriter::row(self, values, |out| annotation.write_annotation(out));
+    }
+}
+
+/// Collects a row-bearing reply as a structured [`Response::Rows`].
+#[derive(Default)]
+pub(crate) struct RowsBuilder {
+    epoch: u64,
+    cached: Option<bool>,
+    schema: Vec<String>,
+    rows: Vec<(Vec<Value>, String)>,
+}
+
+impl RowsBuilder {
+    pub(crate) fn finish(self) -> Response {
+        Response::Rows {
+            epoch: self.epoch,
+            cached: self.cached,
+            schema: self.schema,
+            rows: self.rows,
+        }
+    }
+}
+
+impl RowSink for RowsBuilder {
+    fn begin<'s>(
+        &mut self,
+        epoch: u64,
+        cached: Option<bool>,
+        schema: impl IntoIterator<Item = &'s str>,
+    ) {
+        self.epoch = epoch;
+        self.cached = cached;
+        self.schema = schema.into_iter().map(str::to_string).collect();
+    }
+
+    fn row<K: WireSemiring>(&mut self, values: RowValues<'_>, annotation: &K) {
+        self.rows
+            .push((values.to_values(), annotation.render_annotation()));
     }
 }
 

@@ -21,19 +21,17 @@
 //! rendered bytes must match.
 
 use crate::cache::PlanCache;
-use crate::protocol::{CommitItem, ErrorKind, Request, Response};
+use crate::protocol::{CommitItem, ErrorKind, Request, Response, RowSink, RowWriter, RowsBuilder};
 use crate::ra_parse::{normalize, parse_ra};
 use crate::wire::WireSemiring;
-use provsem_core::kernels::Batch;
 use provsem_core::prelude::{
-    Database, DbSnapshot, DeltaBatch, EvalError, ExecContext, KRelation, Plan, RelationSource,
-    Schema, SharedDatabase, Tuple, Value,
+    Database, DbSnapshot, DeltaBatch, EvalError, ExecContext, Plan, QueryResult, RelationSource,
+    SharedDatabase, Tuple,
 };
 use provsem_datalog::{
     evaluate_with_context, parse_program, EvalStrategy, FactStore, Program, DEFAULT_FALLBACK_BOUND,
 };
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A query service over one shared database: hands out [`Session`]s that
@@ -116,6 +114,11 @@ impl<K: WireSemiring> Session<K> {
 
     /// Parses and executes one request line. Never panics on client input —
     /// every failure is a structured [`Response::Error`].
+    ///
+    /// This is the embedding API: row-bearing replies come back as a
+    /// structured [`Response::Rows`] (one `Vec<Value>` and one annotation
+    /// string per row). A connection uses [`Session::handle_line_into`]
+    /// instead, which renders the same rows without building them.
     pub fn handle_line(&mut self, line: &str) -> Response {
         match Request::parse(line) {
             Ok(request) => self.handle(request),
@@ -125,7 +128,40 @@ impl<K: WireSemiring> Session<K> {
 
     /// Executes one parsed request.
     pub fn handle(&mut self, request: Request) -> Response {
-        match request {
+        let mut rows = RowsBuilder::default();
+        match self.dispatch(request, &mut rows) {
+            Some(response) => response,
+            None => rows.finish(),
+        }
+    }
+
+    /// Parses and executes one request line and appends the reply's wire
+    /// form (no trailing newline) to `out` — byte for byte what
+    /// `handle_line(line).render()` returns, but `QUERY`, `READ`, `VIEW` and
+    /// `DATALOG` rows are written straight from the result's columns (or the
+    /// relation's tuples) into `out` through the one row writer
+    /// [`Response::render`] uses: no `Response::Rows`, no per-row vector, no
+    /// per-value or per-annotation string. Returns `true` when the request
+    /// ended the session (`BYE`).
+    pub fn handle_line_into(&mut self, line: &str, out: &mut String) -> bool {
+        let response = match Request::parse(line) {
+            Ok(request) => self.dispatch(request, &mut RowWriter::new(out)),
+            Err((kind, message)) => Some(Response::Error { kind, message }),
+        };
+        match response {
+            Some(response) => {
+                response.render_into(out);
+                matches!(response, Response::Bye)
+            }
+            None => false,
+        }
+    }
+
+    /// Executes a request. Row-bearing replies go to `sink` and return
+    /// `None`; everything else (errors of row-bearing verbs included) comes
+    /// back as a structured response with `sink` untouched.
+    fn dispatch(&mut self, request: Request, sink: &mut impl RowSink) -> Option<Response> {
+        Some(match request {
             Request::Ping => Response::Pong,
             Request::Bye => Response::Bye,
             Request::Epoch => Response::Epoch(self.snapshot().epoch()),
@@ -154,20 +190,20 @@ impl<K: WireSemiring> Session<K> {
                     batch_patches: batch.patches,
                 }
             }
-            Request::Query(text) => self.query(&text),
-            Request::Datalog { program, goal } => self.datalog(&program, &goal),
+            Request::Query(text) => return self.query(&text, sink),
+            Request::Datalog { program, goal } => return self.datalog(&program, &goal, sink),
             Request::Commit(items) => self.commit(&items),
             Request::Define { name, expr } => self.define(&name, &expr),
             Request::Drop(name) => self.drop_view(&name),
-            Request::View(name) => self.view(&name),
-            Request::Read(name) => self.read(&name),
-        }
+            Request::View(name) => return self.view(&name, sink),
+            Request::Read(name) => return self.read(&name, sink),
+        })
     }
 
-    fn query(&self, text: &str) -> Response {
+    fn query(&self, text: &str, sink: &mut impl RowSink) -> Option<Response> {
         let expr = match parse_ra(text) {
             Ok(expr) => expr,
-            Err(e) => return Response::error(ErrorKind::Parse, e),
+            Err(e) => return Some(Response::error(ErrorKind::Parse, e)),
         };
         let snapshot = self.snapshot();
         let planned = self
@@ -178,45 +214,55 @@ impl<K: WireSemiring> Session<K> {
             });
         match planned {
             Ok((plan, hit)) => {
-                let result = plan.execute_with(&snapshot, &self.service.ctx);
-                rows_response(snapshot.epoch(), Some(hit), &result)
+                let result = plan.query_with(&snapshot, &self.service.ctx);
+                send_rows(sink, snapshot.epoch(), Some(hit), &result);
+                None
             }
-            Err(e) => eval_error(e),
+            Err(e) => Some(eval_error(e)),
         }
     }
 
-    fn read(&self, name: &str) -> Response {
+    fn read(&self, name: &str, sink: &mut impl RowSink) -> Option<Response> {
         let snapshot = self.snapshot();
         match snapshot.database().get(name) {
-            Some(relation) => rows_response(snapshot.epoch(), None, relation),
-            None => Response::error(
+            Some(relation) => {
+                let rows = QueryResult::from(Cow::Borrowed(relation));
+                send_rows(sink, snapshot.epoch(), None, &rows);
+                None
+            }
+            None => Some(Response::error(
                 ErrorKind::UnknownRelation,
                 format!("no base relation {name} at epoch {}", snapshot.epoch()),
-            ),
+            )),
         }
     }
 
-    fn view(&self, name: &str) -> Response {
+    fn view(&self, name: &str, sink: &mut impl RowSink) -> Option<Response> {
         let snapshot = self.snapshot();
         let Some(result) = snapshot.view_shared(name) else {
-            return Response::error(
+            return Some(Response::error(
                 ErrorKind::UnknownView,
                 format!("no standing view {name} at epoch {}", snapshot.epoch()),
-            );
+            ));
         };
         // Standing views live in the snapshot's batch cache: registration
         // seeds the entry and every commit patches it forward with the
         // view's own maintenance delta, so this read is a cache hit (never
         // a re-conversion) no matter how many commits have advanced the
-        // view since registration.
-        match snapshot.batch_cache() {
-            Some((cache, epoch)) => batch_rows_response(
-                snapshot.epoch(),
-                result.schema(),
-                &cache.get_or_convert(epoch, &result),
+        // view since registration. A patched entry is the base conversion
+        // plus appended deltas (deletions as inverse annotations), so the
+        // rows go through the plan root's merge — group by the whole row,
+        // drop zero sums, sort once — and come out byte-identical to the
+        // view relation itself.
+        let rows = match snapshot.batch_cache() {
+            Some((cache, epoch)) => QueryResult::from_batches(
+                result.schema().clone(),
+                cache.get_or_convert(epoch, &result).as_ref().clone(),
             ),
-            None => rows_response(snapshot.epoch(), None, &result),
-        }
+            None => QueryResult::from(Cow::Borrowed(result.as_ref())),
+        };
+        send_rows(sink, snapshot.epoch(), None, &rows);
+        None
     }
 
     fn define(&self, name: &str, text: &str) -> Response {
@@ -275,13 +321,7 @@ impl<K: WireSemiring> Session<K> {
                 Ok(annotation) => annotation,
                 Err(message) => return Response::error(ErrorKind::Annotation, message),
             };
-            let tuple = Tuple::new(
-                schema
-                    .attributes()
-                    .iter()
-                    .cloned()
-                    .zip(item.values.iter().cloned()),
-            );
+            let tuple = Tuple::from_values(schema, item.values.iter().cloned());
             batch.insert(&item.relation, tuple, annotation);
         }
         Response::Committed {
@@ -290,22 +330,22 @@ impl<K: WireSemiring> Session<K> {
         }
     }
 
-    fn datalog(&self, text: &str, goal: &str) -> Response {
+    fn datalog(&self, text: &str, goal: &str, sink: &mut impl RowSink) -> Option<Response> {
         let program = match parse_program(text) {
             Ok(program) => program,
-            Err(e) => return Response::error(ErrorKind::Parse, e),
+            Err(e) => return Some(Response::error(ErrorKind::Parse, e)),
         };
         if !program.is_safe() {
-            return Response::error(
+            return Some(Response::error(
                 ErrorKind::UnsafeProgram,
                 "program is not range-restricted (every head variable must occur in the body)",
-            );
+            ));
         }
         let Some(arity) = goal_arity(&program, goal) else {
-            return Response::error(
+            return Some(Response::error(
                 ErrorKind::UnknownRelation,
                 format!("goal {goal} is not an IDB predicate of the program (use READ for base relations)"),
-            );
+            ));
         };
         let snapshot = self.snapshot();
         // Import only the relations the program actually reads — a datalog
@@ -344,25 +384,22 @@ impl<K: WireSemiring> Session<K> {
             &self.service.ctx,
         );
         if !result.converged {
-            return Response::error(
+            return Some(Response::error(
                 ErrorKind::NotConverged,
                 format!(
                     "fixpoint still changing after {DEFAULT_FALLBACK_BOUND} rounds \
                      (annotations may diverge in this semiring)"
                 ),
-            );
+            ));
         }
-        let rows = result
-            .idb
-            .facts_of(goal)
-            .map(|(fact, k)| (fact.values, k.render_annotation()))
-            .collect();
-        Response::Rows {
-            epoch: snapshot.epoch(),
-            cached: None,
-            schema: (0..arity).map(|i| format!("c{i}")).collect(),
-            rows,
+        // The fact store keeps each predicate sorted by value vector, which
+        // is the reply's row order.
+        let schema: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
+        sink.begin(snapshot.epoch(), None, schema.iter().map(String::as_str));
+        for (values, k) in result.idb.rows_of(goal) {
+            sink.row(values.iter().into(), k);
         }
+        None
     }
 }
 
@@ -375,73 +412,18 @@ fn goal_arity(program: &Program, goal: &str) -> Option<usize> {
         .map(|rule| rule.head.arity())
 }
 
-fn rows_response<K: WireSemiring>(
+/// Sends a result's rows to `sink`, in the result's (sorted tuple) order.
+/// Schema attributes are sorted and row values follow the same order, so
+/// positional values line up with the schema labels.
+fn send_rows<K: WireSemiring>(
+    sink: &mut impl RowSink,
     epoch: u64,
     cached: Option<bool>,
-    relation: &KRelation<K>,
-) -> Response {
-    // Schema attributes are sorted, and tuples store fields in the same
-    // sorted order, so positional values line up with the schema labels.
-    Response::Rows {
-        epoch,
-        cached,
-        schema: relation
-            .schema()
-            .attributes()
-            .iter()
-            .map(|a| a.name().to_string())
-            .collect(),
-        rows: relation
-            .iter()
-            .map(|(tuple, k)| (tuple.values().cloned().collect(), k.render_annotation()))
-            .collect(),
-    }
-}
-
-/// Renders rows from a view's cached columnar batches. A patched cache
-/// entry is the base conversion plus appended commit deltas, so one tuple
-/// may occur in several batches (deletions as inverse annotations): fold
-/// with semiring `+`, drop zero sums, and render in sorted tuple order —
-/// byte-identical to rendering the view relation itself.
-fn batch_rows_response<K: WireSemiring>(
-    epoch: u64,
-    schema: &Schema,
-    batches: &[Batch<K>],
-) -> Response {
-    let mut merged: BTreeMap<Vec<Value>, K> = BTreeMap::new();
-    for source in batches {
-        let materialized;
-        let batch = if source.live_rows() == source.phys_rows() {
-            source
-        } else {
-            materialized = source.clone().materialize();
-            &materialized
-        };
-        for row in 0..batch.phys_rows() as u32 {
-            let values: Vec<Value> = batch.columns().iter().map(|c| c.value_at(row)).collect();
-            let k = batch.anns()[row as usize].clone();
-            match merged.entry(values) {
-                Entry::Occupied(mut e) => e.get_mut().plus_assign(&k),
-                Entry::Vacant(e) => {
-                    e.insert(k);
-                }
-            }
-        }
-    }
-    Response::Rows {
-        epoch,
-        cached: None,
-        schema: schema
-            .attributes()
-            .iter()
-            .map(|a| a.name().to_string())
-            .collect(),
-        rows: merged
-            .into_iter()
-            .filter(|(_, k)| !k.is_zero())
-            .map(|(values, k)| (values, k.render_annotation()))
-            .collect(),
-    }
+    rows: &QueryResult<'_, K>,
+) {
+    let names = rows.schema().attributes().iter().map(|a| a.name());
+    sink.begin(epoch, cached, names);
+    rows.for_each_row(|values, k| sink.row(values, k));
 }
 
 fn eval_error(e: EvalError) -> Response {

@@ -14,7 +14,7 @@
 //! the semiring where deletions are first-class, exactly as in Green et
 //! al.'s follow-up work on reconcilable differences.
 
-use provsem_core::Value;
+use provsem_core::{Value, ValueRef};
 use provsem_semiring::ring::Integers;
 use provsem_semiring::{Natural, Semiring};
 
@@ -27,8 +27,16 @@ pub trait WireSemiring: Semiring + Send + Sync {
     /// client as a structured `annotation` error).
     fn from_wire_count(count: i64) -> Result<Self, String>;
 
-    /// Canonical text form of an annotation, used in `... @ k` row output.
-    fn render_annotation(&self) -> String;
+    /// Appends the canonical text form of an annotation (the `k` of
+    /// `(...)@k` row output) to a reply under construction.
+    fn write_annotation(&self, out: &mut String);
+
+    /// [`WireSemiring::write_annotation`] into a fresh string.
+    fn render_annotation(&self) -> String {
+        let mut out = String::new();
+        self.write_annotation(&mut out);
+        out
+    }
 }
 
 impl WireSemiring for Integers {
@@ -36,8 +44,8 @@ impl WireSemiring for Integers {
         Ok(Integers(count))
     }
 
-    fn render_annotation(&self) -> String {
-        self.0.to_string()
+    fn write_annotation(&self, out: &mut String) {
+        write_int(out, self.0.unsigned_abs(), self.0 < 0);
     }
 }
 
@@ -51,30 +59,56 @@ impl WireSemiring for Natural {
         })
     }
 
-    fn render_annotation(&self) -> String {
-        self.0.to_string()
+    fn write_annotation(&self, out: &mut String) {
+        write_int(out, self.0, false);
     }
 }
 
-/// Canonical text form of a [`Value`]: integers bare, strings always
-/// single-quoted with `'` escaped by doubling (`''`), so rendering is
-/// injective and [`parse_value`] inverts it.
-pub fn render_value(value: &Value) -> String {
-    match value {
-        Value::Int(i) => i.to_string(),
-        Value::Str(s) => {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('\'');
-            for ch in s.chars() {
-                if ch == '\'' {
-                    out.push('\'');
-                }
-                out.push(ch);
-            }
-            out.push('\'');
-            out
+/// Appends a decimal integer. Replies are mostly integers (keys, counts),
+/// so this skips `fmt`'s machinery: digits go into a stack buffer, then one
+/// `push_str`.
+fn write_int(out: &mut String, mut magnitude: u64, negative: bool) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (magnitude % 10) as u8;
+        magnitude /= 10;
+        if magnitude == 0 {
+            break;
         }
     }
+    if negative {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends the canonical text form of a value: integers bare, strings always
+/// single-quoted with `'` escaped by doubling (`''`), so rendering is
+/// injective and [`parse_value`] inverts it.
+pub fn write_value(out: &mut String, value: ValueRef<'_>) {
+    match value {
+        ValueRef::Int(i) => write_int(out, i.unsigned_abs(), i < 0),
+        ValueRef::Str(s) => {
+            out.push('\'');
+            let mut rest = s;
+            while let Some(quote) = rest.find('\'') {
+                out.push_str(&rest[..=quote]);
+                out.push('\'');
+                rest = &rest[quote + 1..];
+            }
+            out.push_str(rest);
+            out.push('\'');
+        }
+    }
+}
+
+/// [`write_value`] into a fresh string.
+pub fn render_value(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value.as_ref());
+    out
 }
 
 /// Parses one value token: `-?[0-9]+` is an integer, `'...'` (with `''`
@@ -134,10 +168,22 @@ mod tests {
             Value::from("plain"),
             Value::from("with space"),
             Value::from("it's"),
+            Value::from("'"),
+            Value::from("''lead and trail'"),
+            Value::from("naïve 'ünï'"),
             Value::from(""),
         ] {
             assert_eq!(parse_value(&render_value(&v)).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn integers_render_as_display_does() {
+        for i in [0, 7, -7, 10, 1_000_000_007, i64::MAX, i64::MIN] {
+            assert_eq!(render_value(&Value::Int(i)), i.to_string());
+            assert_eq!(Integers(i).render_annotation(), i.to_string());
+        }
+        assert_eq!(Natural(u64::MAX).render_annotation(), u64::MAX.to_string());
     }
 
     #[test]

@@ -347,3 +347,41 @@ fn datalog_reads_the_edb_through_the_batch_cache() {
         "{stats:?}"
     );
 }
+
+/// A request line is bounded: a client that sends more than
+/// `MAX_REQUEST_LINE` bytes without a newline gets one structured error and
+/// is disconnected, instead of growing the connection's buffer without
+/// limit. A line of exactly the maximum is still served.
+#[test]
+fn an_overlong_request_line_is_refused_and_the_connection_closed() {
+    use provsem_server::tcp::MAX_REQUEST_LINE;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let handle = serve(Service::new(z_db()), "127.0.0.1:0").unwrap();
+
+    // At the limit: an ordinary (if unknown) request, and the session lives on.
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = vec![b'x'; MAX_REQUEST_LINE];
+    line.push(b'\n');
+    stream.write_all(&line).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(
+        reply.starts_with("err protocol: unknown command"),
+        "{reply:?}"
+    );
+    stream.write_all(b"PING\n").unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply, "ok pong\n");
+
+    // One byte over, never terminated: refused, then end of stream.
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+    let mut rest = String::new();
+    stream.read_to_string(&mut rest).unwrap();
+    assert_eq!(rest, "err protocol: request line too long\n");
+    handle.shutdown();
+}
