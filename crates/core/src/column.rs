@@ -952,9 +952,18 @@ pub struct Grouped<K> {
 /// Groups the live rows of `batches` by the given key columns, summing
 /// annotations of equal-key rows in stream order. With `keys` spanning the
 /// whole row this is exactly the row engine's duplicate aggregation.
+///
+/// Two passes: every row is assigned its group's id, then the semiring sums
+/// all groups in one call ([`Semiring::sum_groups`]) — which is what lets
+/// provenance circuits build one node per group instead of one per row.
 pub fn group_batches<K: Semiring>(batches: Vec<Batch<K>>, keys: &[usize]) -> Grouped<K> {
     let mut sources: Vec<Vec<Column>> = Vec::with_capacity(batches.len());
     let mut reps: Vec<(u32, u32)> = Vec::new();
+    // Per live row, in stream order: its group and its annotation. Sized
+    // once — regrowing row-sized buffers batch by batch costs more than
+    // summing them.
+    let total_rows: usize = batches.iter().map(Batch::live_rows).sum();
+    let mut group_of: Vec<u32> = Vec::with_capacity(total_rows);
     let mut anns: Vec<K> = Vec::new();
     // hash → group ids with that hash (collisions verified exactly).
     let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
@@ -965,8 +974,7 @@ pub fn group_batches<K: Semiring>(batches: Vec<Batch<K>>, keys: &[usize]) -> Gro
         debug_assert_eq!(len, batch_anns.len());
         let bidx = sources.len() as u32;
         table.reserve(len);
-        for (row, k) in batch_anns.into_iter().enumerate() {
-            let h = hashes[row];
+        for (row, &h) in hashes.iter().enumerate() {
             let candidates = table.entry(h).or_default();
             let found = candidates.iter().copied().find(|&g| {
                 let (rb, rr) = reps[g as usize];
@@ -977,22 +985,27 @@ pub fn group_batches<K: Semiring>(batches: Vec<Batch<K>>, keys: &[usize]) -> Gro
                 };
                 columns_rows_equal(&columns, row as u32, keys, rep_cols, rr, keys)
             });
-            match found {
-                Some(g) => anns[g as usize].plus_assign(&k),
-                None => {
-                    let g = reps.len() as u32;
-                    reps.push((bidx, row as u32));
-                    anns.push(k);
-                    candidates.push(g);
-                }
-            }
+            group_of.push(found.unwrap_or_else(|| {
+                let g = reps.len() as u32;
+                reps.push((bidx, row as u32));
+                candidates.push(g);
+                g
+            }));
+        }
+        if anns.is_empty() {
+            // A lone batch (the datalog round merge hands over millions of
+            // rows as one) gives up its annotation vector: no second copy.
+            anns = batch_anns;
+            anns.reserve_exact(total_rows - len);
+        } else {
+            anns.extend(batch_anns);
         }
         sources.push(columns);
     }
     Grouped {
         sources,
+        anns: K::sum_groups(reps.len(), &group_of, anns),
         reps,
-        anns,
     }
 }
 

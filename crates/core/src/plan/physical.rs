@@ -695,10 +695,9 @@ where
 //
 // Annotations cross the worker boundary through the semiring's portable
 // encoding (`Semiring::to_portable` / `from_portable`): plain data
-// semirings travel as-is, circuit handles are re-encoded into the worker's
-// thread-local arena and the results merged back into the coordinator's
-// arena in partition order (the share-safe arena story of
-// `provsem_semiring::circuit`).
+// semirings travel as-is, circuit handles travel as node ids into the
+// process-wide arena and are re-stamped with the receiving thread's
+// generation (see "Crossing threads" in `provsem_semiring::circuit`).
 
 /// A materialized slice of an operator's output: rows with owned
 /// annotations.

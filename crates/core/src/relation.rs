@@ -105,8 +105,9 @@ impl<K: Semiring> KRelation<K> {
 
     /// Builds a relation from `(tuple, annotation)` pairs already in strictly
     /// increasing tuple order, non-zero, and built from `schema`'s handle —
-    /// the batch engine's sorted root result. The map is bulk-built, not
-    /// inserted into pair by pair.
+    /// the batch engine's sorted root result, or the image of an existing
+    /// relation's tuples. The map is bulk-built, not inserted into pair by
+    /// pair.
     pub(crate) fn from_sorted_support<I>(schema: Schema, pairs: I) -> Self
     where
         I: IntoIterator<Item = (Tuple, K)>,
@@ -183,11 +184,11 @@ impl<K: Semiring> KRelation<K> {
     /// Applies a function to every annotation (Proposition 3.5's tuple-wise
     /// transformation `h(R)`); annotations mapped to zero are removed, so the
     /// support may shrink but never grow — exactly as the paper notes.
-    pub fn map_annotations<K2: Semiring, F: Fn(&K) -> K2>(&self, f: F) -> KRelation<K2> {
-        KRelation::from_tuples(
-            self.schema.clone(),
-            self.tuples.iter().map(|(t, k)| (t.clone(), f(k))),
-        )
+    ///
+    /// The tuples stay in order, so the image is bulk-built.
+    pub fn map_annotations<K2: Semiring, F: FnMut(&K) -> K2>(&self, mut f: F) -> KRelation<K2> {
+        let image = self.tuples.iter().map(|(t, k)| (t.clone(), f(k)));
+        KRelation::from_sorted_support(self.schema.clone(), image.filter(|(_, k)| !k.is_zero()))
     }
 
     /// Drops annotations, returning the support as plain tuples. Together

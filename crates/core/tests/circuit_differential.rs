@@ -20,18 +20,27 @@
 //! semiring in the strict sense, so `Eval_v` is not a homomorphism into it
 //! and only circuit-vs-polynomial agreement is asserted there.
 //!
+//! The random instances are a handful of tuples: below the planner's
+//! batch-engine threshold and the executor's spawn threshold. The **large
+//! instances** (≥ 400 rows per relation, deterministic) pin the same two
+//! contracts on the batch engine at 1, 2 and 4 threads, where grouping
+//! builds one n-ary `Σ` node per group and every exchange moves circuit
+//! batches between worker threads.
+//!
 //! The file ends with the **sharing test**: a product-of-unions workload
 //! whose expanded ℕ\[X\] provenance has `2ⁿ` monomials while the circuit
 //! stays linear in `n` — the representation gap this engine exists for.
 
 use proptest::prelude::*;
+use provsem_core::plan::ExecMode;
 use provsem_core::prelude::*;
 use provsem_core::provenance::{
     circuit_provenance_of_query, circuit_provenance_size, provenance_of_query, specialize,
     specialize_circuit,
 };
 use provsem_semiring::{
-    circuit, Bool, CommutativeSemiring, Natural, PosBool, Semiring, Tropical, WhySet,
+    circuit, Bool, Circuit, CommutativeSemiring, Natural, PosBool, Semiring, Tropical, Valuation,
+    WhySet,
 };
 
 const CASES: u32 = 80;
@@ -236,6 +245,119 @@ proptest! {
             &build_db(&facts, |i, _| PosBool::var(format!("t{i}"))),
             Contract::SpecializeAndDirect,
         );
+    }
+}
+
+// ---- large instances: the batch engine, exchanges, Σ nodes ------------------
+
+const LARGE_THREADS: [usize; 3] = [1, 2, 4];
+
+/// `R(a, b, c)` and `S(b, c, d)`, 700 draws each over a domain of 9 (≈ 450
+/// distinct rows; a row drawn twice sums), and `T(d)` over part of it.
+fn large_db<K: Semiring>(annotate: impl Fn(usize, u64) -> K) -> Database<K> {
+    let mut state = 0x5eed_u64;
+    let mut next = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let mut label = |n: u64| format!("v{}", next(n));
+    let mut r = KRelation::empty(Schema::new(["a", "b", "c"]));
+    let mut s = KRelation::empty(Schema::new(["b", "c", "d"]));
+    let mut t = KRelation::empty(Schema::new(["d"]));
+    for i in 0..700 {
+        r.insert(
+            Tuple::new([("a", label(9)), ("b", label(9)), ("c", label(9))]),
+            annotate(i, 1 + i as u64 % 3),
+        );
+        s.insert(
+            Tuple::new([("b", label(9)), ("c", label(9)), ("d", label(9))]),
+            annotate(700 + i, 1 + i as u64 % 4),
+        );
+    }
+    for i in 0..6 {
+        t.insert(Tuple::new([("d", format!("v{i}"))]), annotate(1400 + i, 2));
+    }
+    assert!(r.len() >= 400 && s.len() >= 400, "{} {}", r.len(), s.len());
+    Database::new().with("R", r).with("S", s).with("T", t)
+}
+
+/// Shapes whose output rows each sum many alternatives: groups of products
+/// (self-join and two-key join under a projection), groups fed from both
+/// sides of a union — once by the same tuples, so every member repeats —
+/// and a three-way join grouped down to one column.
+fn large_queries() -> Vec<RaExpr> {
+    let r = || RaExpr::relation("R");
+    let s = || RaExpr::relation("S");
+    vec![
+        paper_example_query("R"),
+        r().join(s()).project(["a", "d"]),
+        r().select(Predicate::ne_value("c", "v0"))
+            .project(["a"])
+            .union(s().project(["d"]).rename(Renaming::new([("d", "a")]))),
+        r().union(r()).project(["a", "b"]),
+        r().join(s()).join(RaExpr::relation("T")).project(["b"]),
+    ]
+}
+
+/// Runs `query` over circuit annotations on the batch engine.
+fn large_circuit_provenance<K: Semiring>(
+    query: &RaExpr,
+    db: &Database<K>,
+    threads: usize,
+) -> (KRelation<Circuit>, Valuation<K>) {
+    circuit::reset();
+    let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
+    let plan = Plan::new(query, &db.catalog()).expect("large queries are valid");
+    let physical = plan.explain_physical_with(&ctx);
+    assert!(physical.contains("engine: batch"), "{physical}");
+    // Every join and pre-join aggregation exchanges between workers.
+    let exchanges = threads > 1 && physical.contains("hash-join");
+    assert_eq!(physical.contains("partitions="), exchanges, "{physical}");
+    let tagged = tag_database_circuit(db);
+    (plan.execute_with(&tagged.database, &ctx), tagged.valuation)
+}
+
+/// Theorem 4.3 along the circuit route against the reference interpreter.
+fn assert_large_instance_specializes_to_direct<K: CommutativeSemiring>(db: &Database<K>) {
+    for query in large_queries() {
+        let direct = query.eval_interpreted(db).expect("large queries are valid");
+        assert!(!direct.is_empty(), "{query:?}");
+        for threads in LARGE_THREADS {
+            let (prov, valuation) = large_circuit_provenance(&query, db, threads);
+            assert_eq!(
+                specialize_circuit(&prov, &valuation),
+                direct,
+                "threads={threads} on {query:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn large_instances_specialize_to_direct_evaluation() {
+    assert_large_instance_specializes_to_direct(&large_db(|_, w| Natural::from(w)));
+    assert_large_instance_specializes_to_direct(&large_db(|_, _| Bool::from(true)));
+    assert_large_instance_specializes_to_direct(&large_db(|_, w| Tropical::cost(w)));
+}
+
+#[test]
+fn large_instances_lower_to_exactly_the_polynomial_route() {
+    let db = large_db(|_, w| Natural::from(w));
+    for query in large_queries() {
+        let (poly_prov, _) = provenance_of_query(&query, &db).expect("large queries are valid");
+        for threads in LARGE_THREADS {
+            let (circ_prov, _) = large_circuit_provenance(&query, &db, threads);
+            assert_eq!(circ_prov.len(), poly_prov.len(), "threads={threads}");
+            for (tuple, circuit) in circ_prov.iter() {
+                assert_eq!(
+                    circuit.to_polynomial(),
+                    poly_prov.annotation(tuple),
+                    "threads={threads} at {tuple:?} on {query:?}"
+                );
+            }
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! Two workload families: proptest-random small databases (exercising the
 //! inline, below-threshold paths and every operator combination) and a
 //! deterministic large database (exceeding the spawn threshold, so real
-//! worker threads, exchanges, and — for circuits — per-worker arenas with
-//! id-remapping merges are on the hot path).
+//! worker threads, exchanges, and — for circuits — batches of node ids
+//! re-stamped per worker are on the hot path).
 
 use proptest::prelude::*;
 use provsem_core::plan::{ExecContext, Plan};
@@ -165,11 +165,12 @@ fn invalid_queries_error_identically() {
     }
 }
 
-/// The circuit route end to end: tag → parallel query (worker arenas merged
-/// back by id remapping) → parallel specialization. Parallel circuit
-/// handles may be *different node ids* than serial ones, but they must be
-/// semantically equal (`KRelation<Circuit>` equality lowers to ℕ\[X\]) and
-/// specialize to identical K-relations.
+/// The circuit route end to end: tag → parallel query (workers intern into
+/// the one process-wide arena) → specialization. Parallel circuit handles
+/// may be *different node ids* than serial ones (partial sums are grouped
+/// per partition), but they must be semantically equal
+/// (`KRelation<Circuit>` equality lowers to ℕ\[X\]) and specialize to
+/// identical K-relations.
 #[test]
 fn circuit_route_parallel_equals_serial_end_to_end() {
     let raw = facts(11, 400, 8);

@@ -258,11 +258,13 @@ fn same_structure(a: &FactStore<Circuit>, b: &FactStore<Circuit>) -> bool {
 /// iteration stops at `max_rounds` with `converged = false`, and the result
 /// equals the naive `Tᵐ(0)` round for round.
 ///
-/// The returned circuits live in the thread-local arena of
-/// [`provsem_semiring::circuit`], which is append-only; call
-/// `provsem_semiring::circuit::reset()` between independent evaluations to
-/// reclaim it — doing so invalidates any previously returned
-/// [`CircuitDatalogProvenance`], so specialize first.
+/// The returned handles belong to the calling thread's current generation
+/// (scope them with a [`provsem_semiring::circuit::CircuitSession`]); their
+/// nodes live in the process-wide arena of [`provsem_semiring::circuit`],
+/// which is append-only and reclaimed only by
+/// `provsem_semiring::circuit::vacuum()` at a quiescent point — doing so
+/// invalidates every previously returned [`CircuitDatalogProvenance`] on
+/// every thread, so specialize first.
 pub fn datalog_provenance_circuit<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
@@ -489,6 +491,37 @@ mod tests {
         // The circuit of the far endpoint is the expected path product.
         let q_ad = prov.circuit(&Fact::new("Q", ["a", "d"])).unwrap();
         assert_eq!(q_ad.eval(&prov.valuation), Natural::from(30u64));
+    }
+
+    #[test]
+    fn circuit_datalog_matches_direct_evaluation_on_a_layered_dag() {
+        // Transitive closure of a 6 × 10 layered DAG (every node to five of
+        // the next layer, 250 edges, up to 5⁵ paths per pair): the circuit
+        // route converges structurally and specializes to what the naive
+        // fixpoint computes directly in ℕ.
+        provsem_semiring::circuit::reset();
+        let mut store = FactStore::new();
+        for layer in 0..5 {
+            for node in 0..10 {
+                for step in 0..5 {
+                    let to = (node * 3 + step * 7 + layer) % 10;
+                    store.insert(
+                        Fact::new(
+                            "R",
+                            [format!("n{layer}_{node}"), format!("n{}_{to}", layer + 1)],
+                        ),
+                        Natural::from(1 + (node + step) as u64 % 3),
+                    );
+                }
+            }
+        }
+        let program = Program::transitive_closure("R", "Q");
+        let prov = datalog_provenance_circuit(&program, &store, 16);
+        assert!(prov.converged);
+        let direct = crate::naive::kleene_iterate(&program, &store, 16);
+        assert!(direct.converged);
+        assert!(direct.idb.len() > 1_000, "{}", direct.idb.len());
+        assert_eq!(prov.specialize(), direct.idb);
     }
 
     #[test]

@@ -179,13 +179,12 @@ impl TupleIndependentDb {
     /// per-row algebra during evaluation is O(1) node interning instead of
     /// world-set operations.
     ///
-    /// The circuit nodes live in the thread-local arena of
+    /// The circuit nodes live in the process-wide arena of
     /// [`provsem_semiring::circuit`], which is append-only: a long-lived
-    /// thread answering many structurally different queries should call
-    /// `provsem_semiring::circuit::reset()` between them to reclaim it
-    /// (resetting invalidates any circuit handles the caller still holds —
-    /// this method returns none, so calling it right before or after is
-    /// always safe).
+    /// process answering many structurally different queries should call
+    /// `provsem_semiring::circuit::vacuum()` at a quiescent point to reclaim
+    /// it (vacuuming invalidates the circuit handles every thread still
+    /// holds — this method returns none).
     pub fn answer_query_via_circuit(
         &self,
         query: &RaExpr,
@@ -194,9 +193,8 @@ impl TupleIndependentDb {
     }
 
     /// [`TupleIndependentDb::answer_query_via_circuit`] with an explicit
-    /// thread budget: the circuit query runs on the parallel executor
-    /// (worker arenas merged back deterministically), the ℕ\[X\] → P(Ω)
-    /// specialization fans out over chunks of the result tuples
+    /// thread budget: the circuit query runs on the parallel executor, the
+    /// ℕ\[X\] → P(Ω) specialization is one memoized pass
     /// ([`provsem_core::provenance::specialize_circuit_with`]), and the
     /// probabilities are summed by the same workers as
     /// [`TupleIndependentDb::answer_query_with`]. Answers are identical to

@@ -5,11 +5,11 @@
 //! expands into `2ⁿ` monomials, and specializing every output tuple
 //! re-evaluates common subexpressions from scratch. This module keeps the
 //! *same* semiring elements in **circuit form**: interned DAG nodes
-//! (`0 | 1 | x | a + b | a · b`) behind a process-wide sharded arena with
-//! structural hash-consing, handled through [`Circuit`] — a `Copy` node id that
-//! implements [`Semiring`]/[`CommutativeSemiring`] and therefore drops into
-//! every generic K-relation, planned-engine, and datalog entry point
-//! unchanged.
+//! (`0 | 1 | x | a + b | a · b | Σ aᵢ`) behind a process-wide sharded arena
+//! with structural hash-consing, handled through [`Circuit`] — a `Copy` node
+//! id that implements [`Semiring`]/[`CommutativeSemiring`] and therefore
+//! drops into every generic K-relation, planned-engine, and datalog entry
+//! point unchanged.
 //!
 //! The theory is exactly that of Section 4 of the paper: ℕ\[X\] is the free
 //! commutative semiring on X (Proposition 4.2), so *any* syntax tree over
@@ -19,7 +19,9 @@
 //! specialize everywhere" — does not care *how* the ℕ\[X\] element is
 //! represented. Circuits make the theorem cheap in practice:
 //!
-//! * `+`/`·` are O(1) hash-consing lookups instead of monomial-map merges;
+//! * `+`/`·` are O(1) hash-consing lookups instead of monomial-map merges,
+//!   and a grouping operator's whole sum is **one** n-ary `Σ` node per group
+//!   ([`Semiring::sum_groups`]) instead of a chain of n − 1 binary links;
 //! * [`CircuitEval`] memoizes `Eval_v` bottom-up over the shared DAG, so a
 //!   node reused by many output tuples is evaluated **once per valuation**;
 //! * [`Circuit::to_polynomial`] is the memoized lowering back to the
@@ -60,27 +62,29 @@
 //!
 //! Handles are deliberately `!Send`: a handle's generation stamp is only
 //! meaningful against the generation counter of the thread that created it.
-//! What *can* cross threads is an exported batch: [`Semiring::to_portable`]
-//! re-encodes the sub-DAG reachable from a batch of handles into an
-//! arena-independent node list (children referenced by position), and
-//! [`Semiring::from_portable`] re-interns that list on the receiving
-//! thread — hash-consing deduplicates against whatever the shared store
-//! already holds (a same-process import is pure lookup), and the smart
-//! constructors restore the id-sorted-operand invariant. This is how the
-//! morsel-driven parallel executor of `provsem-core` runs
-//! `tag_database_circuit → query → specialize_circuit` across worker
-//! threads and merges the results back in deterministic partition order.
+//! What *can* cross threads is a sealed batch. Node storage is process-wide,
+//! so a node id means the same node on every thread: [`Semiring::to_portable`]
+//! generation-checks each handle and seals the batch's **node ids** together
+//! with the vacuum epoch they were read under, and
+//! [`Semiring::from_portable`] refuses a token sealed before a [`vacuum`]
+//! (its ids no longer exist) and otherwise stamps the same ids with the
+//! receiving thread's generation. Both directions are O(batch) — no node is
+//! read, walked or re-interned. This is how the morsel-driven parallel
+//! executor of `provsem-core` runs `tag_database_circuit → query →
+//! specialize_circuit` across worker threads and merges the results back in
+//! deterministic partition order.
 
-use crate::fxhash::{fx_hash_one, FxHashMap};
+use crate::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
 use crate::polynomial::{Polynomial, ProvenancePolynomial};
 use crate::posbool::PosBool;
 use crate::traits::{CommutativeSemiring, PlusIdempotent, Portable, Semiring};
 use crate::variable::{Valuation, Variable};
 use std::cell::Cell;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 const ZERO: u32 = 0;
 const ONE: u32 = 1;
@@ -95,18 +99,51 @@ const GEN_CONST: u32 = u32::MAX;
 const NUM_SHARDS: usize = 16;
 const SHARD_BITS: u32 = NUM_SHARDS.trailing_zeros();
 
-/// One interned circuit node. `Plus`/`Times` children are global node ids
-/// that are always interned before the node itself (the smart constructors
-/// build bottom-up), but — unlike the old thread-local arena — child ids are
-/// *not* numerically smaller than the parent's: ids interleave shard bits,
-/// so traversals use explicit reachability, never id order.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// One interned circuit node. Children are global node ids, id-sorted (so
+/// commuted operands share one node) and always interned before the node
+/// itself (the constructors build bottom-up) — but child ids are *not*
+/// numerically smaller than the parent's: ids interleave shard bits, so
+/// traversals use explicit reachability, never id order.
+#[derive(Clone, PartialEq, Eq)]
 enum Node {
     Zero,
     One,
     Var(Variable),
-    Plus(u32, u32),
-    Times(u32, u32),
+    Plus([u32; 2]),
+    Times([u32; 2]),
+    /// `Σ` of three or more non-zero members. A **multiset**: `x + x` is
+    /// `2x` in ℕ\[X\], so a repeated member stays repeated. Shared between
+    /// the shard's node list and its index, and cheap to clone out.
+    Sum(Arc<[u32]>),
+}
+
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Node::Zero | Node::One => {}
+            // The names `R_0, R_1, …` of one tagged relation differ in their
+            // last bytes only, which a multiplicative hash mixes into its
+            // high bits alone, while hash tables index by the low bits: fold
+            // the high half down, or the variables share a few buckets.
+            Node::Var(v) => {
+                let name = fx_hash_one(v);
+                state.write_u64(name ^ (name >> 32));
+            }
+            Node::Plus(pair) | Node::Times(pair) => pair.hash(state),
+            Node::Sum(members) => members.hash(state),
+        }
+    }
+}
+
+impl Node {
+    fn children(&self) -> &[u32] {
+        match self {
+            Node::Zero | Node::One | Node::Var(_) => &[],
+            Node::Plus(pair) | Node::Times(pair) => pair,
+            Node::Sum(members) => members,
+        }
+    }
 }
 
 /// One shard of the process-wide hash-consing interner.
@@ -214,15 +251,12 @@ fn decode_id(id: u32) -> (usize, usize) {
     )
 }
 
-fn shard_of_node(node: &Node) -> usize {
-    (fx_hash_one(node) as usize) & (NUM_SHARDS - 1)
-}
-
-/// The thread's current generation, after syncing with the vacuum epoch —
-/// what fresh handles are stamped with and stale checks compare against.
-fn current_generation() -> u32 {
+/// This thread's lifecycle state after syncing with the vacuum epoch: its
+/// `generation` is what fresh handles are stamped with and stale checks
+/// compare against.
+fn synced_local() -> Local {
     sync_epoch();
-    LOCAL.with(|cell| cell.get().generation)
+    LOCAL.with(Cell::get)
 }
 
 /// Clones one node out of the shared arena. Takes a raw id reached from an
@@ -245,69 +279,75 @@ fn node_of(id: u32) -> Node {
     guard.nodes[slot].clone()
 }
 
-/// Generation-checks a root handle against this thread's current generation.
-fn check_handle(handle: &Circuit) {
-    let current = current_generation();
-    assert!(
-        handle.id <= ONE || handle.gen == current,
-        "stale circuit handle: the arena was reset (generation {} is gone, current is {}); \
-         scope handle lifetimes with CircuitSession",
-        handle.gen,
-        current
-    );
+/// Generation-checks handles against this thread's current generation,
+/// which it returns.
+fn check_handles<'a>(handles: impl IntoIterator<Item = &'a Circuit>) -> u32 {
+    let current = synced_local().generation;
+    for handle in handles {
+        assert!(
+            handle.id <= ONE || handle.gen == current,
+            "stale circuit handle: the arena was reset (generation {} is gone, current is {}); \
+             scope handle lifetimes with CircuitSession",
+            handle.gen,
+            current
+        );
+    }
+    current
 }
 
-fn make_handle(id: u32) -> Circuit {
+/// A handle to node `id`, stamped with this thread's `generation`.
+fn make_handle(id: u32, generation: u32) -> Circuit {
     Circuit {
         id,
-        gen: if id <= ONE {
-            GEN_CONST
-        } else {
-            LOCAL.with(|cell| cell.get().generation)
-        },
+        gen: if id <= ONE { GEN_CONST } else { generation },
         _not_send: PhantomData,
     }
 }
 
-fn intern_in_shard(guard: &mut ShardState, shard: usize, node: Node) -> u32 {
-    if let Some(&id) = guard.interned.get(&node) {
-        return id;
-    }
-    let id = encode_id(shard, guard.nodes.len());
-    guard.nodes.push(node.clone());
-    guard.interned.insert(node, id);
-    id
-}
-
-/// Interns a leaf (or imported) node — one with no live-handle operands, so
-/// only the epoch sync is needed before touching the shard.
-fn intern(node: Node) -> Circuit {
-    let shard = shard_of_node(&node);
+/// Interns `node` — its operand ids read from handles that
+/// [`check_handles`] found live in `generation` — and re-checks the
+/// generation *under the shard lock*, after syncing with the vacuum epoch,
+/// so operands staled by a concurrent vacuum are caught before their ids are
+/// baked into a new node. A leaf has no operands and passes `None`.
+fn intern(node: Node, generation: Option<u32>) -> Circuit {
+    let shard = (fx_hash_one(&node) as usize) & (NUM_SHARDS - 1);
     let mut guard = lock_shard(shard);
-    sync_epoch();
-    let id = intern_in_shard(&mut guard, shard, node);
-    drop(guard);
-    make_handle(id)
-}
-
-/// Generation-checks both operands *under the shard lock* (after syncing
-/// with the vacuum epoch, so operands staled by a concurrent vacuum are
-/// caught before their ids are baked into a new node) and interns the
-/// combination — the hot path of [`Semiring::plus`]/[`Semiring::times`].
-fn intern_pair(a: &Circuit, b: &Circuit, make: impl FnOnce(u32, u32) -> Node) -> Circuit {
-    let (x, y) = if a.id <= b.id {
-        (a.id, b.id)
-    } else {
-        (b.id, a.id)
+    let current = synced_local().generation;
+    assert!(
+        generation.unwrap_or(current) == current,
+        "stale circuit handle: the arena was reset or vacuumed while its operands were in use"
+    );
+    let id = match guard.interned.get(&node) {
+        Some(&id) => id,
+        None => {
+            let id = encode_id(shard, guard.nodes.len());
+            guard.nodes.push(node.clone());
+            guard.interned.insert(node, id);
+            id
+        }
     };
-    let node = make(x, y);
-    let shard = shard_of_node(&node);
-    let mut guard = lock_shard(shard);
-    check_handle(a);
-    check_handle(b);
-    let id = intern_in_shard(&mut guard, shard, node);
     drop(guard);
-    make_handle(id)
+    make_handle(id, current)
+}
+
+/// The hot path of [`Semiring::plus`]/[`Semiring::times`]: one node over
+/// the id-sorted operand pair.
+fn intern_pair(a: &Circuit, b: &Circuit, make: impl FnOnce([u32; 2]) -> Node) -> Circuit {
+    let generation = check_handles([a, b]);
+    intern(make([a.id.min(b.id), a.id.max(b.id)]), Some(generation))
+}
+
+/// The sum of a group's non-zero member ids: `0`, the member itself, a
+/// binary `Plus`, or one `Sum` node over the sorted multiset — canonical,
+/// so equal groups hash-cons to one node whatever order their rows came in.
+fn intern_sum(members: &mut [u32], generation: u32) -> Circuit {
+    members.sort_unstable();
+    match *members {
+        [] => Circuit::zero(),
+        [only] => make_handle(only, generation),
+        [a, b] => intern(Node::Plus([a, b]), Some(generation)),
+        _ => intern(Node::Sum(Arc::from(&*members)), Some(generation)),
+    }
 }
 
 /// Number of nodes currently interned in the process-wide arena (including
@@ -317,18 +357,6 @@ pub fn arena_node_count() -> usize {
     2 + (0..NUM_SHARDS)
         .map(|shard| lock_shard(shard).nodes.len())
         .sum::<usize>()
-}
-
-/// An upper bound on every currently valid node id plus one — what
-/// id-indexed scratch tables (reachability marks, memo vectors) size
-/// themselves by. At least 2 (the constants); with sharding, ids are not
-/// dense, so this can exceed [`arena_node_count`].
-fn id_capacity() -> usize {
-    let max_slots = (0..NUM_SHARDS)
-        .map(|shard| lock_shard(shard).nodes.len())
-        .max()
-        .unwrap_or(0);
-    2 + max_slots * NUM_SHARDS
 }
 
 /// Invalidates every outstanding [`Circuit`] handle and [`CircuitEval`] memo
@@ -491,7 +519,7 @@ pub struct Circuit {
 impl Circuit {
     /// The circuit consisting of a single variable (a tuple id).
     pub fn var(v: impl Into<Variable>) -> Circuit {
-        intern(Node::Var(v.into()))
+        intern(Node::Var(v.into()), None)
     }
 
     /// The constant circuit `n` (the canonical embedding ℕ → ℕ\[X\]), built
@@ -542,8 +570,8 @@ impl Circuit {
     /// the exponential expansion the circuit representation avoids, so use
     /// it for tests and display, not on hot paths.
     pub fn to_polynomial(&self) -> ProvenancePolynomial {
-        let mut memo: Vec<Option<ProvenancePolynomial>> = Vec::new();
-        fold_memo(*self, &mut memo, &mut LowerAlgebra)
+        let mut memo: FxHashMap<u32, ProvenancePolynomial> = FxHashMap::default();
+        fold_memo(*self, &mut memo, |v| Polynomial::var(v.clone()))
     }
 
     /// One-off memoized evaluation `Eval_v` into any commutative semiring
@@ -557,151 +585,106 @@ impl Circuit {
 /// Total number of distinct nodes reachable from any of the given roots —
 /// the size of a whole provenance-annotated result with sharing.
 pub fn shared_node_count(roots: impl IntoIterator<Item = Circuit>) -> usize {
-    let mut seen: Vec<bool> = vec![false; id_capacity()];
-    let mut stack: Vec<u32> = roots
-        .into_iter()
-        .map(|c| {
-            check_handle(&c);
-            c.id
-        })
-        .collect();
-    let mut count = 0;
+    reachable(roots, usize::MAX).len()
+}
+
+/// The ids reachable from `roots`, giving up once more than `limit` are
+/// found. The set is sized by what is reached, never by the arena — a small
+/// circuit costs the same in an arena of millions of foreign nodes.
+fn reachable(roots: impl IntoIterator<Item = Circuit>, limit: usize) -> FxHashSet<u32> {
+    let roots: Vec<Circuit> = roots.into_iter().collect();
+    check_handles(&roots);
+    let mut stack: Vec<u32> = roots.iter().map(|c| c.id).collect();
+    let mut seen = FxHashSet::default();
     while let Some(id) = stack.pop() {
-        let slot = &mut seen[id as usize];
-        if *slot {
-            continue;
+        if seen.len() > limit {
+            break;
         }
-        *slot = true;
-        count += 1;
-        match node_of(id) {
-            Node::Zero | Node::One | Node::Var(_) => {}
-            Node::Plus(a, b) | Node::Times(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
+        if seen.insert(id) {
+            stack.extend_from_slice(node_of(id).children());
         }
     }
-    count
+    seen
 }
 
-/// How to interpret each node shape; drives the iterative memoized fold.
-trait NodeAlgebra {
-    type Out: Clone;
-    fn zero(&mut self) -> Self::Out;
-    fn one(&mut self) -> Self::Out;
-    fn var(&mut self, v: &Variable) -> Self::Out;
-    fn plus(&mut self, a: &Self::Out, b: &Self::Out) -> Self::Out;
-    fn times(&mut self, a: &Self::Out, b: &Self::Out) -> Self::Out;
+/// Where a fold keeps the value of each node id it has evaluated: densely
+/// (an evaluator reused over a whole result, whose roots cover much of the
+/// arena) or sparsely (a one-off lowering of one handle, which must not pay
+/// for the arena's size).
+trait Memo<T> {
+    fn get(&self, id: u32) -> Option<&T>;
+    fn set(&mut self, id: u32, value: T);
 }
 
-/// Iterative (explicit-stack) bottom-up fold over the sub-DAG reachable from
-/// `root`, memoized in `memo` by node id. Reusing the same `memo` across
-/// roots is what amortizes shared nodes across all the tuples of a result.
-fn fold_memo<A: NodeAlgebra>(
-    root: Circuit,
-    memo: &mut Vec<Option<A::Out>>,
-    algebra: &mut A,
-) -> A::Out {
-    check_handle(&root);
+impl<T> Memo<T> for Vec<Option<T>> {
+    fn get(&self, id: u32) -> Option<&T> {
+        self.as_slice().get(id as usize)?.as_ref()
+    }
     // Sharded ids interleave shard bits, so a child's id may exceed its
-    // parent's — grow the memo for whichever id shows up.
-    fn ensure<T>(memo: &mut Vec<Option<T>>, id: u32) {
-        if memo.len() <= id as usize {
-            memo.resize_with(id as usize + 1, || None);
+    // parent's — grow for whichever id shows up.
+    fn set(&mut self, id: u32, value: T) {
+        if self.len() <= id as usize {
+            self.resize_with(id as usize + 1, || None);
         }
+        self[id as usize] = Some(value);
     }
-    ensure(memo, root.id);
-    let mut stack: Vec<u32> = vec![root.id];
-    while let Some(&id) = stack.last() {
-        if memo[id as usize].is_some() {
+}
+
+impl<T> Memo<T> for FxHashMap<u32, T> {
+    fn get(&self, id: u32) -> Option<&T> {
+        FxHashMap::get(self, &id)
+    }
+    fn set(&mut self, id: u32, value: T) {
+        self.insert(id, value);
+    }
+}
+
+/// Iterative (explicit-stack) bottom-up fold of the sub-DAG reachable from
+/// `root` into the semiring `T` — the unique homomorphism extending `var`
+/// (Proposition 4.2) — memoized in `memo` by node id. Reusing the same
+/// `memo` across roots is what amortizes shared nodes across all the tuples
+/// of a result. Each node is fetched from the arena **once**: an interior
+/// node waits in its stack frame while its pending children are evaluated.
+fn fold_memo<T: Semiring>(
+    root: Circuit,
+    memo: &mut impl Memo<T>,
+    mut var: impl FnMut(&Variable) -> T,
+) -> T {
+    check_handles([&root]);
+    let mut stack: Vec<(u32, Option<Node>)> = vec![(root.id, None)];
+    while let Some(&mut (id, ref mut waiting)) = stack.last_mut() {
+        if memo.get(id).is_some() {
             stack.pop();
             continue;
         }
-        let node = node_of(id);
-        let value = match node {
-            Node::Zero => Some(algebra.zero()),
-            Node::One => Some(algebra.one()),
-            Node::Var(ref v) => Some(algebra.var(v)),
-            Node::Plus(a, b) | Node::Times(a, b) => {
-                ensure(memo, a.max(b));
-                match (&memo[a as usize], &memo[b as usize]) {
-                    (Some(x), Some(y)) => Some(if matches!(node, Node::Plus(_, _)) {
-                        algebra.plus(x, y)
-                    } else {
-                        algebra.times(x, y)
-                    }),
-                    (x, y) => {
-                        if x.is_none() {
-                            stack.push(a);
-                        }
-                        if y.is_none() {
-                            stack.push(b);
-                        }
-                        None
-                    }
+        let node = match waiting.take() {
+            // Back from the children this frame pushed: all are evaluated.
+            Some(node) => node,
+            None => {
+                let node = node_of(id);
+                let frame = stack.len() - 1;
+                let pending = node.children().iter().filter(|&&c| memo.get(c).is_none());
+                stack.extend(pending.map(|&c| (c, None)));
+                if stack.len() > frame + 1 {
+                    stack[frame].1 = Some(node);
+                    continue;
                 }
+                node
             }
         };
-        if let Some(value) = value {
-            memo[id as usize] = Some(value);
-            stack.pop();
-        }
+        let of = |child: &u32| memo.get(*child).expect("children are evaluated first");
+        let value = match &node {
+            Node::Zero => T::zero(),
+            Node::One => T::one(),
+            Node::Var(v) => var(v),
+            Node::Plus([a, b]) => of(a).plus(of(b)),
+            Node::Times([a, b]) => of(a).times(of(b)),
+            Node::Sum(members) => T::sum(members.iter().map(of)),
+        };
+        memo.set(id, value);
+        stack.pop();
     }
-    memo[root.node_id()]
-        .clone()
-        .expect("root was just computed")
-}
-
-struct LowerAlgebra;
-
-impl NodeAlgebra for LowerAlgebra {
-    type Out = ProvenancePolynomial;
-
-    fn zero(&mut self) -> ProvenancePolynomial {
-        Polynomial::zero()
-    }
-    fn one(&mut self) -> ProvenancePolynomial {
-        Polynomial::one()
-    }
-    fn var(&mut self, v: &Variable) -> ProvenancePolynomial {
-        Polynomial::var(v.clone())
-    }
-    fn plus(&mut self, a: &ProvenancePolynomial, b: &ProvenancePolynomial) -> ProvenancePolynomial {
-        a.plus(b)
-    }
-    fn times(
-        &mut self,
-        a: &ProvenancePolynomial,
-        b: &ProvenancePolynomial,
-    ) -> ProvenancePolynomial {
-        a.times(b)
-    }
-}
-
-struct EvalAlgebra<'v, K> {
-    valuation: &'v Valuation<K>,
-}
-
-impl<K: CommutativeSemiring> NodeAlgebra for EvalAlgebra<'_, K> {
-    type Out = K;
-
-    fn zero(&mut self) -> K {
-        K::zero()
-    }
-    fn one(&mut self) -> K {
-        K::one()
-    }
-    fn var(&mut self, v: &Variable) -> K {
-        // Unassigned variables evaluate to 0, matching
-        // `Polynomial::evaluate_with`.
-        self.valuation.get(v).cloned().unwrap_or_else(K::zero)
-    }
-    fn plus(&mut self, a: &K, b: &K) -> K {
-        a.plus(b)
-    }
-    fn times(&mut self, a: &K, b: &K) -> K {
-        a.times(b)
-    }
+    memo.get(root.id).cloned().expect("root was just computed")
 }
 
 /// The memoized evaluation homomorphism `Eval_v : ℕ\[X\] → K` of Proposition
@@ -714,7 +697,7 @@ impl<K: CommutativeSemiring> NodeAlgebra for EvalAlgebra<'_, K> {
 /// The memo is keyed by arena node id and is invalidated — like every
 /// handle — by [`reset`].
 pub struct CircuitEval<'v, K> {
-    algebra: EvalAlgebra<'v, K>,
+    valuation: &'v Valuation<K>,
     memo: Vec<Option<K>>,
     /// The arena generation the memo belongs to (set on first eval); an
     /// evaluator reused across a [`reset`] panics instead of serving memo
@@ -723,8 +706,7 @@ pub struct CircuitEval<'v, K> {
     /// The memo's validity is pinned to *this thread's* generation counter,
     /// which cannot be checked from another thread (every fresh thread
     /// starts at generation 1) — so the evaluator, like the handles it
-    /// caches, must not cross threads. Parallel specialization builds one
-    /// evaluator per worker instead.
+    /// caches, must not cross threads.
     _not_send: PhantomData<*const ()>,
 }
 
@@ -732,7 +714,7 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
     /// Creates the evaluator for one valuation.
     pub fn new(valuation: &'v Valuation<K>) -> Self {
         CircuitEval {
-            algebra: EvalAlgebra { valuation },
+            valuation,
             memo: Vec::new(),
             generation: None,
             _not_send: PhantomData,
@@ -741,7 +723,7 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
 
     /// Evaluates one root, reusing every previously memoized node.
     pub fn eval(&mut self, circuit: Circuit) -> K {
-        let current = current_generation();
+        let current = synced_local().generation;
         match self.generation {
             None => self.generation = Some(current),
             Some(generation) => assert!(
@@ -749,7 +731,12 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
                 "CircuitEval memo outlived a circuit::reset(); build a fresh evaluator"
             ),
         }
-        fold_memo(circuit, &mut self.memo, &mut self.algebra)
+        // Unassigned variables evaluate to 0, matching
+        // `Polynomial::evaluate_with`.
+        let valuation = self.valuation;
+        fold_memo(circuit, &mut self.memo, |v| {
+            valuation.get(v).cloned().unwrap_or_else(K::zero)
+        })
     }
 
     /// How many distinct nodes have been evaluated so far — the real work
@@ -816,119 +803,79 @@ impl Semiring for Circuit {
         self.id == ONE
     }
 
-    /// Circuits cross threads by re-encoding, not by copying ids: the
-    /// portable form is the reachable sub-DAG as a position-indexed node
-    /// list, and importing re-interns it into the receiving thread's
-    /// arena. See the module docs, "Crossing threads".
+    /// One n-ary `Σ` node per group instead of a chain of binary `Plus`
+    /// links: the non-zero members are counting-sorted by group and each
+    /// group's sorted multiset is interned once (`intern_sum`).
+    fn sum_groups(n_groups: usize, group_of: &[u32], values: Vec<Self>) -> Vec<Self> {
+        let generation = check_handles(&values);
+        let members_of = || {
+            group_of
+                .iter()
+                .zip(&values)
+                .filter(|(_, v)| v.id != ZERO)
+                .map(|(&g, v)| (g as usize, v.id))
+        };
+        // `cursor[g]` starts at the offset of group `g`'s first member and
+        // ends, after the scatter, one past its last.
+        let mut cursor = vec![0usize; n_groups];
+        for (g, _) in members_of() {
+            cursor[g] += 1;
+        }
+        let mut total = 0;
+        for slot in &mut cursor {
+            total += std::mem::replace(slot, total);
+        }
+        let mut members = vec![ZERO; total];
+        for (g, id) in members_of() {
+            members[cursor[g]] = id;
+            cursor[g] += 1;
+        }
+        let mut start = 0;
+        cursor
+            .into_iter()
+            .map(|end| {
+                let group = &mut members[start..end];
+                start = end;
+                intern_sum(group, generation)
+            })
+            .collect()
+    }
+
+    /// Node storage is process-wide, so a batch crosses threads as its node
+    /// ids (see the module docs, "Crossing threads").
     fn is_portable() -> bool {
         true
     }
 
     fn to_portable(batch: Vec<Self>) -> Portable {
-        Portable::new(export_circuits(&batch))
+        check_handles(&batch);
+        Portable::new(SealedCircuits {
+            epoch: synced_local().synced_epoch,
+            ids: batch.iter().map(|c| c.id).collect(),
+        })
     }
 
     fn from_portable(token: Portable) -> Vec<Self> {
-        import_circuits(token.unwrap::<PortableCircuits>())
+        let sealed = token.unwrap::<SealedCircuits>();
+        let local = synced_local();
+        assert!(
+            sealed.epoch == local.synced_epoch,
+            "circuit batch sealed before a circuit::vacuum() (epoch {}, now {}): its nodes are \
+             gone; vacuum() must only run at quiescent points",
+            sealed.epoch,
+            local.synced_epoch
+        );
+        let stamp = |id| make_handle(id, local.generation);
+        sealed.ids.into_iter().map(stamp).collect()
     }
 }
 
-/// The arena-independent encoding of a batch of circuits: the non-constant
-/// nodes reachable from the batch, renumbered densely in topological order.
-/// Position `k` of `nodes` has portable id `k + 2` (ids `0`/`1` are the
-/// constants of *every* arena); `Plus`/`Times` children are portable ids,
-/// always smaller than the node's own — so importing is a single in-order
-/// pass.
-struct PortableCircuits {
-    nodes: Vec<PortableNode>,
-    /// Portable id of each circuit in the exported batch, in batch order.
-    roots: Vec<u32>,
-}
-
-enum PortableNode {
-    Var(Variable),
-    Plus(u32, u32),
-    Times(u32, u32),
-}
-
-/// Encodes the sub-DAG reachable from `batch` into portable form.
-/// Deterministic for a given arena numbering: nodes are emitted in explicit
-/// depth-first postorder from the roots (children before parents — sharded
-/// ids interleave shard bits, so ascending id order is *not* topological).
-fn export_circuits(batch: &[Circuit]) -> PortableCircuits {
-    let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
-    remap.insert(ZERO, ZERO);
-    remap.insert(ONE, ONE);
-    let mut nodes: Vec<PortableNode> = Vec::new();
-    // (id, node, expanded): a composite node is pushed back once its
-    // children are scheduled, and emitted when popped the second time.
-    let mut stack: Vec<(u32, Node, bool)> = Vec::new();
-    for circuit in batch.iter().rev() {
-        check_handle(circuit);
-        if !remap.contains_key(&circuit.id) {
-            stack.push((circuit.id, node_of(circuit.id), false));
-        }
-    }
-    while let Some((id, node, expanded)) = stack.pop() {
-        if remap.contains_key(&id) {
-            continue;
-        }
-        let emit = |nodes: &mut Vec<PortableNode>, node: PortableNode| {
-            let portable = u32::try_from(nodes.len() + 2).expect("portable circuit id overflow");
-            nodes.push(node);
-            portable
-        };
-        match node {
-            Node::Zero | Node::One => unreachable!("constants have the reserved ids 0 and 1"),
-            Node::Var(v) => {
-                let portable = emit(&mut nodes, PortableNode::Var(v));
-                remap.insert(id, portable);
-            }
-            Node::Plus(a, b) | Node::Times(a, b) if !expanded => {
-                stack.push((id, node, true));
-                for child in [a, b] {
-                    if !remap.contains_key(&child) {
-                        stack.push((child, node_of(child), false));
-                    }
-                }
-            }
-            Node::Plus(a, b) => {
-                let portable = emit(&mut nodes, PortableNode::Plus(remap[&a], remap[&b]));
-                remap.insert(id, portable);
-            }
-            Node::Times(a, b) => {
-                let portable = emit(&mut nodes, PortableNode::Times(remap[&a], remap[&b]));
-                remap.insert(id, portable);
-            }
-        }
-    }
-    PortableCircuits {
-        nodes,
-        roots: batch.iter().map(|c| remap[&c.id]).collect(),
-    }
-}
-
-/// Re-interns a portable batch into the *current* thread's arena. Building
-/// through the smart constructors restores the id-sorted-operand invariant
-/// under this arena's numbering and lets hash-consing deduplicate against
-/// nodes the arena already holds, so repeated imports never balloon it.
-fn import_circuits(portable: PortableCircuits) -> Vec<Circuit> {
-    let mut handles: Vec<Circuit> = Vec::with_capacity(portable.nodes.len() + 2);
-    handles.push(Circuit::zero());
-    handles.push(Circuit::one());
-    for node in portable.nodes {
-        let handle = match node {
-            PortableNode::Var(v) => Circuit::var(v),
-            PortableNode::Plus(a, b) => handles[a as usize].plus(&handles[b as usize]),
-            PortableNode::Times(a, b) => handles[a as usize].times(&handles[b as usize]),
-        };
-        handles.push(handle);
-    }
-    portable
-        .roots
-        .into_iter()
-        .map(|r| handles[r as usize])
-        .collect()
+/// A batch of circuits in transit between threads: ids into the
+/// process-wide node store, valid as long as no [`vacuum`] has run since
+/// `epoch`.
+struct SealedCircuits {
+    epoch: u64,
+    ids: Vec<u32>,
 }
 
 impl CommutativeSemiring for Circuit {}
@@ -946,15 +893,18 @@ impl PartialEq for Circuit {
 
 impl Eq for Circuit {}
 
+/// `Debug` prints circuits up to this many nodes as their polynomial and
+/// stops counting there.
+const DEBUG_NODES: usize = 64;
+
 impl fmt::Debug for Circuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Small circuits print as their polynomial; big ones would blow up
         // the expansion, so print a size summary instead.
-        let nodes = self.node_count();
-        if nodes <= 64 {
+        if reachable([*self], DEBUG_NODES).len() <= DEBUG_NODES {
             write!(f, "{:?}", self.to_polynomial())
         } else {
-            write!(f, "circuit#{}⟨{} nodes⟩", self.id, nodes)
+            write!(f, "circuit#{}⟨more than {DEBUG_NODES} nodes⟩", self.id)
         }
     }
 }
@@ -1023,6 +973,14 @@ impl Semiring for BoolCircuit {
     // `is_one` keeps the default semantic check: in PosBool, `x + 1 = 1`,
     // so circuits other than the interned `One` node can denote true.
 
+    fn sum_groups(n_groups: usize, group_of: &[u32], values: Vec<Self>) -> Vec<Self> {
+        let circuits = values.into_iter().map(|b| b.0).collect();
+        Circuit::sum_groups(n_groups, group_of, circuits)
+            .into_iter()
+            .map(BoolCircuit)
+            .collect()
+    }
+
     /// Transported exactly like [`Circuit`] (same arena nodes).
     fn is_portable() -> bool {
         true
@@ -1053,11 +1011,14 @@ impl Eq for BoolCircuit {}
 
 impl fmt::Debug for BoolCircuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let nodes = self.0.node_count();
-        if nodes <= 64 {
+        if reachable([self.0], DEBUG_NODES).len() <= DEBUG_NODES {
             write!(f, "{:?}", self.to_posbool())
         } else {
-            write!(f, "bool-circuit#{}⟨{} nodes⟩", self.0.id, nodes)
+            write!(
+                f,
+                "bool-circuit#{}⟨more than {DEBUG_NODES} nodes⟩",
+                self.0.id
+            )
         }
     }
 }
@@ -1077,6 +1038,15 @@ mod tests {
 
     fn nat(n: u64) -> Natural {
         Natural::from(n)
+    }
+
+    /// `Σ coefficient · variable`.
+    fn poly_of(terms: &[(&str, u64)]) -> ProvenancePolynomial {
+        Polynomial::from_terms(
+            terms
+                .iter()
+                .map(|(v, c)| (Monomial::from_bag([*v]), nat(*c))),
+        )
     }
 
     #[test]
@@ -1226,6 +1196,8 @@ mod tests {
             x("r"),
             x("p").plus(&x("r")),
             x("p").times(&x("r")).plus(&Circuit::constant(2)),
+            // An n-ary Σ node with a repeated member: p + p + r + s.
+            Circuit::sum_groups(1, &[0; 4], vec![x("p"), x("r"), x("p"), x("s")]).remove(0),
         ];
         check_semiring_laws(&samples).expect("circuit semiring laws");
     }
@@ -1338,15 +1310,14 @@ mod tests {
         let expected: Vec<ProvenancePolynomial> =
             batch.iter().map(Circuit::to_polynomial).collect();
         let token = Circuit::to_portable(batch.clone());
-        // Same thread: importing dedups against the shared store, so the
-        // round trip returns the very same nodes.
+        // Same thread: the round trip returns the very same nodes.
         let back = Circuit::from_portable(token);
         for (orig, round) in batch.iter().zip(&back) {
             assert!(orig.same_node(round));
         }
-        // Cross thread: node storage is shared, so the import is pure
-        // lookup and the handles land on the same global ids — but stamped
-        // with the *worker's* generation, so they are usable over there.
+        // Cross thread: node storage is shared, so the handles keep their
+        // global ids — but are stamped with the *worker's* generation, so
+        // they are usable over there.
         let ids: Vec<usize> = batch.iter().map(Circuit::node_id).collect();
         let token = Circuit::to_portable(batch);
         let (imported_ids, lowered) = std::thread::scope(|s| {
@@ -1362,6 +1333,76 @@ mod tests {
         });
         assert_eq!(imported_ids, ids);
         assert_eq!(lowered, expected);
+    }
+
+    #[test]
+    fn sum_groups_interns_one_canonical_node_per_group() {
+        let (p, r, s) = (x("p"), x("r"), x("s"));
+        // Groups: 0 = {p, r, p, s} (a repeated member), 1 = {} (its only
+        // member is a zero), 2 = {r}, 3 = {s, p}, 4 = {r, r, r}.
+        let group_of = [0, 3, 0, 1, 2, 0, 4, 3, 4, 0, 4];
+        let values = vec![p, s, r, Circuit::zero(), r, p, r, p, r, s, r];
+        let sums = Circuit::sum_groups(5, &group_of, values.clone());
+        // Same ℕ[X] elements as summing each group's members pairwise.
+        for (group, sum) in sums.iter().enumerate() {
+            let members = values
+                .iter()
+                .zip(group_of)
+                .filter(|(_, g)| *g as usize == group);
+            let pairwise = Circuit::sum(members.map(|(v, _)| v));
+            assert_eq!(
+                sum.to_polynomial(),
+                pairwise.to_polynomial(),
+                "group {group}"
+            );
+        }
+        // One node over the whole group, where the chain has a link per member.
+        assert_eq!(sums[0].node_count(), 1 + 3);
+        // Groups of 0, 1 and 2 members fold to 0, the member, a binary Plus.
+        assert!(sums[1].is_zero());
+        assert!(sums[2].same_node(&r));
+        assert!(sums[3].same_node(&s.plus(&p)));
+        // Members are a multiset: x + x is 2x in ℕ[X], and x in PosBool(X).
+        let twice = Circuit::sum_groups(1, &[0, 0], vec![p, p]).remove(0);
+        assert_eq!(twice.to_polynomial(), poly_of(&[("p", 2)]));
+        assert_eq!(sums[4].to_polynomial(), poly_of(&[("r", 3)]));
+        assert_eq!(BoolCircuit::from(twice).to_posbool(), PosBool::var("p"));
+        assert_eq!(BoolCircuit::from(sums[4]).to_posbool(), PosBool::var("r"));
+        // Canonical: the same members in another row order are the same node.
+        let reordered = Circuit::sum_groups(1, &[0; 4], vec![s, p, p, r]).remove(0);
+        assert!(reordered.same_node(&sums[0]));
+        // Evaluation reads the node like any other sum.
+        let v = Valuation::from_pairs([("p", nat(2)), ("r", nat(5)), ("s", nat(7))]);
+        assert_eq!(sums[0].eval(&v), nat(2 + 5 + 2 + 7));
+        // The PosBool reading shares the override.
+        let bools = BoolCircuit::sum_groups(1, &[0; 3], [p, r, p].map(BoolCircuit::from).to_vec());
+        assert_eq!(
+            bools[0].to_posbool(),
+            PosBool::var("p").plus(&PosBool::var("r"))
+        );
+    }
+
+    #[test]
+    fn small_circuits_print_without_arena_sized_scratch() {
+        // Other computations' nodes: a tower of 10⁵ squarings.
+        let mut foreign = x("foreign").plus(&x("nodes"));
+        for _ in 0..100_000 {
+            foreign = foreign.times(&foreign);
+        }
+        assert!(arena_node_count() >= 100_000);
+        let small = x("p").times(&x("r"));
+        let seen = reachable([small], DEBUG_NODES);
+        assert_eq!(seen.len(), 3);
+        assert!(
+            seen.capacity() < 1_000,
+            "sized by the arena: {}",
+            seen.capacity()
+        );
+        assert_eq!(format!("{small:?}"), format!("{:?}", small.to_polynomial()));
+        // A big circuit stops being counted just past the printing limit.
+        let seen = reachable([foreign], DEBUG_NODES);
+        assert_eq!(seen.len(), DEBUG_NODES + 1);
+        assert!(format!("{foreign:?}").contains("more than 64 nodes"));
     }
 
     #[test]

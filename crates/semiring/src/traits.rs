@@ -17,9 +17,9 @@ use std::fmt::Debug;
 /// The parallel engines (the morsel-driven executor of `provsem-core` and
 /// the parallel semi-naive rounds of `provsem-datalog`) move batches of
 /// annotations across worker-thread boundaries. Most semirings are plain
-/// `Send` data and travel as-is; provenance circuits are *handles into a
-/// thread-local arena* and must be re-encoded (exported to an
-/// arena-independent node list, then re-interned on the receiving thread).
+/// `Send` data and travel as-is; provenance circuits are `!Send` *handles*
+/// (their generation stamp belongs to one thread) and travel as node ids
+/// into the process-wide arena, re-stamped on the receiving thread.
 /// `Portable` erases that difference: [`Semiring::to_portable`] seals a
 /// batch on the sending thread, [`Semiring::from_portable`] opens it on the
 /// receiving one.
@@ -140,6 +140,26 @@ pub trait Semiring: Clone + PartialEq + Debug + 'static {
         acc
     }
 
+    /// Sums `values` group by group — `group_of[i] < n_groups` names the
+    /// group of `values[i]` — and returns one sum per group, `0` for a group
+    /// without members. This is the grouping kernels' one call per operator
+    /// (duplicate aggregation, the plan root's merge). The default adds each
+    /// value to its group's running sum in stream order; a representation
+    /// that can build a whole sum at once overrides it
+    /// ([`crate::circuit::Circuit`] interns one n-ary node per group).
+    fn sum_groups(n_groups: usize, group_of: &[u32], values: Vec<Self>) -> Vec<Self> {
+        let mut sums: Vec<Option<Self>> = vec![None; n_groups];
+        for (&group, value) in group_of.iter().zip(values) {
+            match &mut sums[group as usize] {
+                Some(sum) => sum.plus_assign(&value),
+                first => *first = Some(value),
+            }
+        }
+        sums.into_iter()
+            .map(|sum| sum.unwrap_or_else(Self::zero))
+            .collect()
+    }
+
     /// Multiplies a finite iterator of elements (the empty product is `1`).
     fn product<'a, I>(iter: I) -> Self
     where
@@ -181,8 +201,8 @@ pub trait Semiring: Clone + PartialEq + Debug + 'static {
     /// The default is `false`, in which case the parallel engines fall back
     /// to their serial code path for this semiring (they never call the
     /// transport hooks). Every semiring in this crate opts in: plain data
-    /// semirings travel as-is, and [`crate::circuit::Circuit`] re-encodes
-    /// its thread-local arena handles (see the `circuit` module docs).
+    /// semirings travel as-is, and [`crate::circuit::Circuit`] seals the
+    /// node ids of its handles (see the `circuit` module docs).
     fn is_portable() -> bool {
         false
     }

@@ -4,13 +4,17 @@
 //! across threads, and [`circuit::vacuum`] must reclaim storage globally
 //! while refusing to run under any active session.
 //!
+//! The last six tests pin the cross-thread transport of [`Circuit`] and
+//! [`BoolCircuit`] batches, which moves node ids and relies on the vacuum
+//! epoch — not on re-interning — to refuse ids that no longer exist.
+//!
 //! These live in an integration binary (own process) because `vacuum`
 //! mutates process-wide state: it would stale handles held by unrelated lib
 //! tests running on sibling threads. Within this binary every test holds
 //! `ARENA_TEST_LOCK` for the same reason.
 
 use provsem_semiring::circuit::{self, shared_node_count, CircuitSession};
-use provsem_semiring::{Circuit, Natural, Semiring, Valuation};
+use provsem_semiring::{BoolCircuit, Circuit, Natural, Semiring, Valuation};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -141,4 +145,106 @@ fn vacuum_refuses_while_any_session_is_active() {
     // Once the session is gone, vacuum succeeds.
     circuit::vacuum();
     assert_eq!(circuit::arena_node_count(), 2);
+}
+
+// ---- batches in transit ------------------------------------------------------
+//
+// Each case runs for `Circuit` and for `BoolCircuit`, whose transport
+// delegates to `Circuit`'s: `var` builds a variable, `id` reads a node id.
+
+fn token_sealed_before_a_vacuum_is_refused<K: Semiring>(var: fn(&str) -> K) {
+    let _serial = serial();
+    let token = K::to_portable(vec![var("sealed").times(&var("early"))]);
+    circuit::vacuum();
+    // Restock the arena so the sealed ids name live nodes again: only the
+    // epoch can tell that they are not the nodes the token was sealed over.
+    let _restocked = var("some").times(&var("other")).plus(&var("nodes"));
+    let err = catch_unwind(AssertUnwindSafe(|| K::from_portable(token)))
+        .expect_err("a pre-vacuum token must not open");
+    let message = panic_message(err);
+    assert!(message.contains("vacuum"), "{message}");
+}
+
+fn token_opens_on_another_thread_as_the_same_nodes<K: Semiring>(
+    var: fn(&str) -> K,
+    id: fn(&K) -> usize,
+) {
+    let _serial = serial();
+    let shared = var("moved").times(&var("across"));
+    let batch = vec![
+        K::zero(),
+        K::one(),
+        shared.clone(),
+        shared.plus(&var("threads")),
+    ];
+    let ids: Vec<usize> = batch.iter().map(id).collect();
+    let printed: Vec<String> = batch.iter().map(|k| format!("{k:?}")).collect();
+    let token = K::to_portable(batch);
+    let before = circuit::arena_node_count();
+    let (there_ids, after_open, there_printed, product_is_new) = std::thread::scope(|s| {
+        s.spawn(move || {
+            let opened = K::from_portable(token);
+            let after_open = circuit::arena_node_count();
+            // Stamped with this thread's generation: readable and operable.
+            let printed: Vec<String> = opened.iter().map(|k| format!("{k:?}")).collect();
+            let product = opened[2].times(&opened[3]);
+            let ids: Vec<usize> = opened.iter().map(id).collect();
+            let product_is_new = !ids.contains(&id(&product));
+            (ids, after_open, printed, product_is_new)
+        })
+        .join()
+        .expect("worker")
+    });
+    assert_eq!(there_ids, ids, "ids are process-wide");
+    assert_eq!(after_open, before, "opening a token interns nothing");
+    assert_eq!(there_printed, printed);
+    assert!(product_is_new);
+}
+
+fn stale_handle_is_refused_at_sealing<K: Semiring>(var: fn(&str) -> K) {
+    let _serial = serial();
+    let stale = var("gone").times(&var("already"));
+    circuit::reset();
+    let err = catch_unwind(AssertUnwindSafe(|| K::to_portable(vec![K::one(), stale])))
+        .expect_err("a stale handle must not be sealed");
+    let message = panic_message(err);
+    assert!(message.contains("stale circuit handle"), "{message}");
+}
+
+fn circuit_var(name: &str) -> Circuit {
+    Circuit::var(name)
+}
+
+fn bool_var(name: &str) -> BoolCircuit {
+    BoolCircuit::var(name)
+}
+
+#[test]
+fn circuit_token_sealed_before_a_vacuum_is_refused() {
+    token_sealed_before_a_vacuum_is_refused(circuit_var);
+}
+
+#[test]
+fn bool_circuit_token_sealed_before_a_vacuum_is_refused() {
+    token_sealed_before_a_vacuum_is_refused(bool_var);
+}
+
+#[test]
+fn circuit_token_opens_on_another_thread_as_the_same_nodes() {
+    token_opens_on_another_thread_as_the_same_nodes(circuit_var, Circuit::node_id);
+}
+
+#[test]
+fn bool_circuit_token_opens_on_another_thread_as_the_same_nodes() {
+    token_opens_on_another_thread_as_the_same_nodes(bool_var, |b| b.circuit().node_id());
+}
+
+#[test]
+fn circuit_stale_handle_is_refused_at_sealing() {
+    stale_handle_is_refused_at_sealing(circuit_var);
+}
+
+#[test]
+fn bool_circuit_stale_handle_is_refused_at_sealing() {
+    stale_handle_is_refused_at_sealing(bool_var);
 }

@@ -12,6 +12,8 @@
 //! * distributivity of `·` over `+` on both sides,
 //! * agreement with the reference harness
 //!   [`provsem_semiring::properties::check_semiring_laws`],
+//! * [`Semiring::sum_groups`] — the grouping kernels' bulk sum, which
+//!   circuits override — equals [`Semiring::sum`] group by group,
 //! * `a + a = a` for every type claiming [`PlusIdempotent`].
 //!
 //! The floating-point semirings (fuzzy, Viterbi) are sampled from dyadic
@@ -22,7 +24,7 @@ use proptest::prelude::*;
 use provsem_semiring::prelude::*;
 use provsem_semiring::properties::check_semiring_laws;
 
-/// Cases per property; together with the five properties per semiring every
+/// Cases per property; together with the six properties per semiring every
 /// structure sees several hundred random elements.
 const CASES: u32 = 128;
 
@@ -84,6 +86,36 @@ macro_rules! semiring_laws {
                     xs in prop::collection::vec($strategy, 1..5)
                 ) {
                     prop_assert_eq!(check_semiring_laws(&xs), Ok(()));
+                }
+
+                #[test]
+                fn sum_groups_is_the_sum_of_each_group(
+                    members in prop::collection::vec(($strategy, 0u32..4, 0u8..4), 0..12),
+                    shape in 0u8..3
+                ) {
+                    // A quarter of the members are zeros.
+                    let values: Vec<$ty> = members
+                        .iter()
+                        .map(|(v, _, zero)| if *zero == 0 { <$ty>::zero() } else { v.clone() })
+                        .collect();
+                    let (n_groups, group_of): (usize, Vec<u32>) = match shape {
+                        // Random groups, of which at least two stay empty...
+                        0 => (6, members.iter().map(|(_, g, _)| *g).collect()),
+                        // ...one group holding everything...
+                        1 => (1, vec![0; values.len()]),
+                        // ...all singletons.
+                        _ => (values.len(), (0..values.len() as u32).collect()),
+                    };
+                    let sums = <$ty>::sum_groups(n_groups, &group_of, values.clone());
+                    prop_assert_eq!(sums.len(), n_groups);
+                    for (group, sum) in sums.iter().enumerate() {
+                        let of_group = values
+                            .iter()
+                            .zip(&group_of)
+                            .filter(|(_, &g)| g as usize == group)
+                            .map(|(v, _)| v);
+                        prop_assert_eq!(sum.clone(), <$ty>::sum(of_group));
+                    }
                 }
             }
         }
