@@ -1,22 +1,21 @@
-//! Row-vs-batch datalog engine snapshot: the acceptance harness for the
-//! columnar semi-naive fixpoint.
+//! Row-vs-compiled datalog engine snapshot: the acceptance harness for the
+//! compiled semi-naive fixpoint.
 //!
-//! Times the Figure 6/7 datalog workloads on both engines — the row
-//! semi-naive loop ([`ExecMode::Row`]) and the batch delta-join loop
-//! ([`ExecMode::Batch`]) — under serial contexts, checks that the engines
-//! produce the exact same `FixpointResult` (idb, round count, convergence
-//! flag), and writes the medians to `BENCH_fig6.json` (or the path given as
-//! the first argument).
+//! Times the Figure 6/7 datalog workloads on both engines — the reference
+//! row semi-naive loop ([`ExecMode::Row`]) and the compiled loop over id
+//! tables ([`ExecMode::Batch`]) — under serial contexts, checks that the
+//! engines produce the exact same `FixpointResult` (idb, round count,
+//! convergence flag), and writes the medians to `BENCH_fig6.json` (or the
+//! path given as the first argument).
 //!
-//! Exits non-zero when the batch engine is not at least 2x faster than the
-//! row evaluator on the largest transitive-closure workload
+//! Exits non-zero when the compiled engine is not at least 2x faster than
+//! the row evaluator on the largest transitive-closure workload
 //! (`random_dag_store(7, 6, 24)`, 16 rounds) — the acceptance bar of the
 //! columnar datalog change — or when the engines disagree anywhere.
 //!
-//! [`ExecMode::Auto`] is timed alongside: the DAG workloads are past the
-//! planner's auto-batch row threshold, so plan-time selection must pick the
-//! batch loop and keep its win there, while the small cyclic graph sits
-//! below the threshold and auto falls back to the row loop.
+//! [`ExecMode::Auto`] is timed alongside: for datalog it means the compiled
+//! loop at every EDB size (the 50-edge cyclic graph included), so it must
+//! clear the same 2x bar.
 
 use provsem_bench::{random_dag_store, random_graph_store};
 use provsem_core::plan::{ExecContext, ExecMode};
@@ -132,11 +131,12 @@ fn main() {
     let results = results.trim_end().trim_end_matches(',');
 
     let pass = tc_large_ratio >= 2.0;
-    // Auto must not give back what forced batch won (15% timing-noise
-    // tolerance): every workload here is past the auto-batch threshold.
-    let auto_pass = tc_large_auto >= tc_large_ratio * 0.85;
+    // Auto runs the same compiled loop, so it clears the same bar (two
+    // timings of one code path differ by noise only — comparing them to
+    // each other would gate on that noise).
+    let auto_pass = tc_large_auto >= 2.0;
     let json = format!(
-        "{{\n  \"bench\": \"fig6_datalog_columnar_snapshot\",\n  \"description\": \"Row semi-naive datalog evaluator vs the columnar batch delta-join evaluator on transitive closure: layered DAGs random_dag_store(seed 7, 6 layers, widths 12/24) at 16 rounds and the cyclic ℕ∞ graph random_graph_store(seed 42, 24 nodes, 50 edges) at 8 bounded rounds. Serial ExecContext on both sides so the ratio measures the batch kernels, not thread fan-out. Auto mode is timed alongside: the DAG EDBs are past the planner's auto-batch row threshold (plan-time selection must pick the batch loop and keep its win) while the small cyclic graph sits below it (auto falls back to the row loop). Medians of {ITERS} release-mode runs on the CI container; FixpointResults checked identical across engines before timing.\",\n  \"unit\": \"seconds\",\n  \"results\": {{\n{results}\n  }},\n  \"speedup_batch_over_row\": {{\n{speedups}\n  }},\n  \"acceptance\": \"batch >= 2x faster than row on tc_layered_6x24 (16 rounds): {} ({tc_large_ratio:.2}x); auto keeps the batch win: {} ({tc_large_auto:.2}x vs row)\"\n}}\n",
+        "{{\n  \"bench\": \"fig6_datalog_columnar_snapshot\",\n  \"description\": \"Reference row semi-naive datalog evaluator vs the compiled evaluator (interned ids, id-column tables, depth-first probes; ExecMode::Batch) on transitive closure: layered DAGs random_dag_store(seed 7, 6 layers, widths 12/24) at 16 rounds and the cyclic ℕ∞ graph random_graph_store(seed 42, 24 nodes, 50 edges) at 8 bounded rounds. Serial ExecContext on both sides so the ratio measures the evaluator, not thread fan-out. Auto mode is timed alongside: for datalog it selects the compiled loop at every EDB size, so it tracks batch on all three workloads. Medians of {ITERS} release-mode runs on the CI container; FixpointResults checked identical across engines before timing.\",\n  \"unit\": \"seconds\",\n  \"results\": {{\n{results}\n  }},\n  \"speedup_batch_over_row\": {{\n{speedups}\n  }},\n  \"acceptance\": \"batch >= 2x faster than row on tc_layered_6x24 (16 rounds): {} ({tc_large_ratio:.2}x); auto clears the same bar: {} ({tc_large_auto:.2}x vs row)\"\n}}\n",
         if pass { "PASS" } else { "FAIL" },
         if auto_pass { "PASS" } else { "FAIL" }
     );
@@ -148,7 +148,6 @@ fn main() {
     );
     assert!(
         auto_pass,
-        "acceptance failed: auto selection lost the batch win \
-         (tc_layered_6x24 {tc_large_auto:.2}x vs forced batch {tc_large_ratio:.2}x)"
+        "acceptance failed: auto only {tc_large_auto:.2}x faster than row on tc_layered_6x24"
     );
 }

@@ -1,893 +1,905 @@
-//! Batch-native semi-naive evaluation: the datalog fixpoint vectorized on
-//! the core columnar kernels ([`provsem_core::kernels`]).
+//! The compiled semi-naive evaluator: the datalog fixpoint over interned
+//! ids.
 //!
 //! The row loops of [`crate::seminaive`] walk one binding at a time: every
 //! probe clones a `Binding` (a `BTreeMap`), every body factor is looked up
 //! in a `BTreeMap`-backed [`FactStore`], and every head is grounded through
 //! a fresh `Fact` allocation. This module runs the *same* differential
-//! algorithm over flat columns instead:
+//! algorithm without touching a `Fact`, a `Value` or a `String` per
+//! derivation:
 //!
-//! * the [`FactIndex`] already keeps per-predicate append-only typed
-//!   columns and hash-keyed probe buckets (the identical
-//!   `hash_combine`-based scheme the batch executor's kernels use);
-//! * each rule form's `JoinPlan` is compiled once into a `BatchPlan`
-//!   of probe steps over those buckets, with candidate verification done
-//!   by typed column comparisons;
-//! * the per-round frontier of partial bindings is a set of slot-major
-//!   value columns (`Frontier`) extended breadth-first, annotations ride
-//!   along as one more column, and per-round deltas are [`Batch`]es built
-//!   straight from the change list;
-//! * idempotent increments are merged with the core grouping kernel
-//!   ([`group_batches`]) — the same duplicate-aggregation kernel the RA
-//!   batch executor uses — before touching the accumulator store.
+//! * every constant of the program, and of the EDB relations the program
+//!   reads, is interned once to a dense `u32` (`Interner`);
+//! * a relation is one `Table` per `(predicate, arity)`: id columns, one
+//!   vector of annotations, an open-addressing row-identity index and one
+//!   chained key index per probe mask. A predicate used at two arities is
+//!   two tables, and a column holds as many distinct constants as fit in a
+//!   `u32`;
+//! * each rule form — the left-to-right `full` plan, the head-seeded
+//!   `recompute` plan and one `Δ` form per idb body atom, with exactly the
+//!   join orders and probe masks `build_forms` gives the row loops —
+//!   compiles to probe steps that a depth-first join walks over a small
+//!   binding array, multiplying annotations as it descends (seed first,
+//!   then the steps in plan order);
+//! * head contributions are summed straight into a per-worker accumulator
+//!   keyed by head ids (a table without key indexes); workers' accumulators
+//!   are combined in chunk order, and the rows that changed become the next
+//!   round's delta as row numbers.
+//!
+//! The [`FactStore`] the API returns is built **once**, after the last
+//! round, by sorting each table's rows on the rank of their ids and bulk
+//! loading the result: between rounds nothing but ids and annotations
+//! moves.
 //!
 //! # Byte-identity with the row loops
 //!
-//! Every decision the row loops make is replayed exactly: the same probe
-//! masks hit the same buckets, delta/affected sets are `BTreeSet`-ordered,
-//! change lists are filtered in sorted-head order, and zero-annotation
-//! factors prune a candidate exactly where `body_product` returns `None`.
-//! Per-head sums may accumulate factor products in a different (breadth-
-//! first) interleaving than the row loops' depth-first one, which is
-//! invisible because semiring `+` and `×` are exactly associative and
-//! commutative for every semiring in this workspace (the law suite pins
-//! that down). The differential tests assert full [`FixpointResult`]
-//! equality — annotations, iteration counts, and convergence flags — across
-//! engines, semirings, and thread counts.
+//! Every decision the row loops make is replayed exactly: the same forms
+//! run in the same rounds, a zero-annotation factor prunes a derivation
+//! exactly where `body_product` returns `None`, head discovery is
+//! annotation-blind (a row whose ℤ annotation cancelled to zero still leads
+//! to its heads), and a head joins the delta exactly when its annotation
+//! moved. Per-head sums may accumulate products in a different order than
+//! the row loops do, which is invisible because semiring `+` and `×` are
+//! exactly associative and commutative for every semiring in this workspace
+//! (the law suite pins that down). The differential tests assert full
+//! [`FixpointResult`] equality — annotations, iteration counts, and
+//! convergence flags — against the row loops and `kleene_iterate`, across
+//! semirings, round bounds and thread counts.
 //!
 //! Engine selection happens in [`crate::seminaive::seminaive_iterate_with`]
-//! and [`crate::seminaive::seminaive_idempotent_with`], gated on
-//! [`ExecMode`] exactly like the RA planner: `PROVSEM_EXEC=row|batch`
-//! forces an engine, `auto` (the default) picks batch when the EDB has at
-//! least [`Plan::AUTO_BATCH_MIN_ROWS`] facts.
+//! and [`crate::seminaive::seminaive_idempotent_with`]: this evaluator runs
+//! unless `PROVSEM_EXEC=row` ([`ExecMode::Row`]) forces the reference
+//! loops.
 
 use crate::ast::{Atom, DlVar, Program, Rule, Term};
-use crate::fact::{Fact, FactIndex, FactStore};
-use crate::grounding::{ground_atom, Binding, JoinPlan};
+use crate::fact::{Fact, FactStore};
+use crate::grounding::JoinPlan;
 use crate::naive::FixpointResult;
-use crate::seminaive::{build_forms, unevaluated, RuleForms};
-use provsem_core::kernels::{group_batches, hash_combine, Batch, ColBuilder, HASH_SEED};
+use crate::seminaive::{build_forms, unevaluated};
 use provsem_core::par;
-use provsem_core::plan::{ExecContext, ExecMode, Plan};
+use provsem_core::plan::{ExecContext, ExecMode};
 use provsem_core::Value;
-use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::{PlusIdempotent, Semiring};
 use std::collections::BTreeSet;
 
-/// Should the semi-naive fixpoint run on the batch engine? Mirrors the RA
-/// planner's auto rule with the EDB size as the scan estimate: the batch
-/// engine's setup (compiled plans, dense annotation tables) only pays off
-/// when the joins touch enough rows.
-pub(crate) fn use_batch<K: Semiring>(ctx: &ExecContext, edb: &FactStore<K>) -> bool {
-    match ctx.mode {
-        ExecMode::Row => false,
-        ExecMode::Batch => true,
-        ExecMode::Auto => edb.len() >= Plan::AUTO_BATCH_MIN_ROWS,
-    }
+/// "No entry": an empty hash slot, the end of a chain, an unbound variable.
+const NIL: u32 = u32::MAX;
+
+/// Folds the high half of a multiplicative hash into the low half, twice
+/// around one more multiply. A hash that ends on a multiply (this one, the
+/// workspace's `FxHasher`) leaves the low bits of small or similar keys
+/// nearly constant, and every table here indexes its slots by the low bits;
+/// one fold alone still let dense ids (`(i, 7)` for `i = 0, 1, 2, …`) clump
+/// under linear probing.
+fn fold(hash: u64) -> u64 {
+    let hash = (hash ^ (hash >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    hash ^ (hash >> 32)
 }
 
-/// One bound column of a probe step: where the probe key value comes from.
-enum ProbeKey {
-    /// A constant in the atom, with its content hash precomputed at compile
-    /// time so the per-row hash fold never re-hashes it.
-    Const(Value, u64),
-    /// A frontier slot holding a variable bound by the seed or an earlier
-    /// step.
-    Slot(usize),
+/// The (folded) hash of a sequence of ids: a whole row, or its key columns.
+fn hash_ids(ids: impl IntoIterator<Item = u32>) -> u64 {
+    fold(ids.into_iter().fold(0u64, |h, id| {
+        (h.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    }))
 }
 
-/// One probe step of a compiled plan: probe `atom`'s predicate with the
-/// plan's bound-column mask, verify candidates by typed column comparison,
-/// and bind the atom's new variables into fresh frontier slots.
-struct BatchStep<'f> {
-    atom: &'f Atom,
-    /// The registered bound-column mask (shared with the row path, so both
-    /// engines hit the same buckets).
-    cols: &'f [usize],
-    /// Per mask column, where its probe value comes from.
-    keys: Vec<ProbeKey>,
-    /// Repeated new variables within the atom: `(first_pos, repeat_pos)`
-    /// pairs whose candidate values must agree.
-    intra: Vec<(usize, usize)>,
-    /// First-occurrence positions of the atom's new variables, in slot
-    /// assignment order.
-    news: Vec<usize>,
+/// Open-addressing hash slots over entry numbers. The caller supplies the
+/// hashes and the equality, so one structure serves the interner (entries
+/// are value ids) and row identity (entries are row numbers).
+#[derive(Default)]
+struct Slots {
+    slots: Vec<u32>,
+    len: usize,
 }
 
-/// Where a head argument comes from when a completed frontier row is
-/// grounded into a head fact.
-enum Emit {
-    Const(Value),
-    Slot(usize),
-}
-
-/// A [`JoinPlan`] compiled for batch execution: probe steps plus the head
-/// emission recipe. `emit` is `None` when some head variable is bound by no
-/// atom — such a form can never ground its head, exactly the case where the
-/// row path's `ground_atom` fails on every binding.
-struct BatchPlan<'f> {
-    steps: Vec<BatchStep<'f>>,
-    emit: Option<Vec<Emit>>,
-    /// Total slot count after the last step (seed slots included).
-    nslots: usize,
-}
-
-/// How a seed atom (a delta body atom, or the rule head for recompute)
-/// filters candidate facts and maps them to the seed slots.
-struct SeedSpec {
-    arity: usize,
-    /// Constant positions that must match.
-    consts: Vec<(usize, Value)>,
-    /// Repeated-variable positions that must agree: `(first, repeat)`.
-    dups: Vec<(usize, usize)>,
-    /// First-occurrence position of each seed slot's variable, in slot
-    /// order.
-    slots: Vec<usize>,
-}
-
-/// The seed atom's variables in first-occurrence order — the slot order
-/// every plan compiled against this seed uses.
-fn seed_vars(atom: &Atom) -> Vec<&DlVar> {
-    let mut seen: Vec<&DlVar> = Vec::new();
-    for term in &atom.terms {
-        if let Term::Var(x) = term {
-            if !seen.contains(&x) {
-                seen.push(x);
+impl Slots {
+    fn find(&self, hash: u64, is: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.slots[at] {
+                NIL => return None,
+                entry if is(entry) => return Some(entry),
+                _ => at = (at + 1) & mask,
             }
         }
     }
-    seen
-}
 
-fn seed_spec(atom: &Atom) -> SeedSpec {
-    let mut first: FxHashMap<&DlVar, usize> = FxHashMap::default();
-    let mut spec = SeedSpec {
-        arity: atom.terms.len(),
-        consts: Vec::new(),
-        dups: Vec::new(),
-        slots: Vec::new(),
-    };
-    for (pos, term) in atom.terms.iter().enumerate() {
-        match term {
-            Term::Const(v) => spec.consts.push((pos, v.clone())),
-            Term::Var(x) => match first.get(x) {
-                Some(&p0) => spec.dups.push((p0, pos)),
-                None => {
-                    first.insert(x, pos);
-                    spec.slots.push(pos);
-                }
-            },
-        }
-    }
-    spec
-}
-
-/// Compiles a join plan into probe steps. `seed` must bind exactly the
-/// plan's seed variables (in slot order); the steps reuse the plan's own
-/// bound-column masks, so batch probes hit the buckets the row path
-/// registered.
-fn compile_plan<'f>(plan: &'f JoinPlan<'_>, seed: &[&'f DlVar], head: &'f Atom) -> BatchPlan<'f> {
-    let mut slot_of: FxHashMap<&DlVar, usize> = FxHashMap::default();
-    for (slot, x) in seed.iter().enumerate() {
-        slot_of.insert(*x, slot);
-    }
-    let mut nslots = seed.len();
-    let mut steps = Vec::new();
-    for (atom, cols) in plan.atoms().iter().zip(plan.bound()) {
-        let keys = cols
-            .iter()
-            .map(|&c| match &atom.terms[c] {
-                Term::Const(v) => ProbeKey::Const(v.clone(), v.content_hash()),
-                Term::Var(x) => ProbeKey::Slot(slot_of[x]),
-            })
-            .collect();
-        let mut intra = Vec::new();
-        let mut news = Vec::new();
-        let mut first_here: FxHashMap<&DlVar, usize> = FxHashMap::default();
-        for (pos, term) in atom.terms.iter().enumerate() {
-            if cols.contains(&pos) {
-                continue;
-            }
-            // Unbound positions are variables: the mask covers every
-            // constant and every position of an already-bound variable.
-            let Term::Var(x) = term else { unreachable!() };
-            match first_here.get(x) {
-                Some(&p0) => intra.push((p0, pos)),
-                None => {
-                    first_here.insert(x, pos);
-                    news.push(pos);
+    /// Adds an entry that [`Slots::find`] did not find. The slots stay at
+    /// most half full; when they double, `rehash` gives each old entry's
+    /// hash again.
+    fn insert(&mut self, hash: u64, entry: u32, rehash: impl Fn(u32) -> u64) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let doubled = vec![NIL; (self.slots.len() * 2).max(16)];
+            for old in std::mem::replace(&mut self.slots, doubled) {
+                if old != NIL {
+                    self.place(rehash(old), old);
                 }
             }
         }
-        for &pos in &news {
-            let Term::Var(x) = &atom.terms[pos] else {
-                unreachable!()
-            };
-            slot_of.insert(x, nslots);
-            nslots += 1;
-        }
-        steps.push(BatchStep {
-            atom,
-            cols,
-            keys,
-            intra,
-            news,
-        });
+        self.place(hash, entry);
+        self.len += 1;
     }
-    let emit = head
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(v) => Some(Emit::Const(v.clone())),
-            Term::Var(x) => slot_of.get(x).map(|&s| Emit::Slot(s)),
+
+    fn place(&mut self, hash: u64, entry: u32) {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.slots[at] != NIL {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = entry;
+    }
+}
+
+/// Every constant the evaluation can meet, as a dense `u32`.
+#[derive(Default)]
+struct Interner {
+    values: Vec<Value>,
+    slots: Slots,
+}
+
+impl Interner {
+    fn intern(&mut self, value: &Value) -> u32 {
+        let hash = fold(value.content_hash());
+        let values = &self.values;
+        if let Some(id) = self.slots.find(hash, |id| &values[id as usize] == value) {
+            return id;
+        }
+        let id = u32::try_from(values.len())
+            .ok()
+            .filter(|&id| id != NIL)
+            .expect("fewer than 2³² distinct constants");
+        self.values.push(value.clone());
+        let values = &self.values;
+        self.slots
+            .insert(hash, id, |e| fold(values[e as usize].content_hash()));
+        id
+    }
+
+    /// `rank[id]` is the position of the id's value in `Value` order, so
+    /// rows sort like their value vectors by integer comparisons.
+    fn ranks(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.values.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| &self.values[id as usize]);
+        let mut rank = vec![0; order.len()];
+        for (position, id) in order.into_iter().enumerate() {
+            rank[id as usize] = position as u32;
+        }
+        rank
+    }
+}
+
+/// The rows of one probe mask, chained per hash slot: `first[slot]` is the
+/// slot's newest row and `next[row]` the one linked before it. A chain
+/// holds every row whose key hashes to the slot, so the join still compares
+/// the key columns of each candidate.
+struct KeyIndex {
+    mask: Vec<usize>,
+    first: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl KeyIndex {
+    fn link(&mut self, row: u32, hash: u64) {
+        let slot = hash as usize & (self.first.len() - 1);
+        self.next[row as usize] = self.first[slot];
+        self.first[slot] = row;
+    }
+
+    /// The newest row of the chain a key with this hash is on.
+    fn chain(&self, hash: u64) -> u32 {
+        match self.first.len() {
+            0 => NIL,
+            slots => self.first[hash as usize & (slots - 1)],
+        }
+    }
+}
+
+/// One `(predicate, arity)` relation over interned ids, append-only:
+/// distinct rows as id columns, found again through `identity`, probed
+/// through one [`KeyIndex`] per registered mask. `anns` is parallel to the
+/// rows wherever annotations are kept — the relations and the idempotent
+/// loop's accumulators keep them, the general loop's head sets fill them in
+/// after recomputing.
+struct Table<K> {
+    cols: Vec<Vec<u32>>,
+    len: usize,
+    anns: Vec<K>,
+    identity: Slots,
+    keys: Vec<KeyIndex>,
+}
+
+impl<K: Semiring> Table<K> {
+    fn new(arity: usize, masks: &[Vec<usize>]) -> Self {
+        Table {
+            cols: vec![Vec::new(); arity],
+            len: 0,
+            anns: Vec::new(),
+            identity: Slots::default(),
+            keys: masks
+                .iter()
+                .map(|mask| KeyIndex {
+                    mask: mask.clone(),
+                    first: Vec::new(),
+                    next: Vec::new(),
+                })
+                .collect(),
+        }
+    }
+
+    fn row(&self, row: usize) -> impl Iterator<Item = u32> + '_ {
+        self.cols.iter().map(move |col| col[row])
+    }
+
+    fn find(&self, ids: &[u32]) -> Option<u32> {
+        self.identity.find(hash_ids(ids.iter().copied()), |row| {
+            self.row(row as usize).eq(ids.iter().copied())
         })
-        .collect::<Option<Vec<Emit>>>();
-    BatchPlan {
-        steps,
-        emit,
-        nslots,
+    }
+
+    /// Appends a row that [`Table::find`] did not find and links it into
+    /// every key index; a key index doubles (and relinks) once it has more
+    /// rows than slots. The caller pushes the annotation, if it keeps one.
+    fn push(&mut self, ids: &[u32]) -> u32 {
+        let row = u32::try_from(self.len)
+            .ok()
+            .filter(|&row| row != NIL)
+            .expect("fewer than 2³² rows per table");
+        for (col, &id) in self.cols.iter_mut().zip(ids) {
+            col.push(id);
+        }
+        self.len += 1;
+        let cols = &self.cols;
+        self.identity
+            .insert(hash_ids(ids.iter().copied()), row, |r| {
+                hash_ids(cols.iter().map(|col| col[r as usize]))
+            });
+        for key in &mut self.keys {
+            key.next.push(NIL);
+            let relink = if self.len > key.first.len() {
+                key.first = vec![NIL; (key.first.len() * 2).max(16)];
+                0..=row
+            } else {
+                row..=row
+            };
+            for r in relink {
+                let hash = hash_ids(key.mask.iter().map(|&c| cols[c][r as usize]));
+                key.link(r, hash);
+            }
+        }
+        row
+    }
+
+    /// The row holding `ids`, appended if new (for tables used as sets).
+    fn upsert(&mut self, ids: &[u32]) -> u32 {
+        self.find(ids).unwrap_or_else(|| self.push(ids))
+    }
+
+    /// Adds `k` to the annotation of the row holding `ids`.
+    fn add(&mut self, ids: &[u32], k: &K) {
+        match self.find(ids) {
+            Some(row) => self.anns[row as usize].plus_assign(k),
+            None => {
+                self.push(ids);
+                self.anns.push(k.clone());
+            }
+        }
     }
 }
 
-/// The batch counterpart of [`RuleForms`]: the same differential forms,
-/// compiled.
-struct BatchForm<'f> {
-    rule: &'f Rule,
-    empty_body: bool,
-    /// For an empty-body rule, the ground head it derives (`None` when the
-    /// head has variables — such a rule never fires).
-    head_ground: Option<Fact>,
-    /// One per idb body atom: the delta atom's predicate and seed spec, and
-    /// the compiled suffix plan over the remaining atoms.
-    delta: Vec<(&'f str, SeedSpec, BatchPlan<'f>)>,
-    /// Seed spec of the head atom (recompute path).
-    head_spec: SeedSpec,
-    head_seeded: BatchPlan<'f>,
-    full: BatchPlan<'f>,
-    has_idb_body: bool,
+/// How one argument position of an atom meets a candidate row.
+#[derive(Clone, Copy)]
+enum Match {
+    /// An interned constant the row must hold here.
+    Const(u32),
+    /// A variable bound earlier (by the seed, an earlier step, or an
+    /// earlier position of this atom): the row must agree with its slot.
+    Bound(usize),
+    /// A variable's first occurrence: the row binds its slot.
+    Bind(usize),
 }
 
-fn compile_forms<'f>(forms: &'f [RuleForms<'_>]) -> Vec<BatchForm<'f>> {
-    forms
-        .iter()
-        .map(|form| {
-            let rule = form.rule;
-            let delta = form
+impl Match {
+    /// The id of a constant or bound position.
+    fn id(self, binding: &[u32]) -> u32 {
+        match self {
+            Match::Const(id) => id,
+            Match::Bound(slot) => binding[slot],
+            Match::Bind(_) => unreachable!("read before it is bound"),
+        }
+    }
+}
+
+/// Matches a row against an atom's positions, binding its new variables.
+fn matches<K>(terms: &[Match], table: &Table<K>, row: u32, binding: &mut [u32]) -> bool {
+    for (col, term) in table.cols.iter().zip(terms) {
+        let id = col[row as usize];
+        match *term {
+            Match::Const(c) if id != c => return false,
+            Match::Bound(slot) if id != binding[slot] => return false,
+            Match::Bind(slot) => binding[slot] = id,
+            _ => {}
+        }
+    }
+    true
+}
+
+/// One probe step: the atom to match, the table it reads, and which of
+/// the table's key indexes its bound-column mask selects (`None`: nothing
+/// is bound, every row is a candidate).
+struct Step<'p> {
+    atom: &'p Atom,
+    table: usize,
+    key: Option<usize>,
+    terms: Vec<Match>,
+}
+
+/// A compiled [`JoinPlan`]. `emit` grounds the head from a complete
+/// binding (constants and bound slots); it is `None` when some head
+/// variable is bound by no atom: such a form never grounds its head,
+/// exactly where the row loops' `ground_atom` fails on every binding.
+struct Plan<'p> {
+    steps: Vec<Step<'p>>,
+    emit: Option<Vec<Match>>,
+}
+
+/// One `Δ` form: the idb body atom the delta rows are matched at, and the
+/// plan over the rest of the body.
+struct DeltaForm<'p> {
+    atom: &'p Atom,
+    table: usize,
+    seed: Vec<Match>,
+    plan: Plan<'p>,
+}
+
+/// The compiled forms of one rule; its variables share one slot numbering.
+struct Form<'p> {
+    rule: &'p Rule,
+    nvars: usize,
+    head_table: usize,
+    /// The head atom as a seed pattern for `recompute`.
+    head: Vec<Match>,
+    recompute: Plan<'p>,
+    full: Plan<'p>,
+    delta: Vec<DeltaForm<'p>>,
+    has_idb_body: bool,
+    /// An empty body under a head with variables: the rule never fires
+    /// (the row loops cannot ground its head from the empty binding).
+    dead: bool,
+}
+
+/// What the compiler knows of a table before any row is loaded.
+struct TableSpec<'p> {
+    predicate: &'p str,
+    arity: usize,
+    idb: bool,
+    /// Does some rule body read it?
+    read: bool,
+    masks: Vec<Vec<usize>>,
+    /// The forms whose head lands here, in program order.
+    heads: Vec<usize>,
+}
+
+/// A program compiled against interned ids: forms, table layout, and the
+/// interner that loading the relations keeps extending.
+pub(crate) struct Compiled<'p> {
+    idb: BTreeSet<String>,
+    forms: Vec<Form<'p>>,
+    specs: Vec<TableSpec<'p>>,
+    interner: Interner,
+}
+
+/// Per-rule compilation state: the rule's variables in slot order and
+/// which of them the form being compiled has bound so far.
+#[derive(Default)]
+struct Scope<'p> {
+    vars: Vec<&'p DlVar>,
+    bound: Vec<usize>,
+}
+
+impl<'p> Scope<'p> {
+    fn slot(&mut self, var: &'p DlVar) -> usize {
+        self.vars.iter().position(|v| *v == var).unwrap_or_else(|| {
+            self.vars.push(var);
+            self.vars.len() - 1
+        })
+    }
+}
+
+impl<'p> Compiled<'p> {
+    pub(crate) fn new(program: &'p Program) -> Self {
+        let mut compiled = Compiled {
+            idb: program.idb_predicates(),
+            forms: Vec::new(),
+            specs: Vec::new(),
+            interner: Interner::default(),
+        };
+        for (fi, rf) in build_forms(program, &compiled.idb).iter().enumerate() {
+            let rule = rf.rule;
+            let mut scope = Scope::default();
+            let head_table = compiled.table(&rule.head);
+            compiled.specs[head_table].heads.push(fi);
+            let full = compiled.plan(&rf.full, &mut scope, rule);
+            scope.bound.clear();
+            let head = compiled.pattern(&rule.head, &mut scope);
+            let recompute = compiled.plan(&rf.head_seeded, &mut scope, rule);
+            let delta = rf
                 .delta_forms
                 .iter()
                 .map(|(pos, plan)| {
                     let atom = &rule.body[*pos];
-                    let vars = seed_vars(atom);
-                    (
-                        atom.predicate.as_str(),
-                        seed_spec(atom),
-                        compile_plan(plan, &vars, &rule.head),
-                    )
+                    scope.bound.clear();
+                    DeltaForm {
+                        atom,
+                        table: compiled.table(atom),
+                        seed: compiled.pattern(atom, &mut scope),
+                        plan: compiled.plan(plan, &mut scope, rule),
+                    }
                 })
                 .collect();
-            let head_vars = seed_vars(&rule.head);
-            BatchForm {
+            compiled.forms.push(Form {
                 rule,
-                empty_body: rule.body.is_empty(),
-                head_ground: rule
-                    .body
-                    .is_empty()
-                    .then(|| ground_atom(&rule.head, &Binding::new()))
-                    .flatten(),
+                nvars: scope.vars.len(),
+                head_table,
+                head,
+                recompute,
+                full,
                 delta,
-                head_spec: seed_spec(&rule.head),
-                head_seeded: compile_plan(&form.head_seeded, &head_vars, &rule.head),
-                full: compile_plan(&form.full, &[], &rule.head),
-                has_idb_body: form.has_idb_body,
+                has_idb_body: rf.has_idb_body,
+                dead: rule.body.is_empty() && !rule.head.is_ground(),
+            });
+        }
+        compiled
+    }
+
+    fn table_of(&self, predicate: &str, arity: usize) -> Option<usize> {
+        self.specs
+            .iter()
+            .position(|s| s.predicate == predicate && s.arity == arity)
+    }
+
+    /// The table of an atom's `(predicate, arity)`, created on first use.
+    fn table(&mut self, atom: &'p Atom) -> usize {
+        let (predicate, arity) = (atom.predicate.as_str(), atom.terms.len());
+        self.table_of(predicate, arity).unwrap_or_else(|| {
+            self.specs.push(TableSpec {
+                predicate,
+                arity,
+                idb: self.idb.contains(predicate),
+                read: false,
+                masks: Vec::new(),
+                heads: Vec::new(),
+            });
+            self.specs.len() - 1
+        })
+    }
+
+    /// Compiles an atom's positions against the scope, binding its new
+    /// variables.
+    fn pattern(&mut self, atom: &'p Atom, scope: &mut Scope<'p>) -> Vec<Match> {
+        atom.terms
+            .iter()
+            .map(|term| match term {
+                Term::Const(value) => Match::Const(self.interner.intern(value)),
+                Term::Var(x) => {
+                    let slot = scope.slot(x);
+                    if scope.bound.contains(&slot) {
+                        Match::Bound(slot)
+                    } else {
+                        scope.bound.push(slot);
+                        Match::Bind(slot)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Compiles a join plan whose seed variables the scope already holds,
+    /// registering each step's probe mask with the table it reads.
+    fn plan(&mut self, plan: &JoinPlan<'p>, scope: &mut Scope<'p>, rule: &'p Rule) -> Plan<'p> {
+        let steps = plan
+            .atoms()
+            .iter()
+            .zip(plan.bound())
+            .map(|(&atom, mask)| {
+                let table = self.table(atom);
+                let spec = &mut self.specs[table];
+                spec.read = true;
+                let key = (!mask.is_empty()).then(|| {
+                    spec.masks
+                        .iter()
+                        .position(|m| m == mask)
+                        .unwrap_or_else(|| {
+                            spec.masks.push(mask.clone());
+                            spec.masks.len() - 1
+                        })
+                });
+                Step {
+                    atom,
+                    table,
+                    key,
+                    terms: self.pattern(atom, scope),
+                }
+            })
+            .collect();
+        let emit = rule
+            .head
+            .terms
+            .iter()
+            .map(|term| match term {
+                Term::Const(value) => Some(Match::Const(self.interner.intern(value))),
+                Term::Var(x) => {
+                    let slot = scope.slot(x);
+                    scope.bound.contains(&slot).then_some(Match::Bound(slot))
+                }
+            })
+            .collect();
+        Plan { steps, emit }
+    }
+
+    /// Empty tables, one per spec, with their key indexes registered.
+    fn tables<K: Semiring>(&self) -> Vec<Table<K>> {
+        self.specs
+            .iter()
+            .map(|spec| Table::new(spec.arity, &spec.masks))
+            .collect()
+    }
+
+    /// Empty accumulators parallel to the tables: rows and annotations, no
+    /// key indexes.
+    fn accumulators<K: Semiring>(&self) -> Vec<Table<K>> {
+        self.specs
+            .iter()
+            .map(|spec| Table::new(spec.arity, &[]))
+            .collect()
+    }
+
+    /// Loads `store`'s rows into the tables rule bodies read — those of the
+    /// idb (`idb` set) or of the edb predicates — interning their constants.
+    /// Rows of a predicate at an arity no atom uses can match nothing and
+    /// are skipped, and so are edb rows of an idb predicate: the row loops
+    /// read idb factors from the accumulator only, where those multiply as
+    /// zero.
+    fn load<K: Semiring>(&mut self, tables: &mut [Table<K>], store: &FactStore<K>, idb: bool) {
+        let mut ids = Vec::new();
+        for (spec, table) in self.specs.iter().zip(tables) {
+            if spec.idb != idb || !spec.read {
+                continue;
             }
+            for (values, k) in store.rows_of(spec.predicate) {
+                if values.len() != spec.arity {
+                    continue;
+                }
+                ids.clear();
+                ids.extend(values.iter().map(|v| self.interner.intern(v)));
+                table.push(&ids);
+                table.anns.push(k.clone());
+            }
+        }
+    }
+}
+
+/// The depth-first join: extends `binding` through `steps` and calls
+/// `leaf` with every complete binding. With `track`, `product` is the
+/// running body product — a zero factor prunes the candidate, exactly where
+/// `body_product` returns `None` — otherwise the walk is annotation-blind
+/// and hands `product` through untouched.
+fn join<K: Semiring>(
+    steps: &[Step<'_>],
+    tables: &[Table<K>],
+    binding: &mut [u32],
+    product: &K,
+    track: bool,
+    leaf: &mut impl FnMut(&[u32], &K),
+) {
+    let Some((step, rest)) = steps.split_first() else {
+        return leaf(binding, product);
+    };
+    let table = &tables[step.table];
+    // The candidates: every row, or the chain of the key's slot.
+    let (mut next, end, chain) = match step.key {
+        None => (0, table.len as u32, None),
+        Some(k) => {
+            let key = &table.keys[k];
+            let hash = hash_ids(key.mask.iter().map(|&c| step.terms[c].id(binding)));
+            (key.chain(hash), NIL, Some(&key.next))
+        }
+    };
+    while next != end {
+        let row = next;
+        next = chain.map_or(row + 1, |chain| chain[row as usize]);
+        if !matches(&step.terms, table, row, binding) {
+            continue;
+        }
+        if track {
+            let factor = &table.anns[row as usize];
+            if !factor.is_zero() {
+                join(rest, tables, binding, &product.times(factor), track, leaf);
+            }
+        } else {
+            join(rest, tables, binding, product, track, leaf);
+        }
+    }
+}
+
+/// Joins `plan` from the seed already in `binding` and adds every head it
+/// grounds to `out`: with its product when `track`ing, as a bare row
+/// otherwise. A plan that cannot ground its head adds nothing.
+fn emit_into<K: Semiring>(
+    plan: &Plan<'_>,
+    tables: &[Table<K>],
+    binding: &mut [u32],
+    seed: &K,
+    track: bool,
+    out: &mut Table<K>,
+) {
+    let Some(emit) = &plan.emit else {
+        return;
+    };
+    let mut head = Vec::with_capacity(emit.len());
+    join(
+        &plan.steps,
+        tables,
+        binding,
+        seed,
+        track,
+        &mut |b, product| {
+            head.clear();
+            head.extend(emit.iter().map(|term| term.id(b)));
+            if track {
+                out.add(&head, product);
+            } else {
+                out.upsert(&head);
+            }
+        },
+    );
+}
+
+/// A fresh binding array for one of `form`'s plans.
+fn unbound(binding: &mut Vec<u32>, form: &Form<'_>) {
+    binding.clear();
+    binding.resize(form.nvars, NIL);
+}
+
+/// One unit of per-round delta work: `forms[.0].delta[.1]` seeded with row
+/// `.2` of its table.
+type DeltaItem = (usize, usize, u32);
+
+/// The round's delta work, form-major like the row loops' work items.
+fn delta_items(forms: &[Form<'_>], delta: &[Vec<u32>]) -> Vec<DeltaItem> {
+    let mut items = Vec::new();
+    for (fi, form) in forms.iter().enumerate() {
+        for (di, d) in form.delta.iter().enumerate() {
+            items.extend(delta[d.table].iter().map(|&row| (fi, di, row)));
+        }
+    }
+    items
+}
+
+/// Joins a chunk of delta work into fresh accumulators. With `track`, each
+/// head's increments are summed (the seed's annotation first; a zero seed
+/// contributes nothing); without, the heads are only collected.
+fn join_chunk<K: Semiring>(
+    compiled: &Compiled<'_>,
+    tables: &[Table<K>],
+    items: &[DeltaItem],
+    track: bool,
+) -> Vec<Table<K>> {
+    let mut acc = compiled.accumulators();
+    let mut binding = Vec::new();
+    let one = K::one();
+    for &(fi, di, row) in items {
+        let form = &compiled.forms[fi];
+        let d = &form.delta[di];
+        let table = &tables[d.table];
+        unbound(&mut binding, form);
+        if !matches(&d.seed, table, row, &mut binding) {
+            continue;
+        }
+        // Only a tracked seed can be a zero factor (and in Why(X), where
+        // `1 = 0 = ∅`, the blind walk's `1` would look like one).
+        let seed = if track {
+            &table.anns[row as usize]
+        } else {
+            &one
+        };
+        if !(track && seed.is_zero()) {
+            let out = &mut acc[form.head_table];
+            emit_into(&d.plan, tables, &mut binding, seed, track, out);
+        }
+    }
+    acc
+}
+
+/// From-scratch totals of the heads `items` names as `(table, row)` of
+/// `heads`: per head, the forms of its table in program order, each seeded
+/// with the head and joined over the whole body.
+fn recompute<K: Semiring>(
+    compiled: &Compiled<'_>,
+    tables: &[Table<K>],
+    heads: &[Table<K>],
+    items: &[(usize, u32)],
+) -> Vec<K> {
+    let mut binding = Vec::new();
+    let one = K::one();
+    items
+        .iter()
+        .map(|&(t, row)| {
+            let mut total = K::zero();
+            for &fi in &compiled.specs[t].heads {
+                let form = &compiled.forms[fi];
+                unbound(&mut binding, form);
+                if form.dead || !matches(&form.head, &heads[t], row, &mut binding) {
+                    continue;
+                }
+                let steps = &form.recompute.steps;
+                join(
+                    steps,
+                    tables,
+                    &mut binding,
+                    &one,
+                    true,
+                    &mut |_, product| total.plus_assign(product),
+                );
+            }
+            total
         })
         .collect()
 }
 
-/// [`crate::seminaive::forms_by_head`] over compiled forms, as indices.
-fn forms_by_head_idx<'f>(bforms: &[BatchForm<'f>]) -> FxHashMap<&'f str, Vec<usize>> {
-    let mut by_head: FxHashMap<&str, Vec<usize>> = FxHashMap::default();
-    for (i, bf) in bforms.iter().enumerate() {
-        by_head
-            .entry(bf.rule.head.predicate.as_str())
-            .or_default()
-            .push(i);
-    }
-    by_head
-}
-
-/// Dense per-predicate annotation columns, parallel to the [`FactIndex`]'s
-/// pred-local rows: `anns[pred][local_row]` is the fact's current
-/// annotation (from the accumulator for idb predicates, from the EDB
-/// otherwise). This replaces the row path's per-factor `BTreeMap` lookups
-/// with direct indexing.
-pub(crate) type AnnTable<K> = FxHashMap<String, Vec<K>>;
-
-/// Annotated rows grouped under their `(predicate, arity)` key — the shape
-/// both round-end accumulators collect into before building delta batches.
-type GroupedRows<K> = Vec<((String, usize), Vec<(Box<[Value]>, K)>)>;
-
-/// Builds the annotation table for an index whose facts are already final
-/// (the IVM recompute path); the fixpoint loops maintain theirs
-/// incrementally instead.
-pub(crate) fn build_ann_table<K: Semiring>(
-    index: &FactIndex,
-    idb_predicates: &BTreeSet<String>,
-    edb: &FactStore<K>,
-    current: &FactStore<K>,
-) -> AnnTable<K> {
-    let mut table: AnnTable<K> = FxHashMap::default();
-    for fact in index.facts() {
-        let ann = if idb_predicates.contains(&fact.predicate) {
-            current.annotation(fact)
-        } else {
-            edb.annotation(fact)
-        };
-        table.entry(fact.predicate.clone()).or_default().push(ann);
-    }
-    table
-}
-
-/// A set of partial bindings, slot-major: `slots[s][r]` is row `r`'s value
-/// for slot `s`. In product mode `anns[r]` carries the running body
-/// product; `seeds[r]` remembers which seed row `r` descends from (the
-/// recompute path sums per-seed totals from it).
-struct Frontier<K> {
-    rows: usize,
-    slots: Vec<Vec<Value>>,
-    anns: Vec<K>,
-    seeds: Vec<u32>,
-}
-
-impl<K: Semiring> Frontier<K> {
-    /// The empty-binding seed for a full-body plan: one row, no slots.
-    fn unit() -> Frontier<K> {
-        Frontier {
-            rows: 1,
-            slots: Vec::new(),
-            anns: vec![K::one()],
-            seeds: vec![0],
-        }
-    }
-
-    /// Splits off the first `n` rows (for row-balanced work partitioning).
-    fn split_off_front(&mut self, n: usize) -> Frontier<K> {
-        let tail = Frontier {
-            rows: self.rows - n,
-            slots: self.slots.iter_mut().map(|c| c.split_off(n)).collect(),
-            anns: if self.anns.is_empty() {
-                Vec::new()
-            } else {
-                self.anns.split_off(n)
-            },
-            seeds: self.seeds.split_off(n),
-        };
-        let mut head = std::mem::replace(self, tail);
-        head.rows = n;
-        head
-    }
-}
-
-/// Seeds a frontier from a delta batch through the delta atom's spec. With
-/// `track` the batch's annotation column becomes the seed products
-/// (zero-annotated rows are dropped, where the row path's `body_product`
-/// would return `None`).
-fn seed_from_batch<K: Semiring>(spec: &SeedSpec, batch: &Batch<K>, track: bool) -> Frontier<K> {
-    let cols = batch.columns();
-    let mut fr = Frontier {
-        rows: 0,
-        slots: vec![Vec::new(); spec.slots.len()],
-        anns: Vec::new(),
-        seeds: Vec::new(),
+/// Contiguous chunks of a round's work, one per worker; a single chunk
+/// (which [`par::par_map_chunks`] runs inline) when the work is too small
+/// to repay spawning.
+fn chunks<T>(items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
+    let parts = if items.len() < par::SPAWN_THRESHOLD {
+        1
+    } else {
+        threads
     };
-    if cols.len() != spec.arity {
-        return fr;
-    }
-    'row: for r in 0..batch.phys_rows() as u32 {
-        for (pos, v) in &spec.consts {
-            if !cols[*pos].value_eq_at(r, v) {
-                continue 'row;
-            }
-        }
-        for &(p0, p1) in &spec.dups {
-            if cols[p0].value_at(r) != cols[p1].value_at(r) {
-                continue 'row;
-            }
-        }
-        if track {
-            let ann = &batch.anns()[r as usize];
-            if ann.is_zero() {
-                continue;
-            }
-            fr.anns.push(ann.clone());
-        }
-        for (slot, &pos) in spec.slots.iter().enumerate() {
-            fr.slots[slot].push(cols[pos].value_at(r));
-        }
-        fr.seeds.push(r);
-        fr.rows += 1;
-    }
-    fr
+    par::chunked(items, parts)
 }
 
-/// Seeds a frontier from affected head facts through the head atom's spec,
-/// with seed id `i` and annotation `1` per matching head (the recompute
-/// path's per-head sum starts at `1 × body product`).
-fn seed_from_heads<'h, K: Semiring>(
-    spec: &SeedSpec,
-    heads: impl Iterator<Item = (u32, &'h Fact)>,
-) -> Frontier<K> {
-    let mut fr = Frontier {
-        rows: 0,
-        slots: vec![Vec::new(); spec.slots.len()],
-        anns: Vec::new(),
-        seeds: Vec::new(),
-    };
-    'head: for (id, fact) in heads {
-        if fact.values.len() != spec.arity {
-            continue;
-        }
-        for (pos, v) in &spec.consts {
-            if &fact.values[*pos] != v {
-                continue 'head;
+/// Sums the workers' accumulators (or unions their head sets) in chunk
+/// order.
+fn combine<K: Semiring>(parts: Vec<Vec<Table<K>>>, track: bool) -> Option<Vec<Table<K>>> {
+    let mut parts = parts.into_iter();
+    let mut into = parts.next()?;
+    let mut ids = Vec::new();
+    for part in parts {
+        for (dst, src) in into.iter_mut().zip(part) {
+            for row in 0..src.len {
+                ids.clear();
+                ids.extend(src.row(row));
+                if track {
+                    dst.add(&ids, &src.anns[row]);
+                } else {
+                    dst.upsert(&ids);
+                }
             }
         }
-        for &(p0, p1) in &spec.dups {
-            if fact.values[p0] != fact.values[p1] {
-                continue 'head;
-            }
-        }
-        for (slot, &pos) in spec.slots.iter().enumerate() {
-            fr.slots[slot].push(fact.values[pos].clone());
-        }
-        fr.anns.push(K::one());
-        fr.seeds.push(id);
-        fr.rows += 1;
     }
-    fr
+    Some(into)
 }
 
-/// Runs one probe step over every frontier row: hash the bound columns,
-/// fetch the index bucket, verify each candidate with typed column
-/// comparisons (falling back to the fact arena for arity-poisoned
-/// predicates), and gather the surviving extensions into the next frontier.
-/// In product mode (`anns` given) a zero-annotated candidate is pruned and
-/// survivors multiply their annotation into the running product.
-fn extend<K: Semiring>(
-    step: &BatchStep<'_>,
-    index: &FactIndex,
-    anns: Option<&AnnTable<K>>,
-    fr: Frontier<K>,
-) -> Frontier<K> {
-    let pred = step.atom.predicate.as_str();
-    let cols = index.predicate_columns(pred);
-    let arity = step.atom.terms.len();
-    let pred_anns: Option<&[K]> = anns.map(|t| t.get(pred).map(Vec::as_slice).unwrap_or(&[]));
-    let mut parents: Vec<u32> = Vec::new();
-    let mut locals: Vec<u32> = Vec::new();
-    let mut arena: Vec<usize> = Vec::new();
-    let mut out_anns: Vec<K> = Vec::new();
-    let mut out_seeds: Vec<u32> = Vec::new();
-    for r in 0..fr.rows {
-        let candidates = if step.cols.is_empty() {
-            index.predicate_rows(pred)
-        } else {
-            let mut h = HASH_SEED;
-            for key in &step.keys {
-                h = hash_combine(
-                    h,
-                    match key {
-                        ProbeKey::Const(_, ch) => *ch,
-                        ProbeKey::Slot(s) => fr.slots[*s][r].content_hash(),
-                    },
-                );
-            }
-            index.candidates_hashed(pred, step.cols, h)
+/// The loops' round-to-round state: the relations, and the rows of each
+/// that changed in the last round.
+struct State<'p, K> {
+    compiled: Compiled<'p>,
+    tables: Vec<Table<K>>,
+    delta: Vec<Vec<u32>>,
+}
+
+impl<'p, K: Semiring + Send + Sync> State<'p, K> {
+    /// Round 1, like the row loops' `DeltaState::initial`: load the edb,
+    /// apply `T` once through the full plans of the rules without idb
+    /// atoms, and seed the delta — cleared at once for a syntactically
+    /// non-recursive program, keeping `converged` aligned.
+    fn initial(program: &'p Program, edb: &FactStore<K>) -> Self {
+        let mut compiled = Compiled::new(program);
+        let mut tables = compiled.tables();
+        compiled.load(&mut tables, edb, false);
+        let mut acc = compiled.accumulators();
+        let mut binding = Vec::new();
+        for form in compiled.forms.iter().filter(|f| !f.has_idb_body) {
+            unbound(&mut binding, form);
+            let out = &mut acc[form.head_table];
+            emit_into(&form.full, &tables, &mut binding, &K::one(), true, out);
+        }
+        let mut state = State {
+            delta: vec![Vec::new(); tables.len()],
+            compiled,
+            tables,
         };
-        'cand: for &g in candidates {
-            let local = index.local_row(g);
-            match cols {
-                Some(cb) => {
-                    if cb.len() != arity {
-                        continue;
-                    }
-                    for (key, &c) in step.keys.iter().zip(step.cols) {
-                        let ok = match key {
-                            ProbeKey::Const(v, _) => cb[c].value_eq_at(local, v),
-                            ProbeKey::Slot(s) => cb[c].value_eq_at(local, &fr.slots[*s][r]),
-                        };
-                        if !ok {
-                            continue 'cand;
+        state.apply(acc, false);
+        if state.compiled.forms.iter().all(|f| f.delta.is_empty()) {
+            state.delta.iter_mut().for_each(Vec::clear);
+        }
+        state
+    }
+
+    fn delta_is_empty(&self) -> bool {
+        self.delta.iter().all(Vec::is_empty)
+    }
+
+    /// The round's delta forms joined over contiguous chunks of the work
+    /// items, one accumulator set per worker, combined in chunk order.
+    fn join_deltas(&self, threads: usize, track: bool) -> Vec<Table<K>> {
+        let items = delta_items(&self.compiled.forms, &self.delta);
+        let parts = par::par_map_chunks(chunks(items, threads), |_, chunk| {
+            join_chunk(&self.compiled, &self.tables, &chunk, track)
+        });
+        combine(parts, track).unwrap_or_else(|| self.compiled.accumulators())
+    }
+
+    /// Ends a round. `heads` holds, per table, candidate rows with their
+    /// new totals, or with increments to `merge` into the current
+    /// annotation; the rows whose annotation moves are written and become
+    /// the next delta. A row that was never written counts as zero.
+    fn apply(&mut self, heads: Vec<Table<K>>, merge: bool) {
+        let mut ids = Vec::new();
+        for ((table, delta), heads) in self.tables.iter_mut().zip(&mut self.delta).zip(heads) {
+            delta.clear();
+            let Table { cols, anns, .. } = heads;
+            for (r, value) in anns.into_iter().enumerate() {
+                ids.clear();
+                ids.extend(cols.iter().map(|col| col[r]));
+                match table.find(&ids) {
+                    Some(row) => {
+                        let current = &mut table.anns[row as usize];
+                        let new = if merge { current.plus(&value) } else { value };
+                        if *current != new {
+                            *current = new;
+                            delta.push(row);
                         }
                     }
-                    for &(p0, p1) in &step.intra {
-                        if cb[p0].value_at(local) != cb[p1].value_at(local) {
-                            continue 'cand;
-                        }
+                    None if !value.is_zero() => {
+                        delta.push(table.push(&ids));
+                        table.anns.push(value);
                     }
-                }
-                None => {
-                    let fact = index.fact(g);
-                    if fact.values.len() != arity {
-                        continue;
-                    }
-                    for (key, &c) in step.keys.iter().zip(step.cols) {
-                        let ok = match key {
-                            ProbeKey::Const(v, _) => &fact.values[c] == v,
-                            ProbeKey::Slot(s) => fact.values[c] == fr.slots[*s][r],
-                        };
-                        if !ok {
-                            continue 'cand;
-                        }
-                    }
-                    for &(p0, p1) in &step.intra {
-                        if fact.values[p0] != fact.values[p1] {
-                            continue 'cand;
-                        }
-                    }
+                    None => {}
                 }
             }
-            if let Some(pa) = pred_anns {
-                let ann = &pa[local as usize];
-                if ann.is_zero() {
-                    continue;
-                }
-                out_anns.push(fr.anns[r].times(ann));
-            }
-            parents.push(r as u32);
-            locals.push(local);
-            arena.push(g);
-            out_seeds.push(fr.seeds[r]);
-        }
-    }
-    let mut slots: Vec<Vec<Value>> = fr
-        .slots
-        .iter()
-        .map(|col| parents.iter().map(|&p| col[p as usize].clone()).collect())
-        .collect();
-    for &pos in &step.news {
-        let col: Vec<Value> = match cols {
-            Some(cb) => locals.iter().map(|&lr| cb[pos].value_at(lr)).collect(),
-            None => arena
-                .iter()
-                .map(|&g| index.fact(g).values[pos].clone())
-                .collect(),
-        };
-        slots.push(col);
-    }
-    Frontier {
-        rows: parents.len(),
-        slots,
-        anns: out_anns,
-        seeds: out_seeds,
-    }
-}
-
-fn run_plan<K: Semiring>(
-    plan: &BatchPlan<'_>,
-    index: &FactIndex,
-    anns: Option<&AnnTable<K>>,
-    mut fr: Frontier<K>,
-) -> Frontier<K> {
-    for step in &plan.steps {
-        if fr.rows == 0 {
-            break;
-        }
-        fr = extend(step, index, anns, fr);
-    }
-    debug_assert!(fr.rows == 0 || fr.slots.len() == plan.nslots);
-    fr
-}
-
-/// Grounds the head of a completed frontier row.
-fn emit_head<K: Semiring>(emit: &[Emit], fr: &Frontier<K>, r: usize, predicate: &str) -> Fact {
-    Fact {
-        predicate: predicate.to_string(),
-        values: emit
-            .iter()
-            .map(|e| match e {
-                Emit::Const(v) => v.clone(),
-                Emit::Slot(s) => fr.slots[*s][r].clone(),
-            })
-            .collect(),
-    }
-}
-
-/// The batch loops' round-to-round state: the column-backed index, the
-/// accumulator store, the dense annotation table mirroring it, and the
-/// per-predicate delta batches.
-struct BatchState<K> {
-    index: FactIndex,
-    current: FactStore<K>,
-    anns: AnnTable<K>,
-    /// Last round's changed facts as batches, one per `(predicate, arity)`
-    /// pair (facts of one predicate almost always agree on arity; mixed
-    /// arities get one batch each).
-    delta: FxHashMap<String, Vec<Batch<K>>>,
-    delta_rows: usize,
-}
-
-impl<K: Semiring> BatchState<K> {
-    /// Round-1 setup, mirroring the row path's `DeltaState::initial`: index
-    /// the EDB, build and register the forms, apply `T` once through the
-    /// compiled full plans, and seed the delta — cleared immediately for
-    /// syntactically non-recursive programs, keeping `converged` aligned.
-    fn initial<'a>(
-        program: &'a Program,
-        idb_predicates: &BTreeSet<String>,
-        edb: &FactStore<K>,
-    ) -> (Vec<RuleForms<'a>>, Self) {
-        let mut index = edb.join_index();
-        let forms = build_forms(program, idb_predicates, &mut index);
-        let mut anns: AnnTable<K> = FxHashMap::default();
-        for fact in index.facts() {
-            let ann = if idb_predicates.contains(&fact.predicate) {
-                K::zero()
-            } else {
-                edb.annotation(fact)
-            };
-            anns.entry(fact.predicate.clone()).or_default().push(ann);
-        }
-        let mut state = BatchState {
-            index,
-            current: FactStore::new(),
-            anns,
-            delta: FxHashMap::default(),
-            delta_rows: 0,
-        };
-        let bforms = compile_forms(&forms);
-        let mut produced: FactStore<K> = FactStore::new();
-        for bf in bforms.iter().filter(|f| !f.has_idb_body) {
-            if bf.empty_body {
-                if let Some(head) = &bf.head_ground {
-                    produced.insert(head.clone(), K::one());
-                }
-                continue;
-            }
-            let Some(emit) = &bf.full.emit else { continue };
-            let fr = run_plan(&bf.full, &state.index, Some(&state.anns), Frontier::unit());
-            for r in 0..fr.rows {
-                produced.insert(
-                    emit_head(emit, &fr, r, &bf.rule.head.predicate),
-                    fr.anns[r].clone(),
-                );
-            }
-        }
-        drop(bforms);
-        state.apply_changes(produced.facts().map(|(f, k)| (f, k.clone())).collect());
-        if forms.iter().all(|f| f.delta_forms.is_empty()) {
-            state.delta.clear();
-            state.delta_rows = 0;
-        }
-        (forms, state)
-    }
-
-    /// Ends a round: changed facts join the index and overwrite their
-    /// annotation in both the store and the dense table, and the change
-    /// list becomes the next delta batches.
-    fn apply_changes(&mut self, changes: Vec<(Fact, K)>) {
-        self.delta.clear();
-        self.delta_rows = changes.len();
-        let mut rows: GroupedRows<K> = Vec::new();
-        for (fact, ann) in changes {
-            if self.index.add_fact(fact.clone()) {
-                self.anns
-                    .entry(fact.predicate.clone())
-                    .or_default()
-                    .push(ann.clone());
-            } else {
-                let g = self.index.position(&fact).expect("fact is indexed");
-                let local = self.index.local_row(g) as usize;
-                self.anns.get_mut(&fact.predicate).expect("predicate known")[local] = ann.clone();
-            }
-            self.current.set(fact.clone(), ann.clone());
-            let key = (fact.predicate, fact.values.len());
-            let row = (fact.values.into_boxed_slice(), ann);
-            match rows.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, list)) => list.push(row),
-                None => rows.push((key, vec![row])),
-            }
-        }
-        for ((pred, arity), list) in rows {
-            self.delta
-                .entry(pred)
-                .or_default()
-                .push(Batch::from_rows(arity, list));
         }
     }
 
+    /// The one place values come back: each idb table's non-zero rows,
+    /// sorted by the rank of their ids, bulk-loaded into the result store.
     fn finish(self, iterations: usize) -> FixpointResult<K> {
-        let converged = self.delta_rows == 0;
+        let converged = self.delta_is_empty();
+        let values = &self.compiled.interner.values;
+        let rank = &self.compiled.interner.ranks();
+        let mut idb = FactStore::new();
+        for (spec, table) in self.compiled.specs.iter().zip(self.tables) {
+            if !spec.idb {
+                continue;
+            }
+            let Table { cols, mut anns, .. } = table;
+            let key = |row: usize| cols.iter().map(move |col| rank[col[row] as usize]);
+            let mut rows: Vec<usize> = (0..anns.len()).filter(|&r| !anns[r].is_zero()).collect();
+            rows.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+            idb.load(
+                spec.predicate,
+                rows.into_iter().map(|r| {
+                    let fact = cols.iter().map(|col| values[col[r] as usize].clone());
+                    (fact.collect(), std::mem::replace(&mut anns[r], K::zero()))
+                }),
+            );
+        }
         FixpointResult {
-            idb: self.current,
+            idb,
             iterations,
             converged,
         }
     }
 }
 
-/// One unit of per-round delta work: a compiled delta form (`bforms[form]`'s
-/// `delta[dform]`) with its seeded frontier.
-type Unit<K> = (usize, usize, Frontier<K>);
-
-/// Builds the round's work units, form-major like the row path's
-/// `delta_work_items`. Units whose plan can never ground a head are
-/// dropped (the row path grounds per binding and fails every time).
-fn delta_units<K: Semiring>(
-    bforms: &[BatchForm<'_>],
-    delta: &FxHashMap<String, Vec<Batch<K>>>,
-    track: bool,
-) -> Vec<Unit<K>> {
-    let mut units = Vec::new();
-    for (fi, bf) in bforms.iter().enumerate() {
-        for (di, (pred, spec, plan)) in bf.delta.iter().enumerate() {
-            if plan.emit.is_none() {
-                continue;
-            }
-            for batch in delta.get(*pred).map(Vec::as_slice).unwrap_or(&[]) {
-                let fr = seed_from_batch(spec, batch, track);
-                if fr.rows > 0 {
-                    units.push((fi, di, fr));
-                }
-            }
-        }
-    }
-    units
-}
-
-/// Partitions work units into at most `parts` groups of near-equal total
-/// row count, splitting a unit's frontier when a boundary falls inside it.
-/// Order-preserving, so in-order concatenation of the groups' outputs
-/// equals the serial pass.
-fn split_units<K: Semiring>(units: Vec<Unit<K>>, parts: usize) -> Vec<Vec<Unit<K>>> {
-    let total: usize = units.iter().map(|u| u.2.rows).sum();
-    if parts <= 1 || total == 0 {
-        return vec![units];
-    }
-    let target = total.div_ceil(parts);
-    let mut groups = Vec::new();
-    let mut group: Vec<Unit<K>> = Vec::new();
-    let mut filled = 0;
-    for (fi, di, mut fr) in units {
-        loop {
-            let room = target - filled;
-            if fr.rows <= room {
-                filled += fr.rows;
-                group.push((fi, di, fr));
-                if filled == target {
-                    groups.push(std::mem::take(&mut group));
-                    filled = 0;
-                }
-                break;
-            }
-            let head = fr.split_off_front(room);
-            group.push((fi, di, head));
-            groups.push(std::mem::take(&mut group));
-            filled = 0;
-        }
-    }
-    if !group.is_empty() {
-        groups.push(group);
-    }
-    groups
-}
-
-/// Phase 1 of the general round: every head one differential form away
-/// from a delta fact, discovered by batch joins (annotation-blind, exactly
-/// like the row path's discovery joins over the index).
-fn discover_affected<K>(
-    bforms: &[BatchForm<'_>],
-    state: &BatchState<K>,
-    threads: usize,
-) -> BTreeSet<Fact>
-where
-    K: Semiring + Send + Sync,
-{
-    let units = delta_units(bforms, &state.delta, false);
-    let total: usize = units.iter().map(|u| u.2.rows).sum();
-    let index = &state.index;
-    let run = |units: Vec<Unit<K>>| {
-        let mut heads = BTreeSet::new();
-        for (fi, di, fr) in units {
-            let bf = &bforms[fi];
-            let (_, _, plan) = &bf.delta[di];
-            let emit = plan.emit.as_ref().expect("emitting unit");
-            let out = run_plan(plan, index, None, fr);
-            for r in 0..out.rows {
-                heads.insert(emit_head(emit, &out, r, &bf.rule.head.predicate));
-            }
-        }
-        heads
-    };
-    if threads <= 1 || total < par::SPAWN_THRESHOLD {
-        return run(units);
-    }
-    par::spawn_map(split_units(units, threads), run)
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Phase 2 of the general round: from-scratch totals of `heads`, sharing
-/// the row path's summation structure (forms of the head's predicate in
-/// program order; per form, the head-seeded plan over the index with the
-/// dense annotation table supplying the factors).
-fn recompute_totals<K: Semiring>(
-    heads: &[Fact],
-    bforms: &[BatchForm<'_>],
-    by_head: &FxHashMap<&str, Vec<usize>>,
-    index: &FactIndex,
-    anns: &AnnTable<K>,
-) -> Vec<K> {
-    let mut totals = vec![K::zero(); heads.len()];
-    let mut by_pred: FxHashMap<&str, Vec<u32>> = FxHashMap::default();
-    for (i, head) in heads.iter().enumerate() {
-        by_pred
-            .entry(head.predicate.as_str())
-            .or_default()
-            .push(i as u32);
-    }
-    for (pred, ids) in &by_pred {
-        let Some(form_ids) = by_head.get(pred) else {
-            continue;
-        };
-        for &fi in form_ids {
-            let bf = &bforms[fi];
-            if bf.empty_body {
-                if let Some(ground) = &bf.head_ground {
-                    for &i in ids {
-                        if &heads[i as usize] == ground {
-                            totals[i as usize].plus_assign(&K::one());
-                        }
-                    }
-                }
-                continue;
-            }
-            let fr = seed_from_heads(&bf.head_spec, ids.iter().map(|&i| (i, &heads[i as usize])));
-            let out = run_plan(&bf.head_seeded, index, Some(anns), fr);
-            for r in 0..out.rows {
-                totals[out.seeds[r] as usize].plus_assign(&out.anns[r]);
-            }
-        }
-    }
-    totals
-}
-
-/// Compiled batch recomputation machinery for the IVM rederive passes
-/// ([`crate::maintain::maintain_fixpoint_with`]): the forms compiled once
-/// per maintenance call, with [`BatchRecompute::totals`] mapping one
-/// from-scratch sweep over a slice of affected heads — the batch
-/// counterpart of `recompute_head` over each.
-pub(crate) struct BatchRecompute<'f> {
-    bforms: Vec<BatchForm<'f>>,
-    by_head: FxHashMap<&'f str, Vec<usize>>,
-}
-
-impl<'f> BatchRecompute<'f> {
-    pub(crate) fn new(forms: &'f [RuleForms<'_>]) -> Self {
-        let bforms = compile_forms(forms);
-        let by_head = forms_by_head_idx(&bforms);
-        BatchRecompute { bforms, by_head }
-    }
-
-    /// From-scratch totals of `heads` over `index`, with `anns` supplying
-    /// every body factor (build it with [`build_ann_table`] against the
-    /// pass-start stores).
-    pub(crate) fn totals<K: Semiring>(
-        &self,
-        heads: &[Fact],
-        index: &FactIndex,
-        anns: &AnnTable<K>,
-    ) -> Vec<K> {
-        recompute_totals(heads, &self.bforms, &self.by_head, index, anns)
-    }
-}
-
-/// [`crate::seminaive::seminaive_iterate`] on the batch engine: identical
-/// rounds (delta-driven affected-head discovery, from-scratch recompute of
-/// each affected head), executed as batch probes over the column-backed
-/// index. Sound for every semiring; `FixpointResult`-identical to the row
-/// loops at any `threads`.
+/// [`crate::seminaive::seminaive_iterate`] compiled: identical rounds
+/// (delta-driven affected-head discovery, from-scratch recompute of each
+/// affected head) as depth-first probes over id tables. Sound for every
+/// semiring; `FixpointResult`-identical to the row loops at any `threads`.
 pub fn seminaive_iterate_batch<K>(
     program: &Program,
     edb: &FactStore<K>,
@@ -900,51 +912,37 @@ where
     if max_rounds == 0 {
         return unevaluated();
     }
-    let idb_predicates = program.idb_predicates();
-    let (forms, mut state) = BatchState::initial(program, &idb_predicates, edb);
-    let bforms = compile_forms(&forms);
-    let by_head = forms_by_head_idx(&bforms);
-
+    let mut state = State::initial(program, edb);
     let mut iterations = 1;
-    while iterations < max_rounds {
-        if state.delta_rows == 0 {
-            break;
-        }
+    while iterations < max_rounds && !state.delta_is_empty() {
         iterations += 1;
-
-        let affected: Vec<Fact> = discover_affected(&bforms, &state, threads)
-            .into_iter()
+        // 1. Affected heads: everything one Δ form away from a delta row,
+        //    whatever the annotations on the way.
+        let mut affected = state.join_deltas(threads, false);
+        // 2. Their totals from scratch, over contiguous chunks of the heads.
+        let items: Vec<(usize, u32)> = affected
+            .iter()
+            .enumerate()
+            .flat_map(|(t, heads)| (0..heads.len as u32).map(move |row| (t, row)))
             .collect();
-
-        let changes: Vec<(Fact, K)> = {
-            let (index, anns, current) = (&state.index, &state.anns, &state.current);
-            let collect = |chunk: &[Fact]| -> Vec<(Fact, K)> {
-                let totals = recompute_totals(chunk, &bforms, &by_head, index, anns);
-                chunk
-                    .iter()
-                    .zip(totals)
-                    .filter(|(head, total)| *total != current.annotation(head))
-                    .map(|(head, total)| (head.clone(), total))
-                    .collect()
-            };
-            if threads <= 1 || affected.len() < par::SPAWN_THRESHOLD {
-                collect(&affected)
-            } else {
-                par::par_map_chunks(par::chunked(affected, threads), |_, chunk| collect(&chunk))
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            }
-        };
-        state.apply_changes(changes);
+        let mut totals = par::par_map_chunks(chunks(items, threads), |_, chunk| {
+            recompute(&state.compiled, &state.tables, &affected, &chunk)
+        })
+        .into_iter()
+        .flatten();
+        for heads in &mut affected {
+            heads.anns = totals.by_ref().take(heads.len).collect();
+        }
+        // 3. The heads whose total moved are the next delta.
+        state.apply(affected, false);
     }
     state.finish(iterations)
 }
 
-/// [`crate::seminaive::seminaive_idempotent`] on the batch engine: the
-/// classical delta rewrite with increments produced by batch joins and
-/// merged through the core grouping kernel before touching the
-/// accumulator. Requires `+`-idempotence like the row loop.
+/// [`crate::seminaive::seminaive_idempotent`] compiled: the classical delta
+/// rewrite, each round's increments summed per head as the joins produce
+/// them and merged into the relations with `+`. Requires `+`-idempotence
+/// like the row loop.
 pub fn seminaive_idempotent_batch<K>(
     program: &Program,
     edb: &FactStore<K>,
@@ -957,195 +955,255 @@ where
     if max_rounds == 0 {
         return unevaluated();
     }
-    let idb_predicates = program.idb_predicates();
-    let (forms, mut state) = BatchState::initial(program, &idb_predicates, edb);
-    let bforms = compile_forms(&forms);
-
+    let mut state = State::initial(program, edb);
     let mut iterations = 1;
-    while iterations < max_rounds {
-        if state.delta_rows == 0 {
-            break;
-        }
+    while iterations < max_rounds && !state.delta_is_empty() {
         iterations += 1;
-
-        // Increments: run every seeded delta form in product mode and
-        // collect raw head contributions per (predicate, arity).
-        let units = delta_units(&bforms, &state.delta, true);
-        let total: usize = units.iter().map(|u| u.2.rows).sum();
-        let index = &state.index;
-        let anns = &state.anns;
-        type Contribs<K> = Vec<(String, usize, Vec<(Box<[Value]>, K)>)>;
-        let run = |units: Vec<Unit<K>>| -> Contribs<K> {
-            let mut out: Contribs<K> = Vec::new();
-            for (fi, di, fr) in units {
-                let bf = &bforms[fi];
-                let (_, _, plan) = &bf.delta[di];
-                let emit = plan.emit.as_ref().expect("emitting unit");
-                let done = run_plan(plan, index, Some(anns), fr);
-                if done.rows == 0 {
-                    continue;
-                }
-                let rows: Vec<(Box<[Value]>, K)> = (0..done.rows)
-                    .map(|r| {
-                        let fact = emit_head(emit, &done, r, &bf.rule.head.predicate);
-                        (fact.values.into_boxed_slice(), done.anns[r].clone())
-                    })
-                    .collect();
-                out.push((
-                    bf.rule.head.predicate.clone(),
-                    bf.rule.head.terms.len(),
-                    rows,
-                ));
-            }
-            out
-        };
-        let contribs: Contribs<K> = if threads <= 1 || total < par::SPAWN_THRESHOLD {
-            run(units)
-        } else {
-            par::spawn_map(split_units(units, threads), run)
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-
-        // Merge equal heads with the core grouping kernel (stream-order
-        // annotation sums, zero groups dropped — exactly the accumulation
-        // `FactStore::insert` performs on the row path).
-        let mut grouped: GroupedRows<K> = Vec::new();
-        for (pred, arity, rows) in contribs {
-            let key = (pred, arity);
-            match grouped.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, list)) => list.extend(rows),
-                None => grouped.push((key, rows)),
-            }
-        }
-        let mut produced: FactStore<K> = FactStore::new();
-        for ((pred, arity), rows) in grouped {
-            if arity == 0 {
-                // Propositional heads: nothing to group on; fold directly.
-                let mut sum = K::zero();
-                for (_, k) in rows {
-                    sum.plus_assign(&k);
-                }
-                produced.insert(Fact::new(pred, Vec::<Value>::new()), sum);
-                continue;
-            }
-            let keys: Vec<usize> = (0..arity).collect();
-            let merged = group_batches(vec![Batch::from_rows(arity, rows)], &keys)
-                .into_batch(arity)
-                .into_rows();
-            for (values, k) in merged {
-                produced.insert(
-                    Fact {
-                        predicate: pred.clone(),
-                        values: values.into_vec(),
-                    },
-                    k,
-                );
-            }
-        }
-
-        let mut changes: Vec<(Fact, K)> = Vec::new();
-        for (fact, increment) in produced.facts() {
-            let merged = state.current.annotation(&fact).plus(increment);
-            if merged != state.current.annotation(&fact) {
-                changes.push((fact, merged));
-            }
-        }
-        state.apply_changes(changes);
+        let increments = state.join_deltas(threads, true);
+        state.apply(increments, true);
     }
     state.finish(iterations)
 }
 
-/// Renders a [`JoinPlan`]'s probe order: each atom in join order with the
-/// bound-column mask its index probe uses (`scan` when nothing is bound —
-/// the probe degenerates to the predicate listing).
-fn render_plan(plan: &JoinPlan<'_>) -> String {
-    if plan.atoms().is_empty() {
+impl Compiled<'_> {
+    /// One rederivation sweep of
+    /// [`crate::maintain::maintain_fixpoint_with`], through the fixpoint's
+    /// own head-seeded recompute: the from-scratch total of every affected
+    /// head over the sweep-start `edb` and `idb`, data-parallel over
+    /// contiguous chunks of the heads; returns the heads whose total differs
+    /// from `idb`, in `affected`'s order.
+    pub(crate) fn sweep<K>(
+        &mut self,
+        edb: &FactStore<K>,
+        idb: &FactStore<K>,
+        affected: &[Fact],
+        threads: usize,
+    ) -> Vec<(Fact, K)>
+    where
+        K: Semiring + Send + Sync,
+    {
+        let mut tables = self.tables();
+        self.load(&mut tables, edb, false);
+        self.load(&mut tables, idb, true);
+        let mut heads = self.accumulators();
+        let mut ids = Vec::new();
+        let items: Vec<(usize, u32)> = affected
+            .iter()
+            .map(|fact| {
+                let t = self
+                    .table_of(&fact.predicate, fact.arity())
+                    .expect("an affected head instantiates a rule head");
+                ids.clear();
+                ids.extend(fact.values.iter().map(|v| self.interner.intern(v)));
+                (t, heads[t].upsert(&ids))
+            })
+            .collect();
+        let totals = par::par_map_chunks(chunks(items, threads), |_, chunk| {
+            recompute(self, &tables, &heads, &chunk)
+        });
+        affected
+            .iter()
+            .zip(totals.into_iter().flatten())
+            .filter(|(head, total)| *total != idb.annotation(head))
+            .map(|(head, total)| (head.clone(), total))
+            .collect()
+    }
+}
+
+/// Renders a compiled plan's probe order: each atom in join order with the
+/// bound-column mask its probe uses (`scan` when nothing is bound).
+fn render_plan(steps: &[Step<'_>], specs: &[TableSpec<'_>]) -> String {
+    if steps.is_empty() {
         return "∅ (ground body)".to_string();
     }
-    plan.atoms()
+    steps
         .iter()
-        .zip(plan.bound())
-        .map(|(atom, cols)| {
-            if cols.is_empty() {
-                format!("scan {atom}")
-            } else {
-                let cs: Vec<String> = cols.iter().map(usize::to_string).collect();
-                format!("probe {atom}[{}]", cs.join(","))
+        .map(|step| match step.key {
+            None => format!("scan {}", step.atom),
+            Some(k) => {
+                let mask = &specs[step.table].masks[k];
+                format!("probe {}{}", step.atom, render_mask(mask))
             }
         })
         .collect::<Vec<_>>()
         .join(" → ")
 }
 
+fn render_mask(mask: &[usize]) -> String {
+    let cols: Vec<String> = mask.iter().map(usize::to_string).collect();
+    format!("[{}]", cols.join(","))
+}
+
 /// Describes how the semi-naive fixpoint will evaluate `program` over
 /// `edb` under `ctx`, mirroring the RA planner's
 /// [`Plan::explain_physical_with`](provsem_core::plan::Plan::explain_physical_with):
 ///
-/// * the first line states the engine decision — which engine runs and
-///   whether it was forced or picked by [`ExecMode::Auto`] from the EDB
-///   size;
-/// * per rule, the join orders actually executed: the left-to-right
-///   `full` plan (round 1 / edb-only rules), the head-seeded `recompute`
-///   plan (general-semiring rederivation), and one `Δ` form per idb body
-///   atom (the differential probe order when the delta sits at that atom),
-///   each atom annotated with its bound-column probe mask;
-/// * per EDB predicate, the index's column encodings — `i64` (typed
-///   integers), `dict(n)` (dictionary-encoded strings, `n` distinct
-///   entries), or `val` (mixed types or dictionary overflow past
-///   `DICT_MAX`) — or `arena (mixed arity)` when a predicate's facts
-///   disagree on arity and columnar storage is poisoned.
+/// * the first line states the engine: the compiled loops of this module
+///   (`batch`), picked by [`ExecMode::Auto`] at every EDB size or forced,
+///   or the reference row loops forced by [`ExecMode::Row`];
+/// * per rule, the join orders actually executed (both engines share
+///   them): the left-to-right `full` plan (round 1 / edb-only rules), the
+///   head-seeded `recompute` plan (general-semiring rederivation), and one
+///   `Δ` form per idb body atom (the differential probe order when the
+///   delta sits at that atom), each atom annotated with its bound-column
+///   probe mask;
+/// * per `predicate/arity` table some rule body reads, in name order: the
+///   EDB rows it will hold (`derived` for an idb table, filled by the
+///   fixpoint) and the probe masks a key index is kept for.
 ///
-/// Purely introspective: nothing is evaluated, and the rendering is
-/// deterministic for a given `(program, edb, ctx)`.
+/// Purely introspective: nothing is evaluated, interned or indexed, and
+/// the rendering is deterministic for a given `(program, edb, ctx)`.
 pub fn explain_fixpoint<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
     ctx: &ExecContext,
 ) -> String {
     use std::fmt::Write as _;
-    let mut out = match (ctx.mode, use_batch(ctx, edb)) {
-        (ExecMode::Auto, true) => format!(
-            "engine: batch (auto: {} edb rows ≥ {})",
-            edb.len(),
-            Plan::AUTO_BATCH_MIN_ROWS
-        ),
-        (ExecMode::Auto, false) => format!(
-            "engine: row (auto: {} edb rows < {})",
-            edb.len(),
-            Plan::AUTO_BATCH_MIN_ROWS
-        ),
-        (_, false) => "engine: row (forced)".to_string(),
-        _ => "engine: batch (forced)".to_string(),
-    };
-    out.push('\n');
-    let idb_predicates = program.idb_predicates();
-    let mut index = edb.join_index();
-    let forms = build_forms(program, &idb_predicates, &mut index);
-    for (i, form) in forms.iter().enumerate() {
+    let mut out = match ctx.mode {
+        ExecMode::Auto => "engine: batch (auto)\n",
+        ExecMode::Batch => "engine: batch (forced)\n",
+        ExecMode::Row => "engine: row (forced)\n",
+    }
+    .to_string();
+    let compiled = Compiled::new(program);
+    for (i, form) in compiled.forms.iter().enumerate() {
         writeln!(out, "rule {i}: {}", form.rule).unwrap();
-        writeln!(out, "  full: {}", render_plan(&form.full)).unwrap();
-        writeln!(out, "  recompute: {}", render_plan(&form.head_seeded)).unwrap();
-        for (pos, plan) in &form.delta_forms {
-            writeln!(out, "  Δ {}: {}", form.rule.body[*pos], render_plan(plan)).unwrap();
+        let render = |plan: &Plan<'_>| render_plan(&plan.steps, &compiled.specs);
+        writeln!(out, "  full: {}", render(&form.full)).unwrap();
+        writeln!(out, "  recompute: {}", render(&form.recompute)).unwrap();
+        for d in &form.delta {
+            writeln!(out, "  Δ {}: {}", d.atom, render(&d.plan)).unwrap();
         }
     }
-    out.push_str("columns:\n");
-    for pred in edb.predicates() {
-        match index.predicate_columns(pred) {
-            Some(cols) => {
-                let encodings: Vec<String> = cols.iter().map(ColBuilder::encoding).collect();
-                writeln!(
-                    out,
-                    "  {pred}: [{}] ({} rows)",
-                    encodings.join(", "),
-                    index.predicate_rows(pred).len()
-                )
-                .unwrap();
+    out.push_str("tables:\n");
+    let mut read: Vec<&TableSpec<'_>> = compiled.specs.iter().filter(|s| s.read).collect();
+    read.sort_by_key(|s| (s.predicate, s.arity));
+    for spec in read {
+        let rows = if spec.idb {
+            "derived".to_string()
+        } else {
+            let rows = edb.rows_of(spec.predicate);
+            format!(
+                "{} rows",
+                rows.filter(|(v, _)| v.len() == spec.arity).count()
+            )
+        };
+        let probes = match spec.masks.as_slice() {
+            [] => "scans only".to_string(),
+            masks => {
+                let masks: Vec<String> = masks.iter().map(|m| render_mask(m)).collect();
+                format!("probes {}", masks.join(" "))
             }
-            None => writeln!(out, "  {pred}: arena (mixed arity)").unwrap(),
-        }
+        };
+        writeln!(out, "  {}/{}: {rows}, {probes}", spec.predicate, spec.arity).unwrap();
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use provsem_semiring::Natural;
+
+    /// The rows chained from `first` on.
+    fn chain(key: &KeyIndex, first: u32) -> impl Iterator<Item = u32> + '_ {
+        let next = move |&row: &u32| Some(key.next[row as usize]).filter(|&r| r != NIL);
+        std::iter::successors(Some(first).filter(|&r| r != NIL), next)
+    }
+
+    /// The rows on the chain of `ids`' key under key index `k` that really
+    /// hold that key (a chain also carries the slot's other keys).
+    fn probe(table: &Table<Natural>, k: usize, ids: &[u32]) -> Vec<u32> {
+        let key = &table.keys[k];
+        let hash = hash_ids(key.mask.iter().map(|&c| ids[c]));
+        chain(key, key.chain(hash))
+            .filter(|&row| {
+                key.mask
+                    .iter()
+                    .all(|&c| table.cols[c][row as usize] == ids[c])
+            })
+            .collect()
+    }
+
+    /// How many rows the fullest slot of key index `k` chains.
+    fn longest_chain(table: &Table<Natural>, k: usize) -> usize {
+        let key = &table.keys[k];
+        let rows = key.first.iter().map(|&first| chain(key, first).count());
+        rows.max().unwrap_or(0)
+    }
+
+    /// How far the worst-placed row sits from the slot its hash names.
+    fn longest_displacement(table: &Table<Natural>) -> usize {
+        let slots = &table.identity.slots;
+        (0..slots.len())
+            .filter(|&at| slots[at] != NIL)
+            .map(|at| {
+                let home = hash_ids(table.row(slots[at] as usize)) as usize & (slots.len() - 1);
+                (at + slots.len() - home) & (slots.len() - 1)
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// 10⁵ rows that differ in one column only — in its high bits, where a
+    /// multiplicative hash leaves the low bits of the product constant, or
+    /// in its low bits. After every doubling: each row is found at its own
+    /// number, an absent row is not, the chain of the one shared key returns
+    /// every row exactly once, each distinct key returns its one row, and
+    /// neither the slots nor the chains of distinct keys have clumped.
+    #[test]
+    fn indexes_grow_without_losing_duplicating_or_clumping_rows() {
+        const ROWS: u32 = 100_000;
+        let layouts: [fn(u32) -> [u32; 2]; 3] = [|i| [i << 14, 7], |i| [7, i << 14], |i| [i, 7]];
+        for layout in layouts {
+            let shared = if layout(1)[0] == layout(2)[0] { 0 } else { 1 };
+            let masks = [vec![shared], vec![1 - shared], vec![0, 1]];
+            let mut table: Table<Natural> = Table::new(2, &masks);
+            for i in 0..ROWS {
+                assert_eq!(table.find(&layout(i)), None);
+                assert_eq!(table.push(&layout(i)), i);
+                let len = i + 1;
+                if !len.is_power_of_two() && len != ROWS {
+                    continue;
+                }
+                // Slots and key indexes double at (or just past) powers of
+                // two: `len` rows now sit in freshly rebuilt structures.
+                for row in 0..len {
+                    assert_eq!(table.find(&layout(row)), Some(row), "len={len}");
+                    assert_eq!(probe(&table, 1, &layout(row)), [row], "len={len}");
+                    assert_eq!(probe(&table, 2, &layout(row)), [row], "len={len}");
+                }
+                assert_eq!(table.find(&layout(len)), None);
+                assert_eq!(probe(&table, 1, &layout(len)), [0u32; 0]);
+                let mut all = probe(&table, 0, &layout(0));
+                all.sort_unstable();
+                assert!(all.into_iter().eq(0..len), "len={len}");
+                // A uniform hash chains ≤ 8 rows of distinct keys per slot
+                // here and displaces no row by more than 39 slots.
+                assert!(longest_chain(&table, 1) <= 12, "len={len}");
+                assert!(longest_displacement(&table) <= 64, "len={len}");
+            }
+            assert_eq!(table.upsert(&layout(5)), 5);
+            assert_eq!(table.len, ROWS as usize);
+        }
+    }
+
+    /// Interned ids are dense, stable across the slots' doublings, and rank
+    /// like their values (integers before strings, each in its own order).
+    #[test]
+    fn interner_ids_are_dense_stable_and_rank_like_values() {
+        let mut interner = Interner::default();
+        let value = |i: u32| match i % 3 {
+            0 => Value::Int(i64::from(i) - 500),
+            _ => Value::str(format!("R_{i}")),
+        };
+        for i in 0..5_000 {
+            assert_eq!(interner.intern(&value(i)), i);
+            assert_eq!(interner.intern(&value(i / 2)), i / 2);
+        }
+        let rank = interner.ranks();
+        let mut by_rank: Vec<u32> = (0..5_000).collect();
+        by_rank.sort_unstable_by_key(|&id| rank[id as usize]);
+        assert!(by_rank.windows(2).all(|w| value(w[0]) < value(w[1])));
+    }
 }

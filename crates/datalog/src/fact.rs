@@ -2,7 +2,7 @@
 //! perspective used for datalog in Section 5 of the paper).
 
 use crate::ast::Atom;
-use provsem_core::kernels::{hash_combine, Batch, ColBuilder, HASH_SEED};
+use provsem_core::kernels::{hash_combine, Batch, HASH_SEED};
 use provsem_core::{Database, KRelation, Schema, Tuple, Value};
 use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::Semiring;
@@ -212,6 +212,20 @@ impl<K: Semiring> FactStore<K> {
         }
     }
 
+    /// Bulk-loads rows into `predicate`'s relation: one sorted build when
+    /// the relation is still empty and the rows arrive in key order. The
+    /// rows must be distinct, absent from the store, and carry no zero
+    /// annotation — the compiled fixpoint's final result is loaded this
+    /// way, once.
+    pub(crate) fn load(&mut self, predicate: &str, rows: impl Iterator<Item = (Vec<Value>, K)>) {
+        let relation = self.relations.entry(predicate.to_string()).or_default();
+        if relation.is_empty() {
+            *relation = rows.collect();
+        } else {
+            relation.extend(rows);
+        }
+    }
+
     /// Builds a [`FactIndex`] over the support facts of this store.
     pub fn join_index(&self) -> FactIndex {
         FactIndex::from_facts(self.facts().map(|(f, _)| f))
@@ -345,42 +359,32 @@ impl<K: Semiring + fmt::Debug> fmt::Debug for FactStore<K> {
 /// columns.
 ///
 /// This is the lookup structure behind the keyed-join path of
-/// [`crate::grounding`] and the semi-naive evaluator
-/// ([`crate::seminaive`]): when a rule body atom is matched with some of its
-/// argument positions already bound (constants, or variables bound by
-/// earlier atoms), the candidate facts are found with one hash probe instead
-/// of a scan over every fact of the predicate.
+/// [`crate::grounding`], the row loops of the semi-naive evaluator
+/// ([`crate::seminaive`]) and the affected-closure phase of
+/// [`crate::maintain`]; the compiled fixpoint ([`crate::columnar`]) keeps
+/// its own id tables and never builds one. When a rule body atom is matched
+/// with some of its argument positions already bound (constants, or
+/// variables bound by earlier atoms), the candidate facts are found with
+/// one hash probe instead of a scan over every fact of the predicate.
 ///
 /// Masks (bound-column sets) are registered explicitly so that probing can
 /// take `&self`; probing an unregistered mask degrades gracefully to "all
 /// facts of the predicate" (callers always validate candidates with a full
 /// match, so the index is a pure accelerator and never affects results).
 ///
-/// The index is *column-backed*: besides the fact arena, each predicate
-/// keeps append-only [`ColBuilder`] columns (the same typed, dictionary-
-/// encoded storage the core batch kernels use), and mask buckets are keyed
-/// by the content *hash* of the bound-column values — the identical
-/// `hash_combine` scheme the batch executor's join/group kernels hash rows
-/// with. Buckets may therefore contain hash collisions; every caller
-/// narrows candidates by exact matching (the row path via `match_atom`,
-/// the batch path via typed column comparisons), so collisions never
-/// affect results. A predicate whose facts disagree on arity degrades to
-/// arena-only storage (columns dropped, masks and probing unaffected).
+/// Mask buckets are keyed by the content *hash* of the bound-column values
+/// (the `hash_combine` scheme the batch executor's kernels hash rows with).
+/// Buckets may therefore contain hash collisions; every caller narrows
+/// candidates by exact matching (`match_atom`), so collisions never affect
+/// results.
 #[derive(Clone, Debug, Default)]
 pub struct FactIndex {
     /// Arena of distinct facts; all maps store indices into it.
     facts: Vec<Fact>,
     /// Dedup / membership map: fact → arena index.
     seen: FxHashMap<Fact, usize>,
-    /// All facts of a given predicate, in insertion order — the arena index
-    /// at position `r` is the fact stored at pred-local row `r` of the
-    /// predicate's columns.
+    /// All facts of a given predicate, in insertion order.
     by_predicate: FxHashMap<String, Vec<usize>>,
-    /// Arena index → pred-local row (the inverse of `by_predicate`).
-    local: Vec<u32>,
-    /// Per-predicate append-only typed columns; `None` once a predicate is
-    /// poisoned by mixed arities (the arena remains authoritative).
-    columns: FxHashMap<String, Option<Vec<ColBuilder>>>,
     /// For a registered `(predicate, columns)` mask, facts keyed by the
     /// content hash of their values at those columns. Nested so probes can
     /// look up with borrowed `&str` / `&[usize]` keys, keeping the hot join
@@ -393,10 +397,7 @@ pub struct FactIndex {
 /// those columns.
 type MaskIndex = FxHashMap<Vec<usize>, FxHashMap<u64, Vec<usize>>>;
 
-/// Folds the content hashes of a key's values into one bucket key — the
-/// same combine the batch kernels use for row hashing, so probes built
-/// from retained index columns ([`ColBuilder::content_hash_at`]) and from
-/// plain values agree.
+/// Folds the content hashes of a key's values into one bucket key.
 pub(crate) fn mask_key_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
     values
         .into_iter()
@@ -433,12 +434,6 @@ impl FactIndex {
         self.seen.contains_key(fact)
     }
 
-    /// The arena index of a fact, if present (the batch fixpoint uses this
-    /// to find the pred-local row whose annotation a change overwrites).
-    pub fn position(&self, fact: &Fact) -> Option<usize> {
-        self.seen.get(fact).copied()
-    }
-
     /// The fact stored at an index returned by [`FactIndex::candidates`].
     pub fn fact(&self, idx: usize) -> &Fact {
         &self.facts[idx]
@@ -449,32 +444,18 @@ impl FactIndex {
         self.facts.iter()
     }
 
-    /// Adds a fact, updating the predicate listing, the predicate's typed
-    /// columns, and every registered mask for its predicate. Returns `false`
-    /// if the fact was already present.
+    /// Adds a fact, updating the predicate listing and every registered mask
+    /// for its predicate. Returns `false` if the fact was already present.
     pub fn add_fact(&mut self, fact: Fact) -> bool {
         if self.seen.contains_key(&fact) {
             return false;
         }
         let idx = self.facts.len();
         self.seen.insert(fact.clone(), idx);
-        let rows = self.by_predicate.entry(fact.predicate.clone()).or_default();
-        self.local.push(rows.len() as u32);
-        rows.push(idx);
-        let cols = self
-            .columns
+        self.by_predicate
             .entry(fact.predicate.clone())
-            .or_insert_with(|| Some((0..fact.arity()).map(|_| ColBuilder::new()).collect()));
-        match cols {
-            Some(builders) if builders.len() == fact.arity() => {
-                for (builder, v) in builders.iter_mut().zip(&fact.values) {
-                    builder.push(v.clone());
-                }
-            }
-            // Mixed arity within one predicate: columnar storage no longer
-            // lines up; degrade to the arena for this predicate.
-            cols => *cols = None,
-        }
+            .or_default()
+            .push(idx);
         if let Some(pred_masks) = self.masks.get_mut(&fact.predicate) {
             for (columns, buckets) in pred_masks.iter_mut() {
                 // Mixed arity: a fact that does not cover the mask's columns
@@ -530,8 +511,8 @@ impl FactIndex {
     }
 
     /// [`FactIndex::candidates`] with the bucket hash precomputed by the
-    /// caller (the batch probe path hashes straight out of its frontier
-    /// columns, never materializing the key values).
+    /// caller (the join folds the key straight out of its binding, never
+    /// materializing the key values).
     pub fn candidates_hashed(&self, predicate: &str, columns: &[usize], hash: u64) -> &[usize] {
         if !columns.is_empty() {
             if let Some(buckets) = self.masks.get(predicate).and_then(|m| m.get(columns)) {
@@ -541,26 +522,12 @@ impl FactIndex {
         self.predicate_rows(predicate)
     }
 
-    /// Every fact of a predicate, as arena indices in pred-local row order.
+    /// Every fact of a predicate, as arena indices in insertion order.
     pub fn predicate_rows(&self, predicate: &str) -> &[usize] {
         self.by_predicate
             .get(predicate)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// The typed, append-only columns of a predicate — one [`ColBuilder`]
-    /// per argument position, with pred-local row `r` holding the fact at
-    /// `predicate_rows(predicate)[r]`. `None` when the predicate has no
-    /// facts or was poisoned by mixed arities (read the arena instead).
-    pub fn predicate_columns(&self, predicate: &str) -> Option<&[ColBuilder]> {
-        self.columns.get(predicate).and_then(|c| c.as_deref())
-    }
-
-    /// The pred-local row of an arena index (the row of that fact within
-    /// its predicate's columns).
-    pub fn local_row(&self, idx: usize) -> u32 {
-        self.local[idx]
     }
 }
 

@@ -60,12 +60,14 @@
 //! ```
 
 use crate::ast::{Atom, Program, Rule};
-use crate::columnar::{self, BatchRecompute};
+use crate::columnar::Compiled;
 use crate::fact::{Fact, FactIndex, FactStore};
 use crate::grounding::{ground_atom, match_atom, Binding, JoinPlan};
-use crate::seminaive::{build_forms, forms_by_head, recompute_head, seminaive_iterate, RuleForms};
+use crate::seminaive::{
+    build_forms, forms_by_head, recompute_head, register_forms, seminaive_iterate, RuleForms,
+};
 use provsem_core::par;
-use provsem_core::plan::ExecContext;
+use provsem_core::plan::{ExecContext, ExecMode};
 use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::Semiring;
 use std::collections::BTreeSet;
@@ -295,7 +297,8 @@ pub fn maintain_fixpoint<K: Semiring>(view: &mut FixpointView<K>, delta: &FactSt
     for form in &forms {
         form.plan.register(&mut view.index);
     }
-    let rule_forms = build_forms(&program, &idb_predicates, &mut view.index);
+    let rule_forms = build_forms(&program, &idb_predicates);
+    register_forms(&rule_forms, &mut view.index);
     let by_head = forms_by_head(&rule_forms);
 
     let affected = affected_closure(&forms, view, changed);
@@ -305,10 +308,10 @@ pub fn maintain_fixpoint<K: Semiring>(view: &mut FixpointView<K>, delta: &FactSt
 }
 
 /// [`maintain_fixpoint`] with an execution context: `ctx.mode` picks the
-/// rederivation engine like the fixpoint loops — `PROVSEM_EXEC=batch` (or
-/// `auto` with a large enough EDB) recomputes affected heads through the
-/// compiled batch plans of [`crate::columnar`], reading body factors from a
-/// dense annotation table rebuilt at the start of each sweep — and
+/// rederivation engine like the fixpoint loops — unless `PROVSEM_EXEC=row`
+/// ([`ExecMode::Row`]) forces the row sweep, affected heads are recomputed
+/// by the compiled head-seeded plans of [`crate::columnar`], over id tables
+/// loaded from the view's edb and idb at the start of each sweep — and
 /// `ctx.threads` is the thread budget: each sweep runs data-parallel over
 /// contiguous chunks of the (sorted) affected facts, concatenated back in
 /// chunk order — the exact serial change list, so the maintained view is
@@ -321,8 +324,8 @@ pub fn maintain_fixpoint_with<K>(
 ) where
     K: Semiring + Send + Sync,
 {
-    let batch = columnar::use_batch(ctx, &view.edb);
-    if ctx.threads <= 1 && !batch {
+    let compiled = ctx.mode != ExecMode::Row;
+    if ctx.threads <= 1 && !compiled {
         return maintain_fixpoint(view, delta);
     }
     let idb_predicates = view.program.idb_predicates();
@@ -333,43 +336,24 @@ pub fn maintain_fixpoint_with<K>(
     for form in &forms {
         form.plan.register(&mut view.index);
     }
-    let rule_forms = build_forms(&program, &idb_predicates, &mut view.index);
-    let by_head = forms_by_head(&rule_forms);
-    let recompute = batch.then(|| BatchRecompute::new(&rule_forms));
-
     let affected = affected_closure(&forms, view, changed);
+
+    if compiled {
+        let mut engine = Compiled::new(&program);
+        return rederive(view, affected, |view, affected| {
+            engine.sweep(&view.edb, &view.idb, affected, ctx.threads)
+        });
+    }
+    let rule_forms = build_forms(&program, &idb_predicates);
+    register_forms(&rule_forms, &mut view.index);
+    let by_head = forms_by_head(&rule_forms);
     rederive(view, affected, |view, affected| {
-        let chunks = if ctx.threads > 1 {
-            par::chunked(affected.to_vec(), ctx.threads)
-        } else {
-            vec![affected.to_vec()]
-        };
-        match &recompute {
-            Some(recompute) => {
-                // Each sweep is a pure function of the pass-start stores, so
-                // one dense annotation table serves every chunk.
-                let anns =
-                    columnar::build_ann_table(&view.index, &idb_predicates, &view.edb, &view.idb);
-                par::par_map_chunks(chunks, |_, chunk| {
-                    recompute
-                        .totals(&chunk, &view.index, &anns)
-                        .into_iter()
-                        .zip(&chunk)
-                        .filter(|(total, head)| *total != view.idb.annotation(head))
-                        .map(|(total, head)| (head.clone(), total))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            }
-            None => par::par_map_chunks(chunks, |_, chunk| {
-                recompute_pass(view, &chunk, &by_head, &idb_predicates)
-            })
-            .into_iter()
-            .flatten()
-            .collect(),
-        }
+        par::par_map_chunks(par::chunked(affected.to_vec(), ctx.threads), |_, chunk| {
+            recompute_pass(view, &chunk, &by_head, &idb_predicates)
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     });
 }
 

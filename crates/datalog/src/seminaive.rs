@@ -69,7 +69,7 @@ use crate::ast::{Atom, Program, Rule, Term};
 use crate::fact::{Fact, FactIndex, FactStore};
 use crate::grounding::{ground_atom, match_atom, Binding, JoinPlan};
 use provsem_core::par;
-use provsem_core::plan::ExecContext;
+use provsem_core::plan::{ExecContext, ExecMode};
 use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::{PlusIdempotent, Semiring};
 use std::collections::BTreeSet;
@@ -157,8 +157,10 @@ where
     }
 }
 
-/// The differential forms and join plans of one rule, with all probe masks
-/// registered up front so joining needs only `&FactIndex`.
+/// The differential forms and join plans of one rule. The row loops
+/// register every plan's probe masks up front ([`register_forms`]) so
+/// joining needs only `&FactIndex`; the compiled loops of
+/// [`crate::columnar`] compile the same plans against their id tables.
 pub(crate) struct RuleForms<'a> {
     pub(crate) rule: &'a Rule,
     /// One differential form per idb body atom: the delta is matched at that
@@ -176,7 +178,6 @@ pub(crate) struct RuleForms<'a> {
 pub(crate) fn build_forms<'a>(
     program: &'a Program,
     idb_predicates: &BTreeSet<String>,
-    index: &mut FactIndex,
 ) -> Vec<RuleForms<'a>> {
     program
         .rules
@@ -197,13 +198,6 @@ pub(crate) fn build_forms<'a>(
                 .collect::<BTreeSet<_>>();
             let head_seeded = JoinPlan::new(rule.body.iter().collect(), head_vars);
             let full = JoinPlan::left_to_right(&rule.body);
-            for plan in delta_forms
-                .iter()
-                .map(|(_, p)| p)
-                .chain([&head_seeded, &full])
-            {
-                plan.register(index);
-            }
             RuleForms {
                 rule,
                 delta_forms,
@@ -216,6 +210,21 @@ pub(crate) fn build_forms<'a>(
             }
         })
         .collect()
+}
+
+/// Registers the probe masks of every plan of `forms` with the row loops'
+/// index.
+pub(crate) fn register_forms(forms: &[RuleForms<'_>], index: &mut FactIndex) {
+    for form in forms {
+        for plan in form
+            .delta_forms
+            .iter()
+            .map(|(_, p)| p)
+            .chain([&form.head_seeded, &form.full])
+        {
+            plan.register(index);
+        }
+    }
 }
 
 /// Multiplies the annotations of a fully bound rule body, reading idb facts
@@ -294,7 +303,8 @@ impl<K: Semiring> DeltaState<K> {
         edb: &FactStore<K>,
     ) -> (Vec<RuleForms<'a>>, Self) {
         let mut index = edb.join_index();
-        let forms = build_forms(program, idb_predicates, &mut index);
+        let forms = build_forms(program, idb_predicates);
+        register_forms(&forms, &mut index);
         let mut state = DeltaState {
             index,
             current: FactStore::new(),
@@ -513,12 +523,11 @@ pub fn seminaive_iterate<K: Semiring>(
 }
 
 /// [`seminaive_iterate`] with an execution context: `ctx.mode` picks the
-/// engine exactly like the RA planner — `PROVSEM_EXEC=row|batch` forces
-/// one, `auto` (the default) takes the batch engine
-/// ([`crate::columnar::seminaive_iterate_batch`]) when the EDB has at least
-/// [`provsem_core::plan::Plan::AUTO_BATCH_MIN_ROWS`] facts — and
-/// `ctx.threads` is the thread budget. On the row engine, both phases of
-/// every round run data-parallel over scoped worker threads —
+/// engine — the compiled loop over id tables
+/// ([`crate::columnar::seminaive_iterate_batch`]) at every EDB size, unless
+/// `PROVSEM_EXEC=row` ([`ExecMode::Row`]) forces the reference row loop —
+/// and `ctx.threads` is the thread budget. On the row engine, both phases
+/// of every round run data-parallel over scoped worker threads —
 /// affected-head discovery over contiguous chunks of the differential work
 /// items, and head recomputation over contiguous chunks of the (sorted)
 /// affected set.
@@ -540,7 +549,7 @@ pub fn seminaive_iterate_with<K>(
 where
     K: Semiring + Send + Sync,
 {
-    if crate::columnar::use_batch(ctx, edb) {
+    if ctx.mode != ExecMode::Row {
         return crate::columnar::seminaive_iterate_batch(program, edb, max_rounds, ctx.threads);
     }
     if ctx.threads <= 1 {
@@ -673,7 +682,7 @@ where
 }
 
 /// [`seminaive_idempotent`] with an execution context: `ctx.mode` picks the
-/// engine like [`seminaive_iterate_with`] (the batch engine is
+/// engine like [`seminaive_iterate_with`] (the compiled loop is
 /// [`crate::columnar::seminaive_idempotent_batch`]). On the row engine,
 /// each round's increments are produced in parallel over contiguous chunks
 /// of the differential work items and merged on the coordinator **in
@@ -688,7 +697,7 @@ pub fn seminaive_idempotent_with<K>(
 where
     K: Semiring + PlusIdempotent + Send + Sync,
 {
-    if crate::columnar::use_batch(ctx, edb) {
+    if ctx.mode != ExecMode::Row {
         return crate::columnar::seminaive_idempotent_batch(program, edb, max_rounds, ctx.threads);
     }
     if ctx.threads <= 1 {

@@ -1,17 +1,25 @@
-//! Differential test: the batch (columnar) semi-naive engine agrees with
-//! the serial row loops **exactly** — same idb annotations, same iteration
-//! counts, same convergence flags, round for round — across random
-//! linear and nonlinear programs, five semirings (𝔹, ℕ, tropical, Why(X),
-//! ℤ), and thread counts {1, 4}. Targeted cases cover the engine's
-//! degradation paths: dictionary overflow (> 2¹⁶ distinct strings per
-//! column) and mixed-arity predicates (arena fallback), plus the batch
-//! rederivation path of `maintain_fixpoint_with`.
+//! Differential test: the compiled semi-naive loops (id tables) agree
+//! with the serial row loops **exactly** — same idb annotations, same
+//! iteration counts, same convergence flags, round for round — across
+//! random linear and nonlinear programs, five semirings (𝔹, ℕ, tropical,
+//! Why(X), ℤ), and thread counts {1, 4}, plus the compiled rederivation
+//! sweep of `maintain_fixpoint_with`.
+//!
+//! The random generator (`tests/common`) draws binary predicates over
+//! variables only and at most eight facts over four nodes, so it never
+//! grows an index, never meets a constant and never derives a zero. The
+//! hand-written cases below reach those: each runs over ℕ∞, ℤ, the
+//! tropical semiring and Why(X), at round bounds 0–4 and a deep one and at
+//! 1, 2 and 4 threads, against the row loops (the whole `FixpointResult`)
+//! and against `kleene_iterate` (annotations and `converged`, round for
+//! round).
 
 mod common;
 
 use common::{arb_edb, arb_program, build_edb, build_program};
 use proptest::prelude::*;
 use provsem_core::plan::{ExecContext, ExecMode};
+use provsem_core::Value;
 use provsem_datalog::columnar::{seminaive_idempotent_batch, seminaive_iterate_batch};
 use provsem_datalog::prelude::*;
 use provsem_datalog::seminaive::{
@@ -131,13 +139,13 @@ fn maintain_batch_rederivation_matches_row_and_from_scratch() {
     }
 }
 
-/// More than 2¹⁶ distinct strings per column: the index's dictionary
-/// columns overflow and degrade to plain value vectors mid-build; results
-/// must not move. A chain a little longer than `DICT_MAX` exercises the
-/// overflow without blowing up the closure size.
+/// More than 2¹⁶ distinct constants per column (the limit of the
+/// dictionary columns the batch engine used to keep): ids are `u32`, so
+/// nothing degrades, and the interner and both tables double their slots
+/// a dozen times on the way.
 #[test]
 fn dictionary_overflow_degrades_without_changing_results() {
-    const NODES: usize = (1 << 16) + 64;
+    const NODES: usize = (1 << 16) + 64; // a chain: the closure stays small
     let program = Program::figure6_query(); // Q(x,y) :- R(x,z), R(z,y)
     let mut edb: FactStore<Bool> = FactStore::new();
     for i in 0..NODES - 1 {
@@ -153,9 +161,10 @@ fn dictionary_overflow_degrades_without_changing_results() {
     assert_eq!(row.idb, batch.idb);
 }
 
-/// A predicate used at two arities poisons its typed columns; the batch
-/// engine must fall back to the fact arena and still agree with the row
-/// path. Constants and repeated variables in bodies and heads ride along.
+/// A predicate used at two arities is two id tables (the batch engine
+/// used to fall back to the fact arena for it) and still agrees with the
+/// row path. Constants and repeated variables in bodies and heads ride
+/// along.
 #[test]
 fn mixed_arity_predicates_fall_back_to_the_arena() {
     let program = parse_program(
@@ -189,9 +198,8 @@ fn mixed_arity_predicates_fall_back_to_the_arena() {
     );
 }
 
-/// The `Auto` mode picks the row engine below the EDB-size threshold and
-/// the batch engine above it; both sides of the threshold agree with the
-/// serial reference (the gate must be invisible in results).
+/// `Auto` has no EDB-size threshold any more: a 10-edge and a 100-edge
+/// ring both take the compiled loop and agree with the serial reference.
 #[test]
 fn auto_mode_agrees_on_both_sides_of_the_threshold() {
     let program = Program::transitive_closure("R", "Q");
@@ -208,5 +216,396 @@ fn auto_mode_agrees_on_both_sides_of_the_threshold() {
         let auto = seminaive_idempotent_with(&program, &edb, 256, &ctx);
         assert_eq!(serial.idb, auto.idb, "nodes={nodes}");
         assert_eq!(serial.converged, auto.converged);
+    }
+}
+
+// --- Hand-written cases the random generator cannot reach -----------------
+
+const ALL_THREADS: [usize; 3] = [1, 2, 4];
+
+/// One EDB fact of a hand-written case: predicate, arguments, weight (its
+/// sign only counts over ℤ).
+type RawFact = (&'static str, Vec<Value>, i64);
+
+fn strs(predicate: &'static str, args: &[&str], weight: i64) -> RawFact {
+    let args = args.iter().map(|a| Value::from(*a)).collect();
+    (predicate, args, weight)
+}
+
+fn edb_of<K: Semiring>(facts: &[RawFact], annotate: impl Fn(usize, i64) -> K) -> FactStore<K> {
+    let mut edb = FactStore::new();
+    for (i, (predicate, args, weight)) in facts.iter().enumerate() {
+        edb.insert(Fact::new(*predicate, args.clone()), annotate(i, *weight));
+    }
+    edb
+}
+
+/// An atom over variables only (the parser has no syntax for arity 0).
+fn atom(predicate: &str, vars: &[&str]) -> Atom {
+    Atom::new(predicate, vars.iter().map(|v| Term::var(*v)).collect())
+}
+
+fn bounds(deep: usize) -> [usize; 6] {
+    [0, 1, 2, 3, 4, deep]
+}
+
+/// The general loop: the compiled rounds equal the row loop's in every
+/// field at every bound and thread count, and — unless the case pins a
+/// behaviour `kleene_iterate` does not share — both equal `Tᵐ(0)`.
+fn check_case<K: Semiring + Send + Sync>(
+    program: &Program,
+    edb: &FactStore<K>,
+    deep: usize,
+    kleene: bool,
+) {
+    for rounds in bounds(deep) {
+        let row = seminaive_iterate(program, edb, rounds);
+        if kleene {
+            let naive = kleene_iterate(program, edb, rounds);
+            assert_eq!(naive.idb, row.idb, "kleene rounds={rounds}");
+            assert_eq!(naive.converged, row.converged, "kleene rounds={rounds}");
+        }
+        for threads in ALL_THREADS {
+            let compiled = seminaive_iterate_batch(program, edb, rounds, threads);
+            assert_eq!(row, compiled, "threads={threads} rounds={rounds}");
+        }
+    }
+}
+
+/// The idempotent loop: compiled equals row in every field at every bound
+/// and thread count (its rounds are not `Tᵐ(0)`, so `kleene_iterate` is
+/// compared at the fixpoint).
+fn check_case_idempotent<K: Semiring + PlusIdempotent + Send + Sync>(
+    program: &Program,
+    edb: &FactStore<K>,
+    deep: usize,
+    kleene: bool,
+) {
+    for rounds in bounds(deep) {
+        let row = seminaive_idempotent(program, edb, rounds);
+        for threads in ALL_THREADS {
+            let compiled = seminaive_idempotent_batch(program, edb, rounds, threads);
+            assert_eq!(row, compiled, "threads={threads} rounds={rounds}");
+        }
+        if kleene && rounds == deep && row.converged {
+            assert_eq!(kleene_iterate(program, edb, deep).idb, row.idb);
+        }
+    }
+}
+
+/// Runs one case over ℕ∞, ℤ, the tropical semiring and Why(X).
+fn check_all_semirings(program: &Program, facts: &[RawFact], deep: usize, kleene: bool) {
+    let natinf = edb_of(facts, |_, w| NatInf::Fin(w.unsigned_abs()));
+    check_case(program, &natinf, deep, kleene);
+    check_case(
+        program,
+        &edb_of(facts, |_, w| Integers::new(w)),
+        deep,
+        kleene,
+    );
+    let tropical = edb_of(facts, |_, w| Tropical::cost(w.unsigned_abs()));
+    check_case(program, &tropical, deep, kleene);
+    check_case_idempotent(program, &tropical, deep, kleene);
+    let why = edb_of(facts, |i, _| WhySet::var(format!("t{i}")));
+    check_case(program, &why, deep, kleene);
+    check_case_idempotent(program, &why, deep, kleene);
+}
+
+/// String and integer constants in edb atoms, Δ atoms and heads, including
+/// constants that occur in no fact (`'ghost'`, `'phantom'`, `'flag'`): they
+/// are interned with the program and simply match no row.
+#[test]
+fn constants_in_body_atoms_and_heads() {
+    let program = parse_program(
+        "P(x, 'hub') :- E(x, 'hub').\n\
+         P(x, 7) :- E(x, 7).\n\
+         P('ghost', y) :- E('ghost', y).\n\
+         P(x, 'phantom') :- E(x, y).\n\
+         T(x, y) :- P(x, y).\n\
+         T(x, z) :- T(x, y), E(y, z).\n\
+         C(y) :- T('a', y).\n\
+         C('flag') :- T(x, 7).\n\
+         G(x) :- T(x, 'ghost').",
+    )
+    .unwrap();
+    let seven = || Value::Int(7);
+    let facts = [
+        strs("E", &["a", "hub"], 2),
+        strs("E", &["b", "hub"], 3),
+        ("E", vec![Value::from("hub"), seven()], 1),
+        ("E", vec![Value::from("a"), seven()], 2),
+        ("E", vec![seven(), Value::from("c")], 1),
+        strs("E", &["c", "d"], 2),
+        // The string "7" is not the integer 7.
+        strs("E", &["b", "7"], 5),
+    ];
+    check_all_semirings(&program, &facts, 16, true);
+    let out = seminaive_iterate_batch(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 1);
+    assert!(out.converged);
+    // a→hub→7→c and a→7→c: 2·1·1 + 2·1.
+    let t_ac = Fact::new("T", [Value::from("a"), Value::from("c")]);
+    assert_eq!(out.idb.annotation(&t_ac), Integers::new(4));
+    assert!(out.idb.contains(&Fact::new("C", ["flag"])));
+    assert_eq!(out.idb.facts_of("G").count(), 0);
+}
+
+/// One variable twice inside a Δ atom (`T(x, x)`), inside a probed atom
+/// where it is new (`E(z, z)`) and where it is bound (`T(y, y)`), and in
+/// the head (`L(x, x)`), over a graph with cycles and self-loops (ℕ∞ and ℤ
+/// keep growing: every bound is a non-converged one).
+#[test]
+fn a_variable_repeated_in_delta_probed_and_head_atoms() {
+    let program = parse_program(
+        "T(x, y) :- E(x, y).\n\
+         T(x, z) :- T(x, y), E(y, z).\n\
+         L(x, x) :- T(x, x).\n\
+         S(x, z) :- T(x, y), E(z, z).\n\
+         V(y) :- T(x, y), T(y, y).",
+    )
+    .unwrap();
+    let facts = [
+        strs("E", &["a", "b"], 1),
+        strs("E", &["b", "a"], 2),
+        strs("E", &["c", "c"], 1),
+        strs("E", &["b", "c"], 3),
+        strs("E", &["d", "d"], 2),
+    ];
+    check_all_semirings(&program, &facts, 12, true);
+}
+
+/// Arities 0 to 3: a propositional head derived from a binary atom, read
+/// back as a Δ atom and as a probed atom beside a propositional edb fact,
+/// and a ternary idb relation.
+#[test]
+fn arities_zero_to_three_with_a_propositional_head() {
+    let mut program = parse_program(
+        "T(x, y) :- E(x, y).\n\
+         T(x, z) :- T(x, y), E(y, z).\n\
+         Tri(x, y, z) :- T(x, y), E(y, z).",
+    )
+    .unwrap();
+    program.rules.extend([
+        Rule::new(atom("Any", &[]), vec![atom("T", &["x", "y"])]),
+        Rule::new(atom("Both", &[]), vec![atom("Any", &[]), atom("Zero", &[])]),
+        Rule::new(
+            atom("N", &["x"]),
+            vec![atom("Tri", &["x", "y", "z"]), atom("Any", &[])],
+        ),
+        Rule::new(atom("Never", &[]), vec![atom("Missing", &[])]),
+    ]);
+    let facts = [
+        strs("E", &["a", "b"], 2),
+        strs("E", &["b", "c"], 3),
+        strs("E", &["a", "c"], 1),
+        strs("Zero", &[], 5),
+    ];
+    check_all_semirings(&program, &facts, 16, true);
+    let out = seminaive_iterate_batch(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 2);
+    // Any = ΣT = 2 + 3 + (1 + 2·3); Both = Any · Zero.
+    let nullary = |p: &str| Fact::new(p, Vec::<Value>::new());
+    assert_eq!(out.idb.annotation(&nullary("Any")), Integers::new(12));
+    assert_eq!(out.idb.annotation(&nullary("Both")), Integers::new(60));
+    assert!(!out.idb.contains(&nullary("Never")));
+}
+
+/// Facts in the program text (each contributes `1`, twice when written
+/// twice) for a predicate whose rules derive the same facts again, and a
+/// non-ground "fact" (`Open(x).`), which never fires.
+#[test]
+fn program_text_facts_that_a_rule_also_derives() {
+    let program = parse_program(
+        "T('a', 'b').\n\
+         T('a', 'b').\n\
+         T('z', 'a').\n\
+         Open(x).\n\
+         T(x, y) :- E(x, y).\n\
+         T(x, z) :- T(x, y), E(y, z).\n\
+         Open(x) :- T(x, y).",
+    )
+    .unwrap();
+    let facts = [strs("E", &["a", "b"], 2), strs("E", &["b", "c"], 1)];
+    check_all_semirings(&program, &facts, 16, true);
+    let out = seminaive_iterate_batch(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 1);
+    assert_eq!(
+        out.idb.annotation(&Fact::new("T", ["a", "b"])),
+        Integers::new(4)
+    );
+    assert_eq!(
+        out.idb.annotation(&Fact::new("T", ["z", "c"])),
+        Integers::new(2)
+    );
+}
+
+/// EDB facts supplied for an *idb* predicate are ignored: idb factors are
+/// read from the accumulator, where a fact nobody derived is zero.
+#[test]
+fn edb_facts_for_an_idb_predicate_are_ignored() {
+    let program = Program::transitive_closure("E", "T");
+    let facts = [
+        strs("E", &["a", "b"], 2),
+        strs("E", &["b", "c"], 3),
+        strs("T", &["q", "r"], 5),
+        strs("T", &["c", "q"], 7),
+        strs("T", &["a", "c"], 11),
+    ];
+    check_all_semirings(&program, &facts, 16, true);
+    let out = seminaive_iterate_batch(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 1);
+    assert_eq!(out.idb.len(), 3);
+    assert_eq!(
+        out.idb.annotation(&Fact::new("T", ["a", "c"])),
+        Integers::new(6)
+    );
+}
+
+/// One predicate at two arities, edb (`M/1`, `M/2`) and idb (`P/1`,
+/// `P/2`, each feeding the other): four tables, none aware of its twin.
+#[test]
+fn one_predicate_used_at_two_arities() {
+    let program = parse_program(
+        "P(x, y) :- M(x, y), M(x).\n\
+         P(x, z) :- P(x, y), M(y, z).\n\
+         P(x) :- P(x, y), M(y).\n\
+         P(x, x) :- P(x), M(x, y).",
+    )
+    .unwrap();
+    let facts = [
+        strs("M", &["a"], 2),
+        strs("M", &["c"], 3),
+        strs("M", &["a", "b"], 5),
+        strs("M", &["b", "c"], 7),
+        strs("M", &["c", "d"], 1),
+        // An arity no atom reads.
+        strs("M", &["a", "b", "c"], 9),
+    ];
+    check_all_semirings(&program, &facts, 16, true);
+}
+
+/// A rule that is not range-restricted (`y` is bound by no body atom)
+/// beside a safe rule with the same head. It grounds no head of its own,
+/// so it never fires in round 1, in discovery or in the idempotent loop;
+/// but when a head the safe rule reached is recomputed, the head seeds
+/// `y` and the unsafe body is summed too. That is the row loops'
+/// behaviour, not `kleene_iterate`'s (which never instantiates the rule).
+#[test]
+fn a_non_range_restricted_rule_is_summed_by_recompute_only() {
+    let program = parse_program(
+        "T(x, y) :- E(x, y).\n\
+         T(x, z) :- T(x, y), E(y, z).\n\
+         W(x, y) :- T(x, y).\n\
+         W(x, y) :- V(x).\n\
+         U(x, y) :- V(x).",
+    )
+    .unwrap();
+    let facts = [
+        strs("E", &["a", "b"], 2),
+        strs("E", &["b", "c"], 3),
+        strs("V", &["a"], 5),
+    ];
+    check_all_semirings(&program, &facts, 16, false);
+    let edb = edb_of(&facts, |_, w| Integers::new(w));
+    let out = seminaive_iterate_batch(&program, &edb, 16, 1);
+    assert_eq!(
+        out.idb.annotation(&Fact::new("W", ["a", "c"])),
+        Integers::new(6 + 5)
+    );
+    assert_eq!(
+        out.idb.annotation(&Fact::new("W", ["b", "c"])),
+        Integers::new(3)
+    );
+    assert_eq!(out.idb.facts_of("U").count(), 0);
+}
+
+/// Over ℤ, `A(k)` and `B(k)` are 1 after round 1, cancel to 0 in round 2
+/// (a −1 arrives through `C`) and are re-derived in round 3 (a +1 arrives
+/// through `D2`), so `H(k) :- A(k), B(k)` must read 1, 0, 1 in rounds 2, 3,
+/// 4. In round 3 both delta rows are zero rows: a discovery that skipped
+/// zero-annotated rows would never reach `H(k)` and leave it at 1.
+#[test]
+fn factors_cancelling_to_zero_in_one_round_still_reach_their_heads() {
+    let program = parse_program(
+        "A(x) :- Pos(x).\n\
+         B(x) :- Pos(x).\n\
+         C(x) :- Neg(x).\n\
+         A(x) :- C(x).\n\
+         B(x) :- C(x).\n\
+         D1(x) :- Pos(x).\n\
+         D2(x) :- D1(x).\n\
+         A(x) :- D2(x).\n\
+         B(x) :- D2(x).\n\
+         H(x) :- A(x), B(x).",
+    )
+    .unwrap();
+    let facts = [strs("Pos", &["k"], 1), strs("Neg", &["k"], -1)];
+    check_all_semirings(&program, &facts, 16, true);
+    let edb = edb_of(&facts, |_, w| Integers::new(w));
+    let h = Fact::new("H", ["k"]);
+    for (rounds, expected) in [(2, 1), (3, 0), (4, 1)] {
+        for threads in ALL_THREADS {
+            let out = seminaive_iterate_batch(&program, &edb, rounds, threads);
+            assert_eq!(
+                out.idb.annotation(&h),
+                Integers::new(expected),
+                "rounds={rounds} threads={threads}"
+            );
+        }
+    }
+}
+
+/// Index growth under a real fixpoint: the linear closure of a 300-node
+/// chain runs 300 rounds and grows `Q/2` to 44 850 rows (a dozen doublings
+/// of its row-identity slots and of both key indexes), with deltas wide
+/// enough that the rounds really fan out over worker threads. Every fact
+/// has one derivation, so the closure is known in closed form: `Q(nᵢ, nⱼ)`
+/// for `i < j`, annotated 1 over ℕ∞ and `j − i` over the tropical semiring.
+/// The row loops and `kleene_iterate` re-walk the closure every round, so
+/// they are compared round for round on a 40-node chain.
+#[test]
+fn a_long_chain_grows_every_index() {
+    const NODES: usize = 300;
+    let program = Program::linear_transitive_closure("R", "Q");
+    let node = |i: usize| Value::str(format!("n{i}"));
+    let chain = |nodes: usize| -> Vec<RawFact> {
+        (0..nodes - 1)
+            .map(|i| ("R", vec![node(i), node(i + 1)], 1))
+            .collect()
+    };
+    check_all_semirings(&program, &chain(40), 64, true);
+
+    let facts = chain(NODES);
+    let edb = edb_of(&facts, |_, w| NatInf::Fin(w.unsigned_abs()));
+    let serial = seminaive_iterate_batch(&program, &edb, 512, 1);
+    assert_chain_closure(&serial, NODES, |_, _| NatInf::Fin(1));
+    for threads in [2, 4] {
+        assert_eq!(
+            serial,
+            seminaive_iterate_batch(&program, &edb, 512, threads)
+        );
+    }
+    let edb = edb_of(&facts, |_, w| Tropical::cost(w.unsigned_abs()));
+    let row = seminaive_idempotent(&program, &edb, 512);
+    assert_chain_closure(&row, NODES, |i, j| Tropical::cost((j - i) as u64));
+    for threads in ALL_THREADS {
+        assert_eq!(
+            row,
+            seminaive_idempotent_batch(&program, &edb, 512, threads)
+        );
+    }
+}
+
+/// Is `out` the converged closure of the `nodes`-node chain, `Q(nᵢ, nⱼ)`
+/// for `i < j` annotated `expected(i, j)`, reached in `nodes` rounds?
+fn assert_chain_closure<K: Semiring>(
+    out: &FixpointResult<K>,
+    nodes: usize,
+    expected: impl Fn(usize, usize) -> K,
+) {
+    assert!(out.converged);
+    assert_eq!(out.iterations, nodes);
+    assert_eq!(out.idb.len(), nodes * (nodes - 1) / 2);
+    for i in 0..nodes {
+        for j in i + 1..nodes {
+            let fact = Fact::new("Q", [format!("n{i}"), format!("n{j}")]);
+            assert_eq!(out.idb.annotation(&fact), expected(i, j), "{fact}");
+        }
     }
 }

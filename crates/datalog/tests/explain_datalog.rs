@@ -1,9 +1,9 @@
-//! Golden tests for [`explain_fixpoint`]: the engine-decision line, the
-//! per-rule join orders (full / recompute / Δ forms with their probe
-//! masks), and the per-predicate column encodings are pinned verbatim in
-//! row and batch modes. These strings are contract: the batch compiler
-//! builds its probe steps from exactly the rendered plans, so a change
-//! here means the engines' bucket usage diverged.
+//! Golden tests for [`explain_fixpoint`]: the engine line, the per-rule
+//! join orders (full / recompute / Δ forms with their probe masks), and the
+//! `predicate/arity` tables with their key indexes are pinned verbatim in
+//! row and batch modes. These strings are contract: they are rendered from
+//! the compiled plans, which take their join orders and masks from the
+//! plans the row loops run, so a change here means the engines diverged.
 
 use provsem_core::plan::{ExecContext, ExecMode};
 use provsem_core::Value;
@@ -26,7 +26,7 @@ fn transitive_closure_row_mode_golden() {
     let explained = explain_fixpoint(&program, &tc_edb(), &ExecContext::with_threads(1));
     assert_eq!(
         explained,
-        "engine: row (auto: 2 edb rows < 64)\n\
+        "engine: batch (auto)\n\
          rule 0: Q(x, y) :- R(x, y).\n\
          \x20 full: scan R(x, y)\n\
          \x20 recompute: probe R(x, y)[0,1]\n\
@@ -35,8 +35,9 @@ fn transitive_closure_row_mode_golden() {
          \x20 recompute: probe Q(x, z)[0] → probe Q(z, y)[0,1]\n\
          \x20 Δ Q(x, z): probe Q(z, y)[0]\n\
          \x20 Δ Q(z, y): probe Q(x, z)[1]\n\
-         columns:\n\
-         \x20 R: [dict(2), dict(2)] (2 rows)\n"
+         tables:\n\
+         \x20 Q/2: derived, probes [0] [0,1] [1]\n\
+         \x20 R/2: 2 rows, probes [0,1]\n"
     );
 }
 
@@ -69,47 +70,44 @@ fn auto_flips_to_batch_at_the_edb_threshold() {
             Natural::from(1u64),
         );
     }
+    // No size threshold: `auto` means the compiled loops here and on the
+    // two-edge EDB of the goldens above alike.
     let explained = explain_fixpoint(&program, &edb, &ExecContext::with_threads(1));
     assert!(
-        explained.starts_with("engine: batch (auto: 64 edb rows ≥ 64)\n"),
+        explained.starts_with("engine: batch (auto)\n"),
+        "{explained}"
+    );
+    assert!(
+        explained.ends_with("  R/2: 64 rows, probes [0,1] [0]\n"),
         "{explained}"
     );
 }
 
 #[test]
 fn column_encodings_cover_i64_val_and_arena() {
-    let program = parse_program("Q(x) :- N(x, y), M(x), V(x, y).").unwrap();
+    // Ids erase what the old `columns:` section told apart: integer, mixed
+    // and string columns are all `u32` columns, and a predicate used at two
+    // arities is two tables (both listed, each with its own rows).
+    let program = parse_program("Q(x) :- N(x, y), M(x), M(x, y), V(x, y), W(z).").unwrap();
     let mut edb: FactStore<Natural> = FactStore::new();
-    // N: both columns typed integers.
-    edb.insert(
-        Fact::new("N", [Value::Int(1), Value::Int(10)]),
-        Natural::from(1u64),
-    );
-    edb.insert(
-        Fact::new("N", [Value::Int(2), Value::Int(20)]),
-        Natural::from(1u64),
-    );
-    // V: second column mixes types → val fallback.
-    edb.insert(
-        Fact::new("V", [Value::Int(1), Value::from("a")]),
-        Natural::from(1u64),
-    );
-    edb.insert(
-        Fact::new("V", [Value::Int(2), Value::Int(2)]),
-        Natural::from(1u64),
-    );
-    // M: mixed arity → columnar storage poisoned, arena fallback.
-    edb.insert(Fact::new("M", [Value::Int(1)]), Natural::from(1u64));
-    edb.insert(
-        Fact::new("M", [Value::Int(1), Value::Int(2)]),
-        Natural::from(1u64),
-    );
+    let one = || Natural::from(1u64);
+    edb.insert(Fact::new("N", [Value::Int(1), Value::Int(10)]), one());
+    edb.insert(Fact::new("N", [Value::Int(2), Value::Int(20)]), one());
+    edb.insert(Fact::new("V", [Value::Int(1), Value::from("a")]), one());
+    edb.insert(Fact::new("V", [Value::Int(2), Value::Int(2)]), one());
+    edb.insert(Fact::new("M", [Value::Int(1)]), one());
+    edb.insert(Fact::new("M", [Value::Int(1), Value::Int(2)]), one());
+    edb.insert(Fact::new("M", [Value::Int(3), Value::Int(4)]), one());
+    // Not read by the program at this arity: no table, no line.
+    edb.insert(Fact::new("N", [Value::Int(1)]), one());
     let explained = explain_fixpoint(&program, &edb, &ExecContext::with_threads(1));
-    let columns = explained.split("columns:\n").nth(1).unwrap();
+    let tables = explained.split("tables:\n").nth(1).unwrap();
     assert_eq!(
-        columns,
-        "  M: arena (mixed arity)\n\
-         \x20 N: [i64, i64] (2 rows)\n\
-         \x20 V: [i64, val] (2 rows)\n"
+        tables,
+        "  M/1: 1 rows, probes [0]\n\
+         \x20 M/2: 2 rows, probes [0,1]\n\
+         \x20 N/2: 2 rows, probes [0]\n\
+         \x20 V/2: 2 rows, probes [0,1]\n\
+         \x20 W/1: 0 rows, scans only\n"
     );
 }

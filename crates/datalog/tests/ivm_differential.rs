@@ -7,8 +7,9 @@
 //! Deletion batches deliberately break derivations (deleting a fact's only
 //! support must remove it; deleting one of several must keep it with the
 //! reduced annotation), pinning the absence of over-retention. Every case
-//! runs the maintenance serially and at 4 threads
-//! ([`maintain_fixpoint_with`]); the two views must agree exactly.
+//! runs the maintenance serially and at 4 threads on both rederivation
+//! engines ([`maintain_fixpoint_with`]: the compiled sweep, and the row
+//! sweep `ExecMode::Row` forces); the views must agree exactly.
 //!
 //! Semiring choice: ℤ path-counting diverges on cyclic instances, so the
 //! random ℤ cases use the *linear* transitive-closure shape over DAG edges
@@ -16,7 +17,7 @@
 //! freely over cyclic graphs and nonlinear rules.
 
 use proptest::prelude::*;
-use provsem_core::plan::ExecContext;
+use provsem_core::plan::{ExecContext, ExecMode};
 use provsem_datalog::prelude::*;
 use provsem_semiring::{Bool, Integers, Ring, Semiring, Tropical};
 
@@ -79,11 +80,14 @@ fn check_maintain_agreement<K: Semiring + Send + Sync>(
 ) {
     let mut view = materialize_fixpoint(program, edb, 64);
     let mut view4 = materialize_fixpoint(program, edb, 64);
+    let mut row4 = materialize_fixpoint(program, edb, 64);
+    let row = ExecContext::with_threads(4).with_mode(ExecMode::Row);
     let mut current = edb.clone();
     assert!(view.converged(), "materialization did not converge");
     for batch in batches {
         maintain_fixpoint(&mut view, batch);
         maintain_fixpoint_with(&mut view4, batch, &ExecContext::with_threads(4));
+        maintain_fixpoint_with(&mut row4, batch, &row);
         for (fact, k) in batch.facts() {
             current.insert(fact, k.clone());
         }
@@ -99,6 +103,7 @@ fn check_maintain_agreement<K: Semiring + Send + Sync>(
             &scratch.idb,
             "4-thread maintained view != from-scratch fixpoint"
         );
+        assert_eq!(row4.result(), &scratch.idb, "4-thread row sweep");
         assert_eq!(view.edb(), &current, "maintained edb drifted");
     }
 }

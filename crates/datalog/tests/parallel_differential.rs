@@ -1,6 +1,8 @@
 //! Differential test: the parallel semi-naive rounds agree with the serial
 //! loops **exactly** — same idb annotations, same iteration counts, same
-//! convergence flags, round for round — at `threads ∈ {2, 4}`.
+//! convergence flags, round for round — at `threads ∈ {2, 4}`, on the
+//! engine the context defaults to (the compiled loops) and on the parallel
+//! row loops `ExecMode::Row` forces.
 //!
 //! Random programs/edbs cover the general path (every semiring) and the
 //! idempotent fast path; a deterministic transitive-closure workload is
@@ -10,7 +12,7 @@ mod common;
 
 use common::{arb_edb, arb_program, build_edb, build_program};
 use proptest::prelude::*;
-use provsem_core::plan::ExecContext;
+use provsem_core::plan::{ExecContext, ExecMode};
 use provsem_datalog::prelude::*;
 use provsem_datalog::seminaive::{
     seminaive_idempotent, seminaive_idempotent_with, seminaive_iterate, seminaive_iterate_with,
@@ -19,20 +21,20 @@ use provsem_semiring::{Bool, Natural, PlusIdempotent, PosBool, Semiring, Tropica
 
 const THREADS: [usize; 2] = [2, 4];
 
+/// The contexts one thread count is checked under.
+fn contexts(threads: usize) -> [ExecContext; 2] {
+    let ctx = ExecContext::with_threads(threads);
+    [ctx.with_mode(ExecMode::Row), ctx]
+}
+
 /// General path: parallel rounds equal serial rounds for every semiring,
 /// converged or not (checked at several round bounds).
 fn check_general<K: Semiring + Send + Sync>(program: &Program, edb: &FactStore<K>) {
     for rounds in [1, 2, 3, 8] {
         let serial = seminaive_iterate(program, edb, rounds);
-        for threads in THREADS {
-            let ctx = ExecContext::with_threads(threads);
+        for ctx in THREADS.into_iter().flat_map(contexts) {
             let parallel = seminaive_iterate_with(program, edb, rounds, &ctx);
-            assert_eq!(
-                serial.idb, parallel.idb,
-                "threads={threads} rounds={rounds}"
-            );
-            assert_eq!(serial.iterations, parallel.iterations);
-            assert_eq!(serial.converged, parallel.converged);
+            assert_eq!(serial, parallel, "{ctx:?} rounds={rounds}");
         }
     }
 }
@@ -44,15 +46,9 @@ fn check_idempotent<K: Semiring + PlusIdempotent + Send + Sync>(
 ) {
     for rounds in [2, 8, 64] {
         let serial = seminaive_idempotent(program, edb, rounds);
-        for threads in THREADS {
-            let ctx = ExecContext::with_threads(threads);
+        for ctx in THREADS.into_iter().flat_map(contexts) {
             let parallel = seminaive_idempotent_with(program, edb, rounds, &ctx);
-            assert_eq!(
-                serial.idb, parallel.idb,
-                "threads={threads} rounds={rounds}"
-            );
-            assert_eq!(serial.iterations, parallel.iterations);
-            assert_eq!(serial.converged, parallel.converged);
+            assert_eq!(serial, parallel, "{ctx:?} rounds={rounds}");
         }
     }
 }
@@ -99,11 +95,9 @@ fn parallel_transitive_closure_matches_serial_on_a_large_graph() {
     }
     let serial = seminaive_iterate(&program, &edb, 16);
     assert!(serial.converged, "layered DAG closure converges");
-    for threads in THREADS {
-        let ctx = ExecContext::with_threads(threads);
+    for ctx in THREADS.into_iter().flat_map(contexts) {
         let parallel = seminaive_iterate_with(&program, &edb, 16, &ctx);
-        assert_eq!(serial.idb, parallel.idb, "threads={threads}");
-        assert_eq!(serial.iterations, parallel.iterations);
+        assert_eq!(serial, parallel, "{ctx:?}");
     }
     // The strategy entry point agrees too.
     let via_entry = evaluate_with_context(
