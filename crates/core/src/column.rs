@@ -4,11 +4,11 @@
 //! This is the data layer under the batch executor (`plan::batch`), the
 //! columnar IVM state (`plan::maintain`), and the snapshot-resident
 //! [`BatchCache`]. A `Batch` holds one `Column` per output attribute
-//! (in the operator's sorted schema order), a parallel `Vec<K>` of
+//! (in the operator's sorted schema order), a parallel column of
 //! annotations — the K-relation annotation is "just one more column"
-//! riding next to the data — and an optional *selection vector* of
-//! surviving row indices. The domain has no NULLs, so the layout is dense
-//! and validity-free.
+//! riding next to the data, and shared the same way — and an optional
+//! *selection vector* of surviving row indices. The domain has no NULLs, so
+//! the layout is dense and validity-free.
 //!
 //! Columns are typed by their content, decided per scan (or per rebuilt
 //! batch) at conversion time:
@@ -24,13 +24,18 @@
 //!   dictionaries that overflow `DICT_MAX` distinct strings: plain
 //!   `Value`s, compared and hashed row-at-a-time like the row engine.
 //!
-//! Column payloads are behind `Arc`, so the projection/renaming kernels
-//! (a permutation of the column *list*) and batch transport between morsel
-//! workers never copy data; selections only refine the selection vector.
-//! Data is gathered (copied) only at pipeline breakers — hash-join
+//! Column payloads — data and annotations alike — are behind `Arc`, so
+//! cloning a batch (every scan of a cached relation clones its batch list,
+//! and so does every commit that patches one), the projection/renaming
+//! kernels (a permutation of the column *list*) and batch transport between
+//! morsel workers never copy data; selections only refine the selection
+//! vector. Data is gathered (copied) only at pipeline breakers — hash-join
 //! build/probe, pre-join aggregation, exchanges, and the root conversion
 //! back to a `KRelation` — exactly the places the row engine already
-//! materializes.
+//! materializes. A breaker takes the annotation vector back *by move* when
+//! its batch is the column's only holder (a batch an operator built), and
+//! otherwise (a batch still held by the cache) clones just the rows that
+//! survived the selection.
 //!
 //! Hashing is content-based (`Value::content_hash`), not representation-based: an
 //! integer hashes the same in an `I64` and a `Val` column, a string the
@@ -46,7 +51,7 @@ use crate::value::{int_content_hash, str_content_hash, Value, ValueRef};
 use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::Semiring;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Row budget per scan batch: scans larger than this split into multiple
 /// batches (sharing their per-scan dictionaries), which is also the unit
@@ -515,7 +520,7 @@ pub fn gather_multi(sources: &[&[Column]], col: usize, refs: &[(u32, u32)]) -> C
 pub struct Batch<K> {
     len: usize,
     columns: Vec<Column>,
-    anns: Vec<K>,
+    anns: Arc<Vec<K>>,
     sel: Option<Vec<u32>>,
 }
 
@@ -527,7 +532,7 @@ impl<K: Semiring> Batch<K> {
         Batch {
             len,
             columns,
-            anns,
+            anns: Arc::new(anns),
             sel: None,
         }
     }
@@ -576,8 +581,10 @@ impl<K: Semiring> Batch<K> {
 
     /// Materializes the logical view: gathers columns and annotations down
     /// to the selected rows and drops the selection vector. Annotations of
-    /// surviving rows are *moved*, not cloned (the selection vector is
-    /// strictly increasing). No-op when nothing is filtered.
+    /// surviving rows are *moved* when this batch is their column's only
+    /// holder (the selection vector is strictly increasing) and cloned when
+    /// the column is shared — the filtered-out rows are never cloned. No-op
+    /// when nothing is filtered.
     pub fn materialize(self) -> Batch<K> {
         let Some(sel) = self.sel else { return self };
         let columns = self
@@ -585,26 +592,18 @@ impl<K: Semiring> Batch<K> {
             .iter()
             .map(|c| c.gather(&sel))
             .collect::<Vec<_>>();
-        let mut keep = sel.iter().copied().peekable();
-        let anns = self
-            .anns
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, k)| {
-                if keep.peek() == Some(&(i as u32)) {
-                    keep.next();
-                    Some(k)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        Batch {
-            len: sel.len(),
-            columns,
-            anns,
-            sel: None,
-        }
+        let anns = match Arc::try_unwrap(self.anns) {
+            Ok(owned) => {
+                let mut keep = sel.iter().copied().peekable();
+                owned
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(i, k)| keep.next_if_eq(&(i as u32)).map(|_| k))
+                    .collect()
+            }
+            Err(shared) => sel.iter().map(|&r| shared[r as usize].clone()).collect(),
+        };
+        Batch::new(sel.len(), columns, anns)
     }
 
     /// Content hashes of the key columns, one per physical row of a
@@ -627,8 +626,9 @@ impl<K: Semiring> Batch<K> {
 
     /// Splits a materialized batch into `parts` sub-batches by an
     /// assignment vector (`assign[row] < parts`), preserving relative row
-    /// order within each part — the exchange kernel. Annotations move;
-    /// column data is gathered once.
+    /// order within each part — the exchange kernel. Annotations move (or,
+    /// from a shared column, are cloned once each); column data is gathered
+    /// once.
     pub fn split_by(self, assign: &[u32], parts: usize) -> Vec<Batch<K>> {
         debug_assert!(self.sel.is_none());
         debug_assert_eq!(assign.len(), self.len);
@@ -636,9 +636,9 @@ impl<K: Semiring> Batch<K> {
         for (row, &p) in assign.iter().enumerate() {
             rows[p as usize].push(row as u32);
         }
-        let mut anns: Vec<Vec<K>> = (0..parts).map(|_| Vec::new()).collect();
-        for (row, k) in self.anns.into_iter().enumerate() {
-            anns[assign[row] as usize].push(k);
+        let mut anns: Vec<Vec<K>> = rows.iter().map(|r| Vec::with_capacity(r.len())).collect();
+        for (k, &p) in unshare(self.anns).into_iter().zip(assign) {
+            anns[p as usize].push(k);
         }
         rows.into_iter()
             .zip(anns)
@@ -649,10 +649,12 @@ impl<K: Semiring> Batch<K> {
             .collect()
     }
 
-    /// Decomposes a materialized batch.
+    /// Decomposes a materialized batch. The annotation vector is handed
+    /// over when this batch is its only holder and copied when it is shared
+    /// (a cached batch nothing filtered).
     pub fn into_parts(self) -> (usize, Vec<Column>, Vec<K>) {
         debug_assert!(self.sel.is_none());
-        (self.len, self.columns, self.anns)
+        (self.len, self.columns, unshare(self.anns))
     }
 
     /// Converts the live rows back to positional rows with owned
@@ -693,6 +695,12 @@ impl<K: Semiring> Batch<K> {
             anns,
         )
     }
+}
+
+/// The vector behind a shared annotation column: moved out when `anns` is
+/// the only handle, cloned otherwise.
+fn unshare<K: Clone>(anns: Arc<Vec<K>>) -> Vec<K> {
+    Arc::try_unwrap(anns).unwrap_or_else(|shared| shared.as_ref().clone())
 }
 
 /// Converts a scanned [`KRelation`] into batches — the row→column boundary.
@@ -762,14 +770,16 @@ struct CacheEntry<K> {
     /// reference pins the allocation — guarantees the pointer key below is
     /// never reused while the entry lives, so identity checks are exact.
     source: Weak<KRelation<K>>,
+    /// The conversion's batches, then the coalesced delta tail.
     batches: Arc<Vec<Batch<K>>>,
     /// Epoch the entry was converted (or last patched) at.
     epoch: u64,
-    /// Rows of the original conversion.
+    /// Rows and batches of the original conversion.
     base_rows: usize,
-    /// Rows appended by commit patches since — once these outgrow
-    /// `base_rows`, re-converting is cheaper than carrying the deltas and
-    /// the entry is evicted.
+    base_batches: usize,
+    /// Live rows of the delta tail `batches[base_batches..]` — once these
+    /// outgrow `base_rows`, re-converting is cheaper than carrying the
+    /// deltas and the entry is evicted.
     patch_rows: usize,
     /// Number of commit patches absorbed.
     patched: u64,
@@ -787,7 +797,15 @@ struct CacheEntry<K> {
 /// ones, which is exact for any commutative semiring — duplicate tuples
 /// re-sum and delete-to-zero rows cancel at the next grouping point
 /// (aggregation or the plan root), the same places the executor already
-/// merges duplicates.
+/// merges duplicates. The appended tail is kept short by coalescing (see
+/// [`BatchCache::patch`]), so a scan reads the conversion's batches plus a
+/// logarithmic number of delta batches however many commits went by.
+///
+/// The map is only ever changed by inserting or removing a whole entry, so
+/// a panic under its lock (an annotation overflowing while a patch re-sums,
+/// say) leaves nothing torn: the lock recovers from poison, and the entry
+/// being patched — removed before any fallible work — is simply absent, so
+/// the next scan re-converts.
 ///
 /// Counters (see [`BatchCacheStats`]) are served by the `STATS` verb of the
 /// query service.
@@ -845,7 +863,8 @@ impl<K: Semiring> BatchCache<K> {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<usize, CacheEntry<K>>> {
-        self.entries.lock().expect("batch cache poisoned")
+        // Whole-entry inserts and removes only: a poisoned map is intact.
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The batches of `relation`, converting and memoizing on first use.
@@ -863,6 +882,7 @@ impl<K: Semiring> BatchCache<K> {
         entries.retain(|_, e| e.source.strong_count() > 0);
         let entry = entries.entry(key).or_insert_with(|| CacheEntry {
             source: Arc::downgrade(relation),
+            base_batches: batches.len(),
             batches,
             epoch,
             base_rows: relation.len(),
@@ -889,9 +909,27 @@ impl<K: Semiring> BatchCache<K> {
 
     /// Carries `old`'s cache entry (if any) forward to `new` = `old` +
     /// `delta` by appending the delta's own batches — called by the commit
-    /// path under the writer lock. Once the accumulated patch rows outgrow
-    /// the base conversion the entry is dropped instead (the next scan
-    /// re-converts, which also compacts cancelled deletions away).
+    /// path under the writer lock.
+    ///
+    /// The appended tail is **coalesced like a binary counter**: while the
+    /// last delta batch has more than half the rows of the one before it,
+    /// the two are merged through the whole-row grouping kernel (duplicate
+    /// rows re-summed, rows summing to zero dropped). Every delta batch
+    /// therefore has at least twice the rows of its successor, so `r` live
+    /// delta rows sit in at most ⌈log₂ r⌉ + 1 batches, and each row is
+    /// re-merged O(log r) times over its life. Without it a scan reads one
+    /// more batch per commit forever: measured at 10⁵ rows, `select[g = n] F`
+    /// cost 385 / 476 / 827 / 2 441 µs after 0 / 256 / 1 024 / 4 096 one-row
+    /// commits (25 → 4 121 batches), and 111 / 111 / 112 / 111 µs with the
+    /// rule below (26 batches) — CHANGES.md, PR 21. The factor two is what
+    /// makes the bound a theorem rather than a tendency: merging only equal
+    /// sizes, as a plain counter would, lets cancellations leave a tail of
+    /// slowly shrinking batches.
+    ///
+    /// Once the tail's live rows outgrow the base conversion the entry is
+    /// dropped instead (the next scan re-converts, which also folds the
+    /// deltas into full batches); rows that cancelled are not live, so
+    /// insert-then-delete churn never gets there.
     pub fn patch(
         &self,
         old: &Arc<KRelation<K>>,
@@ -900,23 +938,41 @@ impl<K: Semiring> BatchCache<K> {
         epoch: u64,
     ) {
         let mut entries = self.lock();
+        // Removed before anything below can panic: see the type's docs.
         let Some(entry) = entries.remove(&entry_key(old)) else {
             return;
         };
         if entry.patch_rows + delta.len() > entry.base_rows.max(BATCH_ROWS) {
             return;
         }
+        let whole_row: Vec<usize> = (0..new.schema().arity()).collect();
         let mut batches = entry.batches.as_ref().clone();
-        batches.extend(relation_to_batches(delta));
+        for delta_batch in relation_to_batches(delta) {
+            batches.push(delta_batch);
+            while let [.., before, last] = &batches[entry.base_batches..] {
+                if before.live_rows() >= 2 * last.live_rows() {
+                    break;
+                }
+                let pair = batches.split_off(batches.len() - 2);
+                let merged = group_batches(pair, &whole_row).into_batch(whole_row.len());
+                if merged.live_rows() > 0 {
+                    batches.push(merged);
+                }
+            }
+        }
         self.patches.fetch_add(1, Ordering::Relaxed);
         entries.insert(
             entry_key(new),
             CacheEntry {
                 source: Arc::downgrade(new),
+                patch_rows: batches[entry.base_batches..]
+                    .iter()
+                    .map(Batch::live_rows)
+                    .sum(),
                 batches: Arc::new(batches),
                 epoch,
                 base_rows: entry.base_rows,
-                patch_rows: entry.patch_rows + delta.len(),
+                base_batches: entry.base_batches,
                 patched: entry.patched + 1,
             },
         );
@@ -1035,10 +1091,10 @@ impl<K: Semiring> Grouped<K> {
     /// Meant for whole-row groupings (distinct rows, so the order is total):
     /// the plan root's result, sorted once.
     pub fn into_sorted(self, arity: usize) -> Batch<K> {
-        let batch = self.into_batch(arity);
-        let order = canonical_order(&batch.columns, batch.len);
-        let columns = batch.columns.iter().map(|c| c.gather(&order)).collect();
-        let mut anns: Vec<Option<K>> = batch.anns.into_iter().map(Some).collect();
+        let (len, columns, anns) = self.into_batch(arity).into_parts();
+        let order = canonical_order(&columns, len);
+        let columns = columns.iter().map(|c| c.gather(&order)).collect();
+        let mut anns: Vec<Option<K>> = anns.into_iter().map(Some).collect();
         let anns = order
             .iter()
             .map(|&row| anns[row as usize].take().expect("a permutation"))

@@ -6,9 +6,12 @@
 //! (see [`crate::snapshot`]), where every commit clones the previous
 //! snapshot and copy-on-writes only the relations a [`DeltaBatch`] touches.
 //! Mutating accessors go through [`Arc::make_mut`], so a database that
-//! shares no relations behaves exactly as before, and one that does pays
-//! one relation clone at first write — never a torn read for concurrent
-//! holders of older snapshots.
+//! shares no relations mutates them in place, and one that does gives the
+//! written relation a new `Arc` at first write — never a torn read for
+//! concurrent holders of older snapshots. That new relation is itself a
+//! root-pointer copy ([`KRelation`] shares its tree nodes): the write then
+//! copies only the nodes on its path, so a first write costs O(log n)
+//! however large the relation.
 //!
 //! [`DeltaBatch`]: crate::plan::DeltaBatch
 
@@ -69,8 +72,9 @@ impl<K: Semiring> Database<K> {
         self.relations.get(name).cloned()
     }
 
-    /// Mutable lookup. If the relation is shared with other snapshots this
-    /// copy-on-writes it (one clone), leaving every other holder untouched.
+    /// Mutable lookup. If the relation is shared with other snapshots it
+    /// gets an `Arc` of its own first (an O(1) clone whose tree nodes stay
+    /// shared until written to), leaving every other holder untouched.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut KRelation<K>> {
         self.relations.get_mut(name).map(Arc::make_mut)
     }

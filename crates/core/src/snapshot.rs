@@ -3,17 +3,26 @@
 //!
 //! This is the concurrency substrate of the query service. A
 //! [`SharedDatabase`] holds the authoritative instance; readers take an
-//! O(#relations) [`DbSnapshot`] (an [`Arc`] per relation — no tuple data is
-//! copied) and keep it for as long as they like, while writers commit
-//! [`DeltaBatch`]es through a serialized commit path. The guarantees, pinned
-//! by `core/tests/snapshot_isolation.rs` and the concurrency differential
+//! O(1) [`DbSnapshot`] (three `Arc` bumps — no tuple data is copied) and
+//! keep it for as long as they like, while writers commit [`DeltaBatch`]es
+//! through a serialized commit path. The guarantees, pinned by
+//! `core/tests/snapshot_isolation.rs` and the concurrency differential
 //! suite:
 //!
-//! * **Snapshot isolation.** A commit builds the next database by cloning
-//!   the current one (pointer copies) and applying the batch copy-on-write,
-//!   then publishes it atomically. A reader's snapshot therefore observes
-//!   either all of a batch or none of it — never a torn batch — and stays
-//!   valid, immutable, and queryable forever after.
+//! * **Snapshot isolation.** A commit builds the next database from the
+//!   current one and publishes it atomically. A reader's snapshot therefore
+//!   observes either all of a batch or none of it — never a torn batch —
+//!   and stays valid, immutable, and queryable forever after.
+//! * **Commits cost O(|Δ|·log n), not O(n).** Versions share structure at
+//!   three levels: the relation *map* is cloned (one `Arc` bump per
+//!   relation), an untouched relation is the same `Arc<KRelation>` in both
+//!   versions, and a touched relation shares every B+-tree node its delta
+//!   does not reach (see [`crate::relation`]) — the commit copies one
+//!   root-to-leaf path of nodes per changed tuple, a few hundred tuples
+//!   however large the relation, and dropping a superseded version frees
+//!   only that path. The same holds for every maintained view result.
+//!   What one commit copied can be counted:
+//!   [`KRelation::entries_not_shared_with`].
 //! * **Contiguous epochs.** Every commit bumps the **catalog epoch** by
 //!   exactly one (registering a standing view bumps it too: the queryable
 //!   catalog changed). Epoch `e` names one specific database state, which
@@ -25,11 +34,16 @@
 //!   are always exactly `recompute(snapshot)`. Views whose base relations a
 //!   batch does not touch are skipped, their published results shared by
 //!   `Arc` across epochs.
+//! * **A failed commit is invisible.** If applying a batch or maintaining
+//!   a view panics (ℕ and ℤ annotations panic on overflow), nothing was
+//!   published, the epoch is unchanged, and every standing view is put back
+//!   to the published state before the panic continues — later commits
+//!   build on exactly what readers see.
 //!
-//! Writers never block readers (the [`RwLock`] write section is a pointer
-//! swap); concurrent committers serialize on the writer mutex, so epochs
-//! form a single total commit order — the order the differential harness
-//! replays serially.
+//! Writers never block readers (the [`RwLock`] write section swaps one
+//! snapshot value); concurrent committers serialize on the writer mutex, so
+//! epochs form a single total commit order — the order the differential
+//! harness replays serially.
 
 use crate::column::{BatchCache, BatchCacheStats};
 use crate::database::Database;
@@ -38,12 +52,14 @@ use crate::plan::{Catalog, DeltaBatch, ExecContext, MaterializedView, Plan, Rela
 use crate::relation::KRelation;
 use provsem_semiring::Semiring;
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// An immutable, epoch-stamped view of a [`SharedDatabase`]: the database
 /// state plus every standing view's result as of one commit. Cloning is
 /// O(1) (a few `Arc` bumps); the snapshot stays queryable regardless of how
-/// many commits happen after it was taken.
+/// many commits happen after it was taken, and what it keeps alive beyond
+/// the current version is only the tree nodes later commits replaced.
 ///
 /// Snapshots also carry their `SharedDatabase`'s [`BatchCache`]: the batch
 /// executor's scans resolve through it, so the first execution against any
@@ -156,8 +172,8 @@ impl<K: Semiring> SharedDatabase<K> {
         }
     }
 
-    /// The current snapshot — an O(#Arc-bumps) read that never blocks on
-    /// writers for longer than their publish pointer swap.
+    /// The current snapshot — three `Arc` bumps, never blocked by a writer
+    /// for longer than it takes to swap the published snapshot value.
     pub fn snapshot(&self) -> DbSnapshot<K> {
         read_lock(&self.current).clone()
     }
@@ -172,7 +188,8 @@ impl<K: Semiring> SharedDatabase<K> {
     }
 
     /// Publishes `snapshot` as the new current state. Called with the writer
-    /// lock held; the write section is a pointer swap.
+    /// lock held; the write section swaps one snapshot value (and drops the
+    /// superseded one's handles).
     fn publish(&self, snapshot: DbSnapshot<K>) {
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = snapshot;
     }
@@ -187,32 +204,54 @@ impl<K: Semiring> SharedDatabase<K> {
     /// Commits a batch with an explicit thread budget for view maintenance,
     /// returning the (contiguous) new epoch.
     ///
-    /// The commit path: clone the current database (pointer copies), apply
-    /// the batch copy-on-write (`new = old + Δ` per tuple — only touched
-    /// relations are deep-copied), maintain every standing view whose base
-    /// relations the batch touches, then publish the new snapshot
-    /// atomically. Readers holding older snapshots are unaffected; a reader
-    /// taking a snapshot concurrently gets either the old epoch or the new
-    /// one, never a mix. Concurrent committers serialize: epochs are a
-    /// total order, each exactly one above its predecessor.
+    /// The commit path: clone the current database's relation map (one
+    /// `Arc` bump per relation), apply the batch (`new = old + Δ` per
+    /// tuple — a touched relation gets a new `Arc<KRelation>` whose tree
+    /// shares every node the delta does not reach with the old version, so
+    /// this copies O(|Δ|·log n) tuples), maintain every standing view whose
+    /// base relations the batch touches (its published result is shared
+    /// with the view's working copy the same way), then publish the new
+    /// snapshot atomically. Readers holding older snapshots are unaffected;
+    /// a reader taking a snapshot concurrently gets either the old epoch or
+    /// the new one, never a mix. Concurrent committers serialize: epochs are
+    /// a total order, each exactly one above its predecessor.
     ///
     /// Touched relations that have a cached columnar conversion get it
-    /// *patched* forward (`BatchCache::patch`) instead of invalidated:
-    /// the delta's own batches are appended under the new relation version,
-    /// so the next batch-engine scan at the new epoch still hits.
+    /// *patched* forward (`BatchCache::patch`) instead of invalidated: the
+    /// delta's own batches are appended (and coalesced) under the new
+    /// relation version, so the next batch-engine scan at the new epoch
+    /// still hits.
+    ///
+    /// # Panics
+    /// Propagates a panic from applying the batch or maintaining a view
+    /// (an annotation sum overflowing, a tuple over the wrong schema). The
+    /// commit then did not happen: epoch, snapshots and standing views are
+    /// as they were, and the next commit is unaffected.
     pub fn commit_with(&self, batch: &DeltaBatch<K>, ctx: &ExecContext) -> u64 {
         let mut writer = self.writer_lock();
         let previous = self.snapshot();
         let mut db = (*previous.db).clone();
         batch.apply_to(&mut db);
+        let db = Arc::new(db);
         let changed: BTreeSet<&String> = batch.iter().map(|(name, _)| name).collect();
-        let mut views = (*previous.views).clone();
-        for (name, standing) in writer.views.iter_mut() {
-            if standing
+        let touched = |standing: &StandingView<K>| {
+            standing
                 .base_relations
                 .iter()
                 .any(|base| changed.contains(base))
-            {
+        };
+        let mut views = (*previous.views).clone();
+        // Maintenance advances each standing view's state in place, and both
+        // it and cache patching sum annotations, which a semiring may refuse
+        // (ℕ and ℤ panic on overflow). A panic part-way must not leave the
+        // views it had reached ahead of the database they are views of —
+        // the poisoned writer lock is recovered, and the next commit would
+        // publish them. So the unwind is caught, the touched views are
+        // recomputed from the snapshot that is still published, and the
+        // panic continues; nothing was published, so the commit is simply
+        // absent. The success path pays nothing for this.
+        let maintained = catch_unwind(AssertUnwindSafe(|| {
+            for (name, standing) in writer.views.iter_mut().filter(|(_, s)| touched(s)) {
                 // The maintenance pass reports the view-output delta, so a
                 // cached columnar conversion of the view's result is
                 // patched forward by exactly that delta — the view is never
@@ -220,6 +259,9 @@ impl<K: Semiring> SharedDatabase<K> {
                 let output_delta = standing
                     .plan
                     .maintain_returning(&mut standing.view, batch, ctx);
+                // A root-pointer copy: the published result shares every
+                // node with the view's working copy until the next commit
+                // path-copies the few it writes to.
                 let new_result = Arc::new(standing.view.result().clone());
                 if let Some(old_result) = views.get(name) {
                     previous.batch_cache.patch(
@@ -232,16 +274,22 @@ impl<K: Semiring> SharedDatabase<K> {
                 views.insert(name.clone(), new_result);
             }
             // Untouched views keep sharing their previous Arc'd result.
-        }
-        let db = Arc::new(db);
-        for (name, delta) in batch.iter() {
-            if let (Some(old), Some(new)) = (previous.db.get_shared(name), db.get_shared(name)) {
-                if !Arc::ptr_eq(&old, &new) {
-                    previous
-                        .batch_cache
-                        .patch(&old, &new, delta, previous.epoch + 1);
+            for (name, delta) in batch.iter() {
+                if let (Some(old), Some(new)) = (previous.db.get_shared(name), db.get_shared(name))
+                {
+                    if !Arc::ptr_eq(&old, &new) {
+                        previous
+                            .batch_cache
+                            .patch(&old, &new, delta, previous.epoch + 1);
+                    }
                 }
             }
+        }));
+        if let Err(panic) = maintained {
+            for standing in writer.views.values_mut().filter(|s| touched(s)) {
+                standing.view = standing.plan.materialize(&previous);
+            }
+            resume_unwind(panic);
         }
         let next = DbSnapshot {
             epoch: previous.epoch + 1,

@@ -262,3 +262,215 @@ fn delete_to_zero_commits_keep_patched_caches_exact() {
     assert!(last.database().get("S").unwrap().is_empty());
     assert!(last.database().get("T").unwrap().is_empty());
 }
+
+// --- long commit chains: coalesced patch lists ------------------------------
+
+use provsem_core::kernels::{Batch, BatchCache, BatchProvenance};
+use provsem_semiring::ring::DiffPair;
+use provsem_semiring::{Bool, Natural, Polynomial, Semiring};
+use std::sync::Arc;
+
+/// The cached batches of `relation`, folded back into a relation: the sum
+/// of every row of every batch (duplicates re-summed, cancelled pairs gone).
+fn folded<K: Semiring>(batches: &[Batch<K>], relation: &KRelation<K>) -> KRelation<K> {
+    let mut out = KRelation::empty(relation.schema().clone());
+    for batch in batches {
+        for (row, k) in batch.clone().into_rows() {
+            out.insert(Tuple::from_values(relation.schema(), row.into_vec()), k);
+        }
+    }
+    out
+}
+
+/// `⌈log₂ rows⌉ + 1`: the most delta batches the coalescing rule leaves for
+/// `rows` live delta rows (each batch at least twice its successor).
+fn tail_bound(rows: usize) -> usize {
+    match rows {
+        0 => 0,
+        rows => rows.next_power_of_two().trailing_zeros() as usize + 1,
+    }
+}
+
+fn scan_agreement<K: Semiring>(snapshot: &DbSnapshot<K>) {
+    let f = RaExpr::relation("F");
+    let pool = [
+        f.clone(),
+        f.clone().project(["v"]),
+        f.select(Predicate::eq_value("v", "w3")),
+    ];
+    for query in &pool {
+        let plan = Plan::new(query, &snapshot.catalog()).expect("pool queries are valid");
+        let batch = |threads| ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
+        let fresh = plan.execute_with(snapshot.database(), &batch(1));
+        assert!(fresh == plan.execute_with(snapshot, &batch(1)), "{query:?}");
+        assert!(fresh == plan.execute_with(snapshot, &batch(4)), "{query:?}");
+    }
+}
+
+/// 2 000 one-row commits into a cached `F(g, v)`: inserts of fresh rows,
+/// repeats of present ones and — where `cancel` gives an additive inverse —
+/// deletions of rows inserted earlier. After every commit the patched entry
+/// folds to exactly the relation and holds at most base + ⌈log₂ r⌉ + 1
+/// batches for its `r` live delta rows; every so often cached, patched
+/// scans (1 and 4 threads, live and held snapshots) equal fresh conversion.
+fn long_chain<K: Semiring>(weight: impl Fn(u32) -> K, cancel: Option<fn(&K) -> K>) {
+    let schema = Schema::new(["g", "v"]);
+    let row = |g: u32| {
+        let values = [Value::int(i64::from(g)), Value::str(format!("w{}", g % 7))];
+        Tuple::from_values(&schema, values)
+    };
+    let mut base = KRelation::empty(schema.clone());
+    for g in 0..300 {
+        base.insert(row(g), weight(g));
+    }
+    let shared = SharedDatabase::new(Database::new().with("F", base));
+    let first = shared.snapshot();
+    let (cache, epoch) = first.batch_cache().expect("snapshots carry the cache");
+    let base_batches = cache
+        .get_or_convert(epoch, &first.database().get_shared("F").unwrap())
+        .len();
+    let mut held = vec![first.clone()];
+    let mut inserted: Vec<(u32, K)> = Vec::new();
+    let mut state = 0x2545_f491u32;
+    for commit in 0..2000u32 {
+        state ^= state << 13;
+        state ^= state >> 17;
+        state ^= state << 5;
+        let mut batch = DeltaBatch::new();
+        match (cancel, state % 3) {
+            (Some(cancel), 0) if !inserted.is_empty() => {
+                let (g, k) = inserted.swap_remove(state as usize / 3 % inserted.len());
+                batch.insert("F", row(g), cancel(&k));
+            }
+            (_, 1) => batch.insert("F", row(state / 3 % 300), weight(commit)),
+            _ => {
+                let g = 1000 + commit;
+                inserted.push((g, weight(g)));
+                batch.insert("F", row(g), weight(g));
+            }
+        }
+        shared.commit(&batch);
+        let live = shared.snapshot();
+        let f = live.database().get_shared("F").unwrap();
+        let (batches, provenance) = cache.peek(&f).expect("a patched entry, never evicted");
+        assert_eq!(provenance, BatchProvenance::Patched(u64::from(commit) + 1));
+        assert!(
+            folded(&batches, &f) == *f,
+            "commit {commit}: fold != relation"
+        );
+        let tail = &batches[base_batches..];
+        let tail_rows: usize = tail.iter().map(Batch::live_rows).sum();
+        assert!(
+            tail.len() <= tail_bound(tail_rows),
+            "commit {commit}: {} delta batches for {tail_rows} live rows",
+            tail.len()
+        );
+        if commit % 250 == 0 {
+            held.push(live.clone());
+            held.iter().for_each(scan_agreement);
+        }
+    }
+    held.iter().for_each(scan_agreement);
+    // The live version never re-converted: one miss for the first
+    // conversion, one per held snapshot whose entry had moved on.
+    assert_eq!(cache.stats().misses, 1 + held.len() as u64);
+}
+
+#[test]
+fn long_commit_chains_keep_patched_entries_exact_and_short() {
+    long_chain(
+        |n| Integers::new(1 + i64::from(n % 3)),
+        Some(|k: &Integers| Integers::new(-k.value())),
+    );
+    long_chain(
+        |n| DiffPair::from_positive(Natural::from(1 + u64::from(n % 3))),
+        Some(|k: &DiffPair<Natural>| DiffPair::new(*k.negative(), *k.positive())),
+    );
+    long_chain(
+        |n| Polynomial::<Integers>::var(format!("x{}", n % 5)),
+        Some(|k: &Polynomial<Integers>| k.times(&Polynomial::constant(Integers::new(-1)))),
+    );
+    long_chain(|n| Natural::from(1 + u64::from(n % 3)), None);
+    long_chain(|_| Bool::from(true), None);
+}
+
+/// Insert-then-cancel churn appends more delta rows than the eviction rule
+/// allows (4 096 for a small base) without ever *holding* more than one:
+/// the entry is carried across every commit, never dropped and re-converted.
+#[test]
+fn cancelled_deltas_do_not_count_towards_eviction() {
+    let schema = Schema::new(["g"]);
+    let row = |g: i64| Tuple::from_values(&schema, [Value::int(g)]);
+    let mut base = KRelation::empty(schema.clone());
+    for g in 0..50 {
+        base.insert(row(g), Integers::new(1));
+    }
+    let shared = SharedDatabase::new(Database::new().with("F", base));
+    let first = shared.snapshot();
+    let (cache, epoch) = first.batch_cache().unwrap();
+    cache.get_or_convert(epoch, &first.database().get_shared("F").unwrap());
+    for round in 0..2200 {
+        for k in [1, -1] {
+            let mut batch = DeltaBatch::new();
+            batch.insert("F", row(1000 + round % 3), Integers::new(k));
+            shared.commit(&batch);
+        }
+    }
+    let last = shared.snapshot();
+    let f = last.database().get_shared("F").unwrap();
+    let (batches, provenance) = cache.peek(&f).expect("not evicted");
+    assert_eq!(provenance, BatchProvenance::Patched(4400));
+    assert_eq!(
+        batches.len(),
+        1,
+        "every delta cancelled: only the base is left"
+    );
+    assert_eq!(cache.stats().misses, 1);
+}
+
+/// A panic while the cache's lock is held (here: ℤ overflowing as `patch`
+/// re-sums two deltas of one row) must not take the cache down: the entry
+/// being patched is gone, everything else — from any thread — still works.
+#[test]
+fn a_panic_inside_patch_leaves_the_cache_usable() {
+    let schema = Schema::new(["g"]);
+    let row = |g: i64| Tuple::from_values(&schema, [Value::int(g)]);
+    let version = |pairs: &[(i64, i64)]| {
+        let pairs = pairs.iter().map(|&(g, k)| (row(g), Integers::new(k)));
+        Arc::new(KRelation::from_tuples(schema.clone(), pairs))
+    };
+    let cache: BatchCache<Integers> = BatchCache::new();
+    let other = version(&[(7, 7)]);
+    cache.get_or_convert(0, &other);
+    // v0 —(+MAX at g=1)→ v1 —(+MAX at g=1 again)→ v2: the relation itself
+    // never holds the sum (v2 is made up), but the coalescing merge adds the
+    // two delta rows.
+    let (v0, v1, v2) = (
+        version(&[(0, 1)]),
+        version(&[(0, 1), (1, i64::MAX)]),
+        version(&[(0, 1)]),
+    );
+    let delta = KRelation::from_tuples(schema.clone(), [(row(1), Integers::new(i64::MAX))]);
+    cache.get_or_convert(0, &v0);
+    cache.patch(&v0, &v1, &delta, 1);
+    assert!(cache.peek(&v1).is_some());
+    let patched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        cache.patch(&v1, &v2, &delta, 2);
+    }));
+    assert!(patched.is_err(), "the merge overflows i64");
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                // The half-patched entry is absent, not torn: the scan
+                // re-converts. The bystander entry still hits.
+                assert!(cache.peek(&v1).is_none() && cache.peek(&v2).is_none());
+                let batches = cache.get_or_convert(2, &v2);
+                assert!(folded(&batches, &v2) == *v2);
+                let hits = cache.stats().hits;
+                cache.get_or_convert(2, &other);
+                assert_eq!(cache.stats().hits, hits + 1);
+            })
+            .join()
+            .expect("the cache survives a poisoned lock");
+    });
+}

@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use provsem_core::plan::{DeltaBatch, ExecContext, Plan};
 use provsem_core::prelude::*;
 use provsem_semiring::ring::Integers;
+use provsem_semiring::Semiring;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -140,4 +141,269 @@ proptest! {
             prop_assert_eq!(view, reference.view("Q").unwrap());
         }
     }
+}
+
+// --- a failed commit is invisible -------------------------------------------
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Asserts two shared databases are indistinguishable: epoch, every base
+/// relation, every standing view — and every view equals recomputing its
+/// definition, so a view whose *hidden* maintenance state had run ahead
+/// shows up at the latest one commit later.
+fn assert_same_state<K: Semiring>(
+    got: &SharedDatabase<K>,
+    want: &SharedDatabase<K>,
+    views: &[(String, RaExpr)],
+) {
+    let (got, want) = (got.snapshot(), want.snapshot());
+    assert_eq!(got.epoch(), want.epoch());
+    assert!(got.database() == want.database(), "databases differ");
+    assert!(got.view_names().eq(want.view_names()));
+    for (name, expr) in views {
+        let view = got.view(name).expect("registered");
+        assert!(
+            view == want.view(name).expect("registered"),
+            "{name} differs"
+        );
+        let plan = Plan::new(expr, &got.catalog()).unwrap();
+        assert!(
+            view == &plan.execute_with(&got, &ExecContext::serial()),
+            "{name} != recompute"
+        );
+    }
+}
+
+/// The scenario any ℤ client can trigger: `A = R` absorbs a delta, then
+/// `B = project[b] R` overflows summing it. Before the fix the epoch stayed
+/// put but `A`'s maintenance state kept the row, and the next successful
+/// commit published an `A` with a tuple `R` never had.
+#[test]
+fn a_panic_in_view_maintenance_leaves_no_trace() {
+    let views = vec![
+        ("A".to_string(), RaExpr::relation("R")),
+        ("B".to_string(), RaExpr::relation("R").project(["b"])),
+    ];
+    let row = |a: &str, b: &str, k: i64| {
+        let mut batch = DeltaBatch::new();
+        batch.insert("R", Tuple::new([("a", a), ("b", b)]), Integers::new(k));
+        batch
+    };
+    let fresh = || {
+        let empty = KRelation::empty(Schema::new(["a", "b"]));
+        let shared = SharedDatabase::new(Database::new().with("R", empty));
+        for (name, expr) in &views {
+            shared.register_view(name.clone(), expr).unwrap();
+        }
+        shared
+    };
+    let (faulty, reference) = (fresh(), fresh());
+    for shared in [&faulty, &reference] {
+        shared.commit(&row("1", "x", i64::MAX - 1));
+    }
+    let held = faulty.snapshot();
+    let bad = row("2", "x", 5);
+    let outcome = catch_unwind(AssertUnwindSafe(|| faulty.commit(&bad)));
+    assert!(outcome.is_err(), "B's sum overflows i64");
+    assert_same_state(&faulty, &reference, &views);
+    assert_eq!(faulty.snapshot().epoch(), held.epoch());
+    // The commit after the failed one is the reference's next commit.
+    for shared in [&faulty, &reference] {
+        assert_eq!(shared.commit(&row("3", "y", 1)), held.epoch() + 1);
+    }
+    assert_same_state(&faulty, &reference, &views);
+    let now = faulty.snapshot();
+    assert_eq!(now.database().get("R").unwrap().len(), 2);
+    assert_eq!(now.view("A").unwrap().len(), 2);
+}
+
+/// ℤ-like arithmetic with one value no sum may absorb: adding [`MARKED`] to
+/// anything but zero panics. Inserting it as a *new* tuple is fine, so a
+/// batch can carry it through the base relation and into exactly the view
+/// whose result already has the tuple it lands on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Tripwire(i64);
+
+const MARKED: i64 = 1 << 40;
+
+impl Semiring for Tripwire {
+    fn zero() -> Self {
+        Tripwire(0)
+    }
+    fn one() -> Self {
+        Tripwire(1)
+    }
+    fn plus(&self, other: &Self) -> Self {
+        let tripped = (self.0 == MARKED && other.0 != 0) || (other.0 == MARKED && self.0 != 0);
+        assert!(!tripped, "tripwire: a sum met the marked value");
+        Tripwire(self.0 + other.0)
+    }
+    fn times(&self, other: &Self) -> Self {
+        Tripwire(self.0 * other.0)
+    }
+}
+
+/// `n` views `V_i = project[a] select[a = 'k_i'] R`, maintained in name
+/// order; every batch adds one fresh `R(k_i, b)` row per view, so every view
+/// sums into its single result row on every commit.
+fn tripwire_batch(n: usize, b: &str, marked_at: Option<usize>) -> DeltaBatch<Tripwire> {
+    let mut batch = DeltaBatch::new();
+    for i in 0..n {
+        let k = if marked_at == Some(i) { MARKED } else { 1 };
+        let tuple = Tuple::new([("a", format!("k{i}")), ("b", b.to_string())]);
+        batch.insert("R", tuple, Tripwire(k));
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The panic strikes while maintaining view `k` of `n`: views before it
+    /// have already absorbed the batch, views after it have not. Either way
+    /// the run must equal one in which the batch was never sent — now, and
+    /// after further commits.
+    #[test]
+    fn a_panic_at_any_view_equals_a_rejected_batch(
+        n in 1usize..7,
+        k in 0usize..7,
+        before in 1usize..4,
+        after in 1usize..4,
+    ) {
+        let k = k % n;
+        let views: Vec<(String, RaExpr)> = (0..n)
+            .map(|i| {
+                let expr = RaExpr::relation("R")
+                    .select(Predicate::eq_value("a", format!("k{i}")))
+                    .project(["a"]);
+                (format!("V{i}"), expr)
+            })
+            .collect();
+        let fresh = || {
+            let empty = KRelation::empty(Schema::new(["a", "b"]));
+            let shared = SharedDatabase::new(Database::new().with("R", empty));
+            for (name, expr) in &views {
+                shared.register_view(name.clone(), expr).unwrap();
+            }
+            shared
+        };
+        let (faulty, reference) = (fresh(), fresh());
+        for round in 0..before {
+            let batch = tripwire_batch(n, &format!("before{round}"), None);
+            faulty.commit(&batch);
+            reference.commit(&batch);
+        }
+        let bad = tripwire_batch(n, "bad", Some(k));
+        let outcome = catch_unwind(AssertUnwindSafe(|| faulty.commit(&bad)));
+        prop_assert!(outcome.is_err(), "view {} of {} trips", k, n);
+        assert_same_state(&faulty, &reference, &views);
+        for round in 0..after {
+            let batch = tripwire_batch(n, &format!("after{round}"), None);
+            prop_assert_eq!(faulty.commit(&batch), reference.commit(&batch));
+            assert_same_state(&faulty, &reference, &views);
+        }
+    }
+}
+
+// --- what a commit copies is counted, not timed -----------------------------
+
+/// `F(g, v)` with `rows` rows over 1 000 tags, the dimension `D(t, label)`
+/// and a small `R(a, b)` — the query service benchmark's shape — under
+/// three standing views, two over `F` and one that never sees it.
+fn star_db(rows: i64) -> (SharedDatabase<Integers>, Schema) {
+    let f_schema = Schema::new(["g", "v"]);
+    let f = KRelation::from_sorted_support(
+        f_schema.clone(),
+        (0..rows).map(|g| {
+            let row = [Value::int(g), Value::str(format!("w{}", g % 1000))];
+            (Tuple::from_values(&f_schema, row), Integers::new(1 + g % 3))
+        }),
+    );
+    let mut d = KRelation::empty(Schema::new(["t", "label"]));
+    for t in 0..1000 {
+        let row = [("t", format!("w{t}")), ("label", format!("k{}", t % 10))];
+        d.insert(Tuple::new(row), Integers::new(1));
+    }
+    let mut r = KRelation::empty(Schema::new(["a", "b"]));
+    for a in 0..30 {
+        let row = [("a", format!("a{a}")), ("b", format!("b{}", a % 3))];
+        r.insert(Tuple::new(row), Integers::new(1));
+    }
+    let shared = SharedDatabase::new(Database::new().with("F", f).with("D", d).with("R", r));
+    let f = RaExpr::relation("F");
+    let d_by_v = RaExpr::relation("D").rename(Renaming::new([("t", "v")]));
+    shared
+        .register_view("Vtag", &f.clone().project(["v"]))
+        .unwrap();
+    shared
+        .register_view("Vjoin", &f.join(d_by_v).project(["label"]))
+        .unwrap();
+    shared
+        .register_view("Vsmall", &RaExpr::relation("R").project(["a"]))
+        .unwrap();
+    (shared, f_schema)
+}
+
+/// A one-row commit copies one root-to-leaf path of the touched relation
+/// and of each touched view result — at most height × capacity tuples,
+/// the same few hundred at 10⁴ and at 10⁵ rows — and nothing of what it did
+/// not touch. (`entries_not_shared_with` is ROADMAP's
+/// `snapshot.rows_copied_per_row_changed`, read from inside.)
+#[test]
+fn a_one_row_commit_copies_a_path_not_the_relation() {
+    use provsem_core::relation::NODE_CAPACITY;
+    let mut copied_by_size = Vec::new();
+    for rows in [10_000i64, 100_000] {
+        let (shared, f_schema) = star_db(rows);
+        let before = shared.snapshot();
+        let mut batch = DeltaBatch::new();
+        // Mid-relation, beside the existing (rows / 2, "w0").
+        let new_row = [Value::int(rows / 2), Value::str("w7")];
+        batch.insert(
+            "F",
+            Tuple::from_values(&f_schema, new_row),
+            Integers::new(2),
+        );
+        shared.commit_with(&batch, &ExecContext::serial());
+        let after = shared.snapshot();
+
+        let mut copied = Vec::new();
+        let f_new = after.database().get("F").unwrap();
+        let height = f_new.check_invariants().height;
+        assert_eq!(f_new.len() as i64, rows + 1);
+        copied.push(f_new.entries_not_shared_with(before.database().get("F").unwrap()));
+        assert!(copied[0] >= 1 && copied[0] <= height * NODE_CAPACITY);
+        for name in ["Vtag", "Vjoin"] {
+            let (new, old) = (after.view(name).unwrap(), before.view(name).unwrap());
+            assert!(new != old, "{name} saw the row");
+            let height = new.check_invariants().height;
+            let n = new.entries_not_shared_with(old);
+            assert!(n >= 1 && n <= height * NODE_CAPACITY, "{name} copied {n}");
+            copied.push(n);
+        }
+        // Untouched relations and views are the same allocation.
+        for name in ["D", "R"] {
+            let (old, new) = (
+                before.database().get_shared(name),
+                after.database().get_shared(name),
+            );
+            assert!(
+                std::sync::Arc::ptr_eq(&old.unwrap(), &new.unwrap()),
+                "{name}"
+            );
+        }
+        let (old, new) = (before.view_shared("Vsmall"), after.view_shared("Vsmall"));
+        assert!(std::sync::Arc::ptr_eq(&old.unwrap(), &new.unwrap()));
+        // The superseded version is intact and still whole.
+        assert_eq!(before.database().get("F").unwrap().len() as i64, rows);
+        copied_by_size.push((height, copied));
+    }
+    // Ten times the rows, the same bound: the trees here have equal height,
+    // so the bound is literally the same number.
+    let [(small_height, small), (large_height, large)] = copied_by_size.as_slice() else {
+        unreachable!("two sizes")
+    };
+    assert_eq!(small_height, large_height);
+    assert!(large.iter().sum::<usize>() <= 3 * large_height * NODE_CAPACITY);
+    assert!(small.iter().sum::<usize>() <= 3 * small_height * NODE_CAPACITY);
 }

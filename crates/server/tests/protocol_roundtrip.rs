@@ -223,6 +223,82 @@ fn pinned_sessions_get_repeatable_reads() {
     assert!(reader.handle_line("READ R").render().contains("(8, 'v')@1"));
 }
 
+/// Versions share tree nodes and annotation columns; a pinned session reads
+/// an old version while 1 000 commits split, merge and delete around it —
+/// rows the pin can see included. Its replies must not change by a byte.
+#[test]
+fn a_pin_survives_a_thousand_commits_into_what_it_reads() {
+    let schema = Schema::new(["a", "b"]);
+    let rows = (0..400i64).map(|a| {
+        let values = [Value::Int(a * 10), Value::from(format!("t{}", a % 5))];
+        (
+            Tuple::from_values(&schema, values),
+            Integers::new(1 + a % 3),
+        )
+    });
+    let r = KRelation::from_tuples(schema.clone(), rows);
+    let service = Service::new(Database::new().with("R", r));
+    let mut reader = service.session();
+    let mut writer = service.session();
+    assert_eq!(
+        writer.handle_line("DEFINE v = project[b] R").render(),
+        "ok defined v epoch=1"
+    );
+    assert_eq!(reader.handle_line("PIN").render(), "ok pinned 1");
+    let requests = [
+        "READ R",
+        "QUERY R",
+        "QUERY project[b] R",
+        "QUERY select[b = 't3'] R",
+        "QUERY select[a = 1230] R",
+        "VIEW v",
+    ];
+    let ask = |session: &mut Session<Integers>| -> Vec<String> {
+        requests
+            .iter()
+            .map(|line| session.handle_line(line).render())
+            .collect()
+    };
+    let before = ask(&mut reader);
+    assert!(before
+        .iter()
+        .all(|reply| reply.starts_with("ok rows epoch=1 ")));
+    for i in 0..1000i64 {
+        let line = match i % 4 {
+            // Delete a row the pin can see (all 400 go in the end)...
+            0 | 1 => {
+                let a = (i / 4 * 2 + i % 4) % 400;
+                format!("COMMIT R({}, 't{}')={}", a * 10, a % 5, -(1 + a % 3))
+            }
+            // ...insert between and beyond the pinned rows...
+            2 => format!("COMMIT R({}, 't{}')=2", i * 7 + 1, i % 5),
+            // ...and change a count in place, down to zero now and then.
+            _ => format!(
+                "COMMIT R({}, 't{}')={}",
+                (i - 1) * 7 + 1,
+                (i - 1) % 5,
+                i % 3 - 2
+            ),
+        };
+        let reply = writer.handle_line(&line).render();
+        assert_eq!(reply, format!("ok committed epoch={} changes=1", i + 2));
+        if i % 100 == 0 {
+            assert_eq!(ask(&mut reader), before, "after commit {i}");
+        }
+    }
+    assert_eq!(ask(&mut reader), before);
+    assert_eq!(reader.handle_line("EPOCH").render(), "ok epoch 1");
+    // The head moved on, and the view with it.
+    let head = ask(&mut writer);
+    assert!(head
+        .iter()
+        .all(|reply| reply.starts_with("ok rows epoch=1001 ")));
+    assert_ne!(head, before);
+    assert_eq!(head[2], head[5], "the view equals recomputing it");
+    assert_eq!(reader.handle_line("UNPIN").render(), "ok unpinned 1001");
+    assert_eq!(ask(&mut reader), head);
+}
+
 #[test]
 fn standing_views_over_the_wire() {
     let handle = serve(Service::new(z_db()), "127.0.0.1:0").unwrap();
