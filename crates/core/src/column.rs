@@ -43,6 +43,53 @@
 //! interning time, so the per-row kernel is a table lookup). Grouping and
 //! join matching verify candidates with exact typed comparisons
 //! (`columns_rows_equal`), so hash collisions are harmless.
+//!
+//! # The key table
+//!
+//! Grouping ([`group_batches`]: pre-join aggregation, the root merge,
+//! [`BatchCache::patch`]'s coalescing, IVM's aggregate rule) and the hash
+//! join (`plan::batch::join_batches`, both sides) map rows to dense *key
+//! ids* through one helper, `KeyIndex`, over one flat table, `KeyTable`:
+//!
+//! * **Layout.** One `u32` slot array (`id + 1`, `0` = empty, power-of-two
+//!   length, linear probing) and, per id, the 64-bit hash it was inserted
+//!   under and its first row. Ids are handed out in first-occurrence order
+//!   and never move, so `Grouped::reps` and a join's per-key chains
+//!   (`KeyChains`: one counting sort into two flat arrays, rows of a key in
+//!   build-stream order) come out in stream order by construction. Nothing
+//!   is allocated per key.
+//! * **Why high bits.** A slot index is the *high* bits of the hash times an
+//!   odd constant. [`hash_combine`] ends in a multiplication, so the low bits
+//!   of a key hash depend on the low bits of its inputs only — its worst
+//!   bits — and the exchange has already spent them (`hash % threads`: inside
+//!   a partition every key agrees on them). The high bits of one more
+//!   product depend on every bit below them.
+//! * **Verification rule.** A slot is first compared on its stored hash;
+//!   every hash-equal hit is then verified with `columns_rows_equal` against
+//!   the id's first row. The table never decides equality — colliding keys
+//!   cost probes, never results (`key_table_tests` injects hashes to pin it).
+//! * **Growth.** At load ½ the slot array doubles and the stored hashes are
+//!   re-placed; no column is read again. The table starts at 16 slots
+//!   whatever the input, so a three-row delta merge pays for three rows.
+//!
+//! # The code-domain path
+//!
+//! When the key is one [`Column::Str`], equal codes under one dictionary are
+//! equal keys, so the index keeps a `code → id` memo for the dictionary at
+//! hand and asks the table once per *distinct code*: the hash is
+//! `hash_combine(HASH_SEED, dict.hashes[code])`, no per-row hash vector is
+//! built, and every other row costs one array read. The memo survives across
+//! consecutive batches whose dictionary is the same `Arc` (a scan's batches)
+//! and is reset when the dictionary changes (a commit-patched scan is the
+//! conversion's batches under one dictionary, then delta batches under
+//! theirs — each run gets its own memo, and rows of different runs still
+//! meet in the table, whose hashes are content-based). **When:** a batch
+//! takes this path if its key is one dictionary column and the run of
+//! consecutive batches sharing that dictionary holds at least as many live
+//! rows as the dictionary has codes (`code_domain_runs`) — a comparison of
+//! two sizes of the input, so a memo is never larger than the rows it serves.
+//! Everything else — `I64` and `Val` keys, multi-column keys, a few rows
+//! under a large dictionary — hashes per row and goes to the table directly.
 
 use crate::relation::KRelation;
 use crate::schema::Schema;
@@ -187,9 +234,8 @@ impl Column {
 
     /// Does the value at `row` equal `v`? Typed fast paths: on a
     /// dictionary column the constant is resolved to a code by the caller
-    /// (the predicate-mask kernel does); this method is the per-row
-    /// fallback, also used by the datalog batch engine to validate probe
-    /// candidates.
+    /// (the σ kernel does); this method is the per-row fallback, also used
+    /// when a `Val` column meets a typed one in [`column_values_equal`].
     pub fn value_eq_at(&self, row: u32, v: &Value) -> bool {
         match (self, v) {
             (Column::I64(col), Value::Int(x)) => col[row as usize] == *x,
@@ -306,6 +352,16 @@ pub fn hash_combine(h: u64, v: u64) -> u64 {
 /// Seed of an empty row hash (zero key columns hash every row equal, which
 /// is what makes zero-arity grouping collapse to a single group).
 pub const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Content hashes of the key columns of `len` rows, one per row — columns
+/// iterate outer, rows inner.
+fn key_hashes(columns: &[Column], keys: &[usize], len: usize) -> Vec<u64> {
+    let mut hashes = vec![HASH_SEED; len];
+    for &key in keys {
+        columns[key].hash_into(&mut hashes);
+    }
+    hashes
+}
 
 // --- column building -------------------------------------------------------
 
@@ -573,6 +629,16 @@ impl<K: Semiring> Batch<K> {
         });
     }
 
+    /// Installs `sel` — the surviving physical rows, strictly increasing —
+    /// as the selection vector of a batch whose every row is alive: σ's
+    /// one-pass form, for a comparison that emits rows instead of a mask.
+    pub(crate) fn select(&mut self, sel: Vec<u32>) {
+        debug_assert_eq!(self.live_rows(), self.len);
+        debug_assert!(sel.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(!sel.last().is_some_and(|&r| r as usize >= self.len));
+        self.sel = Some(sel);
+    }
+
     /// Replaces the column list with a permutation/subset of itself — the
     /// π/ρ kernel. Pure `Arc` moves; no data is copied.
     pub fn permute_columns(&mut self, perm: &[usize]) {
@@ -617,11 +683,7 @@ impl<K: Semiring> Batch<K> {
             self.sel.is_none(),
             "hash kernels run on materialized batches"
         );
-        let mut hashes = vec![HASH_SEED; self.len];
-        for &key in keys {
-            self.columns[key].hash_into(&mut hashes);
-        }
-        hashes
+        key_hashes(&self.columns, keys, self.len)
     }
 
     /// Splits a materialized batch into `parts` sub-batches by an
@@ -989,12 +1051,312 @@ impl<K: Semiring> BatchCache<K> {
     }
 }
 
+// --- the key table ----------------------------------------------------------
+
+/// The key id of a row whose key is absent, in a lookup that does not insert.
+pub(crate) const NO_KEY: u32 = u32::MAX - 1;
+
+/// Memo entry of a dictionary code the table has not been asked about yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// A flat open-addressing table from 64-bit key hashes to dense ids
+/// (`0, 1, 2, …` in insertion order): one `u32` slot array, linear probing,
+/// and each entry's full hash kept beside it, so a slot is rejected on its
+/// hash before the caller's `eq` touches a column. `eq` is the exact key
+/// comparison and runs on every hash-equal hit — the table never decides
+/// equality, so collisions cost probes and nothing else.
+///
+/// A slot index is the **high** bits of one more multiplicative mix of the
+/// hash: [`hash_combine`] ends in a multiplication, whose low bits depend on
+/// the low bits of its inputs only, and the exchange has already spent them
+/// (`hash % parts` — within a partition every key agrees on them).
+///
+/// Growth doubles the slot array at load ½ and re-places the stored hashes;
+/// ids, and with them first-occurrence order, never move. Nothing is
+/// allocated per key.
+struct KeyTable {
+    /// `id + 1`, or `0` for an empty slot. The length is a power of two.
+    slots: Vec<u32>,
+    /// `64 − log₂(slots.len())`.
+    shift: u32,
+    /// Per id, the hash it was inserted under.
+    hashes: Vec<u64>,
+}
+
+impl KeyTable {
+    fn new() -> KeyTable {
+        KeyTable {
+            slots: vec![0; 16],
+            shift: 60,
+            hashes: Vec::new(),
+        }
+    }
+
+    fn home(&self, hash: u64) -> usize {
+        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// Walks `hash`'s probe sequence: the id of the first entry with this
+    /// hash that `eq` accepts, or the empty slot that ends the walk.
+    fn probe(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                occupied => {
+                    let id = occupied - 1;
+                    if self.hashes[id as usize] == hash && eq(id) {
+                        return Ok(id);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        self.probe(hash, eq).ok()
+    }
+
+    /// The id of the entry `eq` accepts, or of a new entry; and whether it
+    /// is new.
+    fn find_or_insert(&mut self, hash: u64, eq: impl FnMut(u32) -> bool) -> (u32, bool) {
+        let slot = match self.probe(hash, eq) {
+            Ok(id) => return (id, false),
+            Err(slot) => slot,
+        };
+        let id = self.hashes.len() as u32;
+        self.hashes.push(hash);
+        if self.hashes.len() * 2 > self.slots.len() {
+            self.grow();
+        } else {
+            self.slots[slot] = id + 1;
+        }
+        (id, true)
+    }
+
+    /// Doubles the slot array and re-places every stored hash in id order.
+    fn grow(&mut self) {
+        self.slots = vec![0; self.slots.len() * 2];
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = self.home(hash);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id as u32 + 1;
+        }
+    }
+}
+
+/// The rows of one materialized batch, as a [`KeyIndex`] sees them.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyRows<'a> {
+    /// The batch's columns.
+    pub cols: &'a [Column],
+    /// Its key columns.
+    pub keys: &'a [usize],
+    /// Its row count.
+    pub len: usize,
+    /// What [`code_domain_runs`] said of this batch.
+    pub code_domain: bool,
+}
+
+/// The when-rule of the code-domain path, per batch of one kernel call: the
+/// key is one dictionary column, and the consecutive batches sharing that
+/// dictionary hold at least as many live rows as it has codes — so a memo is
+/// never larger than the rows it serves (a 3-row delta batch under a
+/// 65 536-entry dictionary goes to the table row by row).
+pub(crate) fn code_domain_runs<K: Semiring>(batches: &[Batch<K>], keys: &[usize]) -> Vec<bool> {
+    let mut out = vec![false; batches.len()];
+    let &[key] = keys else { return out };
+    let mut start = 0;
+    while start < batches.len() {
+        let Column::Str { dict, .. } = &batches[start].columns[key] else {
+            start += 1;
+            continue;
+        };
+        let run = batches[start..]
+            .iter()
+            .take_while(
+                |b| matches!(&b.columns[key], Column::Str { dict: d, .. } if Arc::ptr_eq(d, dict)),
+            )
+            .count();
+        let rows: usize = batches[start..start + run]
+            .iter()
+            .map(Batch::live_rows)
+            .sum();
+        out[start..start + run].fill(rows >= dict.len());
+        start += run;
+    }
+    out
+}
+
+/// Dense ids for the distinct keys of a row stream — the one helper under
+/// the grouping kernel and both sides of the hash join: a [`KeyTable`] over
+/// content hashes, each id's first row (its *representative*, which every
+/// later hit is verified against with [`columns_rows_equal`]), and in front
+/// of the table the **code-domain memo**: when the key is one
+/// dictionary-encoded column, `code → id` for the dictionary at hand, so the
+/// table is asked once per distinct code and every other row costs one array
+/// read (the hash is then `hash_combine(HASH_SEED, dict.hashes[code])` — what
+/// the hash kernel computes per row — and no per-row hash vector exists).
+/// The memo is kept across consecutive batches whose dictionary is the same
+/// `Arc` and reset when it changes; whether a batch uses it at all is
+/// [`code_domain_runs`]'s call.
+pub(crate) struct KeyIndex {
+    table: KeyTable,
+    /// Per id, the `(batch, row)` that introduced it.
+    reps: Vec<(u32, u32)>,
+    memo: Vec<u32>,
+    memo_dict: Option<Arc<StrDict>>,
+}
+
+impl KeyIndex {
+    pub(crate) fn new() -> KeyIndex {
+        KeyIndex {
+            table: KeyTable::new(),
+            reps: Vec::new(),
+            memo: Vec::new(),
+            memo_dict: None,
+        }
+    }
+
+    /// Number of distinct keys inserted so far.
+    pub(crate) fn len(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// One representative `(batch, row)` per id, in first-occurrence order.
+    pub(crate) fn into_reps(self) -> Vec<(u32, u32)> {
+        self.reps
+    }
+
+    /// Appends the key id of every row of `rows` to `out`. Representatives
+    /// live in `stored` (batch-indexed column lists) under `stored_keys`,
+    /// paired positionally with `rows.keys`. With `insert_as = Some(b)` —
+    /// `rows` being batch `b` of `stored` — a key not seen before gets the
+    /// next id; with `None` it reads as [`NO_KEY`] and nothing is inserted
+    /// (do not insert again afterwards: the memo may hold such answers).
+    pub(crate) fn assign<S: AsRef<[Column]>>(
+        &mut self,
+        rows: KeyRows<'_>,
+        stored: &[S],
+        stored_keys: &[usize],
+        insert_as: Option<u32>,
+        out: &mut Vec<u32>,
+    ) {
+        out.reserve(rows.len);
+        if !rows.code_domain {
+            for (row, &hash) in key_hashes(rows.cols, rows.keys, rows.len)
+                .iter()
+                .enumerate()
+            {
+                out.push(self.resolve(hash, row as u32, rows, stored, stored_keys, insert_as));
+            }
+            return;
+        }
+        let Column::Str { dict, codes } = &rows.cols[rows.keys[0]] else {
+            unreachable!("code_domain_runs only flags dictionary keys")
+        };
+        if !matches!(&self.memo_dict, Some(d) if Arc::ptr_eq(d, dict)) {
+            self.memo.clear();
+            self.memo.resize(dict.len(), UNSEEN);
+            self.memo_dict = Some(dict.clone());
+        }
+        for (row, &code) in codes.iter().enumerate() {
+            let mut id = self.memo[code as usize];
+            if id == UNSEEN {
+                let hash = hash_combine(HASH_SEED, dict.hashes[code as usize]);
+                id = self.resolve(hash, row as u32, rows, stored, stored_keys, insert_as);
+                self.memo[code as usize] = id;
+            }
+            out.push(id);
+        }
+    }
+
+    /// One row through the table, verified against representatives.
+    #[inline]
+    fn resolve<S: AsRef<[Column]>>(
+        &mut self,
+        hash: u64,
+        row: u32,
+        rows: KeyRows<'_>,
+        stored: &[S],
+        stored_keys: &[usize],
+        insert_as: Option<u32>,
+    ) -> u32 {
+        let reps = &self.reps;
+        let eq = |id: u32| {
+            let (b, r) = reps[id as usize];
+            let rep_cols = stored[b as usize].as_ref();
+            columns_rows_equal(rows.cols, row, rows.keys, rep_cols, r, stored_keys)
+        };
+        match insert_as {
+            Some(batch) => {
+                let (id, new) = self.table.find_or_insert(hash, eq);
+                if new {
+                    self.reps.push((batch, row));
+                }
+                id
+            }
+            None => self.table.find(hash, eq).unwrap_or(NO_KEY),
+        }
+    }
+}
+
+/// Per key id, the rows that carry it, in stream order — a hash join's build
+/// side. One counting sort of the ids [`KeyIndex::assign`] produced: two flat
+/// arrays, no list per key.
+pub(crate) struct KeyChains {
+    /// Chain `id` is `rows[starts[id]..starts[id + 1]]`.
+    starts: Vec<u32>,
+    rows: Vec<(u32, u32)>,
+}
+
+impl KeyChains {
+    /// `key_of` holds one id `< n_keys` per row, batch after batch;
+    /// `batch_lens` the row count of each batch.
+    pub(crate) fn new(
+        n_keys: usize,
+        key_of: &[u32],
+        batch_lens: impl Iterator<Item = usize>,
+    ) -> KeyChains {
+        let mut starts = vec![0u32; n_keys + 1];
+        for &id in key_of {
+            starts[id as usize + 1] += 1;
+        }
+        for id in 0..n_keys {
+            starts[id + 1] += starts[id];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![(0, 0); key_of.len()];
+        let mut ids = key_of.iter();
+        for (batch, len) in batch_lens.enumerate() {
+            for (row, &id) in ids.by_ref().take(len).enumerate() {
+                rows[next[id as usize] as usize] = (batch as u32, row as u32);
+                next[id as usize] += 1;
+            }
+        }
+        KeyChains { starts, rows }
+    }
+
+    /// The rows of key `id`, in stream order.
+    pub(crate) fn of(&self, id: u32) -> &[(u32, u32)] {
+        let id = id as usize;
+        &self.rows[self.starts[id] as usize..self.starts[id + 1] as usize]
+    }
+}
+
 // --- grouping --------------------------------------------------------------
 
 /// A hash-grouping of the live rows of many batches by key columns: groups
 /// appear in first-occurrence (stream) order, keyed by content hash with
 /// exact verification — the shared kernel under pre-join duplicate
-/// aggregation, the root merge, and the hash-join build side.
+/// aggregation, the root merge, cache-patch coalescing and IVM's aggregate
+/// rule.
 pub struct Grouped<K> {
     /// Per-batch materialized columns (sources for gathering).
     pub sources: Vec<Vec<Column>>,
@@ -1009,55 +1371,40 @@ pub struct Grouped<K> {
 /// annotations of equal-key rows in stream order. With `keys` spanning the
 /// whole row this is exactly the row engine's duplicate aggregation.
 ///
-/// Two passes: every row is assigned its group's id, then the semiring sums
-/// all groups in one call ([`Semiring::sum_groups`]) — which is what lets
+/// Two passes: every row is assigned its group's id (through the key table,
+/// or per dictionary code — see the module docs), then the semiring sums all
+/// groups in one call ([`Semiring::sum_groups`]) — which is what lets
 /// provenance circuits build one node per group instead of one per row.
 pub fn group_batches<K: Semiring>(batches: Vec<Batch<K>>, keys: &[usize]) -> Grouped<K> {
+    let code_domain = code_domain_runs(&batches, keys);
     let mut sources: Vec<Vec<Column>> = Vec::with_capacity(batches.len());
-    let mut reps: Vec<(u32, u32)> = Vec::new();
+    let mut index = KeyIndex::new();
     // Per live row, in stream order: its group and its annotation. Sized
     // once — regrowing row-sized buffers batch by batch costs more than
     // summing them.
     let total_rows: usize = batches.iter().map(Batch::live_rows).sum();
     let mut group_of: Vec<u32> = Vec::with_capacity(total_rows);
     let mut anns: Vec<K> = Vec::new();
-    // hash → group ids with that hash (collisions verified exactly).
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for batch in batches {
-        let batch = batch.materialize();
-        let hashes = batch.key_hashes(keys);
-        let (len, columns, batch_anns) = batch.into_parts();
+    for (bidx, batch) in batches.into_iter().enumerate() {
+        let (len, columns, batch_anns) = batch.materialize().into_parts();
         debug_assert_eq!(len, batch_anns.len());
-        let bidx = sources.len() as u32;
-        table.reserve(len);
-        for (row, &h) in hashes.iter().enumerate() {
-            let candidates = table.entry(h).or_default();
-            let found = candidates.iter().copied().find(|&g| {
-                let (rb, rr) = reps[g as usize];
-                let rep_cols: &[Column] = if rb == bidx {
-                    &columns
-                } else {
-                    &sources[rb as usize]
-                };
-                columns_rows_equal(&columns, row as u32, keys, rep_cols, rr, keys)
-            });
-            group_of.push(found.unwrap_or_else(|| {
-                let g = reps.len() as u32;
-                reps.push((bidx, row as u32));
-                candidates.push(g);
-                g
-            }));
-        }
+        sources.push(columns);
+        let rows = KeyRows {
+            cols: &sources[bidx],
+            keys,
+            len,
+            code_domain: code_domain[bidx],
+        };
+        index.assign(rows, &sources, keys, Some(bidx as u32), &mut group_of);
         if anns.is_empty() {
-            // A lone batch (the datalog round merge hands over millions of
-            // rows as one) gives up its annotation vector: no second copy.
+            // A lone batch gives up its annotation vector: no second copy.
             anns = batch_anns;
             anns.reserve_exact(total_rows - len);
         } else {
             anns.extend(batch_anns);
         }
-        sources.push(columns);
     }
+    let reps = index.into_reps();
     Grouped {
         sources,
         anns: K::sum_groups(reps.len(), &group_of, anns),
@@ -1197,4 +1544,124 @@ fn canonical_order(columns: &[Column], len: usize) -> Vec<u32> {
         })
     });
     rows.into_iter().map(|(_, row)| row).collect()
+}
+
+#[cfg(test)]
+mod key_table_tests {
+    //! Collisions cost time, never results: the table under hashes chosen by
+    //! the test. `find_or_insert` takes the hash as an argument, so injecting
+    //! one needs no hook — the kernels' hash functions are simply not called.
+
+    use super::{KeyChains, KeyTable};
+    use std::collections::BTreeMap;
+
+    /// Runs `keys` through a table under `hash_of`, checking ids (first-
+    /// occurrence order), lookups and the per-key chains against a model.
+    fn check(keys: &[u64], hash_of: impl Fn(u64) -> u64) -> KeyTable {
+        let mut table = KeyTable::new();
+        let mut key_of_id: Vec<u64> = Vec::new();
+        let mut model: BTreeMap<u64, (u32, Vec<u32>)> = BTreeMap::new();
+        let mut ids: Vec<u32> = Vec::new();
+        for (row, &key) in keys.iter().enumerate() {
+            let (id, new) = table.find_or_insert(hash_of(key), |id| key_of_id[id as usize] == key);
+            if new {
+                key_of_id.push(key);
+            }
+            let next = model.len() as u32;
+            let entry = model.entry(key).or_insert((next, Vec::new()));
+            entry.1.push(row as u32);
+            assert_eq!((id, new), (entry.0, entry.1.len() == 1), "row {row}");
+            ids.push(id);
+        }
+        assert_eq!(key_of_id.len(), model.len());
+        // Two batches, so chains cross a batch boundary.
+        let split = keys.len() / 2;
+        let chains = KeyChains::new(model.len(), &ids, [split, keys.len() - split].into_iter());
+        for (&key, (id, rows)) in &model {
+            let found = table.find(hash_of(key), |id| key_of_id[id as usize] == key);
+            assert_eq!(found, Some(*id));
+            let expected: Vec<(u32, u32)> = rows
+                .iter()
+                .map(|&r| match (r as usize).checked_sub(split) {
+                    Some(in_second) => (1, in_second as u32),
+                    None => (0, r),
+                })
+                .collect();
+            assert_eq!(chains.of(*id), expected.as_slice());
+        }
+        let absent = u64::MAX - 7;
+        assert!(!model.contains_key(&absent));
+        assert_eq!(table.find(hash_of(absent), |_| false), None);
+        table
+    }
+
+    /// Slots walked to find each stored entry: `(mean, max)`.
+    fn probe_lengths(table: &KeyTable) -> (f64, usize) {
+        let mask = table.slots.len() - 1;
+        let lengths: Vec<usize> = table
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, &s)| s != 0)
+            .map(|(slot, &s)| {
+                let home = table.home(table.hashes[s as usize - 1]);
+                (slot.wrapping_sub(home) & mask) + 1
+            })
+            .collect();
+        let mean = lengths.iter().sum::<usize>() as f64 / lengths.len() as f64;
+        (mean, lengths.into_iter().max().unwrap_or(0))
+    }
+
+    /// A stream with repeats: every key twice, interleaved.
+    fn stream(distinct: u64) -> Vec<u64> {
+        (0..distinct).chain((0..distinct).rev()).collect()
+    }
+
+    /// What the kernels feed the table: `hash_combine` of a seed and a
+    /// per-value hash.
+    fn kernel_hash(key: u64) -> u64 {
+        super::hash_combine(super::HASH_SEED, super::int_content_hash(key as i64))
+    }
+
+    #[test]
+    fn one_hash_for_every_key_is_one_long_walk_and_the_same_groups() {
+        let table = check(&stream(600), |_| 0xdead_beef);
+        assert_eq!(probe_lengths(&table).1, 600);
+    }
+
+    #[test]
+    fn hashes_agreeing_in_their_top_and_low_sixteen_bits_spread() {
+        // Only bits 16..48 tell keys apart — what a partition of an exchange
+        // (low bits spent) over a clustered value hash (high bits equal)
+        // looks like.
+        let table = check(&stream(20_000), |key| {
+            0xabcd_0000_0000_1234 | (key.wrapping_mul(0x9e37_79b9) & 0xffff_ffff) << 16
+        });
+        let (mean, max) = probe_lengths(&table);
+        assert!(mean < 2.0 && max < 64, "mean {mean}, max {max}");
+    }
+
+    #[test]
+    fn consecutive_integers_as_hashes_spread() {
+        let table = check(&stream(20_000), |key| key);
+        let (mean, max) = probe_lengths(&table);
+        assert!(mean < 2.0 && max < 64, "mean {mean}, max {max}");
+    }
+
+    #[test]
+    fn a_hundred_thousand_keys_through_many_growths() {
+        let table = check(&stream(100_000), kernel_hash);
+        // 16 slots at load ½ → 2¹⁸: fourteen doublings, ids unmoved.
+        assert_eq!(table.slots.len(), 1 << 18);
+        assert!(table.slots.len() >= 2 * table.hashes.len());
+        let (mean, max) = probe_lengths(&table);
+        assert!(mean < 2.0 && max < 64, "mean {mean}, max {max}");
+    }
+
+    #[test]
+    fn equal_hashes_of_unequal_keys_keep_their_own_ids() {
+        // Pairs of keys share a hash; `eq` alone separates them.
+        let table = check(&stream(5_000), |key| kernel_hash(key / 2));
+        assert_eq!(table.hashes.len(), 5_000);
+    }
 }

@@ -2,8 +2,11 @@
 //! column vectors, batch containers, and join/grouping kernels that the
 //! batch executor (`plan::batch`), the columnar IVM state
 //! (`plan::maintain`), and the snapshot-resident [`BatchCache`] are built
-//! on — so that sibling crates (the datalog fixpoint in particular) reuse
-//! the exact kernels instead of re-implementing them.
+//! on — so that callers outside the planner (`perfbench`'s kernel
+//! microbenchmarks, the kernel model suite) drive the exact kernels instead
+//! of re-implementing them. (`provsem_datalog` takes only [`hash_combine`],
+//! [`HASH_SEED`] and [`Batch`] from here: its fixpoint runs on interned-id
+//! tables of its own.)
 //!
 //! The split of responsibilities mirrors the row engine's:
 //!
@@ -11,8 +14,7 @@
 //!   typed (`i64` vectors, dictionary-encoded strings) and degrading to
 //!   plain values on type mix or dictionary overflow ([`DICT_MAX`]).
 //!   `ColBuilder` is the *retained*, append-only form (IVM join-side
-//!   state, the datalog fact index); `Column` is the frozen form batches
-//!   carry.
+//!   state); `Column` is the frozen form batches carry.
 //! * [`Batch`] — columns plus a parallel annotation column: the
 //!   K-relation annotation rides as "one more column".
 //! * [`hash_combine`] / [`HASH_SEED`] / [`Value::content_hash`] — the
@@ -22,7 +24,10 @@
 //! * [`join_batches`] — hash build/probe over whole batch lists (the RA
 //!   hash-join kernel); [`group_batches`] — hash grouping with exact
 //!   verification and stream-order annotation summing (the duplicate
-//!   aggregation kernel).
+//!   aggregation kernel). Both map rows to key ids through one flat
+//!   open-addressing table, and through a per-dictionary `code → id` memo
+//!   in front of it when the key is one dictionary-encoded column (the
+//!   module docs of `core::column` describe both).
 //!
 //! Every kernel verifies hash candidates with exact typed comparisons, so
 //! collisions affect performance, never results — the property the

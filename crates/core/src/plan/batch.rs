@@ -6,19 +6,26 @@
 //! row engine — same physical tree, same materialization points — but the
 //! unit of work is a whole batch:
 //!
-//! * **σ** compiles to a per-column selection loop ([`eval_predicate_mask`])
-//!   producing a boolean mask that refines the batch's selection vector; on
-//!   a dictionary column an `AttrEqValue` resolves the constant to a code
-//!   *once per batch* and the loop compares `u32`s.
+//! * **σ** compiles to a per-column selection loop ([`filter_batch`]): a
+//!   single comparison over a batch nothing has filtered yet writes the
+//!   selection vector in its one pass over the column; `And`/`Or` (and a
+//!   batch already filtered) go through one boolean mask per predicate that
+//!   then refines the vector. On a dictionary column an `AttrEqValue`
+//!   resolves the constant to a code *once per batch* and the loop compares
+//!   `u32`s.
 //! * **π/ρ** permute the column *list* (`Arc` moves, no data copied).
-//! * **Pre-join aggregation** and the **root merge** group by content-hashed
-//!   key columns ([`group_batches`]): hashes are computed column-wise, and
+//! * **Pre-join aggregation** and the **root merge** group by key columns
+//!   ([`group_batches`]): rows map to group ids through the flat key table of
+//!   [`crate::column`] — per row by column-wise content hashes, or once per
+//!   distinct dictionary code when the key is one dictionary column — and
 //!   the root sorts the distinct rows once, columnarly, and hands them on
 //!   as columns ([`QueryResult`]) — tuples are built only if a caller asks
 //!   for a `KRelation`.
-//! * **Hash join** builds a `hash → build-row refs` index over the build
-//!   batches and probes it with column-wise key hashes, assembling each
-//!   output batch column-by-column (typed gathers).
+//! * **Hash join** ([`join_batches`]) gives every distinct build key an id
+//!   in the same table, chains each key's build rows in stream order, and
+//!   maps probe rows to ids the same two ways; each probe batch assembles
+//!   its output column-by-column (typed gathers). Neither side copies an
+//!   annotation column: only matched pairs are read and multiplied.
 //!
 //! In parallel mode the morsel exchange ships whole batches between
 //! workers: batches are split by key-hash partition ([`Batch::split_by`],
@@ -38,7 +45,8 @@
 
 use super::physical::{scan_relation, ColSource, CompiledPredicate, PhysOp};
 use crate::column::{
-    column_values_equal, columns_rows_equal, group_batches, relation_to_batches, Batch, Column,
+    code_domain_runs, column_values_equal, gather_multi, group_batches, relation_to_batches, Batch,
+    Column, KeyChains, KeyIndex, KeyRows, NO_KEY,
 };
 use crate::plan::{ExecContext, QueryResult, RelationSource};
 use crate::relation::KRelation;
@@ -50,27 +58,58 @@ use std::sync::Arc;
 
 // --- vectorized predicate evaluation ---------------------------------------
 
+/// What a comparison kernel emits per batch: a boolean per physical row
+/// (`Vec<bool>`, the form `And`/`Or` combine) or the matching rows themselves
+/// (`Vec<u32>`, a selection vector — what σ needs in the end).
+pub(crate) trait Hits: Sized {
+    /// Collects one verdict per row, in row order.
+    fn collect(verdicts: impl Iterator<Item = bool>) -> Self;
+
+    /// The same verdict for all `len` rows.
+    fn constant(verdict: bool, len: usize) -> Self;
+}
+
+impl Hits for Vec<bool> {
+    fn collect(verdicts: impl Iterator<Item = bool>) -> Self {
+        verdicts.collect()
+    }
+
+    fn constant(verdict: bool, len: usize) -> Self {
+        vec![verdict; len]
+    }
+}
+
+impl Hits for Vec<u32> {
+    fn collect(verdicts: impl Iterator<Item = bool>) -> Self {
+        let mut rows = Vec::new();
+        for (row, hit) in verdicts.enumerate() {
+            if hit {
+                rows.push(row as u32);
+            }
+        }
+        rows
+    }
+
+    fn constant(verdict: bool, len: usize) -> Self {
+        if verdict {
+            (0..len as u32).collect()
+        } else {
+            Vec::new()
+        }
+    }
+}
+
 /// Evaluates a compiled predicate over whole columns, producing one boolean
 /// per *physical* row. Constants against dictionary columns resolve to a
 /// code once per batch (absent constants short-circuit to a constant mask);
 /// cross-dictionary column equality builds a code-translation table once
 /// per batch instead of comparing strings per row.
-pub(crate) fn eval_predicate_mask(
-    pred: &CompiledPredicate,
-    cols: &[Column],
-    len: usize,
-) -> Vec<bool> {
+fn eval_predicate_mask(pred: &CompiledPredicate, cols: &[Column], len: usize) -> Vec<bool> {
     match pred {
         CompiledPredicate::Const(b) => vec![*b; len],
-        CompiledPredicate::ColEqValue(i, v) => col_eq_value_mask(&cols[*i], v, len),
-        CompiledPredicate::ColNeValue(i, v) => {
-            let mut mask = col_eq_value_mask(&cols[*i], v, len);
-            for m in &mut mask {
-                *m = !*m;
-            }
-            mask
-        }
-        CompiledPredicate::ColEqCol(i, j) => col_eq_col_mask(&cols[*i], &cols[*j], len),
+        CompiledPredicate::ColEqValue(i, v) => col_eq_value::<_, true>(&cols[*i], v, len),
+        CompiledPredicate::ColNeValue(i, v) => col_eq_value::<_, false>(&cols[*i], v, len),
+        CompiledPredicate::ColEqCol(i, j) => col_eq_col(&cols[*i], &cols[*j], len),
         CompiledPredicate::And(p, q) => {
             let mut mask = eval_predicate_mask(p, cols, len);
             let other = eval_predicate_mask(q, cols, len);
@@ -90,33 +129,54 @@ pub(crate) fn eval_predicate_mask(
     }
 }
 
-/// `column == constant`, one comparison kernel per column representation.
-fn col_eq_value_mask(col: &Column, v: &Value, len: usize) -> Vec<bool> {
+/// The σ kernel on one batch. A single comparison over a batch nothing has
+/// filtered yet writes the selection vector in its one pass over the column;
+/// everything else goes through a mask per predicate and [`Batch::refine`].
+pub(crate) fn filter_batch<K: Semiring>(batch: &mut Batch<K>, pred: &CompiledPredicate) {
+    let (cols, len) = (batch.columns(), batch.phys_rows());
+    let sel: Option<Vec<u32>> = match pred {
+        _ if batch.live_rows() != len => None,
+        CompiledPredicate::ColEqValue(i, v) => Some(col_eq_value::<_, true>(&cols[*i], v, len)),
+        CompiledPredicate::ColNeValue(i, v) => Some(col_eq_value::<_, false>(&cols[*i], v, len)),
+        CompiledPredicate::ColEqCol(i, j) => Some(col_eq_col(&cols[*i], &cols[*j], len)),
+        _ => None,
+    };
+    match sel {
+        Some(sel) => batch.select(sel),
+        None => batch.refine(&eval_predicate_mask(pred, cols, len)),
+    }
+}
+
+/// `(column == constant) == WANT`, one comparison kernel per column
+/// representation. `WANT` is a compile-time constant because the row loops
+/// run at half the speed with it as a runtime operand (36 vs 84 µs over the
+/// benchmark's 10⁵-row `F`).
+fn col_eq_value<H: Hits, const WANT: bool>(col: &Column, v: &Value, len: usize) -> H {
     match (col, v) {
-        (Column::I64(data), Value::Int(x)) => data.iter().map(|d| d == x).collect(),
+        (Column::I64(data), Value::Int(x)) => H::collect(data.iter().map(|d| (d == x) == WANT)),
         (Column::I64(_), Value::Str(_)) | (Column::Str { .. }, Value::Int(_)) => {
-            vec![false; len]
+            H::constant(!WANT, len)
         }
         (Column::Str { dict, codes }, Value::Str(s)) => match dict.code_of(s) {
             // The constant resolves to a code once; the loop compares u32s.
-            Some(code) => codes.iter().map(|&c| c == code).collect(),
+            Some(code) => H::collect(codes.iter().map(|&c| (c == code) == WANT)),
             // The constant is not in the dictionary: no row can match.
-            None => vec![false; len],
+            None => H::constant(!WANT, len),
         },
-        (Column::Val(data), v) => data.iter().map(|d| d == v).collect(),
+        (Column::Val(data), v) => H::collect(data.iter().map(|d| (d == v) == WANT)),
     }
 }
 
 /// `column == column`, with typed fast paths: same-dictionary code loops,
 /// cross-dictionary code translation built once per batch, and a per-row
 /// value fallback only when a `Val` column is involved.
-fn col_eq_col_mask(a: &Column, b: &Column, len: usize) -> Vec<bool> {
+fn col_eq_col<H: Hits>(a: &Column, b: &Column, len: usize) -> H {
     match (a, b) {
         (Column::I64(va), Column::I64(vb)) => {
-            va.iter().zip(vb.iter()).map(|(x, y)| x == y).collect()
+            H::collect(va.iter().zip(vb.iter()).map(|(x, y)| x == y))
         }
         (Column::I64(_), Column::Str { .. }) | (Column::Str { .. }, Column::I64(_)) => {
-            vec![false; len]
+            H::constant(false, len)
         }
         (
             Column::Str {
@@ -129,22 +189,21 @@ fn col_eq_col_mask(a: &Column, b: &Column, len: usize) -> Vec<bool> {
             },
         ) => {
             if Arc::ptr_eq(da, db) {
-                ca.iter().zip(cb.iter()).map(|(x, y)| x == y).collect()
+                H::collect(ca.iter().zip(cb.iter()).map(|(x, y)| x == y))
             } else {
                 // Translate a's codes into b's dictionary once; rows whose
                 // string is absent from b's dictionary can never match.
                 let translate: Vec<Option<u32>> = (0..da.len() as u32)
                     .map(|c| db.code_of(da.resolve(c)))
                     .collect();
-                ca.iter()
-                    .zip(cb.iter())
-                    .map(|(&x, &y)| translate[x as usize] == Some(y))
-                    .collect()
+                H::collect(
+                    ca.iter()
+                        .zip(cb.iter())
+                        .map(|(&x, &y)| translate[x as usize] == Some(y)),
+                )
             }
         }
-        (a, b) => (0..len as u32)
-            .map(|r| column_values_equal(a, r, b, r))
-            .collect(),
+        (a, b) => H::collect((0..len as u32).map(|r| column_values_equal(a, r, b, r))),
     }
 }
 
@@ -280,10 +339,7 @@ enum BatchStep<'a> {
 fn apply_batch_steps<K: Semiring>(mut batch: Batch<K>, steps: &[BatchStep<'_>]) -> Batch<K> {
     for step in steps {
         match step {
-            BatchStep::Filter(predicate) => {
-                let mask = eval_predicate_mask(predicate, batch.columns(), batch.phys_rows());
-                batch.refine(&mask);
-            }
+            BatchStep::Filter(predicate) => filter_batch(&mut batch, predicate),
             BatchStep::Gather(cols) => batch.permute_columns(cols),
         }
     }
@@ -326,15 +382,16 @@ fn aggregate_batches<K: Semiring>(inputs: Vec<Batch<K>>, threads: usize) -> Vec<
 }
 
 /// Joins build and probe batch lists within one key partition (or the whole
-/// input in serial mode): a `hash → build-row refs` index over the
-/// materialized build batches, probed batch-by-batch with column-wise key
-/// hashes; each probe batch assembles one output batch column-by-column.
+/// input in serial mode). The build rows are indexed by key — one
+/// `KeyIndex` id per distinct key, its rows chained in build-stream order
+/// (`KeyChains`) — and every probe batch maps its rows to those ids (once
+/// per distinct dictionary code when its key is one dictionary column, once
+/// per row through the table otherwise), then assembles one output batch
+/// column-by-column. Annotations are read in place on both sides: a cached
+/// batch's annotation column is never copied, only the matched pairs are
+/// multiplied.
 ///
-/// Exported through [`crate::kernels`] for callers outside the planner
-/// (the datalog bench bodies use it directly). The semi-naive fixpoint
-/// itself does *not* call this per round — it probes its retained,
-/// append-only fact-index columns instead, because rebuilding the build
-/// hash table every round would swamp the delta-sized probes.
+/// Exported through [`crate::kernels`] for callers outside the planner.
 pub fn join_batches<K: Semiring>(
     build: Vec<Batch<K>>,
     probe: Vec<Batch<K>>,
@@ -343,54 +400,58 @@ pub fn join_batches<K: Semiring>(
     output: &[ColSource],
     swapped: bool,
 ) -> Vec<Batch<K>> {
-    // Build side: materialized columns + annotations per batch, indexed by
-    // key hash. Candidate lists keep build stream order; matches verify the
-    // key columns exactly, so hash collisions are harmless.
-    let mut build_cols: Vec<Vec<Column>> = Vec::with_capacity(build.len());
-    let mut build_anns: Vec<Vec<K>> = Vec::with_capacity(build.len());
-    let mut index: FxHashMap<u64, Vec<(u32, u32)>> = FxHashMap::default();
-    for batch in build {
-        let batch = batch.materialize();
-        let hashes = batch.key_hashes(build_keys);
-        let (len, columns, anns) = batch.into_parts();
-        let bidx = build_cols.len() as u32;
-        index.reserve(len);
-        for (row, &h) in hashes.iter().enumerate().take(len) {
-            index.entry(h).or_default().push((bidx, row as u32));
-        }
-        build_cols.push(columns);
-        build_anns.push(anns);
+    // Build side. A key's id is verified exactly against the key's first
+    // build row on every table hit, so hash collisions are harmless and a
+    // chain holds exactly the build rows of one key.
+    let build: Vec<Batch<K>> = build.into_iter().map(Batch::materialize).collect();
+    let build_cols: Vec<&[Column]> = build.iter().map(Batch::columns).collect();
+    let code_domain = code_domain_runs(&build, build_keys);
+    let mut index = KeyIndex::new();
+    let mut key_of: Vec<u32> = Vec::new();
+    for (bidx, batch) in build.iter().enumerate() {
+        let rows = KeyRows {
+            cols: batch.columns(),
+            keys: build_keys,
+            len: batch.phys_rows(),
+            code_domain: code_domain[bidx],
+        };
+        index.assign(
+            rows,
+            &build_cols,
+            build_keys,
+            Some(bidx as u32),
+            &mut key_of,
+        );
     }
-    let build_col_refs: Vec<&[Column]> = build_cols.iter().map(Vec::as_slice).collect();
+    let chains = KeyChains::new(index.len(), &key_of, build.iter().map(Batch::phys_rows));
 
+    let code_domain = code_domain_runs(&probe, probe_keys);
     let mut out: Vec<Batch<K>> = Vec::new();
-    for pbatch in probe {
+    for (pidx, pbatch) in probe.into_iter().enumerate() {
         let pbatch = pbatch.materialize();
-        let hashes = pbatch.key_hashes(probe_keys);
-        let (plen, pcols, panns) = pbatch.into_parts();
+        let (pcols, panns) = (pbatch.columns(), pbatch.anns());
+        let rows = KeyRows {
+            cols: pcols,
+            keys: probe_keys,
+            len: pbatch.phys_rows(),
+            code_domain: code_domain[pidx],
+        };
+        key_of.clear();
+        index.assign(rows, &build_cols, build_keys, None, &mut key_of);
         // Matches in probe-stream-major, build-stream-minor order — the
         // same nesting as the row engine's probe loop.
         let mut match_build: Vec<(u32, u32)> = Vec::new();
         let mut match_probe: Vec<u32> = Vec::new();
         let mut anns: Vec<K> = Vec::new();
-        for (prow, pk) in panns.iter().enumerate().take(plen) {
-            let Some(candidates) = index.get(&hashes[prow]) else {
+        for (prow, (&key, pk)) in key_of.iter().zip(panns).enumerate() {
+            if key == NO_KEY {
                 continue;
-            };
-            for &(b, r) in candidates {
-                if columns_rows_equal(
-                    &pcols,
-                    prow as u32,
-                    probe_keys,
-                    &build_cols[b as usize],
-                    r,
-                    build_keys,
-                ) {
-                    let bk = &build_anns[b as usize][r as usize];
-                    anns.push(if swapped { pk.times(bk) } else { bk.times(pk) });
-                    match_build.push((b, r));
-                    match_probe.push(prow as u32);
-                }
+            }
+            for &(b, r) in chains.of(key) {
+                let bk = &build[b as usize].anns()[r as usize];
+                anns.push(if swapped { pk.times(bk) } else { bk.times(pk) });
+                match_build.push((b, r));
+                match_probe.push(prow as u32);
             }
         }
         if anns.is_empty() {
@@ -399,9 +460,7 @@ pub fn join_batches<K: Semiring>(
         let columns: Vec<Column> = output
             .iter()
             .map(|src| match src {
-                ColSource::Build(i) => {
-                    crate::column::gather_multi(&build_col_refs, *i, &match_build)
-                }
+                ColSource::Build(i) => gather_multi(&build_cols, *i, &match_build),
                 ColSource::Probe(i) => pcols[*i].gather(&match_probe),
             })
             .collect();
@@ -547,80 +606,4 @@ where
     };
     let batches = exec_batches(op, source, threads, &mut ScanCache::default());
     QueryResult::from_batches(schema.clone(), batches)
-}
-
-#[cfg(test)]
-mod profiling {
-    use super::*;
-    use crate::database::Database;
-    use crate::paper::section2_query;
-    use crate::plan::Plan;
-    use crate::tuple::Tuple;
-    use provsem_semiring::Natural;
-    use std::time::Instant;
-
-    fn db300() -> Database<Natural> {
-        let mut x = 42u64;
-        let mut next = || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) % 10
-        };
-        let mut rel = KRelation::empty(Schema::new(["a", "b", "c"]));
-        for _ in 0..300 {
-            rel.insert(
-                Tuple::new([
-                    ("a", format!("v{}", next())),
-                    ("b", format!("v{}", next())),
-                    ("c", format!("v{}", next())),
-                ]),
-                Natural::from(1 + next() % 5),
-            );
-        }
-        Database::new().with("R", rel)
-    }
-
-    fn time_it(label: &str, iters: usize, mut body: impl FnMut()) {
-        for _ in 0..iters / 10 {
-            body();
-        }
-        let t = Instant::now();
-        for _ in 0..iters {
-            body();
-        }
-        println!(
-            "{label}: {:.1}us",
-            t.elapsed().as_secs_f64() * 1e6 / iters as f64
-        );
-    }
-
-    #[test]
-    #[ignore]
-    fn profile_direct_bag() {
-        let db = db300();
-        let plan = Plan::new(&section2_query(), &db.catalog()).unwrap();
-        let rel = db.get("R").unwrap();
-        time_it("relation_to_batches(R)", 2000, || {
-            let _ = relation_to_batches(rel);
-        });
-        time_it("exec_batches(full tree)", 2000, || {
-            let _: Vec<Batch<Natural>> =
-                exec_batches(&plan.physical, &db, 1, &mut ScanCache::default());
-        });
-        time_it("execute(full, incl root)", 2000, || {
-            let _ = super::execute::<Natural, _>(
-                &plan.physical,
-                &plan.schema,
-                &db,
-                &ExecContext::serial(),
-            );
-        });
-        let batches: Vec<Batch<Natural>> =
-            exec_batches(&plan.physical, &db, 1, &mut ScanCache::default());
-        let keys: Vec<usize> = (0..plan.schema.arity()).collect();
-        time_it("root group+into_relation", 2000, || {
-            let _ = group_batches(batches.clone(), &keys).into_relation(&plan.schema);
-        });
-    }
 }

@@ -16,7 +16,7 @@
 //!
 //! | operator      | delta rule | kernel |
 //! |---------------|------------|--------|
-//! | σ_P(R)        | `Δ = σ_P(ΔR)` | predicate mask + selection refine |
+//! | σ_P(R)        | `Δ = σ_P(ΔR)` | selection-vector kernel ([`filter_batch`]) |
 //! | π_U(R)        | `Δ = π_U(ΔR)` | column-list permutation |
 //! | ρ_β(R)        | `Δ = ρ_β(ΔR)` | column-list permutation |
 //! | R ∪ S         | `Δ = ΔR ∪ ΔS` | batch concatenation |
@@ -51,7 +51,7 @@ use crate::column::{
     group_batches, hash_combine, relation_to_batches, Batch, ColBuilder, HASH_SEED,
 };
 use crate::database::Database;
-use crate::plan::batch::eval_predicate_mask;
+use crate::plan::batch::filter_batch;
 use crate::plan::physical::{scan_relation, ColSource, CompiledPredicate, PhysOp};
 use crate::plan::{ExecContext, Plan, QueryResult, RelationSource};
 use crate::relation::KRelation;
@@ -332,8 +332,8 @@ fn assemble_row(
         .collect()
 }
 
-/// The σ delta/init rule: mask each batch against the predicate and refine
-/// its selection vector. Fully filtered batches are dropped.
+/// The σ delta/init rule: the batch executor's σ kernel on each batch.
+/// Fully filtered batches are dropped.
 fn filter_batches<K: Semiring>(
     batches: Vec<Batch<K>>,
     predicate: &CompiledPredicate,
@@ -341,8 +341,7 @@ fn filter_batches<K: Semiring>(
     batches
         .into_iter()
         .filter_map(|mut batch| {
-            let mask = eval_predicate_mask(predicate, batch.columns(), batch.phys_rows());
-            batch.refine(&mask);
+            filter_batch(&mut batch, predicate);
             (batch.live_rows() > 0).then_some(batch)
         })
         .collect()

@@ -474,3 +474,121 @@ fn a_panic_inside_patch_leaves_the_cache_usable() {
             .expect("the cache survives a poisoned lock");
     });
 }
+
+// --- the patched shape under the code-domain kernels -------------------------
+
+use provsem_core::kernels::Column;
+
+/// Distinct dictionaries among the `v` columns of `F`'s cached batches.
+fn dictionaries_of_v(snapshot: &DbSnapshot<Integers>) -> usize {
+    let (cache, _) = snapshot.batch_cache().expect("snapshots carry the cache");
+    let f = snapshot.database().get_shared("F").unwrap();
+    let (batches, _) = cache.peek(&f).expect("F is cached");
+    let mut dicts = Vec::new();
+    for batch in batches.iter() {
+        if let Column::Str { dict, .. } = &batch.columns()[1] {
+            if !dicts.iter().any(|d| Arc::ptr_eq(d, dict)) {
+                dicts.push(dict.clone());
+            }
+        }
+    }
+    dicts.len()
+}
+
+/// The two request shapes whose kernels group and probe per dictionary
+/// *code* instead of per row — `project[v] F` (group by one string column)
+/// and `project[g] select[label = …] (F join rename[t -> v] D)` (a string-
+/// keyed probe of a selective build side) — read from commit-patched scans:
+/// `F`'s cached batch list holds the conversion's dictionary plus one per
+/// delta batch, the shape a one-memo-per-call design sent to the slow path.
+/// The commits include a string absent from every cached dictionary and the
+/// deletion of a whole group; every result, at 1 and 4 threads, on the live
+/// and on held snapshots, equals `eval_interpreted`.
+#[test]
+fn patched_scans_group_and_probe_by_dictionary_code() {
+    let f_schema = Schema::new(["g", "v"]);
+    let d_schema = Schema::new(["label", "t"]);
+    let tag = |n: i64| Value::str(format!("w{n}"));
+    let f_row = |g: i64, v: Value| Tuple::from_values(&f_schema, [Value::int(g), v]);
+    let d_row = |label: &str, t: Value| Tuple::from_values(&d_schema, [Value::str(label), t]);
+    // Two scan batches of F under one 40-entry dictionary; D also names five
+    // tags F does not hold yet.
+    let mut f = KRelation::empty(f_schema.clone());
+    for g in 0..6000 {
+        f.insert(f_row(g, tag(g % 40)), Integers::new(1 + g % 3));
+    }
+    let mut d = KRelation::empty(d_schema.clone());
+    for t in 0..45 {
+        d.insert(d_row(&format!("k{}", t % 4), tag(t)), Integers::new(1));
+    }
+    let shared = SharedDatabase::new(Database::new().with("F", f).with("D", d));
+    let tagged =
+        RaExpr::relation("F").join(RaExpr::relation("D").rename(Renaming::new([("t", "v")])));
+    let pool = [
+        RaExpr::relation("F").project(["v"]),
+        tagged
+            .clone()
+            .select(Predicate::eq_value("label", "k1"))
+            .project(["g"]),
+        tagged.project(["label"]),
+    ];
+    let check = |snapshot: &DbSnapshot<Integers>| {
+        for query in &pool {
+            let expected = query
+                .eval_interpreted(snapshot.database())
+                .expect("pool queries are valid");
+            let plan = Plan::new(query, &snapshot.catalog()).expect("pool queries are valid");
+            for threads in [1, 4] {
+                let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
+                assert!(
+                    plan.execute_with(snapshot, &ctx) == expected,
+                    "{query:?} at {threads} threads, epoch {}",
+                    snapshot.epoch()
+                );
+            }
+        }
+    };
+    let mut held = vec![shared.snapshot()];
+    check(&held[0]);
+    assert_eq!(dictionaries_of_v(&held[0]), 1);
+
+    let commit = |rows: Vec<(&str, Tuple, i64)>| {
+        let mut batch = DeltaBatch::new();
+        for (relation, tuple, k) in rows {
+            batch.insert(relation, tuple, Integers::new(k));
+        }
+        shared.commit(&batch);
+        let live = shared.snapshot();
+        check(&live);
+        live
+    };
+    // A tag F's dictionary lacks (D's has it: the join gains rows), and a
+    // string neither side has seen.
+    held.push(commit(vec![
+        ("F", f_row(6000, tag(41)), 2),
+        ("F", f_row(6001, Value::str("zz")), 1),
+    ]));
+    assert!(
+        dictionaries_of_v(&held[1]) >= 2,
+        "a delta batch interns its own"
+    );
+    // Group `w7` deleted to zero: 150 cancelling rows in one delta batch.
+    let w7: Vec<(&str, Tuple, i64)> = (0..6000)
+        .filter(|g| g % 40 == 7)
+        .map(|g| ("F", f_row(g, tag(7)), -(1 + g % 3)))
+        .collect();
+    assert_eq!(w7.len(), 150);
+    held.push(commit(w7));
+    // The group comes back with one row; the build side changes under the
+    // probe's cached dictionaries: `zz` gets a label, `w5` loses its own.
+    held.push(commit(vec![
+        ("F", f_row(7, tag(7)), 5),
+        ("D", d_row("k1", Value::str("zz")), 1),
+        ("D", d_row("k1", tag(5)), -1),
+    ]));
+    for g in 0..40 {
+        commit(vec![("F", f_row(7000 + g, tag(g % 3)), 1)]);
+    }
+    held.push(shared.snapshot());
+    held.iter().for_each(check);
+}

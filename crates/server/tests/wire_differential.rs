@@ -11,6 +11,14 @@
 //! cancel earlier rows — so scans read commit-patched batch lists holding
 //! delete-to-zero pairs, and standing views are read from patched entries —
 //! with empty results, a zero-arity relation and strings that need escaping.
+//!
+//! Two of the fixed queries have the shapes whose kernels work on dictionary
+//! codes instead of rows (`core::column`): a group-by on one string column
+//! and a join on a string column under a selective build side. They are read
+//! after commits — so the scan of `Big` holds its conversion's dictionary
+//! plus one per delta batch — including a commit of a string no cached
+//! dictionary holds and one that deletes a whole group, on the live snapshot
+//! and on a connection pinned before those two commits.
 
 use provsem_core::prelude::{
     Database, DeltaBatch, KRelation, Predicate, RaExpr, Renaming, Schema, Tuple, Value,
@@ -312,7 +320,7 @@ impl<K: WireSemiring> Generator<'_, K> {
 
 /// Queries every run checks besides the random ones: empty results,
 /// zero arity, escaping, both engines.
-const FIXED_QUERIES: [&str; 12] = [
+const FIXED_QUERIES: [&str; 14] = [
     "Big",
     "select[false] Big",
     "select[a = 999] Big",
@@ -325,6 +333,8 @@ const FIXED_QUERIES: [&str; 12] = [
     "project[s] (Big join Small)",
     "project[s] Small union project[s] Small",
     "rename[a -> z] select[s != ''''] Big",
+    "project[s] Big",
+    "project[a] select[t = 1] (rename[s -> v] Big join rename[s -> v] Small)",
 ];
 
 // --- the run -----------------------------------------------------------------
@@ -363,10 +373,7 @@ impl<K: WireSemiring> Harness<K> {
             let expected = expected_datalog(epoch, text, goal, &self.model);
             self.check(&format!("DATALOG {text} ? {goal}"), expected);
         }
-        for text in FIXED_QUERIES {
-            let expected = expected_query(epoch, &parse_ra(text).unwrap(), &self.model);
-            self.check(&format!("QUERY {text}"), expected);
-        }
+        self.checked += check_fixed_queries(&mut self.client, epoch, &self.model);
         let seed = self.rng.gen_range(0..u64::MAX);
         let mut generator = Generator {
             rng: StdRng::seed_from_u64(seed),
@@ -405,20 +412,54 @@ impl<K: WireSemiring> Harness<K> {
             } else {
                 (row_of(name, &mut self.rng), self.rng.gen_range(1..4))
             };
-            let values: Vec<String> = row.iter().map(render_value).collect();
-            items.push(format!("{name}({})={count}", values.join(", ")));
             // Applied item by item, so a later item of this commit sees it.
-            let mut delta = DeltaBatch::new();
-            delta.insert(
-                name,
-                Tuple::from_values(&schema_of(name), row),
-                K::from_wire_count(count).unwrap(),
-            );
-            delta.apply_to(&mut self.model);
+            items.push(self.apply(name, row, count));
         }
+        self.send_commit(&items);
+    }
+
+    /// Applies one delta to the model; its `COMMIT` item text.
+    fn apply(&mut self, name: &str, row: Vec<Value>, count: i64) -> String {
+        let values: Vec<String> = row.iter().map(render_value).collect();
+        let mut delta = DeltaBatch::new();
+        delta.insert(
+            name,
+            Tuple::from_values(&schema_of(name), row),
+            K::from_wire_count(count).unwrap(),
+        );
+        delta.apply_to(&mut self.model);
+        format!("{name}({})={count}", values.join(", "))
+    }
+
+    fn send_commit(&mut self, items: &[String]) {
         let reply = self.client.request(&format!("COMMIT {}", items.join("; ")));
         assert!(reply.unwrap().starts_with("ok committed"), "{items:?}");
     }
+
+    /// One `COMMIT` of the given `(relation, row, count)` deltas, mirrored
+    /// on the model.
+    fn commit_items(&mut self, deltas: Vec<(&str, Vec<Value>, i64)>) {
+        let items: Vec<String> = deltas
+            .into_iter()
+            .map(|(name, row, count)| self.apply(name, row, count))
+            .collect();
+        self.send_commit(&items);
+    }
+}
+
+/// `FIXED_QUERIES` over `client` against the oracle on `model`; the number
+/// of replies checked.
+fn check_fixed_queries<K: WireSemiring>(
+    client: &mut Client,
+    epoch: u64,
+    model: &Database<K>,
+) -> usize {
+    for text in FIXED_QUERIES {
+        let expected = expected_query(epoch, &parse_ra(text).unwrap(), model);
+        let reply = client.request(&format!("QUERY {text}")).unwrap();
+        assert_eq!(reply, expected, "reply to QUERY {text:?} at epoch {epoch}");
+    }
+    FIXED_QUERIES.len()
 }
 
 fn run<K: WireSemiring + 'static>(seed: u64, deletes: bool) {
@@ -444,31 +485,40 @@ fn run<K: WireSemiring + 'static>(seed: u64, deletes: bool) {
         }
         harness.check_everything(60);
     }
+    // A second connection stays on this epoch while the live one moves on:
+    // its scans keep reading the batch lists as patched up to here.
+    let mut pinned = Client::connect(server.addr()).unwrap();
+    let pinned_epoch = harness.epoch();
+    assert_eq!(
+        pinned.request("PIN").unwrap(),
+        format!("ok pinned {pinned_epoch}")
+    );
+    let pinned_model = harness.model.clone();
+    // A string no dictionary of the cached conversions holds, on both sides
+    // of the string-keyed join.
+    harness.commit_items(vec![
+        ("Big", vec![Value::int(3), Value::str("brand new")], 2),
+        ("Small", vec![Value::str("brand new"), Value::int(1)], 1),
+    ]);
+    harness.check_everything(60);
     // Empty a whole `s` group of Big, so a view row and a group disappear.
     if deletes {
-        let doomed: Vec<(Tuple, i64)> = harness
+        let doomed: Vec<(&str, Vec<Value>, i64)> = harness
             .model
             .get("Big")
             .unwrap()
             .iter()
             .filter(|(tuple, _)| tuple.get_named("s") == Some(&Value::str("it's")))
-            .map(|(tuple, k)| (tuple.clone(), k.render_annotation().parse().unwrap()))
+            .map(|(tuple, k)| {
+                let held: i64 = k.render_annotation().parse().unwrap();
+                ("Big", tuple.values().cloned().collect(), -held)
+            })
             .collect();
         assert!(!doomed.is_empty());
-        let mut delta = DeltaBatch::new();
-        let mut items = Vec::new();
-        for (tuple, held) in doomed {
-            let values: Vec<String> = tuple.values().map(render_value).collect();
-            items.push(format!("Big({})=-{held}", values.join(", ")));
-            delta.insert("Big", tuple, K::from_wire_count(-held).unwrap());
-        }
-        let reply = harness
-            .client
-            .request(&format!("COMMIT {}", items.join("; ")));
-        assert!(reply.unwrap().starts_with("ok committed"));
-        delta.apply_to(&mut harness.model);
+        harness.commit_items(doomed);
         harness.check_everything(60);
     }
+    harness.checked += check_fixed_queries(&mut pinned, pinned_epoch, &pinned_model);
     let stats = harness.client.request("STATS").unwrap();
     let patches: u64 = stats.rsplit('=').next().unwrap().parse().unwrap();
     assert!(patches > 0, "commits patched cached batch lists: {stats:?}");
