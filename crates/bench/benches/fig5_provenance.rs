@@ -11,7 +11,7 @@ mod common;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use provsem_bench::{random_ternary_bag, report_rows};
 use provsem_core::paper::{figure5_tagged, section2_query};
-use provsem_core::plan::{ExecContext, ExecMode, Plan, RelationSource};
+use provsem_core::plan::{ExecContext, Plan, RelationSource};
 use provsem_core::provenance::{
     circuit_provenance_of_query, provenance_of_query, specialize, specialize_circuit,
     specialize_circuit_with, tag_database, tag_database_circuit,
@@ -46,20 +46,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("direct_bag", size), &db, |b, db| {
             b.iter(|| section2_query().eval(db).unwrap().len())
         });
-        // The same plan on the two engines, pinned explicitly: the row
-        // engine is the pre-columnar pipelined path, the batch engine the
-        // default columnar one. Serial contexts so the ratio is the
-        // kernels', not the thread fan-out's.
-        let plan = Plan::new(&section2_query(), &db.catalog()).unwrap();
-        for (label, mode) in [
-            ("direct_bag_row", ExecMode::Row),
-            ("direct_bag_batch", ExecMode::Batch),
-        ] {
-            let ctx = ExecContext::serial().with_mode(mode);
-            group.bench_with_input(BenchmarkId::new(label, size), &db, |b, db| {
-                b.iter(|| plan.execute_with(db, &ctx).len())
-            });
-        }
         group.bench_with_input(
             BenchmarkId::new("direct_bag_interpreted", size),
             &db,
@@ -108,7 +94,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Morsel-driven parallel execution vs the serial pipelined path, on a
+    // Morsel-driven parallel execution vs the serial path, on a
     // workload scaled up (5000 rows, domain 50 → ~500k-row join output)
     // until the per-partition work dwarfs the coordination overhead. The
     // serial body is the `threads = 1` code path; the parallel bodies run
@@ -120,16 +106,8 @@ fn bench(c: &mut Criterion) {
     let mut par = c.benchmark_group("fig5_parallel_scaled");
     let db = random_ternary_bag(42, 5000, 50, 5);
     let plan = Plan::new(&section2_query(), &db.catalog()).unwrap();
-    // Both engines at each thread budget: a batch is the morsel unit, so
-    // the columnar engine scales along the same partitioning scheme.
-    for (label, threads, mode) in [
-        ("serial_row", 1usize, ExecMode::Row),
-        ("serial_batch", 1, ExecMode::Batch),
-        ("threads2_batch", 2, ExecMode::Batch),
-        ("threads4_row", 4, ExecMode::Row),
-        ("threads4_batch", 4, ExecMode::Batch),
-    ] {
-        let ctx = ExecContext::with_threads(threads).with_mode(mode);
+    for (label, threads) in [("serial", 1usize), ("threads2", 2), ("threads4", 4)] {
+        let ctx = ExecContext::with_threads(threads);
         par.bench_with_input(BenchmarkId::new("direct_bag", label), &db, |b, db| {
             b.iter(|| plan.execute_with(db, &ctx).len())
         });

@@ -10,7 +10,7 @@ mod common;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use provsem_bench::{random_dag_store, report_rows};
 use provsem_core::paper::figure6_expected;
-use provsem_core::plan::{ExecContext, ExecMode};
+use provsem_core::plan::ExecContext;
 use provsem_datalog::seminaive::seminaive_iterate_with;
 use provsem_datalog::{edge_facts, evaluate_with_bound, EvalStrategy, Fact, Program};
 use provsem_semiring::Natural;
@@ -59,8 +59,7 @@ fn bench(c: &mut Criterion) {
     // naive body pays the full grounding plus a re-multiplication of every
     // ground rule per round, the semi-naive body joins each derivation once.
     // The `seminaive_par4` body runs the same semi-naive rounds with their
-    // delta-rule application fanned out over 4 worker threads, and
-    // `seminaive_batch` runs them on the columnar engine's batch delta joins
+    // delta-rule application fanned out over 4 worker threads
     // (round-for-round identical results on every body, pinned by
     // `datalog/tests/parallel_differential.rs` and
     // `datalog/tests/columnar_differential.rs`).
@@ -75,16 +74,10 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| evaluate_with_bound(&program, edb, strategy, 4).idb.len())
             });
         }
-        let par4 = ExecContext::with_threads(4).with_mode(ExecMode::Row);
+        let par4 = ExecContext::with_threads(4);
         cmp.bench_with_input(BenchmarkId::new("seminaive_par4", width), &edb, |b, edb| {
             b.iter(|| seminaive_iterate_with(&program, edb, 4, &par4).idb.len())
         });
-        let batch = ExecContext::serial().with_mode(ExecMode::Batch);
-        cmp.bench_with_input(
-            BenchmarkId::new("seminaive_batch", width),
-            &edb,
-            |b, edb| b.iter(|| seminaive_iterate_with(&program, edb, 4, &batch).idb.len()),
-        );
     }
     cmp.finish();
 
@@ -99,20 +92,11 @@ fn bench(c: &mut Criterion) {
     let mut par = c.benchmark_group("fig6_parallel_seminaive_tc");
     let edb = random_dag_store(7, 6, 24);
     for threads in [1usize, 2, 4] {
-        // The row bodies are pinned to `ExecMode::Row`: this EDB is far past
-        // the auto-batch threshold, so the default context would silently
-        // measure the batch engine instead of row-engine thread scaling.
-        let row = ExecContext::with_threads(threads).with_mode(ExecMode::Row);
+        let ctx = ExecContext::with_threads(threads);
         par.bench_with_input(
             BenchmarkId::new("tc_layered_6x24", format!("threads{threads}")),
             &edb,
-            |b, edb| b.iter(|| seminaive_iterate_with(&tc, edb, 16, &row).idb.len()),
-        );
-        let batch = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
-        par.bench_with_input(
-            BenchmarkId::new("tc_layered_6x24_batch", format!("threads{threads}")),
-            &edb,
-            |b, edb| b.iter(|| seminaive_iterate_with(&tc, edb, 16, &batch).idb.len()),
+            |b, edb| b.iter(|| seminaive_iterate_with(&tc, edb, 16, &ctx).idb.len()),
         );
     }
     par.finish();

@@ -11,8 +11,6 @@ mod common;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use provsem_bench::{random_dag_store, random_graph_store, report_rows};
 use provsem_core::paper::{figure7_bag, figure7_expected};
-use provsem_core::plan::{ExecContext, ExecMode};
-use provsem_datalog::seminaive::seminaive_iterate_with;
 use provsem_datalog::{
     evaluate_natinf, evaluate_with_bound, AlgebraicSystem, EvalStrategy, Fact, FactStore, Program,
 };
@@ -67,8 +65,7 @@ fn bench(c: &mut Criterion) {
 
     // Bounded ℕ∞ Kleene iteration (8 rounds — the instances are cyclic, so
     // it does not converge): naive re-multiplication of the grounded
-    // instantiation vs the differential evaluator, plus the same semi-naive
-    // rounds on the columnar batch engine (ℕ∞ saturates instead of
+    // instantiation vs the differential evaluator (ℕ∞ saturates instead of
     // overflowing, so the deep-round comparison is exact — results pinned
     // identical by `datalog/tests/columnar_differential.rs`).
     let mut cmp = c.benchmark_group("fig7_naive_vs_seminaive");
@@ -84,12 +81,6 @@ fn bench(c: &mut Criterion) {
                 |b, edb| b.iter(|| evaluate_with_bound(&program, edb, strategy, 8).idb.len()),
             );
         }
-        let batch = ExecContext::serial().with_mode(ExecMode::Batch);
-        cmp.bench_with_input(
-            BenchmarkId::new("seminaive_batch", format!("{nodes}n_{edges}e")),
-            &edb,
-            |b, edb| b.iter(|| seminaive_iterate_with(&program, edb, 8, &batch).idb.len()),
-        );
     }
     cmp.finish();
 }

@@ -15,7 +15,6 @@ use provsem_bench::report_rows;
 use provsem_containment::{
     check_containment_on_instance, ConjunctiveQuery, UnionOfConjunctiveQueries,
 };
-use provsem_core::plan::{ExecContext, ExecMode};
 use provsem_datalog::edge_facts;
 use provsem_semiring::{Natural, PosBool};
 
@@ -103,23 +102,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("planned", k), &k, |b, _| {
             b.iter(|| (long.contained_in(&short), short.contained_in(&long)))
         });
-        // The planned route with the engine pinned: the same homomorphism
-        // check on the row and on the columnar batch engine, independent of
-        // the ambient `PROVSEM_EXEC`.
-        for (label, mode) in [
-            ("planned_row", ExecMode::Row),
-            ("planned_batch", ExecMode::Batch),
-        ] {
-            let ctx = ExecContext::serial().with_mode(mode);
-            group.bench_with_input(BenchmarkId::new(label, k), &k, |b, _| {
-                b.iter(|| {
-                    (
-                        contained_in_via(&long, &short, |q, edb| q.evaluate_in(edb, &ctx)),
-                        contained_in_via(&short, &long, |q, edb| q.evaluate_in(edb, &ctx)),
-                    )
-                })
-            });
-        }
         group.bench_with_input(BenchmarkId::new("interpreted_ra", k), &k, |b, _| {
             b.iter(|| {
                 (
@@ -155,20 +137,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("planned", nodes), &edb, |b, edb| {
             b.iter(|| (q_square.evaluate(edb).len(), q_edge.evaluate(edb).len()))
         });
-        for (label, mode) in [
-            ("planned_row", ExecMode::Row),
-            ("planned_batch", ExecMode::Batch),
-        ] {
-            let ctx = ExecContext::serial().with_mode(mode);
-            group.bench_with_input(BenchmarkId::new(label, nodes), &edb, |b, edb| {
-                b.iter(|| {
-                    (
-                        q_square.evaluate_in(edb, &ctx).len(),
-                        q_edge.evaluate_in(edb, &ctx).len(),
-                    )
-                })
-            });
-        }
         group.bench_with_input(BenchmarkId::new("interpreted_ra", nodes), &edb, |b, edb| {
             b.iter(|| {
                 (

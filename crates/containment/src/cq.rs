@@ -11,7 +11,6 @@
 //!   homomorphism procedure, and validated empirically by
 //!   [`check_containment_on_instance`].
 
-use provsem_core::plan::ExecContext;
 use provsem_core::Value;
 use provsem_datalog::{Fact, FactStore, Program, Rule, Term};
 use provsem_semiring::{NaturallyOrdered, Semiring};
@@ -76,16 +75,6 @@ impl ConjunctiveQuery {
     /// every semiring (checked by the differential suite).
     pub fn evaluate<K: Semiring>(&self, edb: &FactStore<K>) -> FactStore<K> {
         crate::ra::evaluate_rules(&[&self.rule], edb, crate::ra::RaRoute::Planned)
-            .unwrap_or_else(|| self.evaluate_datalog(edb))
-    }
-
-    /// Like [`ConjunctiveQuery::evaluate`], but pinning the planned engine
-    /// to an explicit [`ExecContext`] (row vs batch engine, thread budget)
-    /// instead of the process-wide `PROVSEM_EXEC`/`PROVSEM_THREADS`
-    /// defaults. Used to benchmark the two engines side by side in one
-    /// process.
-    pub fn evaluate_in<K: Semiring>(&self, edb: &FactStore<K>, ctx: &ExecContext) -> FactStore<K> {
-        crate::ra::evaluate_rules_in(&[&self.rule], edb, crate::ra::RaRoute::Planned, Some(ctx))
             .unwrap_or_else(|| self.evaluate_datalog(edb))
     }
 
@@ -170,15 +159,6 @@ impl UnionOfConjunctiveQueries {
     pub fn evaluate<K: Semiring>(&self, edb: &FactStore<K>) -> FactStore<K> {
         let rules: Vec<&Rule> = self.disjuncts.iter().map(|d| &d.rule).collect();
         crate::ra::evaluate_rules(&rules, edb, crate::ra::RaRoute::Planned)
-            .unwrap_or_else(|| self.evaluate_datalog(edb))
-    }
-
-    /// Like [`UnionOfConjunctiveQueries::evaluate`] with the planned engine
-    /// pinned to an explicit [`ExecContext`] — see
-    /// [`ConjunctiveQuery::evaluate_in`].
-    pub fn evaluate_in<K: Semiring>(&self, edb: &FactStore<K>, ctx: &ExecContext) -> FactStore<K> {
-        let rules: Vec<&Rule> = self.disjuncts.iter().map(|d| &d.rule).collect();
-        crate::ra::evaluate_rules_in(&rules, edb, crate::ra::RaRoute::Planned, Some(ctx))
             .unwrap_or_else(|| self.evaluate_datalog(edb))
     }
 

@@ -28,7 +28,6 @@
 //! facts of mixed arity under one predicate); an atom whose `(predicate,
 //! arity)` has no facts scans an empty relation.
 
-use provsem_core::plan::ExecContext;
 use provsem_core::{
     Attribute, Database, KRelation, Plan, Predicate, RaExpr, RelationSource, Renaming, Schema,
     Tuple, Value,
@@ -190,19 +189,6 @@ pub(crate) fn evaluate_rules<K: Semiring>(
     edb: &FactStore<K>,
     route: RaRoute,
 ) -> Option<FactStore<K>> {
-    evaluate_rules_in(rules, edb, route, None)
-}
-
-/// [`evaluate_rules`] with the planned route pinned to an explicit
-/// [`ExecContext`] (engine + thread budget) instead of the process-wide
-/// default; `None` keeps the default. The interpreted route ignores the
-/// context.
-pub(crate) fn evaluate_rules_in<K: Semiring>(
-    rules: &[&Rule],
-    edb: &FactStore<K>,
-    route: RaRoute,
-    ctx: Option<&ExecContext>,
-) -> Option<FactStore<K>> {
     if !rules.iter().all(|r| translatable(r)) {
         return None;
     }
@@ -216,14 +202,9 @@ pub(crate) fn evaluate_rules_in<K: Semiring>(
     let mut out = FactStore::new();
     for rule in &compiled {
         let result = match route {
-            RaRoute::Planned => {
-                let plan = Plan::new(&rule.expr, &catalog)
-                    .expect("translated conjunctive queries are well-typed");
-                match ctx {
-                    Some(ctx) => plan.execute_with(&db, ctx),
-                    None => plan.execute(&db),
-                }
-            }
+            RaRoute::Planned => Plan::new(&rule.expr, &catalog)
+                .expect("translated conjunctive queries are well-typed")
+                .execute(&db),
             RaRoute::Interpreted => rule
                 .expr
                 .eval_interpreted(&db)

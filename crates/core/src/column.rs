@@ -22,7 +22,7 @@
 //!   dictionaries a code-translation table built once per batch.
 //! * `Column::Val` — the fallback for mixed-type columns and for
 //!   dictionaries that overflow `DICT_MAX` distinct strings: plain
-//!   `Value`s, compared and hashed row-at-a-time like the row engine.
+//!   `Value`s, compared and hashed one row at a time.
 //!
 //! Column payloads — data and annotations alike — are behind `Arc`, so
 //! cloning a batch (every scan of a cached relation clones its batch list,
@@ -31,8 +31,7 @@
 //! morsel workers never copy data; selections only refine the selection
 //! vector. Data is gathered (copied) only at pipeline breakers — hash-join
 //! build/probe, pre-join aggregation, exchanges, and the root conversion
-//! back to a `KRelation` — exactly the places the row engine already
-//! materializes. A breaker takes the annotation vector back *by move* when
+//! back to a `KRelation`. A breaker takes the annotation vector back *by move* when
 //! its batch is the column's only holder (a batch an operator built), and
 //! otherwise (a batch still held by the cache) clones just the rows that
 //! survived the selection.
@@ -343,8 +342,7 @@ pub fn columns_rows_equal(
 // --- content hashing -------------------------------------------------------
 
 /// Combines a per-column value hash into a running row hash (an FxHash-style
-/// mix; column order matters, mirroring the row engine's positional key
-/// hashing).
+/// mix; column order matters: a key is positional).
 pub fn hash_combine(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
@@ -1369,7 +1367,7 @@ pub struct Grouped<K> {
 
 /// Groups the live rows of `batches` by the given key columns, summing
 /// annotations of equal-key rows in stream order. With `keys` spanning the
-/// whole row this is exactly the row engine's duplicate aggregation.
+/// whole row this is the duplicate aggregation of Definition 3.2's `Σ`.
 ///
 /// Two passes: every row is assigned its group's id (through the key table,
 /// or per dictionary code — see the module docs), then the semiring sums all

@@ -8,7 +8,7 @@
 //! [`HASH_SEED`] and [`Batch`] from here: its fixpoint runs on interned-id
 //! tables of its own.)
 //!
-//! The split of responsibilities mirrors the row engine's:
+//! The split of responsibilities:
 //!
 //! * [`ColBuilder`] / [`Column`] — per-attribute typed storage, starting
 //!   typed (`i64` vectors, dictionary-encoded strings) and degrading to
@@ -31,15 +31,15 @@
 //!
 //! Every kernel verifies hash candidates with exact typed comparisons, so
 //! collisions affect performance, never results — the property the
-//! differential suites lean on when pinning batch-vs-row byte-identity.
+//! differential suites lean on when pinning executor-vs-interpreter
+//! equality.
 //!
 //! ```
 //! use provsem_core::kernels::{group_batches, Batch};
 //! use provsem_core::value::Value;
 //! use provsem_semiring::Natural;
 //!
-//! // Two contributions to the same row sum at the grouping point, exactly
-//! // like the row engine's duplicate aggregation.
+//! // Two contributions to the same row sum at the grouping point.
 //! let rows = vec![
 //!     (vec![Value::int(1)].into_boxed_slice(), Natural::from(2u64)),
 //!     (vec![Value::int(1)].into_boxed_slice(), Natural::from(3u64)),

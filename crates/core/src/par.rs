@@ -16,10 +16,9 @@
 /// serial path while every benchmark workload parallelizes.
 pub const SPAWN_THRESHOLD: usize = 128;
 
-/// The partition a hashed key belongs to under a `parts`-way exchange.
-/// Shared by the row engine's chunk exchange and the batch engine's
-/// batch-splitting exchange so both partition identically: equal keys land
-/// in equal partitions whichever representation is flowing.
+/// The partition a hashed key belongs to under a `parts`-way exchange of
+/// the batch executor. Key hashes are content-based, so equal keys land in
+/// equal partitions whichever column representation carries them.
 pub(crate) fn part_of(hash: u64, parts: usize) -> usize {
     (hash % parts as u64) as usize
 }
@@ -77,7 +76,7 @@ where
 /// Unconditionally spawns one scoped worker per item and collects the
 /// results in item order, re-raising worker panics with their original
 /// payload. The low-level primitive under [`par_map_chunks`]; callers that
-/// pre-package their work (e.g. the physical executor, which seals
+/// pre-package their work (e.g. the batch executor, which seals
 /// annotation batches into `Send` tokens before crossing threads) use it
 /// directly after making their own inline-vs-spawn decision.
 pub fn spawn_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>

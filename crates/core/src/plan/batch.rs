@@ -1,11 +1,14 @@
-//! The columnar batch executor: the [`PhysOp`] tree evaluated over
-//! [`Batch`]es of typed column vectors instead of row-at-a-time streams.
+//! The columnar executor: the [`PhysOp`] tree evaluated over [`Batch`]es of
+//! typed column vectors. Every plan runs here ([`execute`] is what
+//! [`Plan::query_with`](super::Plan::query_with) calls); the differential
+//! suites compare it against the tree-walking interpreter
+//! [`RaExpr::eval_interpreted`](crate::expr::RaExpr::eval_interpreted).
 //!
-//! This is the `PROVSEM_EXEC=batch` (default) execution mode dispatched by
-//! [`super::physical::execute`]. The operator algebra is identical to the
-//! row engine — same physical tree, same materialization points — but the
-//! unit of work is a whole batch:
+//! The unit of work is a whole batch, and *a morsel is a batch*:
 //!
+//! * **Scans** resolve against the storage layer: served from the
+//!   snapshot-resident [`BatchCache`](crate::column::BatchCache) when the
+//!   source has one, converted once per execution otherwise.
 //! * **σ** compiles to a per-column selection loop ([`filter_batch`]): a
 //!   single comparison over a batch nothing has filtered yet writes the
 //!   selection vector in its one pass over the column; `And`/`Or` (and a
@@ -27,21 +30,22 @@
 //!   its output column-by-column (typed gathers). Neither side copies an
 //!   annotation column: only matched pairs are read and multiplied.
 //!
-//! In parallel mode the morsel exchange ships whole batches between
-//! workers: batches are split by key-hash partition ([`Batch::split_by`],
-//! same `hash % threads` assignment as the row engine via
-//! [`crate::par::part_of`]), column payloads cross threads as plain `Send`
-//! data, and annotation vectors travel sealed through the semiring's
-//! [`Portable`] encoding — exactly the transport discipline of the row
-//! engine's chunk exchange.
+//! With a multi-threaded [`ExecContext`] and a semiring whose annotations
+//! can cross threads ([`Semiring::is_portable`]), joins and aggregations
+//! above [`crate::par::SPAWN_THRESHOLD`] rows run **morsel-driven**: batches
+//! are split by key-hash partition ([`Batch::split_by`], assignment by
+//! [`crate::par::part_of`]), one scoped worker builds/probes or groups each
+//! partition, column payloads cross threads as plain `Send` data, and
+//! annotation vectors travel sealed through the semiring's [`Portable`]
+//! encoding (circuit handles as node ids into the process-wide arena).
 //!
 //! Determinism: partitioning is by content hash (representation- and
 //! dictionary-independent), groups and join matches are emitted in
 //! first-occurrence stream order, and partition outputs merge in index
 //! order — so, with semiring `+` commutative (a property-tested law), the
-//! result `KRelation` is identical to the row engine's at every thread
-//! count. `core/tests/columnar_differential.rs` pins row-vs-batch equality
-//! across five semirings and thread counts.
+//! result is identical at every thread count.
+//! `core/tests/columnar_differential.rs` pins executor-vs-interpreter
+//! equality across five semirings and thread counts.
 
 use super::physical::{scan_relation, ColSource, CompiledPredicate, PhysOp};
 use crate::column::{
@@ -438,8 +442,7 @@ pub fn join_batches<K: Semiring>(
         };
         key_of.clear();
         index.assign(rows, &build_cols, build_keys, None, &mut key_of);
-        // Matches in probe-stream-major, build-stream-minor order — the
-        // same nesting as the row engine's probe loop.
+        // Matches in probe-stream-major, build-stream-minor order.
         let mut match_build: Vec<(u32, u32)> = Vec::new();
         let mut match_probe: Vec<u32> = Vec::new();
         let mut anns: Vec<K> = Vec::new();
@@ -479,14 +482,12 @@ pub fn join_batches<K: Semiring>(
 /// otherwise the scan converts here, once per execution. Reuses share the
 /// typed columns by `Arc` and the *same* string dictionaries, so downstream
 /// equality kernels between the scans compare dictionary codes instead of
-/// strings. Only the annotation vectors are cloned per use — exactly the
-/// clones the row engine pays per scan.
+/// strings.
 type ScanCache<K> = FxHashMap<usize, Arc<Vec<Batch<K>>>>;
 
 /// Recursively executes an operator into batches, peeling unary σ/π/ρ
-/// chains off the top and applying them as mask/permutation kernels —
-/// mirroring the row engine's fused [`RowStep`](super::physical) chains.
-/// `threads > 1` only when the semiring is portable.
+/// chains off the top and applying them as mask/permutation kernels in one
+/// pass per batch. `threads > 1` only when the semiring is portable.
 fn exec_batches<K, S>(
     op: &PhysOp,
     source: &S,
@@ -588,17 +589,24 @@ where
 
 /// Runs a physical plan to completion through the columnar kernels. The
 /// root merge groups the output batches by *all* columns — the final `Σ` of
-/// duplicate rows — and sorts the groups once; the result stays columnar.
-pub(crate) fn execute<K, S>(
+/// duplicate rows (Definition 3.2) — and sorts the groups once; the result
+/// stays columnar. A semiring that cannot cross threads
+/// ([`Semiring::is_portable`] is `false`) runs serially whatever the budget.
+pub(crate) fn execute<'a, K, S>(
     op: &PhysOp,
     schema: &Schema,
-    source: &S,
+    source: &'a S,
     ctx: &ExecContext,
-) -> QueryResult<'static, K>
+) -> QueryResult<'a, K>
 where
     K: Semiring,
     S: RelationSource<K>,
 {
+    // A plan that optimized down to a bare scan is the whole base relation:
+    // no conversion, no copy — the result borrows it.
+    if let PhysOp::Scan { name, schema } = op {
+        return QueryResult::from(scan_relation(name, schema, source));
+    }
     let threads = if ctx.threads > 1 && K::is_portable() {
         ctx.threads
     } else {

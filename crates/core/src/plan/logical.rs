@@ -203,22 +203,6 @@ impl LogicalPlan {
         }
     }
 
-    /// Total catalog-estimated rows read by the plan's scans (each scan
-    /// counted as often as it appears) — the input volume the engines pay
-    /// conversion for, which drives the `ExecMode::Auto` engine pick.
-    pub fn scan_rows(&self) -> usize {
-        match self {
-            LogicalPlan::Scan { estimate, .. } => *estimate,
-            LogicalPlan::Empty { .. } => 0,
-            LogicalPlan::Union { left, right } | LogicalPlan::Join { left, right, .. } => {
-                left.scan_rows().saturating_add(right.scan_rows())
-            }
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Select { input, .. }
-            | LogicalPlan::Rename { input, .. } => input.scan_rows(),
-        }
-    }
-
     /// Does the hash join for this `Join` node build on the left input?
     /// (The smaller estimated side is materialized; ties build left.)
     pub(crate) fn join_builds_left(left: &LogicalPlan, right: &LogicalPlan) -> bool {

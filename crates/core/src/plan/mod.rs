@@ -6,11 +6,14 @@
 //! for every node up front), rewritten by the optimizer (selection pushdown,
 //! projection pushdown and join-input pruning, rename fusion,
 //! cascaded-projection collapse, `∅` propagation — see
-//! [`logical::optimize`]), and compiled to physical operators that work on
-//! positional rows with attributes resolved to column indices at plan time
-//! (the `physical` module). The original tree-walking interpreter is still
-//! available as [`RaExpr::eval_interpreted`](crate::expr::RaExpr::eval_interpreted)
-//! and serves as the differential-testing reference.
+//! [`logical::optimize`]), and compiled to physical operators with
+//! attributes resolved to column indices at plan time (the `physical`
+//! module), which the columnar executor (the `batch` module) runs over
+//! batches of typed column vectors. That is the one production path; the
+//! tree-walking interpreter
+//! [`RaExpr::eval_interpreted`](crate::expr::RaExpr::eval_interpreted) over
+//! [`crate::algebra`] is the one reference oracle the differential suites
+//! compare it against.
 //!
 //! Plans are independent of the annotation semiring: [`Plan::new`] needs
 //! only schemas and cardinalities, and one plan can be executed over
@@ -51,50 +54,8 @@ pub use logical::LogicalPlan;
 pub use maintain::{DeltaBatch, MaterializedView};
 pub use result::{QueryResult, RowValues};
 
-/// Which physical engine executes a plan.
-///
-/// Both engines run the identical physical operator tree and produce the
-/// identical result `KRelation` (pinned by
-/// `core/tests/columnar_differential.rs` across semirings and thread
-/// counts); they differ only in the unit of work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Row-at-a-time: pipelined `Box<[Value]>` streams with borrowed-`Cow`
-    /// annotations — the engine that predates columnar execution.
-    Row,
-    /// Columnar batches: typed column vectors (dictionary-encoded strings),
-    /// vectorized selection/hash kernels, annotations as a parallel column.
-    Batch,
-    /// Decide per plan at execution time: plans whose catalog estimates
-    /// read at least [`Plan::AUTO_BATCH_MIN_ROWS`] total scan rows run on
-    /// the batch engine, smaller ones on the row engine (whose lack of a
-    /// row→column conversion wins on tiny inputs). The default.
-    Auto,
-}
-
-impl ExecMode {
-    /// The process-wide default: `PROVSEM_EXEC=row` forces the
-    /// row-at-a-time engine, `PROVSEM_EXEC=batch` forces the columnar
-    /// batch engine, anything else (including unset) selects
-    /// [`ExecMode::Auto`]. The environment is read once and cached.
-    pub fn from_env() -> ExecMode {
-        static MODE: std::sync::OnceLock<ExecMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("PROVSEM_EXEC") {
-            Ok(value) if value.trim().eq_ignore_ascii_case("row") => ExecMode::Row,
-            Ok(value) if value.trim().eq_ignore_ascii_case("batch") => ExecMode::Batch,
-            _ => ExecMode::Auto,
-        })
-    }
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode::from_env()
-    }
-}
-
 /// How a plan executes: the thread budget of the morsel-driven parallel
-/// executor, and which engine ([`ExecMode`]) runs the operators.
+/// executor.
 ///
 /// With `threads == 1` execution is serial. With more threads, scans are
 /// split into contiguous morsels, hash joins and pre-join aggregations
@@ -105,39 +66,24 @@ impl Default for ExecMode {
 ///
 /// The default context reads the `PROVSEM_THREADS` environment variable
 /// (cached on first use) and falls back to
-/// [`std::thread::available_parallelism`]; the engine reads `PROVSEM_EXEC`
-/// (see [`ExecMode::from_env`]).
+/// [`std::thread::available_parallelism`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecContext {
     /// Number of worker threads (and hash partitions); at least 1.
     pub threads: usize,
-    /// Which engine runs the physical operators.
-    pub mode: ExecMode,
 }
 
 impl ExecContext {
-    /// One thread: the serial code path (engine per `PROVSEM_EXEC`).
+    /// One thread: the serial code path.
     pub fn serial() -> ExecContext {
-        ExecContext {
-            threads: 1,
-            mode: ExecMode::from_env(),
-        }
+        ExecContext { threads: 1 }
     }
 
-    /// An explicit thread budget (clamped to at least 1; engine per
-    /// `PROVSEM_EXEC`).
+    /// An explicit thread budget (clamped to at least 1).
     pub fn with_threads(threads: usize) -> ExecContext {
         ExecContext {
             threads: threads.max(1),
-            mode: ExecMode::from_env(),
         }
-    }
-
-    /// Builder-style engine override (environment-independent — what the
-    /// differential suites use to pin row-vs-batch agreement).
-    pub fn with_mode(mut self, mode: ExecMode) -> ExecContext {
-        self.mode = mode;
-        self
     }
 
     /// The process-wide default: `PROVSEM_THREADS` if set to a positive
@@ -156,10 +102,7 @@ impl ExecContext {
                         .unwrap_or(1)
                 })
         });
-        ExecContext {
-            threads,
-            mode: ExecMode::from_env(),
-        }
+        ExecContext { threads }
     }
 }
 
@@ -225,8 +168,8 @@ pub trait RelationSource<K> {
     /// The storage-layer [`BatchCache`](crate::column::BatchCache) attached
     /// to this source, plus the epoch new entries should record, if the
     /// source has one ([`DbSnapshot`](crate::snapshot::DbSnapshot) does).
-    /// When present, the batch engine's scans are served from (and memoized
-    /// into) the cache instead of converting per execution.
+    /// When present, scans are served from (and memoized into) the cache
+    /// instead of converting per execution.
     fn batch_cache(&self) -> Option<(&column::BatchCache<K>, u64)> {
         None
     }
@@ -283,20 +226,9 @@ pub struct Plan {
     logical: LogicalPlan,
     physical: physical::PhysOp,
     schema: Schema,
-    /// Total catalog-estimated rows read by the plan's scans — the input
-    /// to the [`ExecMode::Auto`] engine pick, frozen at plan time.
-    scan_rows: usize,
 }
 
 impl Plan {
-    /// Scan-row threshold of the [`ExecMode::Auto`] engine pick: plans
-    /// whose scans read at least this many rows (by catalog estimate, at
-    /// plan time) run on the batch engine; smaller plans — e.g. the
-    /// Section 9 canonical databases of under ten facts — stay on the row
-    /// engine, where the row→column conversion they cannot amortize never
-    /// happens.
-    pub const AUTO_BATCH_MIN_ROWS: usize = 64;
-
     /// Validates `expr` against `catalog`, optimizes it, and compiles the
     /// physical operators. Errors are exactly those `RaExpr::eval` would
     /// report.
@@ -305,29 +237,11 @@ impl Plan {
         let optimized = logical::optimize(validated);
         let physical = physical::compile(&optimized);
         let schema = optimized.schema().clone();
-        let scan_rows = optimized.scan_rows();
         Ok(Plan {
             logical: optimized,
             physical,
             schema,
-            scan_rows,
         })
-    }
-
-    /// The engine `ctx` resolves to for this plan: [`ExecMode::Auto`]
-    /// picks per the scan-row estimate (see [`Plan::AUTO_BATCH_MIN_ROWS`]);
-    /// explicit modes pass through.
-    pub fn resolved_mode(&self, ctx: &ExecContext) -> ExecMode {
-        match ctx.mode {
-            ExecMode::Auto => {
-                if self.scan_rows >= Plan::AUTO_BATCH_MIN_ROWS {
-                    ExecMode::Batch
-                } else {
-                    ExecMode::Row
-                }
-            }
-            mode => mode,
-        }
     }
 
     /// The plan's output schema.
@@ -365,35 +279,13 @@ impl Plan {
     /// annotated with the context's morsel budget and each hash join /
     /// pre-join aggregation with its hash-partition count. The counts are
     /// the *budget*, not runtime cardinalities: a scan smaller than the
-    /// budget splits into fewer morsels at execution time. The first line
-    /// states the engine decision — which engine runs and whether it was
-    /// forced or picked by [`ExecMode::Auto`] from the scan-row estimate —
-    /// and under the batch engine each scan additionally shows the batch
-    /// row budget (`[batch=4096]`).
+    /// budget splits into fewer morsels at execution time. Each scan also
+    /// shows the batch row budget (`[batch=4096]`).
     pub fn explain_physical_with(&self, ctx: &ExecContext) -> String {
-        let mode = self.resolved_mode(ctx);
-        let decision = match (ctx.mode, mode) {
-            (ExecMode::Auto, ExecMode::Batch) => format!(
-                "engine: batch (auto: ~{} scan rows ≥ {})",
-                self.scan_rows,
-                Plan::AUTO_BATCH_MIN_ROWS
-            ),
-            (ExecMode::Auto, ExecMode::Row) => format!(
-                "engine: row (auto: ~{} scan rows < {})",
-                self.scan_rows,
-                Plan::AUTO_BATCH_MIN_ROWS
-            ),
-            (_, ExecMode::Row) => "engine: row (forced)".to_string(),
-            _ => "engine: batch (forced)".to_string(),
-        };
-        let batch_rows = (mode == ExecMode::Batch).then_some(column::BATCH_ROWS);
-        format!(
-            "{decision}\n{}",
-            self.physical.render(ctx.threads, batch_rows)
-        )
+        self.physical.render(ctx.threads)
     }
 
-    /// Describes, per scan of the physical plan, how the batch engine will
+    /// Describes, per scan of the physical plan, how the executor will
     /// lay the relation out against a concrete source: row count, number of
     /// batches, the per-column encodings — `i64` (typed integers),
     /// `dict(n)` (dictionary-encoded strings with `n` distinct entries), or
@@ -419,10 +311,10 @@ impl Plan {
         self.execute_with(source, &ExecContext::default())
     }
 
-    /// Executes the plan with an explicit thread budget. `threads == 1`
-    /// reproduces the serial pipelined path exactly; any other budget
-    /// produces the identical `KRelation` via the morsel-driven executor
-    /// (deterministic partitioning and merge — see [`ExecContext`]). This is
+    /// Executes the plan with an explicit thread budget. `threads == 1` is
+    /// the serial path; any other budget produces the identical `KRelation`
+    /// via the morsel-driven executor (deterministic partitioning and
+    /// merge — see [`ExecContext`]). This is
     /// [`Plan::query_with`] followed by the API-edge
     /// [`QueryResult::into_relation`].
     pub fn execute_with<K: Semiring>(
@@ -433,11 +325,11 @@ impl Plan {
         self.query_with(source, ctx).into_relation()
     }
 
-    /// Executes the plan and returns the rows as the engine produced them —
-    /// grouped columns sorted once from the batch engine, a relation from
-    /// the row engine, the borrowed base relation for a bare scan — without
-    /// building the `BTreeMap<Tuple, K>` a [`KRelation`] is. What a caller
-    /// that only walks the rows (the query service) should use.
+    /// Executes the plan and returns the rows as the executor produced
+    /// them — grouped columns sorted once, or the borrowed base relation
+    /// for a bare scan — without building the tree of tuples a
+    /// [`KRelation`] is. What a caller that only walks the rows (the query
+    /// service) should use.
     ///
     /// # Panics
     /// As [`Plan::execute`].
@@ -446,8 +338,7 @@ impl Plan {
         source: &'a impl RelationSource<K>,
         ctx: &ExecContext,
     ) -> QueryResult<'a, K> {
-        let ctx = ctx.with_mode(self.resolved_mode(ctx));
-        physical::execute(&self.physical, &self.schema, source, &ctx)
+        batch::execute(&self.physical, &self.schema, source, ctx)
     }
 }
 

@@ -5,20 +5,17 @@ use crate::relation::KRelation;
 use crate::schema::Schema;
 use crate::value::{Value, ValueRef};
 use provsem_semiring::Semiring;
-use std::borrow::Cow;
 
 /// The result of [`Plan::query_with`](super::Plan::query_with): the output
 /// rows in canonical (sorted tuple) order, duplicates summed and zero sums
-/// dropped, in whichever form the engine that ran the plan left them.
+/// dropped, in the form the executor left them.
 ///
-/// * The batch engine's root groups its output batches by the whole row and
+/// * The executor's root groups its output batches by the whole row and
 ///   sorts the groups once, columnarly ([`Grouped::into_sorted`]); the
 ///   result stays **columns** — no [`Tuple`](crate::tuple::Tuple) and no
-///   `BTreeMap` node exists per row.
-/// * The row engine (plans over fewer than
-///   [`Plan::AUTO_BATCH_MIN_ROWS`](super::Plan::AUTO_BATCH_MIN_ROWS) scan
-///   rows) merges into a [`KRelation`], and a plan that is a bare scan
-///   *borrows* the scanned relation.
+///   tree node exists per row.
+/// * A plan that is a bare scan *borrows* the scanned relation, as does a
+///   caller that reads a base relation or maintained view as it stands.
 ///
 /// Consumers that only walk the rows — the query service renders them
 /// straight into its reply buffer — use [`QueryResult::for_each_row`];
@@ -31,15 +28,15 @@ pub struct QueryResult<'a, K: Semiring>(Rows<'a, K>);
 
 #[derive(Debug)]
 enum Rows<'a, K: Semiring> {
-    Relation(Cow<'a, KRelation<K>>),
+    Relation(&'a KRelation<K>),
     /// Canonical order, distinct rows, no zero annotation, no selection.
     Sorted(Schema, Batch<K>),
 }
 
-/// A relation that already is the result: the row engine's merge (owned), or
-/// a base relation or maintained view read as it stands (borrowed).
-impl<'a, K: Semiring> From<Cow<'a, KRelation<K>>> for QueryResult<'a, K> {
-    fn from(relation: Cow<'a, KRelation<K>>) -> Self {
+/// A relation that already is the result: a base relation or maintained
+/// view read as it stands.
+impl<'a, K: Semiring> From<&'a KRelation<K>> for QueryResult<'a, K> {
+    fn from(relation: &'a KRelation<K>) -> Self {
         QueryResult(Rows::Relation(relation))
     }
 }
@@ -93,12 +90,12 @@ impl<'a, K: Semiring> QueryResult<'a, K> {
         }
     }
 
-    /// Materializes the result as a [`KRelation`]: free for the row engine,
-    /// a clone for a borrowed base relation, and for columns one tuple per
-    /// row bulk-built into the map from the already sorted stream.
+    /// Materializes the result as a [`KRelation`]: a clone (shared tree
+    /// nodes) for a borrowed relation, and for columns one tuple per row
+    /// bulk-built into the tree from the already sorted stream.
     pub fn into_relation(self) -> KRelation<K> {
         match self.0 {
-            Rows::Relation(relation) => relation.into_owned(),
+            Rows::Relation(relation) => relation.clone(),
             Rows::Sorted(schema, batch) => batch_into_relation(batch, &schema),
         }
     }
@@ -208,7 +205,7 @@ mod tests {
                 })
                 .collect();
             let result = QueryResult::from_batches(schema, batches);
-            let from_relation = QueryResult::from(Cow::Borrowed(&expected));
+            let from_relation = QueryResult::from(&expected);
             assert_eq!(walked(&result), walked(&from_relation), "case {case}");
             assert_eq!(result.into_relation(), expected, "case {case}");
         }

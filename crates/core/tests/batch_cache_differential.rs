@@ -3,26 +3,25 @@
 //!
 //! Random interleavings of commits, executions, and view maintenance run
 //! against a [`SharedDatabase`], whose snapshots carry the storage-layer
-//! [`BatchCache`]: the first batch-engine execution columnarizes each
+//! [`BatchCache`]: the first execution columnarizes each
 //! scanned relation, later executions hit the cache, and commits *patch*
 //! cached conversions forward by appending the delta's batches. The
 //! contract, pinned exactly (support *and* annotations) at every step:
 //!
 //! ```text
-//! batch(cached/patched, 1 thread) == batch(cached/patched, 4 threads)
-//!   == batch(fresh conversion)    == row engine == auto
+//! executor(cached/patched, 1 thread) == executor(cached/patched, 2 and 4 threads)
+//!   == executor(fresh conversion)    == interpreter
 //! ```
 //!
 //! Old snapshots are held across commits and re-executed — their cache
 //! entries are keyed by relation *version*, so a patched entry must never
 //! leak newer data into an older epoch's results. A standing view and a
 //! hand-maintained [`MaterializedView`] ride along, checked against
-//! recomputation after every commit. Run under `PROVSEM_EXEC=row|batch|auto`
-//! × `PROVSEM_THREADS=1|4` in CI so the default-context paths cross the
-//! cache too.
+//! recomputation after every commit. Run under `PROVSEM_THREADS=1|4` in CI
+//! so the default-context paths cross the cache too.
 
 use proptest::prelude::*;
-use provsem_core::plan::{DeltaBatch, ExecContext, ExecMode, Plan};
+use provsem_core::plan::{DeltaBatch, ExecContext, Plan};
 use provsem_core::prelude::*;
 use provsem_semiring::ring::Integers;
 
@@ -85,27 +84,27 @@ fn queries() -> Vec<RaExpr> {
     ]
 }
 
-/// Executes `query` against `snapshot` through every engine/thread/cache
-/// combination and pins byte-identity across all of them. The cache-free
-/// reference runs against the snapshot's bare [`Database`], which carries
-/// no [`BatchCache`] — every scan re-converts.
+/// Executes `query` against `snapshot` through every thread/cache
+/// combination and pins each result to the interpreter's. The cache-free
+/// run goes against the snapshot's bare [`Database`], which carries no
+/// [`BatchCache`] — every scan re-converts.
 fn check_execution_agreement(query: &RaExpr, snapshot: &DbSnapshot<Integers>) {
     let plan = Plan::new(query, &snapshot.catalog()).expect("pool queries are valid");
-    let row = plan.execute_with(snapshot, &ExecContext::serial().with_mode(ExecMode::Row));
-    let fresh = plan.execute_with(
-        snapshot.database(),
-        &ExecContext::serial().with_mode(ExecMode::Batch),
+    let expected = query
+        .eval_interpreted(snapshot.database())
+        .expect("pool queries are valid");
+    let fresh = plan.execute_with(snapshot.database(), &ExecContext::serial());
+    assert_eq!(
+        expected, fresh,
+        "interpreter != fresh conversion on {query:?}"
     );
-    let cached1 = plan.execute_with(snapshot, &ExecContext::serial().with_mode(ExecMode::Batch));
-    let cached4 = plan.execute_with(
-        snapshot,
-        &ExecContext::with_threads(4).with_mode(ExecMode::Batch),
-    );
-    let auto = plan.execute_with(snapshot, &ExecContext::serial().with_mode(ExecMode::Auto));
-    assert_eq!(row, fresh, "row != fresh batch on {query:?}");
-    assert_eq!(row, cached1, "row != cached batch (serial) on {query:?}");
-    assert_eq!(row, cached4, "row != cached batch (4 threads) on {query:?}");
-    assert_eq!(row, auto, "row != auto on {query:?}");
+    for threads in [1, 2, 4] {
+        let cached = plan.execute_with(snapshot, &ExecContext::with_threads(threads));
+        assert_eq!(
+            expected, cached,
+            "interpreter != cached ({threads} threads) on {query:?}"
+        );
+    }
 }
 
 fn arb_facts() -> impl Strategy<Value = Vec<RawFact>> {
@@ -300,7 +299,7 @@ fn scan_agreement<K: Semiring>(snapshot: &DbSnapshot<K>) {
     ];
     for query in &pool {
         let plan = Plan::new(query, &snapshot.catalog()).expect("pool queries are valid");
-        let batch = |threads| ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
+        let batch = ExecContext::with_threads;
         let fresh = plan.execute_with(snapshot.database(), &batch(1));
         assert!(fresh == plan.execute_with(snapshot, &batch(1)), "{query:?}");
         assert!(fresh == plan.execute_with(snapshot, &batch(4)), "{query:?}");
@@ -539,7 +538,7 @@ fn patched_scans_group_and_probe_by_dictionary_code() {
                 .expect("pool queries are valid");
             let plan = Plan::new(query, &snapshot.catalog()).expect("pool queries are valid");
             for threads in [1, 4] {
-                let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
+                let ctx = ExecContext::with_threads(threads);
                 assert!(
                     plan.execute_with(snapshot, &ctx) == expected,
                     "{query:?} at {threads} threads, epoch {}",

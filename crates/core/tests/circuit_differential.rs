@@ -20,19 +20,17 @@
 //! semiring in the strict sense, so `Eval_v` is not a homomorphism into it
 //! and only circuit-vs-polynomial agreement is asserted there.
 //!
-//! The random instances are a handful of tuples: below the planner's
-//! batch-engine threshold and the executor's spawn threshold. The **large
-//! instances** (≥ 400 rows per relation, deterministic) pin the same two
-//! contracts on the batch engine at 1, 2 and 4 threads, where grouping
-//! builds one n-ary `Σ` node per group and every exchange moves circuit
-//! batches between worker threads.
+//! The random instances are a handful of tuples: below the executor's spawn
+//! threshold. The **large instances** (≥ 400 rows per relation,
+//! deterministic) pin the same two contracts at 1, 2 and 4 threads, where
+//! grouping builds one n-ary `Σ` node per group and every exchange moves
+//! circuit batches between worker threads.
 //!
 //! The file ends with the **sharing test**: a product-of-unions workload
 //! whose expanded ℕ\[X\] provenance has `2ⁿ` monomials while the circuit
 //! stays linear in `n` — the representation gap this engine exists for.
 
 use proptest::prelude::*;
-use provsem_core::plan::ExecMode;
 use provsem_core::prelude::*;
 use provsem_core::provenance::{
     circuit_provenance_of_query, circuit_provenance_size, provenance_of_query, specialize,
@@ -248,7 +246,7 @@ proptest! {
     }
 }
 
-// ---- large instances: the batch engine, exchanges, Σ nodes ------------------
+// ---- large instances: exchanges, Σ nodes ------------------------------------
 
 const LARGE_THREADS: [usize; 3] = [1, 2, 4];
 
@@ -301,17 +299,16 @@ fn large_queries() -> Vec<RaExpr> {
     ]
 }
 
-/// Runs `query` over circuit annotations on the batch engine.
+/// Runs `query` over circuit annotations at the given thread budget.
 fn large_circuit_provenance<K: Semiring>(
     query: &RaExpr,
     db: &Database<K>,
     threads: usize,
 ) -> (KRelation<Circuit>, Valuation<K>) {
     circuit::reset();
-    let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
+    let ctx = ExecContext::with_threads(threads);
     let plan = Plan::new(query, &db.catalog()).expect("large queries are valid");
     let physical = plan.explain_physical_with(&ctx);
-    assert!(physical.contains("engine: batch"), "{physical}");
     // Every join and pre-join aggregation exchanges between workers.
     let exchanges = threads > 1 && physical.contains("hash-join");
     assert_eq!(physical.contains("partitions="), exchanges, "{physical}");

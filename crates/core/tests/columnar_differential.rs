@@ -1,12 +1,13 @@
-//! Differential test: the columnar batch engine agrees with the row engine.
+//! Differential test: the columnar executor agrees with the tree-walking
+//! interpreter.
 //!
 //! Random `RaExpr`s of bounded depth (the same recipe decoder as
 //! `planner_differential.rs`, covering every operator including ill-typed
-//! combinations) are planned once and executed under four contexts —
-//! `{ExecMode::Row, ExecMode::Batch} × {1, 4}` threads. All four `Result`s
-//! must agree **exactly**: the same `EvalError` on invalid queries and
-//! annotation-identical `KRelation`s on valid ones — over 𝔹, ℕ, the
-//! tropical semiring, why-provenance and PosBool.
+//! combinations) are planned once and executed at 1, 2 and 4 threads. Every
+//! `Result` must equal `RaExpr::eval_interpreted`'s **exactly**: the same
+//! `EvalError` on invalid queries and annotation-identical `KRelation`s on
+//! valid ones — over 𝔹, ℕ, the tropical semiring, why-provenance and
+//! PosBool.
 //!
 //! The deterministic tests at the bottom pin the columnar edge cases:
 //! zero-arity schemas, empty inputs, batches smaller than a morsel,
@@ -14,7 +15,7 @@
 //! that defeat typed encodings.
 
 use proptest::prelude::*;
-use provsem_core::plan::{ExecContext, ExecMode, Plan};
+use provsem_core::plan::{ExecContext, Plan};
 use provsem_core::prelude::*;
 use provsem_semiring::{Bool, Natural, PosBool, Semiring, Tropical, WhySet};
 
@@ -131,7 +132,7 @@ fn build_db<K: Semiring>(facts: &[RawFact], annotate: impl Fn(usize, u64) -> K) 
 }
 
 /// Plans and executes the query under an explicit context, mirroring
-/// `RaExpr::eval` but with the engine and thread budget pinned.
+/// `RaExpr::eval` but with the thread budget pinned.
 fn eval_in<K: Semiring>(
     query: &RaExpr,
     db: &Database<K>,
@@ -140,21 +141,17 @@ fn eval_in<K: Semiring>(
     Plan::new(query, &db.catalog()).map(|plan| plan.execute_with(db, ctx))
 }
 
-/// The differential contract: both engines at both thread budgets produce
-/// the identical `Result` — same error on invalid queries, same relation
+/// The differential contract: the executor at every thread budget produces
+/// the interpreter's `Result` — same error on invalid queries, same relation
 /// (annotations included) on valid ones.
-fn assert_mode_agreement<K: Semiring>(query: &RaExpr, db: &Database<K>) {
-    let baseline = eval_in(query, db, &ExecContext::serial().with_mode(ExecMode::Row));
-    for threads in [1usize, 4] {
-        for mode in [ExecMode::Row, ExecMode::Batch] {
-            let ctx = ExecContext::with_threads(threads).with_mode(mode);
-            let got = eval_in(query, db, &ctx);
-            assert_eq!(
-                got, baseline,
-                "{mode:?} x {threads} threads disagrees with the serial row \
-                 engine on {query:?}"
-            );
-        }
+fn assert_interpreter_agreement<K: Semiring>(query: &RaExpr, db: &Database<K>) {
+    let baseline = query.eval_interpreted(db);
+    for threads in [1usize, 2, 4] {
+        let got = eval_in(query, db, &ExecContext::with_threads(threads));
+        assert_eq!(
+            got, baseline,
+            "{threads} threads disagrees with the interpreter on {query:?}"
+        );
     }
 }
 
@@ -172,31 +169,31 @@ proptest! {
     #[test]
     fn boolean_mode_agreement(recipe in arb_recipe(), facts in arb_facts()) {
         let query = expr(&mut Cursor::new(&recipe), 4);
-        assert_mode_agreement(&query, &build_db(&facts, |_, _| Bool::from(true)));
+        assert_interpreter_agreement(&query, &build_db(&facts, |_, _| Bool::from(true)));
     }
 
     #[test]
     fn natural_mode_agreement(recipe in arb_recipe(), facts in arb_facts()) {
         let query = expr(&mut Cursor::new(&recipe), 4);
-        assert_mode_agreement(&query, &build_db(&facts, |_, w| Natural::from(w)));
+        assert_interpreter_agreement(&query, &build_db(&facts, |_, w| Natural::from(w)));
     }
 
     #[test]
     fn tropical_mode_agreement(recipe in arb_recipe(), facts in arb_facts()) {
         let query = expr(&mut Cursor::new(&recipe), 4);
-        assert_mode_agreement(&query, &build_db(&facts, |_, w| Tropical::cost(w)));
+        assert_interpreter_agreement(&query, &build_db(&facts, |_, w| Tropical::cost(w)));
     }
 
     #[test]
     fn why_provenance_mode_agreement(recipe in arb_recipe(), facts in arb_facts()) {
         let query = expr(&mut Cursor::new(&recipe), 4);
-        assert_mode_agreement(&query, &build_db(&facts, |i, _| WhySet::var(format!("t{i}"))));
+        assert_interpreter_agreement(&query, &build_db(&facts, |i, _| WhySet::var(format!("t{i}"))));
     }
 
     #[test]
     fn posbool_mode_agreement(recipe in arb_recipe(), facts in arb_facts()) {
         let query = expr(&mut Cursor::new(&recipe), 4);
-        assert_mode_agreement(&query, &build_db(&facts, |i, _| PosBool::var(format!("t{i}"))));
+        assert_interpreter_agreement(&query, &build_db(&facts, |i, _| PosBool::var(format!("t{i}"))));
     }
 }
 
@@ -226,9 +223,8 @@ fn zero_arity_projection_agrees() {
         ),
     ];
     for query in &queries {
-        assert_mode_agreement(query, &db);
-        let ctx = ExecContext::serial().with_mode(ExecMode::Batch);
-        let out = eval_in(query, &db, &ctx).unwrap();
+        assert_interpreter_agreement(query, &db);
+        let out = eval_in(query, &db, &ExecContext::serial()).unwrap();
         assert!(out.iter().all(|(t, _)| t.arity() == 0));
     }
 }
@@ -246,8 +242,8 @@ fn empty_inputs_agree() {
         RaExpr::relation("T").project(Vec::<&str>::new()),
     ];
     for query in &queries {
-        assert_mode_agreement(query, &db);
-        let ctx = ExecContext::with_threads(4).with_mode(ExecMode::Batch);
+        assert_interpreter_agreement(query, &db);
+        let ctx = ExecContext::with_threads(4);
         assert!(eval_in(query, &db, &ctx).unwrap().is_empty());
     }
 }
@@ -271,7 +267,7 @@ fn batches_smaller_than_morsel_size_agree() {
         .join(RaExpr::relation("S"))
         .select(Predicate::ne_value("d", "v0"))
         .project(["a", "d"]);
-    assert_mode_agreement(&query, &db);
+    assert_interpreter_agreement(&query, &db);
 }
 
 /// Integer columns take the typed `i64` path: vectorized predicates and
@@ -295,11 +291,7 @@ fn integer_columns_agree() {
         .select(Predicate::ne_value("a", 13i64))
         .join(RaExpr::relation("S"))
         .project(["a", "c"]);
-    let baseline = eval_in(&query, &db, &ExecContext::serial().with_mode(ExecMode::Row));
-    for threads in [1usize, 4] {
-        let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
-        assert_eq!(eval_in(&query, &db, &ctx), baseline);
-    }
+    assert_interpreter_agreement(&query, &db);
     // The scan really is typed: both columns report the i64 encoding.
     let plan = Plan::new(&RaExpr::relation("R"), &db.catalog()).unwrap();
     let layout = plan.explain_batches(&db);
@@ -331,11 +323,7 @@ fn dictionary_overflow_agrees() {
     let query = RaExpr::relation("R")
         .select(Predicate::eq_value("b", "v2"))
         .project(["a"]);
-    let baseline = eval_in(&query, &db, &ExecContext::serial().with_mode(ExecMode::Row));
-    for threads in [1usize, 4] {
-        let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
-        assert_eq!(eval_in(&query, &db, &ctx), baseline);
-    }
+    assert_interpreter_agreement(&query, &db);
     let plan = Plan::new(&RaExpr::relation("R"), &db.catalog()).unwrap();
     let layout = plan.explain_batches(&db);
     assert!(
@@ -346,7 +334,7 @@ fn dictionary_overflow_agrees() {
 }
 
 /// A column mixing integers and strings defeats both typed encodings; the
-/// `Value` fallback must agree with the row engine, including on predicates
+/// `Value` fallback must agree with the interpreter, including on predicates
 /// whose constant matches only one of the types.
 #[test]
 fn mixed_type_columns_agree() {
@@ -370,11 +358,7 @@ fn mixed_type_columns_agree() {
             .join(RaExpr::relation("R").rename(Renaming::new([("b", "c")])))
             .project(["a"]),
     ] {
-        let baseline = eval_in(&query, &db, &ExecContext::serial().with_mode(ExecMode::Row));
-        for threads in [1usize, 4] {
-            let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
-            assert_eq!(eval_in(&query, &db, &ctx), baseline);
-        }
+        assert_interpreter_agreement(&query, &db);
     }
     let plan = Plan::new(&RaExpr::relation("R"), &db.catalog()).unwrap();
     let layout = plan.explain_batches(&db);

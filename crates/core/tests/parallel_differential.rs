@@ -1,7 +1,8 @@
 //! Differential test: the morsel-driven parallel executor agrees with the
-//! serial pipelined path **exactly** — same `KRelation` (support, annotation
-//! values, and therefore iteration order), same errors — at `threads ∈
-//! {2, 4}`, across the five differential semirings (𝔹, ℕ, tropical,
+//! serial path — and both with the tree-walking interpreter — **exactly**:
+//! same `KRelation` (support, annotation values, and therefore iteration
+//! order), same errors, at `threads ∈ {1, 2, 4}`, across the five
+//! differential semirings (𝔹, ℕ, tropical,
 //! Why(X), PosBool) and the provenance-circuit route.
 //!
 //! Two workload families: proptest-random small databases (exercising the
@@ -100,15 +101,20 @@ fn build_db<K: Semiring>(
     Database::new().with("R", r).with("S", s)
 }
 
-/// Serial-vs-parallel exact agreement for one database over one semiring.
+/// Exact agreement with the interpreter, serial and parallel, for one
+/// database over one semiring.
 fn check_db<K: Semiring>(db: &Database<K>) {
     let catalog = db.catalog();
     for query in query_shapes() {
         let plan = Plan::new(&query, &catalog).expect("shapes are valid over R/S");
+        let reference = query
+            .eval_interpreted(db)
+            .expect("shapes are valid over R/S");
         let serial = plan.execute_with(db, &ExecContext::serial());
+        assert_eq!(reference, serial, "serial query={query:?}");
         for threads in THREADS {
             let parallel = plan.execute_with(db, &ExecContext::with_threads(threads));
-            assert_eq!(serial, parallel, "threads={threads} query={query:?}");
+            assert_eq!(reference, parallel, "threads={threads} query={query:?}");
         }
     }
 }

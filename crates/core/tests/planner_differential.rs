@@ -14,16 +14,10 @@
 //! `Plan::explain` snapshots at the bottom of this file.
 
 use proptest::prelude::*;
-use provsem_core::plan::{ExecContext, ExecMode, Plan};
+use provsem_core::kernels::BATCH_ROWS;
+use provsem_core::plan::{ExecContext, Plan};
 use provsem_core::prelude::*;
 use provsem_semiring::{Bool, Natural, PosBool, Semiring, Tropical, WhySet};
-
-/// A serial context pinned to the row engine: the physical-tree goldens
-/// below snapshot the engine-independent operator structure, so they must
-/// not pick up the ambient `PROVSEM_EXEC` mode.
-fn serial_row() -> ExecContext {
-    ExecContext::serial().with_mode(ExecMode::Row)
-}
 
 const CASES: u32 = 120;
 
@@ -283,20 +277,21 @@ fn explain_physical_golden_pinned_projection_stays_pipelined() {
         .join(RaExpr::relation("S"));
     let plan = Plan::new(&query, &catalog).unwrap();
     let expected = "\
-engine: row (forced)
 hash-join build=left keys[1]/[0]
 ├─ π cols[0, 1]
 │  └─ σ
-│     └─ scan R {a, b, c}
-└─ scan S {b, d}
+│     └─ scan R {a, b, c} [batch=4096]
+└─ scan S {b, d} [batch=4096]
 ";
     assert_eq!(
-        plan.explain_physical_with(&serial_row()),
+        plan.explain_physical_with(&ExecContext::serial()),
         expected,
         "got:\n{}",
-        plan.explain_physical_with(&serial_row())
+        plan.explain_physical_with(&ExecContext::serial())
     );
-    assert!(!plan.explain_physical_with(&serial_row()).contains("agg"));
+    assert!(!plan
+        .explain_physical_with(&ExecContext::serial())
+        .contains("agg"));
     // The differential guard: planned equals interpreted on data.
     let mut dbs = db.clone();
     dbs.insert(
@@ -328,18 +323,17 @@ fn explain_physical_golden_duplicating_projection_is_aggregated() {
         .join(RaExpr::relation("S"));
     let plan = Plan::new(&query, &catalog).unwrap();
     let expected = "\
-engine: row (forced)
 hash-join build=left keys[1]/[0]
 ├─ agg
 │  └─ π cols[0, 1]
-│     └─ scan R {a, b, c}
-└─ scan S {b, d}
+│     └─ scan R {a, b, c} [batch=4096]
+└─ scan S {b, d} [batch=4096]
 ";
     assert_eq!(
-        plan.explain_physical_with(&serial_row()),
+        plan.explain_physical_with(&ExecContext::serial()),
         expected,
         "got:\n{}",
-        plan.explain_physical_with(&serial_row())
+        plan.explain_physical_with(&ExecContext::serial())
     );
 }
 
@@ -357,25 +351,23 @@ fn explain_physical_golden_renders_morsel_and_partition_counts() {
         .join(RaExpr::relation("S"));
     let plan = Plan::new(&query, &catalog).unwrap();
     let expected = "\
-engine: row (forced)
 hash-join build=left keys[1]/[0] [partitions=4]
 ├─ agg [partitions=4]
 │  └─ π cols[0, 1]
-│     └─ scan R {a, b, c} [morsels=4]
-└─ scan S {b, d} [morsels=4]
+│     └─ scan R {a, b, c} [batch=4096] [morsels=4]
+└─ scan S {b, d} [batch=4096] [morsels=4]
 ";
-    let rendered =
-        plan.explain_physical_with(&ExecContext::with_threads(4).with_mode(ExecMode::Row));
+    let rendered = plan.explain_physical_with(&ExecContext::with_threads(4));
     assert_eq!(rendered, expected, "got:\n{rendered}");
     // The serial rendering stays count-free (and snapshot-compatible).
     assert!(!plan
-        .explain_physical_with(&serial_row())
+        .explain_physical_with(&ExecContext::serial())
         .contains("partitions"));
 }
 
-/// Under the batch engine each scan additionally shows its batch row
-/// budget; the operator tree itself is identical — both engines execute the
-/// same physical plan.
+/// Each scan shows its batch row budget — the executor's morsel unit,
+/// [`BATCH_ROWS`], not a literal of the renderer — ahead of the morsel
+/// count, at any thread budget.
 #[test]
 fn explain_physical_golden_batch_mode_renders_batch_budget() {
     let db = paper::figure3_bag();
@@ -384,68 +376,14 @@ fn explain_physical_golden_batch_mode_renders_batch_budget() {
         .project(["a", "b"])
         .join(RaExpr::relation("S"));
     let plan = Plan::new(&query, &catalog).unwrap();
-    let expected = "\
-engine: batch (forced)
-hash-join build=left keys[1]/[0]
-├─ agg
-│  └─ π cols[0, 1]
-│     └─ scan R {a, b, c} [batch=4096]
-└─ scan S {b, d} [batch=4096]
-";
-    let ctx = ExecContext::serial().with_mode(ExecMode::Batch);
-    let rendered = plan.explain_physical_with(&ctx);
-    assert_eq!(rendered, expected, "got:\n{rendered}");
-}
-
-/// Under [`ExecMode::Auto`] (the default) the engine is picked at plan
-/// time from the catalog's scan-row estimates: paper-sized inputs — the
-/// Section 9 canonical databases have a handful of facts — stay on the row
-/// engine (columnarization overhead dominates tiny scans), while inputs at
-/// or past [`Plan::AUTO_BATCH_MIN_ROWS`] total scan rows take the batch
-/// engine. Both decisions are pinned here, and both engines produce the
-/// identical relation.
-#[test]
-fn auto_engine_selection_follows_the_scan_row_estimate() {
-    let db = paper::figure3_bag();
-    let auto = ExecContext::serial().with_mode(ExecMode::Auto);
-    let query = RaExpr::relation("R")
-        .project(["a", "b"])
-        .join(RaExpr::relation("S"));
-    // Section-9-sized catalog: 3 + 3 = 6 estimated scan rows → row engine.
-    let small = db.catalog().with("S", Schema::new(["b", "d"]), 3);
-    let plan = Plan::new(&query, &small).unwrap();
-    assert!(
-        plan.explain_physical_with(&auto)
-            .starts_with("engine: row (auto: ~6 scan rows < 64)"),
-        "got:\n{}",
-        plan.explain_physical_with(&auto)
-    );
-    // The same query over a catalog advertising a large S flips to batch.
-    let large = db.catalog().with("S", Schema::new(["b", "d"]), 500);
-    let plan = Plan::new(&query, &large).unwrap();
-    assert!(
-        plan.explain_physical_with(&auto)
-            .starts_with("engine: batch (auto: ~503 scan rows ≥ 64)"),
-        "got:\n{}",
-        plan.explain_physical_with(&auto)
-    );
-    // The decision never changes the result: all three modes agree.
-    let mut dbs = db.clone();
-    dbs.insert(
-        "S",
-        KRelation::from_tuples(
-            Schema::new(["b", "d"]),
-            [
-                (Tuple::new([("b", "b"), ("d", "x")]), Natural::from(2u64)),
-                (Tuple::new([("b", "g"), ("d", "y")]), Natural::from(3u64)),
-            ],
-        ),
-    );
-    let row = plan.execute_with(&dbs, &ExecContext::serial().with_mode(ExecMode::Row));
-    let batch = plan.execute_with(&dbs, &ExecContext::serial().with_mode(ExecMode::Batch));
-    let picked = plan.execute_with(&dbs, &auto);
-    assert_eq!(row, batch);
-    assert_eq!(row, picked);
+    let rendered = plan.explain_physical_with(&ExecContext::with_threads(2));
+    let budget = format!(" [batch={BATCH_ROWS}] [morsels=2]\n");
+    for scan in ["scan R {a, b, c}", "scan S {b, d}"] {
+        assert!(
+            rendered.contains(&format!("{scan}{budget}")),
+            "got:\n{rendered}"
+        );
+    }
 }
 
 /// `Plan::explain_batches` reports the columnar layout per scan against a

@@ -1,11 +1,9 @@
 //! The compiled semi-naive evaluator: the datalog fixpoint over interned
-//! ids.
+//! ids. Every semi-naive entry point of [`crate::seminaive`] and the
+//! rederivation sweep of [`crate::maintain`] run here; the reference the
+//! differential suites compare it against is [`crate::naive::kleene_iterate`].
 //!
-//! The row loops of [`crate::seminaive`] walk one binding at a time: every
-//! probe clones a `Binding` (a `BTreeMap`), every body factor is looked up
-//! in a `BTreeMap`-backed [`FactStore`], and every head is grounded through
-//! a fresh `Fact` allocation. This module runs the *same* differential
-//! algorithm without touching a `Fact`, a `Value` or a `String` per
+//! A differential round never touches a `Fact`, a `Value` or a `String` per
 //! derivation:
 //!
 //! * every constant of the program, and of the EDB relations the program
@@ -15,9 +13,8 @@
 //!   chained key index per probe mask. A predicate used at two arities is
 //!   two tables, and a column holds as many distinct constants as fit in a
 //!   `u32`;
-//! * each rule form — the left-to-right `full` plan, the head-seeded
-//!   `recompute` plan and one `Δ` form per idb body atom, with exactly the
-//!   join orders and probe masks `build_forms` gives the row loops —
+//! * each rule form of `build_forms` — the left-to-right `full` plan, the
+//!   head-seeded `recompute` plan and one `Δ` form per idb body atom —
 //!   compiles to probe steps that a depth-first join walks over a small
 //!   binding array, multiplying annotations as it descends (seed first,
 //!   then the steps in plan order);
@@ -31,25 +28,29 @@
 //! loading the result: between rounds nothing but ids and annotations
 //! moves.
 //!
-//! # Byte-identity with the row loops
+//! # Which semirings, which threads
 //!
-//! Every decision the row loops make is replayed exactly: the same forms
-//! run in the same rounds, a zero-annotation factor prunes a derivation
-//! exactly where `body_product` returns `None`, head discovery is
-//! annotation-blind (a row whose ℤ annotation cancelled to zero still leads
-//! to its heads), and a head joins the delta exactly when its annotation
-//! moved. Per-head sums may accumulate products in a different order than
-//! the row loops do, which is invisible because semiring `+` and `×` are
-//! exactly associative and commutative for every semiring in this workspace
-//! (the law suite pins that down). The differential tests assert full
-//! [`FixpointResult`] equality — annotations, iteration counts, and
-//! convergence flags — against the row loops and `kleene_iterate`, across
-//! semirings, round bounds and thread counts.
+//! The round logic needs only `K: Semiring`. Sharing the tables with scoped
+//! worker threads is what needs `K: Send + Sync`, so that bound sits on one
+//! impl of the private `FanOut` trait (`Workers`) and nowhere else: the
+//! context-free entry points (`seminaive_iterate`, `evaluate`,
+//! `maintain_fixpoint`, …) run every chunk on the calling thread (`Caller`)
+//! and so accept `!Send` annotations such as circuit handles, while the
+//! `_with` entry points fan out over the context's thread budget.
 //!
-//! Engine selection happens in [`crate::seminaive::seminaive_iterate_with`]
-//! and [`crate::seminaive::seminaive_idempotent_with`]: this evaluator runs
-//! unless `PROVSEM_EXEC=row` ([`ExecMode::Row`]) forces the reference
-//! loops.
+//! # Round-for-round identity with the naive iteration
+//!
+//! The general loop computes exactly `Tᵐ(0)` after `m` rounds: the same
+//! forms run in the same rounds at every thread count, a zero-annotation
+//! factor prunes a derivation, head discovery is annotation-blind (a row
+//! whose ℤ annotation cancelled to zero still leads to its heads), and a
+//! head joins the delta exactly when its annotation moved. Per-head sums
+//! may accumulate products in a different order than the naive loop does,
+//! which is invisible because semiring `+` and `×` are exactly associative
+//! and commutative for every semiring in this workspace (the law suite pins
+//! that down). The differential tests assert idb and `converged` equality
+//! against `kleene_iterate` across semirings, round bounds and thread
+//! counts, and full [`FixpointResult`] equality between thread counts.
 
 use crate::ast::{Atom, DlVar, Program, Rule, Term};
 use crate::fact::{Fact, FactStore};
@@ -57,7 +58,7 @@ use crate::grounding::JoinPlan;
 use crate::naive::FixpointResult;
 use crate::seminaive::{build_forms, unevaluated};
 use provsem_core::par;
-use provsem_core::plan::{ExecContext, ExecMode};
+use provsem_core::plan::ExecContext;
 use provsem_core::Value;
 use provsem_semiring::{PlusIdempotent, Semiring};
 use std::collections::BTreeSet;
@@ -204,7 +205,7 @@ impl KeyIndex {
 /// rows wherever annotations are kept — the relations and the idempotent
 /// loop's accumulators keep them, the general loop's head sets fill them in
 /// after recomputing.
-struct Table<K> {
+pub(crate) struct Table<K> {
     cols: Vec<Vec<u32>>,
     len: usize,
     anns: Vec<K>,
@@ -339,8 +340,7 @@ struct Step<'p> {
 
 /// A compiled [`JoinPlan`]. `emit` grounds the head from a complete
 /// binding (constants and bound slots); it is `None` when some head
-/// variable is bound by no atom: such a form never grounds its head,
-/// exactly where the row loops' `ground_atom` fails on every binding.
+/// variable is bound by no atom: such a form never grounds its head.
 struct Plan<'p> {
     steps: Vec<Step<'p>>,
     emit: Option<Vec<Match>>,
@@ -367,7 +367,7 @@ struct Form<'p> {
     delta: Vec<DeltaForm<'p>>,
     has_idb_body: bool,
     /// An empty body under a head with variables: the rule never fires
-    /// (the row loops cannot ground its head from the empty binding).
+    /// (the empty binding cannot ground its head).
     dead: bool,
 }
 
@@ -560,9 +560,8 @@ impl<'p> Compiled<'p> {
     /// Loads `store`'s rows into the tables rule bodies read — those of the
     /// idb (`idb` set) or of the edb predicates — interning their constants.
     /// Rows of a predicate at an arity no atom uses can match nothing and
-    /// are skipped, and so are edb rows of an idb predicate: the row loops
-    /// read idb factors from the accumulator only, where those multiply as
-    /// zero.
+    /// are skipped, and so are edb rows of an idb predicate: idb factors are
+    /// read from the accumulated fixpoint only, as in `Tᵐ(0)`.
     fn load<K: Semiring>(&mut self, tables: &mut [Table<K>], store: &FactStore<K>, idb: bool) {
         let mut ids = Vec::new();
         for (spec, table) in self.specs.iter().zip(tables) {
@@ -584,9 +583,8 @@ impl<'p> Compiled<'p> {
 
 /// The depth-first join: extends `binding` through `steps` and calls
 /// `leaf` with every complete binding. With `track`, `product` is the
-/// running body product — a zero factor prunes the candidate, exactly where
-/// `body_product` returns `None` — otherwise the walk is annotation-blind
-/// and hands `product` through untouched.
+/// running body product — a zero factor prunes the candidate — otherwise
+/// the walk is annotation-blind and hands `product` through untouched.
 fn join<K: Semiring>(
     steps: &[Step<'_>],
     tables: &[Table<K>],
@@ -666,9 +664,9 @@ fn unbound(binding: &mut Vec<u32>, form: &Form<'_>) {
 
 /// One unit of per-round delta work: `forms[.0].delta[.1]` seeded with row
 /// `.2` of its table.
-type DeltaItem = (usize, usize, u32);
+pub(crate) type DeltaItem = (usize, usize, u32);
 
-/// The round's delta work, form-major like the row loops' work items.
+/// The round's delta work, form-major.
 fn delta_items(forms: &[Form<'_>], delta: &[Vec<u32>]) -> Vec<DeltaItem> {
     let mut items = Vec::new();
     for (fi, form) in forms.iter().enumerate() {
@@ -750,16 +748,100 @@ fn recompute<K: Semiring>(
         .collect()
 }
 
-/// Contiguous chunks of a round's work, one per worker; a single chunk
-/// (which [`par::par_map_chunks`] runs inline) when the work is too small
-/// to repay spawning.
-fn chunks<T>(items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
-    let parts = if items.len() < par::SPAWN_THRESHOLD {
-        1
-    } else {
-        threads
-    };
-    par::chunked(items, parts)
+/// Where the chunks of a round's work run. The round logic needs only
+/// `K: Semiring`; handing the tables to scoped workers is what needs
+/// `Send + Sync`, so that bound lives on the [`Workers`] impl alone.
+pub(crate) trait FanOut<K: Semiring> {
+    /// [`join_chunk`] over contiguous chunks of `items`: one accumulator
+    /// set per chunk, in chunk order.
+    fn join(
+        &self,
+        compiled: &Compiled<'_>,
+        tables: &[Table<K>],
+        items: Vec<DeltaItem>,
+        track: bool,
+    ) -> Vec<Vec<Table<K>>>;
+
+    /// [`recompute`] over contiguous chunks of `items`: the totals in item
+    /// order.
+    fn recompute(
+        &self,
+        compiled: &Compiled<'_>,
+        tables: &[Table<K>],
+        heads: &[Table<K>],
+        items: Vec<(usize, u32)>,
+    ) -> Vec<K>;
+}
+
+/// Everything on the calling thread: any semiring, `!Send` annotations
+/// (circuit handles) included.
+pub(crate) struct Caller;
+
+/// Up to this many scoped workers, one per contiguous chunk; a single chunk
+/// (which [`par::par_map_chunks`] runs inline) when the work is too small to
+/// repay spawning.
+pub(crate) struct Workers(pub(crate) usize);
+
+impl Workers {
+    fn chunks<T>(&self, items: Vec<T>) -> Vec<Vec<T>> {
+        let parts = if items.len() < par::SPAWN_THRESHOLD {
+            1
+        } else {
+            self.0
+        };
+        par::chunked(items, parts)
+    }
+}
+
+impl<K: Semiring> FanOut<K> for Caller {
+    fn join(
+        &self,
+        compiled: &Compiled<'_>,
+        tables: &[Table<K>],
+        items: Vec<DeltaItem>,
+        track: bool,
+    ) -> Vec<Vec<Table<K>>> {
+        vec![join_chunk(compiled, tables, &items, track)]
+    }
+
+    fn recompute(
+        &self,
+        compiled: &Compiled<'_>,
+        tables: &[Table<K>],
+        heads: &[Table<K>],
+        items: Vec<(usize, u32)>,
+    ) -> Vec<K> {
+        recompute(compiled, tables, heads, &items)
+    }
+}
+
+impl<K: Semiring + Send + Sync> FanOut<K> for Workers {
+    fn join(
+        &self,
+        compiled: &Compiled<'_>,
+        tables: &[Table<K>],
+        items: Vec<DeltaItem>,
+        track: bool,
+    ) -> Vec<Vec<Table<K>>> {
+        par::par_map_chunks(self.chunks(items), |_, chunk| {
+            join_chunk(compiled, tables, &chunk, track)
+        })
+    }
+
+    fn recompute(
+        &self,
+        compiled: &Compiled<'_>,
+        tables: &[Table<K>],
+        heads: &[Table<K>],
+        items: Vec<(usize, u32)>,
+    ) -> Vec<K> {
+        par::par_map_chunks(self.chunks(items), |_, chunk| {
+            recompute(compiled, tables, heads, &chunk)
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
 }
 
 /// Sums the workers' accumulators (or unions their head sets) in chunk
@@ -792,11 +874,14 @@ struct State<'p, K> {
     delta: Vec<Vec<u32>>,
 }
 
-impl<'p, K: Semiring + Send + Sync> State<'p, K> {
-    /// Round 1, like the row loops' `DeltaState::initial`: load the edb,
-    /// apply `T` once through the full plans of the rules without idb
-    /// atoms, and seed the delta — cleared at once for a syntactically
-    /// non-recursive program, keeping `converged` aligned.
+impl<'p, K: Semiring> State<'p, K> {
+    /// Round 1: load the edb, apply `T` once to the empty idb — only rules
+    /// without idb body atoms can contribute, through their full plans —
+    /// and seed the delta with what they produced. For a syntactically
+    /// non-recursive program (no rule consumes an idb fact, so `T` is
+    /// constant) the delta is cleared at once: round 1 already reached the
+    /// fixpoint, the same early exit the naive loop takes, which keeps
+    /// `converged` aligned.
     fn initial(program: &'p Program, edb: &FactStore<K>) -> Self {
         let mut compiled = Compiled::new(program);
         let mut tables = compiled.tables();
@@ -825,12 +910,10 @@ impl<'p, K: Semiring + Send + Sync> State<'p, K> {
     }
 
     /// The round's delta forms joined over contiguous chunks of the work
-    /// items, one accumulator set per worker, combined in chunk order.
-    fn join_deltas(&self, threads: usize, track: bool) -> Vec<Table<K>> {
+    /// items, one accumulator set per chunk, combined in chunk order.
+    fn join_deltas(&self, fan: &impl FanOut<K>, track: bool) -> Vec<Table<K>> {
         let items = delta_items(&self.compiled.forms, &self.delta);
-        let parts = par::par_map_chunks(chunks(items, threads), |_, chunk| {
-            join_chunk(&self.compiled, &self.tables, &chunk, track)
-        });
+        let parts = fan.join(&self.compiled, &self.tables, items, track);
         combine(parts, track).unwrap_or_else(|| self.compiled.accumulators())
     }
 
@@ -867,6 +950,7 @@ impl<'p, K: Semiring + Send + Sync> State<'p, K> {
 
     /// The one place values come back: each idb table's non-zero rows,
     /// sorted by the rank of their ids, bulk-loaded into the result store.
+    /// A fixpoint was reached iff the last round changed nothing.
     fn finish(self, iterations: usize) -> FixpointResult<K> {
         let converged = self.delta_is_empty();
         let values = &self.compiled.interner.values;
@@ -896,19 +980,18 @@ impl<'p, K: Semiring + Send + Sync> State<'p, K> {
     }
 }
 
-/// [`crate::seminaive::seminaive_iterate`] compiled: identical rounds
-/// (delta-driven affected-head discovery, from-scratch recompute of each
-/// affected head) as depth-first probes over id tables. Sound for every
-/// semiring; `FixpointResult`-identical to the row loops at any `threads`.
-pub fn seminaive_iterate_batch<K>(
+/// The general semi-naive loop — the body of
+/// [`crate::seminaive::seminaive_iterate`] and its `_with` twin: deltas (the
+/// rows whose annotation changed last round) drive discovery of the
+/// *affected heads* through the `Δ` forms, and each affected head is then
+/// recomputed from scratch through its head-seeded plans. Sound for every
+/// semiring, and `FixpointResult`-identical under every [`FanOut`].
+pub(crate) fn iterate<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
     max_rounds: usize,
-    threads: usize,
-) -> FixpointResult<K>
-where
-    K: Semiring + Send + Sync,
-{
+    fan: &impl FanOut<K>,
+) -> FixpointResult<K> {
     if max_rounds == 0 {
         return unevaluated();
     }
@@ -918,18 +1001,16 @@ where
         iterations += 1;
         // 1. Affected heads: everything one Δ form away from a delta row,
         //    whatever the annotations on the way.
-        let mut affected = state.join_deltas(threads, false);
+        let mut affected = state.join_deltas(fan, false);
         // 2. Their totals from scratch, over contiguous chunks of the heads.
         let items: Vec<(usize, u32)> = affected
             .iter()
             .enumerate()
             .flat_map(|(t, heads)| (0..heads.len as u32).map(move |row| (t, row)))
             .collect();
-        let mut totals = par::par_map_chunks(chunks(items, threads), |_, chunk| {
-            recompute(&state.compiled, &state.tables, &affected, &chunk)
-        })
-        .into_iter()
-        .flatten();
+        let mut totals = fan
+            .recompute(&state.compiled, &state.tables, &affected, items)
+            .into_iter();
         for heads in &mut affected {
             heads.anns = totals.by_ref().take(heads.len).collect();
         }
@@ -939,19 +1020,17 @@ where
     state.finish(iterations)
 }
 
-/// [`crate::seminaive::seminaive_idempotent`] compiled: the classical delta
-/// rewrite, each round's increments summed per head as the joins produce
-/// them and merged into the relations with `+`. Requires `+`-idempotence
-/// like the row loop.
-pub fn seminaive_idempotent_batch<K>(
+/// The classical delta rewrite — the body of
+/// [`crate::seminaive::seminaive_idempotent`] and its `_with` twin: each
+/// round's increments are summed per head as the joins produce them and
+/// merged into the relations with `+`; nothing is recomputed from scratch.
+/// Exact only for `+`-idempotent semirings, hence the bound.
+pub(crate) fn idempotent<K: Semiring + PlusIdempotent>(
     program: &Program,
     edb: &FactStore<K>,
     max_rounds: usize,
-    threads: usize,
-) -> FixpointResult<K>
-where
-    K: Semiring + PlusIdempotent + Send + Sync,
-{
+    fan: &impl FanOut<K>,
+) -> FixpointResult<K> {
     if max_rounds == 0 {
         return unevaluated();
     }
@@ -959,29 +1038,25 @@ where
     let mut iterations = 1;
     while iterations < max_rounds && !state.delta_is_empty() {
         iterations += 1;
-        let increments = state.join_deltas(threads, true);
+        let increments = state.join_deltas(fan, true);
         state.apply(increments, true);
     }
     state.finish(iterations)
 }
 
 impl Compiled<'_> {
-    /// One rederivation sweep of
-    /// [`crate::maintain::maintain_fixpoint_with`], through the fixpoint's
-    /// own head-seeded recompute: the from-scratch total of every affected
-    /// head over the sweep-start `edb` and `idb`, data-parallel over
-    /// contiguous chunks of the heads; returns the heads whose total differs
-    /// from `idb`, in `affected`'s order.
-    pub(crate) fn sweep<K>(
+    /// One rederivation sweep of [`crate::maintain::maintain_fixpoint`],
+    /// through the fixpoint's own head-seeded recompute: the from-scratch
+    /// total of every affected head over the sweep-start `edb` and `idb`,
+    /// over contiguous chunks of the heads; returns the heads whose total
+    /// differs from `idb`, in `affected`'s order.
+    pub(crate) fn sweep<K: Semiring>(
         &mut self,
         edb: &FactStore<K>,
         idb: &FactStore<K>,
         affected: &[Fact],
-        threads: usize,
-    ) -> Vec<(Fact, K)>
-    where
-        K: Semiring + Send + Sync,
-    {
+        fan: &impl FanOut<K>,
+    ) -> Vec<(Fact, K)> {
         let mut tables = self.tables();
         self.load(&mut tables, edb, false);
         self.load(&mut tables, idb, true);
@@ -998,12 +1073,10 @@ impl Compiled<'_> {
                 (t, heads[t].upsert(&ids))
             })
             .collect();
-        let totals = par::par_map_chunks(chunks(items, threads), |_, chunk| {
-            recompute(self, &tables, &heads, &chunk)
-        });
+        let totals = fan.recompute(self, &tables, &heads, items);
         affected
             .iter()
-            .zip(totals.into_iter().flatten())
+            .zip(totals)
             .filter(|(head, total)| *total != idb.annotation(head))
             .map(|(head, total)| (head.clone(), total))
             .collect()
@@ -1035,36 +1108,28 @@ fn render_mask(mask: &[usize]) -> String {
 }
 
 /// Describes how the semi-naive fixpoint will evaluate `program` over
-/// `edb` under `ctx`, mirroring the RA planner's
+/// `edb`, mirroring the RA planner's
 /// [`Plan::explain_physical_with`](provsem_core::plan::Plan::explain_physical_with):
 ///
-/// * the first line states the engine: the compiled loops of this module
-///   (`batch`), picked by [`ExecMode::Auto`] at every EDB size or forced,
-///   or the reference row loops forced by [`ExecMode::Row`];
-/// * per rule, the join orders actually executed (both engines share
-///   them): the left-to-right `full` plan (round 1 / edb-only rules), the
-///   head-seeded `recompute` plan (general-semiring rederivation), and one
-///   `Δ` form per idb body atom (the differential probe order when the
-///   delta sits at that atom), each atom annotated with its bound-column
-///   probe mask;
+/// * per rule, the join orders executed: the left-to-right `full` plan
+///   (round 1 / edb-only rules), the head-seeded `recompute` plan
+///   (general-semiring rederivation), and one `Δ` form per idb body atom
+///   (the differential probe order when the delta sits at that atom), each
+///   atom annotated with its bound-column probe mask;
 /// * per `predicate/arity` table some rule body reads, in name order: the
 ///   EDB rows it will hold (`derived` for an idb table, filled by the
 ///   fixpoint) and the probe masks a key index is kept for.
 ///
-/// Purely introspective: nothing is evaluated, interned or indexed, and
-/// the rendering is deterministic for a given `(program, edb, ctx)`.
+/// Purely introspective: nothing is evaluated or indexed, and the rendering
+/// is deterministic for a given `(program, edb)`; the thread budget of `ctx`
+/// changes how a round's work is chunked, not the plans shown.
 pub fn explain_fixpoint<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
-    ctx: &ExecContext,
+    _ctx: &ExecContext,
 ) -> String {
     use std::fmt::Write as _;
-    let mut out = match ctx.mode {
-        ExecMode::Auto => "engine: batch (auto)\n",
-        ExecMode::Batch => "engine: batch (forced)\n",
-        ExecMode::Row => "engine: row (forced)\n",
-    }
-    .to_string();
+    let mut out = String::new();
     let compiled = Compiled::new(program);
     for (i, form) in compiled.forms.iter().enumerate() {
         writeln!(out, "rule {i}: {}", form.rule).unwrap();

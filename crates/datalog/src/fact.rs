@@ -359,9 +359,8 @@ impl<K: Semiring + fmt::Debug> fmt::Debug for FactStore<K> {
 /// columns.
 ///
 /// This is the lookup structure behind the keyed-join path of
-/// [`crate::grounding`], the row loops of the semi-naive evaluator
-/// ([`crate::seminaive`]) and the affected-closure phase of
-/// [`crate::maintain`]; the compiled fixpoint ([`crate::columnar`]) keeps
+/// [`crate::grounding`] and the affected-closure phase of
+/// [`crate::maintain`]; the semi-naive fixpoint ([`crate::columnar`]) keeps
 /// its own id tables and never builds one. When a rule body atom is matched
 /// with some of its argument positions already bound (constants, or
 /// variables bound by earlier atoms), the candidate facts are found with

@@ -6,9 +6,10 @@
 //! * datalog syntax, parser and grounding ([`ast`], [`parser`], [`fact`],
 //!   [`grounding`]);
 //! * the fixpoint semantics over ω-continuous semirings — naive Kleene
-//!   iteration ([`naive`], Definition 5.5 / Theorem 5.6) and the semi-naive
-//!   differential evaluator with indexed joins ([`seminaive`], switched via
-//!   [`EvalStrategy`]) — plus exact evaluation for ℕ∞ and
+//!   iteration ([`naive`], Definition 5.5 / Theorem 5.6; the reference
+//!   oracle) and the semi-naive differential evaluator ([`seminaive`],
+//!   switched via [`EvalStrategy`]; its rounds run compiled over interned
+//!   ids in [`columnar`]) — plus exact evaluation for ℕ∞ and
 //!   distributive lattices ([`exact`], Section 8);
 //! * derivation trees and the **All-Trees** algorithm ([`all_trees`](mod@crate::all_trees),
 //!   Figure 8), the **Monomial-Coefficient** algorithm
@@ -59,9 +60,7 @@ pub mod prelude {
         minimal_trees, AllTreesResult, DerivationChild, DerivationTree, TreeProvenance,
     };
     pub use crate::ast::{Atom, DlVar, Program, Rule, Term};
-    pub use crate::columnar::{
-        explain_fixpoint, seminaive_idempotent_batch, seminaive_iterate_batch,
-    };
+    pub use crate::columnar::explain_fixpoint;
     pub use crate::exact::{
         evaluate_lattice, evaluate_natinf, facts_with_infinitely_many_derivations,
     };

@@ -2,9 +2,9 @@
 //! batches.
 //!
 //! A [`FixpointView`] is a materialized least fixpoint (computed by
-//! [`crate::seminaive::seminaive_iterate`]) that retains its semi-naive
-//! machinery — the append-only [`FactIndex`] over every fact ever seen and
-//! the accumulated idb [`FactStore`] — so it can *absorb* a base-fact delta
+//! [`crate::seminaive::seminaive_iterate`]) that retains what maintenance
+//! needs — the append-only [`FactIndex`] over every fact ever seen and the
+//! accumulated idb [`FactStore`] — so it can *absorb* a base-fact delta
 //! instead of recomputing from scratch. Deltas are plain annotated fact
 //! stores added into the edb with semiring `+`; over a ring
 //! ([`provsem_semiring::Ring`] — ℤ, ℤ\[X\], `DiffPair<K>`) negative
@@ -23,7 +23,10 @@
 //!    join the index and the frontier. The closure is everything whose
 //!    derivations can mention a changed fact.
 //! 3. **Rederive**: zero every affected idb fact and Kleene-iterate
-//!    head recomputation over the affected set until nothing changes. Facts
+//!    head recomputation over the affected set until nothing changes — each
+//!    sweep through the fixpoint's own compiled head-seeded plans
+//!    (`Compiled::sweep` in [`crate::columnar`]), over id tables loaded from
+//!    the view's edb and idb at the start of the sweep. Facts
 //!    whose derivations all vanished stay at zero — deletions do not
 //!    over-retain — and unaffected facts keep their annotations, which are
 //!    still correct because *no* derivation of an unaffected fact mentions
@@ -60,15 +63,11 @@
 //! ```
 
 use crate::ast::{Atom, Program, Rule};
-use crate::columnar::Compiled;
+use crate::columnar::{Caller, Compiled, FanOut, Workers};
 use crate::fact::{Fact, FactIndex, FactStore};
 use crate::grounding::{ground_atom, match_atom, Binding, JoinPlan};
-use crate::seminaive::{
-    build_forms, forms_by_head, recompute_head, register_forms, seminaive_iterate, RuleForms,
-};
-use provsem_core::par;
-use provsem_core::plan::{ExecContext, ExecMode};
-use provsem_semiring::fxhash::FxHashMap;
+use crate::seminaive::seminaive_iterate;
+use provsem_core::plan::ExecContext;
 use provsem_semiring::Semiring;
 use std::collections::BTreeSet;
 
@@ -254,39 +253,35 @@ fn rederive<K: Semiring>(
     }
 }
 
-/// One serial recomputation sweep: each affected head from scratch, in
-/// sorted fact order.
-fn recompute_pass<K: Semiring>(
-    view: &FixpointView<K>,
-    affected: &[Fact],
-    by_head: &FxHashMap<&str, Vec<&RuleForms<'_>>>,
-    idb_predicates: &BTreeSet<String>,
-) -> Vec<(Fact, K)> {
-    affected
-        .iter()
-        .filter_map(|head| {
-            let total = recompute_head(
-                head,
-                by_head,
-                idb_predicates,
-                &view.edb,
-                &view.idb,
-                &view.index,
-            );
-            (total != view.idb.annotation(head)).then(|| (head.clone(), total))
-        })
-        .collect()
-}
-
 /// Absorbs an edb delta into the view: applies it to the base facts,
 /// computes the affected closure, and rederives exactly the affected idb
 /// facts (see the module docs). After this,
 /// `view.result() == seminaive_iterate(program, updated_edb, …).idb`
-/// whenever the view [`converged`](FixpointView::converged).
+/// whenever the view [`converged`](FixpointView::converged). Runs on the
+/// calling thread, so `K` need not be `Send`.
 ///
 /// Annotations in `delta` are *added* (semiring `+`) to the edb; supply
 /// additive inverses ([`provsem_semiring::Ring::neg`]) to delete.
 pub fn maintain_fixpoint<K: Semiring>(view: &mut FixpointView<K>, delta: &FactStore<K>) {
+    maintain(view, delta, &Caller);
+}
+
+/// [`maintain_fixpoint`] with a thread budget: each rederivation sweep runs
+/// data-parallel over contiguous chunks of the (sorted) affected facts,
+/// concatenated back in chunk order — the exact serial change list, so the
+/// maintained view is byte-identical at every thread count. The closure
+/// phase mutates the index and stays on the coordinator.
+pub fn maintain_fixpoint_with<K>(
+    view: &mut FixpointView<K>,
+    delta: &FactStore<K>,
+    ctx: &ExecContext,
+) where
+    K: Semiring + Send + Sync,
+{
+    maintain(view, delta, &Workers(ctx.threads));
+}
+
+fn maintain<K: Semiring>(view: &mut FixpointView<K>, delta: &FactStore<K>, fan: &impl FanOut<K>) {
     let idb_predicates = view.program.idb_predicates();
     let changed = apply_delta(view, delta, &idb_predicates);
 
@@ -297,63 +292,11 @@ pub fn maintain_fixpoint<K: Semiring>(view: &mut FixpointView<K>, delta: &FactSt
     for form in &forms {
         form.plan.register(&mut view.index);
     }
-    let rule_forms = build_forms(&program, &idb_predicates);
-    register_forms(&rule_forms, &mut view.index);
-    let by_head = forms_by_head(&rule_forms);
-
-    let affected = affected_closure(&forms, view, changed);
-    rederive(view, affected, |view, affected| {
-        recompute_pass(view, affected, &by_head, &idb_predicates)
-    });
-}
-
-/// [`maintain_fixpoint`] with an execution context: `ctx.mode` picks the
-/// rederivation engine like the fixpoint loops — unless `PROVSEM_EXEC=row`
-/// ([`ExecMode::Row`]) forces the row sweep, affected heads are recomputed
-/// by the compiled head-seeded plans of [`crate::columnar`], over id tables
-/// loaded from the view's edb and idb at the start of each sweep — and
-/// `ctx.threads` is the thread budget: each sweep runs data-parallel over
-/// contiguous chunks of the (sorted) affected facts, concatenated back in
-/// chunk order — the exact serial change list, so the maintained view is
-/// byte-identical at every thread count and on either engine. The closure
-/// phase mutates the index and stays on the coordinator.
-pub fn maintain_fixpoint_with<K>(
-    view: &mut FixpointView<K>,
-    delta: &FactStore<K>,
-    ctx: &ExecContext,
-) where
-    K: Semiring + Send + Sync,
-{
-    let compiled = ctx.mode != ExecMode::Row;
-    if ctx.threads <= 1 && !compiled {
-        return maintain_fixpoint(view, delta);
-    }
-    let idb_predicates = view.program.idb_predicates();
-    let changed = apply_delta(view, delta, &idb_predicates);
-
-    let program = view.program.clone();
-    let forms = closure_forms(&program);
-    for form in &forms {
-        form.plan.register(&mut view.index);
-    }
     let affected = affected_closure(&forms, view, changed);
 
-    if compiled {
-        let mut engine = Compiled::new(&program);
-        return rederive(view, affected, |view, affected| {
-            engine.sweep(&view.edb, &view.idb, affected, ctx.threads)
-        });
-    }
-    let rule_forms = build_forms(&program, &idb_predicates);
-    register_forms(&rule_forms, &mut view.index);
-    let by_head = forms_by_head(&rule_forms);
+    let mut engine = Compiled::new(&program);
     rederive(view, affected, |view, affected| {
-        par::par_map_chunks(par::chunked(affected.to_vec(), ctx.threads), |_, chunk| {
-            recompute_pass(view, &chunk, &by_head, &idb_predicates)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        engine.sweep(&view.edb, &view.idb, affected, fan)
     });
 }
 

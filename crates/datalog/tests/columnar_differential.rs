@@ -1,107 +1,129 @@
-//! Differential test: the compiled semi-naive loops (id tables) agree
-//! with the serial row loops **exactly** — same idb annotations, same
-//! iteration counts, same convergence flags, round for round — across
-//! random linear and nonlinear programs, five semirings (𝔹, ℕ, tropical,
-//! Why(X), ℤ), and thread counts {1, 4}, plus the compiled rederivation
-//! sweep of `maintain_fixpoint_with`.
+//! Differential test: the compiled semi-naive loops (id tables) agree with
+//! the naive Kleene iteration **round for round** — same idb annotations,
+//! same convergence flags (`iterations` excepted: the naive loop needs one
+//! more application of `T` to observe a fixpoint) — across random linear
+//! and nonlinear programs and six semirings (𝔹, ℕ, ℕ∞, tropical, Why(X),
+//! ℤ), and with themselves **exactly** (the whole `FixpointResult`) between
+//! the calling-thread entry points and the `_with` ones at 1, 2 and 4
+//! threads, plus the compiled rederivation sweep of `maintain_fixpoint`.
 //!
 //! The random generator (`tests/common`) draws binary predicates over
 //! variables only and at most eight facts over four nodes, so it never
 //! grows an index, never meets a constant and never derives a zero. The
 //! hand-written cases below reach those: each runs over ℕ∞, ℤ, the
 //! tropical semiring and Why(X), at round bounds 0–4 and a deep one and at
-//! 1, 2 and 4 threads, against the row loops (the whole `FixpointResult`)
-//! and against `kleene_iterate` (annotations and `converged`, round for
-//! round).
+//! 1, 2 and 4 threads.
 
 mod common;
 
 use common::{arb_edb, arb_program, build_edb, build_program};
 use proptest::prelude::*;
-use provsem_core::plan::{ExecContext, ExecMode};
+use provsem_core::plan::ExecContext;
 use provsem_core::Value;
-use provsem_datalog::columnar::{seminaive_idempotent_batch, seminaive_iterate_batch};
 use provsem_datalog::prelude::*;
-use provsem_datalog::seminaive::{
-    seminaive_idempotent, seminaive_idempotent_with, seminaive_iterate, seminaive_iterate_with,
-};
 use provsem_semiring::{
     Bool, Integers, NatInf, Natural, PlusIdempotent, PosBool, Ring, Semiring, Tropical, WhySet,
 };
 
-const THREADS: [usize; 2] = [1, 4];
+const ALL_THREADS: [usize; 3] = [1, 2, 4];
 
-/// General path: the batch engine equals the serial row loop for every
-/// semiring, converged or not (checked at several round bounds), at every
-/// thread count — both called directly and dispatched through
-/// `seminaive_iterate_with` with the mode forced to `Batch`. The round
-/// bounds are a parameter because exact ℕ/ℤ multiplicities grow doubly
-/// exponentially under nonlinear recursion and overflow past ~2 rounds;
-/// the saturating semirings run the deep bounds.
-fn check_general<K: Semiring + Send + Sync>(
+/// The general loop under a thread budget.
+fn iterate_at<K: Semiring + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
-    round_bounds: &[usize],
+    rounds: usize,
+    threads: usize,
+) -> FixpointResult<K> {
+    seminaive_iterate_with(program, edb, rounds, &ExecContext::with_threads(threads))
+}
+
+/// The idempotent loop under a thread budget.
+fn idempotent_at<K: Semiring + PlusIdempotent + Send + Sync>(
+    program: &Program,
+    edb: &FactStore<K>,
+    rounds: usize,
+    threads: usize,
+) -> FixpointResult<K> {
+    seminaive_idempotent_with(program, edb, rounds, &ExecContext::with_threads(threads))
+}
+
+/// The general loop at one round bound: the calling-thread entry point
+/// equals the `_with` one in every field at every thread count, and —
+/// unless the case pins a behaviour `kleene_iterate` does not share —
+/// equals `Tᵐ(0)`, converged or not.
+fn check_general_at<K: Semiring + Send + Sync>(
+    program: &Program,
+    edb: &FactStore<K>,
+    rounds: usize,
+    kleene: bool,
 ) {
-    for &rounds in round_bounds {
-        let row = seminaive_iterate(program, edb, rounds);
-        for threads in THREADS {
-            let batch = seminaive_iterate_batch(program, edb, rounds, threads);
-            assert_eq!(row.idb, batch.idb, "threads={threads} rounds={rounds}");
-            assert_eq!(row.iterations, batch.iterations);
-            assert_eq!(row.converged, batch.converged);
-            let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
-            let dispatched = seminaive_iterate_with(program, edb, rounds, &ctx);
-            assert_eq!(row.idb, dispatched.idb, "dispatch threads={threads}");
-            assert_eq!(row.iterations, dispatched.iterations);
-            assert_eq!(row.converged, dispatched.converged);
-        }
+    let on_caller = seminaive_iterate(program, edb, rounds);
+    if kleene {
+        let naive = kleene_iterate(program, edb, rounds);
+        assert_eq!(naive.idb, on_caller.idb, "kleene rounds={rounds}");
+        assert_eq!(
+            naive.converged, on_caller.converged,
+            "kleene rounds={rounds}"
+        );
+    }
+    for threads in ALL_THREADS {
+        let with = iterate_at(program, edb, rounds, threads);
+        assert_eq!(on_caller, with, "threads={threads} rounds={rounds}");
     }
 }
 
-/// Idempotent fast path: same agreement for `+`-idempotent semirings.
-fn check_idempotent<K: Semiring + PlusIdempotent + Send + Sync>(
+/// The idempotent loop at one round bound: calling-thread and `_with` entry
+/// points equal in every field at every thread count. Its rounds are not
+/// `Tᵐ(0)`, so `kleene_iterate` is compared once the loop has converged,
+/// where both hold the least fixpoint.
+fn check_idempotent_at<K: Semiring + PlusIdempotent + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
+    rounds: usize,
+    kleene: bool,
 ) {
-    for rounds in [2, 8, 64] {
-        let row = seminaive_idempotent(program, edb, rounds);
-        for threads in THREADS {
-            let batch = seminaive_idempotent_batch(program, edb, rounds, threads);
-            assert_eq!(row.idb, batch.idb, "threads={threads} rounds={rounds}");
-            assert_eq!(row.iterations, batch.iterations);
-            assert_eq!(row.converged, batch.converged);
-            let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
-            let dispatched = seminaive_idempotent_with(program, edb, rounds, &ctx);
-            assert_eq!(row.idb, dispatched.idb, "dispatch threads={threads}");
-            assert_eq!(row.converged, dispatched.converged);
-        }
+    let on_caller = seminaive_idempotent(program, edb, rounds);
+    for threads in ALL_THREADS {
+        let with = idempotent_at(program, edb, rounds, threads);
+        assert_eq!(on_caller, with, "threads={threads} rounds={rounds}");
+    }
+    if kleene && on_caller.converged {
+        let naive = kleene_iterate(program, edb, rounds);
+        assert_eq!(naive.idb, on_caller.idb, "kleene rounds={rounds}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The round bounds differ per semiring because exact ℕ/ℤ
+    /// multiplicities grow doubly exponentially under nonlinear recursion
+    /// and overflow past ~2 rounds; the saturating semirings run the deep
+    /// bounds.
     #[test]
     fn batch_equals_row_on_random_programs(raw_program in arb_program(), raw_edb in arb_edb()) {
         let program = build_program(&raw_program);
-        const DEEP: &[usize] = &[1, 2, 3, 8];
-        const SHALLOW: &[usize] = &[1, 2]; // exact ℕ/ℤ overflow past this
-        check_general(&program, &build_edb(&raw_edb, |_, w| Natural::from(w)), SHALLOW);
-        check_general(&program, &build_edb(&raw_edb, |_, w| Integers::new(w as i64)), SHALLOW);
-        check_general(&program, &build_edb(&raw_edb, |_, w| NatInf::Fin(w)), DEEP);
-        check_general(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)), DEEP);
-        check_general(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), DEEP);
-        check_general(&program, &build_edb(&raw_edb, |i, _| WhySet::var(format!("t{i}"))), DEEP);
-        check_idempotent(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)));
-        check_idempotent(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)));
-        check_idempotent(&program, &build_edb(&raw_edb, |i, _| PosBool::var(format!("t{i}"))));
+        for rounds in [1, 2] {
+            check_general_at(&program, &build_edb(&raw_edb, |_, w| Natural::from(w)), rounds, true);
+            check_general_at(&program, &build_edb(&raw_edb, |_, w| Integers::new(w as i64)), rounds, true);
+        }
+        for rounds in [1, 2, 3, 8] {
+            check_general_at(&program, &build_edb(&raw_edb, |_, w| NatInf::Fin(w)), rounds, true);
+            check_general_at(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)), rounds, true);
+            check_general_at(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), rounds, true);
+            check_general_at(&program, &build_edb(&raw_edb, |i, _| WhySet::var(format!("t{i}"))), rounds, true);
+        }
+        for rounds in [2, 8, 64] {
+            check_idempotent_at(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)), rounds, true);
+            check_idempotent_at(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), rounds, true);
+            check_idempotent_at(&program, &build_edb(&raw_edb, |i, _| PosBool::var(format!("t{i}"))), rounds, true);
+        }
     }
 }
 
-/// Deleting through mixed ℤ deltas: the batch rederivation path of
-/// `maintain_fixpoint_with` matches the row path and the from-scratch
-/// fixpoint on the updated edb, at both thread counts.
+/// Deleting through mixed ℤ deltas: the compiled rederivation sweep of
+/// `maintain_fixpoint` on the calling thread matches `maintain_fixpoint_with`
+/// at every thread count, and the from-scratch fixpoint on the updated edb.
 #[test]
 fn maintain_batch_rederivation_matches_row_and_from_scratch() {
     let program = Program::linear_transitive_closure("R", "Q");
@@ -124,25 +146,24 @@ fn maintain_batch_rederivation_matches_row_and_from_scratch() {
     delta.insert(Fact::new("R", ["n0", "n15"]), Integers::new(1));
 
     let bound = 8; // cyclic ℤ closure: keep the counts bounded
-    let mut row_view = materialize_fixpoint(&program, &edb, bound);
-    maintain_fixpoint(&mut row_view, &delta);
-    for threads in THREADS {
-        let mut batch_view = materialize_fixpoint(&program, &edb, bound);
-        let ctx = ExecContext::with_threads(threads).with_mode(ExecMode::Batch);
-        maintain_fixpoint_with(&mut batch_view, &delta, &ctx);
-        assert_eq!(batch_view.converged(), row_view.converged());
-        assert_eq!(batch_view.result(), row_view.result(), "threads={threads}");
+    let mut on_caller = materialize_fixpoint(&program, &edb, bound);
+    maintain_fixpoint(&mut on_caller, &delta);
+    for threads in ALL_THREADS {
+        let mut view = materialize_fixpoint(&program, &edb, bound);
+        maintain_fixpoint_with(&mut view, &delta, &ExecContext::with_threads(threads));
+        assert_eq!(view.converged(), on_caller.converged());
+        assert_eq!(view.result(), on_caller.result(), "threads={threads}");
     }
-    if row_view.converged() {
-        let scratch = seminaive_iterate(&program, row_view.edb(), bound);
-        assert_eq!(row_view.result(), &scratch.idb);
+    if on_caller.converged() {
+        let scratch = kleene_iterate(&program, on_caller.edb(), bound);
+        assert_eq!(on_caller.result(), &scratch.idb);
     }
 }
 
 /// More than 2¹⁶ distinct constants per column (the limit of the
-/// dictionary columns the batch engine used to keep): ids are `u32`, so
-/// nothing degrades, and the interner and both tables double their slots
-/// a dozen times on the way.
+/// dictionary columns the RA executor keeps): ids are `u32`, so nothing
+/// degrades, and the interner and both tables double their slots a dozen
+/// times on the way. One round, one derivation per fact: `Q(sᵢ, sᵢ₊₂)`.
 #[test]
 fn dictionary_overflow_degrades_without_changing_results() {
     const NODES: usize = (1 << 16) + 64; // a chain: the closure stays small
@@ -154,17 +175,19 @@ fn dictionary_overflow_degrades_without_changing_results() {
             Bool::from(true),
         );
     }
-    let row = seminaive_iterate(&program, &edb, 4);
-    let batch = seminaive_iterate_batch(&program, &edb, 4, 1);
-    assert!(row.converged && batch.converged);
-    assert_eq!(row.idb.len(), NODES - 2);
-    assert_eq!(row.idb, batch.idb);
+    let out = seminaive_iterate(&program, &edb, 4);
+    assert!(out.converged);
+    assert_eq!(out.idb.len(), NODES - 2);
+    for i in 0..NODES - 2 {
+        let fact = Fact::new("Q", [format!("s{i}"), format!("s{}", i + 2)]);
+        assert!(out.idb.contains(&fact), "{fact}");
+    }
+    assert_eq!(out, iterate_at(&program, &edb, 4, 2));
 }
 
-/// A predicate used at two arities is two id tables (the batch engine
-/// used to fall back to the fact arena for it) and still agrees with the
-/// row path. Constants and repeated variables in bodies and heads ride
-/// along.
+/// A predicate used at two arities is two id tables and still agrees with
+/// the naive iteration. Constants and repeated variables in bodies and
+/// heads ride along.
 #[test]
 fn mixed_arity_predicates_fall_back_to_the_arena() {
     let program = parse_program(
@@ -179,14 +202,9 @@ fn mixed_arity_predicates_fall_back_to_the_arena() {
     edb.insert(Fact::new("M", ["a", "b"]), Natural::from(5u64));
     edb.insert(Fact::new("M", ["b", "c"]), Natural::from(7u64));
     for rounds in [1, 2, 3, 8] {
-        let row = seminaive_iterate(&program, &edb, rounds);
-        for threads in THREADS {
-            let batch = seminaive_iterate_batch(&program, &edb, rounds, threads);
-            assert_eq!(row.idb, batch.idb, "threads={threads} rounds={rounds}");
-            assert_eq!(row.converged, batch.converged);
-        }
+        check_general_at(&program, &edb, rounds, true);
     }
-    let out = seminaive_iterate_batch(&program, &edb, 16, 1);
+    let out = seminaive_iterate(&program, &edb, 16);
     // P(a,b) = M(a,b)·M(a) = 5·2; Q(a,k,a) = M(a) = 2.
     assert_eq!(
         out.idb.annotation(&Fact::new("P", ["a", "b"])),
@@ -198,30 +216,7 @@ fn mixed_arity_predicates_fall_back_to_the_arena() {
     );
 }
 
-/// `Auto` has no EDB-size threshold any more: a 10-edge and a 100-edge
-/// ring both take the compiled loop and agree with the serial reference.
-#[test]
-fn auto_mode_agrees_on_both_sides_of_the_threshold() {
-    let program = Program::transitive_closure("R", "Q");
-    for nodes in [10usize, 100] {
-        let mut edb: FactStore<Tropical> = FactStore::new();
-        for i in 0..nodes {
-            edb.insert(
-                Fact::new("R", [format!("n{i}"), format!("n{}", (i + 1) % nodes)]),
-                Tropical::cost(1),
-            );
-        }
-        let serial = seminaive_idempotent(&program, &edb, 256);
-        let ctx = ExecContext::with_threads(1).with_mode(ExecMode::Auto);
-        let auto = seminaive_idempotent_with(&program, &edb, 256, &ctx);
-        assert_eq!(serial.idb, auto.idb, "nodes={nodes}");
-        assert_eq!(serial.converged, auto.converged);
-    }
-}
-
 // --- Hand-written cases the random generator cannot reach -----------------
-
-const ALL_THREADS: [usize; 3] = [1, 2, 4];
 
 /// One EDB fact of a hand-written case: predicate, arguments, weight (its
 /// sign only counts over ℤ).
@@ -249,9 +244,7 @@ fn bounds(deep: usize) -> [usize; 6] {
     [0, 1, 2, 3, 4, deep]
 }
 
-/// The general loop: the compiled rounds equal the row loop's in every
-/// field at every bound and thread count, and — unless the case pins a
-/// behaviour `kleene_iterate` does not share — both equal `Tᵐ(0)`.
+/// [`check_general_at`] at every bound of the case.
 fn check_case<K: Semiring + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
@@ -259,22 +252,11 @@ fn check_case<K: Semiring + Send + Sync>(
     kleene: bool,
 ) {
     for rounds in bounds(deep) {
-        let row = seminaive_iterate(program, edb, rounds);
-        if kleene {
-            let naive = kleene_iterate(program, edb, rounds);
-            assert_eq!(naive.idb, row.idb, "kleene rounds={rounds}");
-            assert_eq!(naive.converged, row.converged, "kleene rounds={rounds}");
-        }
-        for threads in ALL_THREADS {
-            let compiled = seminaive_iterate_batch(program, edb, rounds, threads);
-            assert_eq!(row, compiled, "threads={threads} rounds={rounds}");
-        }
+        check_general_at(program, edb, rounds, kleene);
     }
 }
 
-/// The idempotent loop: compiled equals row in every field at every bound
-/// and thread count (its rounds are not `Tᵐ(0)`, so `kleene_iterate` is
-/// compared at the fixpoint).
+/// [`check_idempotent_at`] at every bound of the case.
 fn check_case_idempotent<K: Semiring + PlusIdempotent + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
@@ -282,14 +264,7 @@ fn check_case_idempotent<K: Semiring + PlusIdempotent + Send + Sync>(
     kleene: bool,
 ) {
     for rounds in bounds(deep) {
-        let row = seminaive_idempotent(program, edb, rounds);
-        for threads in ALL_THREADS {
-            let compiled = seminaive_idempotent_batch(program, edb, rounds, threads);
-            assert_eq!(row, compiled, "threads={threads} rounds={rounds}");
-        }
-        if kleene && rounds == deep && row.converged {
-            assert_eq!(kleene_iterate(program, edb, deep).idb, row.idb);
-        }
+        check_idempotent_at(program, edb, rounds, kleene && rounds == deep);
     }
 }
 
@@ -340,7 +315,7 @@ fn constants_in_body_atoms_and_heads() {
         strs("E", &["b", "7"], 5),
     ];
     check_all_semirings(&program, &facts, 16, true);
-    let out = seminaive_iterate_batch(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 1);
+    let out = seminaive_iterate(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16);
     assert!(out.converged);
     // a→hub→7→c and a→7→c: 2·1·1 + 2·1.
     let t_ac = Fact::new("T", [Value::from("a"), Value::from("c")]);
@@ -400,7 +375,7 @@ fn arities_zero_to_three_with_a_propositional_head() {
         strs("Zero", &[], 5),
     ];
     check_all_semirings(&program, &facts, 16, true);
-    let out = seminaive_iterate_batch(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 2);
+    let out = iterate_at(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 2);
     // Any = ΣT = 2 + 3 + (1 + 2·3); Both = Any · Zero.
     let nullary = |p: &str| Fact::new(p, Vec::<Value>::new());
     assert_eq!(out.idb.annotation(&nullary("Any")), Integers::new(12));
@@ -425,7 +400,7 @@ fn program_text_facts_that_a_rule_also_derives() {
     .unwrap();
     let facts = [strs("E", &["a", "b"], 2), strs("E", &["b", "c"], 1)];
     check_all_semirings(&program, &facts, 16, true);
-    let out = seminaive_iterate_batch(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 1);
+    let out = seminaive_iterate(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16);
     assert_eq!(
         out.idb.annotation(&Fact::new("T", ["a", "b"])),
         Integers::new(4)
@@ -449,7 +424,7 @@ fn edb_facts_for_an_idb_predicate_are_ignored() {
         strs("T", &["a", "c"], 11),
     ];
     check_all_semirings(&program, &facts, 16, true);
-    let out = seminaive_iterate_batch(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16, 1);
+    let out = seminaive_iterate(&program, &edb_of(&facts, |_, w| Integers::new(w)), 16);
     assert_eq!(out.idb.len(), 3);
     assert_eq!(
         out.idb.annotation(&Fact::new("T", ["a", "c"])),
@@ -484,8 +459,9 @@ fn one_predicate_used_at_two_arities() {
 /// beside a safe rule with the same head. It grounds no head of its own,
 /// so it never fires in round 1, in discovery or in the idempotent loop;
 /// but when a head the safe rule reached is recomputed, the head seeds
-/// `y` and the unsafe body is summed too. That is the row loops'
-/// behaviour, not `kleene_iterate`'s (which never instantiates the rule).
+/// `y` and the unsafe body is summed too. That is the semi-naive loop's
+/// behaviour since its first version, pinned by the values below, not
+/// `kleene_iterate`'s (which never instantiates the rule).
 #[test]
 fn a_non_range_restricted_rule_is_summed_by_recompute_only() {
     let program = parse_program(
@@ -503,7 +479,7 @@ fn a_non_range_restricted_rule_is_summed_by_recompute_only() {
     ];
     check_all_semirings(&program, &facts, 16, false);
     let edb = edb_of(&facts, |_, w| Integers::new(w));
-    let out = seminaive_iterate_batch(&program, &edb, 16, 1);
+    let out = seminaive_iterate(&program, &edb, 16);
     assert_eq!(
         out.idb.annotation(&Fact::new("W", ["a", "c"])),
         Integers::new(6 + 5)
@@ -541,7 +517,7 @@ fn factors_cancelling_to_zero_in_one_round_still_reach_their_heads() {
     let h = Fact::new("H", ["k"]);
     for (rounds, expected) in [(2, 1), (3, 0), (4, 1)] {
         for threads in ALL_THREADS {
-            let out = seminaive_iterate_batch(&program, &edb, rounds, threads);
+            let out = iterate_at(&program, &edb, rounds, threads);
             assert_eq!(
                 out.idb.annotation(&h),
                 Integers::new(expected),
@@ -557,8 +533,8 @@ fn factors_cancelling_to_zero_in_one_round_still_reach_their_heads() {
 /// enough that the rounds really fan out over worker threads. Every fact
 /// has one derivation, so the closure is known in closed form: `Q(nᵢ, nⱼ)`
 /// for `i < j`, annotated 1 over ℕ∞ and `j − i` over the tropical semiring.
-/// The row loops and `kleene_iterate` re-walk the closure every round, so
-/// they are compared round for round on a 40-node chain.
+/// `kleene_iterate` re-walks the closure every round, so it is compared
+/// round for round on a 40-node chain.
 #[test]
 fn a_long_chain_grows_every_index() {
     const NODES: usize = 300;
@@ -573,22 +549,16 @@ fn a_long_chain_grows_every_index() {
 
     let facts = chain(NODES);
     let edb = edb_of(&facts, |_, w| NatInf::Fin(w.unsigned_abs()));
-    let serial = seminaive_iterate_batch(&program, &edb, 512, 1);
-    assert_chain_closure(&serial, NODES, |_, _| NatInf::Fin(1));
-    for threads in [2, 4] {
-        assert_eq!(
-            serial,
-            seminaive_iterate_batch(&program, &edb, 512, threads)
-        );
+    let on_caller = seminaive_iterate(&program, &edb, 512);
+    assert_chain_closure(&on_caller, NODES, |_, _| NatInf::Fin(1));
+    for threads in ALL_THREADS {
+        assert_eq!(on_caller, iterate_at(&program, &edb, 512, threads));
     }
     let edb = edb_of(&facts, |_, w| Tropical::cost(w.unsigned_abs()));
-    let row = seminaive_idempotent(&program, &edb, 512);
-    assert_chain_closure(&row, NODES, |i, j| Tropical::cost((j - i) as u64));
+    let on_caller = seminaive_idempotent(&program, &edb, 512);
+    assert_chain_closure(&on_caller, NODES, |i, j| Tropical::cost((j - i) as u64));
     for threads in ALL_THREADS {
-        assert_eq!(
-            row,
-            seminaive_idempotent_batch(&program, &edb, 512, threads)
-        );
+        assert_eq!(on_caller, idempotent_at(&program, &edb, 512, threads));
     }
 }
 

@@ -1,8 +1,8 @@
-//! Differential test: the parallel semi-naive rounds agree with the serial
-//! loops **exactly** — same idb annotations, same iteration counts, same
-//! convergence flags, round for round — at `threads ∈ {2, 4}`, on the
-//! engine the context defaults to (the compiled loops) and on the parallel
-//! row loops `ExecMode::Row` forces.
+//! Differential test: the parallel semi-naive rounds agree with the
+//! calling-thread loops **exactly** — same idb annotations, same iteration
+//! counts, same convergence flags, round for round — at `threads ∈
+//! {1, 2, 4}`, and the general loop with the naive Kleene iteration
+//! (annotations and `converged`) at every round bound.
 //!
 //! Random programs/edbs cover the general path (every semiring) and the
 //! idempotent fast path; a deterministic transitive-closure workload is
@@ -12,27 +12,22 @@ mod common;
 
 use common::{arb_edb, arb_program, build_edb, build_program};
 use proptest::prelude::*;
-use provsem_core::plan::{ExecContext, ExecMode};
+use provsem_core::plan::ExecContext;
 use provsem_datalog::prelude::*;
-use provsem_datalog::seminaive::{
-    seminaive_idempotent, seminaive_idempotent_with, seminaive_iterate, seminaive_iterate_with,
-};
 use provsem_semiring::{Bool, Natural, PlusIdempotent, PosBool, Semiring, Tropical, WhySet};
 
-const THREADS: [usize; 2] = [2, 4];
+const THREADS: [usize; 3] = [1, 2, 4];
 
-/// The contexts one thread count is checked under.
-fn contexts(threads: usize) -> [ExecContext; 2] {
-    let ctx = ExecContext::with_threads(threads);
-    [ctx.with_mode(ExecMode::Row), ctx]
-}
-
-/// General path: parallel rounds equal serial rounds for every semiring,
-/// converged or not (checked at several round bounds).
+/// General path: parallel rounds equal the calling-thread rounds, and both
+/// equal `Tᵐ(0)`, for every semiring, converged or not (checked at several
+/// round bounds).
 fn check_general<K: Semiring + Send + Sync>(program: &Program, edb: &FactStore<K>) {
     for rounds in [1, 2, 3, 8] {
         let serial = seminaive_iterate(program, edb, rounds);
-        for ctx in THREADS.into_iter().flat_map(contexts) {
+        let naive = kleene_iterate(program, edb, rounds);
+        assert_eq!(naive.idb, serial.idb, "kleene rounds={rounds}");
+        assert_eq!(naive.converged, serial.converged, "kleene rounds={rounds}");
+        for ctx in THREADS.map(ExecContext::with_threads) {
             let parallel = seminaive_iterate_with(program, edb, rounds, &ctx);
             assert_eq!(serial, parallel, "{ctx:?} rounds={rounds}");
         }
@@ -46,7 +41,7 @@ fn check_idempotent<K: Semiring + PlusIdempotent + Send + Sync>(
 ) {
     for rounds in [2, 8, 64] {
         let serial = seminaive_idempotent(program, edb, rounds);
-        for ctx in THREADS.into_iter().flat_map(contexts) {
+        for ctx in THREADS.map(ExecContext::with_threads) {
             let parallel = seminaive_idempotent_with(program, edb, rounds, &ctx);
             assert_eq!(serial, parallel, "{ctx:?} rounds={rounds}");
         }
@@ -95,7 +90,8 @@ fn parallel_transitive_closure_matches_serial_on_a_large_graph() {
     }
     let serial = seminaive_iterate(&program, &edb, 16);
     assert!(serial.converged, "layered DAG closure converges");
-    for ctx in THREADS.into_iter().flat_map(contexts) {
+    assert_eq!(kleene_iterate(&program, &edb, 16).idb, serial.idb);
+    for ctx in THREADS.map(ExecContext::with_threads) {
         let parallel = seminaive_iterate_with(&program, &edb, 16, &ctx);
         assert_eq!(serial, parallel, "{ctx:?}");
     }

@@ -14,14 +14,21 @@
 //!   an empty delta;
 //! * `seminaive_idempotent` (the delta rewrite) is compared on the converged
 //!   fixpoint only, and only over `+`-idempotent semirings — its per-round
-//!   intermediate states are intentionally different.
+//!   intermediate states are intentionally different;
+//! * annotations that cannot cross threads ([`Circuit`] handles) evaluate
+//!   through every entry point that asks only `K: Semiring`, and their
+//!   results specialize to the naive iteration over ℕ, 𝔹 and the tropical
+//!   semiring.
 
 mod common;
 
 use common::{arb_edb, arb_program, build_edb, build_program};
 use proptest::prelude::*;
 use provsem_datalog::prelude::*;
-use provsem_semiring::{Bool, Natural, Semiring, Tropical, WhySet};
+use provsem_semiring::circuit::{self, Circuit, CircuitEval};
+use provsem_semiring::{
+    Bool, CommutativeSemiring, Natural, Semiring, Tropical, Valuation, Variable, WhySet,
+};
 
 const CASES: u32 = 120;
 const CONVERGED_BOUND: usize = 64;
@@ -109,5 +116,102 @@ fn figure7_nonconverging_instance_agrees_per_round() {
         if rounds <= 8 {
             assert!(!naive.converged && !semi.converged, "rounds={rounds}");
         }
+    }
+}
+
+// --- `!Send` annotations on the compiled loop ------------------------------
+
+/// An acyclic edge list (a diamond with a tail and a shortcut): several
+/// derivations per fact, none infinite, so ℕ converges too.
+const DAG: [(&str, &str, u64); 6] = [
+    ("a", "b", 2),
+    ("a", "c", 3),
+    ("b", "d", 1),
+    ("c", "d", 2),
+    ("d", "e", 4),
+    ("a", "e", 5),
+];
+
+/// Two more edges for the maintenance step, still acyclic.
+const MORE: [(&str, &str, u64); 2] = [("e", "f", 1), ("b", "e", 3)];
+
+fn edge_var(i: usize) -> Variable {
+    Variable::indexed("e", i)
+}
+
+/// Edges `offset..` annotated with their circuit variables.
+fn circuit_edges(edges: &[(&str, &str, u64)], offset: usize) -> FactStore<Circuit> {
+    let mut store = FactStore::new();
+    for (i, (s, d, _)) in edges.iter().enumerate() {
+        store.insert(Fact::new("R", [*s, *d]), Circuit::var(edge_var(offset + i)));
+    }
+    store
+}
+
+fn specialized<K: CommutativeSemiring>(
+    idb: &FactStore<Circuit>,
+    valuation: &Valuation<K>,
+) -> FactStore<K> {
+    let mut eval = CircuitEval::new(valuation);
+    let mut out = FactStore::new();
+    for (fact, circuit) in idb.facts() {
+        out.set(fact, eval.eval(*circuit));
+    }
+    out
+}
+
+/// The circuit-annotated fixpoint of `edges`, through every entry point
+/// that asks only `K: Semiring`, must specialize under `annotate` to the
+/// naive iteration over `K`, fact for fact.
+fn assert_circuit_routes_specialize<K: CommutativeSemiring>(
+    program: &Program,
+    annotate: impl Fn(u64) -> K,
+) {
+    let all: Vec<_> = DAG.iter().chain(&MORE).copied().collect();
+    let valuation = Valuation::from_pairs(
+        all.iter()
+            .enumerate()
+            .map(|(i, (_, _, w))| (edge_var(i), annotate(*w))),
+    );
+    let direct = |edges: &[(&str, &str, u64)]| {
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|(s, d, w)| (*s, *d, annotate(*w)))
+            .collect();
+        kleene_iterate(program, &edge_facts("R", &edges), CONVERGED_BOUND)
+    };
+    let expected = direct(&DAG);
+    assert!(expected.converged);
+
+    let edb = circuit_edges(&DAG, 0);
+    let iterated = seminaive_iterate(program, &edb, CONVERGED_BOUND);
+    assert_eq!(iterated.converged, expected.converged);
+    assert_eq!(specialized(&iterated.idb, &valuation), expected.idb);
+
+    let evaluated = evaluate(program, &edb, EvalStrategy::SemiNaive).expect("converges");
+    assert_eq!(specialized(&evaluated, &valuation), expected.idb);
+
+    let mut view = materialize_fixpoint(program, &edb, CONVERGED_BOUND);
+    assert_eq!(view.converged(), expected.converged);
+    assert_eq!(specialized(view.result(), &valuation), expected.idb);
+    maintain_fixpoint(&mut view, &circuit_edges(&MORE, DAG.len()));
+    let expected = direct(&all);
+    assert_eq!(view.converged(), expected.converged);
+    assert_eq!(specialized(view.result(), &valuation), expected.idb);
+}
+
+/// Circuit handles are `!Send`, so they can reach the compiled loop only
+/// through the calling-thread entry points — which must therefore keep the
+/// bare `K: Semiring` bound and compute what the naive iteration computes.
+#[test]
+fn circuit_annotations_run_the_compiled_loop_on_the_calling_thread() {
+    for program in [
+        Program::linear_transitive_closure("R", "Q"),
+        Program::transitive_closure("R", "Q"),
+    ] {
+        circuit::reset();
+        assert_circuit_routes_specialize(&program, Natural::from);
+        assert_circuit_routes_specialize(&program, |_| Bool::from(true));
+        assert_circuit_routes_specialize(&program, Tropical::cost);
     }
 }

@@ -13,9 +13,9 @@
 //! * [`cache::PlanCache`] caches plans keyed by *(catalog epoch, normalized
 //!   query)* — commits invalidate implicitly, because a plan built against
 //!   epoch *e*'s catalog (cardinalities included) is only valid at *e*.
-//! * [`tcp`] is a thread-per-connection front-end; `examples/
-//!   load_generator.rs` is a stress-and-differential driver that pins
-//!   concurrent execution against single-threaded replay.
+//! * [`tcp`] is a thread-per-connection front-end;
+//!   `tests/replay_determinism.rs` pins concurrent execution against
+//!   single-threaded replay.
 //!
 //! The epoch-in-every-reply design is what makes the service *testable*:
 //! a recorded concurrent run can be replayed serially by pinning each

@@ -183,8 +183,8 @@ pub enum Response {
         entries: usize,
         /// Standing views currently registered.
         views: usize,
-        /// Storage-layer batch-cache hits (batch-engine scans served from a
-        /// cached columnar conversion).
+        /// Storage-layer batch-cache hits (scans served from a cached
+        /// columnar conversion).
         batch_hits: u64,
         /// Batch-cache misses (scans that columnarized their relation).
         batch_misses: u64,

@@ -31,7 +31,6 @@ use provsem_core::prelude::{
 use provsem_datalog::{
     evaluate_with_context, parse_program, EvalStrategy, FactStore, Program, DEFAULT_FALLBACK_BOUND,
 };
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A query service over one shared database: hands out [`Session`]s that
@@ -226,7 +225,7 @@ impl<K: WireSemiring> Session<K> {
         let snapshot = self.snapshot();
         match snapshot.database().get(name) {
             Some(relation) => {
-                let rows = QueryResult::from(Cow::Borrowed(relation));
+                let rows = QueryResult::from(relation);
                 send_rows(sink, snapshot.epoch(), None, &rows);
                 None
             }
@@ -259,7 +258,7 @@ impl<K: WireSemiring> Session<K> {
                 result.schema().clone(),
                 cache.get_or_convert(epoch, &result).as_ref().clone(),
             ),
-            None => QueryResult::from(Cow::Borrowed(result.as_ref())),
+            None => QueryResult::from(result.as_ref()),
         };
         send_rows(sink, snapshot.epoch(), None, &rows);
         None
@@ -352,7 +351,7 @@ impl<K: WireSemiring> Session<K> {
         // goal over a small edge relation must not pay to copy every other
         // (possibly large) relation in the database. Each relation is read
         // through the snapshot's columnar batch cache: the first datalog
-        // (or batch-engine RA) scan of a relation version columnarizes it
+        // (or RA) scan of a relation version columnarizes it
         // for every later scan, and commits patch the entry forward instead
         // of invalidating it — so repeated DATALOG requests share the
         // conversion across sessions and epochs (visible in STATS).

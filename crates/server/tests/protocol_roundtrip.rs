@@ -153,7 +153,7 @@ fn plan_cache_hits_until_a_commit_invalidates() {
     assert_eq!(
         session.handle_line("STATS").render(),
         "ok stats epoch=0 hits=1 misses=1 entries=1 views=0 \
-         batch_hits=0 batch_misses=0 batch_patches=0"
+         batch_hits=1 batch_misses=1 batch_patches=0"
     );
 
     // A commit bumps the epoch; the same query must replan (the catalog —
@@ -167,20 +167,19 @@ fn plan_cache_hits_until_a_commit_invalidates() {
     assert_eq!(
         session.handle_line("STATS").render(),
         "ok stats epoch=1 hits=1 misses=2 entries=1 views=0 \
-         batch_hits=0 batch_misses=0 batch_patches=0"
+         batch_hits=2 batch_misses=1 batch_patches=1"
     );
 }
 
-/// The storage-layer batch cache behind `STATS`: once a relation outgrows
-/// the auto-batch threshold, a query columnarizes its scan once (a batch
-/// miss), repeated queries against the same relation version hit, and a
-/// commit *patches* the cached conversion forward instead of invalidating
-/// it — so the post-commit query still hits.
+/// The storage-layer batch cache behind `STATS`: a query columnarizes its
+/// scan once (a batch miss), repeated queries against the same relation
+/// version hit, and a commit *patches* the cached conversion forward
+/// instead of invalidating it — so the post-commit query still hits.
 #[test]
 fn stats_report_batch_cache_hits_and_commit_patches() {
     let service = Service::new(z_db());
     let mut session = service.session();
-    // Grow R past the auto-batch threshold so the planner picks batch.
+    // Commits before the first scan leave nothing to patch.
     for i in 10..74 {
         session.handle_line(&format!("COMMIT R({i}, 'v{i}')=1"));
     }

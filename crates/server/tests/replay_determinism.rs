@@ -1,4 +1,4 @@
-//! Load generator + differential replay: the acceptance harness for the
+//! Concurrent run, then serial replay: the determinism test of the
 //! concurrent query service.
 //!
 //! Phase 1 (concurrent): reader sessions fire a mixed query workload
@@ -14,18 +14,15 @@
 //! Each logged read is then re-executed single-file, pinned to the snapshot
 //! of the epoch its concurrent reply reported. The rendered bytes must be
 //! **identical**: any interleaving artifact (torn batch, stale view, plan
-//! cached across a catalog change) shows up as a byte mismatch.
-//!
-//! Writes a machine-readable throughput record to `BENCH_service.json` (or
-//! the path given as the first argument) and exits non-zero on any
-//! mismatch.
+//! cached across a catalog change) shows up as a byte mismatch. A third of
+//! the reads scan `F` from the snapshot batch cache while commits patch it
+//! live, so cache hits must also dominate misses + patches.
 
 use provsem_core::prelude::{Database, DbSnapshot, KRelation, Schema, Tuple, Value};
 use provsem_semiring::ring::Integers;
 use provsem_server::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 const N_READERS: usize = 6;
 const QUERIES_PER_READER: usize = 200;
@@ -34,9 +31,8 @@ const COMMITS_PER_WRITER: usize = 40;
 /// Node ids for the edge relation; edges only go from lower to higher ids,
 /// so datalog reachability always converges (the graph stays acyclic).
 const N_NODES: i64 = 7;
-/// Rows in the fact relation `F` — comfortably past the planner's
-/// auto-batch threshold, so reads of `F` run on the batch engine against
-/// the snapshot-resident columnar cache (and commits into `F` patch it).
+/// Rows in the fact relation `F`: reads of it are served from the
+/// snapshot-resident columnar cache, and commits into `F` patch that.
 const N_FACTS: i64 = 320;
 /// Distinct `v` strings in `F`: selective predicates return ~8 rows.
 const N_TAGS: i64 = 40;
@@ -44,40 +40,6 @@ const N_TAGS: i64 = 40;
 /// One logged interaction: the epoch the reply reported, the request line,
 /// and the rendered reply.
 type LogEntry = (u64, String, String);
-
-/// Per-category request counters for one reader session: how many requests
-/// it issued and the in-handler seconds they took, split into `DATALOG`
-/// fixpoint queries vs everything else (relational reads). Summing these
-/// across readers gives the aggregate per-thread service rate of each
-/// category — the datalog fixpoints are orders of magnitude heavier than
-/// the relational lookups, so folding them into one queries/s number hides
-/// both.
-#[derive(Default)]
-struct ReadTiming {
-    datalog_queries: usize,
-    datalog_seconds: f64,
-    relational_queries: usize,
-    relational_seconds: f64,
-}
-
-impl ReadTiming {
-    fn record(&mut self, line: &str, seconds: f64) {
-        if line.starts_with("DATALOG") {
-            self.datalog_queries += 1;
-            self.datalog_seconds += seconds;
-        } else {
-            self.relational_queries += 1;
-            self.relational_seconds += seconds;
-        }
-    }
-
-    fn merge(&mut self, other: &ReadTiming) {
-        self.datalog_queries += other.datalog_queries;
-        self.datalog_seconds += other.datalog_seconds;
-        self.relational_queries += other.relational_queries;
-        self.relational_seconds += other.relational_seconds;
-    }
-}
 
 fn seed_db() -> Database<Integers> {
     let mut r = KRelation::empty(Schema::new(["a", "b"]));
@@ -117,15 +79,11 @@ fn reply_epoch(line: &str, response: &Response) -> u64 {
     }
 }
 
-/// Handles `line`, logs the `(epoch, request, reply)` triple, and returns
-/// the in-handler wall time in seconds.
-fn run_logged(session: &mut Session<Integers>, line: String, log: &mut Vec<LogEntry>) -> f64 {
-    let started = Instant::now();
+/// Handles `line` and logs the `(epoch, request, reply)` triple.
+fn run_logged(session: &mut Session<Integers>, line: String, log: &mut Vec<LogEntry>) {
     let response = session.handle_line(&line);
-    let seconds = started.elapsed().as_secs_f64();
     let epoch = reply_epoch(&line, &response);
     log.push((epoch, line, response.render()));
-    seconds
 }
 
 fn writer_workload(service: &Service<Integers>, writer: usize) -> Vec<LogEntry> {
@@ -181,11 +139,10 @@ fn writer_workload(service: &Service<Integers>, writer: usize) -> Vec<LogEntry> 
     log
 }
 
-fn reader_workload(service: &Service<Integers>, reader: usize) -> (Vec<LogEntry>, ReadTiming) {
+fn reader_workload(service: &Service<Integers>, reader: usize) -> Vec<LogEntry> {
     let mut rng = StdRng::seed_from_u64(0xBEEF + reader as u64);
     let mut session = service.session();
     let mut log = Vec::new();
-    let mut timing = ReadTiming::default();
     for _ in 0..QUERIES_PER_READER {
         let line = match rng.gen_range(0usize..12) {
             0 => "READ R".to_string(),
@@ -197,10 +154,9 @@ fn reader_workload(service: &Service<Integers>, reader: usize) -> (Vec<LogEntry>
             6 => "READ E".to_string(),
             7 => "DATALOG path(x, y) :- E(x, y). path(x, z) :- path(x, y), E(y, z). ? path"
                 .to_string(),
-            // Batch-engine traffic: F is past the auto threshold, so these
-            // scans serve from the snapshot's columnar cache (hit after
-            // the first conversion per relation version, patched across
-            // commits rather than invalidated).
+            // These scans serve from the snapshot's columnar cache (hit
+            // after the first conversion per relation version, patched
+            // across commits rather than invalidated).
             8 | 9 => format!("QUERY select[v = 'w{}'] F", rng.gen_range(0i64..N_TAGS)),
             10 => format!(
                 "QUERY project[g] select[v = 'w{}'] F",
@@ -208,17 +164,13 @@ fn reader_workload(service: &Service<Integers>, reader: usize) -> (Vec<LogEntry>
             ),
             _ => format!("QUERY select[g = {}] F", rng.gen_range(0i64..N_FACTS)),
         };
-        let seconds = run_logged(&mut session, line.clone(), &mut log);
-        timing.record(&line, seconds);
+        run_logged(&mut session, line, &mut log);
     }
-    (log, timing)
+    log
 }
 
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_service.json".to_string());
-
+#[test]
+fn concurrent_replies_equal_their_serial_replay_byte_for_byte() {
     // --- Phase 1: concurrent load against a live-committing database. ---
     let service = Service::new(seed_db());
     let mut setup_log = Vec::new();
@@ -228,8 +180,7 @@ fn main() {
         &mut setup_log,
     );
 
-    let started = Instant::now();
-    let (mut write_log, read_logs, timing) = std::thread::scope(|scope| {
+    let (mut write_log, read_logs) = std::thread::scope(|scope| {
         let service = &service;
         let writers: Vec<_> = (0..N_WRITERS)
             .map(|w| scope.spawn(move || writer_workload(service, w)))
@@ -241,32 +192,18 @@ fn main() {
         for handle in writers {
             write_log.extend(handle.join().expect("writer panicked"));
         }
-        let mut timing = ReadTiming::default();
         let read_logs: Vec<Vec<LogEntry>> = readers
             .into_iter()
-            .map(|handle| {
-                let (log, reader_timing) = handle.join().expect("reader panicked");
-                timing.merge(&reader_timing);
-                log
-            })
+            .map(|handle| handle.join().expect("reader panicked"))
             .collect();
-        (write_log, read_logs, timing)
+        (write_log, read_logs)
     });
-    let elapsed = started.elapsed().as_secs_f64();
+    assert_eq!(
+        read_logs.iter().map(Vec::len).sum::<usize>(),
+        N_READERS * QUERIES_PER_READER
+    );
 
-    let queries: usize = read_logs.iter().map(Vec::len).sum();
-    let commits = write_log.len();
-    let final_epoch = service.shared().epoch();
     let batch = service.shared().snapshot().batch_cache_stats();
-    println!(
-        "concurrent phase: {queries} queries across {N_READERS} readers, \
-         {commits} catalog ops across {N_WRITERS} writers (+setup), \
-         {final_epoch} epochs, {elapsed:.3}s"
-    );
-    println!(
-        "batch cache: {} hits, {} misses, {} patches, {} live entries",
-        batch.hits, batch.misses, batch.patches, batch.entries
-    );
     assert!(
         batch.hits > batch.misses + batch.patches,
         "batch-cache hits must dominate: {batch:?}"
@@ -285,13 +222,9 @@ fn main() {
     let replay = Service::new(seed_db());
     let mut replay_writer = replay.session();
     let mut snapshots: Vec<DbSnapshot<Integers>> = vec![replay.shared().snapshot()];
-    let mut mismatches = 0usize;
     for (epoch, line, expected) in &write_log {
         let rendered = replay_writer.handle_line(line).render();
-        if rendered != *expected {
-            mismatches += 1;
-            eprintln!("WRITE MISMATCH at epoch {epoch}: {line}\n  concurrent: {expected}\n  replay:     {rendered}");
-        }
+        assert_eq!(rendered, *expected, "write at epoch {epoch}: {line}");
         let snapshot = replay.shared().snapshot();
         assert_eq!(snapshot.epoch(), *epoch, "replay epoch drift at {line:?}");
         snapshots.push(snapshot);
@@ -302,37 +235,7 @@ fn main() {
         for (epoch, line, expected) in log {
             replay_reader.pin_to(snapshots[*epoch as usize].clone());
             let rendered = replay_reader.handle_line(line).render();
-            if rendered != *expected {
-                mismatches += 1;
-                eprintln!("READ MISMATCH at epoch {epoch}: {line}\n  concurrent: {expected}\n  replay:     {rendered}");
-            }
+            assert_eq!(rendered, *expected, "read at epoch {epoch}: {line}");
         }
     }
-
-    let qps = queries as f64 / elapsed;
-    // Per-category service rates from the summed in-handler time across
-    // reader threads: requests / thread-seconds. Datalog fixpoints are far
-    // heavier than the relational lookups, so they get their own number
-    // instead of disappearing into the wall-clock average.
-    let datalog_qps = timing.datalog_queries as f64 / timing.datalog_seconds.max(f64::EPSILON);
-    let relational_qps =
-        timing.relational_queries as f64 / timing.relational_seconds.max(f64::EPSILON);
-    println!("replay phase: {mismatches} mismatches over {queries} queries + {commits} ops");
-    println!(
-        "throughput: {qps:.0} queries/s wall-clock \
-         ({} datalog at {datalog_qps:.0}/s, {} relational at {relational_qps:.0}/s per thread)",
-        timing.datalog_queries, timing.relational_queries
-    );
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"concurrent_query_service\",\n  \"readers\": {N_READERS},\n  \"writers\": {N_WRITERS},\n  \"queries\": {queries},\n  \"catalog_ops\": {commits},\n  \"epochs\": {final_epoch},\n  \"elapsed_seconds\": {elapsed:.6},\n  \"queries_per_second\": {qps:.1},\n  \"datalog_queries\": {},\n  \"datalog_queries_per_second\": {datalog_qps:.1},\n  \"relational_queries\": {},\n  \"relational_queries_per_second\": {relational_qps:.1},\n  \"batch_cache_hits\": {},\n  \"batch_cache_misses\": {},\n  \"batch_cache_patches\": {},\n  \"replay_mismatches\": {mismatches}\n}}\n",
-        timing.datalog_queries, timing.relational_queries, batch.hits, batch.misses, batch.patches
-    );
-    std::fs::write(&out_path, json).expect("write benchmark record");
-    println!("wrote {out_path}");
-
-    assert_eq!(
-        mismatches, 0,
-        "concurrent execution diverged from serial replay"
-    );
 }

@@ -5,8 +5,8 @@
 //!
 //! The service renders those replies straight from result columns or
 //! relation tuples; this pins that path against the structured one for
-//! random RA⁺ queries over relations on both sides of the planner's 64-row
-//! `auto` threshold (row engine and batch engine), over both
+//! random RA⁺ queries over relations from one row to hundreds (a bare scan
+//! borrows the relation, everything else arrives as columns), over both
 //! [`WireSemiring`]s, at several points of a commit sequence whose deletes
 //! cancel earlier rows — so scans read commit-patched batch lists holding
 //! delete-to-zero pairs, and standing views are read from patched entries —
@@ -319,7 +319,7 @@ impl<K: WireSemiring> Generator<'_, K> {
 }
 
 /// Queries every run checks besides the random ones: empty results,
-/// zero arity, escaping, both engines.
+/// zero arity, escaping, bare scans and planned queries.
 const FIXED_QUERIES: [&str; 14] = [
     "Big",
     "select[false] Big",
