@@ -393,7 +393,7 @@ fn aggregate_batches<K: Semiring>(inputs: Vec<Batch<K>>, threads: usize) -> Vec<
 /// per row through the table otherwise), then assembles one output batch
 /// column-by-column. Annotations are read in place on both sides: a cached
 /// batch's annotation column is never copied, only the matched pairs are
-/// multiplied.
+/// multiplied — in one [`Semiring::times_each`] call per output batch.
 ///
 /// Exported through [`crate::kernels`] for callers outside the planner.
 pub fn join_batches<K: Semiring>(
@@ -445,21 +445,32 @@ pub fn join_batches<K: Semiring>(
         // Matches in probe-stream-major, build-stream-minor order.
         let mut match_build: Vec<(u32, u32)> = Vec::new();
         let mut match_probe: Vec<u32> = Vec::new();
-        let mut anns: Vec<K> = Vec::new();
-        for (prow, (&key, pk)) in key_of.iter().zip(panns).enumerate() {
+        for (prow, &key) in key_of.iter().enumerate() {
             if key == NO_KEY {
                 continue;
             }
-            for &(b, r) in chains.of(key) {
-                let bk = &build[b as usize].anns()[r as usize];
-                anns.push(if swapped { pk.times(bk) } else { bk.times(pk) });
-                match_build.push((b, r));
+            for &pair in chains.of(key) {
+                match_build.push(pair);
                 match_probe.push(prow as u32);
             }
         }
-        if anns.is_empty() {
+        if match_probe.is_empty() {
             continue;
         }
+        // The batch's products in one call (circuits intern them together).
+        let pairs = match_build
+            .iter()
+            .zip(&match_probe)
+            .map(|(&(b, r), &prow)| {
+                let bk = &build[b as usize].anns()[r as usize];
+                let pk = &panns[prow as usize];
+                if swapped {
+                    (pk, bk)
+                } else {
+                    (bk, pk)
+                }
+            });
+        let anns = K::times_each(pairs);
         let columns: Vec<Column> = output
             .iter()
             .map(|src| match src {

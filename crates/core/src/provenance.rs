@@ -200,7 +200,7 @@ pub fn provenance_size(relation: &KRelation<ProvenancePolynomial>) -> usize {
 /// base tuple is annotated with a hash-consed [`Circuit`] variable instead
 /// of an expanded ℕ\[X\] polynomial. Same theorem (4.3), shared
 /// representation: query evaluation interns `Plus`/`Times` nodes in O(1)
-/// and specialization is one memoized bottom-up pass over the DAG.
+/// and specialization is one forward pass over the DAG in node-id order.
 ///
 /// Variable names match [`tag_database`] exactly, so the two routes are
 /// interchangeable (and differentially comparable) valuation-for-valuation.
@@ -237,15 +237,17 @@ pub fn tag_database_circuit<K: Semiring>(db: &Database<K>) -> CircuitTagged<K> {
 }
 
 /// Evaluates a circuit-annotated relation into `K` — tuple-wise `Eval_v`
-/// with **one shared memo across all tuples**: a subcircuit reused by many
-/// output tuples is evaluated once (this is where the circuit route beats
-/// specializing expanded polynomials tuple by tuple).
+/// as **one forward pass over the shared DAG** ([`CircuitEval::eval_all`]):
+/// a subcircuit reused by many output tuples is evaluated once (this is
+/// where the circuit route beats specializing expanded polynomials tuple by
+/// tuple).
 pub fn specialize_circuit<K: CommutativeSemiring>(
     relation: &KRelation<Circuit>,
     valuation: &Valuation<K>,
 ) -> KRelation<K> {
-    let mut eval = CircuitEval::new(valuation);
-    relation.map_annotations(|circuit| eval.eval(*circuit))
+    let roots: Vec<Circuit> = relation.iter().map(|(_, circuit)| *circuit).collect();
+    let mut values = CircuitEval::new(valuation).eval_all(&roots).into_iter();
+    relation.map_annotations(|_| values.next().expect("one value per tuple"))
 }
 
 /// [`specialize_circuit`] behind the signature of the other `*_with` entry
@@ -253,7 +255,8 @@ pub fn specialize_circuit<K: CommutativeSemiring>(
 /// a shared DAG is one memoized walk, and workers that split the roots each
 /// re-evaluate the core the roots share — measured on the Section 2 query
 /// over 28 k tuples (262 k nodes), 2 workers took 29–35 ms and 4 took
-/// 45–48 ms against 22–26 ms serial.
+/// 45–48 ms against 22–26 ms serial (before the pass became one forward
+/// sweep in id order).
 pub fn specialize_circuit_with<K>(
     relation: &KRelation<Circuit>,
     valuation: &Valuation<K>,

@@ -220,15 +220,17 @@ impl<K: Semiring> CircuitDatalogProvenance<K> {
 }
 
 impl<K: CommutativeSemiring> CircuitDatalogProvenance<K> {
-    /// Specializes the circuit provenance into K with **one memoized
-    /// bottom-up pass shared by every fact** (Theorem 6.4's `Eval_v`, at
-    /// circuit speed): each node of the shared DAG is evaluated once, no
-    /// matter how many idb facts reach it.
+    /// Specializes the circuit provenance into K with **one forward pass
+    /// shared by every fact** ([`CircuitEval::eval_all`] — Theorem 6.4's
+    /// `Eval_v`, at circuit speed): each node of the shared DAG is evaluated
+    /// once, no matter how many idb facts reach it.
     pub fn specialize(&self) -> FactStore<K> {
-        let mut eval = CircuitEval::new(&self.valuation);
+        let (facts, circuits): (Vec<Fact>, Vec<Circuit>) =
+            self.facts.facts().map(|(fact, c)| (fact, *c)).unzip();
+        let values = CircuitEval::new(&self.valuation).eval_all(&circuits);
         let mut out = FactStore::new();
-        for (fact, circuit) in self.facts.facts() {
-            out.set(fact, eval.eval(*circuit));
+        for (fact, value) in facts.into_iter().zip(values) {
+            out.set(fact, value);
         }
         out
     }

@@ -240,11 +240,12 @@ impl TupleIndependentDb {
             });
             return Ok(answers.into_iter().flatten().collect());
         }
-        let mut eval = CircuitEval::new(&valuation);
+        let circuits: Vec<Circuit> = out.iter().map(|(_, c)| *c).collect();
+        let events = CircuitEval::new(&valuation).eval_all(&circuits);
         Ok(out
             .iter()
-            .map(|(t, c)| {
-                let event = eval.eval(*c);
+            .zip(events)
+            .map(|((t, _), event)| {
                 let p = event.probability(&probs);
                 (t.clone(), event, p)
             })

@@ -5,11 +5,11 @@
 //! expands into `2ⁿ` monomials, and specializing every output tuple
 //! re-evaluates common subexpressions from scratch. This module keeps the
 //! *same* semiring elements in **circuit form**: interned DAG nodes
-//! (`0 | 1 | x | a + b | a · b | Σ aᵢ`) behind a process-wide sharded arena
-//! with structural hash-consing, handled through [`Circuit`] — a `Copy` node
-//! id that implements [`Semiring`]/[`CommutativeSemiring`] and therefore
-//! drops into every generic K-relation, planned-engine, and datalog entry
-//! point unchanged.
+//! (`0 | 1 | x | a + b | a · b | Σ aᵢ`) in one process-wide arena with
+//! structural hash-consing, handled through [`Circuit`] — a `Copy` node id
+//! that implements [`Semiring`]/[`CommutativeSemiring`] and therefore drops
+//! into every generic K-relation, planned-engine, and datalog entry point
+//! unchanged.
 //!
 //! The theory is exactly that of Section 4 of the paper: ℕ\[X\] is the free
 //! commutative semiring on X (Proposition 4.2), so *any* syntax tree over
@@ -20,10 +20,14 @@
 //! represented. Circuits make the theorem cheap in practice:
 //!
 //! * `+`/`·` are O(1) hash-consing lookups instead of monomial-map merges,
-//!   and a grouping operator's whole sum is **one** n-ary `Σ` node per group
-//!   ([`Semiring::sum_groups`]) instead of a chain of n − 1 binary links;
-//! * [`CircuitEval`] memoizes `Eval_v` bottom-up over the shared DAG, so a
-//!   node reused by many output tuples is evaluated **once per valuation**;
+//!   a join output batch's products are interned together
+//!   ([`Semiring::times_each`]), and a grouping operator's whole sum is
+//!   **one** n-ary `Σ` node per group ([`Semiring::sum_groups`]) instead of a
+//!   chain of n − 1 binary links;
+//! * [`CircuitEval`] memoizes `Eval_v` over the shared DAG, so a node reused
+//!   by many output tuples is evaluated **once per valuation**, and
+//!   [`CircuitEval::eval_all`] evaluates a whole result in one forward sweep
+//!   over node ids;
 //! * [`Circuit::to_polynomial`] is the memoized lowering back to the
 //!   expanded canonical form (used for equality, display, and as the
 //!   differential-testing reference).
@@ -36,27 +40,43 @@
 //!
 //! # Arena lifecycle
 //!
-//! Node storage is **process-wide and sharded**: every thread interns into
-//! the same store, partitioned into 16 FxHash-indexed shards so
-//! concurrent sessions contend only when they hash to the same shard, and
-//! structurally identical subcircuits built by *different* sessions are the
-//! same global node. Handle *validity*, by contrast, stays per-thread:
-//! every handle carries the **generation** of the thread that interned it,
-//! [`reset`] opens a new generation on the calling thread (O(1), no storage
-//! touched — other sessions may be reading those nodes), and using a handle
-//! from a dead generation panics with a "stale circuit handle" message
-//! instead of silently reading another computation's nodes. Prefer the
-//! scoped [`CircuitSession`] guard over calling [`reset`] by hand — it
-//! opens a generation on entry and on drop, [`reset`] refuses to run while
-//! a session is active on this thread, and any number of threads can each
-//! run their own session concurrently.
+//! Node storage is **one process-wide arena** behind one mutex: a vector of
+//! nodes and a flat open-addressing table over them. A node is interned
+//! after its operands, so **node ids are creation order and every child id
+//! is smaller than its parent's**: the nodes a set of roots needs are found
+//! by one downward sweep from the highest root, and `Eval_v` runs forward in
+//! id order. Every thread interns into the same store, so structurally
+//! identical subcircuits built by *different* sessions are the same node.
 //!
-//! Memory is reclaimed by the explicit, global [`vacuum`]: it truncates
-//! every shard back to the constants and advances a process-wide epoch so
-//! *all* threads' outstanding handles go stale (checked under the shard
-//! lock, so a racing traversal panics loudly rather than reading recycled
-//! slots). Vacuum only at quiescent points — between benchmark iterations,
-//! or in a serving system's maintenance window.
+//! The lock is taken once per *batch*, not once per node: a join output
+//! batch's products ([`Semiring::times_each`]), one grouping call's Σ nodes
+//! ([`Semiring::sum_groups`]) and one evaluation's node reads
+//! ([`CircuitEval::eval_all`], [`Circuit::to_polynomial`], `Debug`) each take
+//! it once; a lone `+`/`·` takes it once. No semiring code runs under the
+//! lock — an evaluation copies the nodes it needs out and releases it before
+//! computing — so specializing *into* [`Circuit`] itself (renaming
+//! variables) is safe. The arena is not sharded: the query server never
+//! builds circuits (its sessions run over ℕ and ℤ), so the only concurrent
+//! interners are one query's morsel workers, which take the lock once per
+//! batch.
+//!
+//! Handle *validity*, by contrast, stays per-thread: every handle carries
+//! the **generation** of the thread that interned it, [`reset`] opens a new
+//! generation on the calling thread (O(1), no storage touched — other
+//! sessions may be reading those nodes), and using a handle from a dead
+//! generation panics with a "stale circuit handle" message instead of
+//! silently reading another computation's nodes. Prefer the scoped
+//! [`CircuitSession`] guard over calling [`reset`] by hand — it opens a
+//! generation on entry and on drop, [`reset`] refuses to run while a session
+//! is active on this thread, and any number of threads can each run their
+//! own session concurrently.
+//!
+//! Memory is reclaimed by the explicit, global [`vacuum`]: it truncates the
+//! arena back to the constants and advances a process-wide epoch so *all*
+//! threads' outstanding handles go stale (checked under the arena lock, so a
+//! racing traversal panics loudly rather than reading recycled slots).
+//! Vacuum only at quiescent points — between benchmark iterations, or in a
+//! serving system's maintenance window.
 //!
 //! # Crossing threads
 //!
@@ -74,14 +94,14 @@
 //! specialize_circuit` across worker threads and merges the results back in
 //! deterministic partition order.
 
-use crate::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
+use crate::fxhash::{fx_hash_one, FxHashMap};
 use crate::polynomial::{Polynomial, ProvenancePolynomial};
 use crate::posbool::PosBool;
 use crate::traits::{CommutativeSemiring, PlusIdempotent, Portable, Semiring};
 use crate::variable::{Valuation, Variable};
 use std::cell::Cell;
+use std::collections::BinaryHeap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -93,18 +113,10 @@ const ONE: u32 = 1;
 /// every reset and are therefore valid in all generations.
 const GEN_CONST: u32 = u32::MAX;
 
-/// Number of interner shards. A power of two so the shard of an id is a
-/// mask; 16 is comfortably above any realistic worker-thread count for the
-/// morsel executor and the query service's session threads.
-const NUM_SHARDS: usize = 16;
-const SHARD_BITS: u32 = NUM_SHARDS.trailing_zeros();
-
-/// One interned circuit node. Children are global node ids, id-sorted (so
-/// commuted operands share one node) and always interned before the node
-/// itself (the constructors build bottom-up) — but child ids are *not*
-/// numerically smaller than the parent's: ids interleave shard bits, so
-/// traversals use explicit reachability, never id order.
-#[derive(Clone, PartialEq, Eq)]
+/// One interned circuit node. Children are node ids, id-sorted (so commuted
+/// operands share one node) and interned before the node itself — so every
+/// child id is smaller than its parent's.
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum Node {
     Zero,
     One,
@@ -112,28 +124,9 @@ enum Node {
     Plus([u32; 2]),
     Times([u32; 2]),
     /// `Σ` of three or more non-zero members. A **multiset**: `x + x` is
-    /// `2x` in ℕ\[X\], so a repeated member stays repeated. Shared between
-    /// the shard's node list and its index, and cheap to clone out.
+    /// `2x` in ℕ\[X\], so a repeated member stays repeated. Cheap to clone
+    /// out of the arena.
     Sum(Arc<[u32]>),
-}
-
-impl Hash for Node {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match self {
-            Node::Zero | Node::One => {}
-            // The names `R_0, R_1, …` of one tagged relation differ in their
-            // last bytes only, which a multiplicative hash mixes into its
-            // high bits alone, while hash tables index by the low bits: fold
-            // the high half down, or the variables share a few buckets.
-            Node::Var(v) => {
-                let name = fx_hash_one(v);
-                state.write_u64(name ^ (name >> 32));
-            }
-            Node::Plus(pair) | Node::Times(pair) => pair.hash(state),
-            Node::Sum(members) => members.hash(state),
-        }
-    }
 }
 
 impl Node {
@@ -146,21 +139,221 @@ impl Node {
     }
 }
 
-/// One shard of the process-wide hash-consing interner.
-#[derive(Default)]
-struct ShardState {
-    nodes: Vec<Node>,
-    interned: FxHashMap<Node, u32>,
+/// The slot multiplier: the odd 64-bit constant nearest 2⁶⁴/φ.
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A flat open-addressing table from node hashes to node ids: linear
+/// probing over `u64` slots, each holding the entry's 32-bit *tag* over
+/// `id + 1` (`0` is an empty slot). The caller's `eq` compares nodes and
+/// runs on a tag match only — the table never decides equality, so
+/// colliding hashes cost probes, never results.
+///
+/// The tag is the top half of `hash · MIX` and the slot index is the top
+/// `log₂(slots)` bits of the same product. `fx_hash_one` ends in a
+/// multiplication, whose *low* bits depend only on the low bits of the last
+/// word it hashed — for `Plus([a, b])` on the smaller operand `a` alone — so
+/// indexing by low bits put every `fᵢ + t` over one `fᵢ` into one probe
+/// chain; the high bits of one more multiplication depend on every bit. As
+/// the index is the top of the tag, growth (doubling at load ½) re-places
+/// the slots from their tags alone, without touching a node.
+struct NodeTable {
+    /// The length is a power of two.
+    slots: Vec<u64>,
+    /// `64 − log₂(slots.len())`; at least 32, so the index lies in the tag.
+    shift: u32,
+    len: usize,
 }
 
-/// The process-wide sharded interner: every thread and session interns into
-/// the same node store, partitioned by FxHash of the node so concurrent
-/// sessions contend only when they intern into the same shard. Structural
-/// sharing therefore crosses sessions: two sessions building the same
-/// subcircuit get the *same* global node.
-fn shards() -> &'static [Mutex<ShardState>; NUM_SHARDS] {
-    static SHARDS: OnceLock<[Mutex<ShardState>; NUM_SHARDS]> = OnceLock::new();
-    SHARDS.get_or_init(|| std::array::from_fn(|_| Mutex::new(ShardState::default())))
+impl NodeTable {
+    fn new() -> NodeTable {
+        NodeTable {
+            slots: vec![0; 16],
+            shift: 60,
+            len: 0,
+        }
+    }
+
+    fn tag(hash: u64) -> u64 {
+        hash.wrapping_mul(MIX) >> 32
+    }
+
+    fn home(&self, tag: u64) -> usize {
+        ((tag << 32) >> self.shift) as usize
+    }
+
+    /// Walks `hash`'s probe sequence: the id of the first entry with its tag
+    /// that `eq` accepts, or the empty slot that ends the walk.
+    fn probe(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        let tag = NodeTable::tag(hash);
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(tag);
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                entry if entry >> 32 == tag && eq(entry as u32 - 1) => return Ok(entry as u32 - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Records `id` under `hash` in `slot`, the empty slot its probe ended on.
+    fn insert(&mut self, slot: usize, hash: u64, id: u32) {
+        self.slots[slot] = NodeTable::tag(hash) << 32 | u64::from(id + 1);
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    fn grow(&mut self) {
+        assert!(self.shift > 32, "circuit arena exceeded 2³¹ nodes");
+        let doubled = vec![0; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for entry in old.into_iter().filter(|&entry| entry != 0) {
+            let mut slot = self.home(entry >> 32);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = entry;
+        }
+    }
+
+    /// Empties the table, keeping its size for the next computation.
+    fn clear(&mut self) {
+        self.slots.fill(0);
+        self.len = 0;
+    }
+}
+
+/// The process-wide node store: node `id` is `nodes[id]`, `0` and `1` are
+/// the constants, and `table` finds every other node by its structure.
+struct Arena {
+    nodes: Vec<Node>,
+    table: NodeTable,
+}
+
+impl Arena {
+    fn new() -> Arena {
+        Arena {
+            nodes: vec![Node::Zero, Node::One],
+            table: NodeTable::new(),
+        }
+    }
+
+    /// The id of `node`, whose `fx_hash_one` is `hash` — appended if new,
+    /// after its operands, which are already in the arena. (The table stops
+    /// at 2³¹ entries, so ids fit.)
+    fn intern(&mut self, node: Node, hash: u64) -> u32 {
+        let nodes = &self.nodes;
+        match self.table.probe(hash, |id| nodes[id as usize] == node) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = self.nodes.len() as u32;
+                self.nodes.push(node);
+                self.table.insert(slot, hash, id);
+                id
+            }
+        }
+    }
+
+    /// Visits the nodes reachable from `roots` without passing a `done` id,
+    /// **highest id first** — every node before its children — once each;
+    /// stops when `visit` returns `false`.
+    fn sweep(
+        &self,
+        roots: &[Circuit],
+        pending: &mut impl Pending,
+        done: impl Fn(u32) -> bool,
+        mut visit: impl FnMut(u32, &Node) -> bool,
+    ) {
+        for root in roots.iter().filter(|root| !done(root.id)) {
+            pending.push(root.id);
+        }
+        while let Some(id) = pending.pop_max() {
+            let node = &self.nodes[id as usize];
+            if !visit(id, node) {
+                return;
+            }
+            for &child in node.children().iter().filter(|&&child| !done(child)) {
+                pending.push(child);
+            }
+        }
+    }
+}
+
+/// The ids a downward [`Arena::sweep`] has still to visit, handed out
+/// highest first and each once, however often it was pushed. Children are
+/// pushed only while their (higher) parent is visited, so once an id is
+/// handed out it is never pushed again.
+trait Pending {
+    fn push(&mut self, id: u32);
+    fn pop_max(&mut self) -> Option<u32>;
+}
+
+/// Dense: one bit per id up to the highest root — for a sweep that covers a
+/// whole result, whose memo is dense anyway.
+struct PendingBits {
+    words: Vec<u64>,
+    /// Words at or past `top` are all zero.
+    top: usize,
+}
+
+impl PendingBits {
+    fn below(roots: &[Circuit]) -> PendingBits {
+        let top = roots.iter().map(|root| root.id as usize / 64 + 1).max();
+        PendingBits {
+            words: vec![0; top.unwrap_or(0)],
+            top: top.unwrap_or(0),
+        }
+    }
+}
+
+impl Pending for PendingBits {
+    fn push(&mut self, id: u32) {
+        self.words[id as usize / 64] |= 1 << (id % 64);
+    }
+
+    fn pop_max(&mut self) -> Option<u32> {
+        while self.top > 0 {
+            let word = &mut self.words[self.top - 1];
+            if *word != 0 {
+                let bit = 63 - word.leading_zeros();
+                *word &= !(1 << bit);
+                return Some((self.top as u32 - 1) * 64 + bit);
+            }
+            self.top -= 1;
+        }
+        None
+    }
+}
+
+/// Sparse: a heap of the pushed ids — for a sweep that must cost what it
+/// reaches, not the arena (one handle's lowering, printing, one `eval`).
+impl Pending for BinaryHeap<u32> {
+    fn push(&mut self, id: u32) {
+        BinaryHeap::push(self, id);
+    }
+
+    fn pop_max(&mut self) -> Option<u32> {
+        let id = self.pop()?;
+        while self.peek() == Some(&id) {
+            self.pop();
+        }
+        Some(id)
+    }
+}
+
+/// The arena, locked. A panic under the lock (a failed generation check,
+/// the table refusing to grow past 2³¹ nodes) leaves every node findable at
+/// its id, so a poisoned lock still guards a consistent arena.
+fn arena() -> MutexGuard<'static, Arena> {
+    static ARENA: OnceLock<Mutex<Arena>> = OnceLock::new();
+    ARENA
+        .get_or_init(|| Mutex::new(Arena::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Bumped by every [`vacuum`]; threads detect the bump on their next arena
@@ -206,7 +399,7 @@ fn bump_generation(local: &mut Local) {
 /// Re-reads the global vacuum epoch; if it advanced since this thread's last
 /// arena access, bumps the thread's generation (staling every outstanding
 /// handle of this thread) and records the new epoch. Returns `true` iff the
-/// epoch advanced. Called under the shard lock by every arena access, which
+/// epoch advanced. Called under the arena lock by every arena access, which
 /// makes vacuuming sound: a node read either happens before the vacuum's
 /// truncation (old epoch observed, data intact) or observes the new epoch
 /// and refuses.
@@ -224,33 +417,6 @@ fn sync_epoch() -> bool {
     })
 }
 
-fn lock_shard(index: usize) -> MutexGuard<'static, ShardState> {
-    shards()[index]
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Global id of slot `slot` in shard `shard`. Ids `0`/`1` are the constants
-/// of every arena; all interned nodes start at 2, with the shard index in
-/// the low bits.
-fn encode_id(shard: usize, slot: usize) -> u32 {
-    let slot = u32::try_from(slot).expect("circuit arena shard exceeded u32 slots");
-    assert!(
-        slot <= (u32::MAX - 2) >> SHARD_BITS,
-        "circuit arena exceeded u32 node ids"
-    );
-    ((slot << SHARD_BITS) | shard as u32) + 2
-}
-
-/// Inverse of [`encode_id`] for ids ≥ 2.
-fn decode_id(id: u32) -> (usize, usize) {
-    let raw = id - 2;
-    (
-        (raw & (NUM_SHARDS as u32 - 1)) as usize,
-        (raw >> SHARD_BITS) as usize,
-    )
-}
-
 /// This thread's lifecycle state after syncing with the vacuum epoch: its
 /// `generation` is what fresh handles are stamped with and stale checks
 /// compare against.
@@ -259,24 +425,15 @@ fn synced_local() -> Local {
     LOCAL.with(Cell::get)
 }
 
-/// Clones one node out of the shared arena. Takes a raw id reached from an
-/// already generation-checked root handle; if a [`vacuum`] intervened since
-/// this thread's previous access, the traversal is torn and this panics
-/// loudly instead of reading truncated (or re-populated) slots.
-fn node_of(id: u32) -> Node {
-    match id {
-        ZERO => return Node::Zero,
-        ONE => return Node::One,
-        _ => {}
-    }
-    let (shard, slot) = decode_id(id);
-    let guard = lock_shard(shard);
+/// Panics unless `handle` is live in generation `current`.
+fn assert_live(handle: &Circuit, current: u32) {
     assert!(
-        !sync_epoch(),
-        "circuit arena vacuumed while a traversal was in flight; \
-         vacuum() must only run at quiescent points"
+        handle.id <= ONE || handle.gen == current,
+        "stale circuit handle: the arena was reset (generation {} is gone, current is {}); \
+         scope handle lifetimes with CircuitSession",
+        handle.gen,
+        current
     );
-    guard.nodes[slot].clone()
 }
 
 /// Generation-checks handles against this thread's current generation,
@@ -284,13 +441,7 @@ fn node_of(id: u32) -> Node {
 fn check_handles<'a>(handles: impl IntoIterator<Item = &'a Circuit>) -> u32 {
     let current = synced_local().generation;
     for handle in handles {
-        assert!(
-            handle.id <= ONE || handle.gen == current,
-            "stale circuit handle: the arena was reset (generation {} is gone, current is {}); \
-             scope handle lifetimes with CircuitSession",
-            handle.gen,
-            current
-        );
+        assert_live(handle, current);
     }
     current
 }
@@ -304,49 +455,85 @@ fn make_handle(id: u32, generation: u32) -> Circuit {
     }
 }
 
-/// Interns `node` — its operand ids read from handles that
-/// [`check_handles`] found live in `generation` — and re-checks the
-/// generation *under the shard lock*, after syncing with the vacuum epoch,
-/// so operands staled by a concurrent vacuum are caught before their ids are
-/// baked into a new node. A leaf has no operands and passes `None`.
-fn intern(node: Node, generation: Option<u32>) -> Circuit {
-    let shard = (fx_hash_one(&node) as usize) & (NUM_SHARDS - 1);
-    let mut guard = lock_shard(shard);
+/// Runs `f` on the locked arena to intern nodes whose operand ids were read
+/// from handles that [`check_handles`] found live in `generation` (leaves
+/// have no operands and pass `None`). The generation is re-checked *under
+/// the lock*, after syncing with the vacuum epoch, so operands staled by a
+/// concurrent vacuum are caught before their ids are baked into new nodes.
+/// `f` also gets the generation to stamp the new handles with.
+fn intern_with<R>(generation: Option<u32>, f: impl FnOnce(&mut Arena, u32) -> R) -> R {
+    let mut arena = arena();
     let current = synced_local().generation;
     assert!(
         generation.unwrap_or(current) == current,
         "stale circuit handle: the arena was reset or vacuumed while its operands were in use"
     );
-    let id = match guard.interned.get(&node) {
-        Some(&id) => id,
-        None => {
-            let id = encode_id(shard, guard.nodes.len());
-            guard.nodes.push(node.clone());
-            guard.interned.insert(node, id);
-            id
-        }
-    };
-    drop(guard);
-    make_handle(id, current)
+    f(&mut arena, current)
 }
 
-/// The hot path of [`Semiring::plus`]/[`Semiring::times`]: one node over
-/// the id-sorted operand pair.
-fn intern_pair(a: &Circuit, b: &Circuit, make: impl FnOnce([u32; 2]) -> Node) -> Circuit {
-    let generation = check_handles([a, b]);
-    intern(make([a.id.min(b.id), a.id.max(b.id)]), Some(generation))
+/// Interns one node, hashed before the lock is taken.
+fn intern(node: Node, generation: Option<u32>) -> Circuit {
+    let hash = fx_hash_one(&node);
+    intern_with(generation, |arena, current| {
+        make_handle(arena.intern(node, hash), current)
+    })
 }
 
-/// The sum of a group's non-zero member ids: `0`, the member itself, a
-/// binary `Plus`, or one `Sum` node over the sorted multiset — canonical,
-/// so equal groups hash-cons to one node whatever order their rows came in.
-fn intern_sum(members: &mut [u32], generation: u32) -> Circuit {
+/// Interns a batch under one lock: each part is a handle already (an
+/// identity folded away) or a node over operands live in `generation`. The
+/// parts are drawn and the nodes hashed before the lock is taken: a probe
+/// loop that only probes keeps several slot misses in flight, and hashing
+/// inside it made interning 220 k fresh products 2.5× slower (2-core Xeon).
+fn intern_batch(
+    parts: impl Iterator<Item = Result<Circuit, Node>>,
+    generation: u32,
+) -> Vec<Circuit> {
+    let hash = |node: Node| (fx_hash_one(&node), node);
+    let hashed: Vec<Result<Circuit, (u64, Node)>> = parts.map(|part| part.map_err(hash)).collect();
+    intern_with(Some(generation), |arena, current| {
+        let intern = |part: Result<Circuit, (u64, Node)>| {
+            part.unwrap_or_else(|(hash, node)| make_handle(arena.intern(node, hash), current))
+        };
+        hashed.into_iter().map(intern).collect()
+    })
+}
+
+fn sorted_pair(a: &Circuit, b: &Circuit) -> [u32; 2] {
+    [a.id.min(b.id), a.id.max(b.id)]
+}
+
+/// `a + b`: a handle if `0` folds away, else the `Plus` node to intern (over
+/// id-sorted operands, so `a + b` and `b + a` share one node).
+fn plus_node(a: &Circuit, b: &Circuit) -> Result<Circuit, Node> {
+    match (a.id, b.id) {
+        (ZERO, _) => Ok(*b),
+        (_, ZERO) => Ok(*a),
+        _ => Err(Node::Plus(sorted_pair(a, b))),
+    }
+}
+
+/// `a · b`: a handle if `0` or `1` folds away, else the `Times` node to
+/// intern.
+fn times_node(a: &Circuit, b: &Circuit) -> Result<Circuit, Node> {
+    match (a.id, b.id) {
+        (ZERO, _) | (_, ZERO) => Ok(Circuit::zero()),
+        (ONE, _) => Ok(*b),
+        (_, ONE) => Ok(*a),
+        _ => Err(Node::Times(sorted_pair(a, b))),
+    }
+}
+
+/// The sum of a group's non-zero member ids: `0`, the member itself, or the
+/// node to intern — a binary `Plus`, or one `Sum` over the sorted multiset —
+/// canonical, so equal groups hash-cons to one node whatever order their
+/// rows came in.
+fn sum_node(members: &mut [u32], generation: u32) -> Result<Circuit, Node> {
     members.sort_unstable();
     match *members {
-        [] => Circuit::zero(),
-        [only] => make_handle(only, generation),
-        [a, b] => intern(Node::Plus([a, b]), Some(generation)),
-        _ => intern(Node::Sum(Arc::from(&*members)), Some(generation)),
+        [] => Ok(Circuit::zero()),
+        [only] => Ok(make_handle(only, generation)),
+        [a, b] => Err(Node::Plus([a, b])),
+        _ => Err(Node::Sum(Arc::from(&*members))),
     }
 }
 
@@ -354,9 +541,46 @@ fn intern_sum(members: &mut [u32], generation: u32) -> Circuit {
 /// the two constants). A direct measure of total provenance size with
 /// sharing — shared across every thread and session.
 pub fn arena_node_count() -> usize {
-    2 + (0..NUM_SHARDS)
-        .map(|shard| lock_shard(shard).nodes.len())
-        .sum::<usize>()
+    arena().nodes.len()
+}
+
+/// Checks the arena's invariants and returns its node count, panicking on
+/// the first broken one: ids `0`/`1` are the constants and nothing else is;
+/// every child id is smaller than its parent's; operands are id-sorted and
+/// never a foldable constant; a `Σ` has three or more non-zero members; and
+/// the table finds every node at its own id. For tests; O(nodes).
+#[doc(hidden)]
+pub fn check_arena_invariants() -> usize {
+    let arena = arena();
+    let nodes = &arena.nodes;
+    assert!(matches!(nodes[..2], [Node::Zero, Node::One]), "constants");
+    for (id, node) in nodes.iter().enumerate().skip(2) {
+        let children = node.children();
+        assert!(
+            children.iter().all(|&child| (child as usize) < id),
+            "node {id} has a child id not below its own"
+        );
+        assert!(
+            children.windows(2).all(|w| w[0] <= w[1]),
+            "node {id}: operand order"
+        );
+        match node {
+            Node::Zero | Node::One => panic!("node {id} is a second constant"),
+            Node::Var(_) => {}
+            Node::Plus(pair) => assert!(pair[0] != ZERO, "node {id}: 0 + a"),
+            Node::Times(pair) => assert!(pair[0] > ONE, "node {id}: 0 · a or 1 · a"),
+            Node::Sum(members) => assert!(
+                members.len() >= 3 && members[0] != ZERO,
+                "node {id}: Σ of fewer than three non-zero members"
+            ),
+        }
+        let found = arena
+            .table
+            .probe(fx_hash_one(node), |other| nodes[other as usize] == *node);
+        assert_eq!(found, Ok(id as u32), "node {id} is not found at its id");
+    }
+    assert_eq!(arena.table.len, nodes.len() - 2, "table entries");
+    nodes.len()
 }
 
 /// Invalidates every outstanding [`Circuit`] handle and [`CircuitEval`] memo
@@ -365,10 +589,9 @@ pub fn arena_node_count() -> usize {
 /// nodes. Call between independent provenance computations — or, better,
 /// scope the computation in a [`CircuitSession`].
 ///
-/// Since the arena became a process-wide sharded interner, `reset` no longer
-/// truncates node storage (other sessions may be reading it); nodes are
-/// retained for cross-session structural sharing and are reclaimed only by
-/// [`vacuum`] at a globally quiescent point.
+/// `reset` does not truncate node storage (other sessions may be reading
+/// it); nodes are retained for cross-session structural sharing and are
+/// reclaimed only by [`vacuum`] at a globally quiescent point.
 ///
 /// # Panics
 /// Panics if a [`CircuitSession`] is active on this thread.
@@ -385,14 +608,14 @@ pub fn reset() {
     });
 }
 
-/// Truncates the process-wide sharded arena back to the constants `0` and
-/// `1`, reclaiming every interned node, and advances the global vacuum
-/// epoch so that **all** threads' outstanding handles go stale (each thread
-/// detects the epoch bump on its next arena access and panics on any
-/// pre-vacuum handle instead of aliasing re-populated slots).
+/// Truncates the process-wide arena back to the constants `0` and `1`,
+/// reclaiming every interned node, and advances the global vacuum epoch so
+/// that **all** threads' outstanding handles go stale (each thread detects
+/// the epoch bump on its next arena access and panics on any pre-vacuum
+/// handle instead of aliasing re-populated slots).
 ///
-/// This is the memory-reclamation point the per-thread [`reset`] gave up
-/// when the arena became shared: call it only when no session is running
+/// This is the memory-reclamation point the per-thread [`reset`] gives up
+/// because the arena is shared: call it only when no session is running
 /// and no thread holds live circuits — between benchmark iterations, or in
 /// a serving system's maintenance window. A concurrent traversal that races
 /// a vacuum panics loudly ("vacuumed while a traversal was in flight"); it
@@ -405,11 +628,11 @@ pub fn vacuum() {
         ACTIVE_SESSIONS.load(Ordering::SeqCst) == 0,
         "circuit::vacuum() called while a CircuitSession is active; vacuum only at quiescent points"
     );
-    VACUUM_EPOCH.fetch_add(1, Ordering::SeqCst);
-    for shard in 0..NUM_SHARDS {
-        let mut guard = lock_shard(shard);
-        guard.nodes.clear();
-        guard.interned.clear();
+    {
+        let mut arena = arena();
+        VACUUM_EPOCH.fetch_add(1, Ordering::SeqCst);
+        arena.nodes.truncate(2);
+        arena.table.clear();
     }
     // Sync the calling thread immediately: its next use of a pre-vacuum
     // handle reports "stale circuit handle" rather than a torn traversal.
@@ -428,8 +651,8 @@ pub fn vacuum() {
 /// [`vacuum`] refuses process-wide); handles that escape the session panic
 /// on first use (their generation is gone). Sessions are per-thread and do
 /// not nest — but any number of threads may each run their own session
-/// concurrently over the shared sharded arena, which is exactly how the
-/// query service scopes per-request provenance work.
+/// concurrently over the shared arena, which is exactly how the query
+/// service scopes per-request provenance work.
 ///
 /// ```
 /// use provsem_semiring::circuit::{self, CircuitSession};
@@ -545,6 +768,7 @@ impl Circuit {
 
     /// The raw arena node id. Stable for the lifetime of the current arena
     /// generation; structural equality of ids implies semantic equality.
+    /// Ids are creation order: an operand's id is below its result's.
     pub fn node_id(&self) -> usize {
         self.id as usize
     }
@@ -570,13 +794,13 @@ impl Circuit {
     /// the exponential expansion the circuit representation avoids, so use
     /// it for tests and display, not on hot paths.
     pub fn to_polynomial(&self) -> ProvenancePolynomial {
-        let mut memo: FxHashMap<u32, ProvenancePolynomial> = FxHashMap::default();
-        fold_memo(*self, &mut memo, |v| Polynomial::var(v.clone()))
+        let below = reachable(&[*self], &mut BinaryHeap::new(), |_| false, usize::MAX);
+        lower(self.id, below.expect("no limit"))
     }
 
     /// One-off memoized evaluation `Eval_v` into any commutative semiring
     /// (Proposition 4.2). To amortize the memo across *many* roots — the
-    /// whole point of sharing — use one [`CircuitEval`] for all of them.
+    /// whole point of sharing — use one [`CircuitEval::eval_all`] call.
     pub fn eval<K: CommutativeSemiring>(&self, valuation: &Valuation<K>) -> K {
         CircuitEval::new(valuation).eval(*self)
     }
@@ -585,26 +809,83 @@ impl Circuit {
 /// Total number of distinct nodes reachable from any of the given roots —
 /// the size of a whole provenance-annotated result with sharing.
 pub fn shared_node_count(roots: impl IntoIterator<Item = Circuit>) -> usize {
-    reachable(roots, usize::MAX).len()
+    let roots: Vec<Circuit> = roots.into_iter().collect();
+    let below = reachable(
+        &roots,
+        &mut PendingBits::below(&roots),
+        |_| false,
+        usize::MAX,
+    );
+    below.map_or(0, |below| below.steps.len())
 }
 
-/// The ids reachable from `roots`, giving up once more than `limit` are
-/// found. The set is sized by what is reached, never by the arena — a small
-/// circuit costs the same in an arena of millions of foreign nodes.
-fn reachable(roots: impl IntoIterator<Item = Circuit>, limit: usize) -> FxHashSet<u32> {
-    let roots: Vec<Circuit> = roots.into_iter().collect();
-    check_handles(&roots);
-    let mut stack: Vec<u32> = roots.iter().map(|c| c.id).collect();
-    let mut seen = FxHashSet::default();
-    while let Some(id) = stack.pop() {
-        if seen.len() > limit {
-            break;
-        }
-        if seen.insert(id) {
-            stack.extend_from_slice(node_of(id).children());
-        }
+/// The nodes reachable from `roots` without passing a `done` id, copied out
+/// under **one** arena lock, highest id first — or `None` once more than
+/// `limit` are found. `pending` decides what the sweep's scratch costs (see
+/// [`PendingBits`] and the heap).
+fn reachable(
+    roots: &[Circuit],
+    pending: &mut impl Pending,
+    done: impl Fn(u32) -> bool,
+    limit: usize,
+) -> Option<SubDag> {
+    check_handles(roots);
+    let mut below = SubDag::default();
+    let arena = arena();
+    assert!(
+        !sync_epoch(),
+        "circuit arena vacuumed while a traversal was in flight; \
+         vacuum() must only run at quiescent points"
+    );
+    arena.sweep(roots, pending, done, |id, node| {
+        below.push(id, node);
+        below.steps.len() <= limit
+    });
+    drop(arena);
+    (below.steps.len() <= limit).then_some(below)
+}
+
+/// A node as [`reachable`] copies it out: operands inline, a variable or a
+/// Σ's members by index into the [`SubDag`]'s side lists — 12 bytes, and no
+/// reference count touched for the products and binary sums that make up
+/// most of a circuit.
+#[derive(Clone, Copy)]
+enum Step {
+    Zero,
+    One,
+    Var(u32),
+    Plus([u32; 2]),
+    Times([u32; 2]),
+    Sum(u32),
+}
+
+/// The nodes one traversal read: `(id, step)` highest id first, and the
+/// variables and Σ member lists the steps point into.
+#[derive(Default)]
+struct SubDag {
+    steps: Vec<(u32, Step)>,
+    vars: Vec<Variable>,
+    sums: Vec<Arc<[u32]>>,
+}
+
+impl SubDag {
+    fn push(&mut self, id: u32, node: &Node) {
+        let step = match node {
+            Node::Zero => Step::Zero,
+            Node::One => Step::One,
+            Node::Var(v) => {
+                self.vars.push(v.clone());
+                Step::Var(self.vars.len() as u32 - 1)
+            }
+            Node::Plus(pair) => Step::Plus(*pair),
+            Node::Times(pair) => Step::Times(*pair),
+            Node::Sum(members) => {
+                self.sums.push(Arc::clone(members));
+                Step::Sum(self.sums.len() as u32 - 1)
+            }
+        };
+        self.steps.push((id, step));
     }
-    seen
 }
 
 /// Where a fold keeps the value of each node id it has evaluated: densely
@@ -620,8 +901,6 @@ impl<T> Memo<T> for Vec<Option<T>> {
     fn get(&self, id: u32) -> Option<&T> {
         self.as_slice().get(id as usize)?.as_ref()
     }
-    // Sharded ids interleave shard bits, so a child's id may exceed its
-    // parent's — grow for whichever id shows up.
     fn set(&mut self, id: u32, value: T) {
         if self.len() <= id as usize {
             self.resize_with(id as usize + 1, || None);
@@ -639,60 +918,37 @@ impl<T> Memo<T> for FxHashMap<u32, T> {
     }
 }
 
-/// Iterative (explicit-stack) bottom-up fold of the sub-DAG reachable from
-/// `root` into the semiring `T` — the unique homomorphism extending `var`
-/// (Proposition 4.2) — memoized in `memo` by node id. Reusing the same
-/// `memo` across roots is what amortizes shared nodes across all the tuples
-/// of a result. Each node is fetched from the arena **once**: an interior
-/// node waits in its stack frame while its pending children are evaluated.
-fn fold_memo<T: Semiring>(
-    root: Circuit,
-    memo: &mut impl Memo<T>,
-    mut var: impl FnMut(&Variable) -> T,
-) -> T {
-    check_handles([&root]);
-    let mut stack: Vec<(u32, Option<Node>)> = vec![(root.id, None)];
-    while let Some(&mut (id, ref mut waiting)) = stack.last_mut() {
-        if memo.get(id).is_some() {
-            stack.pop();
-            continue;
-        }
-        let node = match waiting.take() {
-            // Back from the children this frame pushed: all are evaluated.
-            Some(node) => node,
-            None => {
-                let node = node_of(id);
-                let frame = stack.len() - 1;
-                let pending = node.children().iter().filter(|&&c| memo.get(c).is_none());
-                stack.extend(pending.map(|&c| (c, None)));
-                if stack.len() > frame + 1 {
-                    stack[frame].1 = Some(node);
-                    continue;
-                }
-                node
-            }
-        };
+/// Evaluates nodes read by [`reachable`] into `memo`, **lowest id first** —
+/// so each node's children are ready, on the list or memoized before — as
+/// the unique homomorphism into `T` extending `var` (Proposition 4.2). No
+/// arena lock is held, so `var` and `T`'s operations may intern circuits.
+fn fold<T: Semiring>(below: SubDag, memo: &mut impl Memo<T>, mut var: impl FnMut(&Variable) -> T) {
+    for &(id, step) in below.steps.iter().rev() {
         let of = |child: &u32| memo.get(*child).expect("children are evaluated first");
-        let value = match &node {
-            Node::Zero => T::zero(),
-            Node::One => T::one(),
-            Node::Var(v) => var(v),
-            Node::Plus([a, b]) => of(a).plus(of(b)),
-            Node::Times([a, b]) => of(a).times(of(b)),
-            Node::Sum(members) => T::sum(members.iter().map(of)),
+        let value = match step {
+            Step::Zero => T::zero(),
+            Step::One => T::one(),
+            Step::Var(i) => var(&below.vars[i as usize]),
+            Step::Plus([a, b]) => of(&a).plus(of(&b)),
+            Step::Times([a, b]) => of(&a).times(of(&b)),
+            Step::Sum(i) => T::sum(below.sums[i as usize].iter().map(of)),
         };
         memo.set(id, value);
-        stack.pop();
     }
-    memo.get(root.id).cloned().expect("root was just computed")
+}
+
+/// The expanded polynomial of `root`, from the nodes below it.
+fn lower(root: u32, below: SubDag) -> ProvenancePolynomial {
+    let mut memo = FxHashMap::default();
+    fold(below, &mut memo, |v| Polynomial::var(v.clone()));
+    memo.remove(&root).expect("the root was lowered")
 }
 
 /// The memoized evaluation homomorphism `Eval_v : ℕ\[X\] → K` of Proposition
 /// 4.2, over circuits: each arena node reachable from any evaluated root is
 /// computed **once** for the lifetime of the evaluator, so specializing a
-/// whole K-relation of circuit annotations costs one bottom-up pass over the
-/// shared DAG instead of one expansion per tuple (Theorem 4.3 at circuit
-/// speed).
+/// whole K-relation of circuit annotations costs one pass over the shared
+/// DAG instead of one expansion per tuple (Theorem 4.3 at circuit speed).
 ///
 /// The memo is keyed by arena node id and is invalidated — like every
 /// handle — by [`reset`].
@@ -721,8 +977,29 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
         }
     }
 
-    /// Evaluates one root, reusing every previously memoized node.
+    /// Evaluates one root, reusing every previously memoized node. Reads
+    /// only the nodes not memoized yet; to evaluate many roots, prefer one
+    /// [`CircuitEval::eval_all`] call.
     pub fn eval(&mut self, circuit: Circuit) -> K {
+        self.evaluate(&[circuit], &mut BinaryHeap::new()).remove(0)
+    }
+
+    /// Evaluates every root, in order, in **one pass**: under one arena
+    /// lock, a needed-bitset is swept downward from the highest root and
+    /// the nodes not memoized yet are copied out; the lock is released and
+    /// they are evaluated forward in id order (children before parents), so
+    /// no semiring code runs under the lock — `K` may itself be
+    /// [`Circuit`]. Equal to calling [`CircuitEval::eval`] root by root.
+    pub fn eval_all(&mut self, circuits: &[Circuit]) -> Vec<K> {
+        if let Some(top) = circuits.iter().map(|c| c.id as usize).max() {
+            if self.memo.len() <= top {
+                self.memo.resize_with(top + 1, || None);
+            }
+        }
+        self.evaluate(circuits, &mut PendingBits::below(circuits))
+    }
+
+    fn evaluate(&mut self, roots: &[Circuit], pending: &mut impl Pending) -> Vec<K> {
         let current = synced_local().generation;
         match self.generation {
             None => self.generation = Some(current),
@@ -731,12 +1008,21 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
                 "CircuitEval memo outlived a circuit::reset(); build a fresh evaluator"
             ),
         }
+        let memo = &self.memo;
+        let below = reachable(roots, pending, |id| memo.get(id).is_some(), usize::MAX);
         // Unassigned variables evaluate to 0, matching
         // `Polynomial::evaluate_with`.
         let valuation = self.valuation;
-        fold_memo(circuit, &mut self.memo, |v| {
+        fold(below.expect("no limit"), &mut self.memo, |v| {
             valuation.get(v).cloned().unwrap_or_else(K::zero)
-        })
+        });
+        let value = |root: &Circuit| {
+            self.memo
+                .get(root.id)
+                .cloned()
+                .expect("roots are evaluated")
+        };
+        roots.iter().map(value).collect()
     }
 
     /// How many distinct nodes have been evaluated so far — the real work
@@ -766,28 +1052,15 @@ impl Semiring for Circuit {
     /// O(1): folds the additive identity and interns a `Plus` node with
     /// id-sorted operands (so `a + b` and `b + a` share one node).
     fn plus(&self, other: &Self) -> Self {
-        if self.id == ZERO {
-            return *other;
-        }
-        if other.id == ZERO {
-            return *self;
-        }
-        intern_pair(self, other, Node::Plus)
+        plus_node(self, other)
+            .unwrap_or_else(|node| intern(node, Some(check_handles([self, other]))))
     }
 
     /// O(1): folds the multiplicative identities/annihilator and interns a
     /// `Times` node with id-sorted operands.
     fn times(&self, other: &Self) -> Self {
-        if self.id == ZERO || other.id == ZERO {
-            return Circuit::zero();
-        }
-        if self.id == ONE {
-            return *other;
-        }
-        if other.id == ONE {
-            return *self;
-        }
-        intern_pair(self, other, Node::Times)
+        times_node(self, other)
+            .unwrap_or_else(|node| intern(node, Some(check_handles([self, other]))))
     }
 
     /// Exact *and* O(1): the smart constructors fold `0` away, and ℕ\[X\] has
@@ -804,8 +1077,8 @@ impl Semiring for Circuit {
     }
 
     /// One n-ary `Σ` node per group instead of a chain of binary `Plus`
-    /// links: the non-zero members are counting-sorted by group and each
-    /// group's sorted multiset is interned once (`intern_sum`).
+    /// links: the non-zero members are counting-sorted by group and every
+    /// group's sorted multiset is interned under one arena lock.
     fn sum_groups(n_groups: usize, group_of: &[u32], values: Vec<Self>) -> Vec<Self> {
         let generation = check_handles(&values);
         let members_of = || {
@@ -831,14 +1104,28 @@ impl Semiring for Circuit {
             cursor[g] += 1;
         }
         let mut start = 0;
-        cursor
-            .into_iter()
-            .map(|end| {
-                let group = &mut members[start..end];
-                start = end;
-                intern_sum(group, generation)
-            })
-            .collect()
+        let sums = cursor.into_iter().map(|end| {
+            let group = &mut members[start..end];
+            start = end;
+            sum_node(group, generation)
+        });
+        intern_batch(sums, generation)
+    }
+
+    /// The products of a batch interned together: every handle is checked
+    /// (a stale one anywhere panics), `0`/`1` fold away, and the remaining
+    /// `Times` nodes are interned under one arena lock.
+    fn times_each<'a, I>(pairs: I) -> Vec<Self>
+    where
+        I: IntoIterator<Item = (&'a Self, &'a Self)>,
+    {
+        let generation = synced_local().generation;
+        let products = pairs.into_iter().map(|(a, b)| {
+            assert_live(a, generation);
+            assert_live(b, generation);
+            times_node(a, b)
+        });
+        intern_batch(products, generation)
     }
 
     /// Node storage is process-wide, so a batch crosses threads as its node
@@ -897,14 +1184,18 @@ impl Eq for Circuit {}
 /// stops counting there.
 const DEBUG_NODES: usize = 64;
 
+/// The polynomial of a circuit of at most [`DEBUG_NODES`] nodes, read under
+/// one lock; `None` for a bigger one, whose expansion could blow up.
+fn small_polynomial(circuit: Circuit) -> Option<ProvenancePolynomial> {
+    let below = reachable(&[circuit], &mut BinaryHeap::new(), |_| false, DEBUG_NODES)?;
+    Some(lower(circuit.id, below))
+}
+
 impl fmt::Debug for Circuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Small circuits print as their polynomial; big ones would blow up
-        // the expansion, so print a size summary instead.
-        if reachable([*self], DEBUG_NODES).len() <= DEBUG_NODES {
-            write!(f, "{:?}", self.to_polynomial())
-        } else {
-            write!(f, "circuit#{}⟨more than {DEBUG_NODES} nodes⟩", self.id)
+        match small_polynomial(*self) {
+            Some(polynomial) => write!(f, "{polynomial:?}"),
+            None => write!(f, "circuit#{}⟨more than {DEBUG_NODES} nodes⟩", self.id),
         }
     }
 }
@@ -981,6 +1272,16 @@ impl Semiring for BoolCircuit {
             .collect()
     }
 
+    fn times_each<'a, I>(pairs: I) -> Vec<Self>
+    where
+        I: IntoIterator<Item = (&'a Self, &'a Self)>,
+    {
+        Circuit::times_each(pairs.into_iter().map(|(a, b)| (&a.0, &b.0)))
+            .into_iter()
+            .map(BoolCircuit)
+            .collect()
+    }
+
     /// Transported exactly like [`Circuit`] (same arena nodes).
     fn is_portable() -> bool {
         true
@@ -1011,14 +1312,13 @@ impl Eq for BoolCircuit {}
 
 impl fmt::Debug for BoolCircuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if reachable([self.0], DEBUG_NODES).len() <= DEBUG_NODES {
-            write!(f, "{:?}", self.to_posbool())
-        } else {
-            write!(
+        match small_polynomial(self.0) {
+            Some(polynomial) => write!(f, "{:?}", polynomial.to_posbool()),
+            None => write!(
                 f,
                 "bool-circuit#{}⟨more than {DEBUG_NODES} nodes⟩",
                 self.0.id
-            )
+            ),
         }
     }
 }
@@ -1071,8 +1371,8 @@ mod tests {
         // Commutativity is shared structurally via operand sorting.
         assert!(x("p").plus(&x("r")).same_node(&x("r").plus(&x("p"))));
         assert!(x("p").times(&x("r")).same_node(&x("r").times(&x("p"))));
-        // Sharing crosses threads: the sharded arena is process-wide, so a
-        // worker building the same subcircuit lands on the same node.
+        // Sharing crosses threads: the arena is process-wide, so a worker
+        // building the same subcircuit lands on the same node.
         let here = x("p").times(&x("r")).node_id();
         let there = std::thread::scope(|s| {
             s.spawn(|| x("p").times(&x("r")).node_id())
@@ -1391,17 +1691,16 @@ mod tests {
         }
         assert!(arena_node_count() >= 100_000);
         let small = x("p").times(&x("r"));
-        let seen = reachable([small], DEBUG_NODES);
-        assert_eq!(seen.len(), 3);
-        assert!(
-            seen.capacity() < 1_000,
-            "sized by the arena: {}",
-            seen.capacity()
-        );
+        let mut pending = BinaryHeap::new();
+        let seen = reachable(&[small], &mut pending, |_| false, DEBUG_NODES).expect("small");
+        assert_eq!(seen.steps.len(), 3);
+        let scratch = seen.steps.capacity().max(pending.capacity());
+        assert!(scratch < 1_000, "sized by the arena: {scratch}");
         assert_eq!(format!("{small:?}"), format!("{:?}", small.to_polynomial()));
-        // A big circuit stops being counted just past the printing limit.
-        let seen = reachable([foreign], DEBUG_NODES);
-        assert_eq!(seen.len(), DEBUG_NODES + 1);
+        // A big circuit stops being read just past the printing limit.
+        let mut pending = BinaryHeap::new();
+        assert!(reachable(&[foreign], &mut pending, |_| false, DEBUG_NODES).is_none());
+        assert!(pending.capacity() < 1_000, "{}", pending.capacity());
         assert!(format!("{foreign:?}").contains("more than 64 nodes"));
     }
 
@@ -1424,5 +1723,184 @@ mod tests {
         assert_eq!(e.to_posbool(), PosBool::var("p"));
         let v = Valuation::from_pairs([("p", Bool::from(true)), ("r", Bool::from(false))]);
         assert_eq!(e.circuit().eval(&v), Bool::from(true));
+    }
+
+    #[test]
+    fn ids_are_creation_order() {
+        let (a, b) = (x("order_a"), x("order_b"));
+        let ab = a.times(&b);
+        let sum = Circuit::sum_groups(1, &[0; 3], vec![ab, b, a]).remove(0);
+        assert!(a.id < ab.id && b.id < ab.id && ab.id < sum.id);
+        // Other tests intern concurrently; the checker reads under the lock.
+        assert!(check_arena_invariants() > 4);
+    }
+
+    #[test]
+    fn times_each_interns_exactly_the_nodes_times_does() {
+        let (p, r, s) = (x("p"), x("r"), x("s"));
+        let (zero, one, pr) = (Circuit::zero(), Circuit::one(), p.plus(&r));
+        let pairs = [
+            (&p, &r),
+            (&r, &p),
+            (&pr, &s),
+            (&zero, &s),
+            (&s, &one),
+            (&one, &pr),
+            (&pr, &pr),
+        ];
+        let batch = Circuit::times_each(pairs);
+        assert_eq!(batch.len(), pairs.len());
+        for ((a, b), product) in pairs.iter().zip(&batch) {
+            assert!(a.times(b).same_node(product));
+        }
+        assert!(batch[3].is_zero() && batch[4].same_node(&s) && batch[5].same_node(&pr));
+        assert!(Circuit::times_each([]).is_empty());
+    }
+
+    #[test]
+    fn eval_all_is_eval_root_by_root() {
+        let shared = x("a").plus(&x("b")).times(&x("c"));
+        let roots = [
+            shared.times(&x("d")),
+            Circuit::zero(),
+            shared,
+            x("e"),
+            Circuit::one(),
+            shared.times(&x("d")).plus(&x("e")),
+        ];
+        let v = Valuation::from_pairs([("a", nat(1)), ("b", nat(2)), ("c", nat(3)), ("d", nat(4))]);
+        let mut one_pass = CircuitEval::new(&v);
+        let all = one_pass.eval_all(&roots);
+        let mut by_root = CircuitEval::new(&v);
+        let each: Vec<Natural> = roots.iter().map(|&root| by_root.eval(root)).collect();
+        assert_eq!(all, each);
+        assert_eq!(all, [nat(36), nat(0), nat(9), nat(0), nat(1), nat(36)]);
+        assert_eq!(one_pass.evaluated_nodes(), by_root.evaluated_nodes());
+        // A second call reads nothing it has memoized: only the new root.
+        assert_eq!(one_pass.eval_all(&roots), all);
+        let more = one_pass.eval_all(&[roots[5].times(&x("c"))]);
+        assert_eq!(more, [nat(108)]);
+        assert_eq!(one_pass.evaluated_nodes(), by_root.evaluated_nodes() + 1);
+        assert!(one_pass.eval_all(&[]).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod node_table_tests {
+    //! Collisions cost probes, never results: the node table under hashes
+    //! chosen by the test. `probe` and `insert` take the hash as an
+    //! argument, so injecting one needs no hook.
+
+    use super::{fx_hash_one, Node, NodeTable, Variable};
+    use std::collections::BTreeMap;
+
+    /// Runs `keys` through a table under `hash_of`, checking ids (first-
+    /// occurrence order) and lookups against a model.
+    fn check(keys: &[u64], hash_of: impl Fn(u64) -> u64) -> NodeTable {
+        let mut table = NodeTable::new();
+        let mut key_of_id: Vec<u64> = Vec::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        for &key in keys {
+            let hash = hash_of(key);
+            let id = match table.probe(hash, |id| key_of_id[id as usize] == key) {
+                Ok(id) => id,
+                Err(slot) => {
+                    let id = key_of_id.len() as u32;
+                    key_of_id.push(key);
+                    table.insert(slot, hash, id);
+                    id
+                }
+            };
+            let next = model.len() as u32;
+            assert_eq!(id, *model.entry(key).or_insert(next), "key {key}");
+        }
+        assert_eq!(table.len, model.len());
+        for (&key, &id) in &model {
+            let found = table.probe(hash_of(key), |other| key_of_id[other as usize] == key);
+            assert_eq!(found, Ok(id), "key {key}");
+        }
+        let absent = u64::MAX - 7;
+        assert!(!model.contains_key(&absent));
+        assert!(table.probe(hash_of(absent), |_| false).is_err());
+        table
+    }
+
+    /// Slots walked to find each stored entry: `(mean, max)`.
+    fn probe_lengths(table: &NodeTable) -> (f64, usize) {
+        let mask = table.slots.len() - 1;
+        let lengths: Vec<usize> = table
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, &entry)| entry != 0)
+            .map(|(slot, &entry)| (slot.wrapping_sub(table.home(entry >> 32)) & mask) + 1)
+            .collect();
+        let mean = lengths.iter().sum::<usize>() as f64 / lengths.len() as f64;
+        (mean, lengths.into_iter().max().unwrap_or(0))
+    }
+
+    /// A stream with repeats: every key twice, interleaved.
+    fn stream(distinct: u64) -> Vec<u64> {
+        (0..distinct).chain((0..distinct).rev()).collect()
+    }
+
+    fn spread(table: &NodeTable) {
+        let (mean, max) = probe_lengths(table);
+        assert!(mean < 2.0 && max < 64, "mean {mean}, max {max}");
+    }
+
+    #[test]
+    fn one_hash_for_every_key_is_one_long_walk_and_the_same_ids() {
+        let table = check(&stream(600), |_| 0xdead_beef);
+        assert_eq!(probe_lengths(&table).1, 600);
+    }
+
+    #[test]
+    fn hashes_equal_in_their_high_bits_spread() {
+        spread(&check(&stream(20_000), |key| {
+            0xabcd_ef01_0000_0000 | (key.wrapping_mul(0x9e37_79b9) & 0xffff_ffff)
+        }));
+    }
+
+    #[test]
+    fn hashes_equal_in_their_low_bits_spread() {
+        // What `fx_hash_one` gives `fᵢ + t` over one `fᵢ`: the low half is
+        // fixed by the smaller operand.
+        spread(&check(&stream(20_000), |key| {
+            0x1234_5678 | key.wrapping_mul(0x9e37_79b9) << 32
+        }));
+    }
+
+    #[test]
+    fn tagged_variable_names_spread() {
+        // `R_0, R_1, …` differ in their last bytes only.
+        spread(&check(&stream(30_000), |key| {
+            fx_hash_one(&Node::Var(Variable::indexed("R", key as usize)))
+        }));
+    }
+
+    #[test]
+    fn consecutive_integers_as_hashes_spread() {
+        spread(&check(&stream(20_000), |key| key));
+    }
+
+    #[test]
+    fn equal_hashes_of_unequal_keys_keep_their_own_ids() {
+        let table = check(&stream(5_000), |key| fx_hash_one(&(key / 2)));
+        assert_eq!(table.len, 5_000);
+    }
+
+    #[test]
+    fn a_hundred_thousand_sums_over_seven_operands_through_many_growths() {
+        // The real node hash of `fᵢ + t`, `i < 7`.
+        let table = check(&stream(100_000), |key| {
+            fx_hash_one(&Node::Plus([
+                key as u32 % 7 + 2,
+                (key as u32).wrapping_add(9),
+            ]))
+        });
+        // 16 slots at load ½ → 2¹⁸: fourteen doublings, from the tags alone.
+        assert_eq!(table.slots.len(), 1 << 18);
+        spread(&table);
     }
 }

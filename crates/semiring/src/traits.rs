@@ -160,6 +160,19 @@ pub trait Semiring: Clone + PartialEq + Debug + 'static {
             .collect()
     }
 
+    /// Multiplies each pair — `times_each(pairs)[i]` is `a.times(b)` for the
+    /// `i`-th pair `(a, b)`, operands in that order. This is the hash join's
+    /// one call per output batch. The default multiplies pair by pair; a
+    /// representation that can build a batch at once overrides it
+    /// ([`crate::circuit::Circuit`] interns the products under one lock).
+    fn times_each<'a, I>(pairs: I) -> Vec<Self>
+    where
+        Self: 'a,
+        I: IntoIterator<Item = (&'a Self, &'a Self)>,
+    {
+        pairs.into_iter().map(|(a, b)| a.times(b)).collect()
+    }
+
     /// Multiplies a finite iterator of elements (the empty product is `1`).
     fn product<'a, I>(iter: I) -> Self
     where

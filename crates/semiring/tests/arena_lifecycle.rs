@@ -1,12 +1,15 @@
-//! Lifecycle regression tests for the **sharded** circuit arena: stale
-//! handles crossing a session/generation boundary must panic (never silently
-//! alias another computation's nodes), `CircuitSession` guards must compose
-//! across threads, and [`circuit::vacuum`] must reclaim storage globally
-//! while refusing to run under any active session.
+//! Lifecycle regression tests for the process-wide circuit arena (one node
+//! vector in creation order behind one lock): stale handles crossing a
+//! session/generation boundary must panic (never silently alias another
+//! computation's nodes), `CircuitSession` guards must compose across
+//! threads, and [`circuit::vacuum`] must reclaim storage globally while
+//! refusing to run under any active session.
 //!
-//! The last six tests pin the cross-thread transport of [`Circuit`] and
+//! The six transit tests pin the cross-thread transport of [`Circuit`] and
 //! [`BoolCircuit`] batches, which moves node ids and relies on the vacuum
-//! epoch — not on re-interning — to refuse ids that no longer exist.
+//! epoch — not on re-interning — to refuse ids that no longer exist. The
+//! last test bounds the node table under operands it hashes worst: sums and
+//! products that share their smaller operand.
 //!
 //! These live in an integration binary (own process) because `vacuum`
 //! mutates process-wide state: it would stale handles held by unrelated lib
@@ -18,6 +21,7 @@ use provsem_semiring::{BoolCircuit, Circuit, Natural, Semiring, Valuation};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 static ARENA_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -41,7 +45,7 @@ fn stale_handle_crossing_a_session_boundary_panics_not_aliases() {
     let _serial = serial();
     let escaped = CircuitSession::run(|| Circuit::var("esc").times(&Circuit::var("aped")));
     // Rebuilding the same structure lands on the same *global* node (the
-    // sharded store is shared across generations)...
+    // store is shared across generations)...
     let rebuilt = Circuit::var("esc").times(&Circuit::var("aped"));
     assert_eq!(rebuilt.node_id(), escaped.node_id());
     // ...but the escaped handle's generation died with the session, so any
@@ -110,11 +114,7 @@ fn vacuum_truncates_globally_and_stales_other_threads_handles() {
         let mine = Circuit::var("main").plus(&Circuit::var("mine"));
         assert!(circuit::arena_node_count() > 2);
         circuit::vacuum();
-        assert_eq!(
-            circuit::arena_node_count(),
-            2,
-            "vacuum truncates every shard"
-        );
+        assert_eq!(circuit::arena_node_count(), 2, "vacuum truncates the arena");
         // The vacuuming thread's own pre-vacuum handles are stale too...
         assert!(catch_unwind(AssertUnwindSafe(|| mine.node_count())).is_err());
         // ...while the constants survive and the arena restocks on demand.
@@ -247,4 +247,38 @@ fn circuit_stale_handle_is_refused_at_sealing() {
 #[test]
 fn bool_circuit_stale_handle_is_refused_at_sealing() {
     stale_handle_is_refused_at_sealing(bool_var);
+}
+
+// ---- the node table under its worst operands ---------------------------------
+
+#[test]
+fn sums_and_products_sharing_their_smaller_operand_intern_in_linear_time() {
+    // `fx_hash_one` of `Plus([a, b])` / `Times([a, b])` ends in a
+    // multiplication whose low bits depend on the smaller operand `a` alone:
+    // a table indexed by low bits puts each of these streams into a handful
+    // of probe chains, and this test took 11 s in a debug build.
+    let _serial = serial();
+    circuit::vacuum();
+    let start = Instant::now();
+    let x = Circuit::var("x");
+    let f: Vec<Circuit> = (0..7).map(|i| Circuit::var(format!("f{i}"))).collect();
+    // 10⁵ products sharing their smaller operand x (the chain
+    // tᵢ₊₁ = x · tᵢ) and 10⁵ sums fᵢ + tᵢ₊₁ over seven fᵢ.
+    let mut chain = vec![Circuit::var("t")];
+    let mut sums = Vec::new();
+    for i in 0..100_000 {
+        chain.push(x.times(&chain[i]));
+        sums.push(f[i % 7].plus(&chain[i + 1]));
+    }
+    // Interning them again finds every node.
+    for (i, sum) in sums.iter().enumerate() {
+        assert!(x.times(&chain[i]).same_node(&chain[i + 1]));
+        assert!(f[i % 7].plus(&chain[i + 1]).same_node(sum));
+    }
+    let elapsed = start.elapsed();
+    assert_eq!(circuit::check_arena_invariants(), 2 + 9 + 200_000);
+    assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+    let names = ["x", "t", "f0", "f1", "f2", "f3", "f4", "f5", "f6"];
+    let ones = Valuation::from_pairs(names.map(|v| (v, Natural::from(1u64))));
+    assert_eq!(sums[99_999].eval(&ones), Natural::from(2u64));
 }

@@ -14,6 +14,11 @@
 //!   [`provsem_semiring::properties::check_semiring_laws`],
 //! * [`Semiring::sum_groups`] — the grouping kernels' bulk sum, which
 //!   circuits override — equals [`Semiring::sum`] group by group,
+//! * [`Semiring::times_each`] — the join's bulk product, which circuits
+//!   override too — equals [`Semiring::times`] pair by pair, in both operand
+//!   orders, with zeros, ones and empty batches; for circuits also that a
+//!   stale handle anywhere in a batch panics and that specializing a circuit
+//!   into circuits through `CircuitEval::eval_all` cannot deadlock,
 //! * `a + a = a` for every type claiming [`PlusIdempotent`].
 //!
 //! The floating-point semirings (fuzzy, Viterbi) are sampled from dyadic
@@ -116,6 +121,30 @@ macro_rules! semiring_laws {
                             .map(|(v, _)| v);
                         prop_assert_eq!(sum.clone(), <$ty>::sum(of_group));
                     }
+                }
+
+                #[test]
+                fn times_each_is_pairwise_times(
+                    pairs in prop::collection::vec(($strategy, $strategy, 0u8..6), 0..12)
+                ) {
+                    // A third of the pairs get a `0` or a `1` on one side.
+                    let operands: Vec<($ty, $ty)> = pairs
+                        .into_iter()
+                        .map(|(a, b, shape)| match shape {
+                            0 => (<$ty>::zero(), b),
+                            1 => (a, <$ty>::one()),
+                            _ => (a, b),
+                        })
+                        .collect();
+                    // Each pair in both operand orders, in stream order.
+                    let refs: Vec<(&$ty, &$ty)> =
+                        operands.iter().flat_map(|(a, b)| [(a, b), (b, a)]).collect();
+                    let products = <$ty>::times_each(refs.iter().copied());
+                    prop_assert_eq!(products.len(), refs.len());
+                    for ((a, b), product) in refs.iter().zip(products) {
+                        prop_assert_eq!(product, a.times(b));
+                    }
+                    prop_assert!(<$ty>::times_each(Vec::<(&$ty, &$ty)>::new()).is_empty());
                 }
             }
         }
@@ -306,6 +335,108 @@ plus_idempotence!(whyset_idempotence, WhySet, arb_whyset());
 plus_idempotence!(witness_idempotence, Witness, arb_witness());
 plus_idempotence!(event_idempotence, Event, arb_event());
 plus_idempotence!(bool_circuit_idempotence, BoolCircuit, arb_bool_circuit());
+
+// ---- circuit batches ----------------------------------------------------------
+//
+// The circuit handles intern a `times_each` batch under one arena lock, so a
+// stale handle must be caught anywhere in the batch — also beside a `1`,
+// where the product folds to the stale operand without touching the arena —
+// and evaluating *into* circuits must not run semiring code under that lock.
+mod circuit_batches {
+    use super::*;
+    use provsem_semiring::circuit;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+
+    fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Three pairs `(p·q, r·1, 1·s)` with a stale handle in each of the six
+    /// operand positions in turn.
+    fn stale_anywhere_in_a_batch_panics<K: Semiring>(var: fn(&str) -> K) {
+        for position in 0..6 {
+            let stale = var("stale").times(&var("operand"));
+            circuit::reset();
+            let mut operands = [var("p"), var("q"), var("r"), K::one(), K::one(), var("s")];
+            operands[position] = stale.clone();
+            let pairs = operands.chunks(2).map(|pair| (&pair[0], &pair[1]));
+            let err = catch_unwind(AssertUnwindSafe(|| K::times_each(pairs)))
+                .expect_err("a batch holding a stale handle must be refused");
+            let message = panic_message(err);
+            assert!(
+                message.contains("stale circuit handle"),
+                "{position}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stale_circuit_anywhere_in_a_batch_panics() {
+        stale_anywhere_in_a_batch_panics(|name| Circuit::var(name));
+    }
+
+    #[test]
+    fn a_stale_bool_circuit_anywhere_in_a_batch_panics() {
+        stale_anywhere_in_a_batch_panics(|name| BoolCircuit::var(name));
+    }
+
+    /// Runs `f` on a worker thread (circuit handles are `!Send`, so it builds
+    /// its own) and fails if it has not finished within a minute.
+    fn finishes(f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            f();
+            done.send(()).expect("the test is waiting");
+        });
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+            panic!("specializing into circuits deadlocked on the arena lock");
+        }
+        worker.join().expect("the specialization ran");
+    }
+
+    fn roots() -> Vec<Circuit> {
+        let (p, r, s) = (Circuit::var("p"), Circuit::var("r"), Circuit::var("s"));
+        vec![
+            p.times(&r).plus(&s.times(&s)),
+            Circuit::sum_groups(1, &[0; 4], vec![p, r, s, p]).remove(0),
+            p.plus(&r).times(&p.plus(&r)),
+            Circuit::one(),
+        ]
+    }
+
+    fn renaming<K: Semiring>(var: fn(String) -> K) -> Valuation<K> {
+        Valuation::from_pairs(["p", "r", "s"].map(|v| (v, var(format!("{v}'")))))
+    }
+
+    #[test]
+    fn specializing_into_circuits_through_eval_all_cannot_deadlock() {
+        finishes(|| {
+            let roots = roots();
+            let images = CircuitEval::new(&renaming(Circuit::var)).eval_all(&roots);
+            let renamed = renaming(ProvenancePolynomial::var);
+            for (root, image) in roots.iter().zip(&images) {
+                assert_eq!(image.to_polynomial(), root.to_polynomial().eval(&renamed));
+            }
+        });
+    }
+
+    #[test]
+    fn specializing_into_bool_circuits_through_eval_all_cannot_deadlock() {
+        finishes(|| {
+            let roots = roots();
+            let renamed = renaming(BoolCircuit::var);
+            let images = CircuitEval::new(&renamed).eval_all(&roots);
+            for (root, image) in roots.iter().zip(&images) {
+                assert_eq!(*image, root.to_polynomial().eval(&renamed));
+            }
+        });
+    }
+}
 
 // ---- formal power series ----------------------------------------------------
 //
