@@ -73,22 +73,28 @@
 //!
 //! # The code-domain path
 //!
-//! When the key is one [`Column::Str`], equal codes under one dictionary are
-//! equal keys, so the index keeps a `code → id` memo for the dictionary at
-//! hand and asks the table once per *distinct code*: the hash is
-//! `hash_combine(HASH_SEED, dict.hashes[code])`, no per-row hash vector is
-//! built, and every other row costs one array read. The memo survives across
-//! consecutive batches whose dictionary is the same `Arc` (a scan's batches)
-//! and is reset when the dictionary changes (a commit-patched scan is the
-//! conversion's batches under one dictionary, then delta batches under
-//! theirs — each run gets its own memo, and rows of different runs still
-//! meet in the table, whose hashes are content-based). **When:** a batch
-//! takes this path if its key is one dictionary column and the run of
-//! consecutive batches sharing that dictionary holds at least as many live
-//! rows as the dictionary has codes (`code_domain_runs`) — a comparison of
-//! two sizes of the input, so a memo is never larger than the rows it serves.
-//! Everything else — `I64` and `Val` keys, multi-column keys, a few rows
-//! under a large dictionary — hashes per row and goes to the table directly.
+//! When every key column is a [`Column::Str`], equal *tuples of codes* under
+//! the same dictionaries are equal keys, so the index keeps a dense memo over
+//! the grid of code tuples — one `u32` cell per combination, the codes read
+//! as one mixed-radix number — and asks the table once per *distinct tuple*:
+//! the hash is the `hash_combine` chain over the dictionaries' per-code
+//! hashes (what the hash kernel computes per row, so rows that take different
+//! paths still meet in the table), no per-row hash vector is built, and every
+//! other row costs one array read. A one-column key is the one-dimensional
+//! case: its cells are its codes. The memo survives across consecutive
+//! batches whose key dictionaries are the same `Arc`s (a scan's batches, and
+//! the gathered output of a join over one scan — the Section 2 query's root
+//! merge groups 2·10⁵ rows on `(a, c)` through 3 600 cells) and is reset when
+//! one changes (a commit-patched scan is the conversion's batches under one
+//! dictionary, then delta batches under theirs — each run gets its own memo,
+//! and rows of different runs still meet in the table, whose hashes are
+//! content-based). **When:** a batch takes this path if every key column is
+//! a dictionary column and the run of consecutive batches sharing those
+//! dictionaries holds at least as many live rows as the grid has cells
+//! (`code_domain_runs`) — a comparison of two sizes of the input, so a memo is
+//! never larger than the rows it serves. Everything else — `I64` and `Val`
+//! key columns, a sparse grid (few rows under large dictionaries) — hashes
+//! per row and goes to the table directly.
 
 use crate::relation::KRelation;
 use crate::schema::Schema;
@@ -1054,7 +1060,7 @@ impl<K: Semiring> BatchCache<K> {
 /// The key id of a row whose key is absent, in a lookup that does not insert.
 pub(crate) const NO_KEY: u32 = u32::MAX - 1;
 
-/// Memo entry of a dictionary code the table has not been asked about yet.
+/// Memo cell of a code tuple the table has not been asked about yet.
 const UNSEEN: u32 = u32::MAX;
 
 /// A flat open-addressing table from 64-bit key hashes to dense ids
@@ -1162,31 +1168,61 @@ pub(crate) struct KeyRows<'a> {
     pub code_domain: bool,
 }
 
-/// The when-rule of the code-domain path, per batch of one kernel call: the
-/// key is one dictionary column, and the consecutive batches sharing that
-/// dictionary hold at least as many live rows as it has codes — so a memo is
-/// never larger than the rows it serves (a 3-row delta batch under a
-/// 65 536-entry dictionary goes to the table row by row).
+/// The dictionary of column `key`, if it is a dictionary column.
+fn dict_of(cols: &[Column], key: usize) -> Option<&Arc<StrDict>> {
+    match &cols[key] {
+        Column::Str { dict, .. } => Some(dict),
+        _ => None,
+    }
+}
+
+/// The cell count of the code-tuple grid over the key columns' dictionaries
+/// — the product of their sizes — or `None` if there is no key column, one
+/// is not a dictionary column, or the product does not fit below [`UNSEEN`].
+fn grid_cells(cols: &[Column], keys: &[usize]) -> Option<usize> {
+    if keys.is_empty() {
+        return None;
+    }
+    keys.iter()
+        .try_fold(1usize, |cells, &key| {
+            cells.checked_mul(dict_of(cols, key)?.len())
+        })
+        .filter(|&cells| cells < UNSEEN as usize)
+}
+
+/// Do the key columns of `a` and `b` hold codes of the same dictionaries?
+fn same_key_dicts(a: &[Column], b: &[Column], keys: &[usize]) -> bool {
+    keys.iter()
+        .all(|&key| match (dict_of(a, key), dict_of(b, key)) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        })
+}
+
+/// The when-rule of the code-domain path, per batch of one kernel call:
+/// every key column is a dictionary column, and the consecutive batches
+/// sharing those dictionaries hold at least as many live rows as the memo has
+/// cells (the product of the dictionary sizes) — so a memo is never larger
+/// than the rows it serves (a 3-row delta batch under a 65 536-entry
+/// dictionary goes to the table row by row).
 pub(crate) fn code_domain_runs<K: Semiring>(batches: &[Batch<K>], keys: &[usize]) -> Vec<bool> {
     let mut out = vec![false; batches.len()];
-    let &[key] = keys else { return out };
     let mut start = 0;
     while start < batches.len() {
-        let Column::Str { dict, .. } = &batches[start].columns[key] else {
+        let first = &batches[start].columns;
+        let Some(cells) = grid_cells(first, keys) else {
             start += 1;
             continue;
         };
         let run = batches[start..]
             .iter()
-            .take_while(
-                |b| matches!(&b.columns[key], Column::Str { dict: d, .. } if Arc::ptr_eq(d, dict)),
-            )
+            .take_while(|b| same_key_dicts(&b.columns, first, keys))
             .count();
         let rows: usize = batches[start..start + run]
             .iter()
             .map(Batch::live_rows)
             .sum();
-        out[start..start + run].fill(rows >= dict.len());
+        out[start..start + run].fill(rows >= cells);
         start += run;
     }
     out
@@ -1196,20 +1232,23 @@ pub(crate) fn code_domain_runs<K: Semiring>(batches: &[Batch<K>], keys: &[usize]
 /// the grouping kernel and both sides of the hash join: a [`KeyTable`] over
 /// content hashes, each id's first row (its *representative*, which every
 /// later hit is verified against with [`columns_rows_equal`]), and in front
-/// of the table the **code-domain memo**: when the key is one
-/// dictionary-encoded column, `code → id` for the dictionary at hand, so the
-/// table is asked once per distinct code and every other row costs one array
-/// read (the hash is then `hash_combine(HASH_SEED, dict.hashes[code])` — what
-/// the hash kernel computes per row — and no per-row hash vector exists).
-/// The memo is kept across consecutive batches whose dictionary is the same
-/// `Arc` and reset when it changes; whether a batch uses it at all is
+/// of the table the **code-tuple memo**: when every key column is
+/// dictionary-encoded, a dense `code tuple → id` grid over the dictionaries
+/// at hand, so the table is asked once per distinct tuple of codes and every
+/// other row costs one array read (the hash is then the `hash_combine` chain
+/// over the dictionaries' per-code hashes — what the hash kernel computes per
+/// row — and no per-row hash vector exists). The memo is kept across
+/// consecutive batches whose key dictionaries are the same `Arc`s and reset
+/// when one changes; whether a batch uses it at all is
 /// [`code_domain_runs`]'s call.
 pub(crate) struct KeyIndex {
     table: KeyTable,
     /// Per id, the `(batch, row)` that introduced it.
     reps: Vec<(u32, u32)>,
+    /// Per cell of the code-tuple grid, the id of that key, or [`UNSEEN`].
     memo: Vec<u32>,
-    memo_dict: Option<Arc<StrDict>>,
+    /// The key columns' dictionaries the grid is over, in key order.
+    memo_dicts: Vec<Arc<StrDict>>,
 }
 
 impl KeyIndex {
@@ -1218,7 +1257,7 @@ impl KeyIndex {
             table: KeyTable::new(),
             reps: Vec::new(),
             memo: Vec::new(),
-            memo_dict: None,
+            memo_dicts: Vec::new(),
         }
     }
 
@@ -1256,20 +1295,49 @@ impl KeyIndex {
             }
             return;
         }
-        let Column::Str { dict, codes } = &rows.cols[rows.keys[0]] else {
-            unreachable!("code_domain_runs only flags dictionary keys")
+        let keys = rows.keys;
+        let column = |key: usize| match &rows.cols[key] {
+            Column::Str { dict, codes } => (dict, codes.as_slice()),
+            _ => unreachable!("code_domain_runs only flags dictionary keys"),
         };
-        if !matches!(&self.memo_dict, Some(d) if Arc::ptr_eq(d, dict)) {
+        let same_dicts = self.memo_dicts.len() == keys.len()
+            && keys
+                .iter()
+                .zip(&self.memo_dicts)
+                .all(|(&key, memo_dict)| Arc::ptr_eq(column(key).0, memo_dict));
+        if !same_dicts {
+            let cells = keys.iter().map(|&key| column(key).0.len()).product();
             self.memo.clear();
-            self.memo.resize(dict.len(), UNSEEN);
-            self.memo_dict = Some(dict.clone());
+            self.memo.resize(cells, UNSEEN);
+            self.memo_dicts = keys.iter().map(|&key| column(key).0.clone()).collect();
         }
-        for (row, &code) in codes.iter().enumerate() {
-            let mut id = self.memo[code as usize];
+        // A row's cell is its codes read as one mixed-radix number, built a
+        // column at a time; a one-column key's cells are its codes.
+        let combined: Vec<u32>;
+        let cells: &[u32] = match *keys {
+            [only] => column(only).1,
+            _ => {
+                let mut acc = column(keys[0]).1.to_vec();
+                for &key in &keys[1..] {
+                    let (dict, codes) = column(key);
+                    let radix = dict.len() as u32;
+                    for (cell, &code) in acc.iter_mut().zip(codes) {
+                        *cell = *cell * radix + code;
+                    }
+                }
+                combined = acc;
+                &combined
+            }
+        };
+        for (row, &cell) in cells.iter().enumerate() {
+            let mut id = self.memo[cell as usize];
             if id == UNSEEN {
-                let hash = hash_combine(HASH_SEED, dict.hashes[code as usize]);
+                let hash = keys.iter().fold(HASH_SEED, |hash, &key| {
+                    let (dict, codes) = column(key);
+                    hash_combine(hash, dict.hashes[codes[row] as usize])
+                });
                 id = self.resolve(hash, row as u32, rows, stored, stored_keys, insert_as);
-                self.memo[code as usize] = id;
+                self.memo[cell as usize] = id;
             }
             out.push(id);
         }
@@ -1370,8 +1438,8 @@ pub struct Grouped<K> {
 /// whole row this is the duplicate aggregation of Definition 3.2's `Σ`.
 ///
 /// Two passes: every row is assigned its group's id (through the key table,
-/// or per dictionary code — see the module docs), then the semiring sums all
-/// groups in one call ([`Semiring::sum_groups`]) — which is what lets
+/// or per tuple of dictionary codes — see the module docs), then the semiring
+/// sums all groups in one call ([`Semiring::sum_groups`]) — which is what lets
 /// provenance circuits build one node per group instead of one per row.
 pub fn group_batches<K: Semiring>(batches: Vec<Batch<K>>, keys: &[usize]) -> Grouped<K> {
     let code_domain = code_domain_runs(&batches, keys);
@@ -1661,5 +1729,106 @@ mod key_table_tests {
         // Pairs of keys share a hash; `eq` alone separates them.
         let table = check(&stream(5_000), |key| kernel_hash(key / 2));
         assert_eq!(table.hashes.len(), 5_000);
+    }
+}
+
+#[cfg(test)]
+mod code_domain_tests {
+    //! When the code-tuple grid is taken, and that taking it changes no id:
+    //! `kernel_model` compares whole kernels with a model; these pin the
+    //! decision itself and the ids behind it.
+
+    use super::{code_domain_runs, grid_cells, Batch, Column, KeyIndex, KeyRows};
+    use crate::value::Value;
+    use provsem_semiring::Natural;
+
+    /// `rows` rows of `(s{i % a}, s{i % b}, i % 3)`: two dictionary columns
+    /// of `a` and `b` strings and an integer column.
+    fn batch(rows: usize, a: usize, b: usize) -> Batch<Natural> {
+        Batch::from_rows(
+            3,
+            (0..rows)
+                .map(|i| {
+                    let row = [
+                        Value::str(format!("s{}", i % a)),
+                        Value::str(format!("s{}", i % b)),
+                        Value::int((i % 3) as i64),
+                    ];
+                    (Box::from(row), Natural::from(1u64))
+                })
+                .collect(),
+        )
+    }
+
+    /// Rows `lo..hi` of `whole`, under `whole`'s dictionaries.
+    fn cut(whole: &Batch<Natural>, lo: u32, hi: u32) -> Batch<Natural> {
+        let rows: Vec<u32> = (lo..hi).collect();
+        Batch::new(
+            rows.len(),
+            whole.columns().iter().map(|c| c.gather(&rows)).collect(),
+            rows.iter().map(|&r| whole.anns()[r as usize]).collect(),
+        )
+    }
+
+    #[test]
+    fn every_key_column_a_dictionary_and_rows_covering_the_grid() {
+        // 4 × 5 = 20 cells.
+        let whole = batch(30, 4, 5);
+        let parts = vec![cut(&whole, 0, 12), cut(&whole, 12, 30)];
+        assert_eq!(code_domain_runs(&parts, &[0, 1]), [true, true]);
+        assert_eq!(code_domain_runs(&parts, &[1, 0]), [true, true]);
+        // One run of 12 rows, one of 18: a run is what a memo serves.
+        let few = vec![cut(&whole, 0, 12)];
+        assert_eq!(code_domain_runs(&few, &[0, 1]), [false]);
+        assert_eq!(code_domain_runs(&few, &[0]), [true]);
+        // An integer key column, or no key column at all: the table.
+        assert_eq!(code_domain_runs(&parts, &[0, 2]), [false, false]);
+        assert_eq!(code_domain_runs(&parts, &[]), [false, false]);
+    }
+
+    #[test]
+    fn a_run_ends_where_one_key_dictionary_changes() {
+        let first = batch(30, 4, 5);
+        // Same first column's strings, but every batch of `batch` mints its
+        // own dictionaries: a new run for the pair, whatever column 0 holds.
+        let second = batch(10, 4, 5);
+        let parts = vec![cut(&first, 0, 15), cut(&first, 15, 30), second];
+        assert_eq!(code_domain_runs(&parts, &[0, 1]), [true, true, false]);
+    }
+
+    #[test]
+    fn a_grid_past_u32_is_never_taken() {
+        let wide = batch(2_048, 2_048, 2_047);
+        assert_eq!(grid_cells(wide.columns(), &[0, 1, 0]), None);
+        assert_eq!(grid_cells(wide.columns(), &[0, 1]), Some(2_048 * 2_047));
+        assert_eq!(grid_cells(wide.columns(), &[0, 2]), None);
+        assert_eq!(grid_cells(wide.columns(), &[]), None);
+        assert!(!code_domain_runs(&[wide], &[0, 1, 0])[0]);
+    }
+
+    #[test]
+    fn grid_ids_equal_per_row_ids() {
+        let whole = batch(600, 7, 11);
+        let parts = vec![cut(&whole, 0, 250), cut(&whole, 250, 600)];
+        let cols: Vec<&[Column]> = parts.iter().map(Batch::columns).collect();
+        let keys = [1, 0];
+        let ids_by = |code_domain: bool| {
+            let mut index = KeyIndex::new();
+            let mut ids = Vec::new();
+            for (b, part) in parts.iter().enumerate() {
+                let rows = KeyRows {
+                    cols: part.columns(),
+                    keys: &keys,
+                    len: part.phys_rows(),
+                    code_domain,
+                };
+                index.assign(rows, &cols, &keys, Some(b as u32), &mut ids);
+            }
+            (ids, index.into_reps())
+        };
+        assert_eq!(code_domain_runs(&parts, &keys), [true, true]);
+        let (grid_ids, grid_reps) = ids_by(true);
+        assert_eq!(grid_reps.len(), 77, "7 × 11 pairs, all present");
+        assert_eq!((grid_ids, grid_reps), ids_by(false));
     }
 }

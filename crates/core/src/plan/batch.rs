@@ -20,8 +20,8 @@
 //! * **Pre-join aggregation** and the **root merge** group by key columns
 //!   ([`group_batches`]): rows map to group ids through the flat key table of
 //!   [`crate::column`] — per row by column-wise content hashes, or once per
-//!   distinct dictionary code when the key is one dictionary column — and
-//!   the root sorts the distinct rows once, columnarly, and hands them on
+//!   distinct tuple of codes when every key column is a dictionary column —
+//!   and the root sorts the distinct rows once, columnarly, and hands them on
 //!   as columns ([`QueryResult`]) — tuples are built only if a caller asks
 //!   for a `KRelation`.
 //! * **Hash join** ([`join_batches`]) gives every distinct build key an id
@@ -389,8 +389,8 @@ fn aggregate_batches<K: Semiring>(inputs: Vec<Batch<K>>, threads: usize) -> Vec<
 /// input in serial mode). The build rows are indexed by key — one
 /// `KeyIndex` id per distinct key, its rows chained in build-stream order
 /// (`KeyChains`) — and every probe batch maps its rows to those ids (once
-/// per distinct dictionary code when its key is one dictionary column, once
-/// per row through the table otherwise), then assembles one output batch
+/// per distinct tuple of codes when every key column is a dictionary column,
+/// once per row through the table otherwise), then assembles one output batch
 /// column-by-column. Annotations are read in place on both sides: a cached
 /// batch's annotation column is never copied, only the matched pairs are
 /// multiplied — in one [`Semiring::times_each`] call per output batch.

@@ -39,24 +39,40 @@ pub type TaggedRelation<K> = (
     Vec<(Variable, String, Tuple)>,
 );
 
-/// Tags one relation with `leaf(id)` per support tuple, ids `name_0, name_1,
-/// …` in tuple order, recording each id's original annotation and tuple. The
-/// source is already in tuple order and a leaf is never zero, so the tagged
-/// relation is bulk-built rather than searched once per tuple.
+/// Tags one relation in one batch: ids `name_0, name_1, …` in tuple order
+/// ([`Variable::indexed_each`]), their leaves made together by `leaves` (for
+/// circuits, under one arena lock for the whole relation), the valuation and
+/// the id index extended once each, and the tagged relation bulk-built from
+/// the source's tuple order (a leaf is never zero), not searched per tuple.
 fn tag_in_order<K: Semiring, P: Semiring>(
     name: &str,
     relation: &KRelation<K>,
-    leaf: impl Fn(Variable) -> P,
+    leaves: impl FnOnce(&[Variable]) -> Vec<P>,
     valuation: &mut Valuation<K>,
     id_index: &mut Vec<(Variable, String, Tuple)>,
 ) -> KRelation<P> {
-    let tagged = relation.iter().enumerate().map(|(i, (tuple, annotation))| {
-        let id = Variable::indexed(name, i);
-        valuation.assign(id.clone(), annotation.clone());
-        id_index.push((id.clone(), name.to_string(), tuple.clone()));
-        (tuple.clone(), leaf(id))
-    });
+    let ids: Vec<Variable> = Variable::indexed_each(name, relation.len()).collect();
+    let leaves = leaves(&ids);
+    let annotations = relation.iter().map(|(_, annotation)| annotation.clone());
+    valuation.extend(ids.iter().cloned().zip(annotations));
+    id_index.extend(
+        ids.into_iter()
+            .zip(relation.iter())
+            .map(|(id, (tuple, _))| (id, name.to_string(), tuple.clone())),
+    );
+    let tagged = relation.iter().zip(leaves);
+    let tagged = tagged.map(|((tuple, _), leaf)| (tuple.clone(), leaf));
     KRelation::from_sorted_support(relation.schema().clone(), tagged)
+}
+
+/// The leaves of the expanded route: one ℕ\[X\] variable per id.
+fn polynomial_leaves(ids: &[Variable]) -> Vec<ProvenancePolynomial> {
+    ids.iter().cloned().map(ProvenancePolynomial::var).collect()
+}
+
+/// The leaves of the circuit route: every id interned in one batch.
+fn circuit_leaves(ids: &[Variable]) -> Vec<Circuit> {
+    Circuit::vars(ids.iter().cloned())
 }
 
 /// Abstractly tags a single relation, generating ids `prefix_0, prefix_1, …`
@@ -64,8 +80,13 @@ fn tag_in_order<K: Semiring, P: Semiring>(
 pub fn tag_relation<K: Semiring>(name: &str, relation: &KRelation<K>) -> TaggedRelation<K> {
     let mut valuation = Valuation::new();
     let mut index = Vec::new();
-    let leaf = ProvenancePolynomial::var;
-    let tagged = tag_in_order(name, relation, leaf, &mut valuation, &mut index);
+    let tagged = tag_in_order(
+        name,
+        relation,
+        polynomial_leaves,
+        &mut valuation,
+        &mut index,
+    );
     (tagged, valuation, index)
 }
 
@@ -76,8 +97,13 @@ pub fn tag_database<K: Semiring>(db: &Database<K>) -> Tagged<K> {
     let mut valuation = Valuation::new();
     let mut id_index = Vec::new();
     for (name, relation) in db.iter() {
-        let leaf = ProvenancePolynomial::var;
-        let tagged = tag_in_order(name, relation, leaf, &mut valuation, &mut id_index);
+        let tagged = tag_in_order(
+            name,
+            relation,
+            polynomial_leaves,
+            &mut valuation,
+            &mut id_index,
+        );
         database.insert(name.clone(), tagged);
     }
     Tagged {
@@ -226,7 +252,13 @@ pub fn tag_database_circuit<K: Semiring>(db: &Database<K>) -> CircuitTagged<K> {
     let mut valuation = Valuation::new();
     let mut id_index = Vec::new();
     for (name, relation) in db.iter() {
-        let tagged = tag_in_order(name, relation, Circuit::var, &mut valuation, &mut id_index);
+        let tagged = tag_in_order(
+            name,
+            relation,
+            circuit_leaves,
+            &mut valuation,
+            &mut id_index,
+        );
         database.insert(name.clone(), tagged);
     }
     CircuitTagged {
@@ -319,6 +351,7 @@ mod tests {
     use super::*;
     use crate::expr::paper_example_query;
     use crate::schema::Schema;
+    use crate::value::Value;
     use provsem_semiring::{Bool, NatInf, PosBool, Tropical, WhySet};
 
     fn nat(n: u64) -> Natural {
@@ -536,6 +569,43 @@ mod tests {
         for (id, _, _) in &circ.id_index {
             assert_eq!(circ.valuation.get(id), tagged.valuation.get(id));
         }
+    }
+
+    #[test]
+    fn tagging_a_relation_in_one_batch_matches_tagging_tuple_by_tuple() {
+        let schema = Schema::new(["a", "b"]);
+        let row =
+            |i: i64| Tuple::from_values(&schema, [Value::int(i), Value::str(format!("s{i}"))]);
+        let big = (0..1_001).map(|i| (row(i), nat(1 + i as u64 % 4)));
+        let big = KRelation::from_tuples(schema.clone(), big);
+        let small = KRelation::from_tuples(schema.clone(), (0..3).map(|i| (row(i), nat(9))));
+        let db = Database::new().with("R", big).with("S", small);
+        provsem_semiring::circuit::CircuitSession::run(|| {
+            let circuits = tag_database_circuit(&db);
+            let polynomials = tag_database(&db);
+            assert_eq!(circuits.valuation.len(), 1_004);
+            let mut index = circuits.id_index.iter();
+            for (name, relation) in db.iter() {
+                let tagged = circuits
+                    .database
+                    .get(name)
+                    .expect("every relation is tagged");
+                assert_eq!(tagged.len(), relation.len());
+                for (i, (tuple, k)) in relation.iter().enumerate() {
+                    // Names in tuple order, as `Variable::indexed` spells them.
+                    let id = Variable::indexed(name, i);
+                    assert_eq!(circuits.valuation.get(&id), Some(k));
+                    assert_eq!(polynomials.valuation.get(&id), Some(k));
+                    assert!(tagged
+                        .annotation(tuple)
+                        .same_node(&Circuit::var(id.clone())));
+                    let entry = index.next().expect("one index entry per tuple");
+                    assert_eq!(entry, &(id, name.clone(), tuple.clone()));
+                }
+            }
+            assert!(index.next().is_none());
+            assert_eq!(circuits.id_index, polynomials.id_index);
+        });
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! `group_batches` and `join_batches` choose, per batch, between a per-row
 //! pass through the flat key table and the code-domain path (one table probe
-//! per distinct dictionary code; see `core::column`). Through the public
-//! kernel surface the choice must be invisible: for every key representation
-//! — integer columns, strings under one dictionary, strings under several
-//! dictionaries with overlapping contents (what a commit-patched scan looks
-//! like), mixed-type `Val` columns, a string column past `DICT_MAX`, keys of
-//! zero to three columns — and every mixture of them within one call, with
+//! per distinct tuple of dictionary codes; see `core::column`). Through the
+//! public kernel surface the choice must be invisible: for every key
+//! representation — integer columns, strings under one dictionary, strings
+//! under several dictionaries with overlapping contents (what a
+//! commit-patched scan looks like), mixed-type `Val` columns, a string column
+//! past `DICT_MAX`, keys of zero to three columns, keys of two and three
+//! dictionary columns whose code grid the rows do or do not cover — and
+//! every mixture of them within one call, with
 //! selection vectors, batches without live rows and a one-row batch under a
 //! 10⁴-entry dictionary, the kernels must produce what a `BTreeMap` loop
 //! over the live rows produces:
@@ -333,6 +335,9 @@ fn grouping_matches_the_model<K: Annotations>(seed: u64) {
     for kinds in [
         [Kind::Strs, Kind::Ints, Kind::Strs],
         [Kind::Mixed, Kind::Strs, Kind::Ints],
+        // Every key a dictionary column: 16- and 64-cell code grids, covered
+        // by a shared run's 72 rows, by one batch's 30 only for two keys.
+        [Kind::Strs, Kind::Strs, Kind::Strs],
     ] {
         for shared in [false, true] {
             let sizes = [30, 12, 0, 30];
@@ -412,6 +417,17 @@ fn joins_match_the_model<K: Annotations>(seed: u64) {
             let build = generate::<K>(&kinds, 3, &[9, 0, 14], shared, &mut rng);
             let probe = generate::<K>(&kinds, 3, &[11, 6, 0, 8], shared, &mut rng);
             let what = format!("keys {build_keys:?}, shared {shared}");
+            check_join(build, probe, build_keys, probe_keys, &what);
+        }
+    }
+    // Two-column dictionary keys (a 9-cell code grid), in either order on
+    // the probe side, and beside an integer column.
+    let kinds = [Kind::Strs, Kind::Strs, Kind::Ints];
+    for shared in [false, true] {
+        for (build_keys, probe_keys) in [(&[0, 1][..], &[0, 1][..]), (&[0, 1], &[1, 0])] {
+            let build = generate::<K>(&kinds, 3, &[9, 0, 14], shared, &mut rng);
+            let probe = generate::<K>(&kinds, 3, &[11, 6, 0, 8], shared, &mut rng);
+            let what = format!("dictionary keys {build_keys:?}/{probe_keys:?}, shared {shared}");
             check_join(build, probe, build_keys, probe_keys, &what);
         }
     }

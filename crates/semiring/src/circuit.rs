@@ -48,8 +48,9 @@
 //! id order. Every thread interns into the same store, so structurally
 //! identical subcircuits built by *different* sessions are the same node.
 //!
-//! The lock is taken once per *batch*, not once per node: a join output
-//! batch's products ([`Semiring::times_each`]), one grouping call's Σ nodes
+//! The lock is taken once per *batch*, not once per node: a tagged
+//! relation's variables ([`Circuit::vars`]), a join output batch's products
+//! ([`Semiring::times_each`]), one grouping call's Σ nodes
 //! ([`Semiring::sum_groups`]) and one evaluation's node reads
 //! ([`CircuitEval::eval_all`], [`Circuit::to_polynomial`], `Debug`) each take
 //! it once; a lone `+`/`·` takes it once. No semiring code runs under the
@@ -480,17 +481,18 @@ fn intern(node: Node, generation: Option<u32>) -> Circuit {
 }
 
 /// Interns a batch under one lock: each part is a handle already (an
-/// identity folded away) or a node over operands live in `generation`. The
-/// parts are drawn and the nodes hashed before the lock is taken: a probe
-/// loop that only probes keeps several slot misses in flight, and hashing
-/// inside it made interning 220 k fresh products 2.5× slower (2-core Xeon).
+/// identity folded away) or a node over operands live in `generation`
+/// (`None` for a batch of leaves). The parts are drawn and the nodes hashed
+/// before the lock is taken: a probe loop that only probes keeps several
+/// slot misses in flight, and hashing inside it made interning 220 k fresh
+/// products 2.5× slower (2-core Xeon).
 fn intern_batch(
     parts: impl Iterator<Item = Result<Circuit, Node>>,
-    generation: u32,
+    generation: Option<u32>,
 ) -> Vec<Circuit> {
     let hash = |node: Node| (fx_hash_one(&node), node);
     let hashed: Vec<Result<Circuit, (u64, Node)>> = parts.map(|part| part.map_err(hash)).collect();
-    intern_with(Some(generation), |arena, current| {
+    intern_with(generation, |arena, current| {
         let intern = |part: Result<Circuit, (u64, Node)>| {
             part.unwrap_or_else(|(hash, node)| make_handle(arena.intern(node, hash), current))
         };
@@ -745,6 +747,13 @@ impl Circuit {
         intern(Node::Var(v.into()), None)
     }
 
+    /// One variable circuit per name, in order — [`Circuit::var`] for each,
+    /// interned as one batch: the names are hashed before the arena lock is
+    /// taken, and it is taken once. This is how a whole relation is tagged.
+    pub fn vars(names: impl IntoIterator<Item = Variable>) -> Vec<Circuit> {
+        intern_batch(names.into_iter().map(|v| Err(Node::Var(v))), None)
+    }
+
     /// The constant circuit `n` (the canonical embedding ℕ → ℕ\[X\]), built
     /// with double-and-add so it has O(log n) nodes.
     pub fn constant(n: u64) -> Circuit {
@@ -897,15 +906,48 @@ trait Memo<T> {
     fn set(&mut self, id: u32, value: T);
 }
 
-impl<T> Memo<T> for Vec<Option<T>> {
-    fn get(&self, id: u32) -> Option<&T> {
-        self.as_slice().get(id as usize)?.as_ref()
-    }
-    fn set(&mut self, id: u32, value: T) {
-        if self.len() <= id as usize {
-            self.resize_with(id as usize + 1, || None);
+/// The dense memo: a value slot per node id and, beside it, one bit per id
+/// saying whether the slot holds a value. The downward sweep asks "evaluated
+/// already?" of every child it meets, in no particular order; that reads a
+/// bit (the Section 2 query's 2.6·10⁵ nodes are 32 KB of bits), not the slot
+/// array (4 MB of `Option<Natural>`, a cache miss a child).
+struct DenseMemo<T> {
+    values: Vec<T>,
+    known: Vec<u64>,
+}
+
+impl<T: Semiring> DenseMemo<T> {
+    fn new() -> DenseMemo<T> {
+        DenseMemo {
+            values: Vec::new(),
+            known: Vec::new(),
         }
-        self[id as usize] = Some(value);
+    }
+
+    /// Makes room for every id up to `top` — all a sweep from roots at or
+    /// below `top` can reach, children being below their parents.
+    fn cover(&mut self, top: u32) {
+        let len = top as usize + 1;
+        if self.values.len() < len {
+            self.values.resize_with(len, T::zero);
+            self.known.resize(len.div_ceil(64), 0);
+        }
+    }
+
+    fn has(&self, id: u32) -> bool {
+        let word = self.known.get(id as usize / 64).copied().unwrap_or(0);
+        word >> (id % 64) & 1 == 1
+    }
+}
+
+impl<T: Semiring> Memo<T> for DenseMemo<T> {
+    fn get(&self, id: u32) -> Option<&T> {
+        self.has(id).then(|| &self.values[id as usize])
+    }
+
+    fn set(&mut self, id: u32, value: T) {
+        self.values[id as usize] = value;
+        self.known[id as usize / 64] |= 1 << (id % 64);
     }
 }
 
@@ -949,12 +991,14 @@ fn lower(root: u32, below: SubDag) -> ProvenancePolynomial {
 /// computed **once** for the lifetime of the evaluator, so specializing a
 /// whole K-relation of circuit annotations costs one pass over the shared
 /// DAG instead of one expansion per tuple (Theorem 4.3 at circuit speed).
+/// A variable costs one lookup in the [`Valuation`]'s hash map.
 ///
-/// The memo is keyed by arena node id and is invalidated — like every
-/// handle — by [`reset`].
+/// The memo is dense — a value slot per node id up to the highest root
+/// evaluated, and a bitset of the slots filled — keyed by arena node id, and
+/// is invalidated — like every handle — by [`reset`].
 pub struct CircuitEval<'v, K> {
     valuation: &'v Valuation<K>,
-    memo: Vec<Option<K>>,
+    memo: DenseMemo<K>,
     /// The arena generation the memo belongs to (set on first eval); an
     /// evaluator reused across a [`reset`] panics instead of serving memo
     /// entries for nodes that no longer exist.
@@ -971,7 +1015,7 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
     pub fn new(valuation: &'v Valuation<K>) -> Self {
         CircuitEval {
             valuation,
-            memo: Vec::new(),
+            memo: DenseMemo::new(),
             generation: None,
             _not_send: PhantomData,
         }
@@ -991,11 +1035,6 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
     /// no semiring code runs under the lock — `K` may itself be
     /// [`Circuit`]. Equal to calling [`CircuitEval::eval`] root by root.
     pub fn eval_all(&mut self, circuits: &[Circuit]) -> Vec<K> {
-        if let Some(top) = circuits.iter().map(|c| c.id as usize).max() {
-            if self.memo.len() <= top {
-                self.memo.resize_with(top + 1, || None);
-            }
-        }
         self.evaluate(circuits, &mut PendingBits::below(circuits))
     }
 
@@ -1008,8 +1047,11 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
                 "CircuitEval memo outlived a circuit::reset(); build a fresh evaluator"
             ),
         }
+        if let Some(top) = roots.iter().map(|root| root.id).max() {
+            self.memo.cover(top);
+        }
         let memo = &self.memo;
-        let below = reachable(roots, pending, |id| memo.get(id).is_some(), usize::MAX);
+        let below = reachable(roots, pending, |id| memo.has(id), usize::MAX);
         // Unassigned variables evaluate to 0, matching
         // `Polynomial::evaluate_with`.
         let valuation = self.valuation;
@@ -1028,7 +1070,11 @@ impl<'v, K: CommutativeSemiring> CircuitEval<'v, K> {
     /// How many distinct nodes have been evaluated so far — the real work
     /// performed, regardless of how many roots shared them.
     pub fn evaluated_nodes(&self) -> usize {
-        self.memo.iter().filter(|slot| slot.is_some()).count()
+        self.memo
+            .known
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum()
     }
 }
 
@@ -1109,7 +1155,7 @@ impl Semiring for Circuit {
             start = end;
             sum_node(group, generation)
         });
-        intern_batch(sums, generation)
+        intern_batch(sums, Some(generation))
     }
 
     /// The products of a batch interned together: every handle is checked
@@ -1125,7 +1171,7 @@ impl Semiring for Circuit {
             assert_live(b, generation);
             times_node(a, b)
         });
-        intern_batch(products, generation)
+        intern_batch(products, Some(generation))
     }
 
     /// Node storage is process-wide, so a batch crosses threads as its node
@@ -1782,6 +1828,42 @@ mod tests {
         assert_eq!(more, [nat(108)]);
         assert_eq!(one_pass.evaluated_nodes(), by_root.evaluated_nodes() + 1);
         assert!(one_pass.eval_all(&[]).is_empty());
+    }
+
+    #[test]
+    fn the_dense_memo_grows_with_the_highest_root_and_counts_each_node_once() {
+        let low = x("memo_a").times(&x("memo_b"));
+        let high = low.plus(&x("memo_c"));
+        let v = Valuation::from_pairs([("memo_a", nat(2)), ("memo_b", nat(3)), ("memo_c", nat(4))]);
+        let mut eval = CircuitEval::new(&v);
+        assert_eq!(eval.eval_all(&[low]), [nat(6)]);
+        assert_eq!(eval.evaluated_nodes(), 3);
+        assert_eq!(eval.eval_all(&[high, low]), [nat(10), nat(6)]);
+        assert_eq!(eval.evaluated_nodes(), 5);
+        // Below the highest root evaluated so far: all memoized.
+        assert_eq!(eval.eval(low), nat(6));
+        assert_eq!(eval.evaluated_nodes(), 5);
+    }
+
+    #[test]
+    fn vars_interns_exactly_the_nodes_var_does() {
+        let names: Vec<Variable> = Variable::indexed_each("batch_v", 40)
+            .chain([Variable::new("batch_v_3")])
+            .collect();
+        let batch = Circuit::vars(names.iter().cloned());
+        assert_eq!(batch.len(), names.len());
+        for (name, leaf) in names.iter().zip(&batch) {
+            assert!(Circuit::var(name.clone()).same_node(leaf), "{name}");
+        }
+        // A repeated name is the same node, as with `var`.
+        assert!(batch[3].same_node(&batch[40]));
+        assert!(Circuit::vars([]).is_empty());
+        // Stamped with the generation they were interned in, like any handle.
+        let escaped = CircuitSession::run(|| Circuit::vars([Variable::new("batch_w")]));
+        let err = std::panic::catch_unwind(|| escaped[0].to_polynomial())
+            .expect_err("a batch's handles die with their session");
+        let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(message.contains("stale circuit handle"), "{message}");
     }
 }
 

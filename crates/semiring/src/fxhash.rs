@@ -104,6 +104,41 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` with the deterministic [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// [`FxHasher`] with one more multiplication at `finish`, folded so that
+/// every output bit depends on every input bit. `HashMap` picks a bucket by
+/// the *low* bits of a hash, and [`FxHasher`] ends in a multiplication, whose
+/// low bits depend on the low bits of its last word only — for names sharing
+/// a prefix (`R_0, R_1, …`: the words differ in their high bytes) at most 32
+/// buckets are ever picked, and a 28 k-entry map degrades to a scan of
+/// collision groups. Maps keyed by such names use this hasher; every other
+/// map keeps [`FxHasher`], whose values the executor's partitioning reads.
+#[derive(Clone, Default)]
+pub(crate) struct FxFoldHasher(FxHasher);
+
+impl Hasher for FxFoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    /// A `str`'s terminator: one word, not a one-byte slice.
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.0.write_u8(i);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let product = self.0.hash.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        product ^ (product >> 32)
+    }
+}
+
+/// A `HashMap` keyed with [`FxFoldHasher`]: deterministic like
+/// [`FxHashMap`], and spread over its buckets by every bit of the key.
+pub(crate) type FxFoldHashMap<K, V> =
+    std::collections::HashMap<K, V, BuildHasherDefault<FxFoldHasher>>;
+
 /// Hashes one materialized value with [`FxHasher`] — the whole-row
 /// partitioning function of the parallel executor's exchanges
 /// (`fx_hash_one(row) % partitions`; column-subset keys drive an
@@ -151,6 +186,25 @@ mod tests {
             map.into_iter().collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
+    }
+
+    /// The low ten bits — the bucket of a 1 024-bucket map — of the names
+    /// `R_0 … R_99999` under each hasher.
+    fn buckets_of_names<H: Hasher + Default>() -> usize {
+        let low_bits: std::collections::BTreeSet<u64> = (0..100_000)
+            .map(|i| {
+                let mut hasher = H::default();
+                format!("R_{i}").as_str().hash(&mut hasher);
+                hasher.finish() & 1023
+            })
+            .collect();
+        low_bits.len()
+    }
+
+    #[test]
+    fn names_sharing_a_prefix_spread_over_buckets_only_when_folded() {
+        assert!(buckets_of_names::<FxHasher>() <= 32);
+        assert_eq!(buckets_of_names::<FxFoldHasher>(), 1024);
     }
 
     #[test]

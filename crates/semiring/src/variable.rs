@@ -6,6 +6,7 @@
 //! PosBool(B). [`Variable`] is a cheaply clonable, ordered, hashable symbol
 //! used for both purposes.
 
+use crate::fxhash::FxFoldHashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -32,6 +33,29 @@ impl Variable {
     /// tagging of whole relations (`R̄` in the paper).
     pub fn indexed(prefix: &str, i: usize) -> Self {
         Variable::new(format!("{prefix}_{i}"))
+    }
+
+    /// `prefix_0, prefix_1, …, prefix_{n−1}` — [`Variable::indexed`] for
+    /// every `i < n`, each name written into one reused buffer without the
+    /// formatting machinery, so a variable costs one allocation (its own).
+    pub fn indexed_each(prefix: &str, n: usize) -> impl Iterator<Item = Variable> + '_ {
+        let mut name = format!("{prefix}_");
+        let stem = name.len();
+        (0..n).map(move |mut i| {
+            let mut digits = [0u8; 20];
+            let mut first = digits.len();
+            loop {
+                first -= 1;
+                digits[first] = b'0' + (i % 10) as u8;
+                i /= 10;
+                if i == 0 {
+                    break;
+                }
+            }
+            name.truncate(stem);
+            name.extend(digits[first..].iter().map(|&digit| char::from(digit)));
+            Variable::new(&name)
+        })
     }
 }
 
@@ -66,17 +90,34 @@ impl From<String> for Variable {
 /// is the analogue for ℕ∞\[\[X\]\]. Valuations drive the factorization theorems
 /// (4.3 and 6.4): evaluate the provenance annotation under `v` to recover the
 /// K-annotation.
-#[derive(Clone, Debug, Default)]
+///
+/// The assignments are a hash map: specialising a result looks up every
+/// variable it reaches once, and tagging assigns one fresh variable per base
+/// tuple, in the relation's tuple order — which is not the names' order
+/// (`R_10` sorts before `R_2`). Measured on the Section 2 query over 28 k
+/// tuples (2-core Xeon), an ordered map spent ≈ 5 ms on the specialisation's
+/// lookups and ≈ 6 ms on the tagging's inserts. The map's hasher folds the
+/// high bits of the hash into the low ones: tagged names share their prefix,
+/// and the plain `FxHashMap` put all 28 k of them in 32 buckets, which was
+/// as slow as the ordered map. [`Valuation::iter`] still visits variables in
+/// name order, and `Debug` prints them in it.
+#[derive(Clone)]
 pub struct Valuation<K> {
-    assignments: std::collections::BTreeMap<Variable, K>,
+    assignments: FxFoldHashMap<Variable, K>,
 }
 
-impl<K: Clone> Valuation<K> {
+impl<K> Default for Valuation<K> {
+    fn default() -> Self {
+        Valuation {
+            assignments: FxFoldHashMap::default(),
+        }
+    }
+}
+
+impl<K> Valuation<K> {
     /// The empty valuation.
     pub fn new() -> Self {
-        Valuation {
-            assignments: std::collections::BTreeMap::new(),
-        }
+        Valuation::default()
     }
 
     /// Builds a valuation from `(variable, value)` pairs.
@@ -86,9 +127,7 @@ impl<K: Clone> Valuation<K> {
         V: Into<Variable>,
     {
         let mut v = Valuation::new();
-        for (var, val) in pairs {
-            v.assign(var.into(), val);
-        }
+        v.extend(pairs.into_iter().map(|(var, val)| (var.into(), val)));
         v
     }
 
@@ -115,12 +154,28 @@ impl<K: Clone> Valuation<K> {
 
     /// Iterates over the assignments in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Variable, &K)> {
-        self.assignments.iter()
+        let mut sorted: Vec<(&Variable, &K)> = self.assignments.iter().collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        sorted.into_iter()
     }
 
-    /// The set of assigned variables.
+    /// The set of assigned variables, in order.
     pub fn variables(&self) -> impl Iterator<Item = &Variable> {
-        self.assignments.keys()
+        self.iter().map(|(var, _)| var)
+    }
+}
+
+/// Assigns every pair in turn (a later pair overwrites an earlier one for the
+/// same variable), reserving room for the iterator's lower size bound first.
+impl<K> Extend<(Variable, K)> for Valuation<K> {
+    fn extend<I: IntoIterator<Item = (Variable, K)>>(&mut self, pairs: I) {
+        self.assignments.extend(pairs);
+    }
+}
+
+impl<K: fmt::Debug> fmt::Debug for Valuation<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -141,6 +196,10 @@ mod tests {
     #[test]
     fn indexed_variables_have_stable_names() {
         assert_eq!(Variable::indexed("R", 3).name(), "R_3");
+        let each: Vec<Variable> = Variable::indexed_each("R", 1_001).collect();
+        let one_by_one: Vec<Variable> = (0..1_001).map(|i| Variable::indexed("R", i)).collect();
+        assert_eq!(each, one_by_one);
+        assert_eq!(Variable::indexed_each("S", 0).count(), 0);
     }
 
     #[test]
@@ -152,6 +211,24 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v.get(&Variable::new("p")), Some(&Natural::from(2u64)));
         assert_eq!(v.get(&Variable::new("s")), None);
+    }
+
+    #[test]
+    fn valuation_iterates_in_name_order_whatever_the_insertion_order() {
+        let mut v: Valuation<Natural> = Valuation::new();
+        v.extend(Variable::indexed_each("R", 12).zip((0..12u64).map(Natural::from)));
+        let names: Vec<&str> = v.variables().map(Variable::name).collect();
+        assert_eq!(names[..4], ["R_0", "R_1", "R_10", "R_11"]);
+        assert!(names.windows(2).all(|w| w[0] < w[1]));
+        // A later pair overwrites an earlier one.
+        v.extend([(Variable::new("R_3"), Natural::from(99u64))]);
+        assert_eq!(v.len(), 12);
+        assert_eq!(v.get(&Variable::new("R_3")), Some(&Natural::from(99u64)));
+        let printed = format!(
+            "{:?}",
+            Valuation::from_pairs([("r", Natural::from(5u64)), ("p", Natural::from(2u64))])
+        );
+        assert_eq!(printed, r#"{p: 2, r: 5}"#);
     }
 
     #[test]
