@@ -2,7 +2,7 @@
 //! provenance via the algebraic system.
 //!
 //! The bench bodies run under the semi-naive machinery: `evaluate_natinf`'s
-//! support fixpoint (`derivable_facts`) is a delta-driven, index-probed
+//! support fixpoint (inside `Grounding::new`) is a delta-driven, index-probed
 //! iteration, and the `fig7_naive_vs_seminaive` group additionally compares
 //! the two Kleene strategies head-to-head on the bounded ℕ∞ iteration.
 

@@ -20,7 +20,7 @@
 
 use crate::ast::Program;
 use crate::fact::{Fact, FactStore};
-use crate::grounding::{derivable_facts, instantiate_over, GroundRule};
+use crate::grounding::Grounding;
 use provsem_semiring::{
     Monomial, NatInf, Natural, OmegaContinuous, ProvenancePolynomial, Semiring, TruncatedSeries,
     Valuation, Variable,
@@ -59,42 +59,29 @@ impl AlgebraicSystem {
         idb_names: &dyn Fn(&Fact) -> Variable,
         edb_names: &dyn Fn(&Fact) -> Variable,
     ) -> Self {
-        let derivable = derivable_facts(program, edb);
-        let ground: Vec<GroundRule> = instantiate_over(program, &derivable);
-        let idb_predicates = program.idb_predicates();
-        let is_idb = |p: &str| idb_predicates.contains(p);
+        let g = Grounding::new(program, edb);
 
         let mut edb_variables = BTreeMap::new();
         for (fact, _) in edb.facts() {
             edb_variables.insert(fact.clone(), edb_names(&fact));
         }
-
-        let idb_facts: Vec<Fact> = derivable
-            .iter()
-            .filter(|f| is_idb(&f.predicate))
-            .cloned()
-            .collect();
-        let idb_vars: BTreeMap<Fact, Variable> = idb_facts
-            .iter()
-            .map(|f| (f.clone(), idb_names(f)))
+        // Per fact id: the system variable of an idb fact.
+        let idb_vars: Vec<Option<Variable>> = (0..g.facts().len())
+            .map(|f| g.is_idb(f).then(|| idb_names(&g.facts()[f])))
             .collect();
 
         let mut equations = Vec::new();
-        for fact in &idb_facts {
+        for f in g.idb_ids() {
             let mut rhs = ProvenancePolynomial::zero();
-            for rule in ground.iter().filter(|r| &r.head == fact) {
+            for &r in g.rules_of(f) {
                 let mut monomial = Monomial::unit();
-                for body in &rule.body {
-                    let var = if is_idb(&body.predicate) {
-                        idb_vars
-                            .get(body)
-                            .expect("idb body fact must be derivable")
-                            .clone()
-                    } else {
-                        edb_variables
-                            .get(body)
+                for &b in g.body_ids(r) {
+                    let var = match &idb_vars[b] {
+                        Some(var) => var.clone(),
+                        None => edb_variables
+                            .get(&g.facts()[b])
                             .expect("edb body fact must be in the instance")
-                            .clone()
+                            .clone(),
                     };
                     monomial.multiply_var(var, 1);
                 }
@@ -104,8 +91,8 @@ impl AlgebraicSystem {
                 ));
             }
             equations.push(Equation {
-                fact: fact.clone(),
-                variable: idb_vars[fact].clone(),
+                fact: g.facts()[f].clone(),
+                variable: idb_vars[f].clone().expect("idb fact"),
                 rhs,
             });
         }
@@ -191,10 +178,11 @@ impl AlgebraicSystem {
     /// Coefficients of monomials up to the truncation degree are exact for
     /// instances where they are finite; monomials whose coefficient is ∞ in
     /// ℕ∞\[\[X\]\] keep growing with the iteration count, so this solver is
-    /// paired with [`crate::exact::facts_with_infinitely_many_derivations`]
-    /// and Theorem 6.5's classification when ∞ matters. The iteration count
-    /// is `max_degree + extra_iterations`, enough for all coefficients of
-    /// degree ≤ `max_degree` generated by proper (non-unit-cycle) systems.
+    /// paired with Theorem 6.5's classification
+    /// ([`crate::provenance::classify_series`]) when ∞ matters. The
+    /// iteration count is `max_degree + extra_iterations`, enough for all
+    /// coefficients of degree ≤ `max_degree` generated by proper
+    /// (non-unit-cycle) systems.
     pub fn solve_series(
         &self,
         max_degree: u32,

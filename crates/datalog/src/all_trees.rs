@@ -14,7 +14,7 @@
 
 use crate::ast::Program;
 use crate::fact::{Fact, FactStore};
-use crate::grounding::{derivable_facts, instantiate_over, GroundRule};
+use crate::grounding::Grounding;
 use provsem_semiring::{
     DistributiveLattice, Monomial, Natural, ProvenancePolynomial, Semiring, Valuation, Variable,
 };
@@ -29,7 +29,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct DerivationTree {
     /// The fact derived at the root.
     pub root: Fact,
-    /// Index of the ground rule applied at the root.
+    /// Id of the ground rule applied at the root (its position in
+    /// [`Grounding::rules`]).
     pub rule: usize,
     /// Children: one entry per body atom of the ground rule, in order.
     pub children: Vec<DerivationChild>,
@@ -236,10 +237,7 @@ fn run_tree_engine<K: Semiring>(
     edb_variables: BTreeMap<Fact, Variable>,
     policy: AdmissionPolicy,
 ) -> AllTreesResult {
-    let derivable = derivable_facts(program, edb);
-    let ground: Vec<GroundRule> = instantiate_over(program, &derivable);
-    let idb_predicates = program.idb_predicates();
-    let is_idb = |p: &str| idb_predicates.contains(p);
+    let g = Grounding::new(program, edb);
 
     // T: admitted trees per root fact; T∞: facts with infinitely many trees.
     let mut trees: BTreeMap<Fact, Vec<DerivationTree>> = BTreeMap::new();
@@ -254,15 +252,15 @@ fn run_tree_engine<K: Semiring>(
         // T_q^ν: trees produced by applying a rule to roots of T and to T∞
         // tuples, not already present, whose root is not already in T∞.
         let mut new_trees: Vec<DerivationTree> = Vec::new();
-        for rule in &ground {
+        for (index, rule) in g.rules().iter().enumerate() {
             if infinite.contains(&rule.head) {
                 continue;
             }
             // Candidate children for each body atom.
             let mut child_options: Vec<Vec<DerivationChild>> = Vec::new();
             let mut possible = true;
-            for body in &rule.body {
-                if is_idb(&body.predicate) {
+            for (body, &id) in rule.body.iter().zip(g.body_ids(index)) {
+                if g.is_idb(id) {
                     let mut options: Vec<DerivationChild> = trees
                         .get(body)
                         .into_iter()
@@ -307,10 +305,7 @@ fn run_tree_engine<K: Semiring>(
             for children in combos {
                 let tree = DerivationTree {
                     root: rule.head.clone(),
-                    rule: ground
-                        .iter()
-                        .position(|g| g == rule)
-                        .expect("rule is in the instantiation"),
+                    rule: index,
                     children,
                 };
                 if !tree_set.contains(&tree) {
@@ -368,7 +363,7 @@ fn run_tree_engine<K: Semiring>(
 
     // P(t): ∞ for T∞ tuples, otherwise the sum over trees of their fringes.
     let mut provenance = BTreeMap::new();
-    for fact in derivable.iter().filter(|f| is_idb(&f.predicate)) {
+    for fact in g.idb_ids().map(|f| &g.facts()[f]) {
         if infinite.contains(fact) {
             provenance.insert(fact.clone(), TreeProvenance::Infinite);
         } else if let Some(fact_trees) = trees.get(fact) {

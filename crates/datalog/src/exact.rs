@@ -4,69 +4,53 @@
 //! The Kleene iteration of [`crate::naive`] does not terminate when some
 //! tuple has infinitely many derivation trees (the paper's Figure 7: `u`,
 //! `v`, `w` "grow unboundedly"). Section 7 shows how unbounded growth can be
-//! detected; this module implements the detection analytically:
+//! detected; this module implements the detection analytically, in one pass
+//! over the blocks of the instantiation ([`crate::grounding::Grounding`]):
 //!
 //! * a derivable idb fact has infinitely many derivation trees **iff** it can
-//!   reach a cycle of the instantiation's dependency graph
-//!   ([`crate::grounding::DependencyGraph`]);
+//!   reach a cycle of the instantiation's dependency graph — its block is
+//!   cyclic, or one of its rules reads such a fact;
 //! * such facts get annotation ∞ (their sum of infinitely many ≥ 1 products
 //!   is ∞ in ℕ∞);
-//! * the remaining facts form a DAG and their exact multiplicities are
-//!   computed bottom-up in topological order.
+//! * every other block is a single fact whose exact multiplicity is the sum
+//!   of its rules' products over facts of earlier blocks.
 //!
 //! For K a distributive lattice (Section 8) no ∞ handling is needed: the
 //! Kleene iteration itself converges, and [`evaluate_lattice`] simply runs it
 //! to the fixed point.
 
 use crate::ast::Program;
-use crate::fact::{Fact, FactStore};
-use crate::grounding::{derivable_facts, instantiate_over, DependencyGraph, GroundRule};
+use crate::fact::FactStore;
+use crate::grounding::Grounding;
 use provsem_semiring::{DistributiveLattice, NatInf, Semiring};
-use std::collections::BTreeSet;
 
 /// Exact datalog evaluation over ℕ∞ (Definition 5.1 / Theorem 5.6 semantics
 /// with bag multiplicities).
 pub fn evaluate_natinf(program: &Program, edb: &FactStore<NatInf>) -> FactStore<NatInf> {
-    let derivable = derivable_facts(program, edb);
-    let ground = instantiate_over(program, &derivable);
-    let idb_predicates = program.idb_predicates();
-    let is_idb = |p: &str| idb_predicates.contains(p);
-
-    let graph = DependencyGraph::build(&ground, &is_idb);
-    let infinite = graph.facts_reaching_cycles();
-
-    let idb_facts: BTreeSet<Fact> = derivable
-        .iter()
-        .filter(|f| is_idb(&f.predicate))
-        .cloned()
-        .collect();
-
+    let g = Grounding::new(program, edb);
+    let infinite = g.blocks_reaching(|_, block| block.cyclic);
+    // Per fact id: the edb annotation; an idb fact's value is set when its
+    // block is done, before any later block reads it.
+    let mut value: Vec<NatInf> = g.facts().iter().map(|f| edb.annotation(f)).collect();
     let mut result: FactStore<NatInf> = FactStore::new();
-    // Facts reaching cycles: infinitely many derivation trees, each with a
-    // non-zero (≥ 1) product, so the countable sum is ∞.
-    for fact in &idb_facts {
-        if infinite.contains(fact) {
-            result.set(fact.clone(), NatInf::Inf);
+    for (block, &infinite) in g.blocks().iter().zip(&infinite) {
+        for &f in &block.facts {
+            // Infinitely many derivation trees, each with a non-zero (≥ 1)
+            // product: the countable sum is ∞. Otherwise `f` is alone in its
+            // block and its rules read only earlier blocks.
+            value[f] = if infinite {
+                NatInf::Inf
+            } else {
+                g.rules_of(f).iter().fold(NatInf::Fin(0), |total, &r| {
+                    let product = g
+                        .body_ids(r)
+                        .iter()
+                        .fold(NatInf::Fin(1), |p, &b| p.times(&value[b]));
+                    total.plus(&product)
+                })
+            };
+            result.set(g.facts()[f].clone(), value[f]);
         }
-    }
-
-    // The acyclic remainder: compute multiplicities bottom-up.
-    let order = graph.topological_order_acyclic(&idb_facts);
-    for fact in order {
-        let mut total = NatInf::Fin(0);
-        for rule in ground.iter().filter(|r| r.head == fact) {
-            let mut product = NatInf::Fin(1);
-            for body in &rule.body {
-                let ann = if is_idb(&body.predicate) {
-                    result.annotation(body)
-                } else {
-                    edb.annotation(body)
-                };
-                product = product.times(&ann);
-            }
-            total = total.plus(&product);
-        }
-        result.set(fact, total);
     }
     result
 }
@@ -97,24 +81,12 @@ pub fn evaluate_lattice<K: DistributiveLattice>(
     }
 }
 
-/// Convenience: the set of idb facts whose ℕ∞ annotation would be ∞, i.e.
-/// the facts with infinitely many derivation trees. Exposed separately
-/// because the provenance machinery (Sections 6–7) needs the classification
-/// without the multiplicities.
-pub fn facts_with_infinitely_many_derivations(
-    program: &Program,
-    ground: &[GroundRule],
-) -> BTreeSet<Fact> {
-    let idb_predicates = program.idb_predicates();
-    let graph = DependencyGraph::build(ground, &|p| idb_predicates.contains(p));
-    graph.facts_reaching_cycles()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::edge_facts;
+    use crate::fact::{edge_facts, Fact};
     use provsem_semiring::{Bool, Event, PosBool, Semiring};
+    use std::collections::BTreeSet;
 
     fn figure7_edb() -> FactStore<NatInf> {
         edge_facts(
@@ -282,13 +254,15 @@ mod tests {
     #[test]
     fn infinite_fact_classification_matches_figure7() {
         let program = Program::transitive_closure("R", "Q");
-        let edb = figure7_edb();
-        let derivable = derivable_facts(&program, &edb);
-        let ground = instantiate_over(&program, &derivable);
-        let infinite = facts_with_infinitely_many_derivations(&program, &ground);
-        assert!(infinite.contains(&Fact::new("Q", ["d", "d"])));
-        assert!(infinite.contains(&Fact::new("Q", ["b", "d"])));
-        assert!(infinite.contains(&Fact::new("Q", ["a", "d"])));
-        assert!(!infinite.contains(&Fact::new("Q", ["a", "b"])));
+        let g = Grounding::new(&program, &figure7_edb());
+        let reaches = g.blocks_reaching(|_, block| block.cyclic);
+        let infinite = |a: &str, b: &str| {
+            let id = g.id(&Fact::new("Q", [a, b])).unwrap();
+            reaches[g.block_of(id).unwrap()]
+        };
+        assert!(infinite("d", "d"));
+        assert!(infinite("b", "d"));
+        assert!(infinite("a", "d"));
+        assert!(!infinite("a", "b"));
     }
 }

@@ -1,21 +1,28 @@
 //! Grounding / instantiation of datalog programs.
 //!
-//! The *instantiation* of a datalog query (used by Theorem 6.5 and by the
-//! algebraic-system construction of Definition 5.5) is the set of ground
-//! rules obtained by considering all satisfying valuations of the rule
-//! variables over the derivable facts. We compute it in two steps:
+//! The *instantiation* of a datalog query — the algebraic system of
+//! Definition 5.5, the ground program of Theorem 6.5 and Section 7's
+//! algorithms — is the set of ground rules obtained by considering all
+//! satisfying valuations of the rule variables over the derivable facts.
+//! [`Grounding::new`] builds it once:
 //!
-//! 1. [`derivable_facts`] — the set-semantics (𝔹) evaluation of the program,
-//!    i.e. `supp(q(R))` (Proposition 5.4 guarantees this is the right
-//!    support for any K);
-//! 2. [`instantiate`] — all ground rules whose body facts are derivable.
+//! 1. the set-semantics (𝔹) evaluation of the program, i.e. `supp(q(R))`
+//!    (Proposition 5.4 guarantees this is the right support for any K);
+//! 2. every ground rule whose body facts are all derivable;
+//! 3. one numbering: the derivable facts sorted (a fact's id is its
+//!    position), each ground rule's body as fact ids, and the rules listed
+//!    by head id;
+//! 4. the strongly connected components of the idb dependency graph (an
+//!    edge `head → body fact` for every idb body fact of every ground rule)
+//!    in dependency order — a ranked list of equation blocks, each of which
+//!    reads only itself and earlier blocks ([`Block`]).
 //!
-//! Both steps bind rule bodies through the hash indexes of
+//! Steps 1 and 2 bind rule bodies through the hash indexes of
 //! [`FactIndex`]: each body atom is matched by probing the index on the
 //! argument positions already bound (constants, or variables bound by
-//! earlier atoms) instead of scanning every fact of the predicate, and
-//! [`derivable_facts`] runs its set fixpoint semi-naively (each round only
-//! joins against the facts discovered in the previous round).
+//! earlier atoms) instead of scanning every fact of the predicate, and the
+//! set fixpoint runs semi-naively (each round only joins against the facts
+//! discovered in the previous round).
 
 use crate::ast::{Atom, DlVar, Program, Term};
 use crate::fact::{Fact, FactIndex, FactStore};
@@ -211,11 +218,236 @@ impl<'a> JoinPlan<'a> {
     }
 }
 
-/// Computes the set of facts derivable from the program over the given edb
-/// facts under set semantics — the standard datalog least fixpoint, which by
-/// Proposition 5.4 equals the support of the K-annotated answer for every K.
-/// Returns both edb and idb facts.
-pub fn derivable_facts<K: Semiring>(program: &Program, edb: &FactStore<K>) -> BTreeSet<Fact> {
+/// One strongly connected component of the idb dependency graph: a block of
+/// equations `X = rhs` whose right-hand sides read only facts of this block
+/// and of earlier blocks.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Block {
+    /// The ids of the block's idb facts, ascending.
+    pub facts: Vec<usize>,
+    /// Does the block contain a cycle — more than one fact, or one fact with
+    /// an edge to itself?
+    pub cyclic: bool,
+}
+
+/// The instantiation of a program over an edb, numbered once (steps 1–4 of
+/// the module documentation). A derivable idb fact has infinitely many
+/// derivation trees iff its block reaches a cyclic block
+/// ([`Grounding::blocks_reaching`]).
+#[derive(Clone, Debug)]
+pub struct Grounding {
+    facts: Vec<Fact>,
+    idb: Vec<bool>,
+    rules: Vec<GroundRule>,
+    /// Per rule: its body fact ids.
+    body: Vec<Vec<usize>>,
+    /// The rules with head `f` are `by_head[head_start[f]..head_start[f + 1]]`,
+    /// ascending.
+    head_start: Vec<usize>,
+    by_head: Vec<usize>,
+    blocks: Vec<Block>,
+    /// Per fact: the index of its block (`None` for an edb fact).
+    block_of: Vec<Option<usize>>,
+}
+
+impl Grounding {
+    /// Grounds `program` over the facts of `edb` (annotations are ignored:
+    /// by Proposition 5.4 the support is the same for every K).
+    pub fn new<K: Semiring>(program: &Program, edb: &FactStore<K>) -> Self {
+        let mut index = support_index(program, edb);
+        let rules = ground_rules(program, &mut index);
+        let mut facts: Vec<Fact> = index.facts().cloned().collect();
+        facts.sort_unstable();
+        let idb_predicates = program.idb_predicates();
+        let idb = facts
+            .iter()
+            .map(|f| idb_predicates.contains(&f.predicate))
+            .collect();
+        let id = |f: &Fact| {
+            facts
+                .binary_search(f)
+                .expect("ground rules mention only derivable facts")
+        };
+
+        let body = rules
+            .iter()
+            .map(|r| r.body.iter().map(id).collect())
+            .collect();
+        let heads: Vec<usize> = rules.iter().map(|r| id(&r.head)).collect();
+        // A stable sort keeps each head's rules ascending.
+        let mut by_head: Vec<usize> = (0..rules.len()).collect();
+        by_head.sort_by_key(|&r| heads[r]);
+        let head_start = (0..=facts.len())
+            .map(|f| by_head.partition_point(|&r| heads[r] < f))
+            .collect();
+
+        let mut grounding = Grounding {
+            block_of: vec![None; facts.len()],
+            facts,
+            idb,
+            rules,
+            body,
+            head_start,
+            by_head,
+            blocks: Vec::new(),
+        };
+        grounding.blocks = grounding.sccs(|_| true);
+        for (b, block) in grounding.blocks.iter().enumerate() {
+            for &f in &block.facts {
+                grounding.block_of[f] = Some(b);
+            }
+        }
+        grounding
+    }
+
+    /// The derivable facts, sorted; a fact's id is its position.
+    pub fn facts(&self) -> &[Fact] {
+        &self.facts
+    }
+
+    /// The id of a fact, `None` if it is not derivable.
+    pub fn id(&self, fact: &Fact) -> Option<usize> {
+        self.facts.binary_search(fact).ok()
+    }
+
+    /// Is fact `id`'s predicate intensional (the head of some rule)?
+    pub fn is_idb(&self, id: usize) -> bool {
+        self.idb[id]
+    }
+
+    /// The ids of the derivable idb facts, ascending.
+    pub fn idb_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.facts.len()).filter(|&f| self.idb[f])
+    }
+
+    /// The ground rules, sorted; a rule's id is its position.
+    pub fn rules(&self) -> &[GroundRule] {
+        &self.rules
+    }
+
+    /// The ids of the ground rules with head `head`, ascending.
+    pub fn rules_of(&self, head: usize) -> &[usize] {
+        &self.by_head[self.head_start[head]..self.head_start[head + 1]]
+    }
+
+    /// The fact ids of rule `rule`'s body, in body order.
+    pub fn body_ids(&self, rule: usize) -> &[usize] {
+        &self.body[rule]
+    }
+
+    /// The strongly connected components of the idb dependency graph, in
+    /// dependency order: every idb body fact of a block's rules lies in that
+    /// block or an earlier one.
+    pub fn blocks(&self) -> &[Block] {
+        &self.blocks
+    }
+
+    /// The index in [`Grounding::blocks`] of fact `id`'s block (`None` for
+    /// an edb fact).
+    pub fn block_of(&self, id: usize) -> Option<usize> {
+        self.block_of[id]
+    }
+
+    /// Per block: does it reach, through zero or more idb edges, a block for
+    /// which `seed(index, block)` holds? One forward pass over the blocks.
+    pub fn blocks_reaching(&self, seed: impl Fn(usize, &Block) -> bool) -> Vec<bool> {
+        let mut reaches = vec![false; self.blocks.len()];
+        for (b, block) in self.blocks.iter().enumerate() {
+            // A body fact of this block reads `false` here; the seed covers it.
+            let reached = seed(b, block)
+                || block.facts.iter().any(|&f| {
+                    self.rules_of(f).iter().any(|&r| {
+                        self.body_ids(r)
+                            .iter()
+                            .any(|&x| self.block_of(x).is_some_and(|xb| reaches[xb]))
+                    })
+                });
+            reaches[b] = reached;
+        }
+        reaches
+    }
+
+    /// The strongly connected components of the idb graph restricted to the
+    /// edges of the rules for which `keep(rule id)` holds, in dependency
+    /// order. Tarjan's algorithm with an explicit stack, so deep derivation
+    /// chains cannot overflow the call stack.
+    pub fn sccs(&self, keep: impl Fn(usize) -> bool) -> Vec<Block> {
+        let n = self.facts.len();
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut succ = Vec::new();
+        succ_start.push(0);
+        for f in 0..n {
+            for &r in self.rules_of(f).iter().filter(|&&r| keep(r)) {
+                succ.extend(self.body_ids(r).iter().filter(|&&b| self.idb[b]));
+            }
+            succ_start.push(succ.len());
+        }
+
+        const UNSEEN: usize = usize::MAX;
+        let mut order = vec![UNSEEN; n];
+        let mut low = vec![0; n];
+        let mut on_stack = vec![false; n];
+        let mut stack = Vec::new();
+        // Depth-first frames: (fact, position of its next successor).
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        let mut next = 0;
+        let mut blocks = Vec::new();
+        for root in self.idb_ids() {
+            if order[root] != UNSEEN {
+                continue;
+            }
+            let mut enter = Some(root);
+            loop {
+                if let Some(v) = enter.take() {
+                    order[v] = next;
+                    low[v] = next;
+                    next += 1;
+                    on_stack[v] = true;
+                    stack.push(v);
+                    frames.push((v, succ_start[v]));
+                }
+                let Some(&(v, pos)) = frames.last() else {
+                    break;
+                };
+                if pos < succ_start[v + 1] {
+                    frames.last_mut().expect("frame").1 += 1;
+                    let w = succ[pos];
+                    if order[w] == UNSEEN {
+                        enter = Some(w);
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(order[w]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == order[v] {
+                    let at = stack
+                        .iter()
+                        .rposition(|&x| x == v)
+                        .expect("v is on the stack");
+                    let mut facts = stack.split_off(at);
+                    for &f in &facts {
+                        on_stack[f] = false;
+                    }
+                    let cyclic =
+                        facts.len() > 1 || succ[succ_start[v]..succ_start[v + 1]].contains(&v);
+                    facts.sort_unstable();
+                    blocks.push(Block { facts, cyclic });
+                }
+            }
+        }
+        blocks
+    }
+}
+
+/// The facts derivable from the program over the given edb facts under set
+/// semantics — the standard datalog least fixpoint, which by Proposition 5.4
+/// equals the support of the K-annotated answer for every K — indexed, edb
+/// and idb facts alike.
+fn support_index<K: Semiring>(program: &Program, edb: &FactStore<K>) -> FactIndex {
     let mut index = FactIndex::from_facts(edb.facts().map(|(f, _)| f));
     // Facts asserted directly in the program text also seed the computation.
     for rule in &program.rules {
@@ -267,21 +499,13 @@ pub fn derivable_facts<K: Semiring>(program: &Program, edb: &FactStore<K>) -> BT
             index.add_fact(fact.clone());
         }
     }
-    index.facts().cloned().collect()
+    index
 }
 
-/// The instantiation of the program over the derivable facts: every ground
-/// rule whose body facts are all derivable. Rules that are facts in the
-/// program text become ground rules with an empty body.
-pub fn instantiate<K: Semiring>(program: &Program, edb: &FactStore<K>) -> Vec<GroundRule> {
-    let derivable = derivable_facts(program, edb);
-    instantiate_over(program, &derivable)
-}
-
-/// Like [`instantiate`], but over an explicitly provided set of available
-/// facts (useful for testing and for the Section 8 variants).
-pub fn instantiate_over(program: &Program, facts: &BTreeSet<Fact>) -> Vec<GroundRule> {
-    let mut index = FactIndex::from_facts(facts.iter().cloned());
+/// The instantiation of the program over the indexed derivable facts: every
+/// ground rule whose body facts are all derivable, sorted. Rules that are
+/// facts in the program text become ground rules with an empty body.
+fn ground_rules(program: &Program, index: &mut FactIndex) -> Vec<GroundRule> {
     let mut ground = Vec::new();
     for (rule_index, rule) in program.rules.iter().enumerate() {
         if rule.body.is_empty() {
@@ -295,8 +519,8 @@ pub fn instantiate_over(program: &Program, facts: &BTreeSet<Fact>) -> Vec<Ground
             continue;
         }
         let plan = JoinPlan::left_to_right(&rule.body);
-        plan.register(&mut index);
-        plan.join(&index, Binding::new(), &mut |binding| {
+        plan.register(index);
+        plan.join(index, Binding::new(), &mut |binding| {
             if let Some(head) = ground_atom(&rule.head, &binding) {
                 let body: Option<Vec<Fact>> =
                     rule.body.iter().map(|a| ground_atom(a, &binding)).collect();
@@ -313,154 +537,6 @@ pub fn instantiate_over(program: &Program, facts: &BTreeSet<Fact>) -> Vec<Ground
     ground.sort();
     ground.dedup();
     ground
-}
-
-/// The dependency graph of an instantiation restricted to idb facts: an edge
-/// `head → body_fact` for every idb body fact of every ground rule. Used for
-/// the infinite-multiplicity analysis (a derivable fact has infinitely many
-/// derivation trees iff it can reach a cycle of this graph) and for
-/// Theorem 6.5 (restricting to unit rules).
-#[derive(Clone, Debug, Default)]
-pub struct DependencyGraph {
-    /// Adjacency: for each idb fact, the idb facts its ground rules use.
-    pub edges: BTreeMap<Fact, BTreeSet<Fact>>,
-}
-
-impl DependencyGraph {
-    /// Builds the dependency graph from an instantiation, where `is_idb`
-    /// decides which predicates are intensional.
-    pub fn build(ground_rules: &[GroundRule], is_idb: &dyn Fn(&str) -> bool) -> Self {
-        let mut edges: BTreeMap<Fact, BTreeSet<Fact>> = BTreeMap::new();
-        for rule in ground_rules {
-            let entry = edges.entry(rule.head.clone()).or_default();
-            for b in &rule.body {
-                if is_idb(&b.predicate) {
-                    entry.insert(b.clone());
-                }
-            }
-        }
-        DependencyGraph { edges }
-    }
-
-    /// Builds the graph using only *unit* ground rules (Theorem 6.5's
-    /// "cycle of unit rules").
-    pub fn build_unit_only(ground_rules: &[GroundRule], is_idb: &dyn Fn(&str) -> bool) -> Self {
-        let unit: Vec<GroundRule> = ground_rules
-            .iter()
-            .filter(|r| r.is_unit())
-            .cloned()
-            .collect();
-        DependencyGraph::build(&unit, is_idb)
-    }
-
-    /// The set of facts that lie on a cycle or can reach a cycle of this
-    /// graph. With the full dependency graph this is exactly the set of
-    /// facts with infinitely many derivation trees.
-    pub fn facts_reaching_cycles(&self) -> BTreeSet<Fact> {
-        // Nodes on cycles: computed by iteratively removing "sinks" (nodes
-        // with no outgoing edges into remaining nodes); what survives are the
-        // nodes that lie on cycles or lead into them.
-        let mut on_or_reaching: BTreeSet<Fact> = self.nodes_on_cycles();
-        // Propagate backwards: any node with an edge into the set joins it.
-        loop {
-            let mut added = false;
-            for (from, tos) in &self.edges {
-                if !on_or_reaching.contains(from) && tos.iter().any(|t| on_or_reaching.contains(t))
-                {
-                    on_or_reaching.insert(from.clone());
-                    added = true;
-                }
-            }
-            if !added {
-                break;
-            }
-        }
-        on_or_reaching
-    }
-
-    /// The set of facts lying on at least one cycle.
-    pub fn nodes_on_cycles(&self) -> BTreeSet<Fact> {
-        // Tarjan-free approach adequate for our sizes: a node is on a cycle
-        // iff it can reach itself through at least one edge.
-        let mut result = BTreeSet::new();
-        for start in self.edges.keys() {
-            if self.reaches(start, start) {
-                result.insert(start.clone());
-            }
-        }
-        result
-    }
-
-    /// Is `to` reachable from `from` using at least one edge?
-    pub fn reaches(&self, from: &Fact, to: &Fact) -> bool {
-        let mut stack: Vec<&Fact> = self
-            .edges
-            .get(from)
-            .into_iter()
-            .flat_map(|s| s.iter())
-            .collect();
-        let mut seen: BTreeSet<&Fact> = stack.iter().copied().collect();
-        while let Some(node) = stack.pop() {
-            if node == to {
-                return true;
-            }
-            if let Some(next) = self.edges.get(node) {
-                for n in next {
-                    if seen.insert(n) {
-                        stack.push(n);
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// A topological order of the facts **not** reaching any cycle, sinks
-    /// first, so annotations can be computed bottom-up on the acyclic part.
-    pub fn topological_order_acyclic(&self, facts: &BTreeSet<Fact>) -> Vec<Fact> {
-        let blocked = self.facts_reaching_cycles();
-        let mut order = Vec::new();
-        let mut done: BTreeSet<Fact> = BTreeSet::new();
-        // Kahn-style: repeatedly emit facts whose idb dependencies are done.
-        let mut remaining: Vec<&Fact> = facts.iter().filter(|f| !blocked.contains(*f)).collect();
-        while !remaining.is_empty() {
-            let mut progressed = false;
-            remaining.retain(|fact| {
-                let deps_done = self
-                    .edges
-                    .get(*fact)
-                    .map(|deps| {
-                        deps.iter()
-                            .all(|d| done.contains(d) || blocked.contains(d) || !facts.contains(d))
-                    })
-                    .unwrap_or(true);
-                if deps_done {
-                    order.push((*fact).clone());
-                    done.insert((*fact).clone());
-                    progressed = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            if !progressed {
-                // Should not happen on an acyclic restriction; guard against
-                // infinite loops by appending the rest in arbitrary order.
-                order.extend(remaining.iter().map(|f| (*f).clone()));
-                break;
-            }
-        }
-        order
-    }
-}
-
-/// Partition of derivable facts by whether the predicate is intensional.
-pub fn idb_facts<'a>(
-    program: &Program,
-    facts: &'a BTreeSet<Fact>,
-) -> impl Iterator<Item = &'a Fact> + 'a {
-    let idb = program.idb_predicates();
-    facts.iter().filter(move |f| idb.contains(&f.predicate))
 }
 
 #[cfg(test)]
@@ -482,20 +558,31 @@ mod tests {
         )
     }
 
+    /// The facts of predicate `pred` in a grounding.
+    fn facts_of<'a>(g: &'a Grounding, pred: &'a str) -> impl Iterator<Item = &'a Fact> + 'a {
+        g.facts().iter().filter(move |f| f.predicate == pred)
+    }
+
     #[test]
     fn derivable_facts_of_transitive_closure() {
         let program = Program::transitive_closure("R", "Q");
-        let facts = derivable_facts(&program, &figure7_edb());
+        let g = Grounding::new(&program, &figure7_edb());
+        let facts = g.facts();
         // Q contains the 6 pairs of Figure 7(b) plus (c,d), which is
         // derivable via c→b→d but omitted from the paper's figure.
-        let q_facts: Vec<&Fact> = facts.iter().filter(|f| f.predicate == "Q").collect();
-        assert_eq!(q_facts.len(), 7);
+        assert_eq!(facts_of(&g, "Q").count(), 7);
         assert!(facts.contains(&Fact::new("Q", ["c", "d"])));
         assert!(facts.contains(&Fact::new("Q", ["a", "d"])));
         assert!(facts.contains(&Fact::new("Q", ["a", "b"])));
         assert!(!facts.contains(&Fact::new("Q", ["d", "a"])));
-        // edb facts are retained too.
+        // edb facts are retained too, and ids are positions in sorted order.
         assert!(facts.contains(&Fact::new("R", ["a", "b"])));
+        assert!(facts.windows(2).all(|w| w[0] < w[1]));
+        for (id, fact) in facts.iter().enumerate() {
+            assert_eq!(g.id(fact), Some(id));
+            assert_eq!(g.is_idb(id), fact.predicate == "Q");
+        }
+        assert_eq!(g.id(&Fact::new("Q", ["d", "a"])), None);
     }
 
     #[test]
@@ -510,27 +597,34 @@ mod tests {
                 ("b", "b", Natural::from(4u64)),
             ],
         );
-        let facts = derivable_facts(&program, &edb);
-        let q: Vec<&Fact> = facts.iter().filter(|f| f.predicate == "Q").collect();
-        assert_eq!(q.len(), 3);
+        let g = Grounding::new(&program, &edb);
+        assert_eq!(facts_of(&g, "Q").count(), 3);
     }
 
     #[test]
     fn instantiation_produces_ground_rules_with_derivable_bodies() {
         let program = Program::transitive_closure("R", "Q");
-        let ground = instantiate(&program, &figure7_edb());
+        let g = Grounding::new(&program, &figure7_edb());
         // Every ground rule's head must be a Q fact and its body facts must
-        // be among the derivable facts.
-        let derivable = derivable_facts(&program, &figure7_edb());
-        assert!(!ground.is_empty());
-        for rule in &ground {
+        // be among the derivable facts, numbered by their ids.
+        assert!(!g.rules().is_empty());
+        assert!(g.rules().windows(2).all(|w| w[0] < w[1]));
+        for (r, rule) in g.rules().iter().enumerate() {
             assert_eq!(rule.head.predicate, "Q");
-            for b in &rule.body {
-                assert!(derivable.contains(b), "body fact {b} not derivable");
+            let ids = g.body_ids(r);
+            assert_eq!(ids.len(), rule.body.len());
+            for (b, &id) in rule.body.iter().zip(ids) {
+                assert_eq!(&g.facts()[id], b, "body fact {b} misnumbered");
             }
+            let head = g.id(&rule.head).unwrap();
+            assert!(g.rules_of(head).contains(&r));
         }
+        // Every rule is listed under exactly one head, ascending.
+        let listed: usize = (0..g.facts().len()).map(|f| g.rules_of(f).len()).sum();
+        assert_eq!(listed, g.rules().len());
+        assert!((0..g.facts().len()).all(|f| g.rules_of(f).windows(2).all(|w| w[0] < w[1])));
         // The base rule instantiates once per edge: 5 unit ground rules over R.
-        let base = ground.iter().filter(|g| g.rule_index == 0).count();
+        let base = g.rules().iter().filter(|r| r.rule_index == 0).count();
         assert_eq!(base, 5);
     }
 
@@ -538,26 +632,39 @@ mod tests {
     fn constants_in_rules_restrict_matching() {
         // Only paths ending at 'b' : Qb(x) :- R(x, 'b').
         let program = crate::parser::parse_program("Qb(x) :- R(x, 'b').").unwrap();
-        let facts = derivable_facts(&program, &figure7_edb());
-        let qb: Vec<&Fact> = facts.iter().filter(|f| f.predicate == "Qb").collect();
-        assert_eq!(qb.len(), 2); // from a and from c
+        let g = Grounding::new(&program, &figure7_edb());
+        assert_eq!(facts_of(&g, "Qb").count(), 2); // from a and from c
     }
 
     #[test]
     fn dependency_graph_detects_cycles_from_self_loop() {
         let program = Program::transitive_closure("R", "Q");
-        let ground = instantiate(&program, &figure7_edb());
-        let idb = program.idb_predicates();
-        let graph = DependencyGraph::build(&ground, &|p| idb.contains(p));
-        let infinite = graph.facts_reaching_cycles();
+        let g = Grounding::new(&program, &figure7_edb());
+        let reaches = g.blocks_reaching(|_, block| block.cyclic);
+        let infinite = |a: &str, b: &str| {
+            let id = g.id(&Fact::new("Q", [a, b])).unwrap();
+            reaches[g.block_of(id).unwrap()]
+        };
         // Q(d,d) is on a cycle (Q(d,d) :- Q(d,d),Q(d,d)); Q(b,d) and Q(a,d)
         // reach it. Q(a,b), Q(a,c), Q(c,b) do not.
-        assert!(infinite.contains(&Fact::new("Q", ["d", "d"])));
-        assert!(infinite.contains(&Fact::new("Q", ["b", "d"])));
-        assert!(infinite.contains(&Fact::new("Q", ["a", "d"])));
-        assert!(!infinite.contains(&Fact::new("Q", ["a", "b"])));
-        assert!(!infinite.contains(&Fact::new("Q", ["a", "c"])));
-        assert!(!infinite.contains(&Fact::new("Q", ["c", "b"])));
+        assert!(infinite("d", "d"));
+        assert!(infinite("b", "d"));
+        assert!(infinite("a", "d"));
+        assert!(!infinite("a", "b"));
+        assert!(!infinite("a", "c"));
+        assert!(!infinite("c", "b"));
+        // Every Q(x,d) has a self-edge (Q(x,d) :- Q(x,d), Q(d,d)), so each
+        // is a cyclic block of its own.
+        let cyclic: Vec<&Fact> = g
+            .blocks()
+            .iter()
+            .filter(|b| b.cyclic)
+            .flat_map(|b| b.facts.iter().map(|&f| &g.facts()[f]))
+            .collect();
+        assert_eq!(cyclic.len(), 4);
+        assert!(cyclic.iter().all(|f| f.values[1].as_str() == Some("d")));
+        // Edb facts belong to no block.
+        assert_eq!(g.block_of(g.id(&Fact::new("R", ["a", "b"])).unwrap()), None);
     }
 
     #[test]
@@ -566,37 +673,89 @@ mod tests {
         // is an edb fact, so the unit-rule graph over idb facts has no edges
         // and no cycles — by Theorem 6.5 all provenance series are in ℕ[[X]].
         let program = Program::transitive_closure("R", "Q");
-        let ground = instantiate(&program, &figure7_edb());
-        let idb = program.idb_predicates();
-        let graph = DependencyGraph::build_unit_only(&ground, &|p| idb.contains(p));
-        assert!(graph.nodes_on_cycles().is_empty());
+        let g = Grounding::new(&program, &figure7_edb());
+        let unit_blocks = g.sccs(|r| g.rules()[r].is_unit());
+        assert_eq!(unit_blocks.len(), 7);
+        assert!(unit_blocks.iter().all(|b| !b.cyclic && b.facts.len() == 1));
     }
 
     #[test]
     fn topological_order_respects_dependencies() {
         let program = Program::transitive_closure("R", "Q");
-        let edb = figure7_edb();
-        let ground = instantiate(&program, &edb);
-        let idb = program.idb_predicates();
-        let graph = DependencyGraph::build(&ground, &|p| idb.contains(p));
-        let derivable = derivable_facts(&program, &edb);
-        let idb_set: BTreeSet<Fact> = idb_facts(&program, &derivable).cloned().collect();
-        let order = graph.topological_order_acyclic(&idb_set);
+        let g = Grounding::new(&program, &figure7_edb());
+        let reaches = g.blocks_reaching(|_, block| block.cyclic);
+        let block = |a: &str, b: &str| g.block_of(g.id(&Fact::new("Q", [a, b])).unwrap()).unwrap();
         // The acyclic part is {Q(a,b), Q(a,c), Q(c,b)}; Q(a,b) depends on
-        // Q(a,c) and Q(c,b) so it must come after both.
-        let pos = |f: &Fact| order.iter().position(|x| x == f);
-        let ab = pos(&Fact::new("Q", ["a", "b"])).unwrap();
-        let ac = pos(&Fact::new("Q", ["a", "c"])).unwrap();
-        let cb = pos(&Fact::new("Q", ["c", "b"])).unwrap();
-        assert!(ab > ac && ab > cb);
-        assert_eq!(order.len(), 3);
+        // Q(a,c) and Q(c,b) so its block must come after both.
+        assert!(block("a", "b") > block("a", "c"));
+        assert!(block("a", "b") > block("c", "b"));
+        assert_eq!(reaches.iter().filter(|&&r| !r).count(), 3);
+        // Every idb fact is in exactly one block.
+        let mut members: Vec<usize> = g.blocks().iter().flat_map(|b| b.facts.clone()).collect();
+        members.sort_unstable();
+        assert_eq!(members, g.idb_ids().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_long_chain_is_one_block_per_fact() {
+        // P(i) :- N(i, i+1), P(i+1): a dependency chain as deep as the edb
+        // is long. The explicit-stack Tarjan walks it without recursion.
+        const N: usize = 20_000;
+        let program =
+            crate::parser::parse_program("P(x) :- S(x).\nP(x) :- N(x, y), P(y).").unwrap();
+        let mut edb: FactStore<Natural> = FactStore::new();
+        for i in 0..N {
+            edb.insert(
+                Fact::new("N", [format!("n{i}"), format!("n{}", i + 1)]),
+                Natural::from(1u64),
+            );
+        }
+        edb.insert(Fact::new("S", [format!("n{N}")]), Natural::from(1u64));
+        let g = Grounding::new(&program, &edb);
+        assert_eq!(g.blocks().len(), N + 1);
+        assert!(g.blocks().iter().all(|b| !b.cyclic));
+        // Dependency order: the end of the chain first.
+        let first = &g.blocks()[0].facts;
+        assert_eq!(g.facts()[first[0]], Fact::new("P", [format!("n{N}")]));
+    }
+
+    #[test]
+    fn mutual_recursion_is_one_cyclic_block() {
+        let program = crate::parser::parse_program(
+            "A(x) :- E(x).\nB(x) :- A(x).\nA(x) :- B(x).\nC(x) :- A(x).",
+        )
+        .unwrap();
+        let mut edb: FactStore<Natural> = FactStore::new();
+        edb.insert(Fact::new("E", ["c"]), Natural::from(1u64));
+        let g = Grounding::new(&program, &edb);
+        let id = |p: &str| g.id(&Fact::new(p, ["c"])).unwrap();
+        assert_eq!(g.blocks().len(), 2);
+        assert_eq!(
+            g.blocks()[0],
+            Block {
+                facts: vec![id("A"), id("B")],
+                cyclic: true
+            }
+        );
+        assert_eq!(
+            g.blocks()[1],
+            Block {
+                facts: vec![id("C")],
+                cyclic: false
+            }
+        );
     }
 
     #[test]
     fn program_facts_seed_derivation() {
         let program = crate::parser::parse_program("R('x', 'y').\nQ(a, b) :- R(a, b).").unwrap();
         let empty: FactStore<Natural> = FactStore::new();
-        let facts = derivable_facts(&program, &empty);
-        assert!(facts.contains(&Fact::new("Q", ["x", "y"])));
+        let g = Grounding::new(&program, &empty);
+        assert!(g.facts().contains(&Fact::new("Q", ["x", "y"])));
+        // The program fact is a ground rule with an empty body.
+        let r = g.id(&Fact::new("R", ["x", "y"])).unwrap();
+        assert!(g.is_idb(r));
+        assert_eq!(g.rules_of(r).len(), 1);
+        assert!(g.body_ids(g.rules_of(r)[0]).is_empty());
     }
 }

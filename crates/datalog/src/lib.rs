@@ -61,13 +61,9 @@ pub mod prelude {
     };
     pub use crate::ast::{Atom, DlVar, Program, Rule, Term};
     pub use crate::columnar::explain_fixpoint;
-    pub use crate::exact::{
-        evaluate_lattice, evaluate_natinf, facts_with_infinitely_many_derivations,
-    };
+    pub use crate::exact::{evaluate_lattice, evaluate_natinf};
     pub use crate::fact::{edge_facts, Fact, FactIndex, FactStore};
-    pub use crate::grounding::{
-        derivable_facts, instantiate, instantiate_over, DependencyGraph, GroundRule,
-    };
+    pub use crate::grounding::{Block, GroundRule, Grounding};
     pub use crate::maintain::{
         maintain_fixpoint, maintain_fixpoint_with, materialize_fixpoint, FixpointView,
     };

@@ -13,7 +13,7 @@
 
 use crate::ast::Program;
 use crate::fact::{Fact, FactStore};
-use crate::grounding::{derivable_facts, instantiate_over, GroundRule};
+use crate::grounding::Grounding;
 use provsem_semiring::{Monomial, NatInf, Semiring, Variable};
 use std::collections::BTreeMap;
 
@@ -31,22 +31,18 @@ pub fn monomial_coefficient<K: Semiring>(
     fact: &Fact,
     monomial: &Monomial,
 ) -> NatInf {
-    let derivable = derivable_facts(program, edb);
-    let ground: Vec<GroundRule> = instantiate_over(program, &derivable);
-    let idb_predicates = program.idb_predicates();
-    let is_idb = |p: &str| idb_predicates.contains(p);
+    let g = Grounding::new(program, edb);
+    let Some(target) = g.id(fact).filter(|&f| g.is_idb(f)) else {
+        return NatInf::Fin(0);
+    };
 
     // Enumerate the candidate sub-monomials: all divisors of µ.
     let divisors = divisors_of(monomial);
 
-    // counts[(fact, ν)] = number of derivation trees of `fact` with fringe ν,
-    // as computed so far (monotone non-decreasing across iterations).
-    let mut counts: BTreeMap<(Fact, Monomial), NatInf> = BTreeMap::new();
-    let idb_facts: Vec<Fact> = derivable
-        .iter()
-        .filter(|f| is_idb(&f.predicate))
-        .cloned()
-        .collect();
+    // counts[(fact id, ν)] = number of derivation trees of the fact with
+    // fringe ν, as computed so far (monotone non-decreasing across
+    // iterations).
+    let mut counts: BTreeMap<(usize, Monomial), NatInf> = BTreeMap::new();
 
     // Structural bound: with F idb facts and D divisors, any derivation tree
     // whose count is *finite* has depth ≤ F·D — a deeper tree repeats a
@@ -57,33 +53,30 @@ pub fn monomial_coefficient<K: Semiring>(
     // Entries still growing between iteration `bound` and iteration
     // `2·bound` are exactly the infinite ones (their tree depths are
     // unbounded with period at most `bound`).
-    let bound = idb_facts.len() * divisors.len() + 2;
+    let bound = g.idb_ids().count() * divisors.len() + 2;
 
-    let step = |counts: &BTreeMap<(Fact, Monomial), NatInf>| {
-        let mut next: BTreeMap<(Fact, Monomial), NatInf> = BTreeMap::new();
-        for f in &idb_facts {
+    let step = |counts: &BTreeMap<(usize, Monomial), NatInf>| {
+        let mut next: BTreeMap<(usize, Monomial), NatInf> = BTreeMap::new();
+        for f in g.idb_ids() {
             for nu in &divisors {
                 let mut total = NatInf::Fin(0);
-                for rule in ground.iter().filter(|r| &r.head == f) {
-                    total = total.plus(&count_rule_ways(rule, nu, edb_variables, counts, &is_idb));
+                for &r in g.rules_of(f) {
+                    total = total.plus(&count_rule_ways(&g, r, nu, edb_variables, counts));
                 }
                 if !total.is_zero() {
-                    next.insert((f.clone(), nu.clone()), total);
+                    next.insert((f, nu.clone()), total);
                 }
             }
         }
         next
     };
 
+    let key = (target, monomial.clone());
     for _ in 0..bound {
         let next = step(&counts);
         if next == counts {
             // Global fixed point: every coefficient is finite and exact.
-            let value = counts
-                .get(&(fact.clone(), monomial.clone()))
-                .copied()
-                .unwrap_or(NatInf::Fin(0));
-            return value;
+            return counts.get(&key).copied().unwrap_or(NatInf::Fin(0));
         }
         counts = next;
     }
@@ -96,7 +89,6 @@ pub fn monomial_coefficient<K: Semiring>(
         counts = next;
     }
 
-    let key = (fact.clone(), monomial.clone());
     let early = snapshot.get(&key).copied().unwrap_or(NatInf::Fin(0));
     let late = counts.get(&key).copied().unwrap_or(NatInf::Fin(0));
     if early != late || late.is_infinite() {
@@ -106,23 +98,23 @@ pub fn monomial_coefficient<K: Semiring>(
     }
 }
 
-/// Number of ways to instantiate one ground rule so that the tree fringe is
-/// exactly `target`: distribute `target` among the body atoms, edb atoms
+/// Number of ways to instantiate ground rule `rule` so that the tree fringe
+/// is exactly `target`: distribute `target` among the body atoms, edb atoms
 /// consuming exactly their own variable and idb atoms consuming a divisor
 /// with the corresponding (already computed) tree count.
 fn count_rule_ways(
-    rule: &GroundRule,
+    g: &Grounding,
+    rule: usize,
     target: &Monomial,
     edb_variables: &BTreeMap<Fact, Variable>,
-    counts: &BTreeMap<(Fact, Monomial), NatInf>,
-    is_idb: &dyn Fn(&str) -> bool,
+    counts: &BTreeMap<(usize, Monomial), NatInf>,
 ) -> NatInf {
     fn go(
-        body: &[Fact],
+        g: &Grounding,
+        body: &[usize],
         remaining: &Monomial,
         edb_variables: &BTreeMap<Fact, Variable>,
-        counts: &BTreeMap<(Fact, Monomial), NatInf>,
-        is_idb: &dyn Fn(&str) -> bool,
+        counts: &BTreeMap<(usize, Monomial), NatInf>,
     ) -> NatInf {
         match body.split_first() {
             None => {
@@ -132,13 +124,13 @@ fn count_rule_ways(
                     NatInf::Fin(0)
                 }
             }
-            Some((first, rest)) => {
-                if is_idb(&first.predicate) {
+            Some((&first, rest)) => {
+                if g.is_idb(first) {
                     // Try every divisor ν of the remaining monomial.
                     let mut total = NatInf::Fin(0);
                     for nu in divisors_of(remaining) {
                         let sub = counts
-                            .get(&(first.clone(), nu.clone()))
+                            .get(&(first, nu.clone()))
                             .copied()
                             .unwrap_or(NatInf::Fin(0));
                         if sub.is_zero() {
@@ -147,18 +139,18 @@ fn count_rule_ways(
                         let rest_monomial = nu
                             .quotient(remaining)
                             .expect("divisor must divide the remaining monomial");
-                        let rest_ways = go(rest, &rest_monomial, edb_variables, counts, is_idb);
+                        let rest_ways = go(g, rest, &rest_monomial, edb_variables, counts);
                         total = total.plus(&sub.times(&rest_ways));
                     }
                     total
                 } else {
                     // Edb leaf: consumes exactly its own variable.
-                    match edb_variables.get(first) {
+                    match edb_variables.get(&g.facts()[first]) {
                         Some(var) => {
                             let leaf = Monomial::var(var.clone());
                             match leaf.quotient(remaining) {
                                 Some(rest_monomial) => {
-                                    go(rest, &rest_monomial, edb_variables, counts, is_idb)
+                                    go(g, rest, &rest_monomial, edb_variables, counts)
                                 }
                                 None => NatInf::Fin(0),
                             }
@@ -169,7 +161,7 @@ fn count_rule_ways(
             }
         }
     }
-    go(&rule.body, target, edb_variables, counts, is_idb)
+    go(g, g.body_ids(rule), target, edb_variables, counts)
 }
 
 /// All divisors of a monomial (every exponent independently between 0 and its

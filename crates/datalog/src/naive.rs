@@ -11,7 +11,7 @@
 
 use crate::ast::Program;
 use crate::fact::FactStore;
-use crate::grounding::{derivable_facts, instantiate_over, GroundRule};
+use crate::grounding::{GroundRule, Grounding};
 use provsem_semiring::{OmegaContinuous, Semiring};
 use std::collections::BTreeSet;
 
@@ -82,20 +82,18 @@ pub fn kleene_iterate<K: Semiring>(
     edb: &FactStore<K>,
     max_iterations: usize,
 ) -> FixpointResult<K> {
-    let derivable = derivable_facts(program, edb);
-    let ground = instantiate_over(program, &derivable);
-    kleene_iterate_grounded(program, &ground, edb, max_iterations)
+    kleene_iterate_grounded(program, &Grounding::new(program, edb), edb, max_iterations)
 }
 
 /// Like [`kleene_iterate`] but over a pre-computed instantiation (so callers
 /// sweeping iteration counts do not re-ground every time).
 pub fn kleene_iterate_grounded<K: Semiring>(
     program: &Program,
-    ground: &[GroundRule],
+    grounding: &Grounding,
     edb: &FactStore<K>,
     max_iterations: usize,
 ) -> FixpointResult<K> {
-    kleene_iterate_grounded_by(program, ground, edb, max_iterations, |next, current| {
+    kleene_iterate_grounded_by(program, grounding, edb, max_iterations, |next, current| {
         next == current
     })
 }
@@ -107,7 +105,7 @@ pub fn kleene_iterate_grounded<K: Semiring>(
 /// for circuits would expand polynomials.
 pub(crate) fn kleene_iterate_grounded_by<K: Semiring>(
     program: &Program,
-    ground: &[GroundRule],
+    grounding: &Grounding,
     edb: &FactStore<K>,
     max_iterations: usize,
     reached_fixpoint: impl Fn(&FactStore<K>, &FactStore<K>) -> bool,
@@ -128,7 +126,7 @@ pub(crate) fn kleene_iterate_grounded_by<K: Semiring>(
     let mut iterations = 0;
     let mut converged = false;
     while iterations < max_iterations {
-        immediate_consequence_into(ground, &idb_predicates, edb, &current, &mut next);
+        immediate_consequence_into(grounding.rules(), &idb_predicates, edb, &current, &mut next);
         iterations += 1;
         if !recursive {
             std::mem::swap(&mut current, &mut next);
@@ -158,16 +156,11 @@ pub fn evaluate_fixpoint<K: OmegaContinuous>(
     edb: &FactStore<K>,
     fallback_bound: usize,
 ) -> Option<FactStore<K>> {
-    let derivable = derivable_facts(program, edb);
-    let ground = instantiate_over(program, &derivable);
-    let num_idb = derivable
-        .iter()
-        .filter(|f| program.idb_predicates().contains(&f.predicate))
-        .count();
-    let bound = K::convergence_bound(num_idb)
+    let grounding = Grounding::new(program, edb);
+    let bound = K::convergence_bound(grounding.idb_ids().count())
         .unwrap_or(fallback_bound)
         .max(2);
-    let result = kleene_iterate_grounded(program, &ground, edb, bound);
+    let result = kleene_iterate_grounded(program, &grounding, edb, bound);
     if result.converged {
         Some(result.idb)
     } else {
@@ -424,8 +417,8 @@ mod tests {
     fn immediate_consequence_into_reuses_and_clears_the_buffer() {
         let program = Program::figure6_query();
         let edb = edge_facts("R", &[("a", "b", nat(3)), ("b", "c", nat(2))]);
-        let derivable = crate::grounding::derivable_facts(&program, &edb);
-        let ground = crate::grounding::instantiate_over(&program, &derivable);
+        let grounding = Grounding::new(&program, &edb);
+        let ground = grounding.rules();
         let idb = program.idb_predicates();
         let current: FactStore<Natural> = FactStore::new();
         // Pre-populate the buffer with garbage — including a predicate the
@@ -433,8 +426,8 @@ mod tests {
         // refilled buffer compare unequal to a fresh computation.
         let mut buffer = edge_facts("Q", &[("z", "z", nat(9))]);
         buffer.insert(Fact::new("Zombie", ["w"]), nat(1));
-        immediate_consequence_into(&ground, &idb, &edb, &current, &mut buffer);
-        assert_eq!(buffer, immediate_consequence(&ground, &idb, &edb, &current));
+        immediate_consequence_into(ground, &idb, &edb, &current, &mut buffer);
+        assert_eq!(buffer, immediate_consequence(ground, &idb, &edb, &current));
         assert!(!buffer.contains(&Fact::new("Q", ["z", "z"])));
         assert!(!buffer.contains(&Fact::new("Zombie", ["w"])));
         assert_eq!(buffer.annotation(&Fact::new("Q", ["a", "c"])), nat(6));

@@ -16,14 +16,13 @@ use crate::all_trees::{
     all_trees_with_variables, default_edb_variables, AllTreesResult, TreeProvenance,
 };
 use crate::ast::Program;
-use crate::exact::facts_with_infinitely_many_derivations;
 use crate::fact::{Fact, FactStore};
-use crate::grounding::{derivable_facts, instantiate_over, DependencyGraph};
+use crate::grounding::Grounding;
 use provsem_semiring::{
     Circuit, CircuitEval, CommutativeSemiring, OmegaContinuous, ProvenancePolynomial, Semiring,
     Valuation, Variable,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Which fragment of ℕ∞\[\[X\]\] a tuple's provenance series lies in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -52,78 +51,51 @@ impl SeriesClass {
 
 /// Classifies the provenance series of every derivable idb fact.
 ///
-/// * The fact has finitely many derivation trees (All-Trees says
-///   "polynomial") ⇒ [`SeriesClass::NPoly`].
-/// * Otherwise, by Theorem 6.5, some coefficient is ∞ **iff** the fact's
-///   derivations involve a cycle of **unit** ground rules; and by the
-///   companion observation in Section 7 the number of distinct monomials is
-///   finite iff no cycle through a **non-unit** rule is involved.
+/// Answers three questions per fact from the blocks of the instantiation
+/// ([`Grounding`]). Does the fact reach, through zero or more ground rules,
+///
+/// * a cyclic block? If not, it has finitely many derivation trees:
+///   [`SeriesClass::NPoly`];
+/// * a fact on a cycle of **unit** ground rules? Then some coefficient is ∞
+///   (Theorem 6.5: pumping the cycle adds trees with the same fringe);
+/// * a block with a **non-unit** ground rule whose head and one of whose idb
+///   body facts lie in that block? Then the series has infinitely many
+///   monomials (each pump of that cycle multiplies in the rule's other
+///   leaves).
 pub fn classify_series<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
 ) -> BTreeMap<Fact, SeriesClass> {
-    let derivable = derivable_facts(program, edb);
-    let ground = instantiate_over(program, &derivable);
-    let idb_predicates = program.idb_predicates();
-    let is_idb = |p: &str| idb_predicates.contains(p);
-
-    let infinite_trees = facts_with_infinitely_many_derivations(program, &ground);
-
-    // Facts whose derivations can go through a unit-rule cycle: coefficients ∞.
-    let unit_graph = DependencyGraph::build_unit_only(&ground, &is_idb);
-    let unit_cycle_facts = unit_graph.facts_reaching_cycles();
-    // Facts whose derivations can go through a cycle containing a non-unit
-    // rule: infinitely many distinct monomials (each pump adds leaves).
-    let nonunit_ground: Vec<_> = ground.iter().filter(|r| !r.is_unit()).cloned().collect();
-    let full_graph = DependencyGraph::build(&ground, &is_idb);
-    let nonunit_graph = DependencyGraph::build(&nonunit_ground, &is_idb);
-    let nonunit_cycle_nodes: BTreeSet<Fact> = {
-        // A cycle "containing at least one non-unit rule" is a cycle of the
-        // full graph that uses at least one edge contributed by a non-unit
-        // ground rule. We approximate it exactly for our purposes: a fact is
-        // on such a cycle iff it is on a cycle of the full graph that is not
-        // a cycle of the unit-only graph, or it is on a cycle of the
-        // non-unit-only graph. A fact on *some* full-graph cycle but on *no*
-        // unit-only cycle must use a non-unit edge to return to itself.
-        let full_cycles = full_graph.nodes_on_cycles();
-        let unit_cycles = unit_graph.nodes_on_cycles();
-        let nonunit_cycles = nonunit_graph.nodes_on_cycles();
-        full_cycles
-            .into_iter()
-            .filter(|f| nonunit_cycles.contains(f) || !unit_cycles.contains(f))
-            .collect()
-    };
-    // Facts that can reach such a cycle have infinitely many monomials.
-    let mut infinite_monomials: BTreeSet<Fact> = nonunit_cycle_nodes.clone();
-    loop {
-        let mut added = false;
-        for (from, tos) in &full_graph.edges {
-            if !infinite_monomials.contains(from)
-                && tos.iter().any(|t| infinite_monomials.contains(t))
-            {
-                infinite_monomials.insert(from.clone());
-                added = true;
+    let g = Grounding::new(program, edb);
+    let infinite_trees = g.blocks_reaching(|_, block| block.cyclic);
+    let mut on_unit_cycle = vec![false; g.facts().len()];
+    for block in g.sccs(|r| g.rules()[r].is_unit()) {
+        if block.cyclic {
+            for f in block.facts {
+                on_unit_cycle[f] = true;
             }
-        }
-        if !added {
-            break;
         }
     }
+    let inf_coefficients =
+        g.blocks_reaching(|_, block| block.facts.iter().any(|&f| on_unit_cycle[f]));
+    let inf_monomials = g.blocks_reaching(|b, block| {
+        block.facts.iter().any(|&f| {
+            g.rules_of(f).iter().any(|&r| {
+                !g.rules()[r].is_unit() && g.body_ids(r).iter().any(|&x| g.block_of(x) == Some(b))
+            })
+        })
+    });
 
     let mut result = BTreeMap::new();
-    for fact in derivable.iter().filter(|f| is_idb(&f.predicate)) {
-        let class = if !infinite_trees.contains(fact) {
-            SeriesClass::NPoly
-        } else {
-            let inf_coeff = unit_cycle_facts.contains(fact);
-            let inf_monomials = infinite_monomials.contains(fact);
-            match (inf_coeff, inf_monomials) {
-                (false, _) => SeriesClass::NSeries,
-                (true, false) => SeriesClass::NInfPoly,
-                (true, true) => SeriesClass::NInfSeries,
-            }
+    for f in g.idb_ids() {
+        let b = g.block_of(f).expect("idb facts have blocks");
+        let class = match (infinite_trees[b], inf_coefficients[b], inf_monomials[b]) {
+            (false, _, _) => SeriesClass::NPoly,
+            (true, false, _) => SeriesClass::NSeries,
+            (true, true, false) => SeriesClass::NInfPoly,
+            (true, true, true) => SeriesClass::NInfSeries,
         };
-        result.insert(fact.clone(), class);
+        result.insert(g.facts()[f].clone(), class);
     }
     result
 }
@@ -281,14 +253,13 @@ pub fn datalog_provenance_circuit<K: Semiring>(
         edb_circuits.set(fact, Circuit::var(var));
     }
 
-    let derivable = derivable_facts(program, &edb_circuits);
-    let ground = instantiate_over(program, &derivable);
+    let grounding = Grounding::new(program, &edb_circuits);
     // The naive Kleene driver, with the semantic `next == current` fixpoint
     // test (which for circuits would expand polynomials) replaced by the
     // O(n) structural node-id comparison.
     let result = crate::naive::kleene_iterate_grounded_by(
         program,
-        &ground,
+        &grounding,
         &edb_circuits,
         max_rounds,
         same_structure,
@@ -384,6 +355,84 @@ mod tests {
         edb.insert(Fact::new("E", ["a"]), Natural::from(1u64));
         let classes = classify_series(&program, &edb);
         assert_eq!(classes[&Fact::new("P", ["a"])], SeriesClass::NInfSeries);
+    }
+
+    /// The edb `E(c) ↦ E` over ℕ\[X\], for watching a series grow under the
+    /// Kleene iteration.
+    fn single_variable_edb() -> FactStore<ProvenancePolynomial> {
+        let mut edb = FactStore::new();
+        edb.insert(Fact::new("E", ["c"]), ProvenancePolynomial::var("E"));
+        edb
+    }
+
+    #[test]
+    fn a_nonunit_rule_inside_a_unit_cycle_block_gives_infinitely_many_monomials() {
+        // Every fact lies on a unit-only cycle (A ↔ C, B ↔ D) and no cycle
+        // uses only non-unit edges, but A :- B, E closes the cycle A → B → A
+        // through a non-unit rule: each pump multiplies in another E.
+        let program = crate::parser::parse_program(
+            "A(x) :- E(x).\nA(x) :- B(x), E(x).\nB(x) :- A(x).\nA(x) :- C(x).\n\
+             C(x) :- A(x).\nB(x) :- D(x).\nD(x) :- B(x).",
+        )
+        .unwrap();
+        let edb = single_variable_edb();
+        let classes = classify_series(&program, &edb);
+        assert_eq!(classes.len(), 4);
+        for p in ["A", "B", "C", "D"] {
+            assert_eq!(
+                classes[&Fact::new(p, ["c"])],
+                SeriesClass::NInfSeries,
+                "{p}"
+            );
+        }
+        // The Kleene iterates of A(c) keep gaining degree: 2E + E² at round
+        // 4, up to E⁴ at round 8 and E⁶ at round 12.
+        let a = Fact::new("A", ["c"]);
+        let degrees: Vec<u32> = [4, 8, 12]
+            .iter()
+            .map(|&rounds| {
+                let out = crate::naive::kleene_iterate(&program, &edb, rounds);
+                assert!(!out.converged);
+                out.idb.annotation(&a).degree()
+            })
+            .collect();
+        assert_eq!(degrees, [2, 4, 6]);
+        let round4 = crate::naive::kleene_iterate(&program, &edb, 4)
+            .idb
+            .annotation(&a);
+        let e = provsem_semiring::Monomial::var("E");
+        assert_eq!(round4.coefficient(&e), Natural::from(2u64));
+        assert_eq!(round4.num_terms(), 2);
+    }
+
+    #[test]
+    fn a_unit_cycle_read_through_a_nonunit_rule_gives_infinite_coefficients() {
+        // B(c) = E + B(c) has coefficient ∞ on E; A(c) :- B(c), E(c) reads it
+        // through a non-unit rule, so A(c) = ∞·E² — one monomial, infinite
+        // coefficient.
+        let program =
+            crate::parser::parse_program("A(x) :- B(x), E(x).\nB(x) :- E(x).\nB(x) :- B(x).")
+                .unwrap();
+        let edb = single_variable_edb();
+        let classes = classify_series(&program, &edb);
+        assert_eq!(classes[&Fact::new("B", ["c"])], SeriesClass::NInfPoly);
+        assert_eq!(classes[&Fact::new("A", ["c"])], SeriesClass::NInfPoly);
+        // The coefficient of E² in A(c) grows with every Kleene round.
+        let e2 = provsem_semiring::Monomial::from_powers([("E", 2)]);
+        let a = Fact::new("A", ["c"]);
+        let coefficients: Vec<Natural> = [3, 6, 9]
+            .iter()
+            .map(|&rounds| {
+                let out = crate::naive::kleene_iterate(&program, &edb, rounds);
+                let poly = out.idb.annotation(&a);
+                assert_eq!(poly.num_terms(), 1);
+                poly.coefficient(&e2)
+            })
+            .collect();
+        assert!(
+            coefficients.windows(2).all(|w| w[0] < w[1]),
+            "{coefficients:?}"
+        );
     }
 
     #[test]

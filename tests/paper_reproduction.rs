@@ -260,9 +260,11 @@ fn proposition_5_4_support_sanity() {
     let s1: BTreeSet<Fact> = ninf.facts().map(|(f, _)| f).collect();
     let s2: BTreeSet<Fact> = booleans.facts().map(|(f, _)| f).collect();
     assert_eq!(s1, s2);
-    let derivable: BTreeSet<Fact> = derivable_facts(&program, &edb)
-        .into_iter()
+    let derivable: BTreeSet<Fact> = Grounding::new(&program, &edb)
+        .facts()
+        .iter()
         .filter(|f| f.predicate == "Q")
+        .cloned()
         .collect();
     assert_eq!(s1, derivable);
 }
