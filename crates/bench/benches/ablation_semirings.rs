@@ -9,7 +9,7 @@ use provsem_bench::{random_graph_store, random_ternary_bag, reannotate, report_r
 use provsem_core::paper::section2_query;
 use provsem_core::provenance::provenance_of_query;
 use provsem_core::Database;
-use provsem_datalog::{evaluate_fixpoint, seminaive_evaluate, Program};
+use provsem_datalog::{evaluate_fixpoint, seminaive_idempotent, Program};
 use provsem_semiring::{Bool, NatInf, PosBool, Semiring, Tropical};
 
 fn bench(c: &mut Criterion) {
@@ -62,14 +62,14 @@ fn bench(c: &mut Criterion) {
             b.iter(|| evaluate_fixpoint(&program, edb, 256).unwrap().len())
         });
         group.bench_with_input(BenchmarkId::new("seminaive", nodes), &edb, |b, edb| {
-            b.iter(|| seminaive_evaluate(&program, edb, 256).idb.len())
+            b.iter(|| seminaive_idempotent(&program, edb, 256).idb.len())
         });
         let trop = random_graph_store(42, nodes, edges)
             .map_annotations(|k| Tropical::cost(k.finite_value().unwrap_or(1)));
         group.bench_with_input(
             BenchmarkId::new("seminaive_tropical", nodes),
             &trop,
-            |b, trop| b.iter(|| seminaive_evaluate(&program, trop, 256).idb.len()),
+            |b, trop| b.iter(|| seminaive_idempotent(&program, trop, 256).idb.len()),
         );
         let _ = NatInf::Fin(0);
     }

@@ -104,8 +104,8 @@ fn report_speedups(db: &Database<Integers>, plan: &Plan) {
         let batch = delta_batch(n);
         let undo = inverse(&batch);
         let maintain = time(&mut || {
-            plan.maintain_with(&mut view, &batch, &ctx);
-            plan.maintain_with(&mut view, &undo, &ctx);
+            plan.maintain(&mut view, &batch);
+            plan.maintain(&mut view, &undo);
         }) / 2.0;
         rows.push((
             format!("maintain/{n}"),

@@ -41,11 +41,11 @@
 //! of a [`SharedDatabase`](crate::snapshot::SharedDatabase) do), so
 //! registering a view against a warm snapshot skips columnarization.
 //!
-//! Maintenance runs serially on the coordinator regardless of the
-//! [`ExecContext`]: deltas are small by contract, and a serial pass over
-//! columnar state is byte-identical at every thread count *by construction*
-//! — there is no merge order to canonicalize. Hence [`Plan::maintain_with`]
-//! yields the same view (result *and* retained state) for every context.
+//! Maintenance runs serially on the caller's thread and takes no
+//! [`ExecContext`](crate::plan::ExecContext): deltas are small by contract,
+//! and a serial pass over columnar state has no merge order to
+//! canonicalize, so the view (result *and* retained state) does not depend
+//! on the thread budget the base was executed with.
 
 use crate::column::{
     group_batches, hash_combine, relation_to_batches, Batch, ColBuilder, HASH_SEED,
@@ -53,7 +53,7 @@ use crate::column::{
 use crate::database::Database;
 use crate::plan::batch::filter_batch;
 use crate::plan::physical::{scan_relation, ColSource, CompiledPredicate, PhysOp};
-use crate::plan::{ExecContext, Plan, QueryResult, RelationSource};
+use crate::plan::{Plan, QueryResult, RelationSource};
 use crate::relation::KRelation;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -642,8 +642,7 @@ impl Plan {
         MaterializedView { result, state }
     }
 
-    /// Absorbs a batch of base-relation changes into a materialized view
-    /// under the default [`ExecContext`].
+    /// Absorbs a batch of base-relation changes into a materialized view.
     ///
     /// Contract (pinned by `core/tests/ivm_differential.rs`): after
     /// `plan.maintain(&mut view, &batch)`, `view.result()` equals
@@ -656,21 +655,6 @@ impl Plan {
     /// Panics if `view` was materialized by a different plan, or if a delta
     /// relation's schema differs from the planned schema.
     pub fn maintain<K: Semiring>(&self, view: &mut MaterializedView<K>, batch: &DeltaBatch<K>) {
-        self.maintain_with(view, batch, &ExecContext::default());
-    }
-
-    /// [`Plan::maintain`] with an explicit [`ExecContext`]. Maintenance is
-    /// serial and batch-native regardless of the context's engine or thread
-    /// budget — deltas are small by contract, and a serial pass over the
-    /// columnar retained state is byte-identical at every thread count and
-    /// in both engines *by construction*. The context is accepted for
-    /// symmetry with [`Plan::execute_with`] on the commit path.
-    pub fn maintain_with<K: Semiring>(
-        &self,
-        view: &mut MaterializedView<K>,
-        batch: &DeltaBatch<K>,
-        _ctx: &ExecContext,
-    ) {
         let delta = delta_op(&self.physical, &mut view.state, batch);
         for batch in delta {
             for (row, k) in batch.into_rows() {
@@ -680,7 +664,7 @@ impl Plan {
         }
     }
 
-    /// [`Plan::maintain_with`] that additionally returns the **view-output
+    /// [`Plan::maintain`] that additionally returns the **view-output
     /// delta** — the net change to the view's result, as a relation over
     /// the plan's schema (annotations summed per tuple, zero changes
     /// dropped). `view.result()` before + the returned delta = `view.
@@ -692,7 +676,6 @@ impl Plan {
         &self,
         view: &mut MaterializedView<K>,
         batch: &DeltaBatch<K>,
-        _ctx: &ExecContext,
     ) -> KRelation<K> {
         let mut output_delta = KRelation::empty(self.schema.clone());
         let delta = delta_op(&self.physical, &mut view.state, batch);

@@ -29,7 +29,7 @@
 //!   makes the epoch the cache key of the server's plan cache.
 //! * **Maintained views advance with commits.** A standing view registered
 //!   with [`SharedDatabase::register_view`] is materialized once and then
-//!   absorbed incrementally ([`Plan::maintain_with`]) inside every commit,
+//!   absorbed incrementally ([`Plan::maintain`]) inside every commit,
 //!   before the new snapshot is published — so a snapshot's view results
 //!   are always exactly `recompute(snapshot)`. Views whose base relations a
 //!   batch does not touch are skipped, their published results shared by
@@ -201,8 +201,9 @@ impl<K: Semiring> SharedDatabase<K> {
         self.commit_with(batch, &ExecContext::default())
     }
 
-    /// Commits a batch with an explicit thread budget for view maintenance,
-    /// returning the (contiguous) new epoch.
+    /// Commits a batch, returning the (contiguous) new epoch. Every step of
+    /// a commit runs on the caller's thread, so the context changes
+    /// nothing; [`SharedDatabase::commit`] is the same call.
     ///
     /// The commit path: clone the current database's relation map (one
     /// `Arc` bump per relation), apply the batch (`new = old + Δ` per
@@ -227,7 +228,7 @@ impl<K: Semiring> SharedDatabase<K> {
     /// (an annotation sum overflowing, a tuple over the wrong schema). The
     /// commit then did not happen: epoch, snapshots and standing views are
     /// as they were, and the next commit is unaffected.
-    pub fn commit_with(&self, batch: &DeltaBatch<K>, ctx: &ExecContext) -> u64 {
+    pub fn commit_with(&self, batch: &DeltaBatch<K>, _ctx: &ExecContext) -> u64 {
         let mut writer = self.writer_lock();
         let previous = self.snapshot();
         let mut db = (*previous.db).clone();
@@ -256,9 +257,7 @@ impl<K: Semiring> SharedDatabase<K> {
                 // cached columnar conversion of the view's result is
                 // patched forward by exactly that delta — the view is never
                 // re-converted wholesale on the commit path.
-                let output_delta = standing
-                    .plan
-                    .maintain_returning(&mut standing.view, batch, ctx);
+                let output_delta = standing.plan.maintain_returning(&mut standing.view, batch);
                 // A root-pointer copy: the published result shares every
                 // node with the view's working copy until the next commit
                 // path-copies the few it writes to.

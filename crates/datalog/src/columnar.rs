@@ -1,7 +1,8 @@
 //! The compiled semi-naive evaluator: the datalog fixpoint over interned
-//! ids. Every semi-naive entry point of [`crate::seminaive`] and the
-//! rederivation sweep of [`crate::maintain`] run here; the reference the
-//! differential suites compare it against is [`crate::naive::kleene_iterate`].
+//! ids. Every semi-naive entry point of [`crate::seminaive`] runs here, and
+//! so does every phase of [`crate::maintain`], on the tables the fixpoint
+//! built and the view keeps; the reference the differential suites compare
+//! both against is [`crate::naive::kleene_iterate`].
 //!
 //! A differential round never touches a `Fact`, a `Value` or a `String` per
 //! derivation:
@@ -13,11 +14,12 @@
 //!   chained key index per probe mask. A predicate used at two arities is
 //!   two tables, and a column holds as many distinct constants as fit in a
 //!   `u32`;
-//! * each rule form of `build_forms` — the left-to-right `full` plan, the
-//!   head-seeded `recompute` plan and one `Δ` form per idb body atom —
-//!   compiles to probe steps that a depth-first join walks over a small
-//!   binding array, multiplying annotations as it descends (seed first,
-//!   then the steps in plan order);
+//! * each rule compiles to its forms — the left-to-right `full` plan, the
+//!   head-seeded `recompute` plan and one `Δ` form per idb body atom (per
+//!   body atom, when maintenance asks) — each a list of probe steps, with
+//!   the positions bound before a step as its probe mask, that a
+//!   depth-first join walks over a small binding array, multiplying
+//!   annotations as it descends (seed first, then the steps in body order);
 //! * head contributions are summed straight into a per-worker accumulator
 //!   keyed by head ids (a table without key indexes); workers' accumulators
 //!   are combined in chunk order, and the rows that changed become the next
@@ -54,9 +56,7 @@
 
 use crate::ast::{Atom, DlVar, Program, Rule, Term};
 use crate::fact::{Fact, FactStore};
-use crate::grounding::JoinPlan;
 use crate::naive::FixpointResult;
-use crate::seminaive::{build_forms, unevaluated};
 use provsem_core::par;
 use provsem_core::plan::ExecContext;
 use provsem_core::Value;
@@ -199,35 +199,85 @@ impl KeyIndex {
     }
 }
 
-/// One `(predicate, arity)` relation over interned ids, append-only:
-/// distinct rows as id columns, found again through `identity`, probed
-/// through one [`KeyIndex`] per registered mask. `anns` is parallel to the
-/// rows wherever annotations are kept — the relations and the idempotent
-/// loop's accumulators keep them, the general loop's head sets fill them in
-/// after recomputing.
+/// One `(predicate, arity)` relation over interned ids, append-only
+/// (between [`Table::compact`]s): distinct rows as id columns, found again
+/// through `identity`, probed through one [`KeyIndex`] per registered mask.
+/// `anns` is parallel to the rows wherever annotations are kept — the
+/// relations and the idempotent loop's accumulators keep them, the general
+/// loop's head sets fill them in after recomputing.
 pub(crate) struct Table<K> {
     cols: Vec<Vec<u32>>,
     len: usize,
     anns: Vec<K>,
     identity: Slots,
     keys: Vec<KeyIndex>,
+    /// The rows left by the last [`Table::compact`] that dropped any.
+    compacted: usize,
 }
 
 impl<K: Semiring> Table<K> {
     fn new(arity: usize, masks: &[Vec<usize>]) -> Self {
-        Table {
+        let mut table = Table {
             cols: vec![Vec::new(); arity],
             len: 0,
             anns: Vec::new(),
             identity: Slots::default(),
-            keys: masks
-                .iter()
-                .map(|mask| KeyIndex {
-                    mask: mask.clone(),
-                    first: Vec::new(),
-                    next: Vec::new(),
-                })
-                .collect(),
+            keys: Vec::new(),
+            compacted: 0,
+        };
+        table.index(masks);
+        table
+    }
+
+    /// Drops the zero rows once the table has doubled since the last time,
+    /// so a maintained view's probes do not walk a row for every fact it
+    /// ever held (amortized O(1) per appended row). Row numbers change. A
+    /// zero row contributes nothing, and one a later delta affects is
+    /// appended again by the closure that finds it.
+    fn compact(&mut self) {
+        if self.len <= 2 * self.compacted.max(16) {
+            return;
+        }
+        let masks: Vec<Vec<usize>> = self.keys.iter().map(|key| key.mask.clone()).collect();
+        let mut kept = Table::new(self.cols.len(), &masks);
+        let mut ids = Vec::new();
+        for row in 0..self.len {
+            if !self.anns[row].is_zero() {
+                ids.clear();
+                ids.extend(self.row(row));
+                kept.push(&ids);
+                kept.anns
+                    .push(std::mem::replace(&mut self.anns[row], K::zero()));
+            }
+        }
+        kept.compacted = kept.len;
+        *self = kept;
+    }
+
+    /// Orders the key indexes like `masks`, building (and linking the rows
+    /// it holds into) each one the table lacks: the masks a compile for
+    /// maintenance adds to those of the fixpoint that built the table.
+    fn index(&mut self, masks: &[Vec<usize>]) {
+        let mut keys = std::mem::take(&mut self.keys);
+        for mask in masks {
+            if let Some(at) = keys.iter().position(|key| key.mask == *mask) {
+                self.keys.push(keys.swap_remove(at));
+                continue;
+            }
+            let slots = match self.len {
+                0 => 0,
+                len => len.next_power_of_two().max(16),
+            };
+            let mut key = KeyIndex {
+                mask: mask.clone(),
+                first: vec![NIL; slots],
+                next: vec![NIL; self.len],
+            };
+            for row in 0..self.len {
+                let hash = hash_ids(mask.iter().map(|&c| self.cols[c][row]));
+                key.link(row as u32, hash);
+            }
+            self.keys.push(key);
         }
     }
 
@@ -279,13 +329,16 @@ impl<K: Semiring> Table<K> {
         self.find(ids).unwrap_or_else(|| self.push(ids))
     }
 
-    /// Adds `k` to the annotation of the row holding `ids`.
-    fn add(&mut self, ids: &[u32], k: &K) {
+    /// Adds `k` to the annotation of the row holding `ids`; returns the row.
+    fn add(&mut self, ids: &[u32], k: &K) -> u32 {
         match self.find(ids) {
-            Some(row) => self.anns[row as usize].plus_assign(k),
+            Some(row) => {
+                self.anns[row as usize].plus_assign(k);
+                row
+            }
             None => {
-                self.push(ids);
                 self.anns.push(k.clone());
+                self.push(ids)
             }
         }
     }
@@ -338,16 +391,17 @@ struct Step<'p> {
     terms: Vec<Match>,
 }
 
-/// A compiled [`JoinPlan`]. `emit` grounds the head from a complete
-/// binding (constants and bound slots); it is `None` when some head
-/// variable is bound by no atom: such a form never grounds its head.
+/// A compiled join: the body atoms (all, or all but a `Δ` form's seed) in
+/// body order. `emit` grounds the head from a complete binding (constants
+/// and bound slots); it is `None` when some head variable is bound by no
+/// atom: such a form never grounds its head.
 struct Plan<'p> {
     steps: Vec<Step<'p>>,
     emit: Option<Vec<Match>>,
 }
 
-/// One `Δ` form: the idb body atom the delta rows are matched at, and the
-/// plan over the rest of the body.
+/// One `Δ` form: the body atom the delta rows are matched at, and the plan
+/// over the rest of the body.
 struct DeltaForm<'p> {
     atom: &'p Atom,
     table: usize,
@@ -364,8 +418,8 @@ struct Form<'p> {
     head: Vec<Match>,
     recompute: Plan<'p>,
     full: Plan<'p>,
+    /// One per idb body atom (per body atom, compiled for maintenance).
     delta: Vec<DeltaForm<'p>>,
-    has_idb_body: bool,
     /// An empty body under a head with variables: the rule never fires
     /// (the empty binding cannot ground its head).
     dead: bool,
@@ -407,36 +461,51 @@ impl<'p> Scope<'p> {
             self.vars.len() - 1
         })
     }
+
+    fn is_bound(&self, var: &DlVar) -> bool {
+        let slot = self.vars.iter().position(|v| *v == var);
+        slot.is_some_and(|slot| self.bound.contains(&slot))
+    }
 }
 
 impl<'p> Compiled<'p> {
+    /// The forms every fixpoint entry point runs.
     pub(crate) fn new(program: &'p Program) -> Self {
+        Compiled::compile(program, Interner::default(), false)
+    }
+
+    /// With `edb_deltas` (maintenance), a `Δ` form for **every** body atom,
+    /// edb ones included. Over the interner of tables a fixpoint built,
+    /// interning the program's constants again finds their ids, and the
+    /// specs come out in the same order.
+    fn compile(program: &'p Program, interner: Interner, edb_deltas: bool) -> Self {
         let mut compiled = Compiled {
             idb: program.idb_predicates(),
             forms: Vec::new(),
             specs: Vec::new(),
-            interner: Interner::default(),
+            interner,
         };
-        for (fi, rf) in build_forms(program, &compiled.idb).iter().enumerate() {
-            let rule = rf.rule;
+        for (fi, rule) in program.rules.iter().enumerate() {
             let mut scope = Scope::default();
             let head_table = compiled.table(&rule.head);
             compiled.specs[head_table].heads.push(fi);
-            let full = compiled.plan(&rf.full, &mut scope, rule);
+            let full = compiled.plan(rule, None, &mut scope);
             scope.bound.clear();
             let head = compiled.pattern(&rule.head, &mut scope);
-            let recompute = compiled.plan(&rf.head_seeded, &mut scope, rule);
-            let delta = rf
-                .delta_forms
-                .iter()
-                .map(|(pos, plan)| {
-                    let atom = &rule.body[*pos];
+            let recompute = compiled.plan(rule, None, &mut scope);
+            let positions: Vec<usize> = (0..rule.body.len())
+                .filter(|&pos| edb_deltas || compiled.idb.contains(&rule.body[pos].predicate))
+                .collect();
+            let delta = positions
+                .into_iter()
+                .map(|pos| {
+                    let atom = &rule.body[pos];
                     scope.bound.clear();
                     DeltaForm {
                         atom,
                         table: compiled.table(atom),
                         seed: compiled.pattern(atom, &mut scope),
-                        plan: compiled.plan(plan, &mut scope, rule),
+                        plan: compiled.plan(rule, Some(pos), &mut scope),
                     }
                 })
                 .collect();
@@ -448,23 +517,20 @@ impl<'p> Compiled<'p> {
                 recompute,
                 full,
                 delta,
-                has_idb_body: rf.has_idb_body,
                 dead: rule.body.is_empty() && !rule.head.is_ground(),
             });
         }
         compiled
     }
 
-    fn table_of(&self, predicate: &str, arity: usize) -> Option<usize> {
-        self.specs
-            .iter()
-            .position(|s| s.predicate == predicate && s.arity == arity)
-    }
-
     /// The table of an atom's `(predicate, arity)`, created on first use.
     fn table(&mut self, atom: &'p Atom) -> usize {
         let (predicate, arity) = (atom.predicate.as_str(), atom.terms.len());
-        self.table_of(predicate, arity).unwrap_or_else(|| {
+        let found = self
+            .specs
+            .iter()
+            .position(|s| s.predicate == predicate && s.arity == arity);
+        found.unwrap_or_else(|| {
             self.specs.push(TableSpec {
                 predicate,
                 arity,
@@ -497,34 +563,41 @@ impl<'p> Compiled<'p> {
             .collect()
     }
 
-    /// Compiles a join plan whose seed variables the scope already holds,
-    /// registering each step's probe mask with the table it reads.
-    fn plan(&mut self, plan: &JoinPlan<'p>, scope: &mut Scope<'p>, rule: &'p Rule) -> Plan<'p> {
-        let steps = plan
-            .atoms()
-            .iter()
-            .zip(plan.bound())
-            .map(|(&atom, mask)| {
-                let table = self.table(atom);
-                let spec = &mut self.specs[table];
-                spec.read = true;
-                let key = (!mask.is_empty()).then(|| {
-                    spec.masks
-                        .iter()
-                        .position(|m| m == mask)
-                        .unwrap_or_else(|| {
-                            spec.masks.push(mask.clone());
-                            spec.masks.len() - 1
-                        })
-                });
-                Step {
-                    atom,
-                    table,
-                    key,
-                    terms: self.pattern(atom, scope),
-                }
-            })
-            .collect();
+    /// Compiles the body of `rule`, without the atom at `seed` if there is
+    /// one, after the variables the scope already binds. An atom's probe
+    /// mask is its constant positions and those of variables bound before
+    /// it; the mask is registered with the table the atom reads.
+    fn plan(&mut self, rule: &'p Rule, seed: Option<usize>, scope: &mut Scope<'p>) -> Plan<'p> {
+        let mut steps = Vec::with_capacity(rule.body.len());
+        for (pos, atom) in rule.body.iter().enumerate() {
+            if Some(pos) == seed {
+                continue;
+            }
+            let mask: Vec<usize> = (0..atom.terms.len())
+                .filter(|&c| match &atom.terms[c] {
+                    Term::Const(_) => true,
+                    Term::Var(x) => scope.is_bound(x),
+                })
+                .collect();
+            let table = self.table(atom);
+            let spec = &mut self.specs[table];
+            spec.read = true;
+            let key = (!mask.is_empty()).then(|| {
+                spec.masks
+                    .iter()
+                    .position(|m| *m == mask)
+                    .unwrap_or_else(|| {
+                        spec.masks.push(mask);
+                        spec.masks.len() - 1
+                    })
+            });
+            steps.push(Step {
+                atom,
+                table,
+                key,
+                terms: self.pattern(atom, scope),
+            });
+        }
         let emit = rule
             .head
             .terms
@@ -540,14 +613,6 @@ impl<'p> Compiled<'p> {
         Plan { steps, emit }
     }
 
-    /// Empty tables, one per spec, with their key indexes registered.
-    fn tables<K: Semiring>(&self) -> Vec<Table<K>> {
-        self.specs
-            .iter()
-            .map(|spec| Table::new(spec.arity, &spec.masks))
-            .collect()
-    }
-
     /// Empty accumulators parallel to the tables: rows and annotations, no
     /// key indexes.
     fn accumulators<K: Semiring>(&self) -> Vec<Table<K>> {
@@ -557,18 +622,18 @@ impl<'p> Compiled<'p> {
             .collect()
     }
 
-    /// Loads `store`'s rows into the tables rule bodies read — those of the
-    /// idb (`idb` set) or of the edb predicates — interning their constants.
-    /// Rows of a predicate at an arity no atom uses can match nothing and
-    /// are skipped, and so are edb rows of an idb predicate: idb factors are
-    /// read from the accumulated fixpoint only, as in `Tᵐ(0)`.
-    fn load<K: Semiring>(&mut self, tables: &mut [Table<K>], store: &FactStore<K>, idb: bool) {
+    /// Loads the edb's rows into the tables of the edb predicates rule
+    /// bodies read, interning their constants. Rows of a predicate at an
+    /// arity no atom uses can match nothing and are skipped, and so are edb
+    /// rows of an idb predicate: idb factors are read from the accumulated
+    /// fixpoint only, as in `Tᵐ(0)`.
+    fn load<K: Semiring>(&mut self, tables: &mut [Table<K>], edb: &FactStore<K>) {
         let mut ids = Vec::new();
         for (spec, table) in self.specs.iter().zip(tables) {
-            if spec.idb != idb || !spec.read {
+            if spec.idb || !spec.read {
                 continue;
             }
-            for (values, k) in store.rows_of(spec.predicate) {
+            for (values, k) in edb.rows_of(spec.predicate) {
                 if values.len() != spec.arity {
                     continue;
                 }
@@ -874,35 +939,76 @@ struct State<'p, K> {
     delta: Vec<Vec<u32>>,
 }
 
+/// What a [`crate::maintain::FixpointView`] keeps of the compiled fixpoint
+/// between deltas: the interner and every table, edb and idb, with its key
+/// indexes. The forms borrow the program, so each delta compiles them again
+/// (O(rules)); the tables are never reloaded.
+pub(crate) struct IdTables<K> {
+    interner: Interner,
+    tables: Vec<Table<K>>,
+}
+
 impl<'p, K: Semiring> State<'p, K> {
-    /// Round 1: load the edb, apply `T` once to the empty idb — only rules
-    /// without idb body atoms can contribute, through their full plans —
-    /// and seed the delta with what they produced. For a syntactically
-    /// non-recursive program (no rule consumes an idb fact, so `T` is
-    /// constant) the delta is cleared at once: round 1 already reached the
-    /// fixpoint, the same early exit the naive loop takes, which keeps
-    /// `converged` aligned.
-    fn initial(program: &'p Program, edb: &FactStore<K>) -> Self {
+    /// The edb loaded into fresh tables, and then — unless the round bound
+    /// is 0 — round 1: apply `T` once to the empty idb (only rules without
+    /// idb body atoms, so without a `Δ` form, can contribute, through their
+    /// full plans) and seed the delta with what they produced. For a
+    /// syntactically non-recursive program (no rule consumes an idb fact,
+    /// so `T` is constant) the delta is cleared at once: round 1 already
+    /// reached the fixpoint, the same early exit the naive loop takes,
+    /// which keeps `converged` aligned.
+    fn initial(program: &'p Program, edb: &FactStore<K>, max_rounds: usize) -> Self {
         let mut compiled = Compiled::new(program);
-        let mut tables = compiled.tables();
-        compiled.load(&mut tables, edb, false);
-        let mut acc = compiled.accumulators();
-        let mut binding = Vec::new();
-        for form in compiled.forms.iter().filter(|f| !f.has_idb_body) {
-            unbound(&mut binding, form);
-            let out = &mut acc[form.head_table];
-            emit_into(&form.full, &tables, &mut binding, &K::one(), true, out);
-        }
+        let specs = compiled.specs.iter();
+        let mut tables: Vec<_> = specs.map(|s| Table::new(s.arity, &s.masks)).collect();
+        compiled.load(&mut tables, edb);
         let mut state = State {
             delta: vec![Vec::new(); tables.len()],
             compiled,
             tables,
         };
+        if max_rounds == 0 {
+            return state;
+        }
+        let mut acc = state.compiled.accumulators();
+        let mut binding = Vec::new();
+        for form in state.compiled.forms.iter().filter(|f| f.delta.is_empty()) {
+            unbound(&mut binding, form);
+            let out = &mut acc[form.head_table];
+            emit_into(
+                &form.full,
+                &state.tables,
+                &mut binding,
+                &K::one(),
+                true,
+                out,
+            );
+        }
         state.apply(acc, false);
         if state.compiled.forms.iter().all(|f| f.delta.is_empty()) {
             state.delta.iter_mut().for_each(Vec::clear);
         }
         state
+    }
+
+    /// A view's tables under the forms maintenance runs.
+    fn resume(program: &'p Program, held: &mut IdTables<K>) -> Self {
+        let compiled = Compiled::compile(program, std::mem::take(&mut held.interner), true);
+        let mut tables = std::mem::take(&mut held.tables);
+        for (table, spec) in tables.iter_mut().zip(&compiled.specs) {
+            table.index(&spec.masks);
+        }
+        State {
+            delta: vec![Vec::new(); tables.len()],
+            compiled,
+            tables,
+        }
+    }
+
+    /// Hands the interner and the tables back to the view.
+    fn suspend(self, held: &mut IdTables<K>) {
+        held.interner = self.compiled.interner;
+        held.tables = self.tables;
     }
 
     fn delta_is_empty(&self) -> bool {
@@ -948,19 +1054,58 @@ impl<'p, K: Semiring> State<'p, K> {
         }
     }
 
+    /// Rounds 2, 3, … of the general loop, until the delta is empty or the
+    /// round bound is reached; returns the number of rounds, round 1
+    /// (which [`State::initial`] ran unless the bound is 0) included.
+    fn rounds(&mut self, max_rounds: usize, fan: &impl FanOut<K>) -> usize {
+        let mut iterations = max_rounds.min(1);
+        while iterations < max_rounds && !self.delta_is_empty() {
+            iterations += 1;
+            // 1. Affected heads: everything one Δ form away from a delta row,
+            //    whatever the annotations on the way.
+            let heads = self.join_deltas(fan, false);
+            self.recompute_heads(heads, fan);
+        }
+        iterations
+    }
+
+    /// The rest of a general round: 2. the totals of `heads` (rows per
+    /// table) from scratch, over contiguous chunks of the heads; 3. the
+    /// heads whose total moved are written and become the next delta.
+    fn recompute_heads(&mut self, mut heads: Vec<Table<K>>, fan: &impl FanOut<K>) {
+        let items: Vec<(usize, u32)> = heads
+            .iter()
+            .enumerate()
+            .flat_map(|(t, heads)| (0..heads.len as u32).map(move |row| (t, row)))
+            .collect();
+        let mut totals = fan
+            .recompute(&self.compiled, &self.tables, &heads, items)
+            .into_iter();
+        for heads in &mut heads {
+            heads.anns = totals.by_ref().take(heads.len).collect();
+        }
+        self.apply(heads, false);
+    }
+
     /// The one place values come back: each idb table's non-zero rows,
     /// sorted by the rank of their ids, bulk-loaded into the result store.
-    /// A fixpoint was reached iff the last round changed nothing.
-    fn finish(self, iterations: usize) -> FixpointResult<K> {
-        let converged = self.delta_is_empty();
+    /// `take` hands each annotation over — moved out when the tables are
+    /// dropped next, cloned when a view keeps them. A fixpoint was reached
+    /// iff the last of the `iterations` rounds (at least one) changed
+    /// nothing.
+    fn result(
+        &mut self,
+        iterations: usize,
+        mut take: impl FnMut(&mut K) -> K,
+    ) -> FixpointResult<K> {
         let values = &self.compiled.interner.values;
         let rank = &self.compiled.interner.ranks();
         let mut idb = FactStore::new();
-        for (spec, table) in self.compiled.specs.iter().zip(self.tables) {
+        for (spec, table) in self.compiled.specs.iter().zip(&mut self.tables) {
             if !spec.idb {
                 continue;
             }
-            let Table { cols, mut anns, .. } = table;
+            let Table { cols, anns, .. } = table;
             let key = |row: usize| cols.iter().map(move |col| rank[col[row] as usize]);
             let mut rows: Vec<usize> = (0..anns.len()).filter(|&r| !anns[r].is_zero()).collect();
             rows.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
@@ -968,15 +1113,84 @@ impl<'p, K: Semiring> State<'p, K> {
                 spec.predicate,
                 rows.into_iter().map(|r| {
                     let fact = cols.iter().map(|col| values[col[r] as usize].clone());
-                    (fact.collect(), std::mem::replace(&mut anns[r], K::zero()))
+                    (fact.collect(), take(&mut anns[r]))
                 }),
             );
         }
         FixpointResult {
             idb,
             iterations,
-            converged,
+            converged: iterations > 0 && self.delta_is_empty(),
         }
+    }
+
+    /// Phase 1 of maintenance: adds the delta into the edb tables and makes
+    /// the rows it touched the delta. Rows of a `(predicate, arity)` no body
+    /// atom reads can match nothing; only the view's edb store keeps them.
+    fn absorb(&mut self, delta: &FactStore<K>) {
+        let mut ids = Vec::new();
+        for (t, spec) in self.compiled.specs.iter().enumerate() {
+            if spec.idb {
+                continue;
+            }
+            for (values, k) in delta.rows_of(spec.predicate) {
+                if values.len() == spec.arity {
+                    ids.clear();
+                    ids.extend(values.iter().map(|v| self.compiled.interner.intern(v)));
+                    self.delta[t].push(self.tables[t].add(&ids, k));
+                }
+            }
+        }
+    }
+
+    /// Phase 2: the affected closure — the heads one `Δ` form away from the
+    /// delta, then from those, until no new head appears. The walk is
+    /// annotation-blind, so zero rows (deleted, cancelled, never derived)
+    /// still lead on; a head its table lacks is appended at zero, so later
+    /// rounds join through it. Returns the heads per table (each a set, in
+    /// discovery order) and, in the same order, their rows.
+    fn affected_closure(&mut self, fan: &impl FanOut<K>) -> (Vec<Table<K>>, Vec<(usize, u32)>) {
+        let mut heads = self.compiled.accumulators();
+        let mut rows = Vec::new();
+        let mut ids = Vec::new();
+        while !self.delta_is_empty() {
+            for (t, found) in self.join_deltas(fan, false).iter().enumerate() {
+                let (table, delta, heads) =
+                    (&mut self.tables[t], &mut self.delta[t], &mut heads[t]);
+                delta.clear();
+                for r in 0..found.len {
+                    ids.clear();
+                    ids.extend(found.row(r));
+                    if heads.find(&ids).is_some() {
+                        continue;
+                    }
+                    heads.push(&ids);
+                    let row = table.find(&ids).unwrap_or_else(|| {
+                        table.anns.push(K::zero());
+                        table.push(&ids)
+                    });
+                    delta.push(row);
+                    rows.push((t, row));
+                }
+            }
+        }
+        (heads, rows)
+    }
+
+    /// Phase 3: the (zeroed, non-empty) affected `heads` recomputed from
+    /// scratch (round 1), then the general loop's rounds, which recompute
+    /// the heads one `Δ` form away from a row that moved — all affected, as
+    /// the closure is closed under the `Δ` forms. A head none of whose
+    /// factors moved would recompute to its current total, so round for
+    /// round this is the Kleene iteration of the affected rows. Returns
+    /// whether a round within `max_rounds` moved no row.
+    fn rederive(&mut self, heads: Vec<Table<K>>, max_rounds: usize, fan: &impl FanOut<K>) -> bool {
+        if max_rounds == 0 {
+            return false;
+        }
+        self.recompute_heads(heads, fan);
+        self.rounds(max_rounds, fan);
+        self.delta_is_empty()
     }
 }
 
@@ -992,32 +1206,9 @@ pub(crate) fn iterate<K: Semiring>(
     max_rounds: usize,
     fan: &impl FanOut<K>,
 ) -> FixpointResult<K> {
-    if max_rounds == 0 {
-        return unevaluated();
-    }
-    let mut state = State::initial(program, edb);
-    let mut iterations = 1;
-    while iterations < max_rounds && !state.delta_is_empty() {
-        iterations += 1;
-        // 1. Affected heads: everything one Δ form away from a delta row,
-        //    whatever the annotations on the way.
-        let mut affected = state.join_deltas(fan, false);
-        // 2. Their totals from scratch, over contiguous chunks of the heads.
-        let items: Vec<(usize, u32)> = affected
-            .iter()
-            .enumerate()
-            .flat_map(|(t, heads)| (0..heads.len as u32).map(move |row| (t, row)))
-            .collect();
-        let mut totals = fan
-            .recompute(&state.compiled, &state.tables, &affected, items)
-            .into_iter();
-        for heads in &mut affected {
-            heads.anns = totals.by_ref().take(heads.len).collect();
-        }
-        // 3. The heads whose total moved are the next delta.
-        state.apply(affected, false);
-    }
-    state.finish(iterations)
+    let mut state = State::initial(program, edb, max_rounds);
+    let iterations = state.rounds(max_rounds, fan);
+    state.result(iterations, |k| std::mem::replace(k, K::zero()))
 }
 
 /// The classical delta rewrite — the body of
@@ -1031,56 +1222,78 @@ pub(crate) fn idempotent<K: Semiring + PlusIdempotent>(
     max_rounds: usize,
     fan: &impl FanOut<K>,
 ) -> FixpointResult<K> {
-    if max_rounds == 0 {
-        return unevaluated();
-    }
-    let mut state = State::initial(program, edb);
-    let mut iterations = 1;
+    let mut state = State::initial(program, edb, max_rounds);
+    let mut iterations = max_rounds.min(1);
     while iterations < max_rounds && !state.delta_is_empty() {
         iterations += 1;
         let increments = state.join_deltas(fan, true);
         state.apply(increments, true);
     }
-    state.finish(iterations)
+    state.result(iterations, |k| std::mem::replace(k, K::zero()))
 }
 
-impl Compiled<'_> {
-    /// One rederivation sweep of [`crate::maintain::maintain_fixpoint`],
-    /// through the fixpoint's own head-seeded recompute: the from-scratch
-    /// total of every affected head over the sweep-start `edb` and `idb`,
-    /// over contiguous chunks of the heads; returns the heads whose total
-    /// differs from `idb`, in `affected`'s order.
-    pub(crate) fn sweep<K: Semiring>(
-        &mut self,
-        edb: &FactStore<K>,
-        idb: &FactStore<K>,
-        affected: &[Fact],
-        fan: &impl FanOut<K>,
-    ) -> Vec<(Fact, K)> {
-        let mut tables = self.tables();
-        self.load(&mut tables, edb, false);
-        self.load(&mut tables, idb, true);
-        let mut heads = self.accumulators();
-        let mut ids = Vec::new();
-        let items: Vec<(usize, u32)> = affected
-            .iter()
-            .map(|fact| {
-                let t = self
-                    .table_of(&fact.predicate, fact.arity())
-                    .expect("an affected head instantiates a rule head");
-                ids.clear();
-                ids.extend(fact.values.iter().map(|v| self.interner.intern(v)));
-                (t, heads[t].upsert(&ids))
-            })
-            .collect();
-        let totals = fan.recompute(self, &tables, &heads, items);
-        affected
-            .iter()
-            .zip(totals)
-            .filter(|(head, total)| *total != idb.annotation(head))
-            .map(|(head, total)| (head.clone(), total))
-            .collect()
+/// The body of [`crate::maintain::materialize_fixpoint`]: [`iterate`] on the
+/// calling thread that keeps the tables it built, with the key indexes
+/// maintenance probes already added, instead of moving the annotations out.
+pub(crate) fn materialize<K: Semiring>(
+    program: &Program,
+    edb: &FactStore<K>,
+    max_rounds: usize,
+) -> (FixpointResult<K>, IdTables<K>) {
+    let mut state = State::initial(program, edb, max_rounds);
+    let iterations = state.rounds(max_rounds, &Caller);
+    let result = state.result(iterations, |k| k.clone());
+    // The fixpoint's size is what a table must double before it compacts.
+    for table in &mut state.tables {
+        table.compacted = table.len;
     }
+    let mut held = IdTables {
+        interner: state.compiled.interner,
+        tables: state.tables,
+    };
+    State::resume(program, &mut held).suspend(&mut held);
+    (result, held)
+}
+
+/// The body of [`crate::maintain::maintain_fixpoint`] and its `_with` twin,
+/// on the tables a view holds: the delta is added into the edb tables, the
+/// affected closure is chased from the rows it touched, and the affected
+/// idb rows are zeroed and recomputed until none moves. Unaffected rows
+/// keep their annotations, which are still right: no derivation of theirs
+/// reads a changed row, or the closure would have reached them. Returns the
+/// idb facts whose annotation moved, with the new annotation, and whether
+/// the recomputation stopped within `max_rounds`.
+pub(crate) fn maintain<K: Semiring>(
+    program: &Program,
+    held: &mut IdTables<K>,
+    delta: &FactStore<K>,
+    max_rounds: usize,
+    fan: &impl FanOut<K>,
+) -> (Vec<(Fact, K)>, bool) {
+    let mut state = State::resume(program, held);
+    state.absorb(delta);
+    let (heads, affected) = state.affected_closure(fan);
+    let before: Vec<K> = affected
+        .iter()
+        .map(|&(t, row)| std::mem::replace(&mut state.tables[t].anns[row as usize], K::zero()))
+        .collect();
+    let converged = affected.is_empty() || state.rederive(heads, max_rounds, fan);
+    let values = &state.compiled.interner.values;
+    let changed = affected
+        .iter()
+        .zip(before)
+        .filter_map(|(&(t, row), before)| {
+            let (table, row) = (&state.tables[t], row as usize);
+            (table.anns[row] != before).then(|| {
+                let fact = table.row(row).map(|id| values[id as usize].clone());
+                let predicate = state.compiled.specs[t].predicate;
+                (Fact::new(predicate, fact), table.anns[row].clone())
+            })
+        })
+        .collect();
+    state.tables.iter_mut().for_each(Table::compact);
+    state.suspend(held);
+    (changed, converged)
 }
 
 /// Renders a compiled plan's probe order: each atom in join order with the

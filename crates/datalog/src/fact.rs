@@ -226,11 +226,6 @@ impl<K: Semiring> FactStore<K> {
         }
     }
 
-    /// Builds a [`FactIndex`] over the support facts of this store.
-    pub fn join_index(&self) -> FactIndex {
-        FactIndex::from_facts(self.facts().map(|(f, _)| f))
-    }
-
     /// The *active domain*: every constant appearing in any fact.
     pub fn active_domain(&self) -> Vec<Value> {
         let mut dom: Vec<Value> = self
@@ -358,13 +353,13 @@ impl<K: Semiring + fmt::Debug> fmt::Debug for FactStore<K> {
 /// *registered* set of bound column positions — by the values at those
 /// columns.
 ///
-/// This is the lookup structure behind the keyed-join path of
-/// [`crate::grounding`] and the affected-closure phase of
-/// [`crate::maintain`]; the semi-naive fixpoint ([`crate::columnar`]) keeps
-/// its own id tables and never builds one. When a rule body atom is matched
-/// with some of its argument positions already bound (constants, or
-/// variables bound by earlier atoms), the candidate facts are found with
-/// one hash probe instead of a scan over every fact of the predicate.
+/// This is the lookup structure of the reference grounding
+/// ([`crate::grounding`]); the semi-naive fixpoint and its maintenance
+/// ([`crate::columnar`]) keep their own id tables and never build one.
+/// When a rule body atom is matched with some of its argument positions
+/// already bound (constants, or variables bound by earlier atoms), the
+/// candidate facts are found with one hash probe instead of a scan over
+/// every fact of the predicate.
 ///
 /// Masks (bound-column sets) are registered explicitly so that probing can
 /// take `&self`; probing an unregistered mask degrades gracefully to "all
@@ -377,7 +372,7 @@ impl<K: Semiring + fmt::Debug> fmt::Debug for FactStore<K> {
 /// candidates by exact matching (`match_atom`), so collisions never affect
 /// results.
 #[derive(Clone, Debug, Default)]
-pub struct FactIndex {
+pub(crate) struct FactIndex {
     /// Arena of distinct facts; all maps store indices into it.
     facts: Vec<Fact>,
     /// Dedup / membership map: fact → arena index.
@@ -404,48 +399,33 @@ pub(crate) fn mask_key_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> 
 }
 
 impl FactIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        FactIndex::default()
-    }
-
     /// Builds an index over the given facts.
-    pub fn from_facts(facts: impl IntoIterator<Item = Fact>) -> Self {
-        let mut index = FactIndex::new();
+    pub(crate) fn from_facts(facts: impl IntoIterator<Item = Fact>) -> Self {
+        let mut index = FactIndex::default();
         for fact in facts {
             index.add_fact(fact);
         }
         index
     }
 
-    /// Number of distinct facts indexed.
-    pub fn len(&self) -> usize {
-        self.facts.len()
-    }
-
-    /// Is the index empty?
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
-    }
-
     /// Is the fact present?
-    pub fn contains(&self, fact: &Fact) -> bool {
+    pub(crate) fn contains(&self, fact: &Fact) -> bool {
         self.seen.contains_key(fact)
     }
 
-    /// The fact stored at an index returned by [`FactIndex::candidates`].
-    pub fn fact(&self, idx: usize) -> &Fact {
+    /// The fact stored at an index returned by [`FactIndex::candidates_hashed`].
+    pub(crate) fn fact(&self, idx: usize) -> &Fact {
         &self.facts[idx]
     }
 
     /// Iterates over every indexed fact.
-    pub fn facts(&self) -> impl Iterator<Item = &Fact> {
+    pub(crate) fn facts(&self) -> impl Iterator<Item = &Fact> {
         self.facts.iter()
     }
 
     /// Adds a fact, updating the predicate listing and every registered mask
     /// for its predicate. Returns `false` if the fact was already present.
-    pub fn add_fact(&mut self, fact: Fact) -> bool {
+    pub(crate) fn add_fact(&mut self, fact: Fact) -> bool {
         if self.seen.contains_key(&fact) {
             return false;
         }
@@ -474,7 +454,7 @@ impl FactIndex {
     /// from the facts already present. No-op for an empty column set (that
     /// case is served by the per-predicate listing) or a mask already
     /// registered.
-    pub fn register_mask(&mut self, predicate: &str, columns: &[usize]) {
+    pub(crate) fn register_mask(&mut self, predicate: &str, columns: &[usize]) {
         if columns.is_empty() {
             return;
         }
@@ -496,23 +476,19 @@ impl FactIndex {
         pred_masks.insert(columns.to_vec(), buckets);
     }
 
-    /// The candidate facts of `predicate` whose values at `columns` equal
-    /// `key`, as indices into the arena. With an empty mask (or one that was
-    /// never registered) this is every fact of the predicate; with a
-    /// registered mask it is the hash bucket of the key — a superset (up to
-    /// hash collisions) the caller narrows by matching, so results never
-    /// depend on which masks are registered.
-    pub fn candidates(&self, predicate: &str, columns: &[usize], key: &[Value]) -> &[usize] {
-        if columns.is_empty() {
-            return self.predicate_rows(predicate);
-        }
-        self.candidates_hashed(predicate, columns, mask_key_hash(key))
-    }
-
-    /// [`FactIndex::candidates`] with the bucket hash precomputed by the
-    /// caller (the join folds the key straight out of its binding, never
-    /// materializing the key values).
-    pub fn candidates_hashed(&self, predicate: &str, columns: &[usize], hash: u64) -> &[usize] {
+    /// The candidate facts of `predicate` whose values at `columns` hash to
+    /// `hash` (the [`mask_key_hash`] of the key, which the join folds
+    /// straight out of its binding), as indices into the arena. With an
+    /// empty mask (or one that was never registered) this is every fact of
+    /// the predicate; with a registered mask it is the hash bucket of the
+    /// key — a superset (up to hash collisions) the caller narrows by
+    /// matching, so results never depend on which masks are registered.
+    pub(crate) fn candidates_hashed(
+        &self,
+        predicate: &str,
+        columns: &[usize],
+        hash: u64,
+    ) -> &[usize] {
         if !columns.is_empty() {
             if let Some(buckets) = self.masks.get(predicate).and_then(|m| m.get(columns)) {
                 return buckets.get(&hash).map(Vec::as_slice).unwrap_or(&[]);
@@ -522,7 +498,7 @@ impl FactIndex {
     }
 
     /// Every fact of a predicate, as arena indices in insertion order.
-    pub fn predicate_rows(&self, predicate: &str) -> &[usize] {
+    pub(crate) fn predicate_rows(&self, predicate: &str) -> &[usize] {
         self.by_predicate
             .get(predicate)
             .map(Vec::as_slice)
@@ -631,40 +607,50 @@ mod tests {
         );
     }
 
+    /// The candidates of `key` at `columns`, hashed the way the join does.
+    fn candidates<'i>(
+        index: &'i FactIndex,
+        predicate: &str,
+        columns: &[usize],
+        key: &[Value],
+    ) -> &'i [usize] {
+        index.candidates_hashed(predicate, columns, mask_key_hash(key))
+    }
+
     #[test]
     fn index_probes_by_bound_columns() {
         let s = edge_facts(
             "R",
             &[("a", "b", nat(1)), ("a", "c", nat(1)), ("b", "c", nat(1))],
         );
-        let mut index = s.join_index();
+        let mut index = FactIndex::from_facts(s.facts().map(|(f, _)| f));
         index.register_mask("R", &[0]);
-        let from_a = index.candidates("R", &[0], &[Value::from("a")]);
+        let from_a = candidates(&index, "R", &[0], &[Value::from("a")]);
         assert_eq!(from_a.len(), 2);
         for &i in from_a {
             assert_eq!(index.fact(i).values[0], Value::from("a"));
         }
-        assert!(index.candidates("R", &[0], &[Value::from("z")]).is_empty());
+        assert!(candidates(&index, "R", &[0], &[Value::from("z")]).is_empty());
         // Unregistered masks degrade to the full predicate listing.
-        assert_eq!(index.candidates("R", &[1], &[Value::from("c")]).len(), 3);
-        assert!(index.candidates("S", &[], &[]).is_empty());
+        assert_eq!(candidates(&index, "R", &[1], &[Value::from("c")]).len(), 3);
+        assert!(candidates(&index, "S", &[], &[]).is_empty());
     }
 
     #[test]
     fn index_add_fact_updates_registered_masks() {
-        let mut index = FactIndex::new();
+        let mut index = FactIndex::default();
         index.register_mask("R", &[1]);
         assert!(index.add_fact(Fact::new("R", ["a", "b"])));
         assert!(!index.add_fact(Fact::new("R", ["a", "b"])), "dedup");
         index.add_fact(Fact::new("R", ["c", "b"]));
         index.add_fact(Fact::new("R", ["c", "d"]));
-        assert_eq!(index.len(), 3);
+        assert_eq!(index.facts().count(), 3);
         assert!(index.contains(&Fact::new("R", ["c", "d"])));
-        let to_b = index.candidates("R", &[1], &[Value::from("b")]);
+        let to_b = candidates(&index, "R", &[1], &[Value::from("b")]);
         assert_eq!(to_b.len(), 2);
         // Masks registered after the fact see the same buckets.
         index.register_mask("R", &[0, 1]);
-        let exact = index.candidates("R", &[0, 1], &[Value::from("c"), Value::from("d")]);
+        let exact = candidates(&index, "R", &[0, 1], &[Value::from("c"), Value::from("d")]);
         assert_eq!(exact.len(), 1);
         assert_eq!(index.fact(exact[0]), &Fact::new("R", ["c", "d"]));
     }

@@ -17,8 +17,8 @@
 //!    in dependency order — a ranked list of equation blocks, each of which
 //!    reads only itself and earlier blocks ([`Block`]).
 //!
-//! Steps 1 and 2 bind rule bodies through the hash indexes of
-//! [`FactIndex`]: each body atom is matched by probing the index on the
+//! Steps 1 and 2 bind rule bodies through the hash indexes of a private
+//! fact index (`FactIndex`): each body atom is matched by probing it on the
 //! argument positions already bound (constants, or variables bound by
 //! earlier atoms) instead of scanning every fact of the predicate, and the
 //! set fixpoint runs semi-naively (each round only joins against the facts
@@ -160,18 +160,6 @@ impl<'a> JoinPlan<'a> {
         for (atom, cols) in self.atoms.iter().zip(&self.bound) {
             index.register_mask(&atom.predicate, cols);
         }
-    }
-
-    /// The atoms in join order (shared with the batch compiler, which
-    /// builds its probe steps from exactly these atoms and masks so that
-    /// both engines hit the same index buckets).
-    pub(crate) fn atoms(&self) -> &[&'a Atom] {
-        &self.atoms
-    }
-
-    /// Per-atom bound argument positions, parallel to [`JoinPlan::atoms`].
-    pub(crate) fn bound(&self) -> &[Vec<usize>] {
-        &self.bound
     }
 
     /// Enumerates all satisfying valuations of the planned atoms over the

@@ -11,6 +11,8 @@
 //!   switched via [`EvalStrategy`]; its rounds run compiled over interned
 //!   ids in [`columnar`]) — plus exact evaluation for ℕ∞ and
 //!   distributive lattices ([`exact`], Section 8);
+//! * incremental maintenance of a materialized fixpoint under edb insert and
+//!   delete batches ([`maintain`]), on the compiled evaluator's own tables;
 //! * derivation trees and the **All-Trees** algorithm ([`all_trees`](mod@crate::all_trees),
 //!   Figure 8), the **Monomial-Coefficient** algorithm
 //!   ([`monomial_coefficient`](mod@crate::monomial_coefficient), Figure 9);
@@ -62,7 +64,7 @@ pub mod prelude {
     pub use crate::ast::{Atom, DlVar, Program, Rule, Term};
     pub use crate::columnar::explain_fixpoint;
     pub use crate::exact::{evaluate_lattice, evaluate_natinf};
-    pub use crate::fact::{edge_facts, Fact, FactIndex, FactStore};
+    pub use crate::fact::{edge_facts, Fact, FactStore};
     pub use crate::grounding::{Block, GroundRule, Grounding};
     pub use crate::maintain::{
         maintain_fixpoint, maintain_fixpoint_with, materialize_fixpoint, FixpointView,
@@ -70,7 +72,7 @@ pub mod prelude {
     pub use crate::monomial_coefficient::monomial_coefficient;
     pub use crate::naive::{
         evaluate_fixpoint, immediate_consequence, immediate_consequence_into, kleene_iterate,
-        kleene_iterate_grounded, seminaive_evaluate, FixpointResult,
+        kleene_iterate_grounded, FixpointResult,
     };
     pub use crate::parser::{parse_program, parse_rule, ParseError};
     pub use crate::provenance::{

@@ -1,38 +1,49 @@
 //! Incremental maintenance of datalog fixpoints under edb insert/delete
 //! batches.
 //!
-//! A [`FixpointView`] is a materialized least fixpoint (computed by
-//! [`crate::seminaive::seminaive_iterate`]) that retains what maintenance
-//! needs — the append-only [`FactIndex`] over every fact ever seen and the
-//! accumulated idb [`FactStore`] — so it can *absorb* a base-fact delta
-//! instead of recomputing from scratch. Deltas are plain annotated fact
-//! stores added into the edb with semiring `+`; over a ring
-//! ([`provsem_semiring::Ring`] — ℤ, ℤ\[X\], `DiffPair<K>`) negative
-//! annotations are first-class deletions, so one batch can mix inserts and
-//! deletes.
+//! A [`FixpointView`] is a materialized least fixpoint that keeps the state
+//! the compiled fixpoint ([`crate::columnar`]) built: the interner and the
+//! id tables, edb and idb, with their key indexes — and beside them the edb
+//! and idb as [`FactStore`]s for [`FixpointView::edb`] and
+//! [`FixpointView::result`]. It *absorbs* a base-fact delta instead of
+//! recomputing from scratch. Deltas are plain annotated fact stores added
+//! into the edb with semiring `+`; over a ring ([`provsem_semiring::Ring`]
+//! — ℤ, ℤ\[X\], `DiffPair<K>`) negative annotations are first-class
+//! deletions, so one batch can mix inserts and deletes.
 //!
 //! # Algorithm (delete-and-rederive, specialized to recomputation)
 //!
-//! [`maintain_fixpoint`] runs a DRed-style three-phase update:
+//! [`maintain_fixpoint`] compiles the program's forms again (O(rules); the
+//! forms borrow the program, the tables do not) together with one `Δ` form
+//! per edb body atom, and runs a DRed-style three-phase update on the held
+//! tables — nothing is reloaded:
 //!
-//! 1. **Apply** the delta to the edb and the join index.
-//! 2. **Affected closure**: starting from the changed edb facts, repeatedly
-//!    join each changed fact through every rule-body position it can occupy
-//!    (one suffix join plan per body atom, probing the index for the rest
-//!    of the body) and collect the ground heads; newly discovered heads
-//!    join the index and the frontier. The closure is everything whose
-//!    derivations can mention a changed fact.
-//! 3. **Rederive**: zero every affected idb fact and Kleene-iterate
-//!    head recomputation over the affected set until nothing changes — each
-//!    sweep through the fixpoint's own compiled head-seeded plans
-//!    (`Compiled::sweep` in [`crate::columnar`]), over id tables loaded from
-//!    the view's edb and idb at the start of the sweep. Facts
-//!    whose derivations all vanished stay at zero — deletions do not
-//!    over-retain — and unaffected facts keep their annotations, which are
-//!    still correct because *no* derivation of an unaffected fact mentions
-//!    a changed fact (otherwise the closure would have reached it).
+//! 1. **Apply** the delta: add it into the edb tables (a deleted row keeps
+//!    its place at zero) and into the edb store.
+//! 2. **Affected closure**: from the rows the delta touched, run every `Δ`
+//!    form — edb and idb body positions alike — annotation-blind, and
+//!    again from the heads found, until no new head appears. A head its
+//!    table lacks is appended at zero, so later rounds join through it.
+//!    The closure is everything whose derivations can read a changed row.
+//! 3. **Rederive**: zero every affected idb row and Kleene-iterate the
+//!    fixpoint's own head-seeded recomputation over them until no row moves
+//!    (or the view's round bound runs out): round 1 recomputes every
+//!    affected row, later rounds — the general fixpoint loop's — those one
+//!    `Δ` form away from a row that moved. Facts whose derivations all
+//!    vanished stay at zero — deletions do not over-retain — and unaffected
+//!    facts keep their annotations, which are still correct because *no*
+//!    derivation of an unaffected fact reads a changed row (otherwise the
+//!    closure would have reached it). The rows that moved are written back
+//!    into the result store.
 //!
-//! The result is pinned against from-scratch [`seminaive_iterate`] on the
+//! A deleted row stays in its table at zero until the table has doubled
+//! since it last dropped its zero rows; then it drops them (amortized O(1)
+//! per appended row), so churn through fresh constants does not leave the
+//! probes walking a tombstone for every fact the view ever held.
+//!
+//! The work is the closure's joins and the recomputations of step 3, plus
+//! O(|Δ| + |changed heads|) store updates. The result is pinned against
+//! from-scratch [`kleene_iterate`](crate::naive::kleene_iterate) on the
 //! updated edb by `tests/ivm_differential.rs`.
 //!
 //! # Worked example
@@ -62,18 +73,15 @@
 //! assert_eq!(view.result().annotation(&Fact::new("Q", ["a", "b"])), Integers::new(1));
 //! ```
 
-use crate::ast::{Atom, Program, Rule};
-use crate::columnar::{Caller, Compiled, FanOut, Workers};
-use crate::fact::{Fact, FactIndex, FactStore};
-use crate::grounding::{ground_atom, match_atom, Binding, JoinPlan};
-use crate::seminaive::seminaive_iterate;
+use crate::ast::Program;
+use crate::columnar::{self, Caller, FanOut, IdTables, Workers};
+use crate::fact::FactStore;
 use provsem_core::plan::ExecContext;
 use provsem_semiring::Semiring;
-use std::collections::BTreeSet;
 
-/// A materialized datalog least fixpoint with the retained state needed to
-/// absorb edb deltas: the program, the updated edb, the accumulated idb
-/// annotations, and the append-only join index over every fact ever seen.
+/// A materialized datalog least fixpoint with the state needed to absorb
+/// edb deltas: the program, the compiled fixpoint's id tables, and the
+/// updated edb and accumulated idb as fact stores.
 ///
 /// Build one with [`materialize_fixpoint`]; update it with
 /// [`maintain_fixpoint`] / [`maintain_fixpoint_with`]. The maintained idb
@@ -82,9 +90,9 @@ use std::collections::BTreeSet;
 /// [`crate::naive::FixpointResult::converged`].
 pub struct FixpointView<K> {
     program: Program,
+    tables: IdTables<K>,
     edb: FactStore<K>,
     idb: FactStore<K>,
-    index: FactIndex,
     max_rounds: usize,
     converged: bool,
 }
@@ -112,144 +120,22 @@ impl<K: Semiring> FixpointView<K> {
 }
 
 /// Evaluates `program` over `edb` semi-naively (bounded by `max_rounds`,
-/// like [`seminaive_iterate`]) and retains the evaluation state as a
-/// [`FixpointView`] ready for incremental maintenance.
+/// like [`seminaive_iterate`](crate::seminaive::seminaive_iterate), on the
+/// calling thread) and keeps the evaluation's tables as a [`FixpointView`]
+/// ready for incremental maintenance.
 pub fn materialize_fixpoint<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
     max_rounds: usize,
 ) -> FixpointView<K> {
-    let result = seminaive_iterate(program, edb, max_rounds);
-    let mut index = edb.join_index();
-    for (fact, _) in result.idb.facts() {
-        index.add_fact(fact);
-    }
+    let (result, tables) = columnar::materialize(program, edb, max_rounds);
     FixpointView {
         program: program.clone(),
+        tables,
         edb: edb.clone(),
         idb: result.idb,
-        index,
         max_rounds,
         converged: result.converged,
-    }
-}
-
-/// One affected-closure form: a body atom a changed fact can occupy, the
-/// owning rule, and the join plan for the rest of that rule's body.
-struct ClosureForm<'a> {
-    rule: &'a Rule,
-    atom: &'a Atom,
-    plan: JoinPlan<'a>,
-}
-
-/// Suffix plans for **every** body position of every rule — unlike the
-/// semi-naive delta forms, which only cover idb positions, maintenance must
-/// chase changes entering through edb atoms too.
-fn closure_forms(program: &Program) -> Vec<ClosureForm<'_>> {
-    program
-        .rules
-        .iter()
-        .flat_map(|rule| {
-            rule.body
-                .iter()
-                .enumerate()
-                .map(move |(pos, atom)| ClosureForm {
-                    rule,
-                    atom,
-                    plan: JoinPlan::suffix(&rule.body, pos),
-                })
-        })
-        .collect()
-}
-
-/// Phase 2: the set of idb facts whose derivations can mention a changed
-/// fact, found by chasing changed facts through the closure forms until no
-/// new head appears. Newly discovered heads join the index immediately, so
-/// later frontier rounds can bind them in other rule bodies.
-fn affected_closure<K: Semiring>(
-    forms: &[ClosureForm<'_>],
-    view: &mut FixpointView<K>,
-    seed: Vec<Fact>,
-) -> BTreeSet<Fact> {
-    let mut affected: BTreeSet<Fact> = BTreeSet::new();
-    let mut frontier = seed;
-    while !frontier.is_empty() {
-        let mut discovered: Vec<Fact> = Vec::new();
-        for fact in &frontier {
-            for form in forms.iter().filter(|f| f.atom.predicate == fact.predicate) {
-                let Some(seed) = match_atom(form.atom, fact, &Binding::new()) else {
-                    continue;
-                };
-                form.plan.join(&view.index, seed, &mut |binding| {
-                    if let Some(head) = ground_atom(&form.rule.head, &binding) {
-                        if affected.insert(head.clone()) {
-                            discovered.push(head);
-                        }
-                    }
-                });
-            }
-        }
-        for head in &discovered {
-            view.index.add_fact(head.clone());
-        }
-        frontier = discovered;
-    }
-    affected
-}
-
-/// Phase 1: fold the delta into the edb and the index; returns the changed
-/// facts (the closure seed). Panics if the delta names a derived predicate —
-/// idb facts are maintained, not edited.
-fn apply_delta<K: Semiring>(
-    view: &mut FixpointView<K>,
-    delta: &FactStore<K>,
-    idb_predicates: &BTreeSet<String>,
-) -> Vec<Fact> {
-    let mut changed = Vec::new();
-    for (fact, k) in delta.facts() {
-        assert!(
-            !idb_predicates.contains(&fact.predicate),
-            "maintain_fixpoint: delta names the derived predicate {} — \
-             base deltas may only touch edb predicates",
-            fact.predicate
-        );
-        view.edb.insert(fact.clone(), k.clone());
-        view.index.add_fact(fact.clone());
-        changed.push(fact);
-    }
-    changed
-}
-
-/// Phase 3 (shared tail): zero the affected idb facts and Kleene-iterate
-/// their recomputation until a fixpoint (or the view's round bound), using
-/// `pass` to map one recomputation sweep over the affected facts.
-fn rederive<K: Semiring>(
-    view: &mut FixpointView<K>,
-    affected: BTreeSet<Fact>,
-    mut pass: impl FnMut(&FixpointView<K>, &[Fact]) -> Vec<(Fact, K)>,
-) {
-    for fact in &affected {
-        view.idb.set(fact.clone(), K::zero());
-    }
-    let affected: Vec<Fact> = affected.into_iter().collect();
-    view.converged = true;
-    if affected.is_empty() {
-        return;
-    }
-    let mut rounds = 0;
-    loop {
-        if rounds >= view.max_rounds {
-            view.converged = false;
-            return;
-        }
-        rounds += 1;
-        let changes = pass(view, &affected);
-        if changes.is_empty() {
-            return;
-        }
-        for (fact, k) in changes {
-            view.idb.set(fact, k);
-        }
     }
 }
 
@@ -262,15 +148,19 @@ fn rederive<K: Semiring>(
 ///
 /// Annotations in `delta` are *added* (semiring `+`) to the edb; supply
 /// additive inverses ([`provsem_semiring::Ring::neg`]) to delete.
+///
+/// # Panics
+/// Panics if `delta` names a derived (idb) predicate — idb facts are
+/// maintained, not edited.
 pub fn maintain_fixpoint<K: Semiring>(view: &mut FixpointView<K>, delta: &FactStore<K>) {
     maintain(view, delta, &Caller);
 }
 
-/// [`maintain_fixpoint`] with a thread budget: each rederivation sweep runs
-/// data-parallel over contiguous chunks of the (sorted) affected facts,
-/// concatenated back in chunk order — the exact serial change list, so the
-/// maintained view is byte-identical at every thread count. The closure
-/// phase mutates the index and stays on the coordinator.
+/// [`maintain_fixpoint`] with a thread budget: each closure round's joins
+/// and each rederivation round's recomputations run data-parallel over
+/// contiguous chunks of their work, combined back in chunk order — the
+/// exact serial outcome, so the maintained view is byte-identical at every
+/// thread count.
 pub fn maintain_fixpoint_with<K>(
     view: &mut FixpointView<K>,
     delta: &FactStore<K>,
@@ -283,27 +173,29 @@ pub fn maintain_fixpoint_with<K>(
 
 fn maintain<K: Semiring>(view: &mut FixpointView<K>, delta: &FactStore<K>, fan: &impl FanOut<K>) {
     let idb_predicates = view.program.idb_predicates();
-    let changed = apply_delta(view, delta, &idb_predicates);
-
-    // The forms borrow `view.program`, so clone the program handle out —
-    // `Program` is small (rule ASTs) next to the stores.
-    let program = view.program.clone();
-    let forms = closure_forms(&program);
-    for form in &forms {
-        form.plan.register(&mut view.index);
+    for predicate in delta.predicates() {
+        assert!(
+            !idb_predicates.contains(predicate),
+            "maintain_fixpoint: delta names the derived predicate {predicate} — \
+             base deltas may only touch edb predicates",
+        );
     }
-    let affected = affected_closure(&forms, view, changed);
-
-    let mut engine = Compiled::new(&program);
-    rederive(view, affected, |view, affected| {
-        engine.sweep(&view.edb, &view.idb, affected, fan)
-    });
+    for (fact, k) in delta.facts() {
+        view.edb.insert(fact, k.clone());
+    }
+    let (changed, converged) =
+        columnar::maintain(&view.program, &mut view.tables, delta, view.max_rounds, fan);
+    for (fact, k) in changed {
+        view.idb.set(fact, k);
+    }
+    view.converged = converged;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::edge_facts;
+    use crate::fact::{edge_facts, Fact};
+    use crate::seminaive::seminaive_iterate;
     use provsem_semiring::{Integers, Ring};
 
     fn z(n: i64) -> Integers {

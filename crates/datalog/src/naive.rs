@@ -168,34 +168,11 @@ pub fn evaluate_fixpoint<K: OmegaContinuous>(
     }
 }
 
-/// Semi-naive evaluation for `+`-idempotent semirings: only derivations that
-/// use at least one "new" fact from the previous round are recomputed.
-///
-/// For idempotent `+` (sets, lattices, tropical) this computes the same
-/// fixpoint as [`kleene_iterate`] while doing much less work per round; for
-/// non-idempotent semirings (ℕ, ℕ\[X\]) re-derivations change the result, so
-/// this function is deliberately restricted by the
-/// [`provsem_semiring::PlusIdempotent`] bound.
-///
-/// This is a thin alias for [`crate::seminaive::seminaive_idempotent`],
-/// kept here because the semi-naive evaluator graduated from this module;
-/// see [`crate::seminaive`] for the delta machinery and the general-semiring
-/// variant.
-pub fn seminaive_evaluate<K>(
-    program: &Program,
-    edb: &FactStore<K>,
-    max_rounds: usize,
-) -> FixpointResult<K>
-where
-    K: Semiring + provsem_semiring::PlusIdempotent,
-{
-    crate::seminaive::seminaive_idempotent(program, edb, max_rounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fact::{edge_facts, Fact};
+    use crate::seminaive::seminaive_idempotent;
     use provsem_semiring::{Bool, NatInf, Natural, PosBool, Tropical};
 
     fn nat(n: u64) -> Natural {
@@ -355,7 +332,7 @@ mod tests {
             ],
         );
         let naive = evaluate_fixpoint(&program, &edb, 64).unwrap();
-        let semi = seminaive_evaluate(&program, &edb, 64);
+        let semi = seminaive_idempotent(&program, &edb, 64);
         assert!(semi.converged);
         for (fact, ann) in naive.facts() {
             assert_eq!(semi.idb.annotation(&fact), *ann, "{fact}");
@@ -374,7 +351,7 @@ mod tests {
                 ("a", "c", Tropical::cost(10)),
             ],
         );
-        let semi = seminaive_evaluate(&program, &edb, 64);
+        let semi = seminaive_idempotent(&program, &edb, 64);
         assert!(semi.converged);
         assert_eq!(
             semi.idb.annotation(&Fact::new("Q", ["a", "c"])),

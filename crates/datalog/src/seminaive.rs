@@ -11,9 +11,9 @@
 //! probes — and touches only the part of the instantiation the deltas
 //! reach. No up-front full grounding is ever materialized.
 //!
-//! This file holds the public entry points, the strategy switch and the
-//! rule forms (`build_forms`); the rounds themselves run in one place,
-//! the compiled evaluator over interned ids of [`crate::columnar`]. The
+//! This file holds the public entry points and the strategy switch; the
+//! rule forms are compiled, and the rounds run, in one place: the
+//! evaluator over interned ids of [`crate::columnar`]. The
 //! naive iteration stays as the reference oracle the differential suites
 //! compare every entry point against.
 //!
@@ -83,13 +83,11 @@
 //! assert_eq!(out.annotation(&Fact::new("Q", ["b", "b"])), Natural::from(16u64));
 //! ```
 
-use crate::ast::{Program, Rule, Term};
+use crate::ast::Program;
 use crate::columnar::{self, Caller, Workers};
 use crate::fact::FactStore;
-use crate::grounding::JoinPlan;
 use provsem_core::plan::ExecContext;
 use provsem_semiring::{PlusIdempotent, Semiring};
-use std::collections::BTreeSet;
 
 pub use crate::naive::FixpointResult;
 
@@ -171,68 +169,6 @@ where
     match strategy {
         EvalStrategy::Naive => crate::naive::kleene_iterate(program, edb, max_rounds),
         EvalStrategy::SemiNaive => seminaive_iterate_with(program, edb, max_rounds, ctx),
-    }
-}
-
-/// The differential forms and join plans of one rule, which
-/// [`crate::columnar`] compiles against its id tables.
-pub(crate) struct RuleForms<'a> {
-    pub(crate) rule: &'a Rule,
-    /// One differential form per idb body atom: the delta is matched at that
-    /// position, the remaining atoms bind via index probes.
-    pub(crate) delta_forms: Vec<(usize, JoinPlan<'a>)>,
-    /// Full-body plan seeded with the head variables, used to recompute one
-    /// head fact from scratch (general-semiring path).
-    pub(crate) head_seeded: JoinPlan<'a>,
-    /// Left-to-right full-body plan (round 1, edb-only rules).
-    pub(crate) full: JoinPlan<'a>,
-    /// Does the body mention any idb predicate?
-    pub(crate) has_idb_body: bool,
-}
-
-pub(crate) fn build_forms<'a>(
-    program: &'a Program,
-    idb_predicates: &BTreeSet<String>,
-) -> Vec<RuleForms<'a>> {
-    program
-        .rules
-        .iter()
-        .map(|rule| {
-            let delta_forms: Vec<(usize, JoinPlan)> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, atom)| idb_predicates.contains(&atom.predicate))
-                .map(|(pos, _)| (pos, JoinPlan::suffix(&rule.body, pos)))
-                .collect();
-            let head_vars = rule
-                .head
-                .terms
-                .iter()
-                .filter_map(Term::as_var)
-                .collect::<BTreeSet<_>>();
-            let head_seeded = JoinPlan::new(rule.body.iter().collect(), head_vars);
-            let full = JoinPlan::left_to_right(&rule.body);
-            RuleForms {
-                rule,
-                delta_forms,
-                head_seeded,
-                full,
-                has_idb_body: rule
-                    .body
-                    .iter()
-                    .any(|atom| idb_predicates.contains(&atom.predicate)),
-            }
-        })
-        .collect()
-}
-
-/// The all-zero result both paths return for a round bound of 0.
-pub(crate) fn unevaluated<K: Semiring>() -> FixpointResult<K> {
-    FixpointResult {
-        idb: FactStore::new(),
-        iterations: 0,
-        converged: false,
     }
 }
 

@@ -5,7 +5,7 @@
 //! and nonlinear programs and six semirings (𝔹, ℕ, ℕ∞, tropical, Why(X),
 //! ℤ), and with themselves **exactly** (the whole `FixpointResult`) between
 //! the calling-thread entry points and the `_with` ones at 1, 2 and 4
-//! threads, plus the compiled rederivation sweep of `maintain_fixpoint`.
+//! threads, plus `maintain_fixpoint` on the fixpoint's own id tables.
 //!
 //! The random generator (`tests/common`) draws binary predicates over
 //! variables only and at most eight facts over four nodes, so it never
@@ -121,9 +121,10 @@ proptest! {
     }
 }
 
-/// Deleting through mixed ℤ deltas: the compiled rederivation sweep of
-/// `maintain_fixpoint` on the calling thread matches `maintain_fixpoint_with`
-/// at every thread count, and the from-scratch fixpoint on the updated edb.
+/// Deleting through mixed ℤ deltas: `maintain_fixpoint` on the calling
+/// thread matches `maintain_fixpoint_with` at every thread count — also
+/// when the round bound cuts the rederivation short — and the from-scratch
+/// fixpoint on the updated edb.
 #[test]
 fn maintain_batch_rederivation_matches_row_and_from_scratch() {
     let program = Program::linear_transitive_closure("R", "Q");

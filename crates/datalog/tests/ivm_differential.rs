@@ -18,6 +18,7 @@
 
 use proptest::prelude::*;
 use provsem_core::plan::ExecContext;
+use provsem_core::Value;
 use provsem_datalog::prelude::*;
 use provsem_semiring::{Bool, Integers, Ring, Semiring, Tropical};
 
@@ -100,6 +101,7 @@ fn check_maintain_agreement<K: Semiring + Send + Sync>(
         );
         assert_eq!(view2.result(), view.result(), "2-thread maintained view");
         assert_eq!(view4.result(), view.result(), "4-thread maintained view");
+        assert!(view2.converged() && view4.converged());
         assert_eq!(view.edb(), &current, "maintained edb drifted");
     }
 }
@@ -307,4 +309,225 @@ fn delete_then_reinsert_round_trips() {
     maintain_fixpoint(&mut view, &reinsert);
     assert_eq!(view.result(), &original);
     assert_eq!(view.edb(), &edb);
+}
+
+/// A fact whose numeric arguments are integer constants and whose others
+/// are strings.
+fn fact(predicate: &str, args: &[&str]) -> Fact {
+    let value = |a: &&str| a.parse::<i64>().map_or_else(|_| Value::str(a), Value::Int);
+    Fact::new(predicate, args.iter().map(value).collect::<Vec<_>>())
+}
+
+/// A ℤ fact store: each entry adds its weight (negative: deletes).
+fn z_store(entries: &[(&str, &[&str], i64)]) -> FactStore<Integers> {
+    let mut store = FactStore::new();
+    for (predicate, args, w) in entries {
+        store.insert(fact(predicate, args), Integers::new(*w));
+    }
+    store
+}
+
+/// Runs the fixed cases through the differential contract: materialized
+/// over `edb`, maintained at 1, 2 and 4 threads batch by batch, compared
+/// with `kleene_iterate` and the updated edb after every batch.
+fn check_fixed(program: &str, edb: &[(&str, &[&str], i64)], batches: &[&[(&str, &[&str], i64)]]) {
+    let program = parse_program(program).unwrap();
+    let batches: Vec<_> = batches.iter().map(|b| z_store(b)).collect();
+    check_maintain_agreement(&program, &z_store(edb), &batches);
+}
+
+/// Constants in a rule body (`'c'`, `'d'`) and in a head (`'hub'`, `7`):
+/// deltas must match the compiled constant ids, and heads must carry them.
+#[test]
+fn constants_in_bodies_and_heads_are_maintained() {
+    check_fixed(
+        "Q(x, y) :- R(x, y).\n\
+         Q(x, z) :- Q(x, y), R(y, z).\n\
+         Hub(x) :- Q(x, 'c').\n\
+         Pair('hub', x, 7) :- Hub(x), R(x, 'd').",
+        &[
+            ("R", &["a", "b"], 1),
+            ("R", &["b", "c"], 1),
+            ("R", &["c", "d"], 2),
+            ("R", &["e", "c"], 1),
+            ("R", &["a", "d"], 1),
+        ],
+        &[
+            &[("R", &["b", "c"], -1)],
+            &[("R", &["b", "c"], 1), ("R", &["b", "d"], 3)],
+            &[("R", &["e", "c"], -1), ("R", &["a", "d"], -1)],
+        ],
+    );
+}
+
+/// Deltas on base predicates no rule reads — an unread name, and a read
+/// name at an unread arity — change the edb and nothing else, in batches of
+/// their own and beside a delta the rules do read.
+#[test]
+fn deltas_no_rule_reads_only_change_the_edb() {
+    check_fixed(
+        "Q(x, y) :- R(x, y).\nQ(x, z) :- Q(x, y), R(y, z).",
+        &[
+            ("R", &["a", "b"], 1),
+            ("R", &["b", "c"], 1),
+            ("Log", &["a"], 1),
+        ],
+        &[
+            &[("Log", &["z"], 1), ("Log", &["a"], -1)],
+            &[("R", &["a", "b", "c"], 2)],
+            &[
+                ("R", &["c", "d"], 1),
+                ("Log", &["q"], 4),
+                ("R", &["x", "y", "z"], 1),
+            ],
+            &[("R", &["a", "b", "c"], -2)],
+        ],
+    );
+}
+
+/// Deltas that bring constants no earlier fact or rule mentions, strings
+/// and integers, so the interner grows while the view lives — then delete
+/// and re-add them.
+#[test]
+fn deltas_with_unseen_constants_grow_the_interner() {
+    check_fixed(
+        "Q(x, y) :- R(x, y).\n\
+         Q(x, z) :- Q(x, y), R(y, z).\n\
+         Ends(x) :- Q('a', x).",
+        &[("R", &["a", "b"], 1), ("R", &["b", "c"], 1)],
+        &[
+            &[("R", &["c", "new1"], 1), ("R", &["new1", "99"], 2)],
+            &[("R", &["99", "new2"], 1), ("R", &["new3", "a"], 1)],
+            &[("R", &["c", "new1"], -1), ("R", &["new3", "a"], -1)],
+            &[("R", &["c", "new1"], 1), ("R", &["new4", "new5"], 1)],
+        ],
+    );
+}
+
+/// One predicate name at two arities, edb (`R/1`, `R/2`) and idb (`P/1`,
+/// `P/2`): separate tables, each maintained from its own rows.
+#[test]
+fn a_predicate_at_two_arities_is_two_relations() {
+    check_fixed(
+        "P(x) :- R(x, y).\n\
+         P(x, z) :- R(x, y), R(y, z).\n\
+         S(x) :- R(x), P(x, y).\n\
+         T(x) :- P(x), R(x).",
+        &[
+            ("R", &["a", "b"], 1),
+            ("R", &["b", "c"], 1),
+            ("R", &["a"], 1),
+            ("R", &["b"], 2),
+        ],
+        &[
+            &[("R", &["a"], -1), ("R", &["c"], 1)],
+            &[("R", &["c", "a"], 1), ("R", &["a", "b"], -1)],
+            &[("R", &["a"], 1), ("R", &["b"], -2), ("R", &["a", "b"], 1)],
+        ],
+    );
+}
+
+/// A delete leaves the edb row and the idb rows it supported in their
+/// tables at zero (tombstones); the next batch revives them in the same
+/// closure that tombstones others, and a third revives those.
+#[test]
+fn tombstoned_rows_revive_inside_one_closure() {
+    check_fixed(
+        "Q(x, y) :- R(x, y).\nQ(x, z) :- Q(x, y), R(y, z).",
+        &[
+            ("R", &["a", "b"], 1),
+            ("R", &["b", "c"], 2),
+            ("R", &["c", "d"], 1),
+        ],
+        &[
+            &[("R", &["b", "c"], -2)],
+            &[("R", &["b", "c"], 2), ("R", &["c", "d"], -1)],
+            &[("R", &["c", "d"], 1)],
+            &[
+                ("R", &["b", "c"], -2),
+                ("R", &["b", "c2"], 1),
+                ("R", &["c2", "c"], 2),
+            ],
+        ],
+    );
+}
+
+/// Linear transitive closure over a 12 × 64 layered DAG (each node has two
+/// random out-edges into the next layer: ≈ 1 400 edges, ≈ 80 000 idb facts).
+/// One first-layer and one last-layer edge are inserted and deleted again;
+/// after every step the view equals `seminaive_iterate` on the updated edb,
+/// and after each pair the materialized result. Release builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn layered_dag_edges_are_maintained_at_scale() {
+    const LAYERS: usize = 12;
+    const WIDTH: usize = 64;
+    let node = |l: usize, i: usize| format!("l{l}_{i}");
+    // SplitMix64, so the instance is fixed.
+    let mut state = 0u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut edb = FactStore::new();
+    for l in 0..LAYERS - 1 {
+        for i in 0..WIDTH {
+            for _ in 0..2 {
+                let j = (next() % WIDTH as u64) as usize;
+                edb.set(
+                    Fact::new("R", [node(l, i), node(l + 1, j)]),
+                    Integers::new(1),
+                );
+            }
+        }
+    }
+    let program = Program::linear_transitive_closure("R", "Q");
+    let mut view = materialize_fixpoint(&program, &edb, 64);
+    let materialized = view.result().clone();
+    assert!(view.converged() && materialized.len() > 50_000);
+    for layer in [0, LAYERS - 2] {
+        let edge = (0..WIDTH)
+            .map(|j| Fact::new("R", [node(layer, 0), node(layer + 1, j)]))
+            .find(|f| !edb.contains(f))
+            .expect("a node without an edge to every node of the next layer");
+        for w in [1, -1] {
+            let mut delta = FactStore::new();
+            delta.insert(edge.clone(), Integers::new(w));
+            maintain_fixpoint(&mut view, &delta);
+            let scratch = seminaive_iterate(&program, view.edb(), 64);
+            assert!(view.converged() && scratch.converged);
+            assert_eq!(view.result(), &scratch.idb, "layer {layer}, weight {w}");
+        }
+        assert_eq!(view.edb(), &edb);
+        assert_eq!(view.result(), &materialized, "layer {layer}");
+    }
+}
+
+/// Churn through constants no batch reuses: each pair of batches hangs two
+/// fresh edges off a chain and deletes them again. The tables drop their
+/// zero rows whenever they have doubled, many times over here; every view
+/// must still agree with `kleene_iterate` after every batch.
+#[test]
+fn churn_through_fresh_constants_compacts_the_tables() {
+    let store = |rows: &[[String; 2]], w: i64| {
+        let mut store = FactStore::new();
+        for [src, dst] in rows {
+            store.insert(Fact::new("R", [src.as_str(), dst]), Integers::new(w));
+        }
+        store
+    };
+    let node = |k: usize| format!("a{k}");
+    let chain: Vec<[String; 2]> = (0..9).map(|k| [node(k), node(k + 1)]).collect();
+    let mut batches = Vec::new();
+    for k in 0..30 {
+        let (f, g) = (format!("f{k}"), format!("g{k}"));
+        let edges = [[node(k % 10), f.clone()], [f, g]];
+        let w = 1 + k as i64 % 2;
+        batches.push(store(&edges, w));
+        batches.push(store(&edges, -w));
+    }
+    let program = Program::linear_transitive_closure("R", "Q");
+    check_maintain_agreement(&program, &store(&chain, 1), &batches);
 }
