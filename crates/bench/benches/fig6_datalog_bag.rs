@@ -82,10 +82,9 @@ fn bench(c: &mut Criterion) {
     cmp.finish();
 
     // Parallel semi-naive transitive closure on a layered DAG big enough
-    // that each round's affected-head recomputation dominates coordination:
-    // the serial body is the `threads = 1` loop, the parallel bodies
-    // partition each round's work items and affected heads across scoped
-    // workers. On a multi-core machine the ratio is the datalog engine's
+    // that each round's differential joins dominate coordination: the
+    // serial body is the `threads = 1` loop, the parallel bodies partition
+    // each round's work items across scoped workers. On a multi-core machine the ratio is the datalog engine's
     // scaling; on a single-core runner it measures the (small) coordination
     // overhead.
     let tc = Program::transitive_closure("R", "Q");

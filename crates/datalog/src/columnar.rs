@@ -21,14 +21,45 @@
 //!   depth-first join walks over a small binding array, multiplying
 //!   annotations as it descends (seed first, then the steps in body order);
 //! * head contributions are summed straight into a per-worker accumulator
-//!   keyed by head ids (a table without key indexes); workers' accumulators
-//!   are combined in chunk order, and the rows that changed become the next
-//!   round's delta as row numbers.
+//!   keyed by head ids — a hash table without key indexes, or a dense grid
+//!   over the head table's id tuples once the last round showed the grid
+//!   pays; workers' accumulators are combined in chunk order, and the rows
+//!   that changed become the next round's delta.
 //!
 //! The [`FactStore`] the API returns is built **once**, after the last
 //! round, by sorting each table's rows on the rank of their ids and bulk
 //! loading the result: between rounds nothing but ids and annotations
 //! moves.
+//!
+//! # One exact differential round
+//!
+//! Every fixpoint entry point runs the same loop, for every semiring. After
+//! round `m` a table holds `Tᵐ(0)`; each row that moved in round `m` also
+//! keeps its annotation from before (`old`) and the increment that moved
+//! it (`δ`, with `old + δ` its annotation now). A `Δ` form seeded at body
+//! position `i` multiplies the seed row's `δ` with the current annotations
+//! of the atoms before `i` and the previous ones of the atoms after `i`.
+//! Distributivity and commutativity alone give, per derivation,
+//!
+//! ```text
+//! Π(oldⱼ + δⱼ) = Π oldⱼ + Σᵢ (Π_{j<i} newⱼ) · δᵢ · (Π_{j>i} oldⱼ)
+//! ```
+//!
+//! so summing the forms' products per head gives exactly the increment
+//! `Tᵐ⁺¹(0) = Tᵐ(0) + Σ increments`: there is nothing to subtract, and no
+//! head is recomputed from scratch. A row whose `δ` is zero contributes
+//! nothing, so only the rows that moved seed the round. A row joins the
+//! next delta iff adding its increment moved its annotation; an absorbed
+//! increment (ℕ∞'s `∞ + x = ∞`, an idempotent `a + a = a`) leaves it out,
+//! as `δ = 0` also satisfies `old + δ = new`, so the loop stops exactly
+//! when `Tᵐ⁺¹(0) = Tᵐ(0)`. A row that was zero (new in round 1, zeroed by
+//! maintenance) has its whole total as `δ`. The bookkeeping is O(|Δ|) per
+//! round: the moved rows' `old` and `δ`, and a row → delta-position map set
+//! and cleared row by row.
+//!
+//! The annotation-blind join and the head-seeded `recompute` plans serve
+//! maintenance only: its affected closure, and the first round of its
+//! rederivation, which recomputes the zeroed affected heads.
 //!
 //! # Which semirings, which threads
 //!
@@ -42,15 +73,15 @@
 //!
 //! # Round-for-round identity with the naive iteration
 //!
-//! The general loop computes exactly `Tᵐ(0)` after `m` rounds: the same
-//! forms run in the same rounds at every thread count, a zero-annotation
-//! factor prunes a derivation, head discovery is annotation-blind (a row
-//! whose ℤ annotation cancelled to zero still leads to its heads), and a
-//! head joins the delta exactly when its annotation moved. Per-head sums
-//! may accumulate products in a different order than the naive loop does,
-//! which is invisible because semiring `+` and `×` are exactly associative
-//! and commutative for every semiring in this workspace (the law suite pins
-//! that down). The differential tests assert idb and `converged` equality
+//! The loop computes exactly `Tᵐ(0)` after `m` rounds: the same forms run
+//! in the same rounds at every thread count, and a zero-annotation factor
+//! prunes a derivation (it contributes zero). Per-head sums may accumulate
+//! products in a different order than the naive loop does, which is
+//! invisible because semiring `+` and `×` are exactly associative and
+//! commutative for every semiring in this workspace (the law suite pins
+//! that down). The grid and the hash accumulator hand their rows on in the
+//! same (first-touch) order, so the accumulator a round takes changes no
+//! result. The differential tests assert idb and `converged` equality
 //! against `kleene_iterate` across semirings, round bounds and thread
 //! counts, and full [`FixpointResult`] equality between thread counts.
 
@@ -60,7 +91,7 @@ use crate::naive::FixpointResult;
 use provsem_core::par;
 use provsem_core::plan::ExecContext;
 use provsem_core::Value;
-use provsem_semiring::{PlusIdempotent, Semiring};
+use provsem_semiring::Semiring;
 use std::collections::BTreeSet;
 
 /// "No entry": an empty hash slot, the end of a chain, an unbound variable.
@@ -203,8 +234,8 @@ impl KeyIndex {
 /// (between [`Table::compact`]s): distinct rows as id columns, found again
 /// through `identity`, probed through one [`KeyIndex`] per registered mask.
 /// `anns` is parallel to the rows wherever annotations are kept — the
-/// relations and the idempotent loop's accumulators keep them, the general
-/// loop's head sets fill them in after recomputing.
+/// relations and a round's accumulators keep them, maintenance's head sets
+/// fill them in after recomputing.
 pub(crate) struct Table<K> {
     cols: Vec<Vec<u32>>,
     len: usize,
@@ -344,6 +375,63 @@ impl<K: Semiring> Table<K> {
     }
 }
 
+/// The rows of one table whose annotation moved in the last round, each
+/// with the annotation it had before (`old`) and the increment that moved
+/// it (`inc`: `old + inc` is its annotation now), and `at[row]`, the row's
+/// position among them (`NIL`: it did not move). Maintenance's blind
+/// closure fills `rows` alone.
+pub(crate) struct Delta<K> {
+    rows: Vec<u32>,
+    old: Vec<K>,
+    inc: Vec<K>,
+    at: Vec<u32>,
+}
+
+impl<K> Default for Delta<K> {
+    fn default() -> Self {
+        Delta {
+            rows: Vec::new(),
+            old: Vec::new(),
+            inc: Vec::new(),
+            at: Vec::new(),
+        }
+    }
+}
+
+impl<K> Delta<K> {
+    /// Empties the delta in O(|Δ|).
+    fn clear(&mut self) {
+        for &row in &self.rows {
+            if let Some(at) = self.at.get_mut(row as usize) {
+                *at = NIL;
+            }
+        }
+        self.rows.clear();
+        self.old.clear();
+        self.inc.clear();
+    }
+
+    fn push(&mut self, row: u32, old: K, inc: K) {
+        let r = row as usize;
+        if self.at.len() <= r {
+            self.at.resize(r + 1, NIL);
+        }
+        self.at[r] = self.rows.len() as u32;
+        self.rows.push(row);
+        self.old.push(old);
+        self.inc.push(inc);
+    }
+
+    /// The annotation `row` had before the last round: `now`, unless it
+    /// moved.
+    fn before<'a>(&'a self, row: u32, now: &'a K) -> &'a K {
+        match self.at.get(row as usize) {
+            Some(&at) if at != NIL => &self.old[at as usize],
+            _ => now,
+        }
+    }
+}
+
 /// How one argument position of an atom meets a candidate row.
 #[derive(Clone, Copy)]
 enum Match {
@@ -383,12 +471,14 @@ fn matches<K>(terms: &[Match], table: &Table<K>, row: u32, binding: &mut [u32]) 
 
 /// One probe step: the atom to match, the table it reads, and which of
 /// the table's key indexes its bound-column mask selects (`None`: nothing
-/// is bound, every row is a candidate).
+/// is bound, every row is a candidate). `old`: the atom comes after a `Δ`
+/// form's seed, so it reads the annotations from before the last round.
 struct Step<'p> {
     atom: &'p Atom,
     table: usize,
     key: Option<usize>,
     terms: Vec<Match>,
+    old: bool,
 }
 
 /// A compiled join: the body atoms (all, or all but a `Δ` form's seed) in
@@ -420,9 +510,6 @@ struct Form<'p> {
     full: Plan<'p>,
     /// One per idb body atom (per body atom, compiled for maintenance).
     delta: Vec<DeltaForm<'p>>,
-    /// An empty body under a head with variables: the rule never fires
-    /// (the empty binding cannot ground its head).
-    dead: bool,
 }
 
 /// What the compiler knows of a table before any row is loaded.
@@ -517,7 +604,6 @@ impl<'p> Compiled<'p> {
                 recompute,
                 full,
                 delta,
-                dead: rule.body.is_empty() && !rule.head.is_ground(),
             });
         }
         compiled
@@ -566,7 +652,8 @@ impl<'p> Compiled<'p> {
     /// Compiles the body of `rule`, without the atom at `seed` if there is
     /// one, after the variables the scope already binds. An atom's probe
     /// mask is its constant positions and those of variables bound before
-    /// it; the mask is registered with the table the atom reads.
+    /// it; the mask is registered with the table the atom reads. The atoms
+    /// after the seed read the annotations from before the last round.
     fn plan(&mut self, rule: &'p Rule, seed: Option<usize>, scope: &mut Scope<'p>) -> Plan<'p> {
         let mut steps = Vec::with_capacity(rule.body.len());
         for (pos, atom) in rule.body.iter().enumerate() {
@@ -596,6 +683,7 @@ impl<'p> Compiled<'p> {
                 table,
                 key,
                 terms: self.pattern(atom, scope),
+                old: seed.is_some_and(|seed| pos > seed),
             });
         }
         let emit = rule
@@ -620,6 +708,12 @@ impl<'p> Compiled<'p> {
             .iter()
             .map(|spec| Table::new(spec.arity, &[]))
             .collect()
+    }
+
+    /// [`Compiled::accumulators`] as a round's empty sums.
+    fn sums<K: Semiring>(&self) -> Vec<Sums<K>> {
+        let heads = self.accumulators().into_iter();
+        heads.map(|heads| Sums { heads, added: 0 }).collect()
     }
 
     /// Loads the edb's rows into the tables of the edb predicates rule
@@ -648,11 +742,14 @@ impl<'p> Compiled<'p> {
 
 /// The depth-first join: extends `binding` through `steps` and calls
 /// `leaf` with every complete binding. With `track`, `product` is the
-/// running body product — a zero factor prunes the candidate — otherwise
-/// the walk is annotation-blind and hands `product` through untouched.
+/// running body product — a zero factor prunes the candidate, and a step
+/// after a `Δ` form's seed reads the annotation from before the last round
+/// (`deltas`) — otherwise the walk is annotation-blind and hands `product`
+/// through untouched.
 fn join<K: Semiring>(
     steps: &[Step<'_>],
     tables: &[Table<K>],
+    deltas: &[Delta<K>],
     binding: &mut [u32],
     product: &K,
     track: bool,
@@ -678,45 +775,50 @@ fn join<K: Semiring>(
             continue;
         }
         if track {
-            let factor = &table.anns[row as usize];
+            let now = &table.anns[row as usize];
+            let factor = if step.old {
+                deltas[step.table].before(row, now)
+            } else {
+                now
+            };
             if !factor.is_zero() {
-                join(rest, tables, binding, &product.times(factor), track, leaf);
+                let product = product.times(factor);
+                join(rest, tables, deltas, binding, &product, track, leaf);
             }
         } else {
-            join(rest, tables, binding, product, track, leaf);
+            join(rest, tables, deltas, binding, product, track, leaf);
         }
     }
 }
 
-/// Joins `plan` from the seed already in `binding` and adds every head it
-/// grounds to `out`: with its product when `track`ing, as a bare row
-/// otherwise. A plan that cannot ground its head adds nothing.
+/// Joins `plan` from the seed already in `binding` and hands `add` every
+/// head it grounds, with its product when `track`ing. A plan that cannot
+/// ground its head hands on nothing.
 fn emit_into<K: Semiring>(
     plan: &Plan<'_>,
     tables: &[Table<K>],
+    deltas: &[Delta<K>],
     binding: &mut [u32],
     seed: &K,
     track: bool,
-    out: &mut Table<K>,
+    add: &mut impl FnMut(&[u32], &K),
 ) {
     let Some(emit) = &plan.emit else {
         return;
     };
     let mut head = Vec::with_capacity(emit.len());
+    let steps = &plan.steps;
     join(
-        &plan.steps,
+        steps,
         tables,
+        deltas,
         binding,
         seed,
         track,
         &mut |b, product| {
             head.clear();
             head.extend(emit.iter().map(|term| term.id(b)));
-            if track {
-                out.add(&head, product);
-            } else {
-                out.upsert(&head);
-            }
+            add(&head, product);
         },
     );
 }
@@ -727,59 +829,182 @@ fn unbound(binding: &mut Vec<u32>, form: &Form<'_>) {
     binding.resize(form.nvars, NIL);
 }
 
-/// One unit of per-round delta work: `forms[.0].delta[.1]` seeded with row
-/// `.2` of its table.
-pub(crate) type DeltaItem = (usize, usize, u32);
+/// One unit of per-round delta work: `forms[.0].delta[.1]` seeded with the
+/// row at position `.2` of its table's delta.
+type DeltaItem = (usize, usize, u32);
 
 /// The round's delta work, form-major.
-fn delta_items(forms: &[Form<'_>], delta: &[Vec<u32>]) -> Vec<DeltaItem> {
+fn delta_items<K>(forms: &[Form<'_>], deltas: &[Delta<K>]) -> Vec<DeltaItem> {
     let mut items = Vec::new();
     for (fi, form) in forms.iter().enumerate() {
         for (di, d) in form.delta.iter().enumerate() {
-            items.extend(delta[d.table].iter().map(|&row| (fi, di, row)));
+            let moved = deltas[d.table].rows.len() as u32;
+            items.extend((0..moved).map(|at| (fi, di, at)));
         }
     }
     items
 }
 
-/// Joins a chunk of delta work into fresh accumulators. With `track`, each
-/// head's increments are summed (the seed's annotation first; a zero seed
-/// contributes nothing); without, the heads are only collected.
+/// How a round's join treats annotations.
+#[derive(Clone, Copy)]
+pub(crate) enum Mode<'a> {
+    /// Collect the heads a delta row reaches, whatever the annotations on
+    /// the way (maintenance's affected closure).
+    Blind,
+    /// Sum each head's increments, per table into a grid of the given side
+    /// or, for `None`, into a hash accumulator.
+    Exact(&'a [Option<usize>]),
+}
+
+/// The side of the dense grid a head table's sums take this round: the
+/// interner's size, when its `size^arity` cells are no more than the
+/// contributions the table received last round (`None` — the hash
+/// accumulator — otherwise, or when the cell count overflows).
+fn grid_side(side: usize, arity: usize, added: usize) -> Option<usize> {
+    let cells = u32::try_from(arity)
+        .ok()
+        .and_then(|a| side.checked_pow(a))?;
+    (cells <= added).then_some(side)
+}
+
+/// Where one worker sums a head table's contributions in a round: keyed by
+/// head ids in a hash accumulator, or in a dense grid with a cell per id
+/// tuple (row-major over ids below `side`) and the touched cells in
+/// first-touch order.
+enum Acc<K> {
+    Hash(Table<K>),
+    Grid {
+        side: usize,
+        cells: Vec<Option<K>>,
+        order: Vec<usize>,
+    },
+}
+
+impl<K: Semiring> Acc<K> {
+    fn new(arity: usize, side: Option<usize>) -> Self {
+        match side {
+            None => Acc::Hash(Table::new(arity, &[])),
+            Some(side) => {
+                let mut cells = Vec::new();
+                cells.resize_with(side.pow(arity as u32), || None);
+                let order = Vec::new();
+                Acc::Grid { side, cells, order }
+            }
+        }
+    }
+
+    fn add(&mut self, ids: &[u32], k: &K) {
+        match self {
+            Acc::Hash(table) => {
+                table.add(ids, k);
+            }
+            Acc::Grid { side, cells, order } => {
+                let cell = ids.iter().fold(0, |cell, &id| cell * *side + id as usize);
+                match &mut cells[cell] {
+                    Some(sum) => sum.plus_assign(k),
+                    empty => {
+                        *empty = Some(k.clone());
+                        order.push(cell);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The sums as a row accumulator, rows in first-touch order — the order
+    /// [`Table::add`] creates them in — and a cell whose sum cancelled to
+    /// zero still a row.
+    fn into_rows(self, arity: usize) -> Table<K> {
+        let (side, mut cells, order) = match self {
+            Acc::Hash(table) => return table,
+            Acc::Grid { side, cells, order } => (side, cells, order),
+        };
+        let mut rows = Table::new(arity, &[]);
+        let mut ids = vec![0; arity];
+        for cell in order {
+            let mut rest = cell;
+            for id in ids.iter_mut().rev() {
+                *id = (rest % side) as u32;
+                rest /= side;
+            }
+            rows.push(&ids);
+            rows.anns.push(cells[cell].take().expect("a touched cell"));
+        }
+        rows
+    }
+}
+
+/// One table's share of a round: the heads the delta reached, with their
+/// summed increments (bare, when blind), and how many contributions were
+/// summed.
+pub(crate) struct Sums<K> {
+    heads: Table<K>,
+    added: usize,
+}
+
+/// Joins a chunk of delta work into fresh accumulators. Exact: each seed
+/// row contributes its increment (a zero one nothing) and each head's
+/// increments are summed; blind: the heads are only collected.
 fn join_chunk<K: Semiring>(
     compiled: &Compiled<'_>,
     tables: &[Table<K>],
+    deltas: &[Delta<K>],
     items: &[DeltaItem],
-    track: bool,
-) -> Vec<Table<K>> {
-    let mut acc = compiled.accumulators();
+    mode: Mode<'_>,
+) -> Vec<Sums<K>> {
+    let specs = compiled.specs.iter();
+    let mut acc: Vec<Acc<K>> = match mode {
+        Mode::Blind => specs.map(|spec| Acc::new(spec.arity, None)).collect(),
+        Mode::Exact(grids) => specs
+            .zip(grids)
+            .map(|(s, &g)| Acc::new(s.arity, g))
+            .collect(),
+    };
+    let mut added = vec![0; acc.len()];
     let mut binding = Vec::new();
     let one = K::one();
-    for &(fi, di, row) in items {
+    for &(fi, di, at) in items {
         let form = &compiled.forms[fi];
         let d = &form.delta[di];
-        let table = &tables[d.table];
+        let (delta, at) = (&deltas[d.table], at as usize);
         unbound(&mut binding, form);
-        if !matches(&d.seed, table, row, &mut binding) {
+        if !matches(&d.seed, &tables[d.table], delta.rows[at], &mut binding) {
             continue;
         }
-        // Only a tracked seed can be a zero factor (and in Why(X), where
-        // `1 = 0 = ∅`, the blind walk's `1` would look like one).
-        let seed = if track {
-            &table.anns[row as usize]
-        } else {
-            &one
-        };
-        if !(track && seed.is_zero()) {
-            let out = &mut acc[form.head_table];
-            emit_into(&d.plan, tables, &mut binding, seed, track, out);
+        let (plan, binding, t) = (&d.plan, &mut binding, form.head_table);
+        // A blind round collects heads in hash accumulators. Only an exact seed
+        // is tested for zero: in Why(X), where `1 = 0 = ∅`, the blind walk's
+        // `1` would look like one.
+        match (mode, &mut acc[t]) {
+            (Mode::Blind, Acc::Hash(heads)) => {
+                emit_into(plan, tables, deltas, binding, &one, false, &mut |h, _| {
+                    heads.upsert(h);
+                });
+            }
+            (Mode::Exact(_), out) if !delta.inc[at].is_zero() => {
+                let (inc, added) = (&delta.inc[at], &mut added[t]);
+                emit_into(plan, tables, deltas, binding, inc, true, &mut |h, k| {
+                    *added += 1;
+                    out.add(h, k);
+                });
+            }
+            _ => {}
         }
     }
-    acc
+    let specs = compiled.specs.iter();
+    acc.into_iter()
+        .zip(specs.zip(added))
+        .map(|(acc, (spec, added))| Sums {
+            heads: acc.into_rows(spec.arity),
+            added,
+        })
+        .collect()
 }
 
 /// From-scratch totals of the heads `items` names as `(table, row)` of
 /// `heads`: per head, the forms of its table in program order, each seeded
-/// with the head and joined over the whole body.
+/// with the head and joined over the whole body. A form whose body cannot
+/// ground its head never fires, as in `Tᵐ(0)`.
 fn recompute<K: Semiring>(
     compiled: &Compiled<'_>,
     tables: &[Table<K>],
@@ -795,13 +1020,14 @@ fn recompute<K: Semiring>(
             for &fi in &compiled.specs[t].heads {
                 let form = &compiled.forms[fi];
                 unbound(&mut binding, form);
-                if form.dead || !matches(&form.head, &heads[t], row, &mut binding) {
+                if form.full.emit.is_none() || !matches(&form.head, &heads[t], row, &mut binding) {
                     continue;
                 }
                 let steps = &form.recompute.steps;
                 join(
                     steps,
                     tables,
+                    &[],
                     &mut binding,
                     &one,
                     true,
@@ -823,9 +1049,10 @@ pub(crate) trait FanOut<K: Semiring> {
         &self,
         compiled: &Compiled<'_>,
         tables: &[Table<K>],
+        deltas: &[Delta<K>],
         items: Vec<DeltaItem>,
-        track: bool,
-    ) -> Vec<Vec<Table<K>>>;
+        mode: Mode<'_>,
+    ) -> Vec<Vec<Sums<K>>>;
 
     /// [`recompute`] over contiguous chunks of `items`: the totals in item
     /// order.
@@ -863,10 +1090,11 @@ impl<K: Semiring> FanOut<K> for Caller {
         &self,
         compiled: &Compiled<'_>,
         tables: &[Table<K>],
+        deltas: &[Delta<K>],
         items: Vec<DeltaItem>,
-        track: bool,
-    ) -> Vec<Vec<Table<K>>> {
-        vec![join_chunk(compiled, tables, &items, track)]
+        mode: Mode<'_>,
+    ) -> Vec<Vec<Sums<K>>> {
+        vec![join_chunk(compiled, tables, deltas, &items, mode)]
     }
 
     fn recompute(
@@ -885,11 +1113,12 @@ impl<K: Semiring + Send + Sync> FanOut<K> for Workers {
         &self,
         compiled: &Compiled<'_>,
         tables: &[Table<K>],
+        deltas: &[Delta<K>],
         items: Vec<DeltaItem>,
-        track: bool,
-    ) -> Vec<Vec<Table<K>>> {
+        mode: Mode<'_>,
+    ) -> Vec<Vec<Sums<K>>> {
         par::par_map_chunks(self.chunks(items), |_, chunk| {
-            join_chunk(compiled, tables, &chunk, track)
+            join_chunk(compiled, tables, deltas, &chunk, mode)
         })
     }
 
@@ -911,12 +1140,14 @@ impl<K: Semiring + Send + Sync> FanOut<K> for Workers {
 
 /// Sums the workers' accumulators (or unions their head sets) in chunk
 /// order.
-fn combine<K: Semiring>(parts: Vec<Vec<Table<K>>>, track: bool) -> Option<Vec<Table<K>>> {
+fn combine<K: Semiring>(parts: Vec<Vec<Sums<K>>>, track: bool) -> Option<Vec<Sums<K>>> {
     let mut parts = parts.into_iter();
     let mut into = parts.next()?;
     let mut ids = Vec::new();
     for part in parts {
         for (dst, src) in into.iter_mut().zip(part) {
+            dst.added += src.added;
+            let (dst, src) = (&mut dst.heads, &src.heads);
             for row in 0..src.len {
                 ids.clear();
                 ids.extend(src.row(row));
@@ -931,12 +1162,14 @@ fn combine<K: Semiring>(parts: Vec<Vec<Table<K>>>, track: bool) -> Option<Vec<Ta
     Some(into)
 }
 
-/// The loops' round-to-round state: the relations, and the rows of each
-/// that changed in the last round.
+/// The loop's round-to-round state: the relations, the rows of each that
+/// moved in the last round, and how many contributions each table's
+/// accumulator took then.
 struct State<'p, K> {
     compiled: Compiled<'p>,
     tables: Vec<Table<K>>,
-    delta: Vec<Vec<u32>>,
+    deltas: Vec<Delta<K>>,
+    added: Vec<usize>,
 }
 
 /// What a [`crate::maintain::FixpointView`] keeps of the compiled fixpoint
@@ -949,6 +1182,15 @@ pub(crate) struct IdTables<K> {
 }
 
 impl<'p, K: Semiring> State<'p, K> {
+    fn with(compiled: Compiled<'p>, tables: Vec<Table<K>>) -> Self {
+        State {
+            deltas: tables.iter().map(|_| Delta::default()).collect(),
+            added: vec![0; tables.len()],
+            compiled,
+            tables,
+        }
+    }
+
     /// The edb loaded into fresh tables, and then — unless the round bound
     /// is 0 — round 1: apply `T` once to the empty idb (only rules without
     /// idb body atoms, so without a `Δ` form, can contribute, through their
@@ -962,31 +1204,32 @@ impl<'p, K: Semiring> State<'p, K> {
         let specs = compiled.specs.iter();
         let mut tables: Vec<_> = specs.map(|s| Table::new(s.arity, &s.masks)).collect();
         compiled.load(&mut tables, edb);
-        let mut state = State {
-            delta: vec![Vec::new(); tables.len()],
-            compiled,
-            tables,
-        };
+        let mut state = State::with(compiled, tables);
         if max_rounds == 0 {
             return state;
         }
-        let mut acc = state.compiled.accumulators();
+        let mut sums = state.compiled.sums();
         let mut binding = Vec::new();
         for form in state.compiled.forms.iter().filter(|f| f.delta.is_empty()) {
             unbound(&mut binding, form);
-            let out = &mut acc[form.head_table];
+            let out = &mut sums[form.head_table];
+            let (tables, one) = (&state.tables, &K::one());
             emit_into(
                 &form.full,
-                &state.tables,
+                tables,
+                &[],
                 &mut binding,
-                &K::one(),
+                one,
                 true,
-                out,
+                &mut |h, k| {
+                    out.added += 1;
+                    out.heads.add(h, k);
+                },
             );
         }
-        state.apply(acc, false);
+        state.apply(sums);
         if state.compiled.forms.iter().all(|f| f.delta.is_empty()) {
-            state.delta.iter_mut().for_each(Vec::clear);
+            state.deltas.iter_mut().for_each(Delta::clear);
         }
         state
     }
@@ -998,11 +1241,7 @@ impl<'p, K: Semiring> State<'p, K> {
         for (table, spec) in tables.iter_mut().zip(&compiled.specs) {
             table.index(&spec.masks);
         }
-        State {
-            delta: vec![Vec::new(); tables.len()],
-            compiled,
-            tables,
-        }
+        State::with(compiled, tables)
     }
 
     /// Hands the interner and the tables back to the view.
@@ -1012,41 +1251,45 @@ impl<'p, K: Semiring> State<'p, K> {
     }
 
     fn delta_is_empty(&self) -> bool {
-        self.delta.iter().all(Vec::is_empty)
+        self.deltas.iter().all(|delta| delta.rows.is_empty())
     }
 
     /// The round's delta forms joined over contiguous chunks of the work
     /// items, one accumulator set per chunk, combined in chunk order.
-    fn join_deltas(&self, fan: &impl FanOut<K>, track: bool) -> Vec<Table<K>> {
-        let items = delta_items(&self.compiled.forms, &self.delta);
-        let parts = fan.join(&self.compiled, &self.tables, items, track);
-        combine(parts, track).unwrap_or_else(|| self.compiled.accumulators())
+    fn join_deltas(&self, fan: &impl FanOut<K>, mode: Mode<'_>) -> Vec<Sums<K>> {
+        let items = delta_items(&self.compiled.forms, &self.deltas);
+        let parts = fan.join(&self.compiled, &self.tables, &self.deltas, items, mode);
+        let track = matches!(mode, Mode::Exact(_));
+        combine(parts, track).unwrap_or_else(|| self.compiled.sums())
     }
 
-    /// Ends a round. `heads` holds, per table, candidate rows with their
-    /// new totals, or with increments to `merge` into the current
-    /// annotation; the rows whose annotation moves are written and become
-    /// the next delta. A row that was never written counts as zero.
-    fn apply(&mut self, heads: Vec<Table<K>>, merge: bool) {
+    /// Ends a round: adds each table's summed increments into its rows and
+    /// records how many contributions it took. A row whose annotation moves
+    /// joins the next delta with its annotation from before and the
+    /// increment; a row that was never written counts as zero, so a zero
+    /// increment does not create it.
+    fn apply(&mut self, sums: Vec<Sums<K>>) {
         let mut ids = Vec::new();
-        for ((table, delta), heads) in self.tables.iter_mut().zip(&mut self.delta).zip(heads) {
+        let tables = self.tables.iter_mut().zip(&mut self.deltas);
+        for (((table, delta), sums), added) in tables.zip(sums).zip(&mut self.added) {
             delta.clear();
-            let Table { cols, anns, .. } = heads;
-            for (r, value) in anns.into_iter().enumerate() {
+            *added = sums.added;
+            let Table { cols, anns, .. } = sums.heads;
+            for (r, inc) in anns.into_iter().enumerate() {
                 ids.clear();
                 ids.extend(cols.iter().map(|col| col[r]));
                 match table.find(&ids) {
                     Some(row) => {
-                        let current = &mut table.anns[row as usize];
-                        let new = if merge { current.plus(&value) } else { value };
-                        if *current != new {
-                            *current = new;
-                            delta.push(row);
+                        let now = &mut table.anns[row as usize];
+                        let new = now.plus(&inc);
+                        if *now != new {
+                            delta.push(row, std::mem::replace(now, new), inc);
                         }
                     }
-                    None if !value.is_zero() => {
-                        delta.push(table.push(&ids));
-                        table.anns.push(value);
+                    None if !inc.is_zero() => {
+                        let row = table.push(&ids);
+                        table.anns.push(inc.clone());
+                        delta.push(row, K::zero(), inc);
                     }
                     None => {}
                 }
@@ -1054,37 +1297,25 @@ impl<'p, K: Semiring> State<'p, K> {
         }
     }
 
-    /// Rounds 2, 3, … of the general loop, until the delta is empty or the
-    /// round bound is reached; returns the number of rounds, round 1
-    /// (which [`State::initial`] ran unless the bound is 0) included.
+    /// Rounds 2, 3, … until the delta is empty or the round bound is
+    /// reached; returns the number of rounds, round 1 (which
+    /// [`State::initial`] ran unless the bound is 0) included. Each round
+    /// sums the increments of the `Δ` forms seeded at the rows that moved,
+    /// per head table through its grid when the last round's contributions
+    /// cover the grid's cells.
     fn rounds(&mut self, max_rounds: usize, fan: &impl FanOut<K>) -> usize {
         let mut iterations = max_rounds.min(1);
         while iterations < max_rounds && !self.delta_is_empty() {
             iterations += 1;
-            // 1. Affected heads: everything one Δ form away from a delta row,
-            //    whatever the annotations on the way.
-            let heads = self.join_deltas(fan, false);
-            self.recompute_heads(heads, fan);
+            let side = self.compiled.interner.values.len();
+            let specs = self.compiled.specs.iter();
+            let grids: Vec<Option<usize>> = (specs.zip(&self.added))
+                .map(|(spec, &added)| grid_side(side, spec.arity, added))
+                .collect();
+            let sums = self.join_deltas(fan, Mode::Exact(&grids));
+            self.apply(sums);
         }
         iterations
-    }
-
-    /// The rest of a general round: 2. the totals of `heads` (rows per
-    /// table) from scratch, over contiguous chunks of the heads; 3. the
-    /// heads whose total moved are written and become the next delta.
-    fn recompute_heads(&mut self, mut heads: Vec<Table<K>>, fan: &impl FanOut<K>) {
-        let items: Vec<(usize, u32)> = heads
-            .iter()
-            .enumerate()
-            .flat_map(|(t, heads)| (0..heads.len as u32).map(move |row| (t, row)))
-            .collect();
-        let mut totals = fan
-            .recompute(&self.compiled, &self.tables, &heads, items)
-            .into_iter();
-        for heads in &mut heads {
-            heads.anns = totals.by_ref().take(heads.len).collect();
-        }
-        self.apply(heads, false);
     }
 
     /// The one place values come back: each idb table's non-zero rows,
@@ -1137,7 +1368,7 @@ impl<'p, K: Semiring> State<'p, K> {
                 if values.len() == spec.arity {
                     ids.clear();
                     ids.extend(values.iter().map(|v| self.compiled.interner.intern(v)));
-                    self.delta[t].push(self.tables[t].add(&ids, k));
+                    self.deltas[t].rows.push(self.tables[t].add(&ids, k));
                 }
             }
         }
@@ -1154,13 +1385,13 @@ impl<'p, K: Semiring> State<'p, K> {
         let mut rows = Vec::new();
         let mut ids = Vec::new();
         while !self.delta_is_empty() {
-            for (t, found) in self.join_deltas(fan, false).iter().enumerate() {
+            for (t, found) in self.join_deltas(fan, Mode::Blind).iter().enumerate() {
                 let (table, delta, heads) =
-                    (&mut self.tables[t], &mut self.delta[t], &mut heads[t]);
+                    (&mut self.tables[t], &mut self.deltas[t], &mut heads[t]);
                 delta.clear();
-                for r in 0..found.len {
+                for r in 0..found.heads.len {
                     ids.clear();
-                    ids.extend(found.row(r));
+                    ids.extend(found.heads.row(r));
                     if heads.find(&ids).is_some() {
                         continue;
                     }
@@ -1169,7 +1400,7 @@ impl<'p, K: Semiring> State<'p, K> {
                         table.anns.push(K::zero());
                         table.push(&ids)
                     });
-                    delta.push(row);
+                    delta.rows.push(row);
                     rows.push((t, row));
                 }
             }
@@ -1178,28 +1409,44 @@ impl<'p, K: Semiring> State<'p, K> {
     }
 
     /// Phase 3: the (zeroed, non-empty) affected `heads` recomputed from
-    /// scratch (round 1), then the general loop's rounds, which recompute
-    /// the heads one `Δ` form away from a row that moved — all affected, as
-    /// the closure is closed under the `Δ` forms. A head none of whose
-    /// factors moved would recompute to its current total, so round for
-    /// round this is the Kleene iteration of the affected rows. Returns
-    /// whether a round within `max_rounds` moved no row.
-    fn rederive(&mut self, heads: Vec<Table<K>>, max_rounds: usize, fan: &impl FanOut<K>) -> bool {
+    /// scratch (round 1), then the loop's exact rounds, which add the
+    /// increments of the rows that moved — only into affected heads, as the
+    /// closure is closed under the `Δ` forms. Every affected row was zero
+    /// before round 1, so its total is its increment, and round for round
+    /// this is the Kleene iteration of the affected rows. Returns whether a
+    /// round within `max_rounds` moved no row.
+    fn rederive(
+        &mut self,
+        mut heads: Vec<Table<K>>,
+        max_rounds: usize,
+        fan: &impl FanOut<K>,
+    ) -> bool {
         if max_rounds == 0 {
             return false;
         }
-        self.recompute_heads(heads, fan);
+        let items: Vec<(usize, u32)> = heads
+            .iter()
+            .enumerate()
+            .flat_map(|(t, heads)| (0..heads.len as u32).map(move |row| (t, row)))
+            .collect();
+        let mut totals = fan
+            .recompute(&self.compiled, &self.tables, &heads, items)
+            .into_iter();
+        for heads in &mut heads {
+            heads.anns = totals.by_ref().take(heads.len).collect();
+        }
+        let sums = heads.into_iter().map(|heads| Sums { heads, added: 0 });
+        self.apply(sums.collect());
         self.rounds(max_rounds, fan);
         self.delta_is_empty()
     }
 }
 
-/// The general semi-naive loop — the body of
-/// [`crate::seminaive::seminaive_iterate`] and its `_with` twin: deltas (the
-/// rows whose annotation changed last round) drive discovery of the
-/// *affected heads* through the `Δ` forms, and each affected head is then
-/// recomputed from scratch through its head-seeded plans. Sound for every
-/// semiring, and `FixpointResult`-identical under every [`FanOut`].
+/// The semi-naive loop — the body of every entry point of
+/// [`crate::seminaive`]: round 1 runs the edb-only rules' full plans, and
+/// every later round is one exact differential round (see the module docs).
+/// Sound for every semiring, and `FixpointResult`-identical under every
+/// [`FanOut`].
 pub(crate) fn iterate<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
@@ -1208,27 +1455,6 @@ pub(crate) fn iterate<K: Semiring>(
 ) -> FixpointResult<K> {
     let mut state = State::initial(program, edb, max_rounds);
     let iterations = state.rounds(max_rounds, fan);
-    state.result(iterations, |k| std::mem::replace(k, K::zero()))
-}
-
-/// The classical delta rewrite — the body of
-/// [`crate::seminaive::seminaive_idempotent`] and its `_with` twin: each
-/// round's increments are summed per head as the joins produce them and
-/// merged into the relations with `+`; nothing is recomputed from scratch.
-/// Exact only for `+`-idempotent semirings, hence the bound.
-pub(crate) fn idempotent<K: Semiring + PlusIdempotent>(
-    program: &Program,
-    edb: &FactStore<K>,
-    max_rounds: usize,
-    fan: &impl FanOut<K>,
-) -> FixpointResult<K> {
-    let mut state = State::initial(program, edb, max_rounds);
-    let mut iterations = max_rounds.min(1);
-    while iterations < max_rounds && !state.delta_is_empty() {
-        iterations += 1;
-        let increments = state.join_deltas(fan, true);
-        state.apply(increments, true);
-    }
     state.result(iterations, |k| std::mem::replace(k, K::zero()))
 }
 
@@ -1325,9 +1551,10 @@ fn render_mask(mask: &[usize]) -> String {
 /// [`Plan::explain_physical_with`](provsem_core::plan::Plan::explain_physical_with):
 ///
 /// * per rule, the join orders executed: the left-to-right `full` plan
-///   (round 1 / edb-only rules), the head-seeded `recompute` plan
-///   (general-semiring rederivation), and one `Δ` form per idb body atom
-///   (the differential probe order when the delta sits at that atom), each
+///   (round 1 / edb-only rules), the head-seeded `recompute` plan (the
+///   first round of maintenance's rederivation), and one `Δ` form per idb
+///   body atom (the differential probe order when the delta sits at that
+///   atom, in every later round), each
 ///   atom annotated with its bound-column probe mask;
 /// * per `predicate/arity` table some rule body reads, in name order: the
 ///   EDB rows it will hold (`derived` for an idb table, filled by the
@@ -1464,6 +1691,62 @@ mod tests {
             assert_eq!(table.upsert(&layout(5)), 5);
             assert_eq!(table.len, ROWS as usize);
         }
+    }
+
+    /// The rows and annotations of a round's accumulator, in row order.
+    fn rows_of<K: Semiring>(sums: &Sums<K>) -> Vec<(Vec<u32>, K)> {
+        let heads = &sums.heads;
+        let row = |r: usize| (heads.row(r).collect(), heads.anns[r].clone());
+        (0..heads.len).map(row).collect()
+    }
+
+    /// One chunk of delta work summed through the dense grid and through the
+    /// hash accumulator gives the same rows in the same order with the same
+    /// annotations. Over ℤ, `T(a, d)` is reached through `b` (+1) and `c`
+    /// (−1): its sum cancels to zero, and the row still exists on both
+    /// paths, as `Table::add` leaves it.
+    #[test]
+    fn grid_and_hash_accumulators_give_the_same_rows() {
+        use provsem_semiring::Integers;
+        let program = Program::linear_transitive_closure("E", "T");
+        let edges = [("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", -1)];
+        let edges: Vec<_> = (edges.iter())
+            .map(|&(s, t, w)| (s, t, Integers::new(w)))
+            .collect();
+        let edb = crate::fact::edge_facts("E", &edges);
+        let state = State::initial(&program, &edb, 8);
+        let items = delta_items(&state.compiled.forms, &state.deltas);
+        let side = state.compiled.interner.values.len();
+        let tables = state.compiled.specs.len();
+        let mut by_path = [vec![Some(side); tables], vec![None; tables]].map(|grids| {
+            let (compiled, deltas) = (&state.compiled, &state.deltas);
+            join_chunk(compiled, &state.tables, deltas, &items, Mode::Exact(&grids))
+        });
+        let [grid, hash] = &mut by_path;
+        for (grid, hash) in grid.iter().zip(hash.iter()) {
+            assert_eq!(grid.added, hash.added);
+            assert_eq!(rows_of(grid), rows_of(hash));
+        }
+        let t = (state.compiled.specs.iter())
+            .position(|spec| spec.predicate == "T")
+            .unwrap();
+        let interner = &state.compiled.interner;
+        let id = |v: &str| interner.values.iter().position(|x| *x == Value::from(v));
+        let ad = [id("a").unwrap() as u32, id("d").unwrap() as u32];
+        assert_eq!(grid[t].added, 2);
+        assert!(rows_of(&grid[t]).contains(&(ad.to_vec(), Integers::new(0))));
+    }
+
+    /// The grid is taken when its cells are no more than last round's
+    /// contributions, and never when `size^arity` overflows.
+    #[test]
+    fn the_grid_is_taken_only_when_last_round_covers_its_cells() {
+        assert_eq!(grid_side(3, 2, 9), Some(3));
+        assert_eq!(grid_side(3, 2, 8), None);
+        assert_eq!(grid_side(7, 0, 1), Some(7));
+        assert_eq!(grid_side(7, 0, 0), None);
+        assert_eq!(grid_side(1 << 20, 4, usize::MAX), None);
+        assert_eq!(grid_side(usize::MAX, 2, usize::MAX), None);
     }
 
     /// Interned ids are dense, stable across the slots' doublings, and rank

@@ -25,11 +25,13 @@
 //!    again from the heads found, until no new head appears. A head its
 //!    table lacks is appended at zero, so later rounds join through it.
 //!    The closure is everything whose derivations can read a changed row.
-//! 3. **Rederive**: zero every affected idb row and Kleene-iterate the
-//!    fixpoint's own head-seeded recomputation over them until no row moves
-//!    (or the view's round bound runs out): round 1 recomputes every
-//!    affected row, later rounds — the general fixpoint loop's — those one
-//!    `Δ` form away from a row that moved. Facts whose derivations all
+//! 3. **Rederive**: zero every affected idb row and Kleene-iterate over
+//!    them until no row moves (or the view's round bound runs out): round 1
+//!    recomputes every affected row through the head-seeded plans, and the
+//!    later rounds are the fixpoint's own exact differential rounds, which
+//!    add the increments of the rows that moved (a row recomputed from zero
+//!    moved by its whole total). A rule whose body cannot ground its head
+//!    never fires, in round 1 as in the fixpoint. Facts whose derivations all
 //!    vanished stay at zero — deletions do not over-retain — and unaffected
 //!    facts keep their annotations, which are still correct because *no*
 //!    derivation of an unaffected fact reads a changed row (otherwise the
@@ -41,7 +43,7 @@
 //! per appended row), so churn through fresh constants does not leave the
 //! probes walking a tombstone for every fact the view ever held.
 //!
-//! The work is the closure's joins and the recomputations of step 3, plus
+//! The work is the closure's joins and the rounds of step 3, plus
 //! O(|Δ| + |changed heads|) store updates. The result is pinned against
 //! from-scratch [`kleene_iterate`](crate::naive::kleene_iterate) on the
 //! updated edb by `tests/ivm_differential.rs`.

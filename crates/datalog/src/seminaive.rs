@@ -17,26 +17,29 @@
 //! naive iteration stays as the reference oracle the differential suites
 //! compare every entry point against.
 //!
-//! # Soundness conditions (which path computes what)
+//! # Soundness: one exact loop for every semiring
 //!
-//! * [`seminaive_idempotent`] — the classical delta rewrite: each round joins
-//!   the deltas into *increments* and merges them into the accumulator with
-//!   semiring `+`. This is **exact for `+`-idempotent (naturally ordered)
-//!   semirings** — 𝔹, PosBool, Why(X), witnesses, the tropical, fuzzy,
-//!   Viterbi and security semirings, and every distributive lattice — where
-//!   re-deriving a fact cannot inflate its annotation (`a + a = a` absorbs
-//!   stale increments). For non-idempotent semirings such as ℕ or ℕ\[X\] the
-//!   increments would double-count, so the function is restricted by the
-//!   [`provsem_semiring::PlusIdempotent`] bound.
-//! * [`seminaive_iterate`] — the fallback for **general ω-continuous
-//!   semirings**: deltas still drive the work (they are the
-//!   full-minus-previous difference of each round), but instead of merging
-//!   increments it recomputes the *affected heads* — the heads reachable
-//!   from a delta fact through one differential form — from scratch. An
-//!   unaffected head keeps its value because none of its rule bodies
-//!   changed, so the result after `m` rounds equals the naive `Tᵐ(0)`
-//!   **round for round, for every semiring** — which is what the
-//!   differential test suite pins down.
+//! Every entry point — [`seminaive_iterate`], [`seminaive_idempotent`] and
+//! their `_with` twins — runs the same loop. Each round joins the rows
+//! whose annotation moved last round through the differential forms, and
+//! each moved row carries its **increment** `δ` (its annotation is
+//! `old + δ`). The form seeded at body position `i` multiplies `δᵢ` with the
+//! current annotations of the atoms before `i` and the previous ones of
+//! the atoms after `i`. Distributivity and commutativity alone give
+//!
+//! ```text
+//! Π(oldⱼ + δⱼ) = Π oldⱼ + Σᵢ (Π_{j<i} newⱼ) · δᵢ · (Π_{j>i} oldⱼ)
+//! ```
+//!
+//! per derivation, so the summed increments satisfy
+//! `Tᵐ⁺¹(0) = Tᵐ(0) + Σ increments` in **every** semiring: merging them
+//! with `+` needs no subtraction (ℕ and ℕ\[X\] have none) and never counts a
+//! derivation twice, and an unaffected head keeps its value because no
+//! increment reaches it. A row whose increment is absorbed (ℕ∞'s
+//! `∞ + x = ∞`, an idempotent `a + a = a`) stays out of the next delta, so
+//! the loop stops exactly when `Tᵐ⁺¹(0) = Tᵐ(0)`. The result after `m`
+//! rounds equals the naive `Tᵐ(0)` **round for round, for every semiring**
+//! — which is what the differential test suites pin down.
 //!
 //! # Threads and `!Send` annotations
 //!
@@ -172,12 +175,12 @@ where
     }
 }
 
-/// Semi-naive evaluation for **general** semirings: deltas (the facts whose
-/// annotation changed last round) drive discovery of *affected heads*
-/// through the differential forms, and each affected head is then recomputed
-/// from scratch. Produces exactly the naive `Tᵐ(0)` after `m` rounds for
-/// every semiring — see the module docs for why unaffected heads may keep
-/// their value. Runs on the calling thread, so `K` need not be `Send`.
+/// Semi-naive evaluation for every semiring: deltas (the facts whose
+/// annotation changed last round) seed the differential forms with their
+/// increments, and each head's summed increments are added into it with
+/// `+`. Produces exactly the naive `Tᵐ(0)` after `m` rounds for every
+/// semiring — see the module docs for why no subtraction is needed. Runs on
+/// the calling thread, so `K` need not be `Send`.
 pub fn seminaive_iterate<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
@@ -186,15 +189,13 @@ pub fn seminaive_iterate<K: Semiring>(
     columnar::iterate(program, edb, max_rounds, &Caller)
 }
 
-/// [`seminaive_iterate`] with a thread budget: both phases of every round
-/// run data-parallel over scoped worker threads — affected-head discovery
-/// over contiguous chunks of the differential work items, head
-/// recomputation over contiguous chunks of the affected heads.
+/// [`seminaive_iterate`] with a thread budget: each round's increments are
+/// joined data-parallel over scoped worker threads, one accumulator per
+/// contiguous chunk of the differential work items.
 ///
-/// The [`FixpointResult`] is identical at every thread count: affected
-/// heads are a set union (order-insensitive), recomputation is a pure
-/// function of the previous round's state (the tables are only read during
-/// a round), and the per-chunk results are combined in chunk order.
+/// The [`FixpointResult`] is identical at every thread count: a round is a
+/// pure function of the previous round's state (the tables are only read
+/// during a round), and the per-chunk sums are combined in chunk order.
 /// Requires `K: Send + Sync` because the workers share the tables by
 /// reference; annotations that are not (circuit handles) use
 /// [`seminaive_iterate`].
@@ -211,15 +212,10 @@ where
 }
 
 /// Semi-naive evaluation for `+`-idempotent semirings: the classical delta
-/// rewrite. Each round joins only the differential forms whose delta atom
-/// matches a changed fact, computes the resulting increments, and merges
-/// them into the accumulator with semiring `+`; nothing is ever recomputed
-/// from scratch.
-///
-/// Exact for idempotent `+` (sets, lattices, tropical — stale increments are
-/// absorbed because `a ≤ b` implies `a + b = b`); for non-idempotent
-/// semirings (ℕ, ℕ\[X\]) re-derivations would change the result, hence the
-/// [`PlusIdempotent`] bound. Use [`seminaive_iterate`] there instead.
+/// rewrite, whose increments are merged into the relations with `+`. It
+/// runs the one exact loop of [`seminaive_iterate`] (see the module docs),
+/// so it equals the naive `Tᵐ(0)` round for round; the [`PlusIdempotent`]
+/// bound is kept for the callers that ask for this entry point by name.
 pub fn seminaive_idempotent<K>(
     program: &Program,
     edb: &FactStore<K>,
@@ -228,14 +224,14 @@ pub fn seminaive_idempotent<K>(
 where
     K: Semiring + PlusIdempotent,
 {
-    columnar::idempotent(program, edb, max_rounds, &Caller)
+    columnar::iterate(program, edb, max_rounds, &Caller)
 }
 
-/// [`seminaive_idempotent`] with a thread budget: each round's increments
-/// are produced in parallel over contiguous chunks of the differential work
-/// items, one accumulator per worker, and the accumulators are summed in
-/// chunk order — so the merged relations (and the delta) are identical at
-/// every thread count.
+/// [`seminaive_idempotent`] with a thread budget: [`seminaive_iterate_with`]
+/// — each round's increments are produced in parallel over contiguous
+/// chunks of the differential work items, one accumulator per worker, and
+/// the accumulators are summed in chunk order, so the merged relations (and
+/// the delta) are identical at every thread count.
 pub fn seminaive_idempotent_with<K>(
     program: &Program,
     edb: &FactStore<K>,
@@ -245,7 +241,7 @@ pub fn seminaive_idempotent_with<K>(
 where
     K: Semiring + PlusIdempotent + Send + Sync,
 {
-    columnar::idempotent(program, edb, max_rounds, &Workers(ctx.threads))
+    columnar::iterate(program, edb, max_rounds, &Workers(ctx.threads))
 }
 
 #[cfg(test)]

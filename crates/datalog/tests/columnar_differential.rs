@@ -27,7 +27,7 @@ use provsem_semiring::{
 
 const ALL_THREADS: [usize; 3] = [1, 2, 4];
 
-/// The general loop under a thread budget.
+/// `seminaive_iterate_with` under a thread budget.
 fn iterate_at<K: Semiring + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
@@ -37,7 +37,7 @@ fn iterate_at<K: Semiring + Send + Sync>(
     seminaive_iterate_with(program, edb, rounds, &ExecContext::with_threads(threads))
 }
 
-/// The idempotent loop under a thread budget.
+/// `seminaive_idempotent_with` under a thread budget.
 fn idempotent_at<K: Semiring + PlusIdempotent + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
@@ -47,7 +47,7 @@ fn idempotent_at<K: Semiring + PlusIdempotent + Send + Sync>(
     seminaive_idempotent_with(program, edb, rounds, &ExecContext::with_threads(threads))
 }
 
-/// The general loop at one round bound: the calling-thread entry point
+/// `seminaive_iterate` at one round bound: the calling-thread entry point
 /// equals the `_with` one in every field at every thread count, and —
 /// unless the case pins a behaviour `kleene_iterate` does not share —
 /// equals `Tᵐ(0)`, converged or not.
@@ -72,10 +72,10 @@ fn check_general_at<K: Semiring + Send + Sync>(
     }
 }
 
-/// The idempotent loop at one round bound: calling-thread and `_with` entry
-/// points equal in every field at every thread count. Its rounds are not
-/// `Tᵐ(0)`, so `kleene_iterate` is compared once the loop has converged,
-/// where both hold the least fixpoint.
+/// The idempotent entry points at one round bound: calling-thread and
+/// `_with` entry points equal in every field at every thread count, and —
+/// unless the case pins a behaviour `kleene_iterate` does not share —
+/// equal to `Tᵐ(0)`, converged or not.
 fn check_idempotent_at<K: Semiring + PlusIdempotent + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
@@ -87,9 +87,13 @@ fn check_idempotent_at<K: Semiring + PlusIdempotent + Send + Sync>(
         let with = idempotent_at(program, edb, rounds, threads);
         assert_eq!(on_caller, with, "threads={threads} rounds={rounds}");
     }
-    if kleene && on_caller.converged {
+    if kleene {
         let naive = kleene_iterate(program, edb, rounds);
         assert_eq!(naive.idb, on_caller.idb, "kleene rounds={rounds}");
+        assert_eq!(
+            naive.converged, on_caller.converged,
+            "kleene rounds={rounds}"
+        );
     }
 }
 
@@ -113,7 +117,7 @@ proptest! {
             check_general_at(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), rounds, true);
             check_general_at(&program, &build_edb(&raw_edb, |i, _| WhySet::var(format!("t{i}"))), rounds, true);
         }
-        for rounds in [2, 8, 64] {
+        for rounds in [1, 2, 3, 8, 64] {
             check_idempotent_at(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)), rounds, true);
             check_idempotent_at(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), rounds, true);
             check_idempotent_at(&program, &build_edb(&raw_edb, |i, _| PosBool::var(format!("t{i}"))), rounds, true);
@@ -265,7 +269,7 @@ fn check_case_idempotent<K: Semiring + PlusIdempotent + Send + Sync>(
     kleene: bool,
 ) {
     for rounds in bounds(deep) {
-        check_idempotent_at(program, edb, rounds, kleene && rounds == deep);
+        check_idempotent_at(program, edb, rounds, kleene);
     }
 }
 
@@ -457,14 +461,12 @@ fn one_predicate_used_at_two_arities() {
 }
 
 /// A rule that is not range-restricted (`y` is bound by no body atom)
-/// beside a safe rule with the same head. It grounds no head of its own,
-/// so it never fires in round 1, in discovery or in the idempotent loop;
-/// but when a head the safe rule reached is recomputed, the head seeds
-/// `y` and the unsafe body is summed too. That is the semi-naive loop's
-/// behaviour since its first version, pinned by the values below, not
-/// `kleene_iterate`'s (which never instantiates the rule).
+/// beside a safe rule with the same head. Its body cannot ground its head,
+/// so it never fires — not in the fixpoint's rounds, and not when
+/// maintenance recomputes a head the safe rule reached (which would seed
+/// `y` from the head) — exactly as `kleene_iterate` never instantiates it.
 #[test]
-fn a_non_range_restricted_rule_is_summed_by_recompute_only() {
+fn a_non_range_restricted_rule_never_fires() {
     let program = parse_program(
         "T(x, y) :- E(x, y).\n\
          T(x, z) :- T(x, y), E(y, z).\n\
@@ -478,18 +480,67 @@ fn a_non_range_restricted_rule_is_summed_by_recompute_only() {
         strs("E", &["b", "c"], 3),
         strs("V", &["a"], 5),
     ];
-    check_all_semirings(&program, &facts, 16, false);
+    check_all_semirings(&program, &facts, 16, true);
     let edb = edb_of(&facts, |_, w| Integers::new(w));
     let out = seminaive_iterate(&program, &edb, 16);
     assert_eq!(
         out.idb.annotation(&Fact::new("W", ["a", "c"])),
-        Integers::new(6 + 5)
+        Integers::new(6)
     );
     assert_eq!(
         out.idb.annotation(&Fact::new("W", ["b", "c"])),
         Integers::new(3)
     );
     assert_eq!(out.idb.facts_of("U").count(), 0);
+
+    // Maintenance recomputes `W(a, d)` once `E(c, d)` arrives: 2·3·7, and
+    // nothing of `V(a)`.
+    let mut delta = FactStore::new();
+    delta.insert(Fact::new("E", ["c", "d"]), Integers::new(7));
+    for threads in ALL_THREADS {
+        let mut view = materialize_fixpoint(&program, &edb, 16);
+        maintain_fixpoint_with(&mut view, &delta, &ExecContext::with_threads(threads));
+        let scratch = kleene_iterate(&program, view.edb(), 16);
+        assert!(view.converged() && scratch.converged);
+        assert_eq!(view.result(), &scratch.idb, "threads={threads}");
+        assert_eq!(
+            view.result().annotation(&Fact::new("W", ["a", "d"])),
+            Integers::new(42)
+        );
+    }
+}
+
+/// ℕ∞ absorption: the self-loop `a→a` is `∞`, so every `Q(a, ·)` jumps to
+/// `∞` and stays there while finite increments keep arriving. An absorbed
+/// increment must leave its row out of the delta (`∞ + x = ∞` did not
+/// move it), or the loop never sees `Tᵐ⁺¹(0) = Tᵐ(0)`; both loops converge
+/// at the fourth round.
+#[test]
+fn an_absorbed_infinite_increment_leaves_the_delta() {
+    let program = Program::transitive_closure("R", "Q");
+    let edb = edge_facts(
+        "R",
+        &[
+            ("a", "a", NatInf::Inf),
+            ("a", "b", NatInf::Fin(1)),
+            ("b", "c", NatInf::Fin(2)),
+            ("c", "d", NatInf::Fin(1)),
+        ],
+    );
+    for rounds in 0..=9 {
+        check_general_at(&program, &edb, rounds, true);
+        assert_eq!(
+            seminaive_iterate(&program, &edb, rounds).converged,
+            rounds >= 4,
+            "rounds={rounds}"
+        );
+    }
+    let out = seminaive_iterate(&program, &edb, 9);
+    assert_eq!(out.idb.annotation(&Fact::new("Q", ["a", "d"])), NatInf::Inf);
+    assert_eq!(
+        out.idb.annotation(&Fact::new("Q", ["b", "d"])),
+        NatInf::Fin(2)
+    );
 }
 
 /// Over ℤ, `A(k)` and `B(k)` are 1 after round 1, cancel to 0 in round 2

@@ -1,11 +1,11 @@
 //! Differential test: the parallel semi-naive rounds agree with the
 //! calling-thread loops **exactly** — same idb annotations, same iteration
 //! counts, same convergence flags, round for round — at `threads ∈
-//! {1, 2, 4}`, and the general loop with the naive Kleene iteration
-//! (annotations and `converged`) at every round bound.
+//! {1, 2, 4}`, and the loop with the naive Kleene iteration (annotations
+//! and `converged`) at every round bound.
 //!
-//! Random programs/edbs cover the general path (every semiring) and the
-//! idempotent fast path; a deterministic transitive-closure workload is
+//! Random programs/edbs cover `seminaive_iterate_with` (every semiring) and
+//! `seminaive_idempotent_with`; a deterministic transitive-closure workload is
 //! large enough that the rounds genuinely fan out over worker threads.
 
 mod common;
