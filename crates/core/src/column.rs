@@ -2,13 +2,14 @@
 //! and a parallel annotation column — the system's storage representation.
 //!
 //! This is the data layer under the batch executor (`plan::batch`), the
-//! columnar IVM state (`plan::maintain`), and the snapshot-resident
-//! [`BatchCache`]. A `Batch` holds one `Column` per output attribute
-//! (in the operator's sorted schema order), a parallel column of
-//! annotations — the K-relation annotation is "just one more column"
-//! riding next to the data, and shared the same way — and an optional
-//! *selection vector* of surviving row indices. The domain has no NULLs, so
-//! the layout is dense and validity-free.
+//! columnar IVM state (`plan::maintain`), and the columnar form every
+//! relation version holds once scanned ([`KRelation::batches`], patched
+//! across commits by the [`BatchCache`]). A `Batch` holds one `Column` per
+//! output attribute (in the operator's sorted schema order), a parallel
+//! column of annotations — the K-relation annotation is "just one more
+//! column" riding next to the data, and shared the same way — and an
+//! optional *selection vector* of surviving row indices. The domain has no
+//! NULLs, so the layout is dense and validity-free.
 //!
 //! Columns are typed by their content, decided per scan (or per rebuilt
 //! batch) at conversion time:
@@ -25,16 +26,16 @@
 //!   `Value`s, compared and hashed one row at a time.
 //!
 //! Column payloads — data and annotations alike — are behind `Arc`, so
-//! cloning a batch (every scan of a cached relation clones its batch list,
-//! and so does every commit that patches one), the projection/renaming
+//! cloning a batch (every scan clones its relation's batch list, and so
+//! does every commit that patches one), the projection/renaming
 //! kernels (a permutation of the column *list*) and batch transport between
 //! morsel workers never copy data; selections only refine the selection
 //! vector. Data is gathered (copied) only at pipeline breakers — hash-join
 //! build/probe, pre-join aggregation, exchanges, and the root conversion
 //! back to a `KRelation`. A breaker takes the annotation vector back *by move* when
 //! its batch is the column's only holder (a batch an operator built), and
-//! otherwise (a batch still held by the cache) clones just the rows that
-//! survived the selection.
+//! otherwise (a batch a relation's form still holds) clones just the rows
+//! that survived the selection.
 //!
 //! Hashing is content-based (`Value::content_hash`), not representation-based: an
 //! integer hashes the same in an `I64` and a `Val` column, a string the
@@ -96,14 +97,15 @@
 //! key columns, a sparse grid (few rows under large dictionaries) — hashes
 //! per row and goes to the table directly.
 
-use crate::relation::KRelation;
+use crate::relation::{ColumnarForm, KRelation};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{int_content_hash, str_content_hash, Value, ValueRef};
 use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::Semiring;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::Arc;
 
 /// Row budget per scan batch: scans larger than this split into multiple
 /// batches (sharing their per-scan dictionaries), which is also the unit
@@ -717,7 +719,7 @@ impl<K: Semiring> Batch<K> {
 
     /// Decomposes a materialized batch. The annotation vector is handed
     /// over when this batch is its only holder and copied when it is shared
-    /// (a cached batch nothing filtered).
+    /// (a relation's held batch nothing filtered).
     pub fn into_parts(self) -> (usize, Vec<Column>, Vec<K>) {
         debug_assert!(self.sel.is_none());
         (self.len, self.columns, unshare(self.anns))
@@ -769,13 +771,15 @@ fn unshare<K: Clone>(anns: Arc<Vec<K>>) -> Vec<K> {
     Arc::try_unwrap(anns).unwrap_or_else(|shared| shared.as_ref().clone())
 }
 
-/// Converts a scanned [`KRelation`] into batches — the row→column boundary.
-/// Columns are typed over the *whole* scan (one dictionary per string
-/// column, shared by every batch of the scan), then split into batches of
-/// at most [`BATCH_ROWS`] rows. Annotations are cloned out of the relation
-/// exactly once. The split depends only on the relation — never on the
-/// execution context — so the result is shareable across every execution
-/// and thread count, which is what lets the [`BatchCache`] memoize it.
+/// Converts a [`KRelation`] into batches — the row→column boundary.
+/// Columns are typed over the *whole* relation (one dictionary per string
+/// column, shared by every batch), then split into batches of at most
+/// [`BATCH_ROWS`] rows. Annotations are cloned out of the relation exactly
+/// once. The split depends only on the relation — never on the execution
+/// context — so the result is shareable across every execution and thread
+/// count: it is the columnar form a relation version holds
+/// ([`KRelation::batches`]), converted once per version. Calling this
+/// directly always converts.
 pub fn relation_to_batches<K: Semiring>(relation: &KRelation<K>) -> Vec<Batch<K>> {
     let arity = relation.schema().arity();
     let mut builders: Vec<ColBuilder> = (0..arity).map(|_| ColBuilder::new()).collect();
@@ -814,73 +818,51 @@ pub fn relation_to_batches<K: Semiring>(relation: &KRelation<K>) -> Vec<Batch<K>
     out
 }
 
-// --- the snapshot-resident batch cache -------------------------------------
+// --- the batch cache: scan counters and commit patching ---------------------
 
 /// Where a scan's batches came from, as reported by
-/// [`Plan::explain_batches`](crate::plan::Plan::explain_batches): freshly
-/// converted this execution, served from the [`BatchCache`] as converted,
-/// or served from the cache after one or more commit patches.
+/// [`Plan::explain_batches`](crate::plan::Plan::explain_batches): converted
+/// for the explain (the version holds no columnar form yet), the form an
+/// earlier scan converted, or a form carried across commits by patching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchProvenance {
-    /// No cache entry — the scan columnarizes the relation itself.
+    /// The relation version holds no form: a scan converts it.
     Converted,
-    /// A cache entry built by an earlier execution, unpatched.
+    /// The form an earlier scan converted (or tagging shared), unpatched.
     Cached,
-    /// A cache entry carried across this many commits by delta patching.
+    /// A form carried across this many commits by delta patching.
     Patched(u64),
 }
 
-struct CacheEntry<K> {
-    /// The source relation. A `Weak` both signals staleness (dead once
-    /// every snapshot holding the relation is gone) and — because a weak
-    /// reference pins the allocation — guarantees the pointer key below is
-    /// never reused while the entry lives, so identity checks are exact.
-    source: Weak<KRelation<K>>,
-    /// The conversion's batches, then the coalesced delta tail.
-    batches: Arc<Vec<Batch<K>>>,
-    /// Epoch the entry was converted (or last patched) at.
-    epoch: u64,
-    /// Rows and batches of the original conversion.
-    base_rows: usize,
-    base_batches: usize,
-    /// Live rows of the delta tail `batches[base_batches..]` — once these
-    /// outgrow `base_rows`, re-converting is cheaper than carrying the
-    /// deltas and the entry is evicted.
-    patch_rows: usize,
-    /// Number of commit patches absorbed.
-    patched: u64,
-}
-
-/// The storage-layer columnar cache: memoizes `relation_to_batches` per
-/// relation *version*, shared by every execution against the owning
-/// [`SharedDatabase`](crate::snapshot::SharedDatabase)'s snapshots.
+/// The counters over relation-resident columnar forms that a
+/// [`SharedDatabase`](crate::snapshot::SharedDatabase)'s snapshots share,
+/// and the commit path's patching of those forms.
 ///
-/// Entries are keyed by the identity of the relation's `Arc` (a relation
-/// version never mutates — commits copy-on-write), so readers at different
-/// epochs hit independent entries and a patched entry can never serve a
-/// stale relation. On commit, instead of invalidating, the writer *patches*
-/// the touched entries: the delta's own batches are appended to the cached
-/// ones, which is exact for any commutative semiring — duplicate tuples
-/// re-sum and delete-to-zero rows cancel at the next grouping point
-/// (aggregation or the plan root), the same places the executor already
-/// merges duplicates. The appended tail is kept short by coalescing (see
-/// [`BatchCache::patch`]), so a scan reads the conversion's batches plus a
-/// logarithmic number of delta batches however many commits went by.
-///
-/// The map is only ever changed by inserting or removing a whole entry, so
-/// a panic under its lock (an annotation overflowing while a patch re-sums,
-/// say) leaves nothing torn: the lock recovers from poison, and the entry
-/// being patched — removed before any fallible work — is simply absent, so
-/// the next scan re-converts.
+/// The batches themselves live on the relation versions
+/// ([`KRelation::batches`]): a version converts once, on its first scan,
+/// and every later scan — across executions, sessions and threads — reads
+/// the same form. A scan through the cache ([`BatchCache::get_or_convert`])
+/// counts a hit or a miss. On commit, instead of converting the new
+/// version, the writer *patches* the old version's form into the new one:
+/// the delta's own batches are appended, which is exact for any
+/// commutative semiring — duplicate tuples re-sum and delete-to-zero rows
+/// cancel at the next grouping point (aggregation or the plan root), the
+/// same places the executor already merges duplicates. The appended tail
+/// is kept short by coalescing (see [`BatchCache::patch`]), so a scan reads
+/// the conversion's batches plus a logarithmic number of delta batches
+/// however many commits went by. The old version keeps its own form, so a
+/// held snapshot never re-converts; a form is freed with its version.
 ///
 /// Counters (see [`BatchCacheStats`]) are served by the `STATS` verb of the
 /// query service.
 #[derive(Debug)]
 pub struct BatchCache<K> {
-    entries: Mutex<FxHashMap<usize, CacheEntry<K>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     patches: AtomicU64,
+    /// One handle here plus one in every live form this cache made.
+    made: Arc<()>,
+    annotations: PhantomData<fn() -> K>,
 }
 
 impl<K: Semiring> Default for BatchCache<K> {
@@ -889,93 +871,65 @@ impl<K: Semiring> Default for BatchCache<K> {
     }
 }
 
-impl<K> std::fmt::Debug for CacheEntry<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheEntry")
-            .field("epoch", &self.epoch)
-            .field("base_rows", &self.base_rows)
-            .field("patch_rows", &self.patch_rows)
-            .field("patched", &self.patched)
-            .finish_non_exhaustive()
-    }
-}
-
 /// A point-in-time read of the [`BatchCache`] counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchCacheStats {
-    /// Scans served from a cached (possibly patched) conversion.
+    /// Scans served from a form the relation version already held.
     pub hits: u64,
     /// Scans that had to columnarize their relation.
     pub misses: u64,
-    /// Commit deltas absorbed by patching a cached conversion.
+    /// Commit deltas absorbed by patching a version's form into the next.
     pub patches: u64,
-    /// Live entries.
+    /// Forms this cache made — converted by a counted scan or seeded by a
+    /// patch — that some relation version still holds. A version held by no
+    /// snapshot, view or caller frees its form, so dropped views and
+    /// superseded versions leave this count.
     pub entries: usize,
 }
 
-fn entry_key<K>(relation: &Arc<KRelation<K>>) -> usize {
-    Arc::as_ptr(relation) as usize
-}
-
 impl<K: Semiring> BatchCache<K> {
-    /// An empty cache.
+    /// A cache with zeroed counters.
     pub fn new() -> BatchCache<K> {
         BatchCache {
-            entries: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             patches: AtomicU64::new(0),
+            made: Arc::new(()),
+            annotations: PhantomData,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<usize, CacheEntry<K>>> {
-        // Whole-entry inserts and removes only: a poisoned map is intact.
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The batches of `relation` — its columnar form, converted on the
+    /// version's first scan — counted as a hit or a miss. `epoch` is not
+    /// read: a form belongs to its relation version, whatever the epoch.
+    pub fn get_or_convert(&self, _epoch: u64, relation: &Arc<KRelation<K>>) -> Arc<Vec<Batch<K>>> {
+        self.scan(relation)
     }
 
-    /// The batches of `relation`, converting and memoizing on first use.
-    /// The conversion runs outside the lock; on a race the first insert
-    /// wins (both conversions are identical, so either result is fine).
-    pub fn get_or_convert(&self, epoch: u64, relation: &Arc<KRelation<K>>) -> Arc<Vec<Batch<K>>> {
-        let key = entry_key(relation);
-        if let Some(entry) = self.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.batches.clone();
-        }
-        let batches = Arc::new(relation_to_batches(relation.as_ref()));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.lock();
-        entries.retain(|_, e| e.source.strong_count() > 0);
-        let entry = entries.entry(key).or_insert_with(|| CacheEntry {
-            source: Arc::downgrade(relation),
-            base_batches: batches.len(),
-            batches,
-            epoch,
-            base_rows: relation.len(),
-            patch_rows: 0,
-            patched: 0,
-        });
-        entry.batches.clone()
+    /// [`BatchCache::get_or_convert`] on a borrowed version.
+    pub(crate) fn scan(&self, relation: &KRelation<K>) -> Arc<Vec<Batch<K>>> {
+        let (form, converted) = relation.form_or_convert(Some(&self.made));
+        let counter = if converted { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(&form.batches)
     }
 
-    /// A non-counting read for explain output: the cached batches and
-    /// their provenance, if `relation` has an entry.
+    /// A non-counting, non-converting read for explain output: the form
+    /// `relation` holds and how it got it.
     pub fn peek(
         &self,
         relation: &Arc<KRelation<K>>,
     ) -> Option<(Arc<Vec<Batch<K>>>, BatchProvenance)> {
-        let entries = self.lock();
-        let entry = entries.get(&entry_key(relation))?;
-        let provenance = match entry.patched {
-            0 => BatchProvenance::Cached,
-            n => BatchProvenance::Patched(n),
-        };
-        Some((entry.batches.clone(), provenance))
+        let form = relation.form()?;
+        Some((Arc::clone(&form.batches), form.provenance()))
     }
 
-    /// Carries `old`'s cache entry (if any) forward to `new` = `old` +
-    /// `delta` by appending the delta's own batches — called by the commit
-    /// path under the writer lock.
+    /// Seeds `new` = `old` + `delta` with `old`'s form (if it holds one)
+    /// plus the delta's own batches — called by the commit path under the
+    /// writer lock. `old` keeps its form, so snapshots holding it never
+    /// re-convert; if anything below panics (an annotation overflowing as
+    /// the coalescing re-sums, say), `new` simply holds no form and its
+    /// first scan converts.
     ///
     /// The appended tail is **coalesced like a binary counter**: while the
     /// last delta batch has more than half the rows of the one before it,
@@ -992,30 +946,23 @@ impl<K: Semiring> BatchCache<K> {
     /// sizes, as a plain counter would, lets cancellations leave a tail of
     /// slowly shrinking batches.
     ///
-    /// Once the tail's live rows outgrow the base conversion the entry is
-    /// dropped instead (the next scan re-converts, which also folds the
+    /// Once the tail's live rows outgrow the base conversion `new` gets no
+    /// form instead (its first scan re-converts, which also folds the
     /// deltas into full batches); rows that cancelled are not live, so
     /// insert-then-delete churn never gets there.
-    pub fn patch(
-        &self,
-        old: &Arc<KRelation<K>>,
-        new: &Arc<KRelation<K>>,
-        delta: &KRelation<K>,
-        epoch: u64,
-    ) {
-        let mut entries = self.lock();
-        // Removed before anything below can panic: see the type's docs.
-        let Some(entry) = entries.remove(&entry_key(old)) else {
+    pub fn patch(&self, old: &KRelation<K>, new: &KRelation<K>, delta: &KRelation<K>) {
+        let Some(form) = old.form() else {
             return;
         };
-        if entry.patch_rows + delta.len() > entry.base_rows.max(BATCH_ROWS) {
+        let tail_rows: usize = form.tail().iter().map(Batch::live_rows).sum();
+        if tail_rows + delta.len() > form.base_rows.max(BATCH_ROWS) {
             return;
         }
         let whole_row: Vec<usize> = (0..new.schema().arity()).collect();
-        let mut batches = entry.batches.as_ref().clone();
-        for delta_batch in relation_to_batches(delta) {
+        let mut batches = form.batches.as_ref().clone();
+        for delta_batch in delta.batches().iter().cloned() {
             batches.push(delta_batch);
-            while let [.., before, last] = &batches[entry.base_batches..] {
+            while let [.., before, last] = &batches[form.base_batches..] {
                 if before.live_rows() >= 2 * last.live_rows() {
                     break;
                 }
@@ -1027,21 +974,13 @@ impl<K: Semiring> BatchCache<K> {
             }
         }
         self.patches.fetch_add(1, Ordering::Relaxed);
-        entries.insert(
-            entry_key(new),
-            CacheEntry {
-                source: Arc::downgrade(new),
-                patch_rows: batches[entry.base_batches..]
-                    .iter()
-                    .map(Batch::live_rows)
-                    .sum(),
-                batches: Arc::new(batches),
-                epoch,
-                base_rows: entry.base_rows,
-                base_batches: entry.base_batches,
-                patched: entry.patched + 1,
-            },
-        );
+        new.seed_form(ColumnarForm {
+            batches: Arc::new(batches),
+            base_batches: form.base_batches,
+            base_rows: form.base_rows,
+            patched: form.patched + 1,
+            _made_by: Some(Arc::clone(&self.made)),
+        });
     }
 
     /// A point-in-time read of the counters.
@@ -1050,7 +989,7 @@ impl<K: Semiring> BatchCache<K> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             patches: self.patches.load(Ordering::Relaxed),
-            entries: self.lock().len(),
+            entries: Arc::strong_count(&self.made) - 1,
         }
     }
 }

@@ -6,9 +6,14 @@
 //!
 //! The unit of work is a whole batch, and *a morsel is a batch*:
 //!
-//! * **Scans** resolve against the storage layer: served from the
-//!   snapshot-resident [`BatchCache`](crate::column::BatchCache) when the
-//!   source has one, converted once per execution otherwise.
+//! * **Scans** read the scanned relation version's columnar form
+//!   ([`KRelation::batches`](crate::relation::KRelation::batches)): converted
+//!   on the version's first scan, then shared by every scan after it — the
+//!   other scans of a self-join, later executions, other threads. Through a
+//!   snapshot the read goes through its
+//!   [`BatchCache`](crate::column::BatchCache), which counts it. Every scan
+//!   of one version shares the same string dictionaries, so equality kernels
+//!   between them compare dictionary codes instead of strings.
 //! * **σ** compiles to a per-column selection loop ([`filter_batch`]): a
 //!   single comparison over a batch nothing has filtered yet writes the
 //!   selection vector in its one pass over the column; `And`/`Or` (and a
@@ -47,16 +52,14 @@
 //! `core/tests/columnar_differential.rs` pins executor-vs-interpreter
 //! equality across five semirings and thread counts.
 
-use super::physical::{scan_relation, ColSource, CompiledPredicate, PhysOp};
+use super::physical::{scan_batches, scan_relation, ColSource, CompiledPredicate, PhysOp};
 use crate::column::{
-    code_domain_runs, column_values_equal, gather_multi, group_batches, relation_to_batches, Batch,
-    Column, KeyChains, KeyIndex, KeyRows, NO_KEY,
+    code_domain_runs, column_values_equal, gather_multi, group_batches, Batch, Column, KeyChains,
+    KeyIndex, KeyRows, NO_KEY,
 };
 use crate::plan::{ExecContext, QueryResult, RelationSource};
-use crate::relation::KRelation;
 use crate::schema::Schema;
 use crate::value::Value;
-use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::{Portable, Semiring};
 use std::sync::Arc;
 
@@ -391,7 +394,7 @@ fn aggregate_batches<K: Semiring>(inputs: Vec<Batch<K>>, threads: usize) -> Vec<
 /// (`KeyChains`) — and every probe batch maps its rows to those ids (once
 /// per distinct tuple of codes when every key column is a dictionary column,
 /// once per row through the table otherwise), then assembles one output batch
-/// column-by-column. Annotations are read in place on both sides: a cached
+/// column-by-column. Annotations are read in place on both sides: a scanned
 /// batch's annotation column is never copied, only the matched pairs are
 /// multiplied — in one [`Semiring::times_each`] call per output batch.
 ///
@@ -483,28 +486,10 @@ pub fn join_batches<K: Semiring>(
     out
 }
 
-/// Per-execution view of scan conversions, keyed by the scanned relation's
-/// address: a plan that scans the same relation several times (self-joins —
-/// the Section 2 query scans `R` four times) resolves it once. The batches
-/// themselves come from the storage layer when the source carries a
-/// [`BatchCache`](crate::column::BatchCache) (snapshots of a
-/// `SharedDatabase` do — repeated *executions* then skip conversion too,
-/// and commits patch the cached batches instead of invalidating them);
-/// otherwise the scan converts here, once per execution. Reuses share the
-/// typed columns by `Arc` and the *same* string dictionaries, so downstream
-/// equality kernels between the scans compare dictionary codes instead of
-/// strings.
-type ScanCache<K> = FxHashMap<usize, Arc<Vec<Batch<K>>>>;
-
 /// Recursively executes an operator into batches, peeling unary σ/π/ρ
 /// chains off the top and applying them as mask/permutation kernels in one
 /// pass per batch. `threads > 1` only when the semiring is portable.
-fn exec_batches<K, S>(
-    op: &PhysOp,
-    source: &S,
-    threads: usize,
-    cache: &mut ScanCache<K>,
-) -> Vec<Batch<K>>
+fn exec_batches<K, S>(op: &PhysOp, source: &S, threads: usize) -> Vec<Batch<K>>
 where
     K: Semiring,
     S: RelationSource<K>,
@@ -531,32 +516,17 @@ where
     steps.reverse();
 
     let inputs: Vec<Batch<K>> = match op {
-        PhysOp::Scan { name, schema } => {
-            let relation = scan_relation(name, schema, source);
-            let key = relation as *const KRelation<K> as usize;
-            match cache.get(&key) {
-                Some(batches) => batches.as_ref().clone(),
-                None => {
-                    let batches = match (source.batch_cache(), source.relation_shared(name)) {
-                        (Some((store, epoch)), Some(shared)) => {
-                            store.get_or_convert(epoch, &shared)
-                        }
-                        _ => Arc::new(relation_to_batches(relation)),
-                    };
-                    let out = batches.as_ref().clone();
-                    cache.insert(key, batches);
-                    out
-                }
-            }
-        }
+        PhysOp::Scan { name, schema } => scan_batches(scan_relation(name, schema, source), source)
+            .as_ref()
+            .clone(),
         PhysOp::Empty => Vec::new(),
         PhysOp::Union { left, right } => {
-            let mut batches = exec_batches(left, source, threads, cache);
-            batches.extend(exec_batches(right, source, threads, cache));
+            let mut batches = exec_batches(left, source, threads);
+            batches.extend(exec_batches(right, source, threads));
             batches
         }
         PhysOp::Aggregate { input } => {
-            aggregate_batches(exec_batches(input, source, threads, cache), threads)
+            aggregate_batches(exec_batches(input, source, threads), threads)
         }
         PhysOp::HashJoin {
             build,
@@ -566,8 +536,8 @@ where
             output,
             swapped,
         } => {
-            let build_in = exec_batches(build, source, threads, cache);
-            let probe_in = exec_batches(probe, source, threads, cache);
+            let build_in = exec_batches(build, source, threads);
+            let probe_in = exec_batches(probe, source, threads);
             let total: usize = build_in.iter().chain(&probe_in).map(Batch::live_rows).sum();
             if threads <= 1 || total < crate::par::SPAWN_THRESHOLD {
                 join_batches(build_in, probe_in, build_keys, probe_keys, output, *swapped)
@@ -623,6 +593,6 @@ where
     } else {
         1
     };
-    let batches = exec_batches(op, source, threads, &mut ScanCache::default());
+    let batches = exec_batches(op, source, threads);
     QueryResult::from_batches(schema.clone(), batches)
 }

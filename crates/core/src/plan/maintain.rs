@@ -36,10 +36,10 @@
 //!
 //! The work done per batch is proportional to |Δ| (and the fan-out it
 //! touches), never to |base| — the `fig_ivm_maintenance` bench group pins
-//! this. Initial materialization scans through the source's
-//! [`BatchCache`](crate::column::BatchCache) when it carries one (snapshots
-//! of a [`SharedDatabase`](crate::snapshot::SharedDatabase) do), so
-//! registering a view against a warm snapshot skips columnarization.
+//! this. Initial materialization, like a query, reads each scanned
+//! relation version's columnar form, so registering a view over relations
+//! already scanned skips columnarization; a delta relation is converted
+//! once however many views (and the commit's patch) read it.
 //!
 //! Maintenance runs serially on the caller's thread and takes no
 //! [`ExecContext`](crate::plan::ExecContext): deltas are small by contract,
@@ -47,12 +47,10 @@
 //! canonicalize, so the view (result *and* retained state) does not depend
 //! on the thread budget the base was executed with.
 
-use crate::column::{
-    group_batches, hash_combine, relation_to_batches, Batch, ColBuilder, HASH_SEED,
-};
+use crate::column::{group_batches, hash_combine, Batch, ColBuilder, HASH_SEED};
 use crate::database::Database;
 use crate::plan::batch::filter_batch;
-use crate::plan::physical::{scan_relation, ColSource, CompiledPredicate, PhysOp};
+use crate::plan::physical::{scan_batches, scan_relation, ColSource, CompiledPredicate, PhysOp};
 use crate::plan::{Plan, QueryResult, RelationSource};
 use crate::relation::KRelation;
 use crate::tuple::Tuple;
@@ -383,10 +381,10 @@ fn rows_to_batches<K: Semiring>(arity: usize, rows: Vec<(Box<[Value]>, K)>) -> V
 }
 
 /// Initial materialization: computes each operator's full output as
-/// columnar batches and builds the retained join sides from them. Scans go
-/// through the source's [`BatchCache`](crate::column::BatchCache) when it
-/// carries one, so materializing against a warm snapshot reuses the cached
-/// conversion. Always serial — stored row ids and index orders depend only
+/// columnar batches and builds the retained join sides from them. Scans
+/// read the relation version's columnar form (counted by the source's
+/// [`BatchCache`](crate::column::BatchCache) when it has one), so
+/// materializing over a scanned version reuses its conversion. Always serial — stored row ids and index orders depend only
 /// on the source contents, which is what makes later maintenance
 /// deterministic at every thread count.
 fn init_op<K, S>(op: &PhysOp, source: &S) -> (Vec<Batch<K>>, OpState<K>)
@@ -397,12 +395,7 @@ where
     match op {
         PhysOp::Scan { name, schema } => {
             let relation = scan_relation(name, schema, source);
-            let batches = match (source.batch_cache(), source.relation_shared(name)) {
-                (Some((store, epoch)), Some(shared)) => {
-                    store.get_or_convert(epoch, &shared).as_ref().clone()
-                }
-                _ => relation_to_batches(relation),
-            };
+            let batches = scan_batches(relation, source).as_ref().clone();
             (batches, OpState::Stateless(Vec::new()))
         }
         PhysOp::Empty => (Vec::new(), OpState::Stateless(Vec::new())),
@@ -512,7 +505,7 @@ fn delta_op<K: Semiring>(
                         schema,
                         "delta batch for {name} does not match the planned schema"
                     );
-                    relation_to_batches(delta)
+                    delta.batches().as_ref().clone()
                 }
                 None => Vec::new(),
             }

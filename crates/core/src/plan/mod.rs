@@ -157,19 +157,11 @@ pub trait RelationSource<K> {
     /// Resolves a base relation by name.
     fn relation(&self, name: &str) -> Option<&KRelation<K>>;
 
-    /// The shared handle of a base relation, for sources that store
-    /// relations behind `Arc`s (snapshots do). `None` — the default — means
-    /// the source only hands out borrows, and scans columnarize per
-    /// execution.
-    fn relation_shared(&self, _name: &str) -> Option<std::sync::Arc<KRelation<K>>> {
-        None
-    }
-
-    /// The storage-layer [`BatchCache`](crate::column::BatchCache) attached
-    /// to this source, plus the epoch new entries should record, if the
-    /// source has one ([`DbSnapshot`](crate::snapshot::DbSnapshot) does).
-    /// When present, scans are served from (and memoized into) the cache
-    /// instead of converting per execution.
+    /// The [`BatchCache`](crate::column::BatchCache) attached to this
+    /// source, plus the source's epoch, if it has one
+    /// ([`DbSnapshot`](crate::snapshot::DbSnapshot) does). When present,
+    /// scans read each relation version's columnar form through it, so its
+    /// hit and miss counters count them.
     fn batch_cache(&self) -> Option<(&column::BatchCache<K>, u64)> {
         None
     }

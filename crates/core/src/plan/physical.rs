@@ -284,13 +284,10 @@ where
         if let PhysOp::Scan { name, schema } = op {
             use crate::column::BatchProvenance;
             let relation = scan_relation(name, schema, source);
-            let cached = source.batch_cache().and_then(|(cache, _)| {
-                source
-                    .relation_shared(name)
-                    .and_then(|shared| cache.peek(&shared))
-            });
-            let (batches, provenance) = match cached {
-                Some((batches, provenance)) => (batches, provenance),
+            // A non-converting read: a version without a form is converted
+            // here for the description only.
+            let (batches, provenance) = match relation.form() {
+                Some(form) => (form.batches.clone(), form.provenance()),
                 None => (
                     std::sync::Arc::new(crate::column::relation_to_batches(relation)),
                     BatchProvenance::Converted,
@@ -428,6 +425,23 @@ pub(crate) fn compile(plan: &LogicalPlan) -> PhysOp {
                 swapped: !builds_left,
             }
         }
+    }
+}
+
+/// A scan's batches: the relation version's columnar form, read through the
+/// source's [`BatchCache`](crate::column::BatchCache) — which counts the read
+/// — when the source has one.
+pub(crate) fn scan_batches<K, S>(
+    relation: &KRelation<K>,
+    source: &S,
+) -> std::sync::Arc<Vec<crate::column::Batch<K>>>
+where
+    K: Semiring,
+    S: RelationSource<K>,
+{
+    match source.batch_cache() {
+        Some((cache, _)) => cache.scan(relation),
+        None => relation.batches(),
     }
 }
 

@@ -44,6 +44,13 @@ pub type TaggedRelation<K> = (
 /// circuits, under one arena lock for the whole relation), the valuation and
 /// the id index extended once each, and the tagged relation bulk-built from
 /// the source's tuple order (a leaf is never zero), not searched per tuple.
+///
+/// Tagging changes annotations, not the support (Definition 3.1), so when
+/// the source holds its own columnar conversion the tagged relation gets
+/// the same column `Arc`s — the same dictionaries — with the leaves as the
+/// annotation column, and its scans convert nothing. A source without one
+/// (or with a commit-patched one) yields a tagged relation without one,
+/// converted on its first scan.
 fn tag_in_order<K: Semiring, P: Semiring>(
     name: &str,
     relation: &KRelation<K>,
@@ -53,6 +60,9 @@ fn tag_in_order<K: Semiring, P: Semiring>(
 ) -> KRelation<P> {
     let ids: Vec<Variable> = Variable::indexed_each(name, relation.len()).collect();
     let leaves = leaves(&ids);
+    let form = relation
+        .form()
+        .and_then(|form| form.with_annotations(&leaves));
     let annotations = relation.iter().map(|(_, annotation)| annotation.clone());
     valuation.extend(ids.iter().cloned().zip(annotations));
     id_index.extend(
@@ -62,7 +72,11 @@ fn tag_in_order<K: Semiring, P: Semiring>(
     );
     let tagged = relation.iter().zip(leaves);
     let tagged = tagged.map(|((tuple, _), leaf)| (tuple.clone(), leaf));
-    KRelation::from_sorted_support(relation.schema().clone(), tagged)
+    let tagged = KRelation::from_sorted_support(relation.schema().clone(), tagged);
+    if let Some(form) = form {
+        tagged.seed_form(form);
+    }
+    tagged
 }
 
 /// The leaves of the expanded route: one ℕ\[X\] variable per id.
@@ -91,7 +105,9 @@ pub fn tag_relation<K: Semiring>(name: &str, relation: &KRelation<K>) -> TaggedR
 }
 
 /// Abstractly tags every relation of a database (Theorem 4.3's `R̄`,
-/// extended to multi-relation instances).
+/// extended to multi-relation instances). A source relation that holds its
+/// columnar form ([`KRelation::batches`]) lends its columns to the tagged
+/// one, whose scans then convert nothing.
 pub fn tag_database<K: Semiring>(db: &Database<K>) -> Tagged<K> {
     let mut database = Database::new();
     let mut valuation = Valuation::new();
@@ -246,7 +262,8 @@ pub struct CircuitTagged<K> {
 }
 
 /// Abstractly tags every relation of a database with circuit variables —
-/// the circuit-form counterpart of [`tag_database`].
+/// the circuit-form counterpart of [`tag_database`], sharing a source's
+/// columns the same way.
 pub fn tag_database_circuit<K: Semiring>(db: &Database<K>) -> CircuitTagged<K> {
     let mut database = Database::new();
     let mut valuation = Valuation::new();

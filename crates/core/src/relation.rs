@@ -29,22 +29,37 @@
 //! all leaves are at one depth; no stored annotation is zero; a node holds
 //! at most [`NODE_CAPACITY`] entries (children, for an inner node) and,
 //! unless it is the root, at least a quarter of that; an inner root has at
-//! least two children; the cached length equals the number of entries.
+//! least two children; the cached length equals the number of entries; a
+//! held columnar form folds back to the relation exactly (see
+//! [`KRelation::check_invariants`]).
+//!
+//! Beside the tree a relation *version* holds at most one **columnar form**
+//! ([`KRelation::batches`]): the [`Batch`]es the batch executor scans. It is
+//! converted ([`relation_to_batches`]) on the first scan, or seeded without
+//! converting — by a commit from the previous version's form
+//! ([`BatchCache::patch`](crate::column::BatchCache::patch)), by tagging
+//! from the source's columns — and then shared by every later scan of the
+//! version, every clone of it, and every thread. Every write drops it (all
+//! of them go through one private `write`), so a form always describes the
+//! version that holds it, and it lives and dies with that version: nothing
+//! keyed elsewhere has to be invalidated or swept.
 //!
 //! Costs, with `n` entries, `B` = [`NODE_CAPACITY`] and `h` ≈ log_B n levels:
 //! `annotation`/`contains` O(h·log B) comparisons; `insert`/`set` one
 //! descent, O(B) moves in the leaf, plus — only for nodes shared with
-//! another relation — O(h·B) tuple clones; `clone` O(1); drop O(nodes not
-//! shared); `from_sorted_support`/`map_annotations` O(n), built bottom-up
-//! with full leaves; `len` O(1); `==` O(1) when the roots are shared, else
-//! O(n).
+//! another relation — O(h·B) tuple clones; `clone` O(1) (the form, if held,
+//! is shared); drop O(nodes not shared); `from_sorted_support`/
+//! `map_annotations` O(n), built bottom-up with full leaves; `len` O(1);
+//! `==` O(1) when the roots are shared, else O(n); `batches` O(n) on a
+//! version's first scan, O(1) after.
 
+use crate::column::{relation_to_batches, Batch, BatchProvenance};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use provsem_semiring::Semiring;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Most entries a leaf, and most children an inner node, may hold.
 ///
@@ -243,6 +258,74 @@ impl<K: Semiring> Node<K> {
     }
 }
 
+/// A relation version's columnar form: what a scan of it reads.
+///
+/// Either the version's own conversion (`patched == 0`: exactly
+/// [`relation_to_batches`]'s batches, rows in tuple order), or an earlier
+/// version's form carried across `patched` commits: that conversion's
+/// `base_batches`, then a coalesced tail of delta batches. A patched form
+/// folds to the version — duplicate rows re-sum, cancelled pairs vanish at
+/// the executor's grouping points — but not row for row.
+pub(crate) struct ColumnarForm<K> {
+    pub(crate) batches: Arc<Vec<Batch<K>>>,
+    /// Batches and rows of the conversion the delta tail is appended to.
+    pub(crate) base_batches: usize,
+    pub(crate) base_rows: usize,
+    /// Commit patches absorbed.
+    pub(crate) patched: u64,
+    /// A handle on the token of the [`BatchCache`](crate::column::BatchCache)
+    /// that made this form, if one did — never read, only counted: the
+    /// token's count is the cache's live-form count.
+    pub(crate) _made_by: Option<Arc<()>>,
+}
+
+impl<K: Semiring> ColumnarForm<K> {
+    /// A version's own conversion.
+    pub(crate) fn converted(batches: Vec<Batch<K>>, rows: usize, made_by: Option<Arc<()>>) -> Self {
+        ColumnarForm {
+            base_batches: batches.len(),
+            batches: Arc::new(batches),
+            base_rows: rows,
+            patched: 0,
+            _made_by: made_by,
+        }
+    }
+
+    /// The appended delta batches.
+    pub(crate) fn tail(&self) -> &[Batch<K>] {
+        &self.batches[self.base_batches..]
+    }
+
+    /// How a scan reading this form got it, for explain output.
+    pub(crate) fn provenance(&self) -> BatchProvenance {
+        match self.patched {
+            0 => BatchProvenance::Cached,
+            n => BatchProvenance::Patched(n),
+        }
+    }
+
+    /// The same columns (the same `Arc`s, so the same dictionaries) under
+    /// new annotations, one per row in tuple order — `None` for a patched
+    /// form, whose rows are not the version's row for row.
+    pub(crate) fn with_annotations<P: Semiring>(
+        &self,
+        annotations: &[P],
+    ) -> Option<ColumnarForm<P>> {
+        if self.patched != 0 {
+            return None;
+        }
+        let mut rest = annotations;
+        let batches = self.batches.iter().map(|batch| {
+            let (these, more) = rest.split_at(batch.phys_rows());
+            rest = more;
+            Batch::new(these.len(), batch.columns().to_vec(), these.to_vec())
+        });
+        let form = ColumnarForm::converted(batches.collect(), self.base_rows, None);
+        debug_assert!(rest.is_empty());
+        Some(form)
+    }
+}
+
 /// A K-relation over a schema `U`.
 ///
 /// Only the *support* — tuples with non-zero annotation — is stored; the
@@ -251,11 +334,14 @@ impl<K: Semiring> Node<K> {
 /// must be over the relation's schema.
 ///
 /// Cloning is O(1) and copy-on-write at node granularity; see the [module
-/// docs](self) for the representation.
+/// docs](self) for the representation and the columnar form.
 pub struct KRelation<K> {
     schema: Schema,
     root: Arc<Node<K>>,
     len: usize,
+    /// The version's columnar form, once a scan converted it or a commit or
+    /// tagging seeded it; emptied by every write.
+    form: OnceLock<Arc<ColumnarForm<K>>>,
 }
 
 impl<K> Clone for KRelation<K> {
@@ -264,6 +350,7 @@ impl<K> Clone for KRelation<K> {
             schema: self.schema.clone(),
             root: Arc::clone(&self.root),
             len: self.len,
+            form: self.form.clone(),
         }
     }
 }
@@ -435,6 +522,7 @@ impl<K: Semiring> KRelation<K> {
             schema,
             root: Arc::new(Node::Leaf(Vec::new())),
             len: 0,
+            form: OnceLock::new(),
         }
     }
 
@@ -469,7 +557,9 @@ impl<K: Semiring> KRelation<K> {
     /// Runs [`Node::write`] from the root and restores the root's own
     /// invariants: an overflowed root gets a new root above it, an inner
     /// root left with one child is replaced by that child.
+    /// The version changes, so its columnar form is dropped.
     fn write<F: FnOnce(&mut K, K)>(&mut self, tuple: Tuple, annotation: K, merge: F) {
+        self.form.take();
         let (delta, split) = Node::write(&mut self.root, tuple, annotation, merge);
         self.len = self
             .len
@@ -559,6 +649,7 @@ impl<K: Semiring> KRelation<K> {
             schema,
             root: Arc::new(root),
             len,
+            form: OnceLock::new(),
         };
         debug_assert!(relation
             .iter()
@@ -618,6 +709,47 @@ impl<K: Semiring> KRelation<K> {
         self.write(tuple, annotation, |stored, new| *stored = new);
     }
 
+    /// The relation's columnar form — the batches every scan of this
+    /// version reads. The first call converts ([`relation_to_batches`]);
+    /// later calls, on this relation or any clone taken since, share the
+    /// result. A write drops it. A form seeded by a commit patch is the
+    /// previous version's batches plus delta batches: it folds to this
+    /// relation (duplicate rows sum, cancelled pairs vanish) but is not
+    /// row for row.
+    pub fn batches(&self) -> Arc<Vec<Batch<K>>> {
+        Arc::clone(&self.form_or_convert(None).0.batches)
+    }
+
+    /// The columnar form this version already holds, if any — never
+    /// converts.
+    pub fn held_batches(&self) -> Option<Arc<Vec<Batch<K>>>> {
+        self.form().map(|form| Arc::clone(&form.batches))
+    }
+
+    pub(crate) fn form(&self) -> Option<&ColumnarForm<K>> {
+        self.form.get().map(Arc::as_ref)
+    }
+
+    /// The form, converting it (stamped `made_by`) if the version holds
+    /// none; `true` when this call converted. Concurrent first scans
+    /// convert once.
+    pub(crate) fn form_or_convert(&self, made_by: Option<&Arc<()>>) -> (&ColumnarForm<K>, bool) {
+        let mut converted = false;
+        let form = self.form.get_or_init(|| {
+            converted = true;
+            let batches = relation_to_batches(self);
+            Arc::new(ColumnarForm::converted(batches, self.len, made_by.cloned()))
+        });
+        (form, converted)
+    }
+
+    /// Gives this version `form` without converting — a commit's patched
+    /// batches, a tagged copy's shared columns. A version that already
+    /// holds a form keeps it: both describe the same relation.
+    pub(crate) fn seed_form(&self, form: ColumnarForm<K>) {
+        let _ = self.form.set(Arc::new(form));
+    }
+
     /// Applies a function to every annotation (Proposition 3.5's tuple-wise
     /// transformation `h(R)`); annotations mapped to zero are removed, so the
     /// support may shrink but never grow — exactly as the paper notes.
@@ -630,7 +762,11 @@ impl<K: Semiring> KRelation<K> {
 
     /// Checks every invariant of the representation (listed in the [module
     /// docs](self)), panicking with a description of the first one broken,
-    /// and reports the tree's shape. For tests; O(n).
+    /// and reports the tree's shape. A held columnar form must fold back to
+    /// the relation exactly: an unpatched one is [`relation_to_batches`]'s
+    /// conversion (its split, encodings, rows in tuple order and
+    /// annotations), a patched one sums row by row to the relation. For
+    /// tests; O(n).
     #[doc(hidden)]
     pub fn check_invariants(&self) -> TreeShape {
         /// Returns (leaf depth, nodes, entries) under `node`, whose keys
@@ -680,7 +816,54 @@ impl<K: Semiring> KRelation<K> {
         let (height, nodes, entries) = check(&self.root, true, None, None, &self.schema);
         assert_eq!(entries, self.len, "cached length");
         assert_eq!(self.iter().count(), self.len, "iteration length");
+        if let Some(form) = self.form() {
+            self.check_form(form);
+        }
         TreeShape { height, nodes }
+    }
+
+    fn check_form(&self, form: &ColumnarForm<K>) {
+        assert!(form.base_batches <= form.batches.len(), "base batch count");
+        assert!(
+            form.batches.iter().all(|b| b.live_rows() == b.phys_rows()),
+            "a held batch is filtered"
+        );
+        if form.patched == 0 {
+            let fresh = relation_to_batches(self);
+            assert_eq!(
+                form.base_batches,
+                form.batches.len(),
+                "a tail without a patch"
+            );
+            assert_eq!(form.base_rows, self.len, "base rows of a conversion");
+            assert_eq!(form.batches.len(), fresh.len(), "the conversion's split");
+            for (held, fresh) in form.batches.iter().zip(&fresh) {
+                assert_eq!(
+                    held.phys_rows(),
+                    fresh.phys_rows(),
+                    "the conversion's split"
+                );
+                assert_eq!(held.anns(), fresh.anns(), "held annotations");
+                for (a, b) in held.columns().iter().zip(fresh.columns()) {
+                    assert_eq!(a.encoding(), b.encoding(), "a held column's encoding");
+                    assert!(
+                        (0..a.len() as u32).all(|r| a.value_at(r) == b.value_at(r)),
+                        "held rows differ from the relation's in tuple order"
+                    );
+                }
+            }
+        } else {
+            let mut folded = KRelation::empty(self.schema.clone());
+            for batch in form.batches.iter() {
+                for (row, k) in batch.clone().into_rows() {
+                    folded.insert(Tuple::from_schema_row(&self.schema, row), k);
+                }
+            }
+            assert!(
+                folded == *self,
+                "a patched form does not fold to the relation"
+            );
+        }
     }
 }
 

@@ -61,10 +61,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 /// many commits happen after it was taken, and what it keeps alive beyond
 /// the current version is only the tree nodes later commits replaced.
 ///
-/// Snapshots also carry their `SharedDatabase`'s [`BatchCache`]: the batch
-/// executor's scans resolve through it, so the first execution against any
-/// relation version columnarizes it for every later execution — across
-/// sessions, threads, and (via commit patching) epochs.
+/// Snapshots also carry their `SharedDatabase`'s [`BatchCache`], which
+/// counts the batch executor's scans. The columnar form itself lives on the
+/// relation version, so the first execution against any version
+/// columnarizes it for every later execution — across sessions, threads,
+/// and (via commit patching) epochs.
 #[derive(Clone)]
 pub struct DbSnapshot<K: Semiring> {
     epoch: u64,
@@ -93,8 +94,8 @@ impl<K: Semiring> DbSnapshot<K> {
     }
 
     /// Like [`DbSnapshot::view`] but shares the result's `Arc` — the handle
-    /// readers need to resolve the view through the snapshot's
-    /// [`BatchCache`] (entries are keyed by relation-version pointer).
+    /// [`BatchCache::get_or_convert`] takes to read the view's columnar
+    /// form.
     pub fn view_shared(&self, name: &str) -> Option<Arc<KRelation<K>>> {
         self.views.get(name).cloned()
     }
@@ -119,10 +120,6 @@ impl<K: Semiring> RelationSource<K> for DbSnapshot<K> {
 
     fn relation(&self, name: &str) -> Option<&KRelation<K>> {
         self.db.get(name)
-    }
-
-    fn relation_shared(&self, name: &str) -> Option<Arc<KRelation<K>>> {
-        self.db.get_shared(name)
     }
 
     fn batch_cache(&self) -> Option<(&BatchCache<K>, u64)> {
@@ -217,11 +214,12 @@ impl<K: Semiring> SharedDatabase<K> {
     /// the new one, never a mix. Concurrent committers serialize: epochs are
     /// a total order, each exactly one above its predecessor.
     ///
-    /// Touched relations that have a cached columnar conversion get it
-    /// *patched* forward (`BatchCache::patch`) instead of invalidated: the
-    /// delta's own batches are appended (and coalesced) under the new
-    /// relation version, so the next batch-engine scan at the new epoch
-    /// still hits.
+    /// A touched relation (or view result) whose old version holds a
+    /// columnar form seeds the new version's form by *patching*
+    /// ([`BatchCache::patch`]): the old form plus the delta's own batches,
+    /// coalesced, so the next batch-engine scan at the new epoch does not
+    /// convert. The old version keeps its form for the snapshots that
+    /// still hold it.
     ///
     /// # Panics
     /// Propagates a panic from applying the batch or maintaining a view
@@ -253,22 +251,19 @@ impl<K: Semiring> SharedDatabase<K> {
         // absent. The success path pays nothing for this.
         let maintained = catch_unwind(AssertUnwindSafe(|| {
             for (name, standing) in writer.views.iter_mut().filter(|(_, s)| touched(s)) {
-                // The maintenance pass reports the view-output delta, so a
-                // cached columnar conversion of the view's result is
-                // patched forward by exactly that delta — the view is never
-                // re-converted wholesale on the commit path.
+                // The maintenance pass reports the view-output delta, so the
+                // columnar form of the view's result is patched forward by
+                // exactly that delta — the view is never re-converted
+                // wholesale on the commit path.
                 let output_delta = standing.plan.maintain_returning(&mut standing.view, batch);
                 // A root-pointer copy: the published result shares every
                 // node with the view's working copy until the next commit
                 // path-copies the few it writes to.
                 let new_result = Arc::new(standing.view.result().clone());
                 if let Some(old_result) = views.get(name) {
-                    previous.batch_cache.patch(
-                        old_result,
-                        &new_result,
-                        &output_delta,
-                        previous.epoch + 1,
-                    );
+                    previous
+                        .batch_cache
+                        .patch(old_result, &new_result, &output_delta);
                 }
                 views.insert(name.clone(), new_result);
             }
@@ -277,9 +272,7 @@ impl<K: Semiring> SharedDatabase<K> {
                 if let (Some(old), Some(new)) = (previous.db.get_shared(name), db.get_shared(name))
                 {
                     if !Arc::ptr_eq(&old, &new) {
-                        previous
-                            .batch_cache
-                            .patch(&old, &new, delta, previous.epoch + 1);
+                        previous.batch_cache.patch(&old, &new, delta);
                     }
                 }
             }
@@ -314,9 +307,9 @@ impl<K: Semiring> SharedDatabase<K> {
         let plan = Plan::new(expr, &previous.db.catalog())?;
         let view = plan.materialize(&previous);
         let result = Arc::new(view.result().clone());
-        // Seed the batch cache with the view's result so the first columnar
-        // read of the view is already a hit, and commits can patch the
-        // entry forward with the view's own maintenance delta.
+        // Convert the view's result now, so the first columnar read of the
+        // view is already a hit and commits can patch its form forward with
+        // the view's own maintenance delta.
         previous
             .batch_cache
             .get_or_convert(previous.epoch + 1, &result);
@@ -464,11 +457,11 @@ mod tests {
         let shared = SharedDatabase::new(z_db());
         let before = shared.snapshot();
         let r = before.database().get_shared("R").unwrap();
-        // First conversion populates the cache (a miss)...
+        // The first scan converts R's version (a miss)...
         before.batch_cache.get_or_convert(before.epoch(), &r);
         assert_eq!(before.batch_cache_stats().misses, 1);
-        // ...and a commit carries the entry to the new relation version by
-        // appending the delta's batches instead of invalidating.
+        // ...and a commit seeds the new version's form by appending the
+        // delta's batches to it instead of converting.
         shared.commit(&insert_batch());
         let after = shared.snapshot();
         let r2 = after.database().get_shared("R").unwrap();
@@ -476,10 +469,15 @@ mod tests {
         assert_eq!(provenance, BatchProvenance::Patched(1));
         let rows: usize = batches.iter().map(|b| b.live_rows()).sum();
         assert_eq!(rows, r.len() + 1, "base rows plus the appended delta row");
+        // Two live forms: the old version's, which `before` still holds,
+        // and the new one's.
         let stats = after.batch_cache_stats();
-        assert_eq!((stats.patches, stats.entries), (1, 1));
-        // The old version's entry is gone; a fresh scan of it re-converts.
-        assert!(before.batch_cache.peek(&r).is_none());
+        assert_eq!((stats.patches, stats.entries), (1, 2));
+        let (_, provenance) = before.batch_cache.peek(&r).unwrap();
+        assert_eq!(provenance, BatchProvenance::Cached);
+        // Once no snapshot holds the old version, its form goes with it.
+        drop((before, r));
+        assert_eq!(after.batch_cache_stats().entries, 1);
     }
 
     #[test]
@@ -490,10 +488,11 @@ mod tests {
         shared.register_view("Q", &query).unwrap();
         let snap = shared.snapshot();
         let q = snap.view_shared("Q").unwrap();
-        // Registration seeded the cache: the entry exists before any read.
+        // Registration converted the view's result: the form exists before
+        // any read.
         let (_, provenance) = snap.batch_cache.peek(&q).unwrap();
         assert_eq!(provenance, BatchProvenance::Cached);
-        // A commit touching R patches the entry with the view's own
+        // A commit touching R patches the form forward with the view's own
         // maintenance output delta — no re-conversion.
         let patches_before = snap.batch_cache_stats().patches;
         shared.commit(&insert_batch());
@@ -510,8 +509,9 @@ mod tests {
             }
         }
         assert_eq!(&folded, q2.as_ref());
-        // The old version's entry moved forward; the old Arc misses.
-        assert!(snap.batch_cache.peek(&q).is_none());
+        // The old version keeps its own form for the snapshot holding it.
+        let (_, provenance) = snap.batch_cache.peek(&q).unwrap();
+        assert_eq!(provenance, BatchProvenance::Cached);
     }
 
     #[test]

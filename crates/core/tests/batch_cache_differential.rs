@@ -2,20 +2,21 @@
 //! results.
 //!
 //! Random interleavings of commits, executions, and view maintenance run
-//! against a [`SharedDatabase`], whose snapshots carry the storage-layer
-//! [`BatchCache`]: the first execution columnarizes each
-//! scanned relation, later executions hit the cache, and commits *patch*
-//! cached conversions forward by appending the delta's batches. The
-//! contract, pinned exactly (support *and* annotations) at every step:
+//! against a [`SharedDatabase`], whose snapshots carry the
+//! [`BatchCache`]: the first execution columnarizes each scanned relation
+//! version (the form lives on the version), later executions read that
+//! form, and commits *patch* it into the next version by appending the
+//! delta's batches. The contract, pinned exactly (support *and*
+//! annotations) at every step:
 //!
 //! ```text
 //! executor(cached/patched, 1 thread) == executor(cached/patched, 2 and 4 threads)
 //!   == executor(fresh conversion)    == interpreter
 //! ```
 //!
-//! Old snapshots are held across commits and re-executed — their cache
-//! entries are keyed by relation *version*, so a patched entry must never
-//! leak newer data into an older epoch's results. A standing view and a
+//! Old snapshots are held across commits and re-executed — each relation
+//! version keeps its own form, so a patched form must never leak newer data
+//! into an older epoch's results. A standing view and a
 //! hand-maintained [`MaterializedView`] ride along, checked against
 //! recomputation after every commit. Run under `PROVSEM_THREADS=1|4` in CI
 //! so the default-context paths cross the cache too.
@@ -84,16 +85,30 @@ fn queries() -> Vec<RaExpr> {
     ]
 }
 
-/// Executes `query` against `snapshot` through every thread/cache
-/// combination and pins each result to the interpreter's. The cache-free
-/// run goes against the snapshot's bare [`Database`], which carries no
-/// [`BatchCache`] — every scan re-converts.
+/// A copy of `db` whose relations hold no columnar form — the snapshot's own
+/// relations share theirs (possibly patched) with every reader, so only a
+/// rebuilt relation converts afresh.
+fn formless<K: Semiring>(db: &Database<K>) -> Database<K> {
+    let mut out = Database::new();
+    for (name, relation) in db.iter() {
+        let pairs = relation.iter().map(|(t, k)| (t.clone(), k.clone()));
+        out.insert(
+            name.clone(),
+            KRelation::from_sorted_support(relation.schema().clone(), pairs),
+        );
+    }
+    out
+}
+
+/// Executes `query` against `snapshot` through every thread count and pins
+/// each result to the interpreter's. The fresh run goes against a
+/// [`formless`] copy of the snapshot's database — every scan converts.
 fn check_execution_agreement(query: &RaExpr, snapshot: &DbSnapshot<Integers>) {
     let plan = Plan::new(query, &snapshot.catalog()).expect("pool queries are valid");
     let expected = query
         .eval_interpreted(snapshot.database())
         .expect("pool queries are valid");
-    let fresh = plan.execute_with(snapshot.database(), &ExecContext::serial());
+    let fresh = plan.execute_with(&formless(snapshot.database()), &ExecContext::serial());
     assert_eq!(
         expected, fresh,
         "interpreter != fresh conversion on {query:?}"
@@ -300,7 +315,7 @@ fn scan_agreement<K: Semiring>(snapshot: &DbSnapshot<K>) {
     for query in &pool {
         let plan = Plan::new(query, &snapshot.catalog()).expect("pool queries are valid");
         let batch = ExecContext::with_threads;
-        let fresh = plan.execute_with(snapshot.database(), &batch(1));
+        let fresh = plan.execute_with(&formless(snapshot.database()), &batch(1));
         assert!(fresh == plan.execute_with(snapshot, &batch(1)), "{query:?}");
         assert!(fresh == plan.execute_with(snapshot, &batch(4)), "{query:?}");
     }
@@ -370,9 +385,10 @@ fn long_chain<K: Semiring>(weight: impl Fn(u32) -> K, cancel: Option<fn(&K) -> K
         }
     }
     held.iter().for_each(scan_agreement);
-    // The live version never re-converted: one miss for the first
-    // conversion, one per held snapshot whose entry had moved on.
-    assert_eq!(cache.stats().misses, 1 + held.len() as u64);
+    // Nothing re-converted: one miss for the first conversion. The live
+    // version's form was patched forward, and every held snapshot's version
+    // kept its own.
+    assert_eq!(cache.stats().misses, 1);
 }
 
 #[test]
@@ -427,9 +443,11 @@ fn cancelled_deltas_do_not_count_towards_eviction() {
     assert_eq!(cache.stats().misses, 1);
 }
 
-/// A panic while the cache's lock is held (here: ℤ overflowing as `patch`
-/// re-sums two deltas of one row) must not take the cache down: the entry
-/// being patched is gone, everything else — from any thread — still works.
+/// A panic inside `patch` (here: ℤ overflowing as the coalescing re-sums two
+/// deltas of one row) leaves the new version without a form — its first
+/// scan converts, and folds exactly — while the old version's form and a
+/// bystander's stay as they were, and the cache keeps working from any
+/// thread.
 #[test]
 fn a_panic_inside_patch_leaves_the_cache_usable() {
     let schema = Schema::new(["g"]);
@@ -451,27 +469,69 @@ fn a_panic_inside_patch_leaves_the_cache_usable() {
     );
     let delta = KRelation::from_tuples(schema.clone(), [(row(1), Integers::new(i64::MAX))]);
     cache.get_or_convert(0, &v0);
-    cache.patch(&v0, &v1, &delta, 1);
-    assert!(cache.peek(&v1).is_some());
+    cache.patch(&v0, &v1, &delta);
+    let (v1_batches, provenance) = cache.peek(&v1).expect("v1 was seeded");
+    assert_eq!(provenance, BatchProvenance::Patched(1));
     let patched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cache.patch(&v1, &v2, &delta, 2);
+        cache.patch(&v1, &v2, &delta);
     }));
     assert!(patched.is_err(), "the merge overflows i64");
     std::thread::scope(|scope| {
         scope
             .spawn(|| {
-                // The half-patched entry is absent, not torn: the scan
-                // re-converts. The bystander entry still hits.
-                assert!(cache.peek(&v1).is_none() && cache.peek(&v2).is_none());
+                // The old version's form is untouched, the new one has none.
+                let (batches, provenance) = cache.peek(&v1).expect("v1 keeps its form");
+                assert!(Arc::ptr_eq(&batches, &v1_batches));
+                assert_eq!(provenance, BatchProvenance::Patched(1));
+                assert!(cache.peek(&v2).is_none(), "a half-patched form was seeded");
+                v1.check_invariants();
+                // The new version's first scan converts, and folds exactly.
+                let misses = cache.stats().misses;
                 let batches = cache.get_or_convert(2, &v2);
+                assert_eq!(cache.stats().misses, misses + 1);
                 assert!(folded(&batches, &v2) == *v2);
+                v2.check_invariants();
+                // The bystander's form still hits.
                 let hits = cache.stats().hits;
                 cache.get_or_convert(2, &other);
                 assert_eq!(cache.stats().hits, hits + 1);
             })
             .join()
-            .expect("the cache survives a poisoned lock");
+            .expect("the cache survives a panicking patch");
     });
+}
+
+/// A dropped view's columnar form is freed with the view: once `drop_view`
+/// has run and every snapshot that held the view is gone, nothing keeps its
+/// batches alive — no cache entry waits for a sweep that read-only traffic
+/// would never trigger — and the cache's live-form count falls with it.
+#[test]
+fn a_dropped_view_frees_its_batches() {
+    let shared = SharedDatabase::new(build_db(&[(0, 1, 2, 3, 1), (1, 2, 3, 4, 2)]));
+    shared
+        .register_view("V", &RaExpr::relation("R").project(["a", "b"]))
+        .expect("the view is valid");
+    let holding = shared.snapshot();
+    let (cache, epoch) = holding.batch_cache().expect("snapshots carry the cache");
+    let view = holding.view_shared("V").expect("the view is registered");
+    let batches = Arc::downgrade(&cache.get_or_convert(epoch, &view));
+    let entries = cache.stats().entries;
+    drop(view);
+    shared.drop_view("V");
+    // Reads keep hitting other relations' forms meanwhile.
+    for _ in 0..3 {
+        check_execution_agreement(&RaExpr::relation("R"), &shared.snapshot());
+    }
+    assert!(
+        batches.upgrade().is_some(),
+        "a held snapshot keeps the view"
+    );
+    drop(holding);
+    assert!(
+        batches.upgrade().is_none(),
+        "the dropped view's batches live on"
+    );
+    assert_eq!(shared.snapshot().batch_cache_stats().entries, entries - 1);
 }
 
 // --- the patched shape under the code-domain kernels -------------------------

@@ -430,3 +430,125 @@ fn sharing_workload_matches_polynomial_route_at_small_size() {
         specialize(&poly_prov, &poly_val)
     );
 }
+
+// --- tagging shares the source's columns --------------------------------------
+
+use provsem_core::kernels::{relation_to_batches, Batch, Column};
+use provsem_core::provenance::tag_database;
+
+/// `R(a, b, c)` with 9 000 rows (three scan batches): `a` and `c` strings,
+/// `b` an integer, so the form carries two dictionaries and an `i64`
+/// column. `b` and `c` are keys, which keeps the Section 2 query's
+/// expanded ℕ\[X\] provenance small (two monomials per output row).
+fn three_batch_db() -> Database<Natural> {
+    let schema = Schema::new(["a", "b", "c"]);
+    let mut r = KRelation::empty(schema.clone());
+    for i in 0..9_000i64 {
+        let values = [
+            Value::str(format!("v{}", i % 30)),
+            Value::int(i),
+            Value::str(format!("w{i}")),
+        ];
+        r.insert(
+            Tuple::from_values(&schema, values),
+            Natural::from(1 + i as u64 % 3),
+        );
+    }
+    Database::new().with("R", r)
+}
+
+/// A copy of `db` whose relations hold no columnar form.
+fn formless<K: Semiring>(db: &Database<K>) -> Database<K> {
+    let mut out = Database::new();
+    for (name, relation) in db.iter() {
+        let pairs = relation.iter().map(|(t, k)| (t.clone(), k.clone()));
+        out.insert(
+            name.clone(),
+            KRelation::from_sorted_support(relation.schema().clone(), pairs),
+        );
+    }
+    out
+}
+
+/// The tagged relation's form is exactly a fresh conversion of the tagged
+/// relation — columns, encodings, annotations — and its columns are the
+/// source form's own (`Arc::ptr_eq` dictionaries).
+fn assert_shares_columns<P: Semiring>(source: &[Batch<Natural>], tagged: &KRelation<P>) {
+    let held = tagged.held_batches().expect("tagging carried the form");
+    let fresh = relation_to_batches(tagged);
+    assert_eq!(held.len(), fresh.len());
+    assert_eq!(held.len(), source.len());
+    assert!(held.len() >= 3, "{} batches", held.len());
+    for ((held, fresh), source) in held.iter().zip(&fresh).zip(source) {
+        assert_eq!(held.phys_rows(), fresh.phys_rows());
+        assert_eq!(held.live_rows(), fresh.live_rows());
+        assert_eq!(held.anns(), fresh.anns());
+        for ((h, f), s) in held
+            .columns()
+            .iter()
+            .zip(fresh.columns())
+            .zip(source.columns())
+        {
+            assert_eq!(h.encoding(), f.encoding());
+            assert!((0..h.len() as u32).all(|r| h.value_at(r) == f.value_at(r)));
+            match (h, s) {
+                (Column::Str { dict: dh, .. }, Column::Str { dict: ds, .. }) => {
+                    assert!(std::sync::Arc::ptr_eq(dh, ds), "a dictionary was rebuilt")
+                }
+                (Column::I64(_), Column::I64(_)) => {}
+                other => panic!("encodings differ: {other:?}"),
+            }
+        }
+    }
+    tagged.check_invariants();
+}
+
+/// The Section 2 query over `tagged` (holding the shared form) equals the
+/// same query over a form-less rebuilt copy, at 1, 2 and 4 threads.
+fn assert_query_unchanged<P: Semiring>(tagged: &Database<P>) {
+    let plan = Plan::new(&paper::section2_query(), &tagged.catalog()).unwrap();
+    let rebuilt = formless(tagged);
+    for threads in LARGE_THREADS {
+        let ctx = ExecContext::with_threads(threads);
+        assert!(
+            plan.execute_with(tagged, &ctx) == plan.execute_with(&rebuilt, &ctx),
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn tagging_shares_the_sources_columns() {
+    circuit::reset();
+    let db = three_batch_db();
+    // A source without a form: tagged relations get none (and tagging
+    // converted nothing).
+    let polynomials = tag_database(&db);
+    let circuits = tag_database_circuit(&db);
+    assert!(db.get("R").unwrap().held_batches().is_none());
+    assert!(polynomials
+        .database
+        .get("R")
+        .unwrap()
+        .held_batches()
+        .is_none());
+    assert!(circuits.database.get("R").unwrap().held_batches().is_none());
+    // One execution gives R its form; tagging now lends it out.
+    let plan = Plan::new(&paper::section2_query(), &db.catalog()).unwrap();
+    plan.execute(&db);
+    let source = db
+        .get("R")
+        .unwrap()
+        .held_batches()
+        .expect("the scan kept R's form");
+    let polynomials = tag_database(&db);
+    let circuits = tag_database_circuit(&db);
+    assert_shares_columns(&source, polynomials.database.get("R").unwrap());
+    assert_shares_columns(&source, circuits.database.get("R").unwrap());
+    assert_query_unchanged(&polynomials.database);
+    assert_query_unchanged(&circuits.database);
+    // Theorem 4.3 still holds along the shared columns.
+    let direct = plan.execute(&db);
+    let provenance = plan.execute(&circuits.database);
+    assert_eq!(specialize_circuit(&provenance, &circuits.valuation), direct);
+}

@@ -388,13 +388,20 @@ fn explain_physical_golden_batch_mode_renders_batch_budget() {
 
 /// `Plan::explain_batches` reports the columnar layout per scan against a
 /// concrete source: row and batch counts plus each column's encoding —
-/// string columns dictionary-encoded with their distinct-string counts.
+/// string columns dictionary-encoded with their distinct-string counts —
+/// and where the batches come from: converted while the relation version
+/// holds no columnar form, the held form once an execution converted it
+/// (a plain `Database` too — the form lives on the relation).
 #[test]
 fn explain_batches_golden_reports_dictionary_columns() {
     let db = paper::figure3_bag();
     let plan = Plan::new(&RaExpr::relation("R").project(["a", "b"]), &db.catalog()).unwrap();
     let expected =
         "scan R: rows=3 batches=1 cols[a=dict(3), b=dict(2), c=dict(2)] source=converted\n";
+    let rendered = plan.explain_batches(&db);
+    assert_eq!(rendered, expected, "got:\n{rendered}");
+    plan.execute(&db);
+    let expected = "scan R: rows=3 batches=1 cols[a=dict(3), b=dict(2), c=dict(2)] source=cached\n";
     let rendered = plan.explain_batches(&db);
     assert_eq!(rendered, expected, "got:\n{rendered}");
 }

@@ -8,7 +8,11 @@
 //! share nodes with the relation being written. After every step the
 //! representation's own invariants are checked too
 //! (`KRelation::check_invariants`: key order across leaves, separators,
-//! fill bounds, one leaf depth, cached length).
+//! fill bounds, one leaf depth, cached length, and a held columnar form
+//! folding back to the relation exactly). Scripts convert the relation to
+//! columns (`KRelation::batches`) between most steps, so every write path
+//! — and every write to a clone — runs with a form present, and the form
+//! a write leaves behind must be the new version's or none.
 //!
 //! Run in CI in release mode under `PROVSEM_THREADS=1` and `=4` beside
 //! `snapshot_isolation`.
@@ -152,6 +156,10 @@ fn run_script<K: Annotations>(initial: u16, script: &[u8]) {
         pos: 0,
     };
     while !cursor.done() {
+        // Most steps start from a relation that holds its columnar form.
+        if cursor.byte() % 4 != 0 {
+            relation.batches();
+        }
         match cursor.byte() % 11 {
             // insert: a new entry, or a sum with the stored annotation.
             0 | 1 => {
@@ -326,6 +334,8 @@ fn held_clones_survive_a_thousand_writes() {
         KRelation::from_sorted_support(schema.clone(), model.iter().map(|(t, k)| (t.clone(), *k)));
     let mut held = Vec::new();
     for round in 0..4u32 {
+        // Each clone shares the form; the writes below drop the original's.
+        relation.batches();
         held.push((relation.clone(), model.clone()));
         for i in 0..250 {
             // Two rounds grow the relation (odd keys are new), two shrink it
@@ -351,6 +361,10 @@ fn held_clones_survive_a_thousand_writes() {
     assert!(relation.is_empty());
     assert_eq!(relation.check_invariants().height, 1);
     for (clone, at) in &held {
+        assert!(
+            clone.held_batches().is_some(),
+            "a write reached a clone's form"
+        );
         clone.check_invariants();
         assert!(clone.iter().eq(at.iter()));
         assert_eq!(clone.len(), at.len());

@@ -244,11 +244,11 @@ impl<K: WireSemiring> Session<K> {
                 format!("no standing view {name} at epoch {}", snapshot.epoch()),
             ));
         };
-        // Standing views live in the snapshot's batch cache: registration
-        // seeds the entry and every commit patches it forward with the
+        // A standing view's result holds a columnar form: registration
+        // converts it and every commit patches it forward with the
         // view's own maintenance delta, so this read is a cache hit (never
         // a re-conversion) no matter how many commits have advanced the
-        // view since registration. A patched entry is the base conversion
+        // view since registration. A patched form is the base conversion
         // plus appended deltas (deletions as inverse annotations), so the
         // rows go through the plan root's merge — group by the whole row,
         // drop zero sums, sort once — and come out byte-identical to the
@@ -352,7 +352,7 @@ impl<K: WireSemiring> Session<K> {
         // (possibly large) relation in the database. Each relation is read
         // through the snapshot's columnar batch cache: the first datalog
         // (or RA) scan of a relation version columnarizes it
-        // for every later scan, and commits patch the entry forward instead
+        // for every later scan, and commits patch the form forward instead
         // of invalidating it — so repeated DATALOG requests share the
         // conversion across sessions and epochs (visible in STATS).
         let mut edb = FactStore::<K>::new();
