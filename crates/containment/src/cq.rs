@@ -70,12 +70,13 @@ impl ConjunctiveQuery {
     ///
     /// The rule is translated to RA⁺ (see [`crate::ra`]) and run on the
     /// planned K-relation engine; rules the translation does not cover
-    /// (bodyless, or head predicate in the body) fall back to
-    /// [`ConjunctiveQuery::evaluate_datalog`]. All three routes agree on
-    /// every semiring (checked by the differential suite).
+    /// (bodyless, or head predicate in the body) fall back to two rounds of
+    /// the semi-naive datalog loop, which equal
+    /// [`ConjunctiveQuery::evaluate_datalog`]'s `T²(0)`. All three routes
+    /// agree on every semiring (checked by the differential suite).
     pub fn evaluate<K: Semiring>(&self, edb: &FactStore<K>) -> FactStore<K> {
         crate::ra::evaluate_rules(&[&self.rule], edb, crate::ra::RaRoute::Planned)
-            .unwrap_or_else(|| self.evaluate_datalog(edb))
+            .unwrap_or_else(|| seminaive_rounds(&[&self.rule], edb))
     }
 
     /// Like [`ConjunctiveQuery::evaluate`], but running the translated RA⁺
@@ -154,12 +155,12 @@ impl UnionOfConjunctiveQueries {
 
     /// Evaluates the UCQ over a K-annotated fact store (sum over
     /// disjuncts), on the planned RA engine — see
-    /// [`ConjunctiveQuery::evaluate`]. Falls back to the datalog route when
-    /// some disjunct is not translatable.
+    /// [`ConjunctiveQuery::evaluate`]. Falls back to two semi-naive datalog
+    /// rounds when some disjunct is not translatable.
     pub fn evaluate<K: Semiring>(&self, edb: &FactStore<K>) -> FactStore<K> {
         let rules: Vec<&Rule> = self.disjuncts.iter().map(|d| &d.rule).collect();
         crate::ra::evaluate_rules(&rules, edb, crate::ra::RaRoute::Planned)
-            .unwrap_or_else(|| self.evaluate_datalog(edb))
+            .unwrap_or_else(|| seminaive_rounds(&rules, edb))
     }
 
     /// Like [`UnionOfConjunctiveQueries::evaluate`] on the tree-walking RA
@@ -191,6 +192,14 @@ impl UnionOfConjunctiveQueries {
     pub fn contained_in_lattice_semantics(&self, other: &UnionOfConjunctiveQueries) -> bool {
         self.contained_in(other)
     }
+}
+
+/// The rules as one datalog program, after two rounds of the semi-naive
+/// loop (`T²(0)`, as `evaluate_datalog`'s Kleene iteration): the fallback
+/// of the planned routes for rules the RA translation does not cover.
+fn seminaive_rounds<K: Semiring>(rules: &[&Rule], edb: &FactStore<K>) -> FactStore<K> {
+    let program = Program::new(rules.iter().map(|&rule| rule.clone()).collect());
+    provsem_datalog::seminaive_iterate(&program, edb, 2).idb
 }
 
 /// Empirically checks `q1 ⊑_K q2` on one concrete instance: evaluates both

@@ -60,8 +60,8 @@ impl Value {
     /// equal to `int_content_hash` for integers and `str_content_hash`
     /// for strings, which is what lets the columnar kernels
     /// (`plan::column`) hash typed, dictionary-encoded, and plain-value
-    /// columns interchangeably — and what the datalog fact index keys its
-    /// hash buckets by. Type-tagged so `1` and `"1"` do not collide
+    /// columns interchangeably — and what the datalog interner hashes
+    /// constants by. Type-tagged so `1` and `"1"` do not collide
     /// structurally.
     pub fn content_hash(&self) -> u64 {
         match self {

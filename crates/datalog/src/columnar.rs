@@ -1,8 +1,10 @@
 //! The compiled semi-naive evaluator: the datalog fixpoint over interned
 //! ids. Every semi-naive entry point of [`crate::seminaive`] runs here, and
 //! so does every phase of [`crate::maintain`], on the tables the fixpoint
-//! built and the view keeps; the reference the differential suites compare
-//! both against is [`crate::naive::kleene_iterate`].
+//! built and the view keeps, and so does the instantiation every
+//! [`crate::grounding::Grounding`] numbers. The reference the differential
+//! suites compare all three against is [`crate::naive::kleene_iterate`],
+//! which shares none of this code.
 //!
 //! A differential round never touches a `Fact`, a `Value` or a `String` per
 //! derivation:
@@ -57,9 +59,11 @@
 //! round: the moved rows' `old` and `δ`, and a row → delta-position map set
 //! and cleared row by row.
 //!
-//! The annotation-blind join and the head-seeded `recompute` plans serve
-//! maintenance only: its affected closure, and the first round of its
-//! rederivation, which recomputes the zeroed affected heads.
+//! The head-seeded `recompute` plans serve maintenance only: the first
+//! round of its rederivation recomputes the zeroed affected heads. The
+//! annotation-blind join serves its affected closure, and grounding: after
+//! the fixpoint over 𝔹, every complete binding of a rule's `full` plan is
+//! one ground rule.
 //!
 //! # Which semirings, which threads
 //!
@@ -87,11 +91,12 @@
 
 use crate::ast::{Atom, DlVar, Program, Rule, Term};
 use crate::fact::{Fact, FactStore};
+use crate::grounding::GroundRule;
 use crate::naive::FixpointResult;
 use provsem_core::par;
 use provsem_core::plan::ExecContext;
 use provsem_core::Value;
-use provsem_semiring::Semiring;
+use provsem_semiring::{Bool, Semiring};
 use std::collections::BTreeSet;
 
 /// "No entry": an empty hash slot, the end of a chain, an unbound variable.
@@ -451,6 +456,14 @@ impl Match {
             Match::Const(id) => id,
             Match::Bound(slot) => binding[slot],
             Match::Bind(_) => unreachable!("read before it is bound"),
+        }
+    }
+
+    /// The id at this position under a complete binding.
+    fn ground(self, binding: &[u32]) -> u32 {
+        match self {
+            Match::Const(id) => id,
+            Match::Bound(slot) | Match::Bind(slot) => binding[slot],
         }
     }
 }
@@ -1479,6 +1492,45 @@ pub(crate) fn materialize<K: Semiring>(
     };
     State::resume(program, &mut held).suspend(&mut held);
     (result, held)
+}
+
+/// The ground rules behind [`crate::grounding::Grounding`]: the loop over 𝔹
+/// (every edb fact `true`) on the calling thread until its delta is empty —
+/// no round bound — and then every complete binding of every rule's `full`
+/// plan over the tables it built, walked annotation-blind, as one ground
+/// rule each, unsorted. By Proposition 5.4 those tables hold the support of
+/// the answer for every semiring, and every derivable idb fact is the head
+/// of some ground rule.
+pub(crate) fn ground<K: Semiring>(program: &Program, edb: &FactStore<K>) -> Vec<GroundRule> {
+    let support = edb.map_annotations(|_| Bool::from(true));
+    let mut state = State::initial(program, &support, usize::MAX);
+    state.rounds(usize::MAX, &Caller);
+    let (compiled, tables) = (&state.compiled, &state.tables);
+    let values = &compiled.interner.values;
+    let fact = |atom: &Atom, terms: &[Match], binding: &[u32]| Fact {
+        predicate: atom.predicate.clone(),
+        values: terms
+            .iter()
+            .map(|term| values[term.ground(binding) as usize].clone())
+            .collect(),
+    };
+    let mut rules = Vec::new();
+    let mut binding = Vec::new();
+    for (rule_index, form) in compiled.forms.iter().enumerate() {
+        let Some(emit) = &form.full.emit else {
+            continue;
+        };
+        unbound(&mut binding, form);
+        let (steps, one) = (&form.full.steps, &Bool::one());
+        join(steps, tables, &[], &mut binding, one, false, &mut |b, _| {
+            rules.push(GroundRule {
+                rule_index,
+                head: fact(&form.rule.head, emit, b),
+                body: steps.iter().map(|s| fact(s.atom, &s.terms, b)).collect(),
+            });
+        });
+    }
+    rules
 }
 
 /// The body of [`crate::maintain::maintain_fixpoint`] and its `_with` twin,

@@ -2,9 +2,8 @@
 //! perspective used for datalog in Section 5 of the paper).
 
 use crate::ast::Atom;
-use provsem_core::kernels::{hash_combine, Batch, HASH_SEED};
+use provsem_core::kernels::Batch;
 use provsem_core::{Database, KRelation, Schema, Tuple, Value};
-use provsem_semiring::fxhash::FxHashMap;
 use provsem_semiring::Semiring;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -349,163 +348,6 @@ impl<K: Semiring + fmt::Debug> fmt::Debug for FactStore<K> {
     }
 }
 
-/// A hash join index over ground facts: by predicate, and — for any
-/// *registered* set of bound column positions — by the values at those
-/// columns.
-///
-/// This is the lookup structure of the reference grounding
-/// ([`crate::grounding`]); the semi-naive fixpoint and its maintenance
-/// ([`crate::columnar`]) keep their own id tables and never build one.
-/// When a rule body atom is matched with some of its argument positions
-/// already bound (constants, or variables bound by earlier atoms), the
-/// candidate facts are found with one hash probe instead of a scan over
-/// every fact of the predicate.
-///
-/// Masks (bound-column sets) are registered explicitly so that probing can
-/// take `&self`; probing an unregistered mask degrades gracefully to "all
-/// facts of the predicate" (callers always validate candidates with a full
-/// match, so the index is a pure accelerator and never affects results).
-///
-/// Mask buckets are keyed by the content *hash* of the bound-column values
-/// (the `hash_combine` scheme the batch executor's kernels hash rows with).
-/// Buckets may therefore contain hash collisions; every caller narrows
-/// candidates by exact matching (`match_atom`), so collisions never affect
-/// results.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FactIndex {
-    /// Arena of distinct facts; all maps store indices into it.
-    facts: Vec<Fact>,
-    /// Dedup / membership map: fact → arena index.
-    seen: FxHashMap<Fact, usize>,
-    /// All facts of a given predicate, in insertion order.
-    by_predicate: FxHashMap<String, Vec<usize>>,
-    /// For a registered `(predicate, columns)` mask, facts keyed by the
-    /// content hash of their values at those columns. Nested so probes can
-    /// look up with borrowed `&str` / `&[usize]` keys, keeping the hot join
-    /// loop allocation-free.
-    masks: FxHashMap<String, MaskIndex>,
-}
-
-/// Per-predicate bound-column indexes: for each registered column mask, the
-/// arena indices of the facts keyed by the content hash of their values at
-/// those columns.
-type MaskIndex = FxHashMap<Vec<usize>, FxHashMap<u64, Vec<usize>>>;
-
-/// Folds the content hashes of a key's values into one bucket key.
-pub(crate) fn mask_key_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
-    values
-        .into_iter()
-        .fold(HASH_SEED, |h, v| hash_combine(h, v.content_hash()))
-}
-
-impl FactIndex {
-    /// Builds an index over the given facts.
-    pub(crate) fn from_facts(facts: impl IntoIterator<Item = Fact>) -> Self {
-        let mut index = FactIndex::default();
-        for fact in facts {
-            index.add_fact(fact);
-        }
-        index
-    }
-
-    /// Is the fact present?
-    pub(crate) fn contains(&self, fact: &Fact) -> bool {
-        self.seen.contains_key(fact)
-    }
-
-    /// The fact stored at an index returned by [`FactIndex::candidates_hashed`].
-    pub(crate) fn fact(&self, idx: usize) -> &Fact {
-        &self.facts[idx]
-    }
-
-    /// Iterates over every indexed fact.
-    pub(crate) fn facts(&self) -> impl Iterator<Item = &Fact> {
-        self.facts.iter()
-    }
-
-    /// Adds a fact, updating the predicate listing and every registered mask
-    /// for its predicate. Returns `false` if the fact was already present.
-    pub(crate) fn add_fact(&mut self, fact: Fact) -> bool {
-        if self.seen.contains_key(&fact) {
-            return false;
-        }
-        let idx = self.facts.len();
-        self.seen.insert(fact.clone(), idx);
-        self.by_predicate
-            .entry(fact.predicate.clone())
-            .or_default()
-            .push(idx);
-        if let Some(pred_masks) = self.masks.get_mut(&fact.predicate) {
-            for (columns, buckets) in pred_masks.iter_mut() {
-                // Mixed arity: a fact that does not cover the mask's columns
-                // can never match a probe over them, so it joins no bucket.
-                if columns.iter().any(|&c| c >= fact.arity()) {
-                    continue;
-                }
-                let h = mask_key_hash(columns.iter().map(|&c| &fact.values[c]));
-                buckets.entry(h).or_default().push(idx);
-            }
-        }
-        self.facts.push(fact);
-        true
-    }
-
-    /// Registers a bound-column mask for a predicate, building its buckets
-    /// from the facts already present. No-op for an empty column set (that
-    /// case is served by the per-predicate listing) or a mask already
-    /// registered.
-    pub(crate) fn register_mask(&mut self, predicate: &str, columns: &[usize]) {
-        if columns.is_empty() {
-            return;
-        }
-        let pred_masks = self.masks.entry(predicate.to_string()).or_default();
-        if pred_masks.contains_key(columns) {
-            return;
-        }
-        let mut buckets: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-        if let Some(indices) = self.by_predicate.get(predicate) {
-            for &idx in indices {
-                let fact = &self.facts[idx];
-                if columns.iter().any(|&c| c >= fact.arity()) {
-                    continue;
-                }
-                let h = mask_key_hash(columns.iter().map(|&c| &fact.values[c]));
-                buckets.entry(h).or_default().push(idx);
-            }
-        }
-        pred_masks.insert(columns.to_vec(), buckets);
-    }
-
-    /// The candidate facts of `predicate` whose values at `columns` hash to
-    /// `hash` (the [`mask_key_hash`] of the key, which the join folds
-    /// straight out of its binding), as indices into the arena. With an
-    /// empty mask (or one that was never registered) this is every fact of
-    /// the predicate; with a registered mask it is the hash bucket of the
-    /// key — a superset (up to hash collisions) the caller narrows by
-    /// matching, so results never depend on which masks are registered.
-    pub(crate) fn candidates_hashed(
-        &self,
-        predicate: &str,
-        columns: &[usize],
-        hash: u64,
-    ) -> &[usize] {
-        if !columns.is_empty() {
-            if let Some(buckets) = self.masks.get(predicate).and_then(|m| m.get(columns)) {
-                return buckets.get(&hash).map(Vec::as_slice).unwrap_or(&[]);
-            }
-        }
-        self.predicate_rows(predicate)
-    }
-
-    /// Every fact of a predicate, as arena indices in insertion order.
-    pub(crate) fn predicate_rows(&self, predicate: &str) -> &[usize] {
-        self.by_predicate
-            .get(predicate)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-}
-
 /// Builds the edge fact store used by the Figure 6/7 examples from
 /// `(src, dst, annotation)` triples.
 pub fn edge_facts<K: Semiring>(predicate: &str, edges: &[(&str, &str, K)]) -> FactStore<K> {
@@ -605,54 +447,6 @@ mod tests {
             recycled.predicates().collect::<Vec<_>>(),
             [&"R".to_string()]
         );
-    }
-
-    /// The candidates of `key` at `columns`, hashed the way the join does.
-    fn candidates<'i>(
-        index: &'i FactIndex,
-        predicate: &str,
-        columns: &[usize],
-        key: &[Value],
-    ) -> &'i [usize] {
-        index.candidates_hashed(predicate, columns, mask_key_hash(key))
-    }
-
-    #[test]
-    fn index_probes_by_bound_columns() {
-        let s = edge_facts(
-            "R",
-            &[("a", "b", nat(1)), ("a", "c", nat(1)), ("b", "c", nat(1))],
-        );
-        let mut index = FactIndex::from_facts(s.facts().map(|(f, _)| f));
-        index.register_mask("R", &[0]);
-        let from_a = candidates(&index, "R", &[0], &[Value::from("a")]);
-        assert_eq!(from_a.len(), 2);
-        for &i in from_a {
-            assert_eq!(index.fact(i).values[0], Value::from("a"));
-        }
-        assert!(candidates(&index, "R", &[0], &[Value::from("z")]).is_empty());
-        // Unregistered masks degrade to the full predicate listing.
-        assert_eq!(candidates(&index, "R", &[1], &[Value::from("c")]).len(), 3);
-        assert!(candidates(&index, "S", &[], &[]).is_empty());
-    }
-
-    #[test]
-    fn index_add_fact_updates_registered_masks() {
-        let mut index = FactIndex::default();
-        index.register_mask("R", &[1]);
-        assert!(index.add_fact(Fact::new("R", ["a", "b"])));
-        assert!(!index.add_fact(Fact::new("R", ["a", "b"])), "dedup");
-        index.add_fact(Fact::new("R", ["c", "b"]));
-        index.add_fact(Fact::new("R", ["c", "d"]));
-        assert_eq!(index.facts().count(), 3);
-        assert!(index.contains(&Fact::new("R", ["c", "d"])));
-        let to_b = candidates(&index, "R", &[1], &[Value::from("b")]);
-        assert_eq!(to_b.len(), 2);
-        // Masks registered after the fact see the same buckets.
-        index.register_mask("R", &[0, 1]);
-        let exact = candidates(&index, "R", &[0, 1], &[Value::from("c"), Value::from("d")]);
-        assert_eq!(exact.len(), 1);
-        assert_eq!(index.fact(exact[0]), &Fact::new("R", ["c", "d"]));
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! [`Grounding::new`] builds it once:
 //!
 //! 1. the set-semantics (𝔹) evaluation of the program, i.e. `supp(q(R))`
-//!    (Proposition 5.4 guarantees this is the right support for any K);
-//! 2. every ground rule whose body facts are all derivable;
+//!    (Proposition 5.4 guarantees this is the right support for any K),
+//!    run by the compiled fixpoint of [`crate::columnar`] until nothing new
+//!    is derived;
+//! 2. every ground rule whose body facts are all derivable: each complete
+//!    binding of a rule's compiled left-to-right plan over the tables that
+//!    fixpoint built. An edb fact of an idb predicate is never read, as in
+//!    `Tᵐ(0)`, so it is neither derivable nor a body fact;
 //! 3. one numbering: the derivable facts sorted (a fact's id is its
 //!    position), each ground rule's body as fact ids, and the rules listed
 //!    by head id;
@@ -17,20 +22,13 @@
 //!    in dependency order — a ranked list of equation blocks, each of which
 //!    reads only itself and earlier blocks ([`Block`]).
 //!
-//! Steps 1 and 2 bind rule bodies through the hash indexes of a private
-//! fact index (`FactIndex`): each body atom is matched by probing it on the
-//! argument positions already bound (constants, or variables bound by
-//! earlier atoms) instead of scanning every fact of the predicate, and the
-//! set fixpoint runs semi-naively (each round only joins against the facts
-//! discovered in the previous round).
+//! The Kleene oracle ([`crate::naive::kleene_iterate`]) builds its own
+//! instantiation by scanning, so the differential suites compare two joins.
 
-use crate::ast::{Atom, DlVar, Program, Term};
-use crate::fact::{Fact, FactIndex, FactStore};
-use provsem_core::kernels::{hash_combine, HASH_SEED};
-use provsem_core::Value;
-use provsem_semiring::fxhash::FxHashMap;
+use crate::ast::Program;
+use crate::columnar;
+use crate::fact::{Fact, FactStore};
 use provsem_semiring::Semiring;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A ground rule: an instantiation of a program rule where every variable
 /// has been substituted by a constant.
@@ -48,161 +46,6 @@ impl GroundRule {
     /// Is this an instantiation of a unit rule (single-atom body)?
     pub fn is_unit(&self) -> bool {
         self.body.len() == 1
-    }
-}
-
-/// A variable valuation used during rule matching.
-pub(crate) type Binding = BTreeMap<crate::ast::DlVar, Value>;
-
-pub(crate) fn ground_atom(atom: &Atom, binding: &Binding) -> Option<Fact> {
-    let mut values = Vec::with_capacity(atom.terms.len());
-    for term in &atom.terms {
-        match term {
-            Term::Const(v) => values.push(v.clone()),
-            Term::Var(x) => values.push(binding.get(x)?.clone()),
-        }
-    }
-    Some(Fact {
-        predicate: atom.predicate.clone(),
-        values,
-    })
-}
-
-/// Tries to extend `binding` so that `atom` matches `fact`; returns the
-/// extended binding or `None` on mismatch.
-pub(crate) fn match_atom(atom: &Atom, fact: &Fact, binding: &Binding) -> Option<Binding> {
-    if atom.predicate != fact.predicate || atom.terms.len() != fact.values.len() {
-        return None;
-    }
-    let mut extended = binding.clone();
-    for (term, value) in atom.terms.iter().zip(fact.values.iter()) {
-        match term {
-            Term::Const(c) => {
-                if c != value {
-                    return None;
-                }
-            }
-            Term::Var(x) => match extended.get(x) {
-                Some(bound) if bound != value => return None,
-                Some(_) => {}
-                None => {
-                    extended.insert(x.clone(), value.clone());
-                }
-            },
-        }
-    }
-    Some(extended)
-}
-
-/// A join plan for one ordering of a rule body: the atoms in join order
-/// plus, for each atom, the argument positions that are already bound when it
-/// is matched (constants, variables bound by earlier atoms in the ordering,
-/// and variables bound before the join starts).
-///
-/// Matching an atom probes a [`FactIndex`] on exactly those positions, so a
-/// rule body binds via hash lookups instead of a scan per atom. Every
-/// candidate returned by a probe is still validated with [`match_atom`]
-/// (which also handles repeated variables within one atom), so plans are an
-/// accelerator only and never change which bindings are found.
-pub(crate) struct JoinPlan<'a> {
-    atoms: Vec<&'a Atom>,
-    bound: Vec<Vec<usize>>,
-}
-
-impl<'a> JoinPlan<'a> {
-    /// Plans the given atoms in order, with `seed_vars` assumed bound before
-    /// the join starts.
-    pub(crate) fn new(atoms: Vec<&'a Atom>, seed_vars: BTreeSet<&'a DlVar>) -> Self {
-        let mut bound_vars = seed_vars;
-        let mut bound = Vec::with_capacity(atoms.len());
-        for atom in &atoms {
-            let cols: Vec<usize> = atom
-                .terms
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| match t {
-                    Term::Const(_) => true,
-                    Term::Var(x) => bound_vars.contains(x),
-                })
-                .map(|(i, _)| i)
-                .collect();
-            bound.push(cols);
-            for t in &atom.terms {
-                if let Term::Var(x) = t {
-                    bound_vars.insert(x);
-                }
-            }
-        }
-        JoinPlan { atoms, bound }
-    }
-
-    /// The left-to-right plan of a whole body, starting from no bindings.
-    pub(crate) fn left_to_right(body: &'a [Atom]) -> Self {
-        JoinPlan::new(body.iter().collect(), BTreeSet::new())
-    }
-
-    /// The plan for the body with atom `first` removed, assuming `first`'s
-    /// variables were bound by matching it against a (delta) fact. This is
-    /// the differential form used by semi-naive evaluation.
-    pub(crate) fn suffix(body: &'a [Atom], first: usize) -> Self {
-        let seed: BTreeSet<&DlVar> = body[first].terms.iter().filter_map(Term::as_var).collect();
-        let atoms = body
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != first)
-            .map(|(_, a)| a)
-            .collect();
-        JoinPlan::new(atoms, seed)
-    }
-
-    /// Registers this plan's probe masks with the index.
-    pub(crate) fn register(&self, index: &mut FactIndex) {
-        for (atom, cols) in self.atoms.iter().zip(&self.bound) {
-            index.register_mask(&atom.predicate, cols);
-        }
-    }
-
-    /// Enumerates all satisfying valuations of the planned atoms over the
-    /// indexed facts, extending `binding` and calling `emit` for each
-    /// complete one.
-    pub(crate) fn join(&self, index: &FactIndex, binding: Binding, emit: &mut dyn FnMut(Binding)) {
-        self.join_from(0, index, binding, emit);
-    }
-
-    fn join_from(
-        &self,
-        depth: usize,
-        index: &FactIndex,
-        binding: Binding,
-        emit: &mut dyn FnMut(Binding),
-    ) {
-        let Some(atom) = self.atoms.get(depth) else {
-            emit(binding);
-            return;
-        };
-        // The probe key is folded straight into the bucket hash — no key
-        // vector is materialized. Candidates are validated by `match_atom`,
-        // which also screens out hash collisions.
-        let cols = &self.bound[depth];
-        let candidates = if cols.is_empty() {
-            index.predicate_rows(&atom.predicate)
-        } else {
-            let hash = cols.iter().fold(HASH_SEED, |h, &c| {
-                hash_combine(
-                    h,
-                    match &atom.terms[c] {
-                        Term::Const(v) => v.content_hash(),
-                        Term::Var(x) => binding[x].content_hash(),
-                    },
-                )
-            });
-            index.candidates_hashed(&atom.predicate, cols, hash)
-        };
-        for &fi in candidates {
-            if let Some(extended) = match_atom(atom, index.fact(fi), &binding) {
-                self.join_from(depth + 1, index, extended, emit);
-            }
-        }
     }
 }
 
@@ -242,11 +85,18 @@ impl Grounding {
     /// Grounds `program` over the facts of `edb` (annotations are ignored:
     /// by Proposition 5.4 the support is the same for every K).
     pub fn new<K: Semiring>(program: &Program, edb: &FactStore<K>) -> Self {
-        let mut index = support_index(program, edb);
-        let rules = ground_rules(program, &mut index);
-        let mut facts: Vec<Fact> = index.facts().cloned().collect();
-        facts.sort_unstable();
+        let mut rules = columnar::ground(program, edb);
+        rules.sort_unstable();
+        // The edb facts of the edb predicates, and every derivable idb fact:
+        // each is the head of some ground rule.
         let idb_predicates = program.idb_predicates();
+        let edb_facts = edb.facts().map(|(f, _)| f);
+        let mut facts: Vec<Fact> = edb_facts
+            .filter(|f| !idb_predicates.contains(&f.predicate))
+            .chain(rules.iter().map(|r| r.head.clone()))
+            .collect();
+        facts.sort_unstable();
+        facts.dedup();
         let idb = facts
             .iter()
             .map(|f| idb_predicates.contains(&f.predicate))
@@ -429,102 +279,6 @@ impl Grounding {
         }
         blocks
     }
-}
-
-/// The facts derivable from the program over the given edb facts under set
-/// semantics — the standard datalog least fixpoint, which by Proposition 5.4
-/// equals the support of the K-annotated answer for every K — indexed, edb
-/// and idb facts alike.
-fn support_index<K: Semiring>(program: &Program, edb: &FactStore<K>) -> FactIndex {
-    let mut index = FactIndex::from_facts(edb.facts().map(|(f, _)| f));
-    // Facts asserted directly in the program text also seed the computation.
-    for rule in &program.rules {
-        if rule.is_fact() {
-            if let Some(f) = ground_atom(&rule.head, &Binding::new()) {
-                index.add_fact(f);
-            }
-        }
-    }
-    // One differential join form per (rule, body position): the delta fact is
-    // matched at that position, the rest of the body binds via index probes.
-    let mut forms: Vec<(&Atom, &Atom, JoinPlan)> = Vec::new();
-    for rule in &program.rules {
-        for (j, atom) in rule.body.iter().enumerate() {
-            let plan = JoinPlan::suffix(&rule.body, j);
-            plan.register(&mut index);
-            forms.push((&rule.head, atom, plan));
-        }
-    }
-    let mut delta: Vec<Fact> = index.facts().cloned().collect();
-    while !delta.is_empty() {
-        let mut by_pred: FxHashMap<&str, Vec<&Fact>> = FxHashMap::default();
-        for fact in &delta {
-            by_pred
-                .entry(fact.predicate.as_str())
-                .or_default()
-                .push(fact);
-        }
-        let mut round: BTreeSet<Fact> = BTreeSet::new();
-        for (head, atom, plan) in &forms {
-            let Some(candidates) = by_pred.get(atom.predicate.as_str()) else {
-                continue;
-            };
-            for fact in candidates {
-                let Some(seed) = match_atom(atom, fact, &Binding::new()) else {
-                    continue;
-                };
-                plan.join(&index, seed, &mut |binding| {
-                    if let Some(new_head) = ground_atom(head, &binding) {
-                        if !index.contains(&new_head) {
-                            round.insert(new_head);
-                        }
-                    }
-                });
-            }
-        }
-        delta = round.into_iter().collect();
-        for fact in &delta {
-            index.add_fact(fact.clone());
-        }
-    }
-    index
-}
-
-/// The instantiation of the program over the indexed derivable facts: every
-/// ground rule whose body facts are all derivable, sorted. Rules that are
-/// facts in the program text become ground rules with an empty body.
-fn ground_rules(program: &Program, index: &mut FactIndex) -> Vec<GroundRule> {
-    let mut ground = Vec::new();
-    for (rule_index, rule) in program.rules.iter().enumerate() {
-        if rule.body.is_empty() {
-            if let Some(head) = ground_atom(&rule.head, &Binding::new()) {
-                ground.push(GroundRule {
-                    rule_index,
-                    head,
-                    body: Vec::new(),
-                });
-            }
-            continue;
-        }
-        let plan = JoinPlan::left_to_right(&rule.body);
-        plan.register(index);
-        plan.join(index, Binding::new(), &mut |binding| {
-            if let Some(head) = ground_atom(&rule.head, &binding) {
-                let body: Option<Vec<Fact>> =
-                    rule.body.iter().map(|a| ground_atom(a, &binding)).collect();
-                if let Some(body) = body {
-                    ground.push(GroundRule {
-                        rule_index,
-                        head,
-                        body,
-                    });
-                }
-            }
-        });
-    }
-    ground.sort();
-    ground.dedup();
-    ground
 }
 
 #[cfg(test)]
@@ -732,6 +486,35 @@ mod tests {
                 cyclic: false
             }
         );
+    }
+
+    #[test]
+    fn edb_facts_of_an_idb_predicate_are_not_derivable() {
+        // T(c, d) is an edb fact of the idb predicate T. Every evaluator
+        // reads idb factors from the iteration alone, as in Tᵐ(0), so
+        // neither it nor T(c, e), which only it would derive, is derivable.
+        let program =
+            crate::parser::parse_program("T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).")
+                .unwrap();
+        let mut edb = edge_facts(
+            "E",
+            &[("a", "b", NatInf::Fin(1)), ("d", "e", NatInf::Fin(1))],
+        );
+        edb.insert(Fact::new("T", ["c", "d"]), NatInf::Fin(1));
+        let g = Grounding::new(&program, &edb);
+        assert!(!g.facts().contains(&Fact::new("T", ["c", "d"])));
+        assert!(!g.facts().contains(&Fact::new("T", ["c", "e"])));
+        assert!(g.facts().contains(&Fact::new("E", ["d", "e"])));
+        let derivable = vec![Fact::new("T", ["a", "b"]), Fact::new("T", ["d", "e"])];
+        let series = crate::provenance::classify_series(&program, &edb);
+        assert_eq!(series.into_keys().collect::<Vec<_>>(), derivable);
+        for idb in [
+            crate::naive::kleene_iterate(&program, &edb, 16).idb,
+            crate::seminaive::seminaive_iterate(&program, &edb, 16).idb,
+            crate::exact::evaluate_natinf(&program, &edb),
+        ] {
+            assert_eq!(idb.facts().map(|(f, _)| f).collect::<Vec<_>>(), derivable);
+        }
     }
 
     #[test]

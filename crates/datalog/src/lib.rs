@@ -5,12 +5,14 @@
 //!
 //! * datalog syntax, parser and grounding ([`ast`], [`parser`], [`fact`],
 //!   [`grounding`]);
-//! * the fixpoint semantics over ω-continuous semirings — naive Kleene
-//!   iteration ([`naive`], Definition 5.5 / Theorem 5.6; the reference
-//!   oracle) and the semi-naive differential evaluator ([`seminaive`],
-//!   switched via [`EvalStrategy`]; its rounds run compiled over interned
-//!   ids in [`columnar`]) — plus exact evaluation for ℕ∞ and
-//!   distributive lattices ([`exact`], Section 8);
+//! * the fixpoint semantics over ω-continuous semirings — the semi-naive
+//!   differential evaluator ([`seminaive`]), whose rounds run compiled over
+//!   interned ids in [`columnar`], the one join engine of production
+//!   datalog: it also grounds every [`Grounding`] — plus exact evaluation
+//!   for ℕ∞ and distributive lattices ([`exact`], Section 8);
+//! * the reference oracle: naive Kleene iteration ([`naive`],
+//!   Definition 5.5 / Theorem 5.6) over its own instantiation, found by
+//!   scanning, so it shares no join code with the compiled engine;
 //! * incremental maintenance of a materialized fixpoint under edb insert and
 //!   delete batches ([`maintain`]), on the compiled evaluator's own tables;
 //! * derivation trees and the **All-Trees** algorithm ([`all_trees`](mod@crate::all_trees),

@@ -8,12 +8,28 @@
 //! with infinitely many derivations it grows forever — exact ℕ∞ answers are
 //! produced by [`crate::exact`], and this module's bounded iteration is the
 //! building block and the ablation baseline.
+//!
+//! # The oracle grounds by scanning
+//!
+//! [`kleene_iterate`] is the reference every compiled entry point is tested
+//! against, so it shares none of their code: it builds its own
+//! instantiation ([`instantiate_by_scanning`]) the literal way. A naive set
+//! fixpoint grounds every rule over the facts known so far and adds the
+//! heads, until no head is new; its last pass is the instantiation. Each
+//! body atom is matched by scanning every fact of its predicate, so there
+//! is no index, no join plan and no interned id that a bug could share
+//! with [`crate::columnar`], which grounds [`Grounding`] and runs every
+//! semi-naive round. Only the edb facts of edb predicates seed the
+//! fixpoint: an idb factor is read from the iteration alone, as in `Tᵐ(0)`.
+//! The scans make the oracle quadratic per join where the compiled engine
+//! probes; it is meant for the small inputs of the differential suites.
 
-use crate::ast::Program;
-use crate::fact::FactStore;
+use crate::ast::{Atom, DlVar, Program, Term};
+use crate::fact::{Fact, FactStore};
 use crate::grounding::{GroundRule, Grounding};
-use provsem_semiring::{OmegaContinuous, Semiring};
-use std::collections::BTreeSet;
+use provsem_core::Value;
+use provsem_semiring::{Bool, OmegaContinuous, Semiring};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The outcome of a bounded fixpoint iteration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,25 +91,149 @@ pub fn immediate_consequence_into<K: Semiring>(
     }
 }
 
+/// A variable valuation built while matching a rule body.
+type Binding = BTreeMap<DlVar, Value>;
+
+/// The atom with its variables replaced by their values; `None` if some
+/// variable is unbound.
+fn ground_atom(atom: &Atom, binding: &Binding) -> Option<Fact> {
+    let mut values = Vec::with_capacity(atom.terms.len());
+    for term in &atom.terms {
+        match term {
+            Term::Const(v) => values.push(v.clone()),
+            Term::Var(x) => values.push(binding.get(x)?.clone()),
+        }
+    }
+    Some(Fact {
+        predicate: atom.predicate.clone(),
+        values,
+    })
+}
+
+/// Tries to extend `binding` so that `atom` matches the fact of its
+/// predicate with arguments `values`; returns the extended binding or
+/// `None` on mismatch.
+fn match_atom(atom: &Atom, values: &[Value], binding: &Binding) -> Option<Binding> {
+    if atom.terms.len() != values.len() {
+        return None;
+    }
+    // Most candidates of a scan clash with a constant or an earlier binding:
+    // reject those before copying the binding.
+    let clash = atom
+        .terms
+        .iter()
+        .zip(values)
+        .any(|(term, value)| match term {
+            Term::Const(c) => c != value,
+            Term::Var(x) => binding.get(x).is_some_and(|bound| bound != value),
+        });
+    if clash {
+        return None;
+    }
+    let mut extended = binding.clone();
+    for (term, value) in atom.terms.iter().zip(values) {
+        let Term::Var(x) = term else {
+            continue;
+        };
+        match extended.get(x) {
+            // A variable repeated within the atom must meet one value.
+            Some(bound) if bound != value => return None,
+            Some(_) => {}
+            None => {
+                extended.insert(x.clone(), value.clone());
+            }
+        }
+    }
+    Some(extended)
+}
+
+/// Calls `emit` with every extension of `binding` that matches `body`
+/// over `facts`, each atom scanned against every fact of its predicate.
+fn each_binding(
+    body: &[Atom],
+    facts: &FactStore<Bool>,
+    binding: &Binding,
+    emit: &mut dyn FnMut(&Binding),
+) {
+    let Some((atom, rest)) = body.split_first() else {
+        return emit(binding);
+    };
+    for (values, _) in facts.rows_of(&atom.predicate) {
+        if let Some(extended) = match_atom(atom, values, binding) {
+            each_binding(rest, facts, &extended, emit);
+        }
+    }
+}
+
+/// The Kleene oracle's instantiation of `program` over `edb`, sorted: every
+/// ground rule whose body facts are all derivable, found by scanning (see
+/// the module docs). It equals [`Grounding::rules`], which the compiled
+/// engine builds; the grounding differential suite compares the two, which
+/// is why it is public.
+#[doc(hidden)]
+pub fn instantiate_by_scanning<K: Semiring>(
+    program: &Program,
+    edb: &FactStore<K>,
+) -> Vec<GroundRule> {
+    let idb = program.idb_predicates();
+    let mut facts = FactStore::new();
+    for (fact, _) in edb.facts().filter(|(f, _)| !idb.contains(&f.predicate)) {
+        facts.insert(fact, Bool::from(true));
+    }
+    loop {
+        let mut rules = Vec::new();
+        for (rule_index, rule) in program.rules.iter().enumerate() {
+            each_binding(&rule.body, &facts, &Binding::new(), &mut |binding| {
+                if let Some(head) = ground_atom(&rule.head, binding) {
+                    let body = rule.body.iter().map(|a| ground_atom(a, binding));
+                    rules.push(GroundRule {
+                        rule_index,
+                        head,
+                        body: body
+                            .collect::<Option<_>>()
+                            .expect("a matched body is ground"),
+                    });
+                }
+            });
+        }
+        let new: Vec<Fact> = (rules.iter().map(|r| &r.head))
+            .filter(|head| !facts.contains(head))
+            .cloned()
+            .collect();
+        if new.is_empty() {
+            rules.sort_unstable();
+            return rules;
+        }
+        for fact in new {
+            facts.insert(fact, Bool::from(true));
+        }
+    }
+}
+
 /// Runs the Kleene iteration `Q₀ = 0, Q_{m+1} = T_q(R, Q_m)` for at most
-/// `max_iterations` steps, stopping early at a fixed point.
+/// `max_iterations` steps, stopping early at a fixed point, over the
+/// instantiation [`instantiate_by_scanning`] builds.
 pub fn kleene_iterate<K: Semiring>(
     program: &Program,
     edb: &FactStore<K>,
     max_iterations: usize,
 ) -> FixpointResult<K> {
-    kleene_iterate_grounded(program, &Grounding::new(program, edb), edb, max_iterations)
+    let rules = instantiate_by_scanning(program, edb);
+    kleene_iterate_grounded_by(program, &rules, edb, max_iterations, |next, current| {
+        next == current
+    })
 }
 
-/// Like [`kleene_iterate`] but over a pre-computed instantiation (so callers
-/// sweeping iteration counts do not re-ground every time).
+/// Like [`kleene_iterate`] but over a pre-computed [`Grounding`] (so
+/// callers sweeping iteration counts do not re-ground every time).
 pub fn kleene_iterate_grounded<K: Semiring>(
     program: &Program,
     grounding: &Grounding,
     edb: &FactStore<K>,
     max_iterations: usize,
 ) -> FixpointResult<K> {
-    kleene_iterate_grounded_by(program, grounding, edb, max_iterations, |next, current| {
+    let rules = grounding.rules();
+    kleene_iterate_grounded_by(program, rules, edb, max_iterations, |next, current| {
         next == current
     })
 }
@@ -105,7 +245,7 @@ pub fn kleene_iterate_grounded<K: Semiring>(
 /// for circuits would expand polynomials.
 pub(crate) fn kleene_iterate_grounded_by<K: Semiring>(
     program: &Program,
-    grounding: &Grounding,
+    ground_rules: &[GroundRule],
     edb: &FactStore<K>,
     max_iterations: usize,
     reached_fixpoint: impl Fn(&FactStore<K>, &FactStore<K>) -> bool,
@@ -126,7 +266,7 @@ pub(crate) fn kleene_iterate_grounded_by<K: Semiring>(
     let mut iterations = 0;
     let mut converged = false;
     while iterations < max_iterations {
-        immediate_consequence_into(grounding.rules(), &idb_predicates, edb, &current, &mut next);
+        immediate_consequence_into(ground_rules, &idb_predicates, edb, &current, &mut next);
         iterations += 1;
         if !recursive {
             std::mem::swap(&mut current, &mut next);

@@ -259,7 +259,7 @@ pub fn datalog_provenance_circuit<K: Semiring>(
     // O(n) structural node-id comparison.
     let result = crate::naive::kleene_iterate_grounded_by(
         program,
-        &grounding,
+        grounding.rules(),
         &edb_circuits,
         max_rounds,
         same_structure,

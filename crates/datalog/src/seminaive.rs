@@ -11,11 +11,11 @@
 //! probes — and touches only the part of the instantiation the deltas
 //! reach. No up-front full grounding is ever materialized.
 //!
-//! This file holds the public entry points and the strategy switch; the
-//! rule forms are compiled, and the rounds run, in one place: the
-//! evaluator over interned ids of [`crate::columnar`]. The
-//! naive iteration stays as the reference oracle the differential suites
-//! compare every entry point against.
+//! This file holds the public entry points; the rule forms are compiled,
+//! and the rounds run, in one place: the evaluator over interned ids of
+//! [`crate::columnar`]. The naive iteration
+//! ([`crate::naive::kleene_iterate`]) stays as the reference oracle the
+//! differential suites compare every entry point against.
 //!
 //! # Soundness: one exact loop for every semiring
 //!
@@ -60,7 +60,7 @@
 //! iteration counts may differ: the naive loop needs one extra application
 //! of `T` to *observe* a fixpoint, while the semi-naive loop observes an
 //! empty delta for free. Compare annotations and `converged`, not
-//! `iterations`, across strategies.
+//! `iterations`, with the oracle.
 //!
 //! # Worked example (Figure 6)
 //!
@@ -95,16 +95,15 @@ use provsem_semiring::{PlusIdempotent, Semiring};
 pub use crate::naive::FixpointResult;
 
 /// How [`evaluate`] / [`evaluate_with_bound`] compute the datalog fixpoint.
+/// Production has one strategy; the naive Kleene iteration is the oracle
+/// ([`crate::naive::kleene_iterate`]), which tests and ablations call
+/// directly.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EvalStrategy {
-    /// Ground the whole instantiation up front and re-apply the
-    /// immediate-consequence operator to every ground rule each round
-    /// ([`crate::naive::kleene_iterate`]). The ablation baseline.
-    Naive,
     /// Differential evaluation: per-predicate delta stores, one differential
     /// form per idb body atom, index-probed joins, and no up-front
     /// grounding ([`seminaive_iterate`]). Sound for every semiring (see the
-    /// module docs); round-for-round equal to `Naive`.
+    /// module docs); round-for-round equal to the naive iteration.
     SemiNaive,
 }
 
@@ -116,8 +115,8 @@ pub enum EvalStrategy {
 pub const DEFAULT_FALLBACK_BOUND: usize = 256;
 
 /// Evaluates a datalog program to its least fixpoint under the chosen
-/// [`EvalStrategy`] — the single entry point the benches and downstream crates
-/// switch on. Both strategies detect convergence on their own, so this works
+/// [`EvalStrategy`] — the single entry point the benches and downstream
+/// crates call. The loop detects convergence on its own, so this works
 /// for any semiring; [`DEFAULT_FALLBACK_BOUND`] is only the safety net for
 /// instances that never converge. Returns `None` when the iteration did not
 /// converge within the bound (for ℕ∞ this signals tuples with infinitely
@@ -138,8 +137,8 @@ pub fn evaluate<K: Semiring>(
 }
 
 /// Like [`evaluate`] but for any semiring and an explicit round bound,
-/// returning the full [`FixpointResult`]. Both strategies produce the same
-/// idb annotations after the same number of rounds (`Tᵐ(0)`), converged or
+/// returning the full [`FixpointResult`]: the idb annotations after the
+/// same number of rounds as the naive iteration (`Tᵐ(0)`), converged or
 /// not.
 pub fn evaluate_with_bound<K: Semiring>(
     program: &Program,
@@ -148,17 +147,15 @@ pub fn evaluate_with_bound<K: Semiring>(
     max_rounds: usize,
 ) -> FixpointResult<K> {
     match strategy {
-        EvalStrategy::Naive => crate::naive::kleene_iterate(program, edb, max_rounds),
         EvalStrategy::SemiNaive => seminaive_iterate(program, edb, max_rounds),
     }
 }
 
 /// Like [`evaluate_with_bound`], but with an explicit
-/// [`ExecContext`] thread budget: the semi-naive strategy runs its
-/// delta-rule application data-parallel ([`seminaive_iterate_with`]), round
-/// for round identical to the serial loop. The naive ablation baseline
-/// stays serial by design (it exists to measure the unoptimized cost).
-/// `ctx.threads == 1` is exactly [`evaluate_with_bound`].
+/// [`ExecContext`] thread budget: the delta-rule application runs
+/// data-parallel ([`seminaive_iterate_with`]), round for round identical
+/// to the serial loop. `ctx.threads == 1` is exactly
+/// [`evaluate_with_bound`].
 pub fn evaluate_with_context<K>(
     program: &Program,
     edb: &FactStore<K>,
@@ -170,7 +167,6 @@ where
     K: Semiring + Send + Sync,
 {
     match strategy {
-        EvalStrategy::Naive => crate::naive::kleene_iterate(program, edb, max_rounds),
         EvalStrategy::SemiNaive => seminaive_iterate_with(program, edb, max_rounds, ctx),
     }
 }
@@ -248,6 +244,7 @@ where
 mod tests {
     use super::*;
     use crate::fact::{edge_facts, Fact};
+    use crate::naive::kleene_iterate;
     use provsem_semiring::{Bool, NatInf, Natural, PosBool, Tropical};
 
     fn nat(n: u64) -> Natural {
@@ -262,7 +259,9 @@ mod tests {
             &[("a", "a", nat(2)), ("a", "b", nat(3)), ("b", "b", nat(4))],
         );
         let semi = evaluate(&program, &edb, EvalStrategy::SemiNaive).expect("converges");
-        let naive = evaluate(&program, &edb, EvalStrategy::Naive).expect("converges");
+        let naive = kleene_iterate(&program, &edb, DEFAULT_FALLBACK_BOUND);
+        assert!(naive.converged);
+        let naive = naive.idb;
         assert_eq!(semi.annotation(&Fact::new("Q", ["a", "b"])), nat(18));
         for (fact, ann) in naive.facts() {
             assert_eq!(semi.annotation(&fact), *ann, "{fact}");
@@ -286,7 +285,7 @@ mod tests {
             ],
         );
         for rounds in 1..8 {
-            let naive = evaluate_with_bound(&program, &edb, EvalStrategy::Naive, rounds);
+            let naive = kleene_iterate(&program, &edb, rounds);
             let semi = evaluate_with_bound(&program, &edb, EvalStrategy::SemiNaive, rounds);
             assert_eq!(naive.converged, semi.converged, "rounds={rounds}");
             assert_eq!(naive.idb, semi.idb, "rounds={rounds}");
@@ -353,8 +352,9 @@ mod tests {
     fn zero_round_bound_reports_nonconverged_empty_result() {
         let program = Program::transitive_closure("R", "Q");
         let edb = edge_facts("R", &[("a", "b", Bool::from(true))]);
-        for strategy in [EvalStrategy::Naive, EvalStrategy::SemiNaive] {
-            let out = evaluate_with_bound(&program, &edb, strategy, 0);
+        let naive = kleene_iterate(&program, &edb, 0);
+        let semi = evaluate_with_bound(&program, &edb, EvalStrategy::SemiNaive, 0);
+        for out in [naive, semi] {
             assert!(!out.converged);
             assert!(out.idb.is_empty());
             assert_eq!(out.iterations, 0);
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn mutual_recursion_converges_to_the_same_fixpoint() {
-        // P and Q feed each other; both strategies agree.
+        // P and Q feed each other; the loop agrees with the oracle.
         let program = crate::parser::parse_program(
             "P(x, y) :- R(x, y).\nQ(x, y) :- P(x, y).\nP(x, y) :- Q(y, x).",
         )
@@ -372,9 +372,10 @@ mod tests {
             "R",
             &[("a", "b", Bool::from(true)), ("b", "c", Bool::from(true))],
         );
-        let naive = evaluate(&program, &edb, EvalStrategy::Naive).unwrap();
+        let naive = kleene_iterate(&program, &edb, DEFAULT_FALLBACK_BOUND);
         let semi = evaluate(&program, &edb, EvalStrategy::SemiNaive).unwrap();
-        assert_eq!(naive, semi);
+        assert!(naive.converged);
+        assert_eq!(naive.idb, semi);
         assert_eq!(
             semi.annotation(&Fact::new("P", ["b", "a"])),
             Bool::from(true)

@@ -1,6 +1,10 @@
 //! Differential test: the numbered instantiation ([`Grounding`]) and the
 //! exact ℕ∞ evaluation read from its blocks, against brute force.
 //!
+//! * The compiled engine's instantiation equals the Kleene oracle's, which
+//!   grounds by scanning (`naive::instantiate_by_scanning`): the same
+//!   derivable facts and the same ground rules — rule index, head and body
+//!   order.
 //! * `evaluate_natinf` gives a fact a finite value exactly when the Kleene
 //!   iteration has stopped moving on it and is not ∞: with n derivable idb
 //!   facts and B = 4(n + 1), `kleene_iterate` at rounds B and 2B agree on it.
@@ -10,11 +14,13 @@
 //!   finite value must equal the Kleene value.
 //! * The blocks are the strongly connected components of the idb graph in
 //!   dependency order: every idb body fact lies in its head's block or an
-//!   earlier one, two facts share a block iff each reaches the other, and a
-//!   block is `cyclic` iff some member reaches itself — all checked against
-//!   reachability computed by depth-first search from every fact.
+//!   earlier one, two facts share a block iff each reaches the other, a
+//!   block is `cyclic` iff some member reaches itself, and
+//!   `blocks_reaching` marks exactly the blocks with a member that reaches
+//!   a fact on a cycle — all checked against reachability computed by
+//!   depth-first search from every fact.
 //!
-//! Both run on `common`'s random programs and edbs, and again on the same
+//! All three run on `common`'s random programs and edbs, and again on the same
 //! programs given base rules for `P` and `Q` over denser edbs — most bare
 //! random programs derive nothing, the seeded ones reach cycles in about half
 //! of the cases. A release-only scale case runs the exact evaluation on a
@@ -24,6 +30,7 @@ mod common;
 
 use common::{arb_edb, arb_program, build_edb, build_program, RawFact};
 use proptest::prelude::*;
+use provsem_datalog::naive::instantiate_by_scanning;
 use provsem_datalog::prelude::*;
 use provsem_semiring::NatInf;
 
@@ -89,6 +96,15 @@ fn assert_block_invariants(program: &Program, g: &Grounding) {
             assert_eq!(g.block_of(u) == g.block_of(v), same, "{u} {v}:\n{program}");
         }
     }
+    // A block reaches a cyclic block iff one of its facts is on a cycle or
+    // reaches a fact that is.
+    let reaches_cycle = g.blocks_reaching(|_, block| block.cyclic);
+    for (index, block) in g.blocks().iter().enumerate() {
+        let on_cycle = |f: usize| reach[f][f];
+        let brute = (block.facts.iter())
+            .any(|&f| on_cycle(f) || idb.iter().any(|&v| reach[f][v] && on_cycle(v)));
+        assert_eq!(reaches_cycle[index], brute, "block {index}:\n{program}");
+    }
 }
 
 fn assert_natinf_matches_kleene(program: &Program, edb: &FactStore<NatInf>, g: &Grounding) {
@@ -123,7 +139,22 @@ fn dense_edb() -> impl Strategy<Value = Vec<RawFact>> {
     prop::collection::vec((0u8..2, 0u8..3, 0u8..3, 1u64..4), 8..21)
 }
 
-/// Checks both properties on one case. With `seeded`, the program also gets
+/// The grounding's facts and rules against the oracle's instantiation: its
+/// facts are the edb facts of edb predicates and the heads of its rules.
+fn assert_instantiations_agree(program: &Program, edb: &FactStore<NatInf>, g: &Grounding) {
+    let scanned = instantiate_by_scanning(program, edb);
+    assert_eq!(g.rules(), scanned.as_slice(), "{program}");
+    let idb = program.idb_predicates();
+    let mut facts: Vec<Fact> = (edb.facts().map(|(f, _)| f))
+        .filter(|f| !idb.contains(&f.predicate))
+        .chain(scanned.into_iter().map(|r| r.head))
+        .collect();
+    facts.sort();
+    facts.dedup();
+    assert_eq!(g.facts(), facts.as_slice(), "{program}");
+}
+
+/// Checks every property on one case. With `seeded`, the program also gets
 /// the base rules `P(x, y) :- R(x, y)` and `Q(x, y) :- S(x, y)`, so its
 /// random rules have idb facts to recurse on.
 fn check(raw_program: &[common::RawRule], raw_edb: &[RawFact], seeded: bool) {
@@ -134,6 +165,7 @@ fn check(raw_program: &[common::RawRule], raw_edb: &[RawFact], seeded: bool) {
     }
     let edb = build_edb(raw_edb, |_, w| NatInf::Fin(w));
     let g = Grounding::new(&program, &edb);
+    assert_instantiations_agree(&program, &edb, &g);
     assert_block_invariants(&program, &g);
     assert_natinf_matches_kleene(&program, &edb, &g);
 }

@@ -41,13 +41,19 @@ proptest! {
         let program = build_program(&raw_program);
         let edb = build_edb(&raw_edb, |_, w| Natural::from(w));
         let mapped_edb = map_store(&NaturalToBool, &edb);
-        for strategy in [EvalStrategy::Naive, EvalStrategy::SemiNaive] {
-            let over_nat = evaluate_with_bound(&program, &edb, strategy, rounds);
-            let over_bool = evaluate_with_bound(&program, &mapped_edb, strategy, rounds);
+        let naive = (
+            kleene_iterate(&program, &edb, rounds),
+            kleene_iterate(&program, &mapped_edb, rounds),
+        );
+        let semi = (
+            evaluate_with_bound(&program, &edb, EvalStrategy::SemiNaive, rounds),
+            evaluate_with_bound(&program, &mapped_edb, EvalStrategy::SemiNaive, rounds),
+        );
+        for (label, (over_nat, over_bool)) in [("naive", naive), ("semi-naive", semi)] {
             prop_assert_eq!(
                 map_store(&NaturalToBool, &over_nat.idb),
                 over_bool.idb,
-                "strategy {:?}, program:\n{}", strategy, &program
+                "{}, program:\n{}", label, &program
             );
         }
     }

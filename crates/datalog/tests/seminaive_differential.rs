@@ -1,12 +1,13 @@
 //! Differential test: naive and semi-naive evaluation agree.
 //!
 //! Randomized safe (possibly mutually recursive) programs and edbs are
-//! evaluated with every strategy over 𝔹, ℕ (bounded rounds), the tropical
-//! semiring, and the why-provenance semiring — ≥ 100 cases per semiring.
+//! evaluated by the Kleene oracle and the semi-naive loop over 𝔹, ℕ
+//! (bounded rounds), the tropical semiring, and the why-provenance
+//! semiring — ≥ 100 cases per semiring.
 //!
 //! Agreement contract (documented on [`provsem_datalog::seminaive`]):
 //!
-//! * `EvalStrategy::Naive` and `EvalStrategy::SemiNaive` produce the same
+//! * `kleene_iterate` and `EvalStrategy::SemiNaive` produce the same
 //!   idb annotations after the same round bound (`Tᵐ(0)`) for **every**
 //!   semiring, converged or not, and their `converged` flags agree;
 //! * `iterations` counts are *not* compared — the naive loop spends an extra
@@ -39,13 +40,13 @@ fn assert_idempotent_agreement<K>(program: &Program, edb: &FactStore<K>)
 where
     K: Semiring + provsem_semiring::PlusIdempotent,
 {
-    let naive = evaluate_with_bound(program, edb, EvalStrategy::Naive, CONVERGED_BOUND);
+    let naive = kleene_iterate(program, edb, CONVERGED_BOUND);
     let semi = evaluate_with_bound(program, edb, EvalStrategy::SemiNaive, CONVERGED_BOUND);
     assert!(naive.converged, "naive did not converge:\n{program}");
     assert_eq!(naive.converged, semi.converged);
     assert_eq!(naive.idb, semi.idb, "general path disagrees:\n{program}");
     for rounds in [1, 2, 3, CONVERGED_BOUND] {
-        let naive = evaluate_with_bound(program, edb, EvalStrategy::Naive, rounds);
+        let naive = kleene_iterate(program, edb, rounds);
         let fast = seminaive_idempotent(program, edb, rounds);
         assert_eq!(naive.converged, fast.converged, "rounds={rounds}");
         assert_eq!(naive.idb, fast.idb, "delta rewrite disagrees:\n{program}");
@@ -83,10 +84,10 @@ proptest! {
         rounds in 1usize..6,
     ) {
         // ℕ is not +-idempotent and recursive programs need not converge, so
-        // the contract here is per-round: both strategies compute Tᵐ(0).
+        // the contract here is per-round: both loops compute Tᵐ(0).
         let program = build_program(&raw_program);
         let edb = build_edb(&raw_edb, |_, w| Natural::from(w));
-        let naive = evaluate_with_bound(&program, &edb, EvalStrategy::Naive, rounds);
+        let naive = kleene_iterate(&program, &edb, rounds);
         let semi = evaluate_with_bound(&program, &edb, EvalStrategy::SemiNaive, rounds);
         prop_assert_eq!(naive.converged, semi.converged, "program:\n{}", &program);
         prop_assert_eq!(naive.idb, semi.idb, "program:\n{}", &program);
@@ -96,7 +97,7 @@ proptest! {
 #[test]
 fn figure7_nonconverging_instance_agrees_per_round() {
     // The canonical non-converging workload: under ℕ∞ the d→d self-loop
-    // pumps forever, and both strategies must track each other exactly.
+    // pumps forever, and both loops must track each other exactly.
     let program = Program::transitive_closure("R", "Q");
     let edb = edge_facts(
         "R",
@@ -109,11 +110,11 @@ fn figure7_nonconverging_instance_agrees_per_round() {
         ],
     );
     for rounds in 1..10 {
-        let naive = evaluate_with_bound(&program, &edb, EvalStrategy::Naive, rounds);
+        let naive = kleene_iterate(&program, &edb, rounds);
         let semi = evaluate_with_bound(&program, &edb, EvalStrategy::SemiNaive, rounds);
         assert_eq!(naive.idb, semi.idb, "rounds={rounds}");
         assert_eq!(naive.converged, semi.converged, "rounds={rounds}");
-        // The growth phase: neither strategy may claim convergence while the
+        // The growth phase: neither loop may claim convergence while the
         // self-loop is still pumping finite values. (Around round 9 the u64
         // payloads saturate to ∞ and the system genuinely reaches its ℕ∞
         // fixpoint, so the window below is where growth is observable.)
