@@ -543,14 +543,7 @@ pub fn gather_multi(sources: &[&[Column]], col: usize, refs: &[(u32, u32)]) -> C
             .collect();
         return Column::I64(Arc::new(out));
     }
-    let shared_dict = sources.first().and_then(|s| match &s[col] {
-        Column::Str { dict, .. } => sources
-            .iter()
-            .all(|s| matches!(&s[col], Column::Str { dict: d, .. } if Arc::ptr_eq(d, dict)))
-            .then(|| dict.clone()),
-        _ => None,
-    });
-    if let Some(dict) = shared_dict {
+    if let Some(dict) = shared_dict(sources.iter().copied(), col).cloned() {
         let out: Vec<u32> = refs
             .iter()
             .map(|&(b, r)| match &sources[b as usize][col] {
@@ -1119,14 +1112,32 @@ fn dict_of(cols: &[Column], key: usize) -> Option<&Arc<StrDict>> {
 /// — the product of their sizes — or `None` if there is no key column, one
 /// is not a dictionary column, or the product does not fit below [`UNSEEN`].
 fn grid_cells(cols: &[Column], keys: &[usize]) -> Option<usize> {
-    if keys.is_empty() {
-        return None;
-    }
-    keys.iter()
-        .try_fold(1usize, |cells, &key| {
-            cells.checked_mul(dict_of(cols, key)?.len())
-        })
+    let dicts: Option<Vec<&Arc<StrDict>>> = keys.iter().map(|&key| dict_of(cols, key)).collect();
+    grid_size(dicts?)
+}
+
+/// The cell count of the grid of code tuples over `dicts` — the product of
+/// their sizes — or `None` if there is no dictionary or the product does not
+/// fit below [`UNSEEN`]: the size half of the code-domain when-rule, shared
+/// by the key memo and a projecting join's summed groups.
+pub(crate) fn grid_size<'a>(dicts: impl IntoIterator<Item = &'a Arc<StrDict>>) -> Option<usize> {
+    let mut dicts = dicts.into_iter().peekable();
+    dicts.peek()?;
+    dicts
+        .try_fold(1usize, |cells, dict| cells.checked_mul(dict.len()))
         .filter(|&cells| cells < UNSEEN as usize)
+}
+
+/// The dictionary column `col` of every one of `batches` is under, if it is
+/// one and the same — so that a code names one string across all of them.
+pub(crate) fn shared_dict<'a>(
+    mut batches: impl Iterator<Item = &'a [Column]>,
+    col: usize,
+) -> Option<&'a Arc<StrDict>> {
+    let first = dict_of(batches.next()?, col)?;
+    batches
+        .all(|cols| dict_of(cols, col).is_some_and(|dict| Arc::ptr_eq(dict, first)))
+        .then_some(first)
 }
 
 /// Do the key columns of `a` and `b` hold codes of the same dictionaries?

@@ -33,7 +33,20 @@
 //!   in the same table, chains each key's build rows in stream order, and
 //!   maps probe rows to ids the same two ways; each probe batch assembles
 //!   its output column-by-column (typed gathers). Neither side copies an
-//!   annotation column: only matched pairs are read and multiplied.
+//!   annotation column: only matched pairs are read and multiplied. When
+//!   the unary steps directly above the join are π/ρ gathers that drop a
+//!   join column and the kept columns pass the code-domain when-rule (each
+//!   a dictionary column under one dictionary on its side, a code grid no
+//!   larger than the match count), the projection is **summed inside the
+//!   join** (a groupjoin, [`SummedProjection`]): every match's kept code
+//!   tuple names its group, one [`Semiring::sum_products`] call over the
+//!   matches of every partition, in partition order, sums the products
+//!   group by group — one `Σᵢ aᵢ·bᵢ` circuit node per output tuple, the same
+//!   at every thread budget, instead of a `Times` node per match for the
+//!   root merge to sum — and the kept columns are decoded from the live
+//!   groups' codes. Any other shape, and a join that fails the rule, makes
+//!   the join's rows (a failed grid check after parallel matching makes
+//!   them on the calling thread).
 //!
 //! With a multi-threaded [`ExecContext`] and a semiring whose annotations
 //! can cross threads ([`Semiring::is_portable`]), joins and aggregations
@@ -54,8 +67,8 @@
 
 use super::physical::{scan_batches, scan_relation, ColSource, CompiledPredicate, PhysOp};
 use crate::column::{
-    code_domain_runs, column_values_equal, gather_multi, group_batches, Batch, Column, KeyChains,
-    KeyIndex, KeyRows, NO_KEY,
+    code_domain_runs, column_values_equal, gather_multi, grid_size, group_batches, shared_dict,
+    Batch, Column, KeyChains, KeyIndex, KeyRows, StrDict, NO_KEY,
 };
 use crate::plan::{ExecContext, QueryResult, RelationSource};
 use crate::schema::Schema;
@@ -230,6 +243,50 @@ fn open_batch<K: Semiring>((len, columns, token): SealedBatch) -> Batch<K> {
     Batch::new(len, columns, K::from_portable(token))
 }
 
+/// What crosses the thread boundary to or from a morsel worker, sealed:
+/// column payloads as plain `Send` data, annotation vectors through the
+/// semiring's [`Portable`] encoding.
+trait Transport: Sized {
+    type Sealed: Send;
+    fn seal(self) -> Self::Sealed;
+    fn open(sealed: Self::Sealed) -> Self;
+}
+
+impl<K: Semiring> Transport for Vec<Batch<K>> {
+    type Sealed = Vec<SealedBatch>;
+
+    fn seal(self) -> Vec<SealedBatch> {
+        self.into_iter().map(seal_batch).collect()
+    }
+
+    fn open(sealed: Vec<SealedBatch>) -> Self {
+        sealed.into_iter().map(open_batch).collect()
+    }
+}
+
+impl<K: Semiring> Transport for Matches<K> {
+    type Sealed = (
+        Vec<SealedBatch>,
+        Vec<SealedBatch>,
+        Vec<(u32, u32)>,
+        Vec<(u32, u32)>,
+    );
+
+    fn seal(self) -> Self::Sealed {
+        let (build_rows, probe_rows) = (self.build_rows, self.probe_rows);
+        (self.build.seal(), self.probe.seal(), build_rows, probe_rows)
+    }
+
+    fn open((build, probe, build_rows, probe_rows): Self::Sealed) -> Self {
+        Matches {
+            build: Transport::open(build),
+            probe: Transport::open(probe),
+            build_rows,
+            probe_rows,
+        }
+    }
+}
+
 /// Maps `work` over per-partition batch lists — one scoped worker per
 /// partition when the input is large enough, inline otherwise — returning
 /// outputs in partition order.
@@ -246,63 +303,11 @@ where
     if parts.len() <= 1 || total < crate::par::SPAWN_THRESHOLD {
         return parts.into_iter().map(work).collect();
     }
-    let sealed: Vec<Vec<SealedBatch>> = parts
+    let sealed: Vec<Vec<SealedBatch>> = parts.into_iter().map(Transport::seal).collect();
+    crate::par::spawn_map(sealed, |batches| work(Transport::open(batches)).seal())
         .into_iter()
-        .map(|batches| batches.into_iter().map(seal_batch).collect())
-        .collect();
-    crate::par::spawn_map(sealed, |batches: Vec<SealedBatch>| {
-        let opened = batches.into_iter().map(open_batch).collect();
-        work(opened)
-            .into_iter()
-            .map(seal_batch)
-            .collect::<Vec<SealedBatch>>()
-    })
-    .into_iter()
-    .map(|batches| batches.into_iter().map(open_batch).collect())
-    .collect()
-}
-
-/// One (build, probe) batch-list pair per hash-join key partition.
-type PartitionPairs<K> = Vec<(Vec<Batch<K>>, Vec<Batch<K>>)>;
-
-/// [`par_map_batches`] for the partitioned hash join: one (build, probe)
-/// batch-list pair per key partition.
-fn par_map_batch_pairs<K, F>(pairs: PartitionPairs<K>, work: F) -> Vec<Vec<Batch<K>>>
-where
-    K: Semiring,
-    F: Fn(Vec<Batch<K>>, Vec<Batch<K>>) -> Vec<Batch<K>> + Sync,
-{
-    let total: usize = pairs
-        .iter()
-        .flat_map(|(b, p)| b.iter().chain(p))
-        .map(Batch::live_rows)
-        .sum();
-    if pairs.len() <= 1 || total < crate::par::SPAWN_THRESHOLD {
-        return pairs
-            .into_iter()
-            .map(|(build, probe)| work(build, probe))
-            .collect();
-    }
-    let sealed: Vec<(Vec<SealedBatch>, Vec<SealedBatch>)> = pairs
-        .into_iter()
-        .map(|(build, probe)| {
-            (
-                build.into_iter().map(seal_batch).collect(),
-                probe.into_iter().map(seal_batch).collect(),
-            )
-        })
-        .collect();
-    crate::par::spawn_map(sealed, |(build, probe)| {
-        let build = build.into_iter().map(open_batch).collect();
-        let probe = probe.into_iter().map(open_batch).collect();
-        work(build, probe)
-            .into_iter()
-            .map(seal_batch)
-            .collect::<Vec<SealedBatch>>()
-    })
-    .into_iter()
-    .map(|batches| batches.into_iter().map(open_batch).collect())
-    .collect()
+        .map(Transport::open)
+        .collect()
 }
 
 /// Hash-partitions materialized batches into exactly `parts` per-partition
@@ -407,6 +412,28 @@ pub fn join_batches<K: Semiring>(
     output: &[ColSource],
     swapped: bool,
 ) -> Vec<Batch<K>> {
+    match_rows(build, probe, build_keys, probe_keys).into_rows(output, swapped)
+}
+
+/// One partition's hash join up to its matches: both sides' materialized
+/// batches and every matched pair of `(batch, row)`s, probe-stream-major and
+/// build-stream-minor — the order the output rows are emitted in. Nothing
+/// is multiplied yet: [`Matches::into_rows`] makes the join's rows, and
+/// [`SummedProjection::sum`] the projection of several partitions' rows.
+struct Matches<K> {
+    build: Vec<Batch<K>>,
+    probe: Vec<Batch<K>>,
+    build_rows: Vec<(u32, u32)>,
+    probe_rows: Vec<(u32, u32)>,
+}
+
+/// The matching half of [`join_batches`].
+fn match_rows<K: Semiring>(
+    build: Vec<Batch<K>>,
+    probe: Vec<Batch<K>>,
+    build_keys: &[usize],
+    probe_keys: &[usize],
+) -> Matches<K> {
     // Build side. A key's id is verified exactly against the key's first
     // build row on every table hit, so hash collisions are harmless and a
     // chain holds exactly the build rows of one key.
@@ -432,58 +459,237 @@ pub fn join_batches<K: Semiring>(
     }
     let chains = KeyChains::new(index.len(), &key_of, build.iter().map(Batch::phys_rows));
 
+    let probe: Vec<Batch<K>> = probe.into_iter().map(Batch::materialize).collect();
     let code_domain = code_domain_runs(&probe, probe_keys);
-    let mut out: Vec<Batch<K>> = Vec::new();
-    for (pidx, pbatch) in probe.into_iter().enumerate() {
-        let pbatch = pbatch.materialize();
-        let (pcols, panns) = (pbatch.columns(), pbatch.anns());
+    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+    for (pidx, pbatch) in probe.iter().enumerate() {
         let rows = KeyRows {
-            cols: pcols,
+            cols: pbatch.columns(),
             keys: probe_keys,
             len: pbatch.phys_rows(),
             code_domain: code_domain[pidx],
         };
         key_of.clear();
         index.assign(rows, &build_cols, build_keys, None, &mut key_of);
-        // Matches in probe-stream-major, build-stream-minor order.
-        let mut match_build: Vec<(u32, u32)> = Vec::new();
-        let mut match_probe: Vec<u32> = Vec::new();
         for (prow, &key) in key_of.iter().enumerate() {
             if key == NO_KEY {
                 continue;
             }
             for &pair in chains.of(key) {
-                match_build.push(pair);
-                match_probe.push(prow as u32);
+                build_rows.push(pair);
+                probe_rows.push((pidx as u32, prow as u32));
             }
         }
-        if match_probe.is_empty() {
-            continue;
-        }
-        // The batch's products in one call (circuits intern them together).
-        let pairs = match_build
+    }
+    Matches {
+        build,
+        probe,
+        build_rows,
+        probe_rows,
+    }
+}
+
+impl<K: Semiring> Matches<K> {
+    /// The annotation pairs of the matches in `range`, in match order, each
+    /// `(left, right)` as Definition 3.2 multiplies them.
+    fn pairs(
+        &self,
+        range: std::ops::Range<usize>,
+        swapped: bool,
+    ) -> impl Iterator<Item = (&K, &K)> + '_ {
+        let build = &self.build_rows[range.clone()];
+        build
             .iter()
-            .zip(&match_probe)
-            .map(|(&(b, r), &prow)| {
-                let bk = &build[b as usize].anns()[r as usize];
-                let pk = &panns[prow as usize];
+            .zip(&self.probe_rows[range])
+            .map(move |(&(b, r), &(p, q))| {
+                let bk = &self.build[b as usize].anns()[r as usize];
+                let pk = &self.probe[p as usize].anns()[q as usize];
                 if swapped {
                     (pk, bk)
                 } else {
                     (bk, pk)
                 }
-            });
-        let anns = K::times_each(pairs);
-        let columns: Vec<Column> = output
+            })
+    }
+
+    /// The join's rows: one output batch per probe batch with matches, its
+    /// products in one [`Semiring::times_each`] call (circuits intern them
+    /// together) and its columns gathered from both sides.
+    fn into_rows(self, output: &[ColSource], swapped: bool) -> Vec<Batch<K>> {
+        let build_cols: Vec<&[Column]> = self.build.iter().map(Batch::columns).collect();
+        let mut out = Vec::new();
+        let mut start = 0;
+        while start < self.probe_rows.len() {
+            let pidx = self.probe_rows[start].0;
+            let run = self.probe_rows[start..].iter();
+            let end = start + run.take_while(|&&(p, _)| p == pidx).count();
+            let anns = K::times_each(self.pairs(start..end, swapped));
+            let prows: Vec<u32> = self.probe_rows[start..end]
+                .iter()
+                .map(|&(_, row)| row)
+                .collect();
+            let pcols = self.probe[pidx as usize].columns();
+            let columns = output
+                .iter()
+                .map(|src| match src {
+                    ColSource::Build(i) => {
+                        gather_multi(&build_cols, *i, &self.build_rows[start..end])
+                    }
+                    ColSource::Probe(i) => pcols[*i].gather(&prows),
+                })
+                .collect();
+            out.push(Batch::new(anns.len(), columns, anns));
+            start = end;
+        }
+        out
+    }
+}
+
+/// A π (with any ρ) directly over a hash join, summed inside the join — a
+/// groupjoin: every match adds its product to the group of its kept code
+/// tuple, so an output row is one sum of products instead of one product
+/// per match grouped later by the root merge (for circuits, one
+/// `Σᵢ aᵢ·bᵢ` node instead of a `Times` node per match).
+///
+/// Taken when the unary steps over the join are gathers only (a σ reads
+/// the rows the sum would merge) that drop a join output column, and the
+/// kept columns pass the code-domain when-rule ([`code_domain_runs`]'s):
+/// each is a dictionary column under one dictionary across its side's
+/// batches, and the grid of their code tuples has no more cells than the
+/// join has matched pairs (checked once matching is done).
+struct SummedProjection {
+    /// Per output column, the join side it is read from and its dictionary.
+    kept: Vec<(ColSource, Arc<StrDict>)>,
+    /// The grid's cell count: the product of the dictionary sizes.
+    cells: usize,
+}
+
+impl SummedProjection {
+    /// The summed form of `steps` over a join with `output` columns and
+    /// these inputs, if the shape and the dictionaries allow it.
+    fn of<K: Semiring>(
+        steps: &[BatchStep<'_>],
+        output: &[ColSource],
+        build: &[Batch<K>],
+        probe: &[Batch<K>],
+    ) -> Option<SummedProjection> {
+        let mut kept: Vec<usize> = (0..output.len()).collect();
+        for step in steps {
+            match step {
+                BatchStep::Gather(cols) => kept = cols.iter().map(|&c| kept[c]).collect(),
+                BatchStep::Filter(_) => return None,
+            }
+        }
+        // π never repeats a column, so a shorter list dropped one.
+        if kept.len() == output.len() {
+            return None;
+        }
+        let kept = kept
+            .into_iter()
+            .map(|j| {
+                let (side, col) = match output[j] {
+                    ColSource::Build(col) => (build, col),
+                    ColSource::Probe(col) => (probe, col),
+                };
+                let dict = shared_dict(side.iter().map(Batch::columns), col)?;
+                Some((output[j].clone(), dict.clone()))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let cells = grid_size(kept.iter().map(|(_, dict)| dict))?;
+        Some(SummedProjection { kept, cells })
+    }
+
+    /// The projected rows of every partition's matches, or `None` when the
+    /// grid has more cells than there are matches. Each match's kept codes,
+    /// read as one mixed-radix number, are its group — a grid cell — and one
+    /// [`Semiring::sum_products`] call sums every group over the partitions
+    /// merged in partition order, so a circuit gets the same `Σ` nodes at
+    /// every thread budget. Groups summing to zero are dropped; the kept
+    /// columns are decoded from the live cells.
+    fn sum<K: Semiring>(&self, parts: &[Matches<K>], swapped: bool) -> Option<Batch<K>> {
+        let matches: usize = parts.iter().map(|part| part.build_rows.len()).sum();
+        if self.cells > matches {
+            return None;
+        }
+        let mut cell_of = vec![0u32; matches];
+        for (src, dict) in &self.kept {
+            let radix = dict.len() as u32;
+            let mut cells = cell_of.iter_mut();
+            for part in parts {
+                let (batches, rows, col) = match *src {
+                    ColSource::Build(col) => (&part.build, &part.build_rows, col),
+                    ColSource::Probe(col) => (&part.probe, &part.probe_rows, col),
+                };
+                let codes: Vec<&[u32]> = batches
+                    .iter()
+                    .map(|batch| match &batch.columns()[col] {
+                        Column::Str { codes, .. } => codes.as_slice(),
+                        _ => unreachable!("a kept column is a dictionary column"),
+                    })
+                    .collect();
+                // Rows first: `zip` must not draw a cell past the last row.
+                for (&(b, r), cell) in rows.iter().zip(cells.by_ref()) {
+                    *cell = *cell * radix + codes[b as usize][r as usize];
+                }
+            }
+        }
+        let pairs = parts
             .iter()
-            .map(|src| match src {
-                ColSource::Build(i) => gather_multi(&build_cols, *i, &match_build),
-                ColSource::Probe(i) => pcols[*i].gather(&match_probe),
+            .flat_map(|part| part.pairs(0..part.build_rows.len(), swapped));
+        let sums = K::sum_products(self.cells, &cell_of, pairs);
+        let (live, anns): (Vec<u32>, Vec<K>) = (0..self.cells as u32)
+            .zip(sums)
+            .filter(|(_, k)| !k.is_zero())
+            .unzip();
+        let mut stride = self.cells as u32;
+        let columns = self
+            .kept
+            .iter()
+            .map(|(_, dict)| {
+                let radix = dict.len() as u32;
+                stride /= radix;
+                let codes = live.iter().map(|&cell| cell / stride % radix).collect();
+                Column::Str {
+                    dict: dict.clone(),
+                    codes: Arc::new(codes),
+                }
             })
             .collect();
-        out.push(Batch::new(anns.len(), columns, anns));
+        Some(Batch::new(anns.len(), columns, anns))
     }
-    out
+}
+
+/// Runs `work` on every key partition of a hash join's inputs — inline on
+/// the whole input below the spawn threshold or at one thread, otherwise
+/// on both sides exchanged by key hash, one scoped worker per partition —
+/// and returns the outputs in partition order.
+fn per_partition<K, R, F>(
+    build: Vec<Batch<K>>,
+    probe: Vec<Batch<K>>,
+    keys: (&[usize], &[usize]),
+    threads: usize,
+    work: F,
+) -> Vec<R>
+where
+    K: Semiring,
+    R: Transport,
+    F: Fn(Vec<Batch<K>>, Vec<Batch<K>>) -> R + Sync,
+{
+    let total: usize = build.iter().chain(&probe).map(Batch::live_rows).sum();
+    if threads <= 1 || total < crate::par::SPAWN_THRESHOLD {
+        return vec![work(build, probe)];
+    }
+    let sealed: Vec<_> = exchange_batches(build, keys.0, threads)
+        .into_iter()
+        .zip(exchange_batches(probe, keys.1, threads))
+        .map(|(build, probe)| (build.seal(), probe.seal()))
+        .collect();
+    crate::par::spawn_map(sealed, |(build, probe)| {
+        work(Transport::open(build), Transport::open(probe)).seal()
+    })
+    .into_iter()
+    .map(R::open)
+    .collect()
 }
 
 /// Recursively executes an operator into batches, peeling unary σ/π/ρ
@@ -538,20 +744,14 @@ where
         } => {
             let build_in = exec_batches(build, source, threads);
             let probe_in = exec_batches(probe, source, threads);
-            let total: usize = build_in.iter().chain(&probe_in).map(Batch::live_rows).sum();
-            if threads <= 1 || total < crate::par::SPAWN_THRESHOLD {
-                join_batches(build_in, probe_in, build_keys, probe_keys, output, *swapped)
-            } else {
-                let pairs: Vec<_> = exchange_batches(build_in, build_keys, threads)
-                    .into_iter()
-                    .zip(exchange_batches(probe_in, probe_keys, threads))
-                    .collect();
-                par_map_batch_pairs(pairs, |bpart, ppart| {
-                    join_batches(bpart, ppart, build_keys, probe_keys, output, *swapped)
-                })
-                .into_iter()
-                .flatten()
-                .collect()
+            let join = HashJoin {
+                keys: (build_keys, probe_keys),
+                output,
+                swapped: *swapped,
+            };
+            match join.run(build_in, probe_in, &steps, threads) {
+                Joined::Projected(batches) => return batches,
+                Joined::Rows(rows) => rows,
             }
         }
         PhysOp::Select { .. } | PhysOp::Project { .. } | PhysOp::Permute { .. } => {
@@ -565,6 +765,68 @@ where
             .into_iter()
             .map(|batch| apply_batch_steps(batch, &steps))
             .collect()
+    }
+}
+
+/// What [`HashJoin::run`] hands back: batches with the steps above the join
+/// applied (a projection summed inside it), or the join's rows.
+enum Joined<K> {
+    Projected(Vec<Batch<K>>),
+    Rows(Vec<Batch<K>>),
+}
+
+/// A [`PhysOp::HashJoin`]'s parameters.
+struct HashJoin<'a> {
+    keys: (&'a [usize], &'a [usize]),
+    output: &'a [ColSource],
+    swapped: bool,
+}
+
+impl HashJoin<'_> {
+    /// Joins the inputs. When [`SummedProjection`] allows, `steps` — the
+    /// unary chain peeled above the join — are summed inside it; otherwise
+    /// the join's rows come back for the caller to apply them to.
+    ///
+    /// Never inlined, so [`exec_batches`], which inlines the σ kernels,
+    /// stays the size it was: with the join inlined into it, a point
+    /// selection over 10⁵ rows measured 90–145 µs against 70–97 µs.
+    #[inline(never)]
+    fn run<K: Semiring>(
+        &self,
+        build: Vec<Batch<K>>,
+        probe: Vec<Batch<K>>,
+        steps: &[BatchStep<'_>],
+        threads: usize,
+    ) -> Joined<K> {
+        let (build_keys, probe_keys) = self.keys;
+        let Some(summed) = SummedProjection::of(steps, self.output, &build, &probe) else {
+            let rows = per_partition(build, probe, self.keys, threads, |build, probe| {
+                join_batches(
+                    build,
+                    probe,
+                    build_keys,
+                    probe_keys,
+                    self.output,
+                    self.swapped,
+                )
+            });
+            return Joined::Rows(rows.into_iter().flatten().collect());
+        };
+        let parts = per_partition(build, probe, self.keys, threads, |build, probe| {
+            match_rows(build, probe, build_keys, probe_keys)
+        });
+        match summed.sum(&parts, self.swapped) {
+            Some(batch) if batch.phys_rows() == 0 => Joined::Projected(Vec::new()),
+            Some(batch) => Joined::Projected(vec![batch]),
+            // Too few matches for the grid: the join's rows, made on this
+            // thread from the partitions' matches.
+            None => Joined::Rows(
+                parts
+                    .into_iter()
+                    .flat_map(|part| part.into_rows(self.output, self.swapped))
+                    .collect(),
+            ),
+        }
     }
 }
 

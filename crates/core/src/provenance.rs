@@ -26,8 +26,39 @@ pub struct Tagged<K> {
     pub database: Database<ProvenancePolynomial>,
     /// The valuation sending tuple ids to the original K annotations.
     pub valuation: Valuation<K>,
-    /// For reporting: which tuple each id refers to (`(relation, tuple)`).
-    pub id_index: Vec<(Variable, String, Tuple)>,
+    /// Each relation's tuple ids, in tuple order.
+    ids: TupleIds,
+}
+
+/// Per tagged relation, in database order: its name and its tuples' ids in
+/// tuple order — the ids alone, so tagging copies no tuple; the tuples are
+/// the tagged relation's own ([`id_index`]).
+type TupleIds = Vec<(String, Vec<Variable>)>;
+
+/// Which tuple each id refers to: every relation's ids paired with the
+/// tagged relation's own iteration (both in tuple order).
+fn id_index<'a, P: Semiring>(
+    database: &'a Database<P>,
+    ids: &'a TupleIds,
+) -> impl Iterator<Item = (&'a Variable, &'a str, &'a Tuple)> + 'a {
+    ids.iter().flat_map(move |(name, ids)| {
+        let relation = database
+            .get(name)
+            .expect("every tagged relation is in the database");
+        let tuples = relation.iter().map(|(tuple, _)| tuple);
+        ids.iter()
+            .zip(tuples)
+            .map(move |(id, tuple)| (id, name.as_str(), tuple))
+    })
+}
+
+impl<K> Tagged<K> {
+    /// For reporting: which tuple each id refers to, as `(id, relation,
+    /// tuple)` — relation by relation in database order, tuples in tuple
+    /// order.
+    pub fn id_index(&self) -> impl Iterator<Item = (&Variable, &str, &Tuple)> + '_ {
+        id_index(&self.database, &self.ids)
+    }
 }
 
 /// What tagging a single relation produces: the ℕ\[X\]-annotated relation,
@@ -41,9 +72,10 @@ pub type TaggedRelation<K> = (
 
 /// Tags one relation in one batch: ids `name_0, name_1, …` in tuple order
 /// ([`Variable::indexed_each`]), their leaves made together by `leaves` (for
-/// circuits, under one arena lock for the whole relation), the valuation and
-/// the id index extended once each, and the tagged relation bulk-built from
-/// the source's tuple order (a leaf is never zero), not searched per tuple.
+/// circuits, under one arena lock for the whole relation), the valuation
+/// extended once, and the tagged relation bulk-built from the source's tuple
+/// order (a leaf is never zero), not searched per tuple. Returns the tagged
+/// relation and the ids, in tuple order.
 ///
 /// Tagging changes annotations, not the support (Definition 3.1), so when
 /// the source holds its own columnar conversion the tagged relation gets
@@ -56,8 +88,7 @@ fn tag_in_order<K: Semiring, P: Semiring>(
     relation: &KRelation<K>,
     leaves: impl FnOnce(&[Variable]) -> Vec<P>,
     valuation: &mut Valuation<K>,
-    id_index: &mut Vec<(Variable, String, Tuple)>,
-) -> KRelation<P> {
+) -> (KRelation<P>, Vec<Variable>) {
     let ids: Vec<Variable> = Variable::indexed_each(name, relation.len()).collect();
     let leaves = leaves(&ids);
     let form = relation
@@ -65,18 +96,29 @@ fn tag_in_order<K: Semiring, P: Semiring>(
         .and_then(|form| form.with_annotations(&leaves));
     let annotations = relation.iter().map(|(_, annotation)| annotation.clone());
     valuation.extend(ids.iter().cloned().zip(annotations));
-    id_index.extend(
-        ids.into_iter()
-            .zip(relation.iter())
-            .map(|(id, (tuple, _))| (id, name.to_string(), tuple.clone())),
-    );
     let tagged = relation.iter().zip(leaves);
     let tagged = tagged.map(|((tuple, _), leaf)| (tuple.clone(), leaf));
     let tagged = KRelation::from_sorted_support(relation.schema().clone(), tagged);
     if let Some(form) = form {
         tagged.seed_form(form);
     }
-    tagged
+    (tagged, ids)
+}
+
+/// Tags every relation of `db` through [`tag_in_order`].
+fn tag_each<K: Semiring, P: Semiring>(
+    db: &Database<K>,
+    leaves: impl Fn(&[Variable]) -> Vec<P>,
+) -> (Database<P>, Valuation<K>, TupleIds) {
+    let mut database = Database::new();
+    let mut valuation = Valuation::new();
+    let mut ids = Vec::new();
+    for (name, relation) in db.iter() {
+        let (tagged, relation_ids) = tag_in_order(name, relation, &leaves, &mut valuation);
+        database.insert(name.clone(), tagged);
+        ids.push((name.clone(), relation_ids));
+    }
+    (database, valuation, ids)
 }
 
 /// The leaves of the expanded route: one ℕ\[X\] variable per id.
@@ -93,14 +135,12 @@ fn circuit_leaves(ids: &[Variable]) -> Vec<Circuit> {
 /// for its support tuples (in tuple order, so ids are deterministic).
 pub fn tag_relation<K: Semiring>(name: &str, relation: &KRelation<K>) -> TaggedRelation<K> {
     let mut valuation = Valuation::new();
-    let mut index = Vec::new();
-    let tagged = tag_in_order(
-        name,
-        relation,
-        polynomial_leaves,
-        &mut valuation,
-        &mut index,
-    );
+    let (tagged, ids) = tag_in_order(name, relation, polynomial_leaves, &mut valuation);
+    let tuples = tagged.iter().map(|(tuple, _)| tuple.clone());
+    let index = ids.into_iter().zip(tuples);
+    let index = index
+        .map(|(id, tuple)| (id, name.to_string(), tuple))
+        .collect();
     (tagged, valuation, index)
 }
 
@@ -109,50 +149,40 @@ pub fn tag_relation<K: Semiring>(name: &str, relation: &KRelation<K>) -> TaggedR
 /// columnar form ([`KRelation::batches`]) lends its columns to the tagged
 /// one, whose scans then convert nothing.
 pub fn tag_database<K: Semiring>(db: &Database<K>) -> Tagged<K> {
-    let mut database = Database::new();
-    let mut valuation = Valuation::new();
-    let mut id_index = Vec::new();
-    for (name, relation) in db.iter() {
-        let tagged = tag_in_order(
-            name,
-            relation,
-            polynomial_leaves,
-            &mut valuation,
-            &mut id_index,
-        );
-        database.insert(name.clone(), tagged);
-    }
+    let (database, valuation, ids) = tag_each(db, polynomial_leaves);
     Tagged {
         database,
         valuation,
-        id_index,
+        ids,
     }
 }
 
 /// Tags a database with *caller-provided* variable names per tuple — used to
 /// reproduce the paper's figures literally (`p`, `r`, `s` in Figure 5;
-/// `m, n, p, r, s` in Figure 7).
+/// `m, n, p, r, s` in Figure 7). Names are asked for in tuple order.
 pub fn tag_database_with_names<K: Semiring>(
     db: &Database<K>,
     names: &dyn Fn(&str, &Tuple) -> Variable,
 ) -> Tagged<K> {
     let mut database = Database::new();
     let mut valuation = Valuation::new();
-    let mut id_index = Vec::new();
+    let mut ids = Vec::new();
     for (name, relation) in db.iter() {
         let mut tagged = KRelation::empty(relation.schema().clone());
+        let mut relation_ids = Vec::with_capacity(relation.len());
         for (tuple, annotation) in relation.iter() {
             let id = names(name, tuple);
             tagged.insert(tuple.clone(), ProvenancePolynomial::var(id.clone()));
             valuation.assign(id.clone(), annotation.clone());
-            id_index.push((id, name.clone(), tuple.clone()));
+            relation_ids.push(id);
         }
         database.insert(name.clone(), tagged);
+        ids.push((name.clone(), relation_ids));
     }
     Tagged {
         database,
         valuation,
-        id_index,
+        ids,
     }
 }
 
@@ -257,31 +287,28 @@ pub struct CircuitTagged<K> {
     pub database: Database<Circuit>,
     /// The valuation sending tuple ids to the original K annotations.
     pub valuation: Valuation<K>,
-    /// For reporting: which tuple each id refers to (`(relation, tuple)`).
-    pub id_index: Vec<(Variable, String, Tuple)>,
+    /// Each relation's tuple ids, in tuple order.
+    ids: TupleIds,
+}
+
+impl<K> CircuitTagged<K> {
+    /// For reporting: which tuple each id refers to, as `(id, relation,
+    /// tuple)` — relation by relation in database order, tuples in tuple
+    /// order.
+    pub fn id_index(&self) -> impl Iterator<Item = (&Variable, &str, &Tuple)> + '_ {
+        id_index(&self.database, &self.ids)
+    }
 }
 
 /// Abstractly tags every relation of a database with circuit variables —
 /// the circuit-form counterpart of [`tag_database`], sharing a source's
 /// columns the same way.
 pub fn tag_database_circuit<K: Semiring>(db: &Database<K>) -> CircuitTagged<K> {
-    let mut database = Database::new();
-    let mut valuation = Valuation::new();
-    let mut id_index = Vec::new();
-    for (name, relation) in db.iter() {
-        let tagged = tag_in_order(
-            name,
-            relation,
-            circuit_leaves,
-            &mut valuation,
-            &mut id_index,
-        );
-        database.insert(name.clone(), tagged);
-    }
+    let (database, valuation, ids) = tag_each(db, circuit_leaves);
     CircuitTagged {
         database,
         valuation,
-        id_index,
+        ids,
     }
 }
 
@@ -533,15 +560,23 @@ mod tests {
     fn automatic_tagging_generates_distinct_ids() {
         let db = figure5_db();
         let tagged = tag_database(&db);
-        assert_eq!(tagged.id_index.len(), 3);
-        let ids: std::collections::BTreeSet<_> =
-            tagged.id_index.iter().map(|(v, _, _)| v.clone()).collect();
+        assert_eq!(tagged.id_index().count(), 3);
+        let ids: std::collections::BTreeSet<_> = tagged.id_index().map(|(v, _, _)| v).collect();
         assert_eq!(ids.len(), 3);
         // The valuation maps each id back to the original annotation.
-        for (id, rel, tuple) in &tagged.id_index {
+        for (id, rel, tuple) in tagged.id_index() {
             let original = db.get(rel).unwrap().annotation(tuple);
             assert_eq!(tagged.valuation.get(id), Some(&original));
         }
+        // Caller-named ids are indexed in tuple order too.
+        let named = tag_database_with_names(&db, &paper_names);
+        let index: Vec<_> = named
+            .id_index()
+            .map(|(v, r, t)| (v.clone(), r, t))
+            .collect();
+        let tuples = db.get("R").unwrap().iter().map(|(t, _)| t);
+        let expected: Vec<_> = tuples.map(|t| (paper_names("R", t), "R", t)).collect();
+        assert_eq!(index, expected);
     }
 
     #[test]
@@ -580,10 +615,10 @@ mod tests {
         let db = figure5_db();
         let tagged = tag_database(&db);
         let circ = tag_database_circuit(&db);
-        let poly_ids: Vec<_> = tagged.id_index.iter().map(|(v, r, t)| (v, r, t)).collect();
-        let circ_ids: Vec<_> = circ.id_index.iter().map(|(v, r, t)| (v, r, t)).collect();
+        let poly_ids: Vec<_> = tagged.id_index().collect();
+        let circ_ids: Vec<_> = circ.id_index().collect();
         assert_eq!(poly_ids, circ_ids);
-        for (id, _, _) in &circ.id_index {
+        for (id, _, _) in circ.id_index() {
             assert_eq!(circ.valuation.get(id), tagged.valuation.get(id));
         }
     }
@@ -601,7 +636,7 @@ mod tests {
             let circuits = tag_database_circuit(&db);
             let polynomials = tag_database(&db);
             assert_eq!(circuits.valuation.len(), 1_004);
-            let mut index = circuits.id_index.iter();
+            let mut index = circuits.id_index();
             for (name, relation) in db.iter() {
                 let tagged = circuits
                     .database
@@ -617,11 +652,18 @@ mod tests {
                         .annotation(tuple)
                         .same_node(&Circuit::var(id.clone())));
                     let entry = index.next().expect("one index entry per tuple");
-                    assert_eq!(entry, &(id, name.clone(), tuple.clone()));
+                    assert_eq!(entry, (&id, name.as_str(), tuple));
                 }
             }
             assert!(index.next().is_none());
-            assert_eq!(circuits.id_index, polynomials.id_index);
+            assert!(circuits.id_index().eq(polynomials.id_index()));
+            // The single-relation route indexes the same ids.
+            let (_, _, single) = tag_relation("S", db.get("S").expect("S"));
+            let from_db = circuits.id_index().filter(|(_, name, _)| *name == "S");
+            let from_db: Vec<_> = from_db
+                .map(|(v, r, t)| (v.clone(), r.to_string(), t.clone()))
+                .collect();
+            assert_eq!(single, from_db);
         });
     }
 

@@ -219,7 +219,21 @@ pub fn kleene_iterate<K: Semiring>(
     max_iterations: usize,
 ) -> FixpointResult<K> {
     let rules = instantiate_by_scanning(program, edb);
-    kleene_iterate_grounded_by(program, &rules, edb, max_iterations, |next, current| {
+    kleene_iterate_instantiated(program, &rules, edb, max_iterations)
+}
+
+/// [`kleene_iterate`] over `rules`, an instantiation
+/// [`instantiate_by_scanning`] built for `program` over `edb`'s support, so
+/// a differential suite grounds a case once and sweeps the round bounds.
+/// Like `kleene_iterate`, it shares nothing with [`crate::columnar`].
+#[doc(hidden)]
+pub fn kleene_iterate_instantiated<K: Semiring>(
+    program: &Program,
+    rules: &[GroundRule],
+    edb: &FactStore<K>,
+    max_iterations: usize,
+) -> FixpointResult<K> {
+    kleene_iterate_grounded_by(program, rules, edb, max_iterations, |next, current| {
         next == current
     })
 }

@@ -20,6 +20,7 @@ use common::{arb_edb, arb_program, build_edb, build_program};
 use proptest::prelude::*;
 use provsem_core::plan::ExecContext;
 use provsem_core::Value;
+use provsem_datalog::naive::{instantiate_by_scanning, kleene_iterate_instantiated};
 use provsem_datalog::prelude::*;
 use provsem_semiring::{
     Bool, Integers, NatInf, Natural, PlusIdempotent, PosBool, Ring, Semiring, Tropical, WhySet,
@@ -47,19 +48,29 @@ fn idempotent_at<K: Semiring + PlusIdempotent + Send + Sync>(
     seminaive_idempotent_with(program, edb, rounds, &ExecContext::with_threads(threads))
 }
 
+/// The Kleene oracle's instantiation of a case, grounded once for all its
+/// round bounds — `None` when the case pins a behaviour `kleene_iterate`
+/// does not share.
+fn oracle_rules<K: Semiring>(
+    program: &Program,
+    edb: &FactStore<K>,
+    kleene: bool,
+) -> Option<Vec<GroundRule>> {
+    kleene.then(|| instantiate_by_scanning(program, edb))
+}
+
 /// `seminaive_iterate` at one round bound: the calling-thread entry point
-/// equals the `_with` one in every field at every thread count, and —
-/// unless the case pins a behaviour `kleene_iterate` does not share —
-/// equals `Tᵐ(0)`, converged or not.
+/// equals the `_with` one in every field at every thread count, and — given
+/// the oracle's instantiation — equals `Tᵐ(0)`, converged or not.
 fn check_general_at<K: Semiring + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
     rounds: usize,
-    kleene: bool,
+    oracle: Option<&[GroundRule]>,
 ) {
     let on_caller = seminaive_iterate(program, edb, rounds);
-    if kleene {
-        let naive = kleene_iterate(program, edb, rounds);
+    if let Some(rules) = oracle {
+        let naive = kleene_iterate_instantiated(program, rules, edb, rounds);
         assert_eq!(naive.idb, on_caller.idb, "kleene rounds={rounds}");
         assert_eq!(
             naive.converged, on_caller.converged,
@@ -74,21 +85,20 @@ fn check_general_at<K: Semiring + Send + Sync>(
 
 /// The idempotent entry points at one round bound: calling-thread and
 /// `_with` entry points equal in every field at every thread count, and —
-/// unless the case pins a behaviour `kleene_iterate` does not share —
-/// equal to `Tᵐ(0)`, converged or not.
+/// given the oracle's instantiation — equal to `Tᵐ(0)`, converged or not.
 fn check_idempotent_at<K: Semiring + PlusIdempotent + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
     rounds: usize,
-    kleene: bool,
+    oracle: Option<&[GroundRule]>,
 ) {
     let on_caller = seminaive_idempotent(program, edb, rounds);
     for threads in ALL_THREADS {
         let with = idempotent_at(program, edb, rounds, threads);
         assert_eq!(on_caller, with, "threads={threads} rounds={rounds}");
     }
-    if kleene {
-        let naive = kleene_iterate(program, edb, rounds);
+    if let Some(rules) = oracle {
+        let naive = kleene_iterate_instantiated(program, rules, edb, rounds);
         assert_eq!(naive.idb, on_caller.idb, "kleene rounds={rounds}");
         assert_eq!(
             naive.converged, on_caller.converged,
@@ -107,20 +117,23 @@ proptest! {
     #[test]
     fn batch_equals_row_on_random_programs(raw_program in arb_program(), raw_edb in arb_edb()) {
         let program = build_program(&raw_program);
+        // Every weight is non-zero, so every semiring's edb has one support.
+        let rules = instantiate_by_scanning(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)));
+        let oracle = Some(&rules[..]);
         for rounds in [1, 2] {
-            check_general_at(&program, &build_edb(&raw_edb, |_, w| Natural::from(w)), rounds, true);
-            check_general_at(&program, &build_edb(&raw_edb, |_, w| Integers::new(w as i64)), rounds, true);
+            check_general_at(&program, &build_edb(&raw_edb, |_, w| Natural::from(w)), rounds, oracle);
+            check_general_at(&program, &build_edb(&raw_edb, |_, w| Integers::new(w as i64)), rounds, oracle);
         }
         for rounds in [1, 2, 3, 8] {
-            check_general_at(&program, &build_edb(&raw_edb, |_, w| NatInf::Fin(w)), rounds, true);
-            check_general_at(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)), rounds, true);
-            check_general_at(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), rounds, true);
-            check_general_at(&program, &build_edb(&raw_edb, |i, _| WhySet::var(format!("t{i}"))), rounds, true);
+            check_general_at(&program, &build_edb(&raw_edb, |_, w| NatInf::Fin(w)), rounds, oracle);
+            check_general_at(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)), rounds, oracle);
+            check_general_at(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), rounds, oracle);
+            check_general_at(&program, &build_edb(&raw_edb, |i, _| WhySet::var(format!("t{i}"))), rounds, oracle);
         }
         for rounds in [1, 2, 3, 8, 64] {
-            check_idempotent_at(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)), rounds, true);
-            check_idempotent_at(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), rounds, true);
-            check_idempotent_at(&program, &build_edb(&raw_edb, |i, _| PosBool::var(format!("t{i}"))), rounds, true);
+            check_idempotent_at(&program, &build_edb(&raw_edb, |_, _| Bool::from(true)), rounds, oracle);
+            check_idempotent_at(&program, &build_edb(&raw_edb, |_, w| Tropical::cost(w)), rounds, oracle);
+            check_idempotent_at(&program, &build_edb(&raw_edb, |i, _| PosBool::var(format!("t{i}"))), rounds, oracle);
         }
     }
 }
@@ -206,8 +219,9 @@ fn mixed_arity_predicates_fall_back_to_the_arena() {
     edb.insert(Fact::new("M", ["b"]), Natural::from(3u64));
     edb.insert(Fact::new("M", ["a", "b"]), Natural::from(5u64));
     edb.insert(Fact::new("M", ["b", "c"]), Natural::from(7u64));
+    let rules = oracle_rules(&program, &edb, true);
     for rounds in [1, 2, 3, 8] {
-        check_general_at(&program, &edb, rounds, true);
+        check_general_at(&program, &edb, rounds, rules.as_deref());
     }
     let out = seminaive_iterate(&program, &edb, 16);
     // P(a,b) = M(a,b)·M(a) = 5·2; Q(a,k,a) = M(a) = 2.
@@ -254,10 +268,10 @@ fn check_case<K: Semiring + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
     deep: usize,
-    kleene: bool,
+    oracle: Option<&[GroundRule]>,
 ) {
     for rounds in bounds(deep) {
-        check_general_at(program, edb, rounds, kleene);
+        check_general_at(program, edb, rounds, oracle);
     }
 }
 
@@ -266,29 +280,34 @@ fn check_case_idempotent<K: Semiring + PlusIdempotent + Send + Sync>(
     program: &Program,
     edb: &FactStore<K>,
     deep: usize,
-    kleene: bool,
+    oracle: Option<&[GroundRule]>,
 ) {
     for rounds in bounds(deep) {
-        check_idempotent_at(program, edb, rounds, kleene);
+        check_idempotent_at(program, edb, rounds, oracle);
     }
 }
 
-/// Runs one case over ℕ∞, ℤ, the tropical semiring and Why(X).
+/// The facts an edb holds (a fact whose annotation is zero is not held).
+fn support<K: Semiring>(edb: &FactStore<K>) -> Vec<Fact> {
+    edb.facts().map(|(fact, _)| fact).collect()
+}
+
+/// Runs one case over ℕ∞, ℤ, the tropical semiring and Why(X). The four
+/// edbs hold the same facts, so the oracle grounds the case once.
 fn check_all_semirings(program: &Program, facts: &[RawFact], deep: usize, kleene: bool) {
     let natinf = edb_of(facts, |_, w| NatInf::Fin(w.unsigned_abs()));
-    check_case(program, &natinf, deep, kleene);
-    check_case(
-        program,
-        &edb_of(facts, |_, w| Integers::new(w)),
-        deep,
-        kleene,
-    );
+    let rules = oracle_rules(program, &natinf, kleene);
+    let oracle = rules.as_deref();
+    check_case(program, &natinf, deep, oracle);
+    let integers = edb_of(facts, |_, w| Integers::new(w));
+    assert_eq!(support(&integers), support(&natinf), "one support");
+    check_case(program, &integers, deep, oracle);
     let tropical = edb_of(facts, |_, w| Tropical::cost(w.unsigned_abs()));
-    check_case(program, &tropical, deep, kleene);
-    check_case_idempotent(program, &tropical, deep, kleene);
+    check_case(program, &tropical, deep, oracle);
+    check_case_idempotent(program, &tropical, deep, oracle);
     let why = edb_of(facts, |i, _| WhySet::var(format!("t{i}")));
-    check_case(program, &why, deep, kleene);
-    check_case_idempotent(program, &why, deep, kleene);
+    check_case(program, &why, deep, oracle);
+    check_case_idempotent(program, &why, deep, oracle);
 }
 
 /// String and integer constants in edb atoms, Δ atoms and heads, including
@@ -527,8 +546,9 @@ fn an_absorbed_infinite_increment_leaves_the_delta() {
             ("c", "d", NatInf::Fin(1)),
         ],
     );
+    let rules = oracle_rules(&program, &edb, true);
     for rounds in 0..=9 {
-        check_general_at(&program, &edb, rounds, true);
+        check_general_at(&program, &edb, rounds, rules.as_deref());
         assert_eq!(
             seminaive_iterate(&program, &edb, rounds).converged,
             rounds >= 4,

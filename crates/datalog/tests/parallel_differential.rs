@@ -13,6 +13,7 @@ mod common;
 use common::{arb_edb, arb_program, build_edb, build_program};
 use proptest::prelude::*;
 use provsem_core::plan::ExecContext;
+use provsem_datalog::naive::{instantiate_by_scanning, kleene_iterate_instantiated};
 use provsem_datalog::prelude::*;
 use provsem_semiring::{Bool, Natural, PlusIdempotent, PosBool, Semiring, Tropical, WhySet};
 
@@ -22,9 +23,10 @@ const THREADS: [usize; 3] = [1, 2, 4];
 /// equal `Tᵐ(0)`, for every semiring, converged or not (checked at several
 /// round bounds).
 fn check_general<K: Semiring + Send + Sync>(program: &Program, edb: &FactStore<K>) {
+    let rules = instantiate_by_scanning(program, edb);
     for rounds in [1, 2, 3, 8] {
         let serial = seminaive_iterate(program, edb, rounds);
-        let naive = kleene_iterate(program, edb, rounds);
+        let naive = kleene_iterate_instantiated(program, &rules, edb, rounds);
         assert_eq!(naive.idb, serial.idb, "kleene rounds={rounds}");
         assert_eq!(naive.converged, serial.converged, "kleene rounds={rounds}");
         for ctx in THREADS.map(ExecContext::with_threads) {

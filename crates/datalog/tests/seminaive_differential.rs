@@ -26,6 +26,7 @@ mod common;
 
 use common::{arb_edb, arb_program, build_edb, build_program};
 use proptest::prelude::*;
+use provsem_datalog::naive::{instantiate_by_scanning, kleene_iterate_instantiated};
 use provsem_datalog::prelude::*;
 use provsem_semiring::circuit::{self, Circuit, CircuitEval};
 use provsem_semiring::{
@@ -40,13 +41,14 @@ fn assert_idempotent_agreement<K>(program: &Program, edb: &FactStore<K>)
 where
     K: Semiring + provsem_semiring::PlusIdempotent,
 {
-    let naive = kleene_iterate(program, edb, CONVERGED_BOUND);
+    let rules = instantiate_by_scanning(program, edb);
+    let naive = kleene_iterate_instantiated(program, &rules, edb, CONVERGED_BOUND);
     let semi = evaluate_with_bound(program, edb, EvalStrategy::SemiNaive, CONVERGED_BOUND);
     assert!(naive.converged, "naive did not converge:\n{program}");
     assert_eq!(naive.converged, semi.converged);
     assert_eq!(naive.idb, semi.idb, "general path disagrees:\n{program}");
     for rounds in [1, 2, 3, CONVERGED_BOUND] {
-        let naive = kleene_iterate(program, edb, rounds);
+        let naive = kleene_iterate_instantiated(program, &rules, edb, rounds);
         let fast = seminaive_idempotent(program, edb, rounds);
         assert_eq!(naive.converged, fast.converged, "rounds={rounds}");
         assert_eq!(naive.idb, fast.idb, "delta rewrite disagrees:\n{program}");

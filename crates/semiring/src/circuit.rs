@@ -5,7 +5,7 @@
 //! expands into `2ⁿ` monomials, and specializing every output tuple
 //! re-evaluates common subexpressions from scratch. This module keeps the
 //! *same* semiring elements in **circuit form**: interned DAG nodes
-//! (`0 | 1 | x | a + b | a · b | Σ aᵢ`) in one process-wide arena with
+//! (`0 | 1 | x | a + b | a · b | Σᵢ aᵢ·bᵢ`) in one process-wide arena with
 //! structural hash-consing, handled through [`Circuit`] — a `Copy` node id
 //! that implements [`Semiring`]/[`CommutativeSemiring`] and therefore drops
 //! into every generic K-relation, planned-engine, and datalog entry point
@@ -23,7 +23,12 @@
 //!   a join output batch's products are interned together
 //!   ([`Semiring::times_each`]), and a grouping operator's whole sum is
 //!   **one** n-ary `Σ` node per group ([`Semiring::sum_groups`]) instead of a
-//!   chain of n − 1 binary links;
+//!   chain of n − 1 binary links. The `Σ` gate sums *products*: its operands
+//!   are a multiset of id pairs `(aᵢ, bᵢ)` read as `Σᵢ aᵢ·bᵢ`, a plain member
+//!   `x` being the pair `(1, x)`. A projection over a join is summed inside
+//!   the join ([`Semiring::sum_products`]), so each output tuple is one `Σ`
+//!   over its matched pairs — no `Times` node per match — the sum-of-products
+//!   node of factorised representations;
 //! * [`CircuitEval`] memoizes `Eval_v` over the shared DAG, so a node reused
 //!   by many output tuples is evaluated **once per valuation**, and
 //!   [`CircuitEval::eval_all`] evaluates a whole result in one forward sweep
@@ -50,8 +55,9 @@
 //!
 //! The lock is taken once per *batch*, not once per node: a tagged
 //! relation's variables ([`Circuit::vars`]), a join output batch's products
-//! ([`Semiring::times_each`]), one grouping call's Σ nodes
-//! ([`Semiring::sum_groups`]) and one evaluation's node reads
+//! ([`Semiring::times_each`]), one grouping call's or one projected join's Σ
+//! nodes ([`Semiring::sum_groups`], [`Semiring::sum_products`]) and one
+//! evaluation's node reads
 //! ([`CircuitEval::eval_all`], [`Circuit::to_polynomial`], `Debug`) each take
 //! it once; a lone `+`/`·` takes it once. No semiring code runs under the
 //! lock — an evaluation copies the nodes it needs out and releases it before
@@ -124,9 +130,13 @@ enum Node {
     Var(Variable),
     Plus([u32; 2]),
     Times([u32; 2]),
-    /// `Σ` of three or more non-zero members. A **multiset**: `x + x` is
-    /// `2x` in ℕ\[X\], so a repeated member stays repeated. Cheap to clone
-    /// out of the arena.
+    /// `Σᵢ aᵢ·bᵢ` over a sorted **multiset** of id-sorted pairs `[aᵢ, bᵢ]`,
+    /// stored flat (`a₀, b₀, a₁, b₁, …`; read with [`pairs`]); a plain member
+    /// `x` is the pair `[1, x]`. Repeats stay repeated (`x + x` is `2x` in
+    /// ℕ\[X\]). Canonical (see [`sum_node`]): no operand is `0`, and a sum
+    /// that one `Times` or one `Plus` node spells is spelled so — so there
+    /// are two or more pairs, at least one a product when only two. Cheap to
+    /// clone out of the arena.
     Sum(Arc<[u32]>),
 }
 
@@ -135,9 +145,14 @@ impl Node {
         match self {
             Node::Zero | Node::One | Node::Var(_) => &[],
             Node::Plus(pair) | Node::Times(pair) => pair,
-            Node::Sum(members) => members,
+            Node::Sum(flat) => flat,
         }
     }
+}
+
+/// The `[aᵢ, bᵢ]` pairs of a `Σ` node's flat operand list.
+fn pairs(flat: &[u32]) -> impl Iterator<Item = [u32; 2]> + '_ {
+    flat.chunks_exact(2).map(|pair| [pair[0], pair[1]])
 }
 
 /// The slot multiplier: the odd 64-bit constant nearest 2⁶⁴/φ.
@@ -525,18 +540,52 @@ fn times_node(a: &Circuit, b: &Circuit) -> Result<Circuit, Node> {
     }
 }
 
-/// The sum of a group's non-zero member ids: `0`, the member itself, or the
-/// node to intern — a binary `Plus`, or one `Sum` over the sorted multiset —
-/// canonical, so equal groups hash-cons to one node whatever order their
-/// rows came in.
-fn sum_node(members: &mut [u32], generation: u32) -> Result<Circuit, Node> {
-    members.sort_unstable();
-    match *members {
+/// `Σᵢ aᵢ·bᵢ` over a group's pairs, each id-sorted and free of `0`: `0`, a
+/// member itself (one `[1, x]`), or the node to intern — a `Times` (one
+/// product), a binary `Plus` (two plain members), or one `Sum` over the
+/// sorted multiset — canonical, so equal groups hash-cons to one node
+/// whatever order their rows came in.
+fn sum_node(pairs: &mut [[u32; 2]], generation: u32) -> Result<Circuit, Node> {
+    pairs.sort_unstable();
+    match *pairs {
         [] => Ok(Circuit::zero()),
-        [only] => Ok(make_handle(only, generation)),
-        [a, b] => Err(Node::Plus([a, b])),
-        _ => Err(Node::Sum(Arc::from(&*members))),
+        [[ONE, x]] => Ok(make_handle(x, generation)),
+        [product] => Err(Node::Times(product)),
+        [[ONE, x], [ONE, y]] => Err(Node::Plus([x, y])),
+        _ => Err(Node::Sum(pairs.iter().flatten().copied().collect())),
     }
+}
+
+/// Interns one `Σ` per group under one lock: `members()` yields each
+/// non-zero pair `(group, [a, b])` (id-sorted), the same sequence every
+/// call; the pairs are counting-sorted by group, then each group's are
+/// folded by [`sum_node`].
+fn intern_sums<I>(n_groups: usize, members: impl Fn() -> I, generation: u32) -> Vec<Circuit>
+where
+    I: Iterator<Item = (usize, [u32; 2])>,
+{
+    // `cursor[g]` starts at the offset of group `g`'s first pair and ends,
+    // after the scatter, one past its last.
+    let mut cursor = vec![0usize; n_groups];
+    for (g, _) in members() {
+        cursor[g] += 1;
+    }
+    let mut total = 0;
+    for slot in &mut cursor {
+        total += std::mem::replace(slot, total);
+    }
+    let mut pairs = vec![[ZERO; 2]; total];
+    for (g, pair) in members() {
+        pairs[cursor[g]] = pair;
+        cursor[g] += 1;
+    }
+    let mut start = 0;
+    let sums = cursor.into_iter().map(|end| {
+        let group = &mut pairs[start..end];
+        start = end;
+        sum_node(group, generation)
+    });
+    intern_batch(sums, Some(generation))
 }
 
 /// Number of nodes currently interned in the process-wide arena (including
@@ -549,32 +598,41 @@ pub fn arena_node_count() -> usize {
 /// Checks the arena's invariants and returns its node count, panicking on
 /// the first broken one: ids `0`/`1` are the constants and nothing else is;
 /// every child id is smaller than its parent's; operands are id-sorted and
-/// never a foldable constant; a `Σ` has three or more non-zero members; and
-/// the table finds every node at its own id. For tests; O(nodes).
+/// never a foldable constant; a `Σ`'s pairs are id-sorted, sorted and free
+/// of `0`, and no `Σ` is what one member, one `Times` or one `Plus` spells;
+/// and the table finds every node at its own id. For tests; O(nodes).
 #[doc(hidden)]
 pub fn check_arena_invariants() -> usize {
     let arena = arena();
     let nodes = &arena.nodes;
     assert!(matches!(nodes[..2], [Node::Zero, Node::One]), "constants");
     for (id, node) in nodes.iter().enumerate().skip(2) {
-        let children = node.children();
         assert!(
-            children.iter().all(|&child| (child as usize) < id),
+            node.children().iter().all(|&child| (child as usize) < id),
             "node {id} has a child id not below its own"
-        );
-        assert!(
-            children.windows(2).all(|w| w[0] <= w[1]),
-            "node {id}: operand order"
         );
         match node {
             Node::Zero | Node::One => panic!("node {id} is a second constant"),
             Node::Var(_) => {}
-            Node::Plus(pair) => assert!(pair[0] != ZERO, "node {id}: 0 + a"),
-            Node::Times(pair) => assert!(pair[0] > ONE, "node {id}: 0 · a or 1 · a"),
-            Node::Sum(members) => assert!(
-                members.len() >= 3 && members[0] != ZERO,
-                "node {id}: Σ of fewer than three non-zero members"
-            ),
+            Node::Plus([a, b]) => assert!(ZERO < *a && a <= b, "node {id}: 0 + a or order"),
+            Node::Times([a, b]) => assert!(ONE < *a && a <= b, "node {id}: 0 · a, 1 · a or order"),
+            Node::Sum(flat) => {
+                let pairs: Vec<[u32; 2]> = pairs(flat).collect();
+                assert!(flat.len() % 2 == 0, "node {id}: Σ of an odd operand list");
+                assert!(
+                    pairs.iter().all(|[a, b]| ZERO < *a && a <= b),
+                    "node {id}: a Σ pair with a 0 operand or out of order"
+                );
+                assert!(
+                    pairs.windows(2).all(|w| w[0] <= w[1]),
+                    "node {id}: Σ pairs out of order"
+                );
+                let plain = pairs.iter().filter(|[a, _]| *a == ONE).count();
+                assert!(
+                    pairs.len() > 2 || (pairs.len() == 2 && plain < 2),
+                    "node {id}: a Σ that a member, a Times or a Plus spells"
+                );
+            }
         }
         let found = arena
             .table
@@ -855,9 +913,8 @@ fn reachable(
 }
 
 /// A node as [`reachable`] copies it out: operands inline, a variable or a
-/// Σ's members by index into the [`SubDag`]'s side lists — 12 bytes, and no
-/// reference count touched for the products and binary sums that make up
-/// most of a circuit.
+/// Σ's pairs by index into the [`SubDag`]'s side lists — 12 bytes, and no
+/// reference count touched for the products and binary sums.
 #[derive(Clone, Copy)]
 enum Step {
     Zero,
@@ -869,7 +926,7 @@ enum Step {
 }
 
 /// The nodes one traversal read: `(id, step)` highest id first, and the
-/// variables and Σ member lists the steps point into.
+/// variables and Σ pair lists the steps point into.
 #[derive(Default)]
 struct SubDag {
     steps: Vec<(u32, Step)>,
@@ -888,8 +945,8 @@ impl SubDag {
             }
             Node::Plus(pair) => Step::Plus(*pair),
             Node::Times(pair) => Step::Times(*pair),
-            Node::Sum(members) => {
-                self.sums.push(Arc::clone(members));
+            Node::Sum(flat) => {
+                self.sums.push(Arc::clone(flat));
                 Step::Sum(self.sums.len() as u32 - 1)
             }
         };
@@ -973,7 +1030,17 @@ fn fold<T: Semiring>(below: SubDag, memo: &mut impl Memo<T>, mut var: impl FnMut
             Step::Var(i) => var(&below.vars[i as usize]),
             Step::Plus([a, b]) => of(&a).plus(of(&b)),
             Step::Times([a, b]) => of(&a).times(of(&b)),
-            Step::Sum(i) => T::sum(below.sums[i as usize].iter().map(of)),
+            Step::Sum(i) => {
+                let mut sum = T::zero();
+                for [a, b] in pairs(&below.sums[i as usize]) {
+                    match a {
+                        // A plain member is added, not multiplied by one.
+                        ONE => sum.plus_assign(of(&b)),
+                        _ => sum.plus_assign(&of(&a).times(of(&b))),
+                    }
+                }
+                sum
+            }
         };
         memo.set(id, value);
     }
@@ -1123,39 +1190,40 @@ impl Semiring for Circuit {
     }
 
     /// One n-ary `Σ` node per group instead of a chain of binary `Plus`
-    /// links: the non-zero members are counting-sorted by group and every
-    /// group's sorted multiset is interned under one arena lock.
+    /// links: the non-zero members `x` become pairs `[1, x]`, are
+    /// counting-sorted by group, and every group's sorted multiset is
+    /// interned under one arena lock.
     fn sum_groups(n_groups: usize, group_of: &[u32], values: Vec<Self>) -> Vec<Self> {
         let generation = check_handles(&values);
-        let members_of = || {
+        let members = || {
             group_of
                 .iter()
                 .zip(&values)
                 .filter(|(_, v)| v.id != ZERO)
-                .map(|(&g, v)| (g as usize, v.id))
+                .map(|(&g, v)| (g as usize, [ONE, v.id]))
         };
-        // `cursor[g]` starts at the offset of group `g`'s first member and
-        // ends, after the scatter, one past its last.
-        let mut cursor = vec![0usize; n_groups];
-        for (g, _) in members_of() {
-            cursor[g] += 1;
-        }
-        let mut total = 0;
-        for slot in &mut cursor {
-            total += std::mem::replace(slot, total);
-        }
-        let mut members = vec![ZERO; total];
-        for (g, id) in members_of() {
-            members[cursor[g]] = id;
-            cursor[g] += 1;
-        }
-        let mut start = 0;
-        let sums = cursor.into_iter().map(|end| {
-            let group = &mut members[start..end];
-            start = end;
-            sum_node(group, generation)
-        });
-        intern_batch(sums, Some(generation))
+        intern_sums(n_groups, members, generation)
+    }
+
+    /// One `Σᵢ aᵢ·bᵢ` node per group, no `Times` node per pair: every handle
+    /// is checked (a stale one anywhere panics), pairs with a `0` operand
+    /// drop out, the rest are id-sorted inside and counting-sorted by group,
+    /// and every group's sorted multiset is interned under one arena lock.
+    fn sum_products<'a, I>(n_groups: usize, group_of: &[u32], pairs: I) -> Vec<Self>
+    where
+        I: IntoIterator<Item = (&'a Self, &'a Self)>,
+    {
+        let generation = synced_local().generation;
+        let members: Vec<(usize, [u32; 2])> = group_of
+            .iter()
+            .zip(pairs)
+            .filter_map(|(&g, (a, b))| {
+                assert_live(a, generation);
+                assert_live(b, generation);
+                (a.id != ZERO && b.id != ZERO).then(|| (g as usize, sorted_pair(a, b)))
+            })
+            .collect();
+        intern_sums(n_groups, || members.iter().copied(), generation)
     }
 
     /// The products of a batch interned together: every handle is checked
@@ -1313,6 +1381,17 @@ impl Semiring for BoolCircuit {
     fn sum_groups(n_groups: usize, group_of: &[u32], values: Vec<Self>) -> Vec<Self> {
         let circuits = values.into_iter().map(|b| b.0).collect();
         Circuit::sum_groups(n_groups, group_of, circuits)
+            .into_iter()
+            .map(BoolCircuit)
+            .collect()
+    }
+
+    fn sum_products<'a, I>(n_groups: usize, group_of: &[u32], pairs: I) -> Vec<Self>
+    where
+        I: IntoIterator<Item = (&'a Self, &'a Self)>,
+    {
+        let circuits = pairs.into_iter().map(|(a, b)| (&a.0, &b.0));
+        Circuit::sum_products(n_groups, group_of, circuits)
             .into_iter()
             .map(BoolCircuit)
             .collect()
@@ -1702,8 +1781,10 @@ mod tests {
                 "group {group}"
             );
         }
-        // One node over the whole group, where the chain has a link per member.
-        assert_eq!(sums[0].node_count(), 1 + 3);
+        // One node over the whole group, where the chain has a link per
+        // member: the Σ, its three distinct members and the `1` each plain
+        // member is paired with.
+        assert_eq!(sums[0].node_count(), 1 + 3 + 1);
         // Groups of 0, 1 and 2 members fold to 0, the member, a binary Plus.
         assert!(sums[1].is_zero());
         assert!(sums[2].same_node(&r));
@@ -1726,6 +1807,79 @@ mod tests {
             bools[0].to_posbool(),
             PosBool::var("p").plus(&PosBool::var("r"))
         );
+    }
+
+    #[test]
+    fn sum_products_interns_one_canonical_sum_of_products_per_group() {
+        let (p, r, s) = (x("sp_p"), x("sp_r"), x("sp_s"));
+        let (zero, one) = (Circuit::zero(), Circuit::one());
+        // Group 0: p·r + r·s + 0·s + 1·p + p·1; 1: p·r; 2: 1·p; 3: p·1 + 1·r;
+        // 4: s·p + p·s; 5: nothing but zero pairs; 6: no pairs at all.
+        let pairs = [
+            (0, &p, &r),
+            (1, &p, &r),
+            (0, &r, &s),
+            (4, &s, &p),
+            (0, &zero, &s),
+            (2, &one, &p),
+            (0, &one, &p),
+            (3, &p, &one),
+            (5, &s, &zero),
+            (0, &p, &one),
+            (3, &one, &r),
+            (4, &p, &s),
+        ];
+        let group_of: Vec<u32> = pairs.iter().map(|(g, _, _)| *g).collect();
+        let refs = || pairs.iter().map(|&(_, a, b)| (a, b));
+        let sums = Circuit::sum_products(7, &group_of, refs());
+        // The same ℕ[X] elements as the products summed group by group.
+        let reference = Circuit::sum_groups(7, &group_of, Circuit::times_each(refs()));
+        for (group, (sum, expected)) in sums.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                sum.to_polynomial(),
+                expected.to_polynomial(),
+                "group {group}"
+            );
+        }
+        // One Σ node over group 0: no Times node per pair.
+        let pr = p.times(&r);
+        let nodes = sums[0].node_count();
+        assert_eq!(
+            nodes,
+            1 + 3 + 1,
+            "the Σ, p, r, s and the 1 that p pairs with"
+        );
+        assert!(!sums[0].same_node(&reference[0]));
+        // Canonical forms: one product is a Times, one plain member is the
+        // member, two plain members are a Plus, zero pairs drop out.
+        assert!(sums[1].same_node(&pr));
+        assert!(sums[2].same_node(&p));
+        assert!(sums[3].same_node(&p.plus(&r)));
+        // A repeated product stays repeated: s·p + p·s is one Σ over p and s.
+        let twice = Polynomial::from_terms([(Monomial::from_bag(["sp_p", "sp_s"]), nat(2))]);
+        assert_eq!(sums[4].to_polynomial(), twice);
+        assert_eq!(sums[4].node_count(), 3);
+        assert!(sums[5].is_zero() && sums[6].is_zero());
+        // Operand order and row order do not matter.
+        let swapped: Vec<(&Circuit, &Circuit)> = refs().map(|(a, b)| (b, a)).rev().collect();
+        let regrouped: Vec<u32> = group_of.iter().rev().copied().collect();
+        let again = Circuit::sum_products(7, &regrouped, swapped);
+        for (a, b) in sums.iter().zip(&again) {
+            assert!(a.same_node(b));
+        }
+        // Evaluation reads the pairs as products.
+        let v = Valuation::from_pairs([("sp_p", nat(2)), ("sp_r", nat(3)), ("sp_s", nat(5))]);
+        assert_eq!(sums[0].eval(&v), nat(2 * 3 + 3 * 5 + 2 + 2));
+        assert_eq!(sums[4].eval(&v), nat(2 * 5 * 2));
+        // The PosBool reading delegates to the same nodes.
+        let bools: Vec<(BoolCircuit, BoolCircuit)> = refs()
+            .map(|(a, b)| (BoolCircuit::from(*a), BoolCircuit::from(*b)))
+            .collect();
+        let bool_sums = BoolCircuit::sum_products(7, &group_of, bools.iter().map(|(a, b)| (a, b)));
+        for (b, c) in bool_sums.iter().zip(&sums) {
+            assert!(b.circuit().same_node(c));
+        }
+        assert!(check_arena_invariants() > 5);
     }
 
     #[test]

@@ -173,6 +173,22 @@ pub trait Semiring: Clone + PartialEq + Debug + 'static {
         pairs.into_iter().map(|(a, b)| a.times(b)).collect()
     }
 
+    /// Sums the products of `pairs` group by group — group `g`'s result is
+    /// `Σ a.times(b)` over the pairs `(a, b)` with `group_of[i] == g`, `0`
+    /// for a group without pairs. This is a projecting hash join's one call
+    /// (π over ⋈, the output tuple's sum taken inside the join: a groupjoin).
+    /// The default is [`Semiring::sum_groups`] over
+    /// [`Semiring::times_each`]; a representation that can build a sum of
+    /// products at once overrides it ([`crate::circuit::Circuit`] interns
+    /// one `Σᵢ aᵢ·bᵢ` node per group and no product node at all).
+    fn sum_products<'a, I>(n_groups: usize, group_of: &[u32], pairs: I) -> Vec<Self>
+    where
+        Self: 'a,
+        I: IntoIterator<Item = (&'a Self, &'a Self)>,
+    {
+        Self::sum_groups(n_groups, group_of, Self::times_each(pairs))
+    }
+
     /// Multiplies a finite iterator of elements (the empty product is `1`).
     fn product<'a, I>(iter: I) -> Self
     where

@@ -19,6 +19,11 @@
 //!   orders, with zeros, ones and empty batches; for circuits also that a
 //!   stale handle anywhere in a batch panics and that specializing a circuit
 //!   into circuits through `CircuitEval::eval_all` cannot deadlock,
+//! * [`Semiring::sum_products`] — the projecting join's bulk sum of
+//!   products, which circuits override with one `Σᵢ aᵢ·bᵢ` node per group —
+//!   equals `sum_groups ∘ times_each`, with zeros, ones, empty groups and
+//!   empty batches; for circuits also that a stale handle anywhere in its
+//!   batch panics,
 //! * `a + a = a` for every type claiming [`PlusIdempotent`].
 //!
 //! The floating-point semirings (fuzzy, Viterbi) are sampled from dyadic
@@ -145,6 +150,36 @@ macro_rules! semiring_laws {
                         prop_assert_eq!(product, a.times(b));
                     }
                     prop_assert!(<$ty>::times_each(Vec::<(&$ty, &$ty)>::new()).is_empty());
+                }
+
+                #[test]
+                fn sum_products_is_sum_groups_of_times_each(
+                    pairs in prop::collection::vec(($strategy, $strategy, 0u32..4, 0u8..6), 0..12),
+                    shape in 0u8..3
+                ) {
+                    // A third of the pairs get a `0` or a `1` on one side.
+                    let operands: Vec<($ty, $ty)> = pairs
+                        .iter()
+                        .map(|(a, b, _, kind)| match kind {
+                            0 => (<$ty>::zero(), b.clone()),
+                            1 => (a.clone(), <$ty>::one()),
+                            _ => (a.clone(), b.clone()),
+                        })
+                        .collect();
+                    let (n_groups, group_of): (usize, Vec<u32>) = match shape {
+                        // Random groups, of which at least two stay empty...
+                        0 => (6, pairs.iter().map(|(_, _, g, _)| *g).collect()),
+                        // ...one group holding everything...
+                        1 => (1, vec![0; operands.len()]),
+                        // ...all singletons.
+                        _ => (operands.len(), (0..operands.len() as u32).collect()),
+                    };
+                    let refs = || operands.iter().map(|(a, b)| (a, b));
+                    let sums = <$ty>::sum_products(n_groups, &group_of, refs());
+                    let expected =
+                        <$ty>::sum_groups(n_groups, &group_of, <$ty>::times_each(refs()));
+                    prop_assert_eq!(sums.len(), n_groups);
+                    prop_assert_eq!(sums, expected);
                 }
             }
         }
@@ -338,10 +373,11 @@ plus_idempotence!(bool_circuit_idempotence, BoolCircuit, arb_bool_circuit());
 
 // ---- circuit batches ----------------------------------------------------------
 //
-// The circuit handles intern a `times_each` batch under one arena lock, so a
-// stale handle must be caught anywhere in the batch — also beside a `1`,
-// where the product folds to the stale operand without touching the arena —
-// and evaluating *into* circuits must not run semiring code under that lock.
+// The circuit handles intern a `times_each` or `sum_products` batch under
+// one arena lock, so a stale handle must be caught anywhere in the batch —
+// also beside a `1`, where the product folds to the stale operand without
+// touching the arena — and evaluating *into* circuits must not run semiring
+// code under that lock.
 mod circuit_batches {
     use super::*;
     use provsem_semiring::circuit;
@@ -375,14 +411,35 @@ mod circuit_batches {
         }
     }
 
+    /// The same six positions through `sum_products`, the three pairs in two
+    /// groups.
+    fn stale_anywhere_in_a_sum_of_products_panics<K: Semiring>(var: fn(&str) -> K) {
+        for position in 0..6 {
+            let stale = var("stale").times(&var("operand"));
+            circuit::reset();
+            let mut operands = [var("p"), var("q"), var("r"), K::one(), K::one(), var("s")];
+            operands[position] = stale.clone();
+            let pairs = operands.chunks(2).map(|pair| (&pair[0], &pair[1]));
+            let err = catch_unwind(AssertUnwindSafe(|| K::sum_products(2, &[0, 1, 0], pairs)))
+                .expect_err("a batch holding a stale handle must be refused");
+            let message = panic_message(err);
+            assert!(
+                message.contains("stale circuit handle"),
+                "{position}: {message}"
+            );
+        }
+    }
+
     #[test]
     fn a_stale_circuit_anywhere_in_a_batch_panics() {
         stale_anywhere_in_a_batch_panics(|name| Circuit::var(name));
+        stale_anywhere_in_a_sum_of_products_panics(|name| Circuit::var(name));
     }
 
     #[test]
     fn a_stale_bool_circuit_anywhere_in_a_batch_panics() {
         stale_anywhere_in_a_batch_panics(|name| BoolCircuit::var(name));
+        stale_anywhere_in_a_sum_of_products_panics(|name| BoolCircuit::var(name));
     }
 
     /// Runs `f` on a worker thread (circuit handles are `!Send`, so it builds
