@@ -634,7 +634,7 @@ impl<K: Semiring> Batch<K> {
     pub(crate) fn select(&mut self, sel: Vec<u32>) {
         debug_assert_eq!(self.live_rows(), self.len);
         debug_assert!(sel.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(!sel.last().is_some_and(|&r| r as usize >= self.len));
+        debug_assert!(sel.last().is_none_or(|&r| (r as usize) < self.len));
         self.sel = Some(sel);
     }
 

@@ -70,12 +70,12 @@ pub type TaggedRelation<K> = (
     Vec<(Variable, String, Tuple)>,
 );
 
-/// Tags one relation in one batch: ids `name_0, name_1, …` in tuple order
-/// ([`Variable::indexed_each`]), their leaves made together by `leaves` (for
-/// circuits, under one arena lock for the whole relation), the valuation
-/// extended once, and the tagged relation bulk-built from the source's tuple
-/// order (a leaf is never zero), not searched per tuple. Returns the tagged
-/// relation and the ids, in tuple order.
+/// Tags one relation in one batch: ids `name_0, name_1, …` in tuple order,
+/// their `leaves` made together by `leaves(name, n)` (for circuits, one
+/// leaf range under one arena lock for the whole relation), the source's
+/// annotations assigned to the ids as one valuation column
+/// ([`Valuation::assign_indexed`]), and the tagged relation bulk-built from
+/// the source's tuple order (a leaf is never zero), not searched per tuple.
 ///
 /// Tagging changes annotations, not the support (Definition 3.1), so when
 /// the source holds its own columnar conversion the tagged relation gets
@@ -86,57 +86,65 @@ pub type TaggedRelation<K> = (
 fn tag_in_order<K: Semiring, P: Semiring>(
     name: &str,
     relation: &KRelation<K>,
-    leaves: impl FnOnce(&[Variable]) -> Vec<P>,
+    leaves: impl FnOnce(&str, usize) -> Vec<P>,
     valuation: &mut Valuation<K>,
-) -> (KRelation<P>, Vec<Variable>) {
-    let ids: Vec<Variable> = Variable::indexed_each(name, relation.len()).collect();
-    let leaves = leaves(&ids);
+) -> KRelation<P> {
+    let leaves = leaves(name, relation.len());
     let form = relation
         .form()
         .and_then(|form| form.with_annotations(&leaves));
-    let annotations = relation.iter().map(|(_, annotation)| annotation.clone());
-    valuation.extend(ids.iter().cloned().zip(annotations));
-    let tagged = relation.iter().zip(leaves);
-    let tagged = tagged.map(|((tuple, _), leaf)| (tuple.clone(), leaf));
+    let mut annotations = Vec::with_capacity(relation.len());
+    let tagged = relation
+        .iter()
+        .zip(leaves)
+        .map(|((tuple, annotation), leaf)| {
+            annotations.push(annotation.clone());
+            (tuple.clone(), leaf)
+        });
     let tagged = KRelation::from_sorted_support(relation.schema().clone(), tagged);
+    valuation.assign_indexed(name, annotations);
     if let Some(form) = form {
         tagged.seed_form(form);
     }
-    (tagged, ids)
+    tagged
 }
 
 /// Tags every relation of `db` through [`tag_in_order`].
 fn tag_each<K: Semiring, P: Semiring>(
     db: &Database<K>,
-    leaves: impl Fn(&[Variable]) -> Vec<P>,
-) -> (Database<P>, Valuation<K>, TupleIds) {
+    mut leaves: impl FnMut(&str, usize) -> Vec<P>,
+) -> (Database<P>, Valuation<K>) {
     let mut database = Database::new();
     let mut valuation = Valuation::new();
-    let mut ids = Vec::new();
     for (name, relation) in db.iter() {
-        let (tagged, relation_ids) = tag_in_order(name, relation, &leaves, &mut valuation);
+        let tagged = tag_in_order(name, relation, &mut leaves, &mut valuation);
         database.insert(name.clone(), tagged);
-        ids.push((name.clone(), relation_ids));
     }
-    (database, valuation, ids)
+    (database, valuation)
 }
 
-/// The leaves of the expanded route: one ℕ\[X\] variable per id.
-fn polynomial_leaves(ids: &[Variable]) -> Vec<ProvenancePolynomial> {
-    ids.iter().cloned().map(ProvenancePolynomial::var).collect()
-}
-
-/// The leaves of the circuit route: every id interned in one batch.
-fn circuit_leaves(ids: &[Variable]) -> Vec<Circuit> {
-    Circuit::vars(ids.iter().cloned())
+/// The leaves of the expanded route: one ℕ\[X\] variable per id, each id
+/// recorded in `ids`.
+fn polynomial_leaves(
+    ids: &mut TupleIds,
+) -> impl FnMut(&str, usize) -> Vec<ProvenancePolynomial> + '_ {
+    |name, n| {
+        let relation_ids: Vec<Variable> = Variable::indexed_each(name, n).collect();
+        let leaves = relation_ids.iter().cloned().map(ProvenancePolynomial::var);
+        let leaves = leaves.collect();
+        ids.push((name.to_string(), relation_ids));
+        leaves
+    }
 }
 
 /// Abstractly tags a single relation, generating ids `prefix_0, prefix_1, …`
 /// for its support tuples (in tuple order, so ids are deterministic).
 pub fn tag_relation<K: Semiring>(name: &str, relation: &KRelation<K>) -> TaggedRelation<K> {
     let mut valuation = Valuation::new();
-    let (tagged, ids) = tag_in_order(name, relation, polynomial_leaves, &mut valuation);
+    let mut ids = Vec::new();
+    let tagged = tag_in_order(name, relation, polynomial_leaves(&mut ids), &mut valuation);
     let tuples = tagged.iter().map(|(tuple, _)| tuple.clone());
+    let (_, ids) = ids.pop().expect("one relation tagged");
     let index = ids.into_iter().zip(tuples);
     let index = index
         .map(|(id, tuple)| (id, name.to_string(), tuple))
@@ -149,7 +157,8 @@ pub fn tag_relation<K: Semiring>(name: &str, relation: &KRelation<K>) -> TaggedR
 /// columnar form ([`KRelation::batches`]) lends its columns to the tagged
 /// one, whose scans then convert nothing.
 pub fn tag_database<K: Semiring>(db: &Database<K>) -> Tagged<K> {
-    let (database, valuation, ids) = tag_each(db, polynomial_leaves);
+    let mut ids = Vec::new();
+    let (database, valuation) = tag_each(db, polynomial_leaves(&mut ids));
     Tagged {
         database,
         valuation,
@@ -269,13 +278,17 @@ pub fn provenance_size(relation: &KRelation<ProvenancePolynomial>) -> usize {
 }
 
 /// The result of abstractly tagging a database in **circuit form**: each
-/// base tuple is annotated with a hash-consed [`Circuit`] variable instead
-/// of an expanded ℕ\[X\] polynomial. Same theorem (4.3), shared
-/// representation: query evaluation interns `Plus`/`Times` nodes in O(1)
-/// and specialization is one forward pass over the DAG in node-id order.
+/// base tuple is annotated with a [`Circuit`] leaf instead of an expanded
+/// ℕ\[X\] polynomial. Same theorem (4.3), shared representation: query
+/// evaluation interns `Plus`/`Times`/`Σ` nodes in O(1) and specialization is
+/// one forward pass over the DAG in node-id order.
 ///
-/// Variable names match [`tag_database`] exactly, so the two routes are
-/// interchangeable (and differentially comparable) valuation-for-valuation.
+/// A relation `R`'s leaves are one leaf range of the arena
+/// ([`Circuit::indexed_vars`]) and its ids one valuation column, so no name
+/// is built: `R_i` is rendered when a circuit is printed or lowered, or
+/// [`CircuitTagged::id_index`] is read. The names match [`tag_database`]
+/// exactly, so the two routes are interchangeable (and differentially
+/// comparable) valuation-for-valuation.
 /// The handles belong to the tagging thread's current generation — scope
 /// them with a `provsem_semiring::circuit::CircuitSession` — while their
 /// nodes live in the process-wide arena, which only
@@ -285,30 +298,31 @@ pub fn provenance_size(relation: &KRelation<ProvenancePolynomial>) -> usize {
 pub struct CircuitTagged<K> {
     /// The abstractly tagged instance `R̄`, annotated with circuit handles.
     pub database: Database<Circuit>,
-    /// The valuation sending tuple ids to the original K annotations.
+    /// The valuation sending tuple ids to the original K annotations: one
+    /// column per relation.
     pub valuation: Valuation<K>,
-    /// Each relation's tuple ids, in tuple order.
-    ids: TupleIds,
 }
 
 impl<K> CircuitTagged<K> {
     /// For reporting: which tuple each id refers to, as `(id, relation,
     /// tuple)` — relation by relation in database order, tuples in tuple
-    /// order.
-    pub fn id_index(&self) -> impl Iterator<Item = (&Variable, &str, &Tuple)> + '_ {
-        id_index(&self.database, &self.ids)
+    /// order. The ids are named here, the `i`-th tuple of `R` being `R_i`.
+    pub fn id_index(&self) -> impl Iterator<Item = (Variable, &str, &Tuple)> + '_ {
+        self.database.iter().flat_map(|(name, relation)| {
+            let tuples = relation.iter().enumerate();
+            tuples.map(move |(i, (tuple, _))| (Variable::indexed(name, i), name.as_str(), tuple))
+        })
     }
 }
 
-/// Abstractly tags every relation of a database with circuit variables —
-/// the circuit-form counterpart of [`tag_database`], sharing a source's
-/// columns the same way.
+/// Abstractly tags every relation of a database with circuit leaves — the
+/// circuit-form counterpart of [`tag_database`], sharing a source's columns
+/// the same way. Each relation takes one arena lock for its leaf range.
 pub fn tag_database_circuit<K: Semiring>(db: &Database<K>) -> CircuitTagged<K> {
-    let (database, valuation, ids) = tag_each(db, circuit_leaves);
+    let (database, valuation) = tag_each(db, Circuit::indexed_vars);
     CircuitTagged {
         database,
         valuation,
-        ids,
     }
 }
 
@@ -329,10 +343,11 @@ pub fn specialize_circuit<K: CommutativeSemiring>(
 /// [`specialize_circuit`] behind the signature of the other `*_with` entry
 /// points. It runs the serial pass whatever the thread budget: `Eval_v` over
 /// a shared DAG is one memoized walk, and workers that split the roots each
-/// re-evaluate the core the roots share — measured on the Section 2 query
-/// over 28 k tuples (262 k nodes), 2 workers took 29–35 ms and 4 took
-/// 45–48 ms against 22–26 ms serial (before the pass became one forward
-/// sweep in id order).
+/// re-evaluate the core the roots share. When the Section 2 query over 28 k
+/// tuples interned 262 k nodes, 2 workers took 29–35 ms and 4 took 45–48 ms
+/// against 22–26 ms serial; it now interns 49 649 nodes, and the serial
+/// pass, reading each tagged leaf from the valuation's column, takes
+/// ≈ 3 ms (traced `fig5_ra` at seed 42, 2-core container).
 pub fn specialize_circuit_with<K>(
     relation: &KRelation<Circuit>,
     valuation: &Valuation<K>,
@@ -615,11 +630,14 @@ mod tests {
         let db = figure5_db();
         let tagged = tag_database(&db);
         let circ = tag_database_circuit(&db);
-        let poly_ids: Vec<_> = tagged.id_index().collect();
+        let poly_ids: Vec<_> = tagged
+            .id_index()
+            .map(|(id, r, t)| (id.clone(), r, t))
+            .collect();
         let circ_ids: Vec<_> = circ.id_index().collect();
         assert_eq!(poly_ids, circ_ids);
         for (id, _, _) in circ.id_index() {
-            assert_eq!(circ.valuation.get(id), tagged.valuation.get(id));
+            assert_eq!(circ.valuation.get(&id), tagged.valuation.get(&id));
         }
     }
 
@@ -652,16 +670,17 @@ mod tests {
                         .annotation(tuple)
                         .same_node(&Circuit::var(id.clone())));
                     let entry = index.next().expect("one index entry per tuple");
-                    assert_eq!(entry, (&id, name.as_str(), tuple));
+                    assert_eq!(entry, (id, name.as_str(), tuple));
                 }
             }
             assert!(index.next().is_none());
-            assert!(circuits.id_index().eq(polynomials.id_index()));
+            let named = polynomials.id_index().map(|(v, r, t)| (v.clone(), r, t));
+            assert!(circuits.id_index().eq(named));
             // The single-relation route indexes the same ids.
             let (_, _, single) = tag_relation("S", db.get("S").expect("S"));
             let from_db = circuits.id_index().filter(|(_, name, _)| *name == "S");
             let from_db: Vec<_> = from_db
-                .map(|(v, r, t)| (v.clone(), r.to_string(), t.clone()))
+                .map(|(v, r, t)| (v, r.to_string(), t.clone()))
                 .collect();
             assert_eq!(single, from_db);
         });

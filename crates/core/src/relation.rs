@@ -780,8 +780,7 @@ impl<K: Semiring> KRelation<K> {
         ) -> (usize, usize, usize) {
             assert!(node.fill() <= NODE_CAPACITY, "a node is over capacity");
             assert!(is_root || node.fill() >= NODE_MIN, "a node is under-full");
-            let in_range =
-                |t: &Tuple| lower.map_or(true, |l| l <= t) && upper.map_or(true, |u| t < u);
+            let in_range = |t: &Tuple| lower.is_none_or(|l| l <= t) && upper.is_none_or(|u| t < u);
             match node {
                 Node::Leaf(entries) => {
                     assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "leaf order");

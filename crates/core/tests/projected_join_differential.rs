@@ -69,7 +69,7 @@ fn int(i: u64) -> Value {
 
 /// Integers and strings in one column: no typed column holds it.
 fn mixed(i: u64) -> Value {
-    if i % 2 == 0 {
+    if i.is_multiple_of(2) {
         Value::int(i as i64)
     } else {
         Value::str(format!("m{i}"))

@@ -36,7 +36,7 @@ fn schema() -> Schema {
 
 /// Integers and strings mixed, so both halves of `Value`'s order matter.
 fn key(schema: &Schema, n: u16) -> Tuple {
-    let a = if n % 3 == 0 {
+    let a = if n.is_multiple_of(3) {
         Value::str(format!("s{:04}", n))
     } else {
         Value::int(i64::from(n) - 700)
@@ -157,7 +157,7 @@ fn run_script<K: Annotations>(initial: u16, script: &[u8]) {
     };
     while !cursor.done() {
         // Most steps start from a relation that holds its columnar form.
-        if cursor.byte() % 4 != 0 {
+        if !cursor.byte().is_multiple_of(4) {
             relation.batches();
         }
         match cursor.byte() % 11 {
@@ -177,7 +177,7 @@ fn run_script<K: Annotations>(initial: u16, script: &[u8]) {
                     Some(t) => t.clone(),
                     None => key(&probe, cursor.key_index()),
                 };
-                let exact = cursor.byte() % 2 == 0;
+                let exact = cursor.byte().is_multiple_of(2);
                 let stored = model
                     .get(&t)
                     .filter(|_| exact)
@@ -195,7 +195,7 @@ fn run_script<K: Annotations>(initial: u16, script: &[u8]) {
             // set: overwrite, create, remove, or remove what is not there.
             4 => {
                 let t = key(&probe, cursor.key_index());
-                let k = if cursor.byte() % 3 == 0 {
+                let k = if cursor.byte().is_multiple_of(3) {
                     K::zero()
                 } else {
                     K::positive(cursor.byte())

@@ -29,7 +29,7 @@ type RawDelta = (u8, u8, u8, u8, i64);
 
 fn fact_tuple(rel: u8, x: u8, y: u8, z: u8) -> (&'static str, Tuple) {
     let v = |n: u8| VALUES[n as usize % VALUES.len()];
-    if rel % 2 == 0 {
+    if rel.is_multiple_of(2) {
         ("R", Tuple::new([("a", v(x)), ("b", v(y)), ("c", v(z))]))
     } else {
         ("S", Tuple::new([("b", v(x)), ("c", v(y)), ("d", v(z))]))

@@ -172,7 +172,7 @@ proptest! {
     ) {
         let (m1, m2) = (model_of(&p1), model_of(&p2));
         let (t1, t2) = (Tuple::new(named(&p1)), Tuple::new(named(&p2)));
-        let compatible = m1.iter().all(|(a, v)| m2.get(a).map_or(true, |w| v == w));
+        let compatible = m1.iter().all(|(a, v)| m2.get(a).is_none_or(|w| v == w));
         prop_assert_eq!(t1.compatible_with(&t2), compatible);
         match t1.merge(&t2) {
             Some(merged) => {

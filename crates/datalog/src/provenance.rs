@@ -244,13 +244,19 @@ pub fn datalog_provenance_circuit<K: Semiring>(
     edb: &FactStore<K>,
     max_rounds: usize,
 ) -> CircuitDatalogProvenance<K> {
+    // A predicate's facts are `p_0, p_1, …` in fact order, as
+    // `default_edb_variables` names them: one leaf range and one valuation
+    // column per predicate.
     let edb_variables = default_edb_variables(edb);
     let mut valuation = Valuation::new();
     let mut edb_circuits: FactStore<Circuit> = FactStore::new();
-    for (fact, annotation) in edb.facts() {
-        let var = edb_variables[&fact].clone();
-        valuation.assign(var.clone(), annotation.clone());
-        edb_circuits.set(fact, Circuit::var(var));
+    for predicate in edb.predicates() {
+        let facts: Vec<(Fact, &K)> = edb.facts_of(predicate).collect();
+        let leaves = Circuit::indexed_vars(predicate, facts.len());
+        valuation.assign_indexed(predicate, facts.iter().map(|(_, k)| (*k).clone()));
+        for ((fact, _), leaf) in facts.into_iter().zip(leaves) {
+            edb_circuits.set(fact, leaf);
+        }
     }
 
     let grounding = Grounding::new(program, &edb_circuits);

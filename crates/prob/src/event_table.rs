@@ -212,13 +212,14 @@ impl TupleIndependentDb {
         for (name, schema) in &self.schemas {
             db.insert(name.clone(), KRelation::<Circuit>::empty(schema.clone()));
         }
+        // Tuple `i` is `t_i`: one leaf range and one valuation column.
         let mut valuation: Valuation<Event> = Valuation::new();
-        for (i, (name, tuple, _)) in self.tuples.iter().enumerate() {
-            let var = Variable::indexed("t", i);
-            valuation.assign(var.clone(), self.tuple_event(i));
+        valuation.assign_indexed("t", (0..self.tuples.len()).map(|i| self.tuple_event(i)));
+        let leaves = Circuit::indexed_vars("t", self.tuples.len());
+        for ((name, tuple, _), leaf) in self.tuples.iter().zip(leaves) {
             db.get_mut(name)
                 .expect("relation created above")
-                .insert(tuple.clone(), Circuit::var(var));
+                .insert(tuple.clone(), leaf);
         }
         let out = plan.execute_with(&db, ctx);
         let probs = self.world_probabilities();

@@ -233,7 +233,7 @@ mod tests {
             // A request is the size of the reply it wants, newline included.
             serve_lines(reader, writer, |line, reply| {
                 let bytes: usize = line.parse().unwrap();
-                reply.extend(std::iter::repeat('x').take(bytes - 1));
+                reply.extend(std::iter::repeat_n('x', bytes - 1));
                 false
             })
             .unwrap();
