@@ -1361,8 +1361,18 @@ impl KeyChains {
 
     /// The rows of key `id`, in stream order.
     pub(crate) fn of(&self, id: u32) -> &[(u32, u32)] {
+        &self.rows[self.span(id)]
+    }
+
+    /// Where chain `id` lies in [`KeyChains::rows`].
+    pub(crate) fn span(&self, id: u32) -> std::ops::Range<usize> {
         let id = id as usize;
-        &self.rows[self.starts[id] as usize..self.starts[id + 1] as usize]
+        self.starts[id] as usize..self.starts[id + 1] as usize
+    }
+
+    /// Every chain, one after another in id order.
+    pub(crate) fn rows(&self) -> &[(u32, u32)] {
+        &self.rows
     }
 }
 

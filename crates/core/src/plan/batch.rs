@@ -38,15 +38,16 @@
 //!   join column and the kept columns pass the code-domain when-rule (each
 //!   a dictionary column under one dictionary on its side, a code grid no
 //!   larger than the match count), the projection is **summed inside the
-//!   join** (a groupjoin, [`SummedProjection`]): every match's kept code
-//!   tuple names its group, one [`Semiring::sum_products`] call over the
-//!   matches of every partition, in partition order, sums the products
-//!   group by group — one `Σᵢ aᵢ·bᵢ` circuit node per output tuple, the same
-//!   at every thread budget, instead of a `Times` node per match for the
-//!   root merge to sum — and the kept columns are decoded from the live
-//!   groups' codes. Any other shape, and a join that fails the rule, makes
-//!   the join's rows (a failed grid check after parallel matching makes
-//!   them on the calling thread).
+//!   join** (a groupjoin, [`SummedProjection`]): the match count is read off
+//!   the key chains before any match is walked, each row carries its side's
+//!   share of its matches' grid cell (`Σ code · stride` over that side's
+//!   kept columns), and one [`Semiring::sum_products`] call walks probe row
+//!   by probe row through its key's chain, handing each match's cell and
+//!   annotation pair straight to the semiring — no per-match array — so
+//!   each output tuple is one sum of products (one `Σᵢ aᵢ·bᵢ` circuit node,
+//!   instead of a `Times` node per match for the root merge to sum), and
+//!   the kept columns are decoded from the live cells. Any other shape, and
+//!   a join whose grid is sparser than its matches, makes the join's rows.
 //!
 //! With a multi-threaded [`ExecContext`] and a semiring whose annotations
 //! can cross threads ([`Semiring::is_portable`]), joins and aggregations
@@ -55,7 +56,10 @@
 //! [`crate::par::part_of`]), one scoped worker builds/probes or groups each
 //! partition, column payloads cross threads as plain `Send` data, and
 //! annotation vectors travel sealed through the semiring's [`Portable`]
-//! encoding (circuit handles as node ids into the process-wide arena).
+//! encoding (circuit handles as node ids into the process-wide arena). The
+//! summed join is serial by design: it runs on the calling thread at every
+//! budget, as one walk into one `sum_products` call, so a circuit gets the
+//! same `Σ` nodes at every budget and no matches are sealed or re-sorted.
 //!
 //! Determinism: partitioning is by content hash (representation- and
 //! dictionary-independent), groups and join matches are emitted in
@@ -73,7 +77,7 @@ use crate::column::{
 use crate::plan::{ExecContext, QueryResult, RelationSource};
 use crate::schema::Schema;
 use crate::value::Value;
-use provsem_semiring::{Portable, Semiring};
+use provsem_semiring::{Portable, ProductWalk, Semiring};
 use std::sync::Arc;
 
 // --- vectorized predicate evaluation ---------------------------------------
@@ -243,48 +247,12 @@ fn open_batch<K: Semiring>((len, columns, token): SealedBatch) -> Batch<K> {
     Batch::new(len, columns, K::from_portable(token))
 }
 
-/// What crosses the thread boundary to or from a morsel worker, sealed:
-/// column payloads as plain `Send` data, annotation vectors through the
-/// semiring's [`Portable`] encoding.
-trait Transport: Sized {
-    type Sealed: Send;
-    fn seal(self) -> Self::Sealed;
-    fn open(sealed: Self::Sealed) -> Self;
+fn seal_batches<K: Semiring>(batches: Vec<Batch<K>>) -> Vec<SealedBatch> {
+    batches.into_iter().map(seal_batch).collect()
 }
 
-impl<K: Semiring> Transport for Vec<Batch<K>> {
-    type Sealed = Vec<SealedBatch>;
-
-    fn seal(self) -> Vec<SealedBatch> {
-        self.into_iter().map(seal_batch).collect()
-    }
-
-    fn open(sealed: Vec<SealedBatch>) -> Self {
-        sealed.into_iter().map(open_batch).collect()
-    }
-}
-
-impl<K: Semiring> Transport for Matches<K> {
-    type Sealed = (
-        Vec<SealedBatch>,
-        Vec<SealedBatch>,
-        Vec<(u32, u32)>,
-        Vec<(u32, u32)>,
-    );
-
-    fn seal(self) -> Self::Sealed {
-        let (build_rows, probe_rows) = (self.build_rows, self.probe_rows);
-        (self.build.seal(), self.probe.seal(), build_rows, probe_rows)
-    }
-
-    fn open((build, probe, build_rows, probe_rows): Self::Sealed) -> Self {
-        Matches {
-            build: Transport::open(build),
-            probe: Transport::open(probe),
-            build_rows,
-            probe_rows,
-        }
-    }
+fn open_batches<K: Semiring>(sealed: Vec<SealedBatch>) -> Vec<Batch<K>> {
+    sealed.into_iter().map(open_batch).collect()
 }
 
 /// Maps `work` over per-partition batch lists — one scoped worker per
@@ -303,10 +271,10 @@ where
     if parts.len() <= 1 || total < crate::par::SPAWN_THRESHOLD {
         return parts.into_iter().map(work).collect();
     }
-    let sealed: Vec<Vec<SealedBatch>> = parts.into_iter().map(Transport::seal).collect();
-    crate::par::spawn_map(sealed, |batches| work(Transport::open(batches)).seal())
+    let sealed: Vec<Vec<SealedBatch>> = parts.into_iter().map(seal_batches).collect();
+    crate::par::spawn_map(sealed, |batches| seal_batches(work(open_batches(batches))))
         .into_iter()
-        .map(Transport::open)
+        .map(open_batches)
         .collect()
 }
 
@@ -412,134 +380,129 @@ pub fn join_batches<K: Semiring>(
     output: &[ColSource],
     swapped: bool,
 ) -> Vec<Batch<K>> {
-    match_rows(build, probe, build_keys, probe_keys).into_rows(output, swapped)
+    KeyedJoin::new(build, probe, build_keys, probe_keys).into_rows(output, swapped)
 }
 
-/// One partition's hash join up to its matches: both sides' materialized
-/// batches and every matched pair of `(batch, row)`s, probe-stream-major and
-/// build-stream-minor — the order the output rows are emitted in. Nothing
-/// is multiplied yet: [`Matches::into_rows`] makes the join's rows, and
-/// [`SummedProjection::sum`] the projection of several partitions' rows.
-struct Matches<K> {
+/// A hash join's inputs, keyed: both sides' materialized batches, the build
+/// rows chained by key id, and each probe row's key id. Nothing is matched
+/// or multiplied yet: [`KeyedJoin::into_rows`] makes the join's rows, and
+/// [`SummedProjection::sum`] walks the matches into a projection's sums.
+struct KeyedJoin<K> {
     build: Vec<Batch<K>>,
     probe: Vec<Batch<K>>,
-    build_rows: Vec<(u32, u32)>,
-    probe_rows: Vec<(u32, u32)>,
+    chains: KeyChains,
+    /// Per probe batch, each row's key id ([`NO_KEY`] when no build row has
+    /// its key).
+    probe_ids: Vec<Vec<u32>>,
 }
 
-/// The matching half of [`join_batches`].
-fn match_rows<K: Semiring>(
-    build: Vec<Batch<K>>,
-    probe: Vec<Batch<K>>,
-    build_keys: &[usize],
-    probe_keys: &[usize],
-) -> Matches<K> {
-    // Build side. A key's id is verified exactly against the key's first
-    // build row on every table hit, so hash collisions are harmless and a
-    // chain holds exactly the build rows of one key.
-    let build: Vec<Batch<K>> = build.into_iter().map(Batch::materialize).collect();
-    let build_cols: Vec<&[Column]> = build.iter().map(Batch::columns).collect();
-    let code_domain = code_domain_runs(&build, build_keys);
-    let mut index = KeyIndex::new();
-    let mut key_of: Vec<u32> = Vec::new();
-    for (bidx, batch) in build.iter().enumerate() {
-        let rows = KeyRows {
-            cols: batch.columns(),
-            keys: build_keys,
-            len: batch.phys_rows(),
-            code_domain: code_domain[bidx],
-        };
-        index.assign(
-            rows,
-            &build_cols,
-            build_keys,
-            Some(bidx as u32),
-            &mut key_of,
-        );
-    }
-    let chains = KeyChains::new(index.len(), &key_of, build.iter().map(Batch::phys_rows));
+impl<K: Semiring> KeyedJoin<K> {
+    fn new(
+        build: Vec<Batch<K>>,
+        probe: Vec<Batch<K>>,
+        build_keys: &[usize],
+        probe_keys: &[usize],
+    ) -> KeyedJoin<K> {
+        // Build side. A key's id is verified exactly against the key's first
+        // build row on every table hit, so hash collisions are harmless and a
+        // chain holds exactly the build rows of one key.
+        let build: Vec<Batch<K>> = build.into_iter().map(Batch::materialize).collect();
+        let build_cols: Vec<&[Column]> = build.iter().map(Batch::columns).collect();
+        let code_domain = code_domain_runs(&build, build_keys);
+        let mut index = KeyIndex::new();
+        let mut key_of: Vec<u32> = Vec::new();
+        for (bidx, batch) in build.iter().enumerate() {
+            let rows = KeyRows {
+                cols: batch.columns(),
+                keys: build_keys,
+                len: batch.phys_rows(),
+                code_domain: code_domain[bidx],
+            };
+            index.assign(
+                rows,
+                &build_cols,
+                build_keys,
+                Some(bidx as u32),
+                &mut key_of,
+            );
+        }
+        let chains = KeyChains::new(index.len(), &key_of, build.iter().map(Batch::phys_rows));
 
-    let probe: Vec<Batch<K>> = probe.into_iter().map(Batch::materialize).collect();
-    let code_domain = code_domain_runs(&probe, probe_keys);
-    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
-    for (pidx, pbatch) in probe.iter().enumerate() {
-        let rows = KeyRows {
-            cols: pbatch.columns(),
-            keys: probe_keys,
-            len: pbatch.phys_rows(),
-            code_domain: code_domain[pidx],
-        };
-        key_of.clear();
-        index.assign(rows, &build_cols, build_keys, None, &mut key_of);
-        for (prow, &key) in key_of.iter().enumerate() {
-            if key == NO_KEY {
-                continue;
-            }
-            for &pair in chains.of(key) {
-                build_rows.push(pair);
-                probe_rows.push((pidx as u32, prow as u32));
-            }
+        let probe: Vec<Batch<K>> = probe.into_iter().map(Batch::materialize).collect();
+        let code_domain = code_domain_runs(&probe, probe_keys);
+        let probe_ids = probe
+            .iter()
+            .zip(code_domain)
+            .map(|(batch, code_domain)| {
+                let rows = KeyRows {
+                    cols: batch.columns(),
+                    keys: probe_keys,
+                    len: batch.phys_rows(),
+                    code_domain,
+                };
+                let mut ids = Vec::new();
+                index.assign(rows, &build_cols, build_keys, None, &mut ids);
+                ids
+            })
+            .collect();
+        KeyedJoin {
+            build,
+            probe,
+            chains,
+            probe_ids,
         }
     }
-    Matches {
-        build,
-        probe,
-        build_rows,
-        probe_rows,
-    }
-}
 
-impl<K: Semiring> Matches<K> {
-    /// The annotation pairs of the matches in `range`, in match order, each
-    /// `(left, right)` as Definition 3.2 multiplies them.
-    fn pairs(
-        &self,
-        range: std::ops::Range<usize>,
-        swapped: bool,
-    ) -> impl Iterator<Item = (&K, &K)> + '_ {
-        let build = &self.build_rows[range.clone()];
-        build
-            .iter()
-            .zip(&self.probe_rows[range])
-            .map(move |(&(b, r), &(p, q))| {
+    /// The number of matched pairs: the chain length of every probe row's
+    /// key.
+    fn match_count(&self) -> usize {
+        let chain = |&key: &u32| match key {
+            NO_KEY => 0,
+            key => self.chains.span(key).len(),
+        };
+        self.probe_ids.iter().flatten().map(chain).sum()
+    }
+
+    /// The join's rows, probe-stream-major and build-stream-minor: one
+    /// output batch per probe batch with matches, its products in one
+    /// [`Semiring::times_each`] call (circuits intern them together) and
+    /// its columns gathered from both sides.
+    fn into_rows(self, output: &[ColSource], swapped: bool) -> Vec<Batch<K>> {
+        let build_cols: Vec<&[Column]> = self.build.iter().map(Batch::columns).collect();
+        let mut out = Vec::new();
+        for (pbatch, ids) in self.probe.iter().zip(&self.probe_ids) {
+            let (mut build_rows, mut prows) = (Vec::new(), Vec::new());
+            for (prow, &key) in ids.iter().enumerate() {
+                if key == NO_KEY {
+                    continue;
+                }
+                for &pair in self.chains.of(key) {
+                    build_rows.push(pair);
+                    prows.push(prow as u32);
+                }
+            }
+            if prows.is_empty() {
+                continue;
+            }
+            let pairs = build_rows.iter().zip(&prows).map(|(&(b, r), &q)| {
                 let bk = &self.build[b as usize].anns()[r as usize];
-                let pk = &self.probe[p as usize].anns()[q as usize];
+                let pk = &pbatch.anns()[q as usize];
                 if swapped {
                     (pk, bk)
                 } else {
                     (bk, pk)
                 }
-            })
-    }
-
-    /// The join's rows: one output batch per probe batch with matches, its
-    /// products in one [`Semiring::times_each`] call (circuits intern them
-    /// together) and its columns gathered from both sides.
-    fn into_rows(self, output: &[ColSource], swapped: bool) -> Vec<Batch<K>> {
-        let build_cols: Vec<&[Column]> = self.build.iter().map(Batch::columns).collect();
-        let mut out = Vec::new();
-        let mut start = 0;
-        while start < self.probe_rows.len() {
-            let pidx = self.probe_rows[start].0;
-            let run = self.probe_rows[start..].iter();
-            let end = start + run.take_while(|&&(p, _)| p == pidx).count();
-            let anns = K::times_each(self.pairs(start..end, swapped));
-            let prows: Vec<u32> = self.probe_rows[start..end]
-                .iter()
-                .map(|&(_, row)| row)
-                .collect();
-            let pcols = self.probe[pidx as usize].columns();
+            });
+            let anns = K::times_each(pairs);
+            let pcols = pbatch.columns();
             let columns = output
                 .iter()
                 .map(|src| match src {
-                    ColSource::Build(i) => {
-                        gather_multi(&build_cols, *i, &self.build_rows[start..end])
-                    }
+                    ColSource::Build(i) => gather_multi(&build_cols, *i, &build_rows),
                     ColSource::Probe(i) => pcols[*i].gather(&prows),
                 })
                 .collect();
             out.push(Batch::new(anns.len(), columns, anns));
-            start = end;
         }
         out
     }
@@ -556,10 +519,14 @@ impl<K: Semiring> Matches<K> {
 /// kept columns pass the code-domain when-rule ([`code_domain_runs`]'s):
 /// each is a dictionary column under one dictionary across its side's
 /// batches, and the grid of their code tuples has no more cells than the
-/// join has matched pairs (checked once matching is done).
+/// join has matched pairs (counted from the key chains before any match is
+/// walked).
 struct SummedProjection {
     /// Per output column, the join side it is read from and its dictionary.
     kept: Vec<(ColSource, Arc<StrDict>)>,
+    /// Per output column, its code's weight in a grid cell: the product of
+    /// the later columns' dictionary sizes.
+    strides: Vec<u32>,
     /// The grid's cell count: the product of the dictionary sizes.
     cells: usize,
 }
@@ -596,58 +563,85 @@ impl SummedProjection {
             })
             .collect::<Option<Vec<_>>>()?;
         let cells = grid_size(kept.iter().map(|(_, dict)| dict))?;
-        Some(SummedProjection { kept, cells })
+        let mut strides = vec![0; kept.len()];
+        let mut stride = 1;
+        for ((_, dict), slot) in kept.iter().zip(&mut strides).rev() {
+            *slot = stride;
+            stride *= dict.len() as u32;
+        }
+        Some(SummedProjection {
+            kept,
+            strides,
+            cells,
+        })
     }
 
-    /// The projected rows of every partition's matches, or `None` when the
-    /// grid has more cells than there are matches. Each match's kept codes,
-    /// read as one mixed-radix number, are its group — a grid cell — and one
-    /// [`Semiring::sum_products`] call sums every group over the partitions
-    /// merged in partition order, so a circuit gets the same `Σ` nodes at
-    /// every thread budget. Groups summing to zero are dropped; the kept
-    /// columns are decoded from the live cells.
-    fn sum<K: Semiring>(&self, parts: &[Matches<K>], swapped: bool) -> Option<Batch<K>> {
-        let matches: usize = parts.iter().map(|part| part.build_rows.len()).sum();
-        if self.cells > matches {
-            return None;
-        }
-        let mut cell_of = vec![0u32; matches];
-        for (src, dict) in &self.kept {
-            let radix = dict.len() as u32;
-            let mut cells = cell_of.iter_mut();
-            for part in parts {
-                let (batches, rows, col) = match *src {
-                    ColSource::Build(col) => (&part.build, &part.build_rows, col),
-                    ColSource::Probe(col) => (&part.probe, &part.probe_rows, col),
+    /// Per batch of one join side, each row's share of its matches' grid
+    /// cell: `Σ code · stride` over the kept columns read from that side.
+    fn shares<K: Semiring>(&self, batches: &[Batch<K>], build_side: bool) -> Vec<Vec<u32>> {
+        let side_col = |src: &ColSource| match *src {
+            ColSource::Build(col) if build_side => Some(col),
+            ColSource::Probe(col) if !build_side => Some(col),
+            _ => None,
+        };
+        let share = |batch: &Batch<K>| {
+            let mut share = vec![0u32; batch.phys_rows()];
+            for ((src, _), &stride) in self.kept.iter().zip(&self.strides) {
+                let Some(col) = side_col(src) else { continue };
+                let Column::Str { codes, .. } = &batch.columns()[col] else {
+                    unreachable!("a kept column is a dictionary column")
                 };
-                let codes: Vec<&[u32]> = batches
-                    .iter()
-                    .map(|batch| match &batch.columns()[col] {
-                        Column::Str { codes, .. } => codes.as_slice(),
-                        _ => unreachable!("a kept column is a dictionary column"),
-                    })
-                    .collect();
-                // Rows first: `zip` must not draw a cell past the last row.
-                for (&(b, r), cell) in rows.iter().zip(cells.by_ref()) {
-                    *cell = *cell * radix + codes[b as usize][r as usize];
+                for (share, &code) in share.iter_mut().zip(codes.iter()) {
+                    *share += code * stride;
                 }
             }
-        }
-        let pairs = parts
+            share
+        };
+        batches.iter().map(share).collect()
+    }
+
+    /// The projected rows of the join: one [`Semiring::sum_products`] call
+    /// over a walk of every match — each probe row in stream order, then
+    /// its key's chain of build rows — whose group is the grid cell of the
+    /// match's kept codes, read as one mixed-radix number: the sum of the
+    /// two rows' shares. No per-match array is written; a circuit gets one
+    /// `Σ` node per cell, the same at every thread budget. Groups summing to
+    /// zero are dropped; the kept columns are decoded from the live cells.
+    fn sum<K: Semiring>(&self, join: &KeyedJoin<K>, swapped: bool) -> Batch<K> {
+        let build_shares = self.shares(&join.build, true);
+        let build = join
+            .chains
+            .rows()
             .iter()
-            .flat_map(|part| part.pairs(0..part.build_rows.len(), swapped));
-        let sums = K::sum_products(self.cells, &cell_of, pairs);
+            .map(|&(b, r)| {
+                let (b, r) = (b as usize, r as usize);
+                (&join.build[b].anns()[r], build_shares[b][r])
+            })
+            .collect();
+        let probe = join
+            .probe
+            .iter()
+            .zip(&join.probe_ids)
+            .zip(self.shares(&join.probe, false))
+            .map(|((batch, ids), shares)| (batch.anns(), ids.as_slice(), shares))
+            .collect();
+        let matches = SummedMatches {
+            build,
+            chains: &join.chains,
+            probe,
+            swapped,
+        };
+        let sums = K::sum_products(self.cells, &matches);
         let (live, anns): (Vec<u32>, Vec<K>) = (0..self.cells as u32)
             .zip(sums)
             .filter(|(_, k)| !k.is_zero())
             .unzip();
-        let mut stride = self.cells as u32;
         let columns = self
             .kept
             .iter()
-            .map(|(_, dict)| {
+            .zip(&self.strides)
+            .map(|((_, dict), &stride)| {
                 let radix = dict.len() as u32;
-                stride /= radix;
                 let codes = live.iter().map(|&cell| cell / stride % radix).collect();
                 Column::Str {
                     dict: dict.clone(),
@@ -655,40 +649,80 @@ impl SummedProjection {
                 }
             })
             .collect();
-        Some(Batch::new(anns.len(), columns, anns))
+        Batch::new(anns.len(), columns, anns)
     }
 }
 
+/// A [`KeyedJoin`]'s matches as [`SummedProjection::sum`] hands them to
+/// [`Semiring::sum_products`]: every walk goes probe row by probe row, in
+/// stream order, through its key's chain of build rows.
+struct SummedMatches<'a, K> {
+    /// In [`KeyChains::rows`] order, each build row's annotation and cell
+    /// share.
+    build: Vec<(&'a K, u32)>,
+    chains: &'a KeyChains,
+    /// Per probe batch, its annotations, its rows' key ids and their cell
+    /// shares.
+    probe: Vec<(&'a [K], &'a [u32], Vec<u32>)>,
+    /// Whether build is the right input: the product is then `probe · build`.
+    swapped: bool,
+}
+
+impl<K> ProductWalk<K> for SummedMatches<'_, K> {
+    fn walk(&self, mut f: impl FnMut(u32, &K, &K)) {
+        for (anns, ids, shares) in &self.probe {
+            for ((pk, &key), &share) in anns.iter().zip(*ids).zip(shares) {
+                if key == NO_KEY {
+                    continue;
+                }
+                for &(bk, build_share) in &self.build[self.chains.span(key)] {
+                    let cell = share + build_share;
+                    if self.swapped {
+                        f(cell, pk, bk);
+                    } else {
+                        f(cell, bk, pk);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Does a hash join over these inputs run on the calling thread? At one
+/// thread, or with too few rows to spawn workers for.
+fn joins_inline<K: Semiring>(build: &[Batch<K>], probe: &[Batch<K>], threads: usize) -> bool {
+    let total: usize = build.iter().chain(probe).map(Batch::live_rows).sum();
+    threads <= 1 || total < crate::par::SPAWN_THRESHOLD
+}
+
 /// Runs `work` on every key partition of a hash join's inputs — inline on
-/// the whole input below the spawn threshold or at one thread, otherwise
-/// on both sides exchanged by key hash, one scoped worker per partition —
-/// and returns the outputs in partition order.
-fn per_partition<K, R, F>(
+/// the whole input when [`joins_inline`], otherwise on both sides exchanged
+/// by key hash, one scoped worker per partition — and returns the outputs
+/// in partition order.
+fn per_partition<K, F>(
     build: Vec<Batch<K>>,
     probe: Vec<Batch<K>>,
     keys: (&[usize], &[usize]),
     threads: usize,
     work: F,
-) -> Vec<R>
+) -> Vec<Vec<Batch<K>>>
 where
     K: Semiring,
-    R: Transport,
-    F: Fn(Vec<Batch<K>>, Vec<Batch<K>>) -> R + Sync,
+    F: Fn(Vec<Batch<K>>, Vec<Batch<K>>) -> Vec<Batch<K>> + Sync,
 {
-    let total: usize = build.iter().chain(&probe).map(Batch::live_rows).sum();
-    if threads <= 1 || total < crate::par::SPAWN_THRESHOLD {
+    if joins_inline(&build, &probe, threads) {
         return vec![work(build, probe)];
     }
     let sealed: Vec<_> = exchange_batches(build, keys.0, threads)
         .into_iter()
         .zip(exchange_batches(probe, keys.1, threads))
-        .map(|(build, probe)| (build.seal(), probe.seal()))
+        .map(|(build, probe)| (seal_batches(build), seal_batches(probe)))
         .collect();
     crate::par::spawn_map(sealed, |(build, probe)| {
-        work(Transport::open(build), Transport::open(probe)).seal()
+        seal_batches(work(open_batches(build), open_batches(probe)))
     })
     .into_iter()
-    .map(R::open)
+    .map(open_batches)
     .collect()
 }
 
@@ -784,8 +818,11 @@ struct HashJoin<'a> {
 
 impl HashJoin<'_> {
     /// Joins the inputs. When [`SummedProjection`] allows, `steps` — the
-    /// unary chain peeled above the join — are summed inside it; otherwise
-    /// the join's rows come back for the caller to apply them to.
+    /// unary chain peeled above the join — are summed inside it, on this
+    /// thread at every budget: the inputs are keyed, the matches counted
+    /// from the key chains, and a grid no larger than that count walked
+    /// into one [`Semiring::sum_products`] call. Otherwise the join's rows
+    /// come back for the caller to apply the steps to.
     ///
     /// Never inlined, so [`exec_batches`], which inlines the σ kernels,
     /// stays the size it was: with the join inlined into it, a point
@@ -799,8 +836,8 @@ impl HashJoin<'_> {
         threads: usize,
     ) -> Joined<K> {
         let (build_keys, probe_keys) = self.keys;
-        let Some(summed) = SummedProjection::of(steps, self.output, &build, &probe) else {
-            let rows = per_partition(build, probe, self.keys, threads, |build, probe| {
+        let rows = |build, probe| {
+            let parts = per_partition(build, probe, self.keys, threads, |build, probe| {
                 join_batches(
                     build,
                     probe,
@@ -810,22 +847,23 @@ impl HashJoin<'_> {
                     self.swapped,
                 )
             });
-            return Joined::Rows(rows.into_iter().flatten().collect());
+            Joined::Rows(parts.into_iter().flatten().collect())
         };
-        let parts = per_partition(build, probe, self.keys, threads, |build, probe| {
-            match_rows(build, probe, build_keys, probe_keys)
-        });
-        match summed.sum(&parts, self.swapped) {
-            Some(batch) if batch.phys_rows() == 0 => Joined::Projected(Vec::new()),
-            Some(batch) => Joined::Projected(vec![batch]),
-            // Too few matches for the grid: the join's rows, made on this
-            // thread from the partitions' matches.
-            None => Joined::Rows(
-                parts
-                    .into_iter()
-                    .flat_map(|part| part.into_rows(self.output, self.swapped))
-                    .collect(),
-            ),
+        let Some(summed) = SummedProjection::of(steps, self.output, &build, &probe) else {
+            return rows(build, probe);
+        };
+        let join = KeyedJoin::new(build, probe, build_keys, probe_keys);
+        if summed.cells > join.match_count() {
+            // A grid sparser than the matches: the join's rows — from these
+            // keys when they are made on this thread anyway.
+            if joins_inline(&join.build, &join.probe, threads) {
+                return Joined::Rows(join.into_rows(self.output, self.swapped));
+            }
+            return rows(join.build, join.probe);
+        }
+        match summed.sum(&join, self.swapped) {
+            batch if batch.phys_rows() == 0 => Joined::Projected(Vec::new()),
+            batch => Joined::Projected(vec![batch]),
         }
     }
 }

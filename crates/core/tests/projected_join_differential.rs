@@ -1,31 +1,36 @@
 //! Differential test for the projected hash join: a π (with any ρ) directly
 //! over a ⋈ that drops a join column is summed inside the join when its
 //! kept columns are dictionary columns whose code grid is no larger than
-//! the join's match count — one sum of products per output tuple, one
-//! `Σᵢ aᵢ·bᵢ` circuit node — and runs as rows plus the root merge
-//! otherwise.
+//! the join's match count — one walk of the matches into one sum of
+//! products per output tuple, one `Σᵢ aᵢ·bᵢ` circuit node — and runs as
+//! rows plus the root merge otherwise.
 //!
 //! Every case runs `Plan::execute_with` at 1, 2 and 4 threads against
-//! `RaExpr::eval_interpreted` over ℕ, ℤ, 𝔹 and the tropical semiring, and
-//! over provenance circuits specialised back to ℕ (Theorem 4.3). The
-//! circuits of the three budgets must be the **same nodes** (one session,
-//! hash-consed): a budget that summed its partitions apart would leave a
-//! `+` of partial sums instead. Where a case pins the path, the node count
-//! says which one ran: summed, a result over base relations reaches its
-//! variables and one node per output tuple; as rows, a `Times` node per
-//! match on top.
+//! `RaExpr::eval_interpreted` over ℕ, ℤ, 𝔹, the tropical semiring and
+//! 2 × 2 matrices (whose `·` does not commute, so a product taken in the
+//! wrong operand order shows), and over provenance circuits specialised
+//! back to ℕ (Theorem 4.3). The circuits of the three budgets must be the
+//! **same nodes** (one session, hash-consed): a budget that summed its
+//! partitions apart would leave a `+` of partial sums instead. Where a case
+//! pins the path, the node count says which one ran: summed, a result over
+//! base relations reaches its variables and one node per output tuple; as
+//! rows, a `Times` node per match on top.
 //!
 //! The cases: kept columns from one side and from both; a ρ between π and
 //! ⋈; a kept key column, with nothing dropped at the join (rows — the
 //! planner prunes every other column below it) and, of a two-column key,
 //! beside a dropped one (summed); an `i64` and a `Val`-fallback kept column
-//! (rows); a grid with more cells than matches (rows, decided after
-//! matching); ℤ groups that cancel to zero (dropped); and the Section 2
-//! query, whose two joins both sum over pre-join aggregations.
+//! (rows); a grid with more cells than matches (rows, decided from the key
+//! chains before any match is walked); ℤ groups that cancel to zero
+//! (dropped); probe rows whose key has no build row; sides of more than one
+//! scan batch under one dictionary; a join that builds its right input; an
+//! empty side; and the Section 2 query, whose two joins both sum over
+//! pre-join aggregations.
 
+use provsem_core::kernels::BATCH_ROWS;
 use provsem_core::prelude::*;
 use provsem_semiring::circuit::{self, CircuitSession};
-use provsem_semiring::{Bool, Circuit, Integers, Natural, Semiring, Tropical};
+use provsem_semiring::{Bool, Circuit, Integers, Natural, Portable, Semiring, Tropical};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,6 +95,57 @@ fn database<K: Semiring>(relations: &[(&str, &Raw)], annotate: impl Fn(i64) -> K
     db
 }
 
+/// 2 × 2 matrices over `u64` with wrapping arithmetic: a semiring whose `·`
+/// does not commute. A weight `w` is the affine map `x ↦ w·x + 1`,
+/// `[[w, 1], [0, 1]]`, and two of those commute only when their weights
+/// are equal.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Matrix([u64; 4]);
+
+impl Matrix {
+    fn affine(w: u64) -> Matrix {
+        Matrix([w, 1, 0, 1])
+    }
+}
+
+impl Semiring for Matrix {
+    fn zero() -> Self {
+        Matrix([0; 4])
+    }
+
+    fn one() -> Self {
+        Matrix([1, 0, 0, 1])
+    }
+
+    fn plus(&self, other: &Self) -> Self {
+        Matrix(std::array::from_fn(|i| self.0[i].wrapping_add(other.0[i])))
+    }
+
+    fn times(&self, other: &Self) -> Self {
+        let ([a, b, c, d], [e, f, g, h]) = (self.0, other.0);
+        let dot =
+            |x: u64, y: u64, z: u64, w: u64| x.wrapping_mul(y).wrapping_add(z.wrapping_mul(w));
+        Matrix([
+            dot(a, e, b, g),
+            dot(a, f, b, h),
+            dot(c, e, d, g),
+            dot(c, f, d, h),
+        ])
+    }
+
+    fn is_portable() -> bool {
+        true
+    }
+
+    fn to_portable(batch: Vec<Self>) -> Portable {
+        Portable::new(batch)
+    }
+
+    fn from_portable(token: Portable) -> Vec<Self> {
+        token.unwrap()
+    }
+}
+
 /// Which path a case must take, told by the circuit's size.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Path {
@@ -149,13 +205,18 @@ fn check_circuits(query: &RaExpr, db: &Database<Natural>, path: Path) {
     });
 }
 
-/// One case over ℕ, ℤ, 𝔹, Tropical and circuits; returns the ℤ result.
+/// One case over ℕ, ℤ, 𝔹, Tropical, matrices and circuits; returns the ℤ
+/// result.
 fn check(query: &RaExpr, relations: &[(&str, &Raw)], path: Path) -> KRelation<Integers> {
     let naturals = database(relations, |w| Natural::from(w.unsigned_abs()));
     let expected = check_semiring(query, &naturals);
     assert!(
         !expected.is_empty(),
         "an empty case checks nothing: {query:?}"
+    );
+    check_semiring(
+        query,
+        &database(relations, |w| Matrix::affine(w.unsigned_abs())),
     );
     check_semiring(query, &database(relations, |_| Bool::from(true)));
     check_semiring(
@@ -321,4 +382,103 @@ fn the_section2_query_sums_both_joins() {
         &[("a", text, 12), ("b", text, 8), ("c", text, 12)],
     );
     check(&paper_example_query("R"), &[("R", &r_raw)], Path::Either);
+}
+
+/// `text` shifted up by `5`: values that half of `text`'s `0..10` misses.
+fn shifted(i: u64) -> Value {
+    text(i + 5)
+}
+
+#[test]
+fn probe_rows_without_a_build_row() {
+    // Half of each side's keys are missing from the other side, whichever
+    // side the planner builds.
+    let mut rng = StdRng::seed_from_u64(47);
+    let r_raw = random(&mut rng, 200, &[("a", text, 8), ("b", text, 10)]);
+    let s_raw = random(&mut rng, 120, &[("b", shifted, 10), ("c", text, 8)]);
+    let query = r().join(s()).project(["a", "c"]);
+    check(&query, &[("R", &r_raw), ("S", &s_raw)], Path::Summed);
+    let query = s().join(r()).project(["c", "a"]);
+    check(&query, &[("R", &r_raw), ("S", &s_raw)], Path::Summed);
+}
+
+#[test]
+fn sides_of_several_scan_batches_share_one_dictionary() {
+    // More than `BATCH_ROWS` rows per side: each side is scanned as several
+    // batches under one dictionary per column, and the walk crosses them.
+    let mut rng = StdRng::seed_from_u64(48);
+    let rows = BATCH_ROWS + 900;
+    let r_raw = random(&mut rng, rows, &[("a", text, 30), ("b", text, 2000)]);
+    let s_raw = random(&mut rng, rows, &[("b", text, 2000), ("c", text, 30)]);
+    let query = r().join(s()).project(["a", "c"]);
+    check(&query, &[("R", &r_raw), ("S", &s_raw)], Path::Summed);
+}
+
+#[test]
+fn a_join_that_builds_its_right_input() {
+    // `S` is the smaller input, so the join builds it — the right one —
+    // and multiplies probe · build to keep Definition 3.2's left · right.
+    let mut rng = StdRng::seed_from_u64(49);
+    let r_raw = random(&mut rng, 300, &[("a", text, 12), ("b", text, 6)]);
+    let s_raw = random(&mut rng, 40, &[("b", text, 6), ("c", text, 5)]);
+    let query = r().join(s()).project(["a", "c"]);
+    let naturals = database(&[("R", &r_raw), ("S", &s_raw)], |w| {
+        Natural::from(w.unsigned_abs())
+    });
+    let catalog = naturals.catalog();
+    let plan = Plan::new(&query, &catalog).expect("the case's query plans");
+    assert!(
+        plan.explain_physical().contains("build=right"),
+        "{}",
+        plan.explain_physical()
+    );
+    check(&query, &[("R", &r_raw), ("S", &s_raw)], Path::Summed);
+}
+
+#[test]
+fn an_empty_side() {
+    // The join is empty; the union keeps the case's result non-empty.
+    let (r_raw, _) = pairs();
+    let empty = Raw {
+        attrs: vec!["b", "c"],
+        rows: Vec::new(),
+    };
+    let mut rng = StdRng::seed_from_u64(50);
+    let t_raw = random(&mut rng, 20, &[("a", text, 20), ("c", text, 20)]);
+    let t = || RaExpr::relation("T");
+    let relations = [("R", &r_raw), ("S", &empty), ("T", &t_raw)];
+    for query in [
+        r().join(s()).project(["a", "c"]).union(t()),
+        s().join(r()).project(["c", "a"]).union(t()),
+        r().join(s()).project(["a"]).union(t().project(["a"])),
+    ] {
+        check(&query, &relations, Path::Either);
+    }
+}
+
+#[test]
+fn a_grid_larger_than_its_matches_makes_rows() {
+    // 60 unmatched rows per side widen the a × c grid to 90 × 90 cells
+    // against 30 · 30 · 2 matches: every output tuple sums two products,
+    // as a `Times` node each.
+    let row = |x: Value, y: Value, w: i64| (vec![x, y], w);
+    let matched = |i: u64| (0..2).map(move |k| (i, k));
+    let r_raw = Raw {
+        attrs: vec!["a", "b"],
+        rows: (0..30)
+            .flat_map(matched)
+            .map(|(i, k)| row(text(i), text(k), (i % 3 + 1) as i64))
+            .chain((0..60).map(|i| row(text(100 + i), text(7), 1)))
+            .collect(),
+    };
+    let s_raw = Raw {
+        attrs: vec!["b", "c"],
+        rows: (0..30)
+            .flat_map(matched)
+            .map(|(j, k)| row(text(k), text(j), (j % 2 + 1) as i64))
+            .chain((0..60).map(|j| row(text(8), text(100 + j), 1)))
+            .collect(),
+    };
+    let query = r().join(s()).project(["a", "c"]);
+    check(&query, &[("R", &r_raw), ("S", &s_raw)], Path::Rows);
 }

@@ -29,7 +29,12 @@
 //!   `x` being the pair `(1, x)`. A projection over a join is summed inside
 //!   the join ([`Semiring::sum_products`]), so each output tuple is one `Σ`
 //!   over its matched pairs — no `Times` node per match — the sum-of-products
-//!   node of factorised representations;
+//!   node of factorised representations. Both calls build their groups the
+//!   same way, from two walks over the members ([`ProductWalk`]): the first
+//!   counts each group's pairs, the second checks every handle and
+//!   scatters each pair free of `0`, id-sorted and packed into one `u64`,
+//!   into its group's slots; each group is then sorted as `u64`s (its
+//!   canonical multiset) and all of them are interned under one lock;
 //! * [`CircuitEval`] memoizes `Eval_v` over the shared DAG, so a node reused
 //!   by many output tuples is evaluated **once per valuation**, and
 //!   [`CircuitEval::eval_all`] evaluates a whole result in one forward sweep
@@ -132,7 +137,7 @@
 use crate::fxhash::{fx_hash_one, FxFoldHashMap, FxHashMap};
 use crate::polynomial::{Polynomial, ProvenancePolynomial};
 use crate::posbool::PosBool;
-use crate::traits::{CommutativeSemiring, PlusIdempotent, Portable, Semiring};
+use crate::traits::{CommutativeSemiring, PlusIdempotent, Portable, ProductWalk, Semiring};
 use crate::variable::{split_indexed, Valuation, Variable};
 use std::cell::Cell;
 use std::collections::BinaryHeap;
@@ -697,52 +702,89 @@ fn times_node(a: &Circuit, b: &Circuit) -> Result<Circuit, Node> {
     }
 }
 
-/// `Σᵢ aᵢ·bᵢ` over a group's pairs, each id-sorted and free of `0`: `0`, a
-/// member itself (one `[1, x]`), or the node to intern — a `Times` (one
-/// product), a binary `Plus` (two plain members), or one `Sum` over the
-/// sorted multiset — canonical, so equal groups hash-cons to one node
-/// whatever order their rows came in.
-fn sum_node(pairs: &mut [[u32; 2]], generation: u32) -> Result<Circuit, Node> {
+/// The pair `(a, b)` id-sorted and packed into one `u64`, the smaller id in
+/// the high half — so sorting packed pairs sorts them as `[u32; 2]`s.
+fn packed_pair(a: &Circuit, b: &Circuit) -> u64 {
+    (u64::from(a.id.min(b.id)) << 32) | u64::from(a.id.max(b.id))
+}
+
+fn unpacked(pair: u64) -> [u32; 2] {
+    [(pair >> 32) as u32, pair as u32]
+}
+
+/// `Σᵢ aᵢ·bᵢ` over a group's packed pairs, each free of `0`: `0`, a member
+/// itself (one `[1, x]`), or the node to intern — a `Times` (one product),
+/// a binary `Plus` (two plain members), or one `Sum` over the sorted
+/// multiset — canonical, so equal groups hash-cons to one node whatever
+/// order their rows came in.
+fn sum_node(pairs: &mut [u64], generation: u32) -> Result<Circuit, Node> {
     pairs.sort_unstable();
+    let plain = |pair: u64| pair >> 32 == u64::from(ONE);
     match *pairs {
         [] => Ok(Circuit::zero()),
-        [[ONE, x]] => Ok(make_handle(x, generation)),
-        [product] => Err(Node::Times(product)),
-        [[ONE, x], [ONE, y]] => Err(Node::Plus([x, y])),
-        _ => Err(Node::Sum(pairs.iter().flatten().copied().collect())),
+        [pair] => match unpacked(pair) {
+            [ONE, x] => Ok(make_handle(x, generation)),
+            product => Err(Node::Times(product)),
+        },
+        [p, q] if plain(p) && plain(q) => Err(Node::Plus([p as u32, q as u32])),
+        _ => Err(Node::Sum(
+            pairs.iter().flat_map(|&pair| unpacked(pair)).collect(),
+        )),
     }
 }
 
-/// Interns one `Σ` per group under one lock: `members()` yields each
-/// non-zero pair `(group, [a, b])` (id-sorted), the same sequence every
-/// call; the pairs are counting-sorted by group, then each group's are
-/// folded by [`sum_node`].
-fn intern_sums<I>(n_groups: usize, members: impl Fn() -> I, generation: u32) -> Vec<Circuit>
-where
-    I: Iterator<Item = (usize, [u32; 2])>,
-{
-    // `cursor[g]` starts at the offset of group `g`'s first pair and ends,
-    // after the scatter, one past its last.
-    let mut cursor = vec![0usize; n_groups];
-    for (g, _) in members() {
-        cursor[g] += 1;
-    }
-    let mut total = 0;
-    for slot in &mut cursor {
-        total += std::mem::replace(slot, total);
-    }
-    let mut pairs = vec![[ZERO; 2]; total];
-    for (g, pair) in members() {
-        pairs[cursor[g]] = pair;
-        cursor[g] += 1;
-    }
-    let mut start = 0;
-    let sums = cursor.into_iter().map(|end| {
-        let group = &mut pairs[start..end];
-        start = end;
-        sum_node(group, generation)
+/// Interns one `Σ` per group under one lock from two walks over the same
+/// `members`: the first counts each group's pairs free of `0`, the second
+/// checks every handle (a stale one anywhere panics) and scatters each such
+/// pair, packed, into its group's slot; each group is then folded by
+/// [`sum_node`]. A walk that yields other pairs the second time panics.
+fn intern_sums<P: ProductWalk<Circuit> + ?Sized>(n_groups: usize, members: &P) -> Vec<Circuit> {
+    let generation = synced_local().generation;
+    // `starts[g]..starts[g + 1]` are group `g`'s slots.
+    let mut starts = vec![0usize; n_groups + 1];
+    members.walk(|g, a, b| {
+        if a.id != ZERO && b.id != ZERO {
+            starts[g as usize + 1] += 1;
+        }
     });
+    for g in 0..n_groups {
+        starts[g + 1] += starts[g];
+    }
+    let mut cursor = starts[..n_groups].to_vec();
+    let mut pairs = vec![0u64; starts[n_groups]];
+    members.walk(|g, a, b| {
+        assert_live(a, generation);
+        assert_live(b, generation);
+        if a.id != ZERO && b.id != ZERO {
+            let slot = &mut cursor[g as usize];
+            pairs[*slot] = packed_pair(a, b);
+            *slot += 1;
+        }
+    });
+    assert!(
+        cursor[..] == starts[1..],
+        "the second walk over a sum's members yielded other pairs than the first"
+    );
+    let sums = starts
+        .windows(2)
+        .map(|group| sum_node(&mut pairs[group[0]..group[1]], generation));
     intern_batch(sums, Some(generation))
+}
+
+/// The members of a grouping call's sums: each value `x` is the pair
+/// `(1, x)`.
+struct PlainMembers<'a> {
+    group_of: &'a [u32],
+    values: &'a [Circuit],
+}
+
+impl ProductWalk<Circuit> for PlainMembers<'_> {
+    fn walk(&self, mut f: impl FnMut(u32, &Circuit, &Circuit)) {
+        let one = Circuit::one();
+        for (&group, value) in self.group_of.iter().zip(self.values) {
+            f(group, &one, value);
+        }
+    }
 }
 
 /// Number of nodes currently interned in the process-wide arena (including
@@ -1470,40 +1512,22 @@ impl Semiring for Circuit {
     }
 
     /// One n-ary `Σ` node per group instead of a chain of binary `Plus`
-    /// links: the non-zero members `x` become pairs `[1, x]`, are
-    /// counting-sorted by group, and every group's sorted multiset is
-    /// interned under one arena lock.
+    /// links: the non-zero members `x` become pairs `[1, x]`, are scattered
+    /// by group, and every group's sorted multiset is interned under one
+    /// arena lock.
     fn sum_groups(n_groups: usize, group_of: &[u32], values: Vec<Self>) -> Vec<Self> {
-        let generation = check_handles(&values);
-        let members = || {
-            group_of
-                .iter()
-                .zip(&values)
-                .filter(|(_, v)| v.id != ZERO)
-                .map(|(&g, v)| (g as usize, [ONE, v.id]))
-        };
-        intern_sums(n_groups, members, generation)
+        let values = &values;
+        intern_sums(n_groups, &PlainMembers { group_of, values })
     }
 
-    /// One `Σᵢ aᵢ·bᵢ` node per group, no `Times` node per pair: every handle
-    /// is checked (a stale one anywhere panics), pairs with a `0` operand
-    /// drop out, the rest are id-sorted inside and counting-sorted by group,
-    /// and every group's sorted multiset is interned under one arena lock.
-    fn sum_products<'a, I>(n_groups: usize, group_of: &[u32], pairs: I) -> Vec<Self>
-    where
-        I: IntoIterator<Item = (&'a Self, &'a Self)>,
-    {
-        let generation = synced_local().generation;
-        let members: Vec<(usize, [u32; 2])> = group_of
-            .iter()
-            .zip(pairs)
-            .filter_map(|(&g, (a, b))| {
-                assert_live(a, generation);
-                assert_live(b, generation);
-                (a.id != ZERO && b.id != ZERO).then(|| (g as usize, sorted_pair(a, b)))
-            })
-            .collect();
-        intern_sums(n_groups, || members.iter().copied(), generation)
+    /// One `Σᵢ aᵢ·bᵢ` node per group, no `Times` node per pair, from two
+    /// walks over the matches: the first counts each group's pairs, the
+    /// second checks every handle (a stale one anywhere panics), drops the
+    /// pairs with a `0` operand and scatters the rest, id-sorted and packed
+    /// into one `u64` each, into their group's slots; every group's sorted
+    /// multiset is interned under one arena lock.
+    fn sum_products<P: ProductWalk<Self> + ?Sized>(n_groups: usize, matches: &P) -> Vec<Self> {
+        intern_sums(n_groups, matches)
     }
 
     /// The products of a batch interned together: every handle is checked
@@ -1636,6 +1660,15 @@ impl From<Circuit> for BoolCircuit {
     }
 }
 
+/// A walk over [`BoolCircuit`] matches read as the circuits they wrap.
+struct AsCircuits<'a, P: ?Sized>(&'a P);
+
+impl<P: ProductWalk<BoolCircuit> + ?Sized> ProductWalk<Circuit> for AsCircuits<'_, P> {
+    fn walk(&self, mut f: impl FnMut(u32, &Circuit, &Circuit)) {
+        self.0.walk(|group, a, b| f(group, &a.0, &b.0));
+    }
+}
+
 impl Semiring for BoolCircuit {
     fn zero() -> Self {
         BoolCircuit(Circuit::zero())
@@ -1666,12 +1699,8 @@ impl Semiring for BoolCircuit {
             .collect()
     }
 
-    fn sum_products<'a, I>(n_groups: usize, group_of: &[u32], pairs: I) -> Vec<Self>
-    where
-        I: IntoIterator<Item = (&'a Self, &'a Self)>,
-    {
-        let circuits = pairs.into_iter().map(|(a, b)| (&a.0, &b.0));
-        Circuit::sum_products(n_groups, group_of, circuits)
+    fn sum_products<P: ProductWalk<Self> + ?Sized>(n_groups: usize, matches: &P) -> Vec<Self> {
+        Circuit::sum_products(n_groups, &AsCircuits(matches))
             .into_iter()
             .map(BoolCircuit)
             .collect()
@@ -2111,7 +2140,9 @@ mod tests {
         ];
         let group_of: Vec<u32> = pairs.iter().map(|(g, _, _)| *g).collect();
         let refs = || pairs.iter().map(|&(_, a, b)| (a, b));
-        let sums = Circuit::sum_products(7, &group_of, refs());
+        let matches: Vec<(u32, Circuit, Circuit)> =
+            pairs.iter().map(|&(g, a, b)| (g, *a, *b)).collect();
+        let sums = Circuit::sum_products(7, matches.as_slice());
         // The same ℕ[X] elements as the products summed group by group.
         let reference = Circuit::sum_groups(7, &group_of, Circuit::times_each(refs()));
         for (group, (sum, expected)) in sums.iter().zip(&reference).enumerate() {
@@ -2141,9 +2172,9 @@ mod tests {
         assert_eq!(sums[4].node_count(), 3);
         assert!(sums[5].is_zero() && sums[6].is_zero());
         // Operand order and row order do not matter.
-        let swapped: Vec<(&Circuit, &Circuit)> = refs().map(|(a, b)| (b, a)).rev().collect();
-        let regrouped: Vec<u32> = group_of.iter().rev().copied().collect();
-        let again = Circuit::sum_products(7, &regrouped, swapped);
+        let swapped: Vec<(u32, Circuit, Circuit)> =
+            matches.iter().rev().map(|&(g, a, b)| (g, b, a)).collect();
+        let again = Circuit::sum_products(7, swapped.as_slice());
         for (a, b) in sums.iter().zip(&again) {
             assert!(a.same_node(b));
         }
@@ -2152,10 +2183,11 @@ mod tests {
         assert_eq!(sums[0].eval(&v), nat(2 * 3 + 3 * 5 + 2 + 2));
         assert_eq!(sums[4].eval(&v), nat(2 * 5 * 2));
         // The PosBool reading delegates to the same nodes.
-        let bools: Vec<(BoolCircuit, BoolCircuit)> = refs()
-            .map(|(a, b)| (BoolCircuit::from(*a), BoolCircuit::from(*b)))
+        let bools: Vec<(u32, BoolCircuit, BoolCircuit)> = matches
+            .iter()
+            .map(|&(g, a, b)| (g, a.into(), b.into()))
             .collect();
-        let bool_sums = BoolCircuit::sum_products(7, &group_of, bools.iter().map(|(a, b)| (a, b)));
+        let bool_sums = BoolCircuit::sum_products(7, bools.as_slice());
         for (b, c) in bool_sums.iter().zip(&sums) {
             assert!(b.circuit().same_node(c));
         }

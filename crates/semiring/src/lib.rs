@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::security::Clearance;
     pub use crate::traits::{
         CommutativeSemiring, DistributiveLattice, FiniteSemiring, FnHomomorphism, NaturallyOrdered,
-        OmegaContinuous, PlusIdempotent, Portable, Semiring, SemiringHomomorphism,
+        OmegaContinuous, PlusIdempotent, Portable, ProductWalk, Semiring, SemiringHomomorphism,
     };
     pub use crate::tropical::Tropical;
     pub use crate::variable::{Valuation, Variable};

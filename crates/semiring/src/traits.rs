@@ -74,6 +74,26 @@ macro_rules! portable_by_send {
 
 pub(crate) use portable_by_send;
 
+/// The matches of a projecting join as [`Semiring::sum_products`] reads
+/// them: a re-walkable enumeration. Each walk calls `f(group, a, b)` once
+/// per match — `a · b` its product, operands in that order, `group` the
+/// output tuple it adds to — and every walk yields the same matches in the
+/// same order, so a consumer may walk twice (once to size, once to fill)
+/// instead of collecting the matches.
+pub trait ProductWalk<K> {
+    /// Calls `f` once per match, in the enumeration's order.
+    fn walk(&self, f: impl FnMut(u32, &K, &K));
+}
+
+/// Matches listed one by one, `(group, a, b)` each.
+impl<K> ProductWalk<K> for [(u32, K, K)] {
+    fn walk(&self, mut f: impl FnMut(u32, &K, &K)) {
+        for (group, a, b) in self {
+            f(*group, a, b);
+        }
+    }
+}
+
 /// A semiring `(K, +, ·, 0, 1)`.
 ///
 /// Laws (checked for every implementation in this crate by the harness in
@@ -173,20 +193,19 @@ pub trait Semiring: Clone + PartialEq + Debug + 'static {
         pairs.into_iter().map(|(a, b)| a.times(b)).collect()
     }
 
-    /// Sums the products of `pairs` group by group — group `g`'s result is
-    /// `Σ a.times(b)` over the pairs `(a, b)` with `group_of[i] == g`, `0`
-    /// for a group without pairs. This is a projecting hash join's one call
-    /// (π over ⋈, the output tuple's sum taken inside the join: a groupjoin).
-    /// The default is [`Semiring::sum_groups`] over
-    /// [`Semiring::times_each`]; a representation that can build a sum of
-    /// products at once overrides it ([`crate::circuit::Circuit`] interns
-    /// one `Σᵢ aᵢ·bᵢ` node per group and no product node at all).
-    fn sum_products<'a, I>(n_groups: usize, group_of: &[u32], pairs: I) -> Vec<Self>
-    where
-        Self: 'a,
-        I: IntoIterator<Item = (&'a Self, &'a Self)>,
-    {
-        Self::sum_groups(n_groups, group_of, Self::times_each(pairs))
+    /// Sums the products of `matches` group by group — group `g`'s result is
+    /// `Σ a.times(b)` over the matches `(g, a, b)` the walk yields, `0` for a
+    /// group without matches. This is a projecting hash join's one call
+    /// (π over ⋈, the output tuple's sum taken inside the join: a
+    /// groupjoin). The default walks the matches once, adding each product
+    /// to its group's sum in walk order; a representation that can build a
+    /// sum of products at once overrides it ([`crate::circuit::Circuit`]
+    /// walks twice, to size and to fill, and interns one `Σᵢ aᵢ·bᵢ` node per
+    /// group and no product node at all).
+    fn sum_products<P: ProductWalk<Self> + ?Sized>(n_groups: usize, matches: &P) -> Vec<Self> {
+        let mut sums = vec![Self::zero(); n_groups];
+        matches.walk(|group, a, b| sums[group as usize].plus_assign(&a.times(b)));
+        sums
     }
 
     /// Multiplies a finite iterator of elements (the empty product is `1`).

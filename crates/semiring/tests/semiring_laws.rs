@@ -20,10 +20,12 @@
 //!   stale handle anywhere in a batch panics and that specializing a circuit
 //!   into circuits through `CircuitEval::eval_all` cannot deadlock,
 //! * [`Semiring::sum_products`] — the projecting join's bulk sum of
-//!   products, which circuits override with one `Σᵢ aᵢ·bᵢ` node per group —
-//!   equals `sum_groups ∘ times_each`, with zeros, ones, empty groups and
-//!   empty batches; for circuits also that a stale handle anywhere in its
-//!   batch panics,
+//!   products over a re-walkable [`ProductWalk`], which circuits override
+//!   with one `Σᵢ aᵢ·bᵢ` node per group — equals `sum_groups ∘ times_each`,
+//!   with zeros, ones, empty groups and empty batches; for circuits also
+//!   that a stale handle anywhere in its batch panics, that they walk the
+//!   matches exactly twice, and that a walk yielding other matches the
+//!   second time is refused,
 //! * `a + a = a` for every type claiming [`PlusIdempotent`].
 //!
 //! The floating-point semirings (fuzzy, Viterbi) are sampled from dyadic
@@ -174,10 +176,15 @@ macro_rules! semiring_laws {
                         // ...all singletons.
                         _ => (operands.len(), (0..operands.len() as u32).collect()),
                     };
-                    let refs = || operands.iter().map(|(a, b)| (a, b));
-                    let sums = <$ty>::sum_products(n_groups, &group_of, refs());
+                    let matches: Vec<(u32, $ty, $ty)> = group_of
+                        .iter()
+                        .zip(&operands)
+                        .map(|(&g, (a, b))| (g, a.clone(), b.clone()))
+                        .collect();
+                    let sums = <$ty>::sum_products(n_groups, matches.as_slice());
+                    let refs = operands.iter().map(|(a, b)| (a, b));
                     let expected =
-                        <$ty>::sum_groups(n_groups, &group_of, <$ty>::times_each(refs()));
+                        <$ty>::sum_groups(n_groups, &group_of, <$ty>::times_each(refs));
                     prop_assert_eq!(sums.len(), n_groups);
                     prop_assert_eq!(sums, expected);
                 }
@@ -381,6 +388,7 @@ plus_idempotence!(bool_circuit_idempotence, BoolCircuit, arb_bool_circuit());
 mod circuit_batches {
     use super::*;
     use provsem_semiring::circuit;
+    use std::cell::{Cell, RefCell};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc::{self, RecvTimeoutError};
     use std::time::Duration;
@@ -419,8 +427,12 @@ mod circuit_batches {
             circuit::reset();
             let mut operands = [var("p"), var("q"), var("r"), K::one(), K::one(), var("s")];
             operands[position] = stale.clone();
-            let pairs = operands.chunks(2).map(|pair| (&pair[0], &pair[1]));
-            let err = catch_unwind(AssertUnwindSafe(|| K::sum_products(2, &[0, 1, 0], pairs)))
+            let matches: Vec<(u32, K, K)> = operands
+                .chunks(2)
+                .zip([0, 1, 0])
+                .map(|(pair, group)| (group, pair[0].clone(), pair[1].clone()))
+                .collect();
+            let err = catch_unwind(AssertUnwindSafe(|| K::sum_products(2, matches.as_slice())))
                 .expect_err("a batch holding a stale handle must be refused");
             let message = panic_message(err);
             assert!(
@@ -440,6 +452,82 @@ mod circuit_batches {
     fn a_stale_bool_circuit_anywhere_in_a_batch_panics() {
         stale_anywhere_in_a_batch_panics(|name| BoolCircuit::var(name));
         stale_anywhere_in_a_sum_of_products_panics(|name| BoolCircuit::var(name));
+    }
+
+    /// A walk over `matches` that records the indices each walk yields and
+    /// moves the last match to group 0 from its second walk on when
+    /// `shifting`.
+    struct Recorded<'a> {
+        matches: &'a [(u32, Circuit, Circuit)],
+        shifting: bool,
+        walks: RefCell<Vec<Vec<usize>>>,
+    }
+
+    impl ProductWalk<Circuit> for Recorded<'_> {
+        fn walk(&self, mut f: impl FnMut(u32, &Circuit, &Circuit)) {
+            let later = !self.walks.borrow().is_empty();
+            let mut seen = Vec::new();
+            for (i, (group, a, b)) in self.matches.iter().enumerate() {
+                let last = i + 1 == self.matches.len();
+                let group = if self.shifting && later && last {
+                    0
+                } else {
+                    *group
+                };
+                f(group, a, b);
+                seen.push(i);
+            }
+            self.walks.borrow_mut().push(seen);
+        }
+    }
+
+    #[test]
+    fn circuit_sums_walk_the_same_matches_twice() {
+        let (p, q, r) = (Circuit::var("p"), Circuit::var("q"), Circuit::var("r"));
+        let matches = [
+            (0, p, q),
+            (1, q, r),
+            (0, Circuit::zero(), r),
+            (2, Circuit::one(), p),
+            (1, r, p),
+        ];
+        let recorded = |shifting| Recorded {
+            matches: &matches,
+            shifting,
+            walks: RefCell::new(Vec::new()),
+        };
+        // Two full walks, one to size the groups and one to fill them, and
+        // the sums of the listed matches.
+        let walk = recorded(false);
+        let sums = Circuit::sum_products(3, &walk);
+        let every: Vec<usize> = (0..matches.len()).collect();
+        assert_eq!(*walk.walks.borrow(), [every.clone(), every]);
+        let listed = Circuit::sum_products(3, matches.as_slice());
+        for (a, b) in sums.iter().zip(&listed) {
+            assert!(a.same_node(b));
+        }
+        // A second walk that moves a match to another group is refused, not
+        // summed into a neighbour's slots.
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            Circuit::sum_products(3, &recorded(true))
+        }))
+        .expect_err("a walk that changes between passes must be refused");
+        assert!(panic_message(err).contains("second walk"));
+        // The default sum walks once.
+        let naturals = [(0, Natural::from(2u64), Natural::from(3u64))];
+        let once = NaturalsWalked(&naturals, Cell::new(0));
+        assert_eq!(Natural::sum_products(1, &once), vec![Natural::from(6u64)]);
+        assert_eq!(once.1.get(), 1);
+    }
+
+    /// A walk over listed naturals that counts its walks.
+    struct NaturalsWalked<'a>(&'a [(u32, Natural, Natural)], Cell<usize>);
+
+    impl ProductWalk<Natural> for NaturalsWalked<'_> {
+        fn walk(&self, f: impl FnMut(u32, &Natural, &Natural)) {
+            self.1.set(self.1.get() + 1);
+            self.0.walk(f);
+        }
     }
 
     /// Runs `f` on a worker thread (circuit handles are `!Send`, so it builds
