@@ -46,8 +46,9 @@
 //!   annotation pair straight to the semiring — no per-match array — so
 //!   each output tuple is one sum of products (one `Σᵢ aᵢ·bᵢ` circuit node,
 //!   instead of a `Times` node per match for the root merge to sum), and
-//!   the kept columns are decoded from the live cells. Any other shape, and
-//!   a join whose grid is sparser than its matches, makes the join's rows.
+//!   the kept columns are decoded from the live cells. A join whose grid
+//!   is sparser than its matches makes its rows from those keys on the
+//!   calling thread; any other shape makes the join's rows.
 //!
 //! With a multi-threaded [`ExecContext`] and a semiring whose annotations
 //! can cross threads ([`Semiring::is_portable`]), joins and aggregations
@@ -688,17 +689,10 @@ impl<K> ProductWalk<K> for SummedMatches<'_, K> {
     }
 }
 
-/// Does a hash join over these inputs run on the calling thread? At one
-/// thread, or with too few rows to spawn workers for.
-fn joins_inline<K: Semiring>(build: &[Batch<K>], probe: &[Batch<K>], threads: usize) -> bool {
-    let total: usize = build.iter().chain(probe).map(Batch::live_rows).sum();
-    threads <= 1 || total < crate::par::SPAWN_THRESHOLD
-}
-
 /// Runs `work` on every key partition of a hash join's inputs — inline on
-/// the whole input when [`joins_inline`], otherwise on both sides exchanged
-/// by key hash, one scoped worker per partition — and returns the outputs
-/// in partition order.
+/// the whole input at one thread or below [`crate::par::SPAWN_THRESHOLD`]
+/// rows, otherwise on both sides exchanged by key hash, one scoped worker
+/// per partition — and returns the outputs in partition order.
 fn per_partition<K, F>(
     build: Vec<Batch<K>>,
     probe: Vec<Batch<K>>,
@@ -710,7 +704,8 @@ where
     K: Semiring,
     F: Fn(Vec<Batch<K>>, Vec<Batch<K>>) -> Vec<Batch<K>> + Sync,
 {
-    if joins_inline(&build, &probe, threads) {
+    let total: usize = build.iter().chain(&probe).map(Batch::live_rows).sum();
+    if threads <= 1 || total < crate::par::SPAWN_THRESHOLD {
         return vec![work(build, probe)];
     }
     let sealed: Vec<_> = exchange_batches(build, keys.0, threads)
@@ -836,7 +831,7 @@ impl HashJoin<'_> {
         threads: usize,
     ) -> Joined<K> {
         let (build_keys, probe_keys) = self.keys;
-        let rows = |build, probe| {
+        let Some(summed) = SummedProjection::of(steps, self.output, &build, &probe) else {
             let parts = per_partition(build, probe, self.keys, threads, |build, probe| {
                 join_batches(
                     build,
@@ -847,19 +842,13 @@ impl HashJoin<'_> {
                     self.swapped,
                 )
             });
-            Joined::Rows(parts.into_iter().flatten().collect())
-        };
-        let Some(summed) = SummedProjection::of(steps, self.output, &build, &probe) else {
-            return rows(build, probe);
+            return Joined::Rows(parts.into_iter().flatten().collect());
         };
         let join = KeyedJoin::new(build, probe, build_keys, probe_keys);
         if summed.cells > join.match_count() {
-            // A grid sparser than the matches: the join's rows — from these
-            // keys when they are made on this thread anyway.
-            if joins_inline(&join.build, &join.probe, threads) {
-                return Joined::Rows(join.into_rows(self.output, self.swapped));
-            }
-            return rows(join.build, join.probe);
+            // A grid sparser than the matches: the join's rows, from the
+            // keys already made.
+            return Joined::Rows(join.into_rows(self.output, self.swapped));
         }
         match summed.sum(&join, self.swapped) {
             batch if batch.phys_rows() == 0 => Joined::Projected(Vec::new()),

@@ -348,6 +348,28 @@ fn a_grid_with_more_cells_than_matches_takes_the_rows() {
     let s_raw = random(&mut rng, 200, &[("b", text, 120), ("c", text, 200)]);
     let query = r().join(s()).project(["a", "c"]);
     check(&query, &[("R", &r_raw), ("S", &s_raw)], Path::Either);
+    // 60 unmatched rows per side widen the a × c grid to 90 × 90 cells
+    // against 30 · 30 · 2 matches: every output tuple sums two products,
+    // as a `Times` node each.
+    let row = |x: Value, y: Value, w: i64| (vec![x, y], w);
+    let matched = |i: u64| (0..2).map(move |k| (i, k));
+    let r_raw = Raw {
+        attrs: vec!["a", "b"],
+        rows: (0..30)
+            .flat_map(matched)
+            .map(|(i, k)| row(text(i), text(k), (i % 3 + 1) as i64))
+            .chain((0..60).map(|i| row(text(100 + i), text(7), 1)))
+            .collect(),
+    };
+    let s_raw = Raw {
+        attrs: vec!["b", "c"],
+        rows: (0..30)
+            .flat_map(matched)
+            .map(|(j, k)| row(text(k), text(j), (j % 2 + 1) as i64))
+            .chain((0..60).map(|j| row(text(8), text(100 + j), 1)))
+            .collect(),
+    };
+    check(&query, &[("R", &r_raw), ("S", &s_raw)], Path::Rows);
 }
 
 #[test]
@@ -454,31 +476,4 @@ fn an_empty_side() {
     ] {
         check(&query, &relations, Path::Either);
     }
-}
-
-#[test]
-fn a_grid_larger_than_its_matches_makes_rows() {
-    // 60 unmatched rows per side widen the a × c grid to 90 × 90 cells
-    // against 30 · 30 · 2 matches: every output tuple sums two products,
-    // as a `Times` node each.
-    let row = |x: Value, y: Value, w: i64| (vec![x, y], w);
-    let matched = |i: u64| (0..2).map(move |k| (i, k));
-    let r_raw = Raw {
-        attrs: vec!["a", "b"],
-        rows: (0..30)
-            .flat_map(matched)
-            .map(|(i, k)| row(text(i), text(k), (i % 3 + 1) as i64))
-            .chain((0..60).map(|i| row(text(100 + i), text(7), 1)))
-            .collect(),
-    };
-    let s_raw = Raw {
-        attrs: vec!["b", "c"],
-        rows: (0..30)
-            .flat_map(matched)
-            .map(|(j, k)| row(text(k), text(j), (j % 2 + 1) as i64))
-            .chain((0..60).map(|j| row(text(8), text(100 + j), 1)))
-            .collect(),
-    };
-    let query = r().join(s()).project(["a", "c"]);
-    check(&query, &[("R", &r_raw), ("S", &s_raw)], Path::Rows);
 }

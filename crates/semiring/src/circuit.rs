@@ -737,7 +737,9 @@ fn sum_node(pairs: &mut [u64], generation: u32) -> Result<Circuit, Node> {
 /// `members`: the first counts each group's pairs free of `0`, the second
 /// checks every handle (a stale one anywhere panics) and scatters each such
 /// pair, packed, into its group's slot; each group is then folded by
-/// [`sum_node`]. A walk that yields other pairs the second time panics.
+/// [`sum_node`]. A second walk whose per-group counts differ from the
+/// first's panics; one that yields other pairs in the same counts is not
+/// caught, so `members` must walk the same pairs both times.
 fn intern_sums<P: ProductWalk<Circuit> + ?Sized>(n_groups: usize, members: &P) -> Vec<Circuit> {
     let generation = synced_local().generation;
     // `starts[g]..starts[g + 1]` are group `g`'s slots.
@@ -763,7 +765,7 @@ fn intern_sums<P: ProductWalk<Circuit> + ?Sized>(n_groups: usize, members: &P) -
     });
     assert!(
         cursor[..] == starts[1..],
-        "the second walk over a sum's members yielded other pairs than the first"
+        "the second walk over a sum's members gave other per-group counts than the first"
     );
     let sums = starts
         .windows(2)

@@ -506,8 +506,9 @@ mod circuit_batches {
         for (a, b) in sums.iter().zip(&listed) {
             assert!(a.same_node(b));
         }
-        // A second walk that moves a match to another group is refused, not
-        // summed into a neighbour's slots.
+        // A second walk that moves a match to another group, and so changes
+        // two groups' counts, is refused, not summed into a neighbour's
+        // slots.
         let err = catch_unwind(AssertUnwindSafe(|| {
             Circuit::sum_products(3, &recorded(true))
         }))
